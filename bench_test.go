@@ -202,7 +202,7 @@ func BenchmarkAblationMaxSATOLL(b *testing.B) {
 // solve-stage-dominated workload — and reports the SAT-solve stage's
 // share (summed SolveNs across sub-problems) as solve-ns/op alongside
 // the end-to-end time. The OLL/Linear pair is the core-guided engine's
-// headline speedup evidence in BENCH_baseline.json.
+// headline speedup evidence.
 func benchDC256SolveStage(b *testing.B, algo maxsat.Algorithm) {
 	inst, err := generate.Preset("dc-256", 7)
 	if err != nil {
@@ -271,8 +271,8 @@ func BenchmarkAblationGreedyBaseline(b *testing.B) {
 // --- Symmetry compression (Bonsai-style quotient repair, DESIGN.md) ---
 
 // benchCompressRepair times an end-to-end repair with compression forced
-// on or off; the On/Off pairs below are the compression speedup evidence
-// tracked in BENCH_baseline.json.
+// on or off; the On/Off pairs below are the compression speedup
+// evidence.
 func benchCompressRepair(b *testing.B, h *harc.HARC, ps []policy.Policy, mode core.CompressMode) {
 	opts := core.DefaultOptions()
 	opts.Compress = mode
@@ -427,8 +427,7 @@ func BenchmarkSubstrateETGConstruction(b *testing.B) {
 	tcs := n.TrafficClasses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slots := arc.Slots(n)
-		arc.BuildTCETG(slots, tcs[i%len(tcs)])
+		arc.BuildTCETG(arc.NewTable(n), tcs[i%len(tcs)])
 	}
 }
 
@@ -562,8 +561,7 @@ func BenchmarkServerRepairWarm(b *testing.B) {
 // session. After the first toggle cycle both content keys are cached
 // with warm solve caches, so the steady state is one /v1/delta cache hit
 // plus one /v1/repair that replays every sub-problem — no SAT solving.
-// The target pinned by BENCH_baseline.json is ≥10× below
-// BenchmarkServerRepairWarm's full re-solve.
+// The target is ≥10× below BenchmarkServerRepairWarm's full re-solve.
 func BenchmarkServerRepairChurn(b *testing.B) {
 	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())

@@ -329,25 +329,17 @@ func verifyPatchedConfigs(ctx context.Context, patched map[string]string, polici
 }
 
 // patchedStateMatches compares the state extracted from re-parsed
-// patched configs with the verified repaired state, over every map the
+// patched configs with the verified repaired state, over every row the
 // policy verifiers read: per-class and per-destination presence for the
 // given classes, edge costs, and waypoints. Equality means the patched
 // network's graphs are the repaired state's graphs, so every verified
-// verdict transfers; the construct maps (route filters, statics) only
-// feed presence and need no separate comparison.
+// verdict transfers; the construct rows (route filters, statics) only
+// feed presence and need no separate comparison. The two states come
+// from different networks: when their slot tables are not the same shape
+// (the patch changed the slot-key sequence) nothing can be compared word
+// for word, and the caller falls back to the full checks.
 func patchedStateMatches(got, want *harc.State, tcs []TrafficClass) bool {
-	boolEq := func(a, b map[string]bool) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if bv, ok := b[k]; !ok || bv != v {
-				return false
-			}
-		}
-		return true
-	}
-	if len(got.Cost) != len(want.Cost) {
+	if !got.SameShape(want) || len(got.Cost) != len(want.Cost) {
 		return false
 	}
 	for k, v := range got.Cost {
@@ -355,19 +347,14 @@ func patchedStateMatches(got, want *harc.State, tcs []TrafficClass) bool {
 			return false
 		}
 	}
-	if !boolEq(got.Waypoint, want.Waypoint) {
+	if !got.Waypoint.Equal(want.Waypoint) {
 		return false
 	}
-	seenDst := map[string]bool{}
 	for _, tc := range tcs {
-		if !boolEq(got.TC[tc.Key()], want.TC[tc.Key()]) {
+		// Rows are found by name in each state; a class the verified state
+		// does not cover reads as a nil row and never matches.
+		if !got.TCBits(tc).Equal(want.TCBits(tc)) || !got.DstBits(tc.Dst).Equal(want.DstBits(tc.Dst)) {
 			return false
-		}
-		if !seenDst[tc.Dst.Name] {
-			seenDst[tc.Dst.Name] = true
-			if !boolEq(got.Dst[tc.Dst.Name], want.Dst[tc.Dst.Name]) {
-				return false
-			}
 		}
 	}
 	return true

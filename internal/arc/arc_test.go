@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -40,7 +42,7 @@ func TestSlotKeysUnique(t *testing.T) {
 // TestFigure3aETG reconstructs the ETG of Figure 3a (traffic class S->T).
 func TestFigure3aETG(t *testing.T) {
 	n := topology.Figure2a()
-	slots := Slots(n)
+	slots := NewTable(n)
 	etg := BuildTCETG(slots, tcOf(n, "S", "T"))
 
 	wantEdges := [][2]string{
@@ -73,7 +75,7 @@ func TestFigure3aETG(t *testing.T) {
 // the ACL on B's interface toward A removes the A->B edge.
 func TestFigure3bETG(t *testing.T) {
 	n := topology.Figure2a()
-	etg := BuildTCETG(Slots(n), tcOf(n, "S", "U"))
+	etg := BuildTCETG(NewTable(n), tcOf(n, "S", "U"))
 	from, to := etg.G.Vertex("A:ospf10:O"), etg.G.Vertex("B:ospf10:I")
 	if from >= 0 && to >= 0 && etg.G.FindEdge(from, to) >= 0 {
 		t.Error("A->B edge should be blocked by the ACL for destination U")
@@ -92,7 +94,7 @@ func TestFigure3bETG(t *testing.T) {
 // unrepaired network: EP1, EP2, EP4 hold; EP3 is violated.
 func TestTable1OriginalPolicies(t *testing.T) {
 	n := topology.Figure2a()
-	slots := Slots(n)
+	slots := NewTable(n)
 
 	// EP1: S->U always blocked.
 	if !VerifyAlwaysBlocked(BuildTCETG(slots, tcOf(n, "S", "U"))) {
@@ -132,7 +134,7 @@ func figure2b(n *topology.Network) {
 func TestFigure2bSideEffects(t *testing.T) {
 	n := topology.Figure2a()
 	figure2b(n)
-	slots := Slots(n)
+	slots := NewTable(n)
 
 	st := BuildTCETG(slots, tcOf(n, "S", "T"))
 	if !VerifyKReachable(st, n, 2) {
@@ -172,7 +174,7 @@ func figure2c(n *topology.Network) {
 func TestFigure2cSatisfiesAll(t *testing.T) {
 	n := topology.Figure2a()
 	figure2c(n)
-	slots := Slots(n)
+	slots := NewTable(n)
 	if !VerifyAlwaysBlocked(BuildTCETG(slots, tcOf(n, "S", "U"))) {
 		t.Error("EP1 should hold after Figure 2c repair")
 	}
@@ -200,7 +202,7 @@ func figure2d(n *topology.Network) {
 func TestFigure2dSatisfiesAll(t *testing.T) {
 	n := topology.Figure2a()
 	figure2d(n)
-	slots := Slots(n)
+	slots := NewTable(n)
 	if !VerifyAlwaysBlocked(BuildTCETG(slots, tcOf(n, "S", "U"))) {
 		t.Error("EP1 should hold after Figure 2d repair")
 	}
@@ -221,7 +223,7 @@ func TestFigure2dSatisfiesAll(t *testing.T) {
 func TestFigure4CrossTrafficClass(t *testing.T) {
 	n := topology.Figure2a()
 	figure2d(n)
-	slots := Slots(n)
+	slots := NewTable(n)
 	for _, src := range []string{"S", "R"} {
 		etg := BuildTCETG(slots, tcOf(n, src, "T"))
 		from, to := etg.G.Vertex("A:ospf10:O"), etg.G.Vertex("C:ospf10:I")
@@ -245,16 +247,16 @@ func TestHierarchyByConstruction(t *testing.T) {
 		if variant != nil {
 			variant(n)
 		}
-		slots := Slots(n)
+		slots := NewTable(n)
 		for _, tc := range n.TrafficClasses() {
-			for _, s := range slots {
+			for _, s := range slots.Slots {
 				if s.PresentTC(tc) && !s.PresentDst(tc.Dst) {
 					t.Fatalf("slot %s present in tcETG but not dETG", s.Key())
 				}
 			}
 		}
 		for _, dst := range n.Subnets {
-			for _, s := range slots {
+			for _, s := range slots.Slots {
 				if !s.PresentDst(dst) {
 					continue
 				}
@@ -275,7 +277,7 @@ func TestHierarchyByConstruction(t *testing.T) {
 
 func TestDstETGIgnoresACLs(t *testing.T) {
 	n := topology.Figure2a()
-	slots := Slots(n)
+	slots := NewTable(n)
 	d := BuildDstETG(slots, n.Subnet("U"))
 	// The A->B edge is in the dETG for U even though ACLs remove it from
 	// the S->U tcETG.
@@ -288,7 +290,7 @@ func TestDstETGIgnoresACLs(t *testing.T) {
 func TestAllETGIgnoresFiltersAndStatics(t *testing.T) {
 	n := topology.Figure2a()
 	figure2d(n) // adds static route A->C for T
-	slots := Slots(n)
+	slots := NewTable(n)
 	a := BuildAllETG(slots)
 	from, to := a.G.Vertex("A:ospf10:O"), a.G.Vertex("C:ospf10:I")
 	if from >= 0 && to >= 0 && a.G.FindEdge(from, to) >= 0 {
@@ -302,7 +304,7 @@ func TestRouteFilterRemovesDstEdges(t *testing.T) {
 	pc := c.Process(topology.OSPF, 10)
 	// Filter routes to U on C's process: C can no longer forward to U.
 	pc.RouteFilters = append(pc.RouteFilters, n.Subnet("U").Prefix)
-	slots := Slots(n)
+	slots := NewTable(n)
 	d := BuildDstETG(slots, n.Subnet("U"))
 	// C's self edge CI->CO is gone for destination U.
 	from, to := d.G.Vertex("C:ospf10:I"), d.G.Vertex("C:ospf10:O")
@@ -323,12 +325,25 @@ func TestRouteFilterRemovesDstEdges(t *testing.T) {
 	}
 }
 
+// linkSet returns the link-id set holding the given links of n.
+func linkSet(n *topology.Network, links ...*topology.Link) bitset.Set {
+	set := bitset.New(len(n.Links))
+	for _, l := range links {
+		for id, nl := range n.Links {
+			if nl == l {
+				set.Put(id, true)
+			}
+		}
+	}
+	return set
+}
+
 func TestWithoutLinks(t *testing.T) {
 	n := topology.Figure2a()
-	slots := Slots(n)
+	slots := NewTable(n)
 	st := BuildTCETG(slots, tcOf(n, "S", "T"))
 	ab := n.Link("A", "B")
-	failed := st.WithoutLinks(map[*topology.Link]bool{ab: true})
+	failed := st.WithoutLinks(linkSet(n, ab))
 	if failed.G.PathExists(failed.Src, failed.Dst) {
 		t.Error("failing A-B should disconnect S from T")
 	}
@@ -340,7 +355,7 @@ func TestWithoutLinks(t *testing.T) {
 
 func TestDevicePath(t *testing.T) {
 	n := topology.Figure2a()
-	slots := Slots(n)
+	slots := NewTable(n)
 	st := BuildTCETG(slots, tcOf(n, "S", "T"))
 	path := st.G.ShortestPath(st.Src, st.Dst)
 	got := st.DevicePath(path)
@@ -358,7 +373,7 @@ func TestDevicePath(t *testing.T) {
 func TestEdgeWeightsMatchCosts(t *testing.T) {
 	n := topology.Figure2a()
 	n.Device("A").Interface("Ethernet0/1").Cost = 7
-	slots := Slots(n)
+	slots := NewTable(n)
 	st := BuildTCETG(slots, tcOf(n, "S", "T"))
 	from, to := st.G.Vertex("A:ospf10:O"), st.G.Vertex("B:ospf10:I")
 	e := st.G.FindEdge(from, to)
@@ -418,7 +433,7 @@ func TestPrimaryPathACLBlindness(t *testing.T) {
 	}
 	c.Interface("Ethernet0/1").InACL = "BLOCK-RT"
 
-	slots := Slots(n)
+	slots := NewTable(n)
 	tc := tcOf(n, "R", "T")
 	tcETG := BuildTCETG(slots, tc)
 
@@ -453,9 +468,78 @@ func TestPrimaryPathACLBlindness(t *testing.T) {
 		{Permit: true},
 	}
 	b.Interface("Ethernet0/1").InACL = "BLOCK-RT"
-	slots2 := Slots(n2)
+	slots2 := NewTable(n2)
 	tc2 := tcOf(n2, "R", "T")
 	if VerifyPrimaryPath(BuildTCETG(slots2, tc2), BuildRoutingETG(slots2, tc2), want) {
 		t.Error("PC4 must be violated: an ACL drops traffic on the primary path itself")
+	}
+}
+
+// TestHandBuiltSlotsAreSafe: a slot that no table enumerated carries no
+// id; ETG lookups must fall back to its key instead of indexing with a
+// zero id (or panicking), and edge ids that name no edge carry no
+// waypoint.
+func TestHandBuiltSlotsAreSafe(t *testing.T) {
+	n := topology.Figure2a()
+	table := NewTable(n)
+	etg := BuildTCETG(table, tcOf(n, "S", "T"))
+	for _, s := range table.Slots {
+		hand := &Slot{
+			Kind: s.Kind, FromProc: s.FromProc, ToProc: s.ToProc, Link: s.Link,
+			FromIntf: s.FromIntf, ToIntf: s.ToIntf, Subnet: s.Subnet, Intf: s.Intf,
+		}
+		if hand.Key() != s.Key() || hand.CostKey() != s.CostKey() {
+			t.Fatalf("hand-built key %q/%q, enumerated %q/%q", hand.Key(), hand.CostKey(), s.Key(), s.CostKey())
+		}
+		if etg.HasSlot(hand) != etg.HasSlot(s) {
+			t.Fatalf("HasSlot(%s) = %v for the hand-built twin, %v for the enumerated slot", s.Key(), etg.HasSlot(hand), etg.HasSlot(s))
+		}
+	}
+	// A slot of another network's table (same shape, different objects)
+	// resolves by key too.
+	other := NewTable(topology.Figure2a())
+	if !table.SameShape(other) {
+		t.Fatal("two extractions of one network differ in shape")
+	}
+	for i, s := range other.Slots {
+		if etg.HasSlot(s) != etg.HasSlot(table.Slots[i]) {
+			t.Fatalf("HasSlot(%s) differs for the other table's slot", s.Key())
+		}
+	}
+	for _, id := range []graph.E{-1, graph.E(len(etg.SlotOf)), 1 << 20} {
+		if etg.WaypointEdge(id) {
+			t.Fatalf("WaypointEdge(%d) = true for an id naming no edge", id)
+		}
+	}
+}
+
+func TestSameShape(t *testing.T) {
+	base := NewTable(topology.Figure2a())
+	// A behavioural change keeps the shape; a structural one does not.
+	n := topology.Figure2a()
+	n.Device("A").Interface("Ethernet0/1").Cost = 9
+	if !base.SameShape(NewTable(n)) {
+		t.Error("a cost change altered the shape")
+	}
+	n = topology.Figure2a()
+	n.Device("A").AddProcess(topology.BGP, 65000)
+	if base.SameShape(NewTable(n)) {
+		t.Error("an added process kept the shape")
+	}
+	for id, s := range base.Slots {
+		if s.ID != id || base.SlotID(s.Key()) != id {
+			t.Fatalf("slot %s: ID %d, SlotID %d, position %d", s.Key(), s.ID, base.SlotID(s.Key()), id)
+		}
+		if s.Kind == SlotInterDevice {
+			rev := base.Slots[s.Canon]
+			if s.Canon > id || (s.Canon != id && (rev.FromProc != s.ToProc || rev.ToProc != s.FromProc || rev.Link != s.Link)) {
+				t.Fatalf("slot %s: canon %d is not the lower-id direction of its adjacency", s.Key(), s.Canon)
+			}
+		} else if s.Canon != id {
+			t.Fatalf("slot %s: non-adjacency slot with canon %d", s.Key(), s.Canon)
+		}
+	}
+	if base.SlotID("no-such-slot") != -1 {
+		t.Error("SlotID of an unknown key is not -1")
 	}
 }

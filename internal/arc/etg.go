@@ -1,6 +1,7 @@
 package arc
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -19,8 +20,10 @@ const (
 )
 
 // ETG is an extended topology graph: the per-level digraph derived from a
-// network's slot table. Src/Dst are graph.None at levels where the vertex
-// does not apply (aETG has neither; dETGs have no single SRC).
+// network's slot table. Every ETG of a network is laid over the table's
+// shared vertex space (SRC and DST are always vertices 0 and 1, present
+// even when no edge reaches them), so graphs carry no name index and
+// vertex ids mean the same thing in all of them.
 type ETG struct {
 	Level     Level
 	TC        topology.TrafficClass // set for LevelTC
@@ -30,80 +33,63 @@ type ETG struct {
 	Src graph.V
 	Dst graph.V
 
-	// SlotOf maps each edge to the slot it instantiates; EdgeOf is the
-	// inverse keyed by Slot.Key().
-	SlotOf map[graph.E]*Slot
-	EdgeOf map[string]graph.E
+	// SlotOf maps each edge id to the slot it instantiates; EdgeOf is the
+	// inverse, indexed by Slot.ID, with graph.None for absent slots.
+	SlotOf []*Slot
+	EdgeOf []graph.E
 
-	// Waypoints, when non-nil, overrides link waypoint presence (keyed by
-	// Link.Name()). Used when verifying repaired states that add or
-	// remove middleboxes.
-	Waypoints map[string]bool
+	// Waypoints, when non-nil, overrides link waypoint presence by link id.
+	// Used when verifying repaired states that add or remove middleboxes.
+	Waypoints bitset.Set
+
+	tab *Table
 }
 
-// builder assembles an ETG from the subset of slots present at a level.
-type builder struct {
-	etg *ETG
-}
-
-// presentSlot is a slot admitted by a presence rule, with its edge
-// weight. Builds run in two passes — gather present slots, then size
-// the graph exactly and add — so the vertex/edge maps never rehash.
-type presentSlot struct {
-	s *Slot
-	w int64
-}
-
-func newBuilder(level Level, ne int) *builder {
-	return &builder{etg: &ETG{
+// NewETG returns the ETG over t's vertex space whose edges are exactly
+// the given slots (each a slot of t, in ascending ID order), slot i
+// weighted weight(i).
+func NewETG(t *Table, level Level, present []*Slot, weight func(*Slot) int64) *ETG {
+	edges := make([]graph.Edge, len(present))
+	edgeOf := make([]graph.E, len(t.Slots))
+	for i := range edgeOf {
+		edgeOf[i] = graph.E(graph.None)
+	}
+	for i, s := range present {
+		edges[i] = graph.Edge{From: s.From, To: s.To, Weight: weight(s)}
+		edgeOf[s.ID] = graph.E(i)
+	}
+	return &ETG{
 		Level:  level,
-		G:      graph.NewWithCap(ne+2, ne),
-		Src:    graph.V(graph.None),
-		Dst:    graph.V(graph.None),
-		SlotOf: make(map[graph.E]*Slot, ne),
-		EdgeOf: make(map[string]graph.E, ne),
-	}}
+		G:      graph.NewOver(t.Vertices, edges),
+		Src:    VSrc,
+		Dst:    VDst,
+		SlotOf: present,
+		EdgeOf: edgeOf,
+		tab:    t,
+	}
 }
 
-func (b *builder) add(s *Slot, weight int64) {
-	from := b.etg.G.AddVertex(s.FromVertex())
-	to := b.etg.G.AddVertex(s.ToVertex())
-	e := b.etg.G.AddEdge(from, to, weight)
-	b.etg.SlotOf[e] = s
-	b.etg.EdgeOf[s.Key()] = e
-	if s.Kind == SlotSource {
-		b.etg.Src = from
+// build gathers the slots a presence rule admits and lays the ETG over
+// them.
+func build(t *Table, level Level, dst *topology.Subnet, present func(*Slot) bool) *ETG {
+	var in []*Slot
+	for _, s := range t.Slots {
+		if present(s) {
+			in = append(in, s)
+		}
 	}
-	if s.Kind == SlotDest {
-		b.etg.Dst = to
-	}
+	e := NewETG(t, level, in, func(s *Slot) int64 { return s.Weight(dst) })
+	e.DstSubnet = dst
+	return e
 }
 
 // BuildTCETG builds the traffic-class ETG for tc (Algorithm 1).
-func BuildTCETG(slots []*Slot, tc topology.TrafficClass) *ETG {
-	var present []presentSlot
-	for _, s := range slots {
-		if s.Kind == SlotSource && s.Subnet != tc.Src {
-			continue
-		}
-		if s.Kind == SlotDest && s.Subnet != tc.Dst {
-			continue
-		}
-		if s.PresentTC(tc) {
-			present = append(present, presentSlot{s, s.Weight(tc.Dst)})
-		}
-	}
-	b := newBuilder(LevelTC, len(present))
-	b.etg.TC = tc
-	b.etg.DstSubnet = tc.Dst
-	// Always materialize SRC and DST so verification is well-defined even
-	// when every attachment edge is blocked.
-	b.etg.Src = b.etg.G.AddVertex("SRC")
-	b.etg.Dst = b.etg.G.AddVertex("DST")
-	for _, p := range present {
-		b.add(p.s, p.w)
-	}
-	return b.etg
+func BuildTCETG(t *Table, tc topology.TrafficClass) *ETG {
+	e := build(t, LevelTC, tc.Dst, func(s *Slot) bool {
+		return s.ApplicableTC(tc) && s.PresentTC(tc)
+	})
+	e.TC = tc
+	return e
 }
 
 // BuildRoutingETG builds the graph route selection operates on for tc:
@@ -112,110 +98,81 @@ func BuildTCETG(slots []*Slot, tc topology.TrafficClass) *ETG {
 // shortest-path computation — so this graph can strictly contain the
 // tcETG. PC4 verification walks this graph, then checks tcETG usability
 // of the resulting path.
-func BuildRoutingETG(slots []*Slot, tc topology.TrafficClass) *ETG {
-	var present []presentSlot
-	for _, s := range slots {
-		if s.Kind == SlotSource && s.Subnet != tc.Src {
-			continue
-		}
-		if s.Kind == SlotDest && s.Subnet != tc.Dst {
-			continue
-		}
-		if s.PresentRouting(tc) {
-			present = append(present, presentSlot{s, s.Weight(tc.Dst)})
-		}
-	}
-	b := newBuilder(LevelTC, len(present))
-	b.etg.TC = tc
-	b.etg.DstSubnet = tc.Dst
-	b.etg.Src = b.etg.G.AddVertex("SRC")
-	b.etg.Dst = b.etg.G.AddVertex("DST")
-	for _, p := range present {
-		b.add(p.s, p.w)
-	}
-	return b.etg
+func BuildRoutingETG(t *Table, tc topology.TrafficClass) *ETG {
+	e := build(t, LevelTC, tc.Dst, func(s *Slot) bool {
+		return s.ApplicableTC(tc) && s.PresentRouting(tc)
+	})
+	e.TC = tc
+	return e
 }
 
 // BuildDstETG builds the destination ETG for dst: route filters and static
 // routes apply, ACLs do not, and all sources are represented (source slots
-// are omitted; the DST vertex is present).
-func BuildDstETG(slots []*Slot, dst *topology.Subnet) *ETG {
-	var present []presentSlot
-	for _, s := range slots {
-		if s.Kind == SlotSource {
-			continue
-		}
-		if s.Kind == SlotDest && s.Subnet != dst {
-			continue
-		}
-		if s.PresentDst(dst) {
-			present = append(present, presentSlot{s, s.Weight(dst)})
-		}
-	}
-	b := newBuilder(LevelDst, len(present))
-	b.etg.DstSubnet = dst
-	b.etg.Dst = b.etg.G.AddVertex("DST")
-	for _, p := range present {
-		b.add(p.s, p.w)
-	}
-	return b.etg
+// are omitted).
+func BuildDstETG(t *Table, dst *topology.Subnet) *ETG {
+	e := build(t, LevelDst, dst, func(s *Slot) bool {
+		return s.ApplicableDst(dst) && s.PresentDst(dst)
+	})
+	e.Src = graph.V(graph.None)
+	return e
 }
 
 // BuildAllETG builds the aETG: adjacencies and redistribution only.
-func BuildAllETG(slots []*Slot) *ETG {
-	var present []presentSlot
-	for _, s := range slots {
-		if s.Kind == SlotSource || s.Kind == SlotDest {
-			continue
-		}
-		if s.PresentAll() {
-			present = append(present, presentSlot{s, s.Weight(nil)})
+func BuildAllETG(t *Table) *ETG {
+	e := build(t, LevelAll, nil, func(s *Slot) bool {
+		return s.Kind != SlotSource && s.Kind != SlotDest && s.PresentAll()
+	})
+	e.Src, e.Dst = graph.V(graph.None), graph.V(graph.None)
+	return e
+}
+
+// edgeOf returns the edge instantiating s, or graph.None. Slots of the
+// ETG's own table resolve by id; any other slot (hand-built, or from
+// another network's table) falls back to a key comparison.
+func (e *ETG) edgeOf(s *Slot) graph.E {
+	if s.tab == e.tab {
+		return e.EdgeOf[s.ID]
+	}
+	key := s.Key()
+	for id, own := range e.SlotOf {
+		if own.Key() == key {
+			return graph.E(id)
 		}
 	}
-	b := newBuilder(LevelAll, len(present))
-	for _, p := range present {
-		b.add(p.s, p.w)
-	}
-	return b.etg
+	return graph.E(graph.None)
 }
 
 // HasSlot reports whether the slot's edge is present in the ETG.
-func (e *ETG) HasSlot(s *Slot) bool {
-	_, ok := e.EdgeOf[s.Key()]
-	return ok
-}
+func (e *ETG) HasSlot(s *Slot) bool { return e.edgeOf(s) != graph.E(graph.None) }
 
 // WaypointEdge reports whether edge id carries a waypoint, honoring the
-// Waypoints override for inter-device edges.
+// Waypoints override for inter-device edges. Ids that name no edge carry
+// none.
 func (e *ETG) WaypointEdge(id graph.E) bool {
-	s := e.SlotOf[id]
-	if s == nil {
+	if id < 0 || int(id) >= len(e.SlotOf) {
 		return false
 	}
+	s := e.SlotOf[id]
 	if e.Waypoints != nil && s.Kind == SlotInterDevice {
-		if v, ok := e.Waypoints[s.Link.Name()]; ok {
-			return v
-		}
+		return e.Waypoints.Has(s.LinkID)
 	}
 	return s.Waypoint()
 }
 
 // WithoutLinks returns a copy of the ETG with every inter-device edge over
-// one of the given (failed) physical links removed. The copy shares the
-// original's vertex/edge storage (only removal flags are duplicated), so
-// it supports reachability queries but must not be extended.
-func (e *ETG) WithoutLinks(failed map[*topology.Link]bool) *ETG {
-	c := &ETG{
-		Level: e.Level, TC: e.TC, DstSubnet: e.DstSubnet,
-		G: e.G.CloneEdgesShared(), Src: e.Src, Dst: e.Dst,
-		SlotOf: e.SlotOf, EdgeOf: e.EdgeOf,
-	}
+// a failed physical link (a set of link ids) removed, in ascending edge
+// order. The copy shares the original's vertex/edge storage (only removal
+// flags are duplicated), so it supports reachability queries but must not
+// be extended.
+func (e *ETG) WithoutLinks(failed bitset.Set) *ETG {
+	c := *e
+	c.G = e.G.CloneEdgesShared()
 	for id, s := range e.SlotOf {
-		if s.Kind == SlotInterDevice && failed[s.Link] {
-			c.G.RemoveEdge(id)
+		if failed.Has(s.LinkID) {
+			c.G.RemoveEdge(graph.E(id))
 		}
 	}
-	return c
+	return &c
 }
 
 // DevicePath collapses an ETG vertex path into the sequence of device
@@ -223,18 +180,10 @@ func (e *ETG) WithoutLinks(failed map[*topology.Link]bool) *ETG {
 func (e *ETG) DevicePath(path []graph.V) []string {
 	var out []string
 	for _, v := range path {
-		name := e.G.Name(v)
-		if name == "SRC" || name == "DST" {
+		if v == VSrc || v == VDst {
 			continue
 		}
-		// Vertex names are "<device>:<proto><id>:<I|O>".
-		dev := name
-		for i := 0; i < len(name); i++ {
-			if name[i] == ':' {
-				dev = name[:i]
-				break
-			}
-		}
+		dev := e.tab.Procs[(int(v)-2)/2].Device.Name
 		if len(out) == 0 || out[len(out)-1] != dev {
 			out = append(out, dev)
 		}

@@ -48,7 +48,7 @@ type linkFlowNet struct {
 	linkEdge []int32          // bottleneck arc id per linkSeq entry
 
 	// Scratch reused across pooled checks.
-	linkID  map[*topology.Link]int32
+	linkIdx []int32 // per table link id: index into linkSeq, or -1 if unseen
 	eKind   []int32 // per ETG edge: link index, or -1 for non-failable
 	eFrom   []int32
 	eTo     []int32
@@ -59,9 +59,7 @@ type linkFlowNet struct {
 	stamp   int32
 }
 
-var lfPool = sync.Pool{
-	New: func() any { return &linkFlowNet{linkID: make(map[*topology.Link]int32)} },
-}
+var lfPool = sync.Pool{New: func() any { return new(linkFlowNet) }}
 
 // grow returns s resized to n, reusing its backing array when possible.
 func grow(s []int32, n int) []int32 {
@@ -78,19 +76,21 @@ func grow(s []int32, n int) []int32 {
 func (f *linkFlowNet) build(e *ETG, k int) {
 	nv := e.G.NumVertices()
 	f.linkSeq = f.linkSeq[:0]
-	clear(f.linkID)
+	f.linkIdx = grow(f.linkIdx, len(e.tab.Links))
+	for i := range f.linkIdx {
+		f.linkIdx[i] = -1
+	}
 
 	f.eKind = f.eKind[:0]
 	f.eFrom = f.eFrom[:0]
 	f.eTo = f.eTo[:0]
 	e.G.Edges(func(id graph.E, ed graph.Edge) {
 		li := int32(-1)
-		if s := e.SlotOf[id]; s != nil && s.Kind == SlotInterDevice {
-			var ok bool
-			li, ok = f.linkID[s.Link]
-			if !ok {
+		if s := e.SlotOf[id]; s.Kind == SlotInterDevice {
+			li = f.linkIdx[s.LinkID]
+			if li < 0 {
 				li = int32(len(f.linkSeq))
-				f.linkID[s.Link] = li
+				f.linkIdx[s.LinkID] = li
 				f.linkSeq = append(f.linkSeq, s.Link)
 			}
 		}

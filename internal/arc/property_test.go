@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/topology"
 )
 
@@ -80,14 +81,14 @@ func TestPropertyFailureMonotonicity(t *testing.T) {
 		if len(n.Subnets) < 2 || len(n.Links) == 0 {
 			return true
 		}
-		slots := Slots(n)
+		slots := NewTable(n)
 		tc := topology.TrafficClass{Src: n.Subnets[0], Dst: n.Subnets[1]}
 		etg := BuildTCETG(slots, tc)
-		failed := map[*topology.Link]bool{}
+		failed := bitset.New(len(n.Links))
 		reachable := etg.G.PathExists(etg.Src, etg.Dst)
-		for _, l := range n.Links {
+		for id := range n.Links {
 			if r.Intn(2) == 0 {
-				failed[l] = true
+				failed.Put(id, true)
 				nowReachable := etg.WithoutLinks(failed).G.PathExists(etg.Src, etg.Dst)
 				if nowReachable && !reachable {
 					return false // failure added reachability: impossible
@@ -111,7 +112,7 @@ func TestPropertyVerifierConsistency(t *testing.T) {
 		if len(n.Subnets) < 2 {
 			return true
 		}
-		slots := Slots(n)
+		slots := NewTable(n)
 		tc := topology.TrafficClass{Src: n.Subnets[0], Dst: n.Subnets[1]}
 		etg := BuildTCETG(slots, tc)
 		prev := true
@@ -143,7 +144,7 @@ func TestPropertyMaxFlowSoundness(t *testing.T) {
 		if len(n.Subnets) < 2 {
 			return true
 		}
-		slots := Slots(n)
+		slots := NewTable(n)
 		tc := topology.TrafficClass{Src: n.Subnets[0], Dst: n.Subnets[1]}
 		etg := BuildTCETG(slots, tc)
 		flow := MaxDisjointFlow(etg)
@@ -187,16 +188,16 @@ func TestPropertyHierarchyByConstruction(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := randomNetwork(r)
-		slots := Slots(n)
+		slots := NewTable(n)
 		for _, tc := range n.TrafficClasses() {
-			for _, s := range slots {
+			for _, s := range slots.Slots {
 				if s.PresentTC(tc) && !s.PresentDst(tc.Dst) {
 					return false
 				}
 			}
 		}
 		for _, dst := range n.Subnets {
-			for _, s := range slots {
+			for _, s := range slots.Slots {
 				if !s.PresentDst(dst) {
 					continue
 				}
@@ -229,7 +230,7 @@ func TestKFlowMatchesExhaustive(t *testing.T) {
 		if len(n.Subnets) < 2 {
 			return true
 		}
-		slots := Slots(n)
+		slots := NewTable(n)
 		for _, tc := range n.TrafficClasses() {
 			etg := BuildTCETG(slots, tc)
 			for k := 1; k <= 4; k++ {
@@ -255,7 +256,7 @@ func TestMinLinkCutWitness(t *testing.T) {
 		if len(n.Subnets) < 2 {
 			return true
 		}
-		slots := Slots(n)
+		slots := NewTable(n)
 		tc := topology.TrafficClass{Src: n.Subnets[0], Dst: n.Subnets[1]}
 		etg := BuildTCETG(slots, tc)
 		for k := 1; k <= 4; k++ {
@@ -272,11 +273,7 @@ func TestMinLinkCutWitness(t *testing.T) {
 			if len(links) >= k {
 				return false // witness must use fewer than k failures
 			}
-			failed := map[*topology.Link]bool{}
-			for _, l := range links {
-				failed[l] = true
-			}
-			if etg.WithoutLinks(failed).G.PathExists(etg.Src, etg.Dst) {
+			if etg.WithoutLinks(linkSet(n, links...)).G.PathExists(etg.Src, etg.Dst) {
 				return false // witness does not disconnect
 			}
 		}

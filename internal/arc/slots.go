@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -68,16 +69,97 @@ type Slot struct {
 	Subnet *topology.Subnet
 	Intf   *topology.Interface
 
-	key string // cached Key(), filled by Slots
+	// Integer identity, assigned by NewTable (hand-built slots carry none
+	// and belong to no table). ID is the slot's index in Table.Slots — the bit
+	// position of the slot in every harc.State row. From/To are its tail
+	// and head in the table's shared vertex space. FromProcID/ToProcID
+	// index Table.Procs and LinkID indexes Table.Links; each is -1 when
+	// the slot has no such end.
+	ID         int
+	From, To   graph.V
+	FromProcID int
+	ToProcID   int
+	LinkID     int
+	// Canon is the id of the canonical direction of the slot's routing
+	// adjacency: both directed slots over a link share one aETG variable
+	// and one configuration change, carried by the direction with the
+	// smaller key (the lower id). Other kinds are their own canon.
+	Canon int
 
-	// fromV/toV cache FromVertex()/ToVertex(), filled by Slots: the
-	// builder concatenates vertex names once per ETG per slot, which
-	// dominates large builds without the cache.
-	fromV, toV string
+	tab     *Table
+	reverse *Slot  // the opposite direction of an inter-device slot
+	key     string // cached Key()
+	costKey string // cached CostKey()
 	// adjUp caches adjacencyUp() (valid when adjCached): adjacency
 	// depends only on the immutable interface/passive configuration, and
 	// the uncached path scans every process interface per call.
 	adjUp, adjCached bool
+}
+
+// Table is a network's slot table with integer identity: every slot, and
+// the processes, links and ETG vertices slots refer to, numbered once so
+// that every per-level graph and every state row of the network indexes
+// the same dense id spaces instead of hashing names.
+type Table struct {
+	// Slots lists every candidate edge in ascending Key() order;
+	// Slots[i].ID == i.
+	Slots []*Slot
+	// Procs numbers the routing processes in order of first appearance as
+	// a slot end (tail before head, slot order).
+	Procs []*topology.Process
+	// Links is the network's link list; a link's id is its index.
+	Links []*topology.Link
+	// Vertices names the shared ETG vertex space: SRC, DST, then
+	// "<proc>:I" and "<proc>:O" per process id.
+	Vertices []string
+}
+
+// Vertex ids of the two endpoint vertices in every Table.
+const (
+	VSrc graph.V = 0
+	VDst graph.V = 1
+)
+
+// vertexIn/vertexOut are process pid's incoming and outgoing vertices.
+func vertexIn(pid int) graph.V  { return graph.V(2 + 2*pid) }
+func vertexOut(pid int) graph.V { return graph.V(3 + 2*pid) }
+
+// SameShape reports whether ids assigned by t and o are interchangeable:
+// both tables list the same slot keys, process names and link names in
+// the same order. States of two same-shape networks compare and copy row
+// by row; anything else must go by key.
+func (t *Table) SameShape(o *Table) bool {
+	if t == o {
+		return true
+	}
+	if len(t.Slots) != len(o.Slots) || len(t.Procs) != len(o.Procs) || len(t.Links) != len(o.Links) {
+		return false
+	}
+	for i, s := range t.Slots {
+		if s.key != o.Slots[i].key {
+			return false
+		}
+	}
+	for i, p := range t.Procs {
+		if p.Name() != o.Procs[i].Name() {
+			return false
+		}
+	}
+	for i, l := range t.Links {
+		if l.Name() != o.Links[i].Name() {
+			return false
+		}
+	}
+	return true
+}
+
+// SlotID returns the id of the slot with the given key, or -1.
+func (t *Table) SlotID(key string) int {
+	i := sort.Search(len(t.Slots), func(i int) bool { return t.Slots[i].key >= key })
+	if i < len(t.Slots) && t.Slots[i].key == key {
+		return i
+	}
+	return -1
 }
 
 // Key returns a stable identifier unique within a network. Slots are
@@ -106,15 +188,20 @@ func (s *Slot) keyUncached() string {
 	return "?"
 }
 
-// FromVertex returns the tail ETG vertex name.
-func (s *Slot) FromVertex() string {
-	if s.fromV != "" {
-		return s.fromV
+// CostKey identifies the shared cost variable of an inter-device slot: the
+// directed egress interface ("" for every other kind). Routing protocols
+// do not allow per-class or per-destination costs (paper §5.1, constraint
+// 13 discussion), so every slot leaving the same interface shares one
+// cost.
+func (s *Slot) CostKey() string {
+	if s.costKey != "" || s.Kind != SlotInterDevice {
+		return s.costKey
 	}
-	return s.fromVertexUncached()
+	return s.FromIntf.Device.Name + "/" + s.FromIntf.Name
 }
 
-func (s *Slot) fromVertexUncached() string {
+// FromVertex returns the tail ETG vertex name.
+func (s *Slot) FromVertex() string {
 	switch s.Kind {
 	case SlotSource:
 		return "SRC"
@@ -129,13 +216,6 @@ func (s *Slot) fromVertexUncached() string {
 
 // ToVertex returns the head ETG vertex name.
 func (s *Slot) ToVertex() string {
-	if s.toV != "" {
-		return s.toV
-	}
-	return s.toVertexUncached()
-}
-
-func (s *Slot) toVertexUncached() string {
 	switch s.Kind {
 	case SlotDest:
 		return "DST"
@@ -150,8 +230,12 @@ func (s *Slot) toVertexUncached() string {
 }
 
 // Slots enumerates every candidate edge slot of the network in a
-// deterministic order.
-func Slots(n *topology.Network) []*Slot {
+// deterministic order (NewTable(n).Slots).
+func Slots(n *topology.Network) []*Slot { return NewTable(n).Slots }
+
+// NewTable enumerates every candidate edge slot of the network in a
+// deterministic order and assigns the integer identities.
+func NewTable(n *topology.Network) *Table {
 	var slots []*Slot
 
 	// Intra-device slots.
@@ -176,6 +260,7 @@ func Slots(n *topology.Network) []*Slot {
 	// pair over each physical link.
 	for _, l := range n.Links {
 		ends := [2][2]*topology.Interface{{l.A, l.B}, {l.B, l.A}}
+		first := len(slots)
 		for _, pair := range ends {
 			from, to := pair[0], pair[1]
 			for _, pf := range from.Device.Processes {
@@ -183,14 +268,22 @@ func Slots(n *topology.Network) []*Slot {
 					if pf.Proto != pt.Proto {
 						continue
 					}
-					slots = append(slots, &Slot{
+					s := &Slot{
 						Kind:     SlotInterDevice,
 						FromProc: pf,
 						ToProc:   pt,
 						Link:     l,
 						FromIntf: from,
 						ToIntf:   to,
-					})
+					}
+					// Pair the two directions of one adjacency as the link's
+					// slots are laid down (a handful per link).
+					for _, o := range slots[first:] {
+						if o.FromProc == pt && o.ToProc == pf && o.FromIntf == to {
+							s.reverse, o.reverse = o, s
+						}
+					}
+					slots = append(slots, s)
 				}
 			}
 		}
@@ -212,15 +305,82 @@ func Slots(n *topology.Network) []*Slot {
 
 	for _, s := range slots {
 		s.key = s.keyUncached()
-		s.fromV = s.fromVertexUncached()
-		s.toV = s.toVertexUncached()
 		if s.Kind == SlotInterDevice {
+			s.costKey = s.CostKey()
 			s.adjUp = s.adjacencyUpUncached()
 			s.adjCached = true
 		}
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i].Key() < slots[j].Key() })
-	return slots
+	sort.Slice(slots, func(i, j int) bool { return slots[i].key < slots[j].key })
+
+	t := &Table{Slots: slots, Links: n.Links, Vertices: []string{"SRC", "DST"}}
+	procID := make(map[*topology.Process]int)
+	intern := func(p *topology.Process) int {
+		if p == nil {
+			return -1
+		}
+		id, ok := procID[p]
+		if !ok {
+			id = len(t.Procs)
+			procID[p] = id
+			t.Procs = append(t.Procs, p)
+			t.Vertices = append(t.Vertices, p.Name()+":I", p.Name()+":O")
+		}
+		return id
+	}
+	linkID := make(map[*topology.Link]int, len(n.Links))
+	for i, l := range n.Links {
+		linkID[l] = i
+	}
+	for i, s := range slots {
+		s.tab, s.ID, s.LinkID, s.Canon = t, i, -1, i
+		s.FromProcID = intern(s.FromProc)
+		s.ToProcID = intern(s.ToProc)
+		switch s.Kind {
+		case SlotSource:
+			s.From, s.To = VSrc, vertexOut(s.ToProcID)
+		case SlotDest:
+			s.From, s.To = vertexIn(s.FromProcID), VDst
+		case SlotIntraSelf:
+			s.From, s.To = vertexIn(s.FromProcID), vertexOut(s.FromProcID)
+		case SlotIntraRedist:
+			s.From, s.To = vertexIn(s.ToProcID), vertexOut(s.FromProcID)
+		case SlotInterDevice:
+			s.From, s.To = vertexOut(s.FromProcID), vertexIn(s.ToProcID)
+			s.LinkID = linkID[s.Link]
+		}
+	}
+	for _, s := range slots {
+		if s.reverse != nil && s.reverse.ID < s.ID {
+			s.Canon = s.reverse.ID
+		}
+	}
+	return t
+}
+
+// ApplicableTC reports whether the slot can appear in tc's ETG: every
+// slot except the attachment slots of other subnets. Inapplicable slots
+// are absent from tc's state row by definition.
+func (s *Slot) ApplicableTC(tc topology.TrafficClass) bool {
+	switch s.Kind {
+	case SlotSource:
+		return s.Subnet == tc.Src
+	case SlotDest:
+		return s.Subnet == tc.Dst
+	}
+	return true
+}
+
+// ApplicableDst reports whether the slot can appear in dst's dETG: no
+// source slot does, and only dst's own destination slots.
+func (s *Slot) ApplicableDst(dst *topology.Subnet) bool {
+	switch s.Kind {
+	case SlotSource:
+		return false
+	case SlotDest:
+		return s.Subnet == dst
+	}
+	return true
 }
 
 // PresentAll reports whether the slot's edge exists in the aETG, which

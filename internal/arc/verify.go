@@ -1,6 +1,7 @@
 package arc
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -65,16 +66,16 @@ func VerifyKReachableExhaustive(e *ETG, n *topology.Network, k int) bool {
 	if m > len(links) {
 		m = len(links)
 	}
-	failed := make(map[*topology.Link]bool)
+	failed := bitset.New(len(links)) // by link id, i.e. index in n.Links
 	var rec func(start, remaining int) bool
 	rec = func(start, remaining int) bool {
 		if remaining == 0 {
 			return e.WithoutLinks(failed).G.PathExists(e.Src, e.Dst)
 		}
 		for i := start; i <= len(links)-remaining; i++ {
-			failed[links[i]] = true
+			failed.Put(i, true)
 			ok := rec(i+1, remaining-1)
-			delete(failed, links[i])
+			failed.Put(i, false)
 			if !ok {
 				return false
 			}
@@ -112,7 +113,7 @@ func VerifyPrimaryPath(tcETG, routing *ETG, devices []string) bool {
 		if s == nil {
 			return false
 		}
-		if _, usable := tcETG.EdgeOf[s.Key()]; !usable {
+		if !tcETG.HasSlot(s) {
 			return false
 		}
 	}

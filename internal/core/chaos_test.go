@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -307,7 +306,7 @@ func testCompressVerifyFallback(t *testing.T, site, stage string) {
 	}
 	// The fallback path is full concrete re-solving, so the outcome must
 	// be byte-identical to the compress-off optimum.
-	if !reflect.DeepEqual(res.State, base.State) {
+	if !res.State.Equal(base.State) {
 		t.Error("fallback state differs from the uncompressed repair")
 	}
 	if res.Changes != base.Changes {

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"strconv"
 	"time"
 
 	"repro/internal/arc"
+	"repro/internal/bitset"
 	"repro/internal/compress"
 	"repro/internal/faultinject"
 	"repro/internal/harc"
@@ -341,33 +341,44 @@ func remapToQuotient(qn *topology.Network, pr *problem) ([]topology.TrafficClass
 	return qtcs, qpolicies, nil
 }
 
-// procSuffix is a device-independent process identifier ("ospf1").
-func procSuffix(p *topology.Process) string {
-	return p.Proto.String() + strconv.Itoa(p.ID)
+// procKind is a device-independent process identifier (what "ospf1"
+// names): members of a class run the same kinds.
+type procKind struct {
+	proto topology.Protocol
+	id    int
+}
+
+func kindOf(p *topology.Process) procKind { return procKind{p.Proto, p.ID} }
+
+// interGroup identifies a symmetry group of inter-device slots leaving
+// one device — (from class, to class, from proc, to proc) — the
+// granularity at which quotient repairs transfer to class members.
+type interGroup struct {
+	fromClass, toClass int
+	fromProc, toProc   procKind
 }
 
 // interGroups indexes inter-device slots by originating device and
-// symmetry group — (from class, to class, from proc, to proc) — the
-// granularity at which quotient repairs transfer to class members.
+// symmetry group.
 type interGroups struct {
-	byDev    map[string]map[string][]*arc.Slot // device → group key → slots (slot order)
-	devOrder map[string][]string               // device → group keys in first-seen order
+	byDev    map[string]map[interGroup][]*arc.Slot // device → group → slots (slot order)
+	devOrder map[string][]interGroup               // device → groups in first-seen order
 }
 
 func groupInterSlots(h *harc.HARC, classOf map[string]int) *interGroups {
 	g := &interGroups{
-		byDev:    make(map[string]map[string][]*arc.Slot),
-		devOrder: make(map[string][]string),
+		byDev:    make(map[string]map[interGroup][]*arc.Slot),
+		devOrder: make(map[string][]interGroup),
 	}
 	for _, s := range h.Slots {
 		if s.Kind != arc.SlotInterDevice {
 			continue
 		}
 		from, to := s.FromProc.Device.Name, s.ToProc.Device.Name
-		gk := fmt.Sprintf("%d>%d %s>%s", classOf[from], classOf[to], procSuffix(s.FromProc), procSuffix(s.ToProc))
+		gk := interGroup{classOf[from], classOf[to], kindOf(s.FromProc), kindOf(s.ToProc)}
 		m := g.byDev[from]
 		if m == nil {
-			m = make(map[string][]*arc.Slot)
+			m = make(map[interGroup][]*arc.Slot)
 			g.byDev[from] = m
 		}
 		if _, seen := m[gk]; !seen {
@@ -378,66 +389,80 @@ func groupInterSlots(h *harc.HARC, classOf map[string]int) *interGroups {
 	return g
 }
 
-// concretizePatch fans the quotient repair out onto the concrete
-// network and recomputes the presence the edited constructs imply,
-// exactly as the greedy fallback's realization does. Per-slot construct
-// edits transfer by direct key where the concrete slot survives in the
-// quotient verbatim (always the case on a lossless quotient, making the
-// concretized cost byte-exact) and by per-group counts otherwise: if
-// the solver added one static route from a representative toward a
-// class, each member assigned to that representative adds one. Returns
-// the trial state, the concrete modeled-change count, the set of
-// concrete devices whose constructs the patch edited (driving the
-// spot-check sample and the incremental re-check), and whether every
-// quotient edit found a concrete home.
-// cowTrial clones orig only where concretizePatch can write: the flat
-// construct and waypoint maps, this sub-problem's per-destination dETG
-// maps, and its per-class tcETG maps. Every other per-dst and per-TC
-// inner map — the dominant cost of a full Clone on a large network — is
-// shared read-only with orig, which is safe because the verifiers, the
-// serial merge, and the solve cache all treat realized states as
-// immutable.
-func cowTrial(orig *harc.State, pr *problem) *harc.State {
-	trial := &harc.State{
-		All:         orig.All,
-		Cost:        orig.Cost,
-		Dst:         make(map[string]map[string]bool, len(orig.Dst)),
-		TC:          make(map[string]map[string]bool, len(orig.TC)),
-		Waypoint:    make(map[string]bool, len(orig.Waypoint)),
-		RouteFilter: make(map[string]bool, len(orig.RouteFilter)),
-		Static:      make(map[string]bool, len(orig.Static)),
-	}
-	for k, v := range orig.Waypoint {
-		trial.Waypoint[k] = v
-	}
-	for k, v := range orig.RouteFilter {
-		trial.RouteFilter[k] = v
-	}
-	for k, v := range orig.Static {
-		trial.Static[k] = v
-	}
-	for d, m := range orig.Dst {
-		trial.Dst[d] = m
-	}
-	for t, m := range orig.TC {
-		trial.TC[t] = m
-	}
-	copyInner := func(m map[string]bool) map[string]bool {
-		c := make(map[string]bool, len(m))
-		for k, v := range m {
-			c[k] = v
+// settleCounts transfers a quotient group's construct flips onto the
+// concrete slots of the matching group. was/now give a quotient slot's
+// construct before and after the quotient repair, has a concrete slot's
+// current value, and set applies a flip. A concrete slot that survives
+// in the quotient verbatim (same key; always the case on a lossless
+// quotient, making the concretized cost byte-exact) takes its twin's
+// flip directly; the remaining per-group add/remove counts are settled
+// on the other member slots in slot order. It returns the number of
+// concrete flips, or ok=false when a quotient edit found no concrete
+// home.
+func settleCounts(qslots, cslots []*arc.Slot, was, now func(q *arc.Slot) bool, has func(c *arc.Slot) bool, set func(c *arc.Slot, v bool)) (flips int, ok bool) {
+	addN, delN := 0, 0
+	for _, qs := range qslots {
+		w, n := was(qs), now(qs)
+		if n && !w {
+			addN++
 		}
-		return c
+		if w && !n {
+			delN++
+		}
 	}
-	for _, dst := range pr.dsts() {
-		trial.Dst[dst.Name] = copyInner(orig.Dst[dst.Name])
+	if addN == 0 && delN == 0 {
+		return 0, true
 	}
-	for _, tc := range pr.tcs {
-		trial.TC[tc.Key()] = copyInner(orig.TC[tc.Key()])
+	twin := make(map[string]*arc.Slot, len(qslots))
+	for _, qs := range qslots {
+		twin[qs.Key()] = qs
 	}
-	return trial
+	var unmatched []*arc.Slot
+	for _, s := range cslots {
+		qs := twin[s.Key()]
+		if qs == nil {
+			unmatched = append(unmatched, s)
+			continue
+		}
+		w, n := was(qs), now(qs)
+		if n != has(s) {
+			set(s, n)
+			flips++
+		}
+		// A quotient flip whose concrete twin already had the target value
+		// consumes its count without a concrete change.
+		if n && !w {
+			addN--
+		}
+		if w && !n {
+			delN--
+		}
+	}
+	for _, s := range unmatched {
+		if addN > 0 && !has(s) {
+			set(s, true)
+			flips++
+			addN--
+		} else if delN > 0 && has(s) {
+			set(s, false)
+			flips++
+			delN--
+		}
+	}
+	return flips, addN <= 0 && delN <= 0
 }
 
+// concretizePatch fans the quotient repair out onto the concrete
+// network and recomputes the presence the edited constructs imply,
+// exactly as the greedy fallback's realization does. The trial state is
+// a copy-on-write clone of orig, so only the rows this sub-problem
+// writes are ever copied. Quotient and concrete states have different
+// shapes: rows meet by subnet name, processes by (representative, kind)
+// and slots by key or symmetry group (settleCounts). Returns the trial
+// state, the concrete modeled-change count, the set of concrete devices
+// whose constructs the patch edited (driving the spot-check sample and
+// the incremental re-check), and whether every quotient edit found a
+// concrete home.
 func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Quotient, qh *harc.HARC, qorig, qrep *harc.State, opts Options) (*harc.State, int, map[string]bool, bool) {
 	// Per-destination repairs with no PC4 never touch link costs.
 	for ck, v := range qrep.Cost {
@@ -445,7 +470,7 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			return nil, 0, nil, false
 		}
 	}
-	trial := cowTrial(orig, pr)
+	trial := orig.Clone()
 	changes := 0
 	touched := map[string]bool{}
 	dsts := pr.dsts()
@@ -454,25 +479,23 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	// endpoint classes identify every concrete link the middlebox must
 	// cover for the PC2 argument to transfer.
 	type cpair struct{ a, b int }
+	classes := func(l *topology.Link) cpair {
+		a, b := q.ClassOf[l.A.Device.Name], q.ClassOf[l.B.Device.Name]
+		if a > b {
+			a, b = b, a
+		}
+		return cpair{a, b}
+	}
 	wanted := map[cpair]bool{}
-	for _, l := range qh.Network.Links {
-		name := l.Name()
-		if qrep.Waypoint[name] && !qorig.Waypoint[name] {
-			a, b := q.ClassOf[l.A.Device.Name], q.ClassOf[l.B.Device.Name]
-			if a > b {
-				a, b = b, a
-			}
-			wanted[cpair{a, b}] = true
+	for i, l := range qh.Links {
+		if qrep.Waypoint.Has(i) && !qorig.Waypoint.Has(i) {
+			wanted[classes(l)] = true
 		}
 	}
 	if len(wanted) > 0 {
-		for _, l := range h.Network.Links {
-			a, b := q.ClassOf[l.A.Device.Name], q.ClassOf[l.B.Device.Name]
-			if a > b {
-				a, b = b, a
-			}
-			if wanted[cpair{a, b}] && !trial.Waypoint[l.Name()] {
-				trial.Waypoint[l.Name()] = true
+		for i, l := range h.Links {
+			if wanted[classes(l)] && !trial.Waypoint.Has(i) {
+				trial.SetWaypoint(i, true)
 				changes += opts.WaypointWeight
 				touched[l.A.Device.Name] = true
 				touched[l.B.Device.Name] = true
@@ -482,95 +505,71 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 
 	// Route filters are per (destination, process): a flip on a
 	// representative applies to every member assigned to it.
+	type repProc struct {
+		rep  string
+		kind procKind
+	}
+	qProc := make(map[repProc]int, len(qh.Procs))
+	for pid, p := range qh.Procs {
+		qProc[repProc{p.Device.Name, kindOf(p)}] = pid
+	}
+	for _, d := range h.Network.Devices() {
+		if q.Rep[d.Name] == "" {
+			return nil, 0, nil, false
+		}
+	}
 	for _, dst := range dsts {
-		for _, d := range h.Network.Devices() {
-			rep := q.Rep[d.Name]
-			if rep == "" {
-				return nil, 0, nil, false
+		r, qr := h.DstRow(dst), qh.DstRow(dst)
+		for pid, p := range h.Procs {
+			qpid, ok := qProc[repProc{q.Rep[p.Device.Name], kindOf(p)}]
+			if !ok {
+				continue
 			}
-			for _, p := range d.Processes {
-				qkey := harc.RFKey(dst.Name, rep+":"+procSuffix(p))
-				v, ok := qrep.RouteFilter[qkey]
-				if !ok || v == qorig.RouteFilter[qkey] {
-					continue
-				}
-				key := harc.RFKey(dst.Name, p.Name())
-				if trial.RouteFilter[key] != v {
-					trial.RouteFilter[key] = v
-					changes++
-					touched[d.Name] = true
-				}
+			v := qrep.RouteFilter[qr].Has(qpid)
+			if v == qorig.RouteFilter[qr].Has(qpid) {
+				continue
+			}
+			if trial.RouteFilter[r].Has(pid) != v {
+				trial.SetRouteFilter(r, pid, v)
+				changes++
+				touched[p.Device.Name] = true
 			}
 		}
 	}
 
 	qGroups := groupInterSlots(qh, q.ClassOf)
 	cGroups := groupInterSlots(h, q.ClassOf)
-
-	// Static routes: per destination, transfer per-slot where the key
-	// survives, then settle per-group count deltas on the remaining
-	// member slots.
-	for _, dst := range dsts {
+	// eachGroup visits every concrete device's inter-slot groups with the
+	// matching group of its representative.
+	eachGroup := func(visit func(dev string, qslots, cslots []*arc.Slot) bool) bool {
 		for _, d := range h.Network.Devices() {
 			rep := q.Rep[d.Name]
 			for _, gk := range cGroups.devOrder[d.Name] {
-				qslots := qGroups.byDev[rep][gk]
-				type flip struct{ on, off bool }
-				direct := make(map[string]flip, len(qslots))
-				addN, delN := 0, 0
-				for _, qs := range qslots {
-					qk := harc.StaticKey(dst.Name, qs.Key())
-					was, now := qorig.Static[qk], qrep.Static[qk]
-					direct[qs.Key()] = flip{on: now && !was, off: was && !now}
-					if now && !was {
-						addN++
-					}
-					if was && !now {
-						delN++
-					}
-				}
-				if addN == 0 && delN == 0 {
-					continue
-				}
-				var unmatched []*arc.Slot
-				for _, s := range cGroups.byDev[d.Name][gk] {
-					f, ok := direct[s.Key()]
-					if !ok {
-						unmatched = append(unmatched, s)
-						continue
-					}
-					key := harc.StaticKey(dst.Name, s.Key())
-					if f.on && !trial.Static[key] {
-						trial.Static[key] = true
-						changes++
-						touched[d.Name] = true
-						addN--
-					}
-					if f.off && trial.Static[key] {
-						trial.Static[key] = false
-						changes++
-						touched[d.Name] = true
-						delN--
-					}
-				}
-				for _, s := range unmatched {
-					key := harc.StaticKey(dst.Name, s.Key())
-					if addN > 0 && !trial.Static[key] {
-						trial.Static[key] = true
-						changes++
-						touched[d.Name] = true
-						addN--
-					} else if delN > 0 && trial.Static[key] {
-						trial.Static[key] = false
-						changes++
-						touched[d.Name] = true
-						delN--
-					}
-				}
-				if addN > 0 || delN > 0 {
-					return nil, 0, nil, false // quotient edit with no concrete home
+				if !visit(d.Name, qGroups.byDev[rep][gk], cGroups.byDev[d.Name][gk]) {
+					return false
 				}
 			}
+		}
+		return true
+	}
+
+	// Static routes: per destination, per group.
+	for _, dst := range dsts {
+		r, qr := h.DstRow(dst), qh.DstRow(dst)
+		ok := eachGroup(func(dev string, qslots, cslots []*arc.Slot) bool {
+			flips, ok := settleCounts(qslots, cslots,
+				func(qs *arc.Slot) bool { return qorig.Static[qr].Has(qs.ID) },
+				func(qs *arc.Slot) bool { return qrep.Static[qr].Has(qs.ID) },
+				func(s *arc.Slot) bool { return trial.Static[r].Has(s.ID) },
+				func(s *arc.Slot, v bool) { trial.SetStatic(r, s.ID, v) })
+			if flips > 0 {
+				changes += flips
+				touched[dev] = true
+			}
+			return ok
+		})
+		if !ok {
+			return nil, 0, nil, false // quotient edit with no concrete home
 		}
 	}
 
@@ -581,130 +580,73 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	// tcETG level: source and dest attachment slots live on concrete
 	// (policy endpoint) devices and transfer by identical key; inter
 	// slots transfer their ACL-deviation deltas per slot or per group
-	// like statics do.
+	// like statics do. A deviation is a dETG edge the tcETG lacks.
 	for _, tc := range pr.tcs {
-		tck := tc.Key()
-		m, origM := trial.TC[tck], orig.TC[tck]
-		dm, origDm := trial.Dst[tc.Dst.Name], orig.Dst[tc.Dst.Name]
-		qm, qom := qrep.TC[tck], qorig.TC[tck]
-		qdm, qodm := qrep.Dst[tc.Dst.Name], qorig.Dst[tc.Dst.Name]
+		r, d := h.TCRow(tc), h.DstRow(tc.Dst)
+		origM, origDm := orig.TC[r], orig.Dst[d]
+		qm, qom := qrep.TCBits(tc), qorig.TCBits(tc)
+		qdm, qodm := qrep.DstBits(tc.Dst), qorig.DstBits(tc.Dst)
+		deviated := func(dm, m bitset.Set, id int) bool { return dm.Has(id) && !m.Has(id) }
 
 		// Plan inter-slot deviation flips for this class.
-		plan := map[string]bool{} // slot key → desired deviation
-		for _, d := range h.Network.Devices() {
-			rep := q.Rep[d.Name]
-			for _, gk := range cGroups.devOrder[d.Name] {
-				qslots := qGroups.byDev[rep][gk]
-				type dflip struct {
-					matched  bool
-					was, now bool
-				}
-				direct := make(map[string]dflip, len(qslots))
-				addN, delN := 0, 0
-				for _, qs := range qslots {
-					qk := qs.Key()
-					was := qodm[qk] && !qom[qk]
-					now := qdm[qk] && !qm[qk]
-					direct[qk] = dflip{matched: true, was: was, now: now}
-					if now && !was {
-						addN++
+		plan := map[int]bool{} // slot id → desired deviation
+		ok := eachGroup(func(dev string, qslots, cslots []*arc.Slot) bool {
+			flips, ok := settleCounts(qslots, cslots,
+				func(qs *arc.Slot) bool { return deviated(qodm, qom, qs.ID) },
+				func(qs *arc.Slot) bool { return deviated(qdm, qm, qs.ID) },
+				func(s *arc.Slot) bool {
+					if v, planned := plan[s.ID]; planned {
+						return v
 					}
-					if was && !now {
-						delN++
-					}
-				}
-				if addN == 0 && delN == 0 {
-					continue
-				}
-				var unmatched []*arc.Slot
-				for _, s := range cGroups.byDev[d.Name][gk] {
-					key := s.Key()
-					f, ok := direct[key]
-					was := origDm[key] && !origM[key]
-					if !ok {
-						unmatched = append(unmatched, s)
-						continue
-					}
-					if f.now != was {
-						plan[key] = f.now
-						changes++
-						touched[d.Name] = true
-						if f.now && !f.was {
-							addN--
-						}
-						if f.was && !f.now {
-							delN--
-						}
-					} else if f.now != f.was {
-						// The quotient flipped a slot whose concrete twin
-						// already had the target deviation; consume the
-						// count without a concrete change.
-						if f.now {
-							addN--
-						} else {
-							delN--
-						}
-					}
-				}
-				for _, s := range unmatched {
-					key := s.Key()
-					was := origDm[key] && !origM[key]
-					if addN > 0 && !was {
-						plan[key] = true
-						changes++
-						touched[d.Name] = true
-						addN--
-					} else if delN > 0 && was {
-						plan[key] = false
-						changes++
-						touched[d.Name] = true
-						delN--
-					}
-				}
-				if addN > 0 || delN > 0 {
-					return nil, 0, nil, false
-				}
+					return deviated(origDm, origM, s.ID)
+				},
+				func(s *arc.Slot, v bool) { plan[s.ID] = v })
+			if flips > 0 {
+				changes += flips
+				touched[dev] = true
 			}
+			return ok
+		})
+		if !ok {
+			return nil, 0, nil, false
 		}
 
-		for _, s := range h.Slots {
-			if !applicableTC(s, tc) {
+		dm := trial.Dst[d]
+		for id, s := range h.Slots {
+			if !s.ApplicableTC(tc) {
 				continue
 			}
-			key := s.Key()
 			switch s.Kind {
 			case arc.SlotSource:
-				v, ok := qm[key]
-				if !ok {
+				qid := qh.SlotID(s.Key())
+				if qid < 0 {
 					return nil, 0, nil, false // endpoint slot must exist in the quotient
 				}
-				if v != origM[key] {
+				v := qm.Has(qid)
+				if v != origM.Has(id) {
 					changes++
 					touched[s.ToProc.Device.Name] = true
 				}
-				if trial.RouteFilter[harc.RFKey(tc.Dst.Name, s.ToProc.Name())] {
-					v = false
-				}
-				m[key] = v
+				trial.SetTC(r, id, v && !trial.RouteFilter[d].Has(s.ToProcID))
 			case arc.SlotIntraSelf, arc.SlotIntraRedist:
-				m[key] = dm[key]
+				trial.SetTC(r, id, dm.Has(id))
 			case arc.SlotDest:
-				if _, ok := qdm[key]; !ok {
+				qid := qh.SlotID(s.Key())
+				if qid < 0 {
 					return nil, 0, nil, false
 				}
-				was := origDm[key] && !origM[key]
-				now := qdm[key] && !qm[key]
-				if now != was {
+				now := deviated(qdm, qm, qid)
+				if now != deviated(origDm, origM, id) {
 					changes++
 					touched[s.FromProc.Device.Name] = true
 				}
-				m[key] = dm[key] && !now
+				trial.SetTC(r, id, dm.Has(id) && !now)
 			case arc.SlotInterDevice:
-				dev, planned := plan[key]
+				dev, planned := plan[id]
 				if !planned {
-					dev = origDm[key] && !origM[key]
+					dev = deviated(origDm, origM, id)
 				}
-				m[key] = dm[key] && !dev
+				trial.SetTC(r, id, dm.Has(id) && !dev)
 			}
 		}
 	}

@@ -30,10 +30,11 @@ import (
 //
 // Variables are interned: every encoder owns a formula.Pool and looks
 // edge variables up in dense ID tables indexed by (local tc/dst index,
-// global slot index) instead of concatenating string names per use. The
-// shared read-only tables (slot keys, applicability, vertex spaces) come
-// precomputed from the per-repair tables value, so parallel per-dst
-// encoders never recompute them.
+// slot id) instead of concatenating string names per use; the original
+// state is read the same way, a bit per (row, slot id). The shared
+// read-only tables (applicability, vertex spaces) come precomputed from
+// the per-repair tables value, so parallel per-dst encoders never
+// recompute them.
 type encoder struct {
 	tb   *tables
 	st   *harc.State // original state
@@ -42,6 +43,9 @@ type encoder struct {
 	tcs      []topology.TrafficClass
 	dsts     []*topology.Subnet
 	policies []policy.Policy
+	// tcRow/dstRow are the HARC rows of tcs/dsts (state rows and tables
+	// rows alike).
+	tcRow, dstRow []int
 
 	// freezeAll pins aETG variables to their original values (per-dst
 	// decomposition: repairs are restricted to per-destination constructs
@@ -52,8 +56,8 @@ type encoder struct {
 	b    *formula.Builder
 	pool *formula.Pool
 
-	// Dense variable tables. Rows are indexed by global slot index; nil
-	// entries mark inapplicable slots. tVar/dVar/stVar/rfVar outer
+	// Dense variable tables. Rows are indexed by slot id (rfVar: process
+	// id); nil entries mark inapplicable slots. tVar/dVar/stVar/rfVar outer
 	// dimensions are the local tc/dst indices (tcIdx/dstIdx).
 	tcIdx  map[string]int
 	dstIdx map[string]int
@@ -71,8 +75,8 @@ type encoder struct {
 
 	costVecs   map[string]bv.Vec // CostKey → cost variable (PC4 problems)
 	costOrder  []string
-	wedgeVars  map[string]*formula.F // link name → waypoint variable
-	wedgeOrder []string
+	wedgeVars  []*formula.F // link id → waypoint variable (nil until used)
+	wedgeOrder []int
 }
 
 func constBool(v bool) *formula.F {
@@ -95,28 +99,6 @@ func aclDevice(s *arc.Slot) string {
 	}
 }
 
-// applicableTC reports whether slot s can appear in tc's ETG.
-func applicableTC(s *arc.Slot, tc topology.TrafficClass) bool {
-	switch s.Kind {
-	case arc.SlotSource:
-		return s.Subnet == tc.Src
-	case arc.SlotDest:
-		return s.Subnet == tc.Dst
-	}
-	return true
-}
-
-// applicableDst reports whether slot s can appear in dst's dETG.
-func applicableDst(s *arc.Slot, dst *topology.Subnet) bool {
-	switch s.Kind {
-	case arc.SlotSource:
-		return false
-	case arc.SlotDest:
-		return s.Subnet == dst
-	}
-	return true
-}
-
 func newEncoder(tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
 	solver := sat.New()
 	solver.Budget = opts.ConflictBudget
@@ -126,15 +108,8 @@ func newEncoder(tb *tables, st *harc.State, tcs []topology.TrafficClass, policie
 		tcs: tcs, policies: policies, freezeAll: freezeAll,
 		s: solver, b: formula.NewPooledBuilder(solver, pool), pool: pool,
 		costVecs:  make(map[string]bv.Vec),
-		wedgeVars: make(map[string]*formula.F),
+		wedgeVars: make([]*formula.F, len(tb.h.Links)),
 		byDevice:  make(map[string][]*formula.F),
-	}
-	seen := map[string]bool{}
-	for _, tc := range tcs {
-		if !seen[tc.Dst.Name] {
-			seen[tc.Dst.Name] = true
-			e.dsts = append(e.dsts, tc.Dst)
-		}
 	}
 	nslots := len(tb.slots)
 
@@ -142,30 +117,36 @@ func newEncoder(tb *tables, st *harc.State, tcs []topology.TrafficClass, policie
 	// allocation; solver variables stay lazy until a constraint uses
 	// them). Everything downstream is then a slice index away.
 	e.tcIdx = make(map[string]int, len(tcs))
+	e.dstIdx = make(map[string]int)
+	e.tcRow = make([]int, len(tcs))
 	e.tVar = make([][]*formula.F, len(tcs))
 	for tl, tc := range tcs {
 		e.tcIdx[tc.Key()] = tl
+		e.tcRow[tl] = tb.h.TCRow(tc)
+		if _, seen := e.dstIdx[tc.Dst.Name]; !seen {
+			e.dstIdx[tc.Dst.Name] = len(e.dsts)
+			e.dsts = append(e.dsts, tc.Dst)
+			e.dstRow = append(e.dstRow, tb.h.DstRow(tc.Dst))
+		}
 		row := make([]*formula.F, nslots)
-		for _, si := range tb.tc[tc.Key()].slots {
+		for _, si := range tb.tc[e.tcRow[tl]].slots {
 			row[si] = pool.Fresh()
 		}
 		e.tVar[tl] = row
 	}
-	e.dstIdx = make(map[string]int, len(e.dsts))
 	e.dVar = make([][]*formula.F, len(e.dsts))
 	e.stVar = make([][]*formula.F, len(e.dsts))
 	e.rfVar = make([][]*formula.F, len(e.dsts))
-	for dl, dst := range e.dsts {
-		e.dstIdx[dst.Name] = dl
+	for dl := range e.dsts {
 		drow := make([]*formula.F, nslots)
 		srow := make([]*formula.F, nslots)
-		for _, si := range tb.dst[dst.Name].slots {
+		for _, si := range tb.dst[e.dstRow[dl]] {
 			drow[si] = pool.Fresh()
 			if tb.slots[si].Kind == arc.SlotInterDevice {
 				srow[si] = pool.Fresh()
 			}
 		}
-		rrow := make([]*formula.F, len(tb.procs))
+		rrow := make([]*formula.F, len(tb.h.Procs))
 		for pi := range rrow {
 			rrow[pi] = pool.Fresh()
 		}
@@ -178,7 +159,7 @@ func newEncoder(tb *tables, st *harc.State, tcs []topology.TrafficClass, policie
 		for si, s := range tb.slots {
 			switch s.Kind {
 			case arc.SlotInterDevice:
-				if tb.canon[si] == si {
+				if s.Canon == si {
 					e.aVar[si] = pool.Fresh()
 				}
 			case arc.SlotIntraRedist:
@@ -199,9 +180,9 @@ func (e *encoder) eA(si int) *formula.F {
 		return formula.True
 	}
 	if e.freezeAll {
-		return constBool(e.st.All[e.tb.key[si]])
+		return constBool(e.st.All.Has(si))
 	}
-	return e.aVar[e.tb.canon[si]]
+	return e.aVar[s.Canon]
 }
 
 // wedge returns the waypoint formula for an inter-device slot's link.
@@ -214,19 +195,19 @@ func (e *encoder) wedge(si int) *formula.F {
 		// Intra-device waypoint (device middlebox) is not repairable.
 		return constBool(s.Waypoint())
 	}
-	name := e.tb.linkName[si]
-	if e.st.Waypoint[name] {
+	link := s.LinkID
+	if e.st.Waypoint.Has(link) {
 		return formula.True
 	}
 	if !e.opts.AllowWaypointChanges {
 		return formula.False
 	}
-	if f, ok := e.wedgeVars[name]; ok {
+	if f := e.wedgeVars[link]; f != nil {
 		return f
 	}
 	f := e.pool.Fresh()
-	e.wedgeVars[name] = f
-	e.wedgeOrder = append(e.wedgeOrder, name)
+	e.wedgeVars[link] = f
+	e.wedgeOrder = append(e.wedgeOrder, link)
 	return f
 }
 
@@ -234,7 +215,7 @@ func (e *encoder) wedge(si int) *formula.F {
 // arithmetic: a shared variable per egress interface for inter-device
 // slots (constraint 13's sharing rule), zero otherwise.
 func (e *encoder) cost(si int) bv.Vec {
-	ck := e.tb.costKey[si]
+	ck := e.tb.slots[si].CostKey()
 	if ck == "" {
 		return bv.Const(0, 1)
 	}
@@ -330,24 +311,24 @@ func (e *encoder) encode(ctx context.Context) error {
 // truncated at the initial violation count) and dramatically shortens
 // the optimization.
 func (e *encoder) seedPhases() {
-	for tl, tc := range e.tcs {
-		tcState := e.st.TC[tc.Key()]
-		for _, si := range e.tb.tc[tc.Key()].slots {
+	for tl, r := range e.tcRow {
+		tcState := e.st.TC[r]
+		for _, si := range e.tb.tc[r].slots {
 			if f := e.tVar[tl][si]; e.b.AllocatedVar(f) {
-				e.b.PreferF(f, tcState[e.tb.key[si]])
+				e.b.PreferF(f, tcState.Has(si))
 			}
 		}
 	}
 	for dl, dst := range e.dsts {
-		dstState := e.st.Dst[dst.Name]
-		for _, si := range e.tb.dst[dst.Name].slots {
+		dstState := e.st.Dst[e.dstRow[dl]]
+		for _, si := range e.tb.dst[e.dstRow[dl]] {
 			s := e.tb.slots[si]
 			if f := e.dVar[dl][si]; e.b.AllocatedVar(f) {
-				e.b.PreferF(f, dstState[e.tb.key[si]])
+				e.b.PreferF(f, dstState.Has(si))
 			}
 			switch s.Kind {
 			case arc.SlotIntraSelf:
-				if f := e.rfVar[dl][e.tb.fromProc[si]]; e.b.AllocatedVar(f) {
+				if f := e.rfVar[dl][s.FromProcID]; e.b.AllocatedVar(f) {
 					e.b.PreferF(f, s.FromProc.BlocksDestination(dst.Prefix))
 				}
 			case arc.SlotInterDevice:
@@ -364,8 +345,8 @@ func (e *encoder) seedPhases() {
 			default:
 				continue
 			}
-			if f := e.aVar[e.tb.canon[si]]; f != nil && e.b.AllocatedVar(f) {
-				e.b.PreferF(f, e.st.All[e.tb.key[si]])
+			if f := e.aVar[s.Canon]; f != nil && e.b.AllocatedVar(f) {
+				e.b.PreferF(f, e.st.All.Has(si))
 			}
 		}
 	}
@@ -390,13 +371,13 @@ func (e *encoder) seedPhases() {
 func (e *encoder) hierarchyConstraints() {
 	for tl, tc := range e.tcs {
 		dl := e.dstIdx[tc.Dst.Name]
-		for _, si := range e.tb.tc[tc.Key()].slots {
-			switch e.tb.slots[si].Kind {
+		for _, si := range e.tb.tc[e.tcRow[tl]].slots {
+			switch s := e.tb.slots[si]; s.Kind {
 			case arc.SlotSource:
 				// A source edge needs the gateway process to have a route
 				// to the destination (no route filter).
 				e.b.Assert(formula.Implies(e.tVar[tl][si],
-					formula.Not(e.rfVar[dl][e.tb.toProc[si]])))
+					formula.Not(e.rfVar[dl][s.ToProcID])))
 			case arc.SlotIntraSelf, arc.SlotIntraRedist:
 				// ACLs cannot act inside a device: intra tcETG edges equal
 				// their dETG edges (Table 3's "invalid modification").
@@ -408,17 +389,16 @@ func (e *encoder) hierarchyConstraints() {
 			}
 		}
 	}
-	for dl, dst := range e.dsts {
+	for dl := range e.dsts {
 		// procStatic(p) is true when a static route for dst leaves
 		// through process p's links: a FIB-level static also backs the
 		// intra edges into p's outgoing vertex.
-		procParts := make([][]*formula.F, len(e.tb.procs))
+		procParts := make([][]*formula.F, len(e.tb.h.Procs))
 		for si, s := range e.tb.slots {
 			if s.Kind != arc.SlotInterDevice {
 				continue
 			}
-			pi := e.tb.fromProc[si]
-			procParts[pi] = append(procParts[pi], e.stVar[dl][si])
+			procParts[s.FromProcID] = append(procParts[s.FromProcID], e.stVar[dl][si])
 		}
 		procStatic := func(pi int) *formula.F {
 			if parts := procParts[pi]; len(parts) > 0 {
@@ -426,12 +406,13 @@ func (e *encoder) hierarchyConstraints() {
 			}
 			return formula.False
 		}
-		for _, si := range e.tb.dst[dst.Name].slots {
-			switch e.tb.slots[si].Kind {
+		for _, si := range e.tb.dst[e.dstRow[dl]] {
+			s := e.tb.slots[si]
+			switch s.Kind {
 			case arc.SlotIntraSelf:
 				// A process forwards toward dst unless it filters the
 				// route — or a static route makes the FIB authoritative.
-				from := e.tb.fromProc[si]
+				from := s.FromProcID
 				e.b.Assert(formula.Iff(e.dVar[dl][si], formula.Or(
 					formula.Not(e.rfVar[dl][from]),
 					procStatic(from),
@@ -439,11 +420,11 @@ func (e *encoder) hierarchyConstraints() {
 			case arc.SlotIntraRedist:
 				// Redistribution edge: configured and unfiltered, or
 				// static-backed at the device level.
-				from := e.tb.fromProc[si]
+				from := s.FromProcID
 				e.b.Assert(formula.Iff(e.dVar[dl][si], formula.Or(
 					formula.And(
 						e.eA(si),
-						formula.Not(e.rfVar[dl][e.tb.toProc[si]]),
+						formula.Not(e.rfVar[dl][s.ToProcID]),
 						formula.Not(e.rfVar[dl][from]),
 					),
 					procStatic(from),
@@ -452,12 +433,12 @@ func (e *encoder) hierarchyConstraints() {
 				// Constraint 19: adjacency-backed (and the receiver
 				// advertises dst) or static-backed.
 				e.b.Assert(formula.Iff(e.dVar[dl][si], formula.Or(
-					formula.And(e.eA(si), formula.Not(e.rfVar[dl][e.tb.toProc[si]])),
+					formula.And(e.eA(si), formula.Not(e.rfVar[dl][s.ToProcID])),
 					e.stVar[dl][si],
 				)))
 			case arc.SlotDest:
 				e.b.Assert(formula.Iff(e.dVar[dl][si],
-					formula.Not(e.rfVar[dl][e.tb.fromProc[si]])))
+					formula.Not(e.rfVar[dl][s.FromProcID])))
 			}
 		}
 	}
@@ -498,8 +479,8 @@ func (e *encoder) encodeIsolation(p policy.Policy) {
 // reachability along edges, and reach(DST) is forbidden.
 func (e *encoder) encodePC1(p policy.Policy) {
 	tl := e.tcIdx[p.TC.Key()]
-	t := e.tb.tc[p.TC.Key()]
-	reach := e.freshVec(len(t.vertices))
+	t := e.tb.tc[e.tcRow[tl]]
+	reach := e.freshVec(t.nv)
 	e.b.Assert(reach[0]) // SRC
 	for k, si := range t.slots {
 		e.b.Assert(formula.Implies(
@@ -515,8 +496,8 @@ func (e *encoder) encodePC1(p policy.Policy) {
 // edges (repairs may add waypoints, footnote 2).
 func (e *encoder) encodePC2(p policy.Policy) {
 	tl := e.tcIdx[p.TC.Key()]
-	t := e.tb.tc[p.TC.Key()]
-	nw := e.freshVec(len(t.vertices))
+	t := e.tb.tc[e.tcRow[tl]]
+	nw := e.freshVec(t.nv)
 	e.b.Assert(nw[0]) // SRC
 	for k, si := range t.slots {
 		e.b.Assert(formula.Implies(
@@ -540,7 +521,7 @@ func peVars(row []*formula.F, positions []int) []*formula.F {
 // exist in the tcETG.
 func (e *encoder) encodePC3(p policy.Policy) {
 	tl := e.tcIdx[p.TC.Key()]
-	t := e.tb.tc[p.TC.Key()]
+	t := e.tb.tc[e.tcRow[tl]]
 
 	// pe[j][k] selects the slot at position k into path j.
 	pe := make([][]*formula.F, p.K)
@@ -558,7 +539,7 @@ func (e *encoder) encodePC3(p policy.Policy) {
 		// Constraint 9: the path enters DST.
 		e.b.Assert(formula.Or(peVars(pe[j], t.byHead[1])...))
 		// Constraints 10 and 11: interior continuity.
-		for vi := range t.vertices {
+		for vi := 0; vi < t.nv; vi++ {
 			if vi == 0 { // SRC
 				continue
 			}
@@ -573,7 +554,7 @@ func (e *encoder) encodePC3(p policy.Policy) {
 				e.b.Assert(formula.Implies(pe[j][k], inAny))
 			}
 		}
-		for vi := range t.vertices {
+		for vi := 0; vi < t.nv; vi++ {
 			if vi == 1 { // DST
 				continue
 			}
@@ -596,10 +577,10 @@ func (e *encoder) encodePC3(p policy.Policy) {
 	// Constraint 12: link-disjointness across the K paths, enforced per
 	// physical link (both directions of a link belong to at most one
 	// path).
-	for _, lg := range t.links {
+	for _, positions := range t.links {
 		used := make([]*formula.F, p.K)
 		for j := 0; j < p.K; j++ {
-			used[j] = formula.Or(peVars(pe[j], lg.positions)...)
+			used[j] = formula.Or(peVars(pe[j], positions)...)
 		}
 		for a := 0; a < p.K; a++ {
 			for b := a + 1; b < p.K; b++ {
@@ -616,7 +597,7 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 	tc := p.TC
 	tl := e.tcIdx[tc.Key()]
 	dl := e.dstIdx[tc.Dst.Name]
-	t := e.tb.tc[tc.Key()]
+	t := e.tb.tc[e.tcRow[tl]]
 	distBits := e.opts.DistBits
 
 	// Route selection is ACL-blind: distance labels, tightness, and the
@@ -634,9 +615,9 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 		return e.dVar[dl][si]
 	}
 
-	dist := make([]bv.Vec, len(t.vertices))
-	unreach := e.freshVec(len(t.vertices))
-	for vi := range t.vertices {
+	dist := make([]bv.Vec, t.nv)
+	unreach := e.freshVec(t.nv)
+	for vi := 0; vi < t.nv; vi++ {
 		dist[vi] = bv.Fresh(e.pool, distBits)
 	}
 	// Constraints 14-15: SRC is the root at distance 0.
@@ -658,7 +639,7 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 	// non-SRC vertex has an incoming tight edge. With strictly positive
 	// inter-device costs and the bipartite I/O structure, support graphs
 	// are acyclic, so labels are exactly the shortest distances.
-	for vi := range t.vertices {
+	for vi := 0; vi < t.nv; vi++ {
 		if vi == 0 { // SRC
 			continue
 		}
@@ -711,7 +692,7 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 // rejected).
 func (e *encoder) chainSlots(p policy.Policy) ([]int, error) {
 	tc := p.TC
-	t := e.tb.tc[tc.Key()]
+	t := e.tb.tc[e.tcRow[e.tcIdx[tc.Key()]]]
 	var chain []int
 
 	find := func(pred func(*arc.Slot) bool, what string) (int, error) {
@@ -780,20 +761,19 @@ func (e *encoder) chainSlots(p policy.Policy) ([]int, error) {
 func (e *encoder) softConstraints() {
 	// tcETG-level softs.
 	for tl, tc := range e.tcs {
-		tcState := e.st.TC[tc.Key()]
-		dstState := e.st.Dst[tc.Dst.Name]
 		dl := e.dstIdx[tc.Dst.Name]
-		for _, si := range e.tb.tc[tc.Key()].slots {
-			key := e.tb.key[si]
-			origTC := tcState[key]
-			dev := e.tb.aclDev[si]
+		tcState := e.st.TC[e.tcRow[tl]]
+		dstState := e.st.Dst[e.dstRow[dl]]
+		for _, si := range e.tb.tc[e.tcRow[tl]].slots {
+			origTC := tcState.Has(si)
+			dev := aclDevice(e.tb.slots[si])
 			if e.tb.slots[si].Kind == arc.SlotSource {
 				// Source edges have no dETG parent; keeping them as-is
 				// avoids an ACL change on the host-facing interface.
 				e.soft(dev, formula.Iff(e.tVar[tl][si], constBool(origTC)))
 				continue
 			}
-			origD := dstState[key]
+			origD := dstState.Has(si)
 			if origD && !origTC {
 				// Deviation (ACL) continues to pay for itself only if the
 				// edge stays absent (Table 2 rows 2 and 6).
@@ -807,21 +787,21 @@ func (e *encoder) softConstraints() {
 	// configuration lines exactly (the construct realization of Table 2's
 	// per-edge accounting).
 	for dl, dst := range e.dsts {
-		seenRF := make([]bool, len(e.tb.procs))
-		for _, si := range e.tb.dst[dst.Name].slots {
+		seenRF := make([]bool, len(e.tb.h.Procs))
+		for _, si := range e.tb.dst[e.dstRow[dl]] {
 			s := e.tb.slots[si]
 			switch s.Kind {
 			case arc.SlotIntraSelf:
 				// One route-filter soft per (process, destination).
-				pi := e.tb.fromProc[si]
+				pi := s.FromProcID
 				if !seenRF[pi] {
 					seenRF[pi] = true
 					orig := s.FromProc.BlocksDestination(dst.Prefix)
-					e.soft(e.tb.procDev[pi], formula.Iff(e.rfVar[dl][pi], constBool(orig)))
+					e.soft(e.tb.procDev(pi), formula.Iff(e.rfVar[dl][pi], constBool(orig)))
 				}
 			case arc.SlotInterDevice:
 				orig := s.StaticBacked(dst) != nil
-				e.soft(e.tb.procDev[e.tb.fromProc[si]], formula.Iff(e.stVar[dl][si], constBool(orig)))
+				e.soft(e.tb.procDev(s.FromProcID), formula.Iff(e.stVar[dl][si], constBool(orig)))
 			}
 		}
 	}
@@ -832,18 +812,18 @@ func (e *encoder) softConstraints() {
 		for si, s := range e.tb.slots {
 			switch s.Kind {
 			case arc.SlotInterDevice:
-				if e.tb.canon[si] != si {
+				if s.Canon != si {
 					continue // the reverse direction carries the soft
 				}
 			case arc.SlotIntraRedist:
 			default:
 				continue
 			}
-			dev := e.tb.procDev[e.tb.fromProc[si]]
+			dev := e.tb.procDev(s.FromProcID)
 			if s.Kind == arc.SlotIntraRedist {
-				dev = e.tb.procDev[e.tb.toProc[si]]
+				dev = e.tb.procDev(s.ToProcID)
 			}
-			if e.st.All[e.tb.key[si]] {
+			if e.st.All.Has(si) {
 				e.soft(dev, e.eA(si))
 			} else {
 				e.soft(dev, formula.Not(e.eA(si)))
@@ -870,8 +850,8 @@ func (e *encoder) softConstraints() {
 	// configuration; attribute them to a pseudo-device per link.
 	// Their weight is configurable — placing a firewall typically costs
 	// more than editing a configuration line.
-	for _, name := range e.wedgeOrder {
-		e.softWeighted("link:"+name, formula.Not(e.wedgeVars[name]), e.opts.WaypointWeight)
+	for _, link := range e.wedgeOrder {
+		e.softWeighted("link:"+e.tb.h.Links[link].Name(), formula.Not(e.wedgeVars[link]), e.opts.WaypointWeight)
 	}
 	e.finalizeSofts()
 }
@@ -893,45 +873,41 @@ func (e *encoder) extract(out *harc.State) {
 			default:
 				continue // self edges are constant; attach slots have no aETG level
 			}
-			if f := e.aVar[e.tb.canon[si]]; f != nil && e.b.AllocatedVar(f) {
-				out.All[e.tb.key[si]] = e.b.Value(f)
+			if f := e.aVar[s.Canon]; f != nil && e.b.AllocatedVar(f) {
+				out.SetAll(si, e.b.Value(f))
 			}
 		}
 	}
-	for dl, dst := range e.dsts {
-		dm := out.Dst[dst.Name]
-		for _, si := range e.tb.dst[dst.Name].slots {
-			key := e.tb.key[si]
+	for dl, r := range e.dstRow {
+		for _, si := range e.tb.dst[r] {
 			if f := e.dVar[dl][si]; e.b.AllocatedVar(f) {
-				dm[key] = e.b.Value(f)
+				out.SetDst(r, si, e.b.Value(f))
 			}
-			switch e.tb.slots[si].Kind {
+			switch s := e.tb.slots[si]; s.Kind {
 			case arc.SlotIntraSelf:
-				pi := e.tb.fromProc[si]
-				if f := e.rfVar[dl][pi]; e.b.AllocatedVar(f) {
-					out.RouteFilter[harc.RFKey(dst.Name, e.tb.procName[pi])] = e.b.Value(f)
+				if f := e.rfVar[dl][s.FromProcID]; e.b.AllocatedVar(f) {
+					out.SetRouteFilter(r, s.FromProcID, e.b.Value(f))
 				}
 			case arc.SlotInterDevice:
 				if f := e.stVar[dl][si]; e.b.AllocatedVar(f) {
-					out.Static[harc.StaticKey(dst.Name, key)] = e.b.Value(f)
+					out.SetStatic(r, si, e.b.Value(f))
 				}
 			}
 		}
 	}
-	for tl, tc := range e.tcs {
-		m := out.TC[tc.Key()]
-		for _, si := range e.tb.tc[tc.Key()].slots {
+	for tl, r := range e.tcRow {
+		for _, si := range e.tb.tc[r].slots {
 			if f := e.tVar[tl][si]; e.b.AllocatedVar(f) {
-				m[e.tb.key[si]] = e.b.Value(f)
+				out.SetTC(r, si, e.b.Value(f))
 			}
 		}
 	}
 	for _, ck := range e.costOrder {
 		out.Cost[ck] = int64(bv.Value(e.b, e.costVecs[ck]))
 	}
-	for _, name := range e.wedgeOrder {
-		if e.b.Value(e.wedgeVars[name]) {
-			out.Waypoint[name] = true
+	for _, link := range e.wedgeOrder {
+		if e.b.Value(e.wedgeVars[link]) {
+			out.SetWaypoint(link, true)
 		}
 	}
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"io"
 	"strconv"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/harc"
 	"repro/internal/smt/sat"
 )
@@ -54,11 +56,12 @@ type SolveCache struct {
 type solveEntry struct {
 	stat ProblemStat // Duration zeroed; Reused set on replay
 	// extracted holds the model extraction of an uncompressed Sat solve,
-	// captured once into a scratch state at store time (problem-local
-	// keys only). nil for Unsat and compressed entries.
+	// captured once at store time into a copy-on-write clone of the
+	// original state (so it owns only the problem's rows). nil for Unsat
+	// and compressed entries.
 	extracted *harc.State
 	// realized/realizedChanges hold a compressed solve's concretized
-	// repair state for mergeRealized.
+	// repair state. mergeRows replays either kind of state.
 	realized        *harc.State
 	realizedChanges int
 	// enc is the retained live encoder (pool + solver) of an uncompressed
@@ -283,6 +286,15 @@ func (w *fpWriter) i64(v int64) {
 	w.h.Write(w.buf)
 }
 
+// bits writes a whole state row.
+func (w *fpWriter) bits(row bitset.Set) {
+	w.i64(int64(len(row)))
+	for _, word := range row {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf[:0], word)
+		w.h.Write(w.buf)
+	}
+}
+
 func (w *fpWriter) boolean(v bool) {
 	if v {
 		w.h.Write([]byte{'T'})
@@ -293,14 +305,21 @@ func (w *fpWriter) boolean(v bool) {
 
 // fingerprintVersion tags the hash layout; bump it whenever the encoder
 // reads a new input, so stale-layout fingerprints cannot collide.
-const fingerprintVersion = "cprfp2"
+const fingerprintVersion = "cprfp3"
 
 // problemFingerprint hashes the complete input closure of one
-// sub-problem's encode+solve: every table row, original-state value,
-// and option the encoder reads. Two sub-problems with equal
-// fingerprints produce byte-identical formulas, variable numberings,
-// and therefore models — the soundness contract the solve cache rests
-// on (see DESIGN.md).
+// sub-problem's encode+solve: the slot table's shape, and every
+// original-state row and option the encoder reads. Two sub-problems with
+// equal fingerprints produce byte-identical formulas, variable
+// numberings, and therefore models — the soundness contract the solve
+// cache rests on (see DESIGN.md).
+//
+// The shape (every slot key, process and link, in id order) pins the
+// meaning of every id: the tables, the variable numbering and the bit
+// positions of the hashed rows are functions of it, and a hit's rows
+// replay by id into any state of the same shape. A change that adds or
+// removes a slot therefore invalidates every entry; a change confined to
+// other destinations' rows invalidates none.
 //
 // The second return is false when the sub-problem cannot be safely
 // fingerprinted: it is compression-eligible (the quotient construction
@@ -340,72 +359,52 @@ func problemFingerprint(tb *tables, orig *harc.State, pr *problem, opts Options,
 		w.str(p.String())
 	}
 
-	// The process table: rfVar rows allocate one variable per process in
-	// table order, so the full list pins variable numbering; procDev pins
-	// soft-constraint device attribution.
-	w.i64(int64(len(tb.procs)))
-	for i := range tb.procs {
-		w.str(tb.procName[i])
-		w.str(tb.procDev[i])
+	// The shape, plus the only per-slot encoder input that is neither a
+	// function of the slot's key nor a state bit: the intra-device
+	// middlebox constant.
+	h := tb.h
+	w.i64(int64(len(h.Slots)))
+	for _, s := range h.Slots {
+		w.str(s.Key())
+		w.boolean(s.Waypoint())
+	}
+	w.i64(int64(len(h.Procs)))
+	for _, p := range h.Procs {
+		w.str(p.Name())
+	}
+	w.i64(int64(len(h.Links)))
+	for _, l := range h.Links {
+		w.str(l.Name())
 	}
 
-	// Per-traffic-class closure: applicability row (with vertex indices,
-	// which pin the ETG shape) and original tc-level presence.
+	// Shared rows: aETG presence (frozen problems bake it into constants,
+	// others seed phases and softs from it), waypoints and costs.
+	w.bits(orig.All)
+	w.bits(orig.Waypoint)
+	for _, s := range h.Slots {
+		if ck := s.CostKey(); ck != "" {
+			w.i64(orig.Cost[ck])
+		}
+	}
+
+	// Per-class and per-destination rows. Prefixes feed the translator's
+	// and the encoder's construct matching.
 	w.i64(int64(len(pr.tcs)))
 	for _, tc := range pr.tcs {
 		w.str(tc.Key())
 		w.str(tc.Src.Prefix.String())
 		w.str(tc.Dst.Prefix.String())
-		t := tb.tc[tc.Key()]
-		tm := orig.TC[tc.Key()]
-		w.i64(int64(len(t.slots)))
-		for k, si := range t.slots {
-			w.str(tb.key[si])
-			w.i64(int64(t.fromV[k]))
-			w.i64(int64(t.toV[k]))
-			w.boolean(tm[tb.key[si]])
-		}
+		w.bits(orig.TC[h.TCRow(tc)])
 	}
-
-	// Per-destination closure: every applicable slot's identity, costs,
-	// waypoints, constructs, and original presence at the dst and (for
-	// frozen problems, where eA bakes constants) the all level.
 	dsts := pr.dsts()
 	w.i64(int64(len(dsts)))
 	for _, dst := range dsts {
 		w.str(dst.Name)
 		w.str(dst.Prefix.String())
-		dm := orig.Dst[dst.Name]
-		row := tb.dst[dst.Name].slots
-		w.i64(int64(len(row)))
-		for _, si := range row {
-			s := tb.slots[si]
-			key := tb.key[si]
-			w.str(key)
-			w.i64(int64(s.Kind))
-			w.i64(int64(tb.canon[si]))
-			w.str(tb.aclDev[si])
-			w.boolean(dm[key])
-			w.boolean(orig.All[key])
-			w.boolean(s.Waypoint()) // intra-device middlebox constant
-			if ck := tb.costKey[si]; ck != "" {
-				w.str(ck)
-				w.i64(orig.Cost[ck])
-			}
-			if ln := tb.linkName[si]; ln != "" {
-				w.str(ln)
-				w.boolean(orig.Waypoint[ln])
-			}
-			if pi := tb.fromProc[si]; pi >= 0 {
-				w.str(tb.procName[pi])
-				w.boolean(orig.RouteFilter[harc.RFKey(dst.Name, tb.procName[pi])])
-			}
-			if pi := tb.toProc[si]; pi >= 0 {
-				w.str(tb.procName[pi])
-				w.boolean(orig.RouteFilter[harc.RFKey(dst.Name, tb.procName[pi])])
-			}
-			w.boolean(orig.Static[harc.StaticKey(dst.Name, key)])
-		}
+		r := h.DstRow(dst)
+		w.bits(orig.Dst[r])
+		w.bits(orig.RouteFilter[r])
+		w.bits(orig.Static[r])
 	}
 
 	return hex.EncodeToString(w.h.Sum(nil)), true
@@ -441,106 +440,29 @@ func cacheableOutcome(pr *problem, ctxErr error) bool {
 
 // entryFor builds the memo entry for a problem that just reached a
 // cacheable terminal outcome. For uncompressed Sat solves the model
-// extraction is captured once into a scratch state holding only this
-// problem's keys; replay then merges it with plain map copies.
-func entryFor(pr *problem) *solveEntry {
+// extraction is captured once into a clone of the original state;
+// replay then copies the problem's rows out of it (mergeRows).
+func entryFor(orig *harc.State, pr *problem) *solveEntry {
 	e := &solveEntry{stat: pr.stat}
 	e.stat.Duration = 0
 	e.stat.Reused = false
 	if pr.stat.Compressed {
 		e.realized = pr.realized
 		e.realizedChanges = pr.realizedChanges
-		e.bytes = approxStateBytes(pr.realized)
+		e.bytes = pr.realized.ApproxBytes()
 		return e
 	}
 	if pr.stat.Outcome == OutcomeSolved {
-		e.extracted = captureExtract(pr.enc)
+		e.extracted = orig.Clone()
+		pr.enc.extract(e.extracted)
 		e.model = pr.enc.s.ModelPhases()
-		e.bytes += approxStateBytes(e.extracted) + int64(len(e.model))
+		e.bytes += e.extracted.ApproxBytes() + int64(len(e.model))
 	}
 	e.enc = pr.enc
 	if pr.enc != nil {
 		e.bytes += pr.enc.approxBytes()
 	}
 	return e
-}
-
-// captureExtract runs the encoder's model extraction once into a scratch
-// state pre-seeded with this problem's destination and traffic-class
-// submaps.
-func captureExtract(enc *encoder) *harc.State {
-	sc := harc.NewState()
-	for _, dst := range enc.dsts {
-		sc.Dst[dst.Name] = make(map[string]bool)
-	}
-	for _, tc := range enc.tcs {
-		sc.TC[tc.Key()] = make(map[string]bool)
-	}
-	enc.extract(sc)
-	return sc
-}
-
-// applyExtracted merges a captured extraction into the shared repaired
-// state: the exact writes extract would perform, replayed as map copies.
-// Every entry is copied (including explicit false), matching extract's
-// assignment semantics; Waypoint only ever records true.
-func applyExtracted(out, sc *harc.State) {
-	for k, v := range sc.All {
-		out.All[k] = v
-	}
-	for name, m := range sc.Dst {
-		dm := out.Dst[name]
-		for k, v := range m {
-			dm[k] = v
-		}
-	}
-	for key, m := range sc.TC {
-		tm := out.TC[key]
-		for k, v := range m {
-			tm[k] = v
-		}
-	}
-	for k, v := range sc.RouteFilter {
-		out.RouteFilter[k] = v
-	}
-	for k, v := range sc.Static {
-		out.Static[k] = v
-	}
-	for k, v := range sc.Cost {
-		out.Cost[k] = v
-	}
-	for k, v := range sc.Waypoint {
-		if v {
-			out.Waypoint[k] = true
-		}
-	}
-}
-
-// approxStateBytes estimates a state's heap footprint for the retained-
-// memory gauge.
-func approxStateBytes(st *harc.State) int64 {
-	if st == nil {
-		return 0
-	}
-	var n int64
-	perEntry := func(m map[string]bool) int64 {
-		var b int64
-		for k := range m {
-			b += int64(len(k)) + 24
-		}
-		return b
-	}
-	n += perEntry(st.All) + perEntry(st.Waypoint) + perEntry(st.RouteFilter) + perEntry(st.Static)
-	for k, m := range st.Dst {
-		n += int64(len(k)) + perEntry(m)
-	}
-	for k, m := range st.TC {
-		n += int64(len(k)) + perEntry(m)
-	}
-	for k := range st.Cost {
-		n += int64(len(k)) + 24
-	}
-	return n
 }
 
 // approxBytes estimates the heap retained by a live encoder: the SAT

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/arc"
+	"repro/internal/bitset"
 	"repro/internal/greedy"
 	"repro/internal/harc"
 	"repro/internal/policy"
@@ -465,6 +466,13 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 	if err != nil {
 		return nil, err
 	}
+	for _, pr := range problems {
+		for _, tc := range pr.tcs {
+			if h.TCRow(tc) < 0 {
+				return nil, fmt.Errorf("core: traffic class %s is outside the HARC", tc)
+			}
+		}
+	}
 	// The read-only tables are shared by every sub-problem encoder,
 	// including across parallel workers.
 	tb := newTables(h, problems)
@@ -503,9 +511,9 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 			res.Changes += pr.stat.Violations
 			if pr.stat.Compressed {
 				res.Compressed++
-				mergeRealized(h, orig, out, pr)
+				mergeRows(orig, out, pr.realized, pr)
 			} else if pr.cached != nil {
-				applyExtracted(out, pr.cached.extracted)
+				mergeRows(orig, out, pr.cached.extracted, pr)
 			} else {
 				pr.enc.extract(out)
 			}
@@ -513,7 +521,7 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 			res.Changes += pr.realizedChanges
 			res.Degraded++
 			res.Solved = false
-			mergeRealized(h, orig, out, pr)
+			mergeRows(orig, out, pr.realized, pr)
 		case OutcomeFailed:
 			res.Failed++
 			res.Solved = false
@@ -684,7 +692,7 @@ func runFailFast(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 			}
 			if tryCompressed(ctx, h, orig, pr, opts) {
 				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(pr))
+					opts.Cache.store(fp, entryFor(orig, pr))
 				}
 				pr.stat.Duration = time.Since(t0)
 				return
@@ -717,7 +725,7 @@ func runFailFast(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 				pr.stat.Err = "status " + status.String()
 			}
 			if memo && cacheableOutcome(pr, ctx.Err()) {
-				opts.Cache.store(fp, entryFor(pr))
+				opts.Cache.store(fp, entryFor(orig, pr))
 			}
 		}(pr)
 	}
@@ -770,7 +778,7 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 	}
 	if tryCompressed(ctx, h, orig, pr, opts) {
 		if memo && cacheableOutcome(pr, ctx.Err()) {
-			opts.Cache.store(fp, entryFor(pr))
+			opts.Cache.store(fp, entryFor(orig, pr))
 		}
 		return
 	}
@@ -800,7 +808,7 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 				pr.stat.Outcome = OutcomeSolved
 				pr.stat.Violations = cost
 				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(pr))
+					opts.Cache.store(fp, entryFor(orig, pr))
 				}
 				return
 			case sat.Unsat:
@@ -809,7 +817,7 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 				pr.stat.Outcome = OutcomeFailed
 				pr.stat.Err = "unsatisfiable"
 				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(pr))
+					opts.Cache.store(fp, entryFor(orig, pr))
 				}
 				return
 			}
@@ -944,42 +952,39 @@ func realizeGreedy(h *harc.HARC, orig *harc.State, pr *problem, gres *greedy.Res
 	trial := orig.Clone()
 	dsts := pr.dsts()
 	for _, dst := range dsts {
-		gdm, odm := gst.Dst[dst.Name], orig.Dst[dst.Name]
-		for _, s := range h.Slots {
-			if !applicableDst(s, dst) {
-				continue
+		r := h.DstRow(dst)
+		gdm := gst.Dst[r]
+		realizable := true
+		bitset.EachDiff(gdm, orig.Dst[r], func(id int) {
+			if !gdm.Has(id) {
+				return // greedy repairs only add dETG edges
 			}
-			key := s.Key()
-			if gdm[key] == odm[key] || !gdm[key] {
-				continue // greedy repairs only add dETG edges
-			}
-			switch s.Kind {
+			switch s := h.Slots[id]; s.Kind {
 			case arc.SlotInterDevice:
-				trial.Static[harc.StaticKey(dst.Name, key)] = true
+				trial.SetStatic(r, id, true)
 			case arc.SlotIntraSelf, arc.SlotDest:
-				trial.RouteFilter[harc.RFKey(dst.Name, s.FromProc.Name())] = false
+				trial.SetRouteFilter(r, s.FromProcID, false)
 			case arc.SlotIntraRedist:
 				// Per-dst repairs freeze the aETG: an absent
 				// redistribution adjacency cannot be recreated by any
 				// per-destination construct.
-				if !orig.All[key] {
-					return nil, 0, false
+				if !orig.All.Has(id) {
+					realizable = false
 				}
-				trial.RouteFilter[harc.RFKey(dst.Name, s.FromProc.Name())] = false
-				trial.RouteFilter[harc.RFKey(dst.Name, s.ToProc.Name())] = false
+				trial.SetRouteFilter(r, s.FromProcID, false)
+				trial.SetRouteFilter(r, s.ToProcID, false)
 			}
+		})
+		if !realizable {
+			return nil, 0, false
 		}
 	}
-	for link, v := range gst.Waypoint {
-		if v {
-			trial.Waypoint[link] = true
-		}
-	}
+	trial.AddWaypoints(gst)
 	for _, dst := range dsts {
 		realizeDstPresence(h, orig, trial, dst)
 	}
 	for _, tc := range pr.tcs {
-		realizeTCPresence(h, orig, trial, gst, tc)
+		realizeTCPresence(h, trial, gst, tc)
 	}
 	for _, p := range pr.policies {
 		if !policy.CheckState(h, trial, p) {
@@ -990,19 +995,20 @@ func realizeGreedy(h *harc.HARC, orig *harc.State, pr *problem, gres *greedy.Res
 }
 
 // impliedDst evaluates a destination-level edge's presence from the
-// construct maps in st (mirroring the encoder's hierarchy constraints).
-func impliedDst(st *harc.State, dst string, s *arc.Slot, staticProcs map[string]bool) bool {
-	rf := func(proc string) bool { return st.RouteFilter[harc.RFKey(dst, proc)] }
+// construct rows of destination row r in st (mirroring the encoder's
+// hierarchy constraints). staticProcs is staticProcsOf(h, st, r).
+func impliedDst(st *harc.State, r int, s *arc.Slot, staticProcs bitset.Set) bool {
+	rf := st.RouteFilter[r]
 	switch s.Kind {
 	case arc.SlotIntraSelf:
-		return !rf(s.FromProc.Name()) || staticProcs[s.FromProc.Name()]
+		return !rf.Has(s.FromProcID) || staticProcs.Has(s.FromProcID)
 	case arc.SlotIntraRedist:
-		return (st.All[s.Key()] && !rf(s.FromProc.Name()) && !rf(s.ToProc.Name())) ||
-			staticProcs[s.FromProc.Name()]
+		return (st.All.Has(s.ID) && !rf.Has(s.FromProcID) && !rf.Has(s.ToProcID)) ||
+			staticProcs.Has(s.FromProcID)
 	case arc.SlotInterDevice:
-		return (st.All[s.Key()] && !rf(s.ToProc.Name())) || st.Static[harc.StaticKey(dst, s.Key())]
+		return (st.All.Has(s.ID) && !rf.Has(s.ToProcID)) || st.Static[r].Has(s.ID)
 	case arc.SlotDest:
-		return !rf(s.FromProc.Name())
+		return !rf.Has(s.FromProcID)
 	}
 	return false
 }
@@ -1012,29 +1018,24 @@ func impliedDst(st *harc.State, dst string, s *arc.Slot, staticProcs map[string]
 // implication flipped relative to the original constructs are touched,
 // so untouched edges keep their observed (config-derived) presence.
 func realizeDstPresence(h *harc.HARC, orig, trial *harc.State, dst *topology.Subnet) {
-	origStatics := staticProcsOf(h, orig, dst.Name)
-	trialStatics := staticProcsOf(h, trial, dst.Name)
-	dm := trial.Dst[dst.Name]
-	for _, s := range h.Slots {
-		if !applicableDst(s, dst) {
+	r := h.DstRow(dst)
+	origStatics := staticProcsOf(h, orig, r)
+	trialStatics := staticProcsOf(h, trial, r)
+	for id, s := range h.Slots {
+		if !s.ApplicableDst(dst) {
 			continue
 		}
-		oldv := impliedDst(orig, dst.Name, s, origStatics)
-		newv := impliedDst(trial, dst.Name, s, trialStatics)
-		if oldv != newv {
-			dm[s.Key()] = newv
+		if newv := impliedDst(trial, r, s, trialStatics); newv != impliedDst(orig, r, s, origStatics) {
+			trial.SetDst(r, id, newv)
 		}
 	}
 }
 
-// staticProcsOf collects the processes that own a static route for dst.
-func staticProcsOf(h *harc.HARC, st *harc.State, dst string) map[string]bool {
-	out := map[string]bool{}
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotInterDevice && st.Static[harc.StaticKey(dst, s.Key())] {
-			out[s.FromProc.Name()] = true
-		}
-	}
+// staticProcsOf collects (by process id) the processes that own a static
+// route for destination row r.
+func staticProcsOf(h *harc.HARC, st *harc.State, r int) bitset.Set {
+	out := bitset.New(len(h.Procs))
+	st.Static[r].Each(func(id int) { out.Put(h.Slots[id].FromProcID, true) })
 	return out
 }
 
@@ -1042,72 +1043,54 @@ func staticProcsOf(h *harc.HARC, st *harc.State, dst string) map[string]bool {
 // dETG: intra edges follow the parent exactly (no ACL can act inside a
 // device), ACL-capable edges keep the greedy deviation where it deviated
 // and follow the parent where it was aligned.
-func realizeTCPresence(h *harc.HARC, orig, trial, gst *harc.State, tc topology.TrafficClass) {
-	m := trial.TC[tc.Key()]
-	gm := gst.TC[tc.Key()]
-	gdm := gst.Dst[tc.Dst.Name]
-	dm := trial.Dst[tc.Dst.Name]
-	for _, s := range h.Slots {
-		if !applicableTC(s, tc) {
+func realizeTCPresence(h *harc.HARC, trial, gst *harc.State, tc topology.TrafficClass) {
+	r, d := h.TCRow(tc), h.DstRow(tc.Dst)
+	gm, gdm, dm := gst.TC[r], gst.Dst[d], trial.Dst[d]
+	for id, s := range h.Slots {
+		if !s.ApplicableTC(tc) {
 			continue
 		}
-		key := s.Key()
 		switch s.Kind {
 		case arc.SlotSource:
 			// No dETG parent; a source edge still needs the gateway to
 			// have a route (no route filter on the receiving process).
-			v := gm[key]
-			if trial.RouteFilter[harc.RFKey(tc.Dst.Name, s.ToProc.Name())] {
-				v = false
-			}
-			m[key] = v
+			trial.SetTC(r, id, gm.Has(id) && !trial.RouteFilter[d].Has(s.ToProcID))
 		case arc.SlotIntraSelf, arc.SlotIntraRedist:
-			m[key] = dm[key]
+			trial.SetTC(r, id, dm.Has(id))
 		default:
-			if gm[key] == gdm[key] {
-				m[key] = dm[key] // aligned child follows the realized parent
+			if gm.Has(id) == gdm.Has(id) {
+				trial.SetTC(r, id, dm.Has(id)) // aligned child follows the realized parent
 			} else {
-				m[key] = gm[key] && dm[key] // deviation (ACL) is preserved
+				trial.SetTC(r, id, gm.Has(id) && dm.Has(id)) // deviation (ACL) is preserved
 			}
 		}
 	}
 }
 
-// mergeRealized copies a degraded or compressed problem's realized
-// state into the
-// shared repaired state: its destinations' dETG maps, its traffic
-// classes' maps, the per-destination construct entries (all keyed by
-// destination name), and any added waypoints.
-func mergeRealized(h *harc.HARC, orig, out *harc.State, pr *problem) {
-	trial := pr.realized
+// mergeRows copies one usable sub-problem's rows from src — a realized
+// trial state (greedy fallback, concretized quotient repair) or the
+// extraction a solve-cache entry captured — into the shared repaired
+// state: its destinations' presence and construct rows, its traffic
+// classes' rows, the aETG row when the problem solved it, any cost it
+// changed and any waypoint it added. src descends from a Clone of an
+// original state equal to orig on everything the problem reads, so whole
+// rows carry exactly the writes extract would have made.
+func mergeRows(orig, out, src *harc.State, pr *problem) {
 	for _, dst := range pr.dsts() {
-		dm, tdm := out.Dst[dst.Name], trial.Dst[dst.Name]
-		for key, v := range tdm {
-			dm[key] = v
-		}
-		prefix := dst.Name + "|"
-		for key, v := range trial.RouteFilter {
-			if len(key) > len(prefix) && key[:len(prefix)] == prefix && v != orig.RouteFilter[key] {
-				out.RouteFilter[key] = v
-			}
-		}
-		for key, v := range trial.Static {
-			if len(key) > len(prefix) && key[:len(prefix)] == prefix && v != orig.Static[key] {
-				out.Static[key] = v
-			}
-		}
+		out.CopyDst(src, dst)
 	}
 	for _, tc := range pr.tcs {
-		m, tm := out.TC[tc.Key()], trial.TC[tc.Key()]
-		for key, v := range tm {
-			m[key] = v
+		out.CopyTC(src, tc)
+	}
+	if !pr.freeze {
+		out.CopyAll(src)
+	}
+	for ck, v := range src.Cost {
+		if v != orig.Cost[ck] {
+			out.Cost[ck] = v
 		}
 	}
-	for link, v := range trial.Waypoint {
-		if v {
-			out.Waypoint[link] = true
-		}
-	}
+	out.AddWaypoints(src)
 }
 
 // applyFollowRules propagates repaired parent levels to unsolved child
@@ -1122,51 +1105,38 @@ func applyFollowRules(h *harc.HARC, orig, out *harc.State, solvedDsts, solvedTCs
 	// Per-destination repairs freeze the aETG, so the parent level is
 	// usually untouched; skipping the propagation scans then keeps this
 	// pass O(solved destinations) instead of O(all traffic classes).
-	allChanged := false
-	for k, v := range out.All {
-		if orig.All[k] != v {
-			allChanged = true
-			break
-		}
-	}
-	for _, dst := range h.Dsts {
+	allChanged := !out.All.Equal(orig.All)
+	for r, dst := range h.Dsts {
 		if solvedDsts[dst.Name] || !allChanged {
 			continue
 		}
-		dm := out.Dst[dst.Name]
-		origDm := orig.Dst[dst.Name]
-		for _, s := range h.Slots {
-			if !applicableDst(s, dst) || s.Kind == arc.SlotDest {
-				continue
-			}
-			key := s.Key()
-			if origDm[key] == orig.All[key] {
-				dm[key] = out.All[key]
-			}
-		}
+		out.SetDstRow(r, follow(out.Dst[r], orig.Dst[r], orig.All, out.All))
 	}
-	for _, tc := range h.TCs {
+	for r, tc := range h.TCs {
 		if solvedTCs[tc.Key()] {
 			continue
 		}
 		if !allChanged && !solvedDsts[tc.Dst.Name] {
 			continue // parent levels untouched; the child is already aligned
 		}
-		m := out.TC[tc.Key()]
-		origM := orig.TC[tc.Key()]
-		dm := out.Dst[tc.Dst.Name]
-		origDm := orig.Dst[tc.Dst.Name]
-		for _, s := range h.Slots {
-			if !applicableTC(s, tc) || s.Kind == arc.SlotSource {
-				continue
-			}
-			key := s.Key()
-			if origM[key] == origDm[key] {
-				m[key] = dm[key]
-			}
-		}
+		d := h.DstRow(tc.Dst)
+		out.SetTCRow(r, follow(out.TC[r], orig.TC[r], orig.Dst[d], out.Dst[d]))
 	}
 	return allChanged
+}
+
+// follow returns child with every bit that agreed with its parent in the
+// original state set to the repaired parent's value; bits that deviated
+// are kept. A child bit with no parent (a class's source slot, a
+// destination's dest slot: zero in every parent row) either deviated, or
+// was and stays zero — so whole words need no applicability mask.
+func follow(child, origChild, origParent, parent bitset.Set) bitset.Set {
+	out := make(bitset.Set, len(child))
+	for i := range out {
+		aligned := ^(origChild[i] ^ origParent[i])
+		out[i] = child[i]&^aligned | parent[i]&aligned
+	}
+	return out
 }
 
 // VerifyRepair checks that every policy holds on the repaired state.

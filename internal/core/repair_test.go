@@ -124,11 +124,8 @@ func TestRepairNothingToDo(t *testing.T) {
 		t.Errorf("no-op repair: %+v", res)
 	}
 	// The state must be unchanged.
-	orig := harc.StateOf(h)
-	for k, v := range orig.All {
-		if res.State.All[k] != v {
-			t.Errorf("aETG slot %s changed in no-op repair", k)
-		}
+	if !harc.StateOf(h).All.Equal(res.State.All) {
+		t.Error("aETG changed in no-op repair")
 	}
 }
 
@@ -195,11 +192,8 @@ func TestRepairPC3ViaStaticOrAdjacency(t *testing.T) {
 		t.Fatalf("still violates: %v", v)
 	}
 	// The aETG must be untouched in per-dst mode.
-	orig := harc.StateOf(h)
-	for k, v := range orig.All {
-		if res.State.All[k] != v {
-			t.Errorf("per-dst repair changed aETG slot %s", k)
-		}
+	if !harc.StateOf(h).All.Equal(res.State.All) {
+		t.Error("per-dst repair changed the aETG")
 	}
 	// One dETG deviation (static route) suffices.
 	if res.Changes != 1 {
@@ -240,19 +234,9 @@ func TestRepairPC4CostOnly(t *testing.T) {
 			costChanged = true
 		}
 	}
-	edgeRemoved := false
-	for k, v := range orig.Dst["T"] {
-		if res.State.Dst["T"][k] != v {
-			edgeRemoved = true
-		}
-	}
-	tcKey := topology.TrafficClass{Src: r, Dst: tt}.Key()
-	aclChanged := false
-	for k, v := range orig.TC[tcKey] {
-		if res.State.TC[tcKey][k] != v {
-			aclChanged = true
-		}
-	}
+	edgeRemoved := !orig.DstBits(tt).Equal(res.State.DstBits(tt))
+	tc := topology.TrafficClass{Src: r, Dst: tt}
+	aclChanged := !orig.TCBits(tc).Equal(res.State.TCBits(tc))
 	if !costChanged && !edgeRemoved && !aclChanged {
 		t.Error("no cost, dETG edge, or ACL changed, yet EP4 was violated")
 	}

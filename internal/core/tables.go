@@ -2,203 +2,119 @@ package core
 
 import (
 	"repro/internal/arc"
+	"repro/internal/graph"
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/topology"
 )
 
 // tables is the read-only, per-repair precomputed structure shared by
-// every sub-problem encoder: slot keys, canonical adjacency directions,
-// per-destination and per-traffic-class applicability lists, and vertex
-// index spaces. Building it once per Repair call removes the string
-// concatenation and per-encoder recomputation that used to dominate the
-// encode hot path; parallel per-destination solves read it concurrently,
-// so nothing here may be mutated after newTables returns.
+// every sub-problem encoder: the per-destination and per-traffic-class
+// applicability lists with their local vertex numbering. Slot keys, cost
+// keys, canonical adjacency directions and slot/process/link/vertex ids
+// live on the HARC's slot table. Parallel per-destination
+// solves read it concurrently, so nothing here may be mutated after
+// newTables returns.
 type tables struct {
 	h     *harc.HARC
 	slots []*arc.Slot
-	// key caches Slot.Key() (a fmt.Sprintf per call on the slot).
-	key []string
-	// canon maps each slot to the canonical direction of its routing
-	// adjacency: both directed slots over a link share one aETG variable,
-	// keyed by the lexicographically smaller slot key. Non-inter-device
-	// slots map to themselves.
-	canon []int
-	// aclDev is the device whose ACL realizes a tc-level deviation.
-	aclDev []string
-	// costKey caches harc.CostKey ("" for slots without a cost).
-	costKey []string
-	// linkName caches Link.Name() for inter-device slots ("" otherwise).
-	linkName []string
-	// fromProc/toProc are process-table indices (-1 when the slot end has
-	// no process).
-	fromProc, toProc []int
-	procs            []*topology.Process
-	procName         []string
-	procDev          []string
-
-	tc  map[string]*tcTables
-	dst map[string]*dstTables
+	// tc and dst are indexed by the HARC's traffic-class and destination
+	// rows; rows outside the problems are nil.
+	tc  []*tcTables
+	dst [][]int // applicable slot ids, ascending
 }
 
 // tcTables precomputes one traffic class's slot applicability and ETG
 // vertex space.
 type tcTables struct {
-	// slots are the applicable slot indices, ascending.
+	// slots are the applicable slot ids, ascending.
 	slots []int
-	// fromV/toV are vertex indices aligned with slots (i.e. indexed by
-	// position within slots, not by global slot index).
+	// fromV/toV are local vertex indices aligned with slots (i.e. indexed
+	// by position within slots, not by slot id). Local vertices number the
+	// table's vertices in order of first appearance, after SRC = 0 and
+	// DST = 1; nv counts them.
 	fromV, toV []int
-	// vertices are the ETG vertex names; vertices[0] is SRC and
-	// vertices[1] is DST.
-	vertices []string
+	nv         int
 	// byTail/byHead group slot positions (indices into slots) by tail and
 	// head vertex.
 	byTail, byHead [][]int
 	// links groups applicable inter-device slot positions by physical
 	// link, in first-appearance order (PC3's disjointness constraints).
-	links []linkGroup
+	links [][]int
 }
 
-type linkGroup struct {
-	name      string
-	positions []int
-}
-
-// dstTables precomputes one destination's applicable slot indices.
-type dstTables struct {
-	slots []int
-}
+// procDev is the device name soft constraints on process pi are
+// attributed to.
+func (tb *tables) procDev(pi int) string { return tb.h.Procs[pi].Device.Name }
 
 // newTables builds the shared tables for the traffic classes and
 // destinations appearing in the given problems.
 func newTables(h *harc.HARC, problems []*problem) *tables {
-	n := len(h.Slots)
 	tb := &tables{
-		h:        h,
-		slots:    h.Slots,
-		key:      make([]string, n),
-		canon:    make([]int, n),
-		aclDev:   make([]string, n),
-		costKey:  make([]string, n),
-		linkName: make([]string, n),
-		fromProc: make([]int, n),
-		toProc:   make([]int, n),
-		tc:       make(map[string]*tcTables),
-		dst:      make(map[string]*dstTables),
-	}
-	procIdx := map[*topology.Process]int{}
-	intern := func(p *topology.Process) int {
-		if p == nil {
-			return -1
-		}
-		if i, ok := procIdx[p]; ok {
-			return i
-		}
-		i := len(tb.procs)
-		procIdx[p] = i
-		tb.procs = append(tb.procs, p)
-		tb.procName = append(tb.procName, p.Name())
-		tb.procDev = append(tb.procDev, p.Device.Name)
-		return i
-	}
-	for i, s := range h.Slots {
-		tb.key[i] = s.Key()
-		tb.canon[i] = i
-		tb.aclDev[i] = aclDevice(s)
-		tb.costKey[i] = harc.CostKey(s)
-		if s.Kind == arc.SlotInterDevice {
-			tb.linkName[i] = s.Link.Name()
-		}
-		tb.fromProc[i] = intern(s.FromProc)
-		tb.toProc[i] = intern(s.ToProc)
-	}
-	// Canonical adjacency directions (see encoder docs): pair each
-	// inter-device slot with its reverse and pick the smaller key.
-	byEndpoints := make(map[string]int)
-	for i, s := range h.Slots {
-		if s.Kind != arc.SlotInterDevice {
-			continue
-		}
-		ep := s.FromProc.Name() + "|" + s.ToProc.Name() + "|" + s.FromIntf.Name + "|" + s.ToIntf.Name
-		rev := s.ToProc.Name() + "|" + s.FromProc.Name() + "|" + s.ToIntf.Name + "|" + s.FromIntf.Name
-		if other, ok := byEndpoints[rev]; ok {
-			canon := other
-			if tb.key[i] < tb.key[other] {
-				canon = i
-			}
-			tb.canon[i] = canon
-			tb.canon[other] = canon
-		} else {
-			byEndpoints[ep] = i
-		}
+		h:     h,
+		slots: h.Slots,
+		tc:    make([]*tcTables, len(h.TCs)),
+		dst:   make([][]int, len(h.Dsts)),
 	}
 	for _, pr := range problems {
 		for _, tc := range pr.tcs {
 			tb.addTC(tc)
-			tb.addDst(tc.Dst)
 		}
 	}
 	return tb
 }
 
-// addTC builds (once) the tcTables for tc.
+// addTC builds (once) the tcTables for tc and the applicability list of
+// its destination.
 func (tb *tables) addTC(tc topology.TrafficClass) {
-	if _, ok := tb.tc[tc.Key()]; ok {
+	r := tb.h.TCRow(tc)
+	if tb.tc[r] != nil {
 		return
 	}
-	t := &tcTables{vertices: []string{"SRC", "DST"}}
-	vidx := map[string]int{"SRC": 0, "DST": 1}
-	vertex := func(name string) int {
-		if i, ok := vidx[name]; ok {
-			return i
+	t := &tcTables{nv: 2}
+	local := make([]int, len(tb.h.Vertices)) // 0 = not numbered yet (or SRC)
+	local[arc.VDst] = 1
+	vertex := func(v graph.V) int {
+		if v > arc.VDst && local[v] == 0 {
+			local[v] = t.nv
+			t.nv++
 		}
-		i := len(t.vertices)
-		vidx[name] = i
-		t.vertices = append(t.vertices, name)
-		return i
+		return local[v]
 	}
-	linkIdx := map[string]int{}
+	linkIdx := make([]int, len(tb.h.Links)) // 1 + index into t.links; 0 = unseen
 	for i, s := range tb.slots {
-		if !applicableTC(s, tc) {
+		if !s.ApplicableTC(tc) {
 			continue
 		}
 		k := len(t.slots)
 		t.slots = append(t.slots, i)
-		t.fromV = append(t.fromV, vertex(s.FromVertex()))
-		t.toV = append(t.toV, vertex(s.ToVertex()))
+		t.fromV = append(t.fromV, vertex(s.From))
+		t.toV = append(t.toV, vertex(s.To))
 		if s.Kind == arc.SlotInterDevice {
-			name := tb.linkName[i]
-			li, ok := linkIdx[name]
-			if !ok {
+			li := linkIdx[s.LinkID] - 1
+			if li < 0 {
 				li = len(t.links)
-				linkIdx[name] = li
-				t.links = append(t.links, linkGroup{name: name})
+				linkIdx[s.LinkID] = li + 1
+				t.links = append(t.links, nil)
 			}
-			t.links[li].positions = append(t.links[li].positions, k)
+			t.links[li] = append(t.links[li], k)
 		}
 	}
-	t.byTail = make([][]int, len(t.vertices))
-	t.byHead = make([][]int, len(t.vertices))
+	t.byTail = make([][]int, t.nv)
+	t.byHead = make([][]int, t.nv)
 	for k := range t.slots {
 		t.byTail[t.fromV[k]] = append(t.byTail[t.fromV[k]], k)
 		t.byHead[t.toV[k]] = append(t.byHead[t.toV[k]], k)
 	}
-	tb.tc[tc.Key()] = t
-}
+	tb.tc[r] = t
 
-// addDst builds (once) the dstTables for dst.
-func (tb *tables) addDst(dst *topology.Subnet) {
-	if _, ok := tb.dst[dst.Name]; ok {
-		return
-	}
-	d := &dstTables{}
-	for i, s := range tb.slots {
-		if applicableDst(s, dst) {
-			d.slots = append(d.slots, i)
+	if d := tb.h.DstRow(tc.Dst); tb.dst[d] == nil {
+		for i, s := range tb.slots {
+			if s.ApplicableDst(tc.Dst) {
+				tb.dst[d] = append(tb.dst[d], i)
+			}
 		}
 	}
-	tb.dst[dst.Name] = d
 }
 
 // tablesFor returns tables covering the given policies directly (used by

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/topology"
@@ -49,11 +50,7 @@ func TestWaypointWeightSteersRepair(t *testing.T) {
 	weigh := func(res *Result) int {
 		orig := harc.StateOf(h)
 		cost := 0
-		for name, v := range res.State.Waypoint {
-			if v && !orig.Waypoint[name] {
-				cost += 10
-			}
-		}
+		bitset.EachDiff(orig.Waypoint, res.State.Waypoint, func(int) { cost += 10 })
 		return cost + nonWaypointChanges(h, orig, res.State)
 	}
 	if weigh(resCostly) > weigh(resCheap) {
@@ -66,28 +63,14 @@ func TestWaypointWeightSteersRepair(t *testing.T) {
 // (construct diffs, excluding waypoints).
 func nonWaypointChanges(h *harc.HARC, a, b *harc.State) int {
 	n := 0
-	for k, v := range a.RouteFilter {
-		if b.RouteFilter[k] != v {
-			n++
-		}
+	count := func(int) { n++ }
+	for r := range a.RouteFilter {
+		bitset.EachDiff(a.RouteFilter[r], b.RouteFilter[r], count)
+		bitset.EachDiff(a.Static[r], b.Static[r], count)
 	}
-	for k, v := range a.Static {
-		if b.Static[k] != v {
-			n++
-		}
-	}
-	for k, v := range a.All {
-		if b.All[k] != v {
-			n++
-		}
-	}
-	for tcKey, am := range a.TC {
-		bm := b.TC[tcKey]
-		for k, v := range am {
-			if bm[k] != v {
-				n++
-			}
-		}
+	bitset.EachDiff(a.All, b.All, count)
+	for r := range a.TC {
+		bitset.EachDiff(a.TC[r], b.TC[r], count)
 	}
 	for k, v := range a.Cost {
 		if b.Cost[k] != v {

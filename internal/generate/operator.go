@@ -220,16 +220,17 @@ func removeDenyCount(acl *config.ACLStanza, src, dst netip.Prefix) int {
 }
 
 // countImpacted counts traffic classes whose tcETG presence differs
-// between the two states (built over the same slot table).
+// between the two states. The operator's edits keep the slot table's
+// shape, so rows found by name compare word for word; if they ever did
+// not, every class counts as impacted.
 func countImpacted(h *harc.HARC, a, b *harc.State) int {
+	if !a.SameShape(b) {
+		return len(h.TCs)
+	}
 	count := 0
 	for _, tc := range h.TCs {
-		am, bm := a.TC[tc.Key()], b.TC[tc.Key()]
-		for _, s := range h.Slots {
-			if am[s.Key()] != bm[s.Key()] {
-				count++
-				break
-			}
+		if !a.TCBits(tc).Equal(b.TCBits(tc)) {
+			count++
 		}
 	}
 	return count

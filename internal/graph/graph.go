@@ -28,10 +28,13 @@ type Edge struct {
 }
 
 // Digraph is a mutable directed multigraph with string-named vertices.
-// The zero value is an empty graph ready to use.
+// The zero value is an empty graph ready to use. A graph carries no
+// name→vertex index: graphs built by NewOver share one immutable vertex
+// table with every other graph of the same network and address vertices
+// by id; Vertex and AddVertex scan the table and exist for small
+// hand-built graphs, tests and debugging.
 type Digraph struct {
 	names   []string
-	index   map[string]V
 	edges   []Edge
 	removed []bool // removed[e] marks edge e as deleted without reindexing
 	out     [][]E
@@ -40,39 +43,58 @@ type Digraph struct {
 }
 
 // New returns an empty digraph.
-func New() *Digraph {
-	return &Digraph{index: make(map[string]V)}
-}
+func New() *Digraph { return &Digraph{} }
 
-// NewWithCap returns an empty digraph with storage preallocated for nv
-// vertices and ne edges. Capacities are hints: exceeding them is legal
-// and merely grows the backing storage. Callers that build many graphs
-// with known sizes (ETG construction) use this to avoid map rehashing
-// and slice regrowth on the hot path.
-func NewWithCap(nv, ne int) *Digraph {
-	return &Digraph{
-		names:   make([]string, 0, nv),
-		index:   make(map[string]V, nv),
-		edges:   make([]Edge, 0, ne),
-		removed: make([]bool, 0, ne),
-		out:     make([][]E, 0, nv),
-		in:      make([][]E, 0, nv),
+// NewOver returns a digraph over the shared vertex table names (vertex v
+// is names[v]) holding exactly the given edges, edge e being edges[e].
+// The table is not copied and must never change; the edge slice is
+// adopted. Adjacency lists are carved out of two backing arrays sized
+// from the edge list, so a build costs a fixed handful of allocations
+// however many vertices it touches (ETG construction's hot path).
+func NewOver(names []string, edges []Edge) *Digraph {
+	nv, ne := len(names), len(edges)
+	g := &Digraph{
+		names:   names[:nv:nv],
+		edges:   edges,
+		removed: make([]bool, ne),
+		out:     make([][]E, nv),
+		in:      make([][]E, nv),
+		nlive:   ne,
 	}
+	deg := make([]int32, 2*nv)
+	for _, ed := range edges {
+		deg[ed.From]++
+		deg[nv+int(ed.To)]++
+	}
+	backing := make([]E, 2*ne)
+	off := 0
+	for v := 0; v < nv; v++ {
+		d := int(deg[v])
+		g.out[v] = backing[off : off : off+d]
+		off += d
+	}
+	for v := 0; v < nv; v++ {
+		d := int(deg[nv+v])
+		g.in[v] = backing[off : off : off+d]
+		off += d
+	}
+	for i, ed := range edges {
+		g.out[ed.From] = append(g.out[ed.From], E(i))
+		g.in[ed.To] = append(g.in[ed.To], E(i))
+	}
+	return g
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g (the vertex table is immutable once
+// shared, so the copy keeps the same one).
 func (g *Digraph) Clone() *Digraph {
 	c := &Digraph{
-		names:   append([]string(nil), g.names...),
-		index:   make(map[string]V, len(g.index)),
+		names:   g.names[:len(g.names):len(g.names)],
 		edges:   append([]Edge(nil), g.edges...),
 		removed: append([]bool(nil), g.removed...),
 		out:     make([][]E, len(g.out)),
 		in:      make([][]E, len(g.in)),
 		nlive:   g.nlive,
-	}
-	for k, v := range g.index {
-		c.index[k] = v
 	}
 	for i := range g.out {
 		c.out[i] = append([]E(nil), g.out[i]...)
@@ -96,26 +118,23 @@ func (g *Digraph) CloneEdgesShared() *Digraph {
 }
 
 // AddVertex adds a vertex named name, or returns the existing vertex with
-// that name.
+// that name (a linear scan: see Digraph).
 func (g *Digraph) AddVertex(name string) V {
-	if g.index == nil {
-		g.index = make(map[string]V)
-	}
-	if v, ok := g.index[name]; ok {
+	if v := g.Vertex(name); v != V(None) {
 		return v
 	}
-	v := V(len(g.names))
 	g.names = append(g.names, name)
-	g.index[name] = v
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	return v
+	return V(len(g.names) - 1)
 }
 
 // Vertex returns the vertex named name, or None if absent.
 func (g *Digraph) Vertex(name string) V {
-	if v, ok := g.index[name]; ok {
-		return v
+	for v, n := range g.names {
+		if n == name {
+			return V(v)
+		}
 	}
 	return V(None)
 }

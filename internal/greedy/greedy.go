@@ -38,7 +38,7 @@ type Result struct {
 // PrimaryPath policies yield an error (the inverse-shortest-path problem
 // is out of the baseline's scope, §5).
 func Repair(h *harc.HARC, policies []policy.Policy) (*Result, error) {
-	st := harc.StateOf(h).Clone()
+	st := harc.StateOf(h)
 	changes := 0
 	for _, p := range policies {
 		if policy.CheckState(h, st, p) {
@@ -79,11 +79,7 @@ const bigCap = int64(1) << 40
 // effectively infinite capacity to intra-device edges.
 func removableCap(etg *arc.ETG) func(graph.E) int64 {
 	return func(e graph.E) int64 {
-		s := etg.SlotOf[e]
-		if s == nil {
-			return bigCap
-		}
-		switch s.Kind {
+		switch etg.SlotOf[e].Kind {
 		case arc.SlotInterDevice, arc.SlotSource, arc.SlotDest:
 			return 1
 		}
@@ -100,9 +96,9 @@ func repairPC1(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	if len(cut) == 0 && etg.G.PathExists(etg.Src, etg.Dst) {
 		return 0, fmt.Errorf("greedy: PC1 min-cut failed for %s", p.TC)
 	}
-	m := st.TC[p.TC.Key()]
+	r := h.TCRow(p.TC)
 	for _, e := range cut {
-		m[etg.SlotOf[e].Key()] = false
+		st.SetTC(r, etg.SlotOf[e].ID, false)
 	}
 	return len(cut), nil
 }
@@ -124,7 +120,7 @@ func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	}
 	// Only inter-device edges can host a middlebox.
 	capOf := func(e graph.E) int64 {
-		if s := etg.SlotOf[e]; s != nil && s.Kind == arc.SlotInterDevice {
+		if etg.SlotOf[e].Kind == arc.SlotInterDevice {
 			return 1
 		}
 		return bigCap
@@ -139,8 +135,8 @@ func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 		if s.Kind != arc.SlotInterDevice {
 			return 0, fmt.Errorf("greedy: PC2 cut contains non-link edge %s", s.Key())
 		}
-		if !st.Waypoint[s.Link.Name()] {
-			st.Waypoint[s.Link.Name()] = true
+		if !st.Waypoint.Has(s.LinkID) {
+			st.SetWaypoint(s.LinkID, true)
 			n++
 		}
 	}
@@ -153,32 +149,28 @@ func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 // the edges in the paths"). dETG-level additions become static routes,
 // tcETG-level additions ACL removals.
 func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
-	full, slotOf := candidateETG(h, p.TC)
-	src, dst := full.Vertex("SRC"), full.Vertex("DST")
+	full := candidateETG(h, p.TC)
 	capOf := func(e graph.E) int64 {
-		if s := slotOf[e]; s != nil && s.Kind == arc.SlotInterDevice {
+		if full.SlotOf[e].Kind == arc.SlotInterDevice {
 			return 1
 		}
 		return bigCap
 	}
-	paths := full.DisjointPaths(src, dst, capOf)
+	paths := full.G.DisjointPaths(full.Src, full.Dst, capOf)
 	if len(paths) < p.K {
 		return 0, fmt.Errorf("greedy: topology supports only %d disjoint paths for %s (need %d)", len(paths), p.TC, p.K)
 	}
 	changes := 0
-	m := st.TC[p.TC.Key()]
-	dm := st.Dst[p.TC.Dst.Name]
+	r, d := h.TCRow(p.TC), h.DstRow(p.TC.Dst)
 	for _, path := range paths[:p.K] {
 		for i := 0; i+1 < len(path); i++ {
-			e := full.FindEdge(path[i], path[i+1])
-			s := slotOf[e]
-			key := s.Key()
-			if s.Kind != arc.SlotSource && !dm[key] {
-				dm[key] = true // realized by a static route
+			s := full.SlotOf[full.G.FindEdge(path[i], path[i+1])]
+			if s.Kind != arc.SlotSource && !st.Dst[d].Has(s.ID) {
+				st.SetDst(d, s.ID, true) // realized by a static route
 				changes++
 			}
-			if !m[key] {
-				m[key] = true // realized by removing an ACL deny
+			if !st.TC[r].Has(s.ID) {
+				st.SetTC(r, s.ID, true) // realized by removing an ACL deny
 				changes++
 			}
 		}
@@ -188,26 +180,12 @@ func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 
 // candidateETG builds the graph of every candidate slot for tc ("all
 // possible edges"), ignoring current presence.
-func candidateETG(h *harc.HARC, tc topology.TrafficClass) (*graph.Digraph, map[graph.E]*arc.Slot) {
-	g := graph.New()
-	slotOf := map[graph.E]*arc.Slot{}
-	g.AddVertex("SRC")
-	g.AddVertex("DST")
+func candidateETG(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
+	var all []*arc.Slot
 	for _, s := range h.Slots {
-		switch s.Kind {
-		case arc.SlotSource:
-			if s.Subnet != tc.Src {
-				continue
-			}
-		case arc.SlotDest:
-			if s.Subnet != tc.Dst {
-				continue
-			}
+		if s.ApplicableTC(tc) {
+			all = append(all, s)
 		}
-		from := g.AddVertex(s.FromVertex())
-		to := g.AddVertex(s.ToVertex())
-		e := g.AddEdge(from, to, 1)
-		slotOf[e] = s
 	}
-	return g, slotOf
+	return arc.NewETG(h.Table, arc.LevelTC, all, func(*arc.Slot) int64 { return 1 })
 }

@@ -44,13 +44,7 @@ func TestGreedyPC2(t *testing.T) {
 		t.Fatalf("greedy PC2 failed: %v", res.StillViolated)
 	}
 	// A waypoint must have been added somewhere.
-	added := false
-	for _, v := range res.State.Waypoint {
-		if v {
-			added = true
-		}
-	}
-	if !added {
+	if res.State.Waypoint.Count() == 0 {
 		t.Error("no waypoint added")
 	}
 }

@@ -16,23 +16,67 @@ import (
 	"sync/atomic"
 
 	"repro/internal/arc"
-	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
-// HARC bundles the three ETG layers of a network for a set of traffic
-// classes.
-type HARC struct {
-	Network *topology.Network
-	Slots   []*arc.Slot
-	ByKey   map[string]*arc.Slot
+// Layout is the integer identity a HARC shares with every State derived
+// from it: the network's slot table (slot, process, link and vertex ids)
+// plus the row numbers of the traffic classes and destinations the HARC
+// covers. A State row is a bitset over one of the table's id spaces, so
+// "is slot s present for class tc" is the bit at (TCRow(tc), s.ID).
+type Layout struct {
+	*arc.Table
 
 	TCs  []topology.TrafficClass
-	Dsts []*topology.Subnet
+	Dsts []*topology.Subnet // unique destinations of TCs, first-seen order
+
+	tcRow  map[string]int // TrafficClass.Key() → index in TCs
+	dstRow map[string]int // subnet name → index in Dsts
+}
+
+func newLayout(n *topology.Network, tcs []topology.TrafficClass) *Layout {
+	l := &Layout{
+		Table:  arc.NewTable(n),
+		TCs:    tcs,
+		tcRow:  make(map[string]int, len(tcs)),
+		dstRow: make(map[string]int),
+	}
+	for i, tc := range tcs {
+		l.tcRow[tc.Key()] = i
+		if _, seen := l.dstRow[tc.Dst.Name]; !seen {
+			l.dstRow[tc.Dst.Name] = len(l.Dsts)
+			l.Dsts = append(l.Dsts, tc.Dst)
+		}
+	}
+	return l
+}
+
+// TCRow returns the row of tc (matched by subnet names), or -1.
+func (l *Layout) TCRow(tc topology.TrafficClass) int {
+	if r, ok := l.tcRow[tc.Key()]; ok {
+		return r
+	}
+	return -1
+}
+
+// DstRow returns the row of the destination named like dst, or -1.
+func (l *Layout) DstRow(dst *topology.Subnet) int {
+	if r, ok := l.dstRow[dst.Name]; ok {
+		return r
+	}
+	return -1
+}
+
+// HARC bundles the three ETG layers of a network for a set of traffic
+// classes. D and TC are indexed by the layout's destination and
+// traffic-class rows.
+type HARC struct {
+	*Layout
+	Network *topology.Network
 
 	A  *arc.ETG
-	D  map[string]*arc.ETG // keyed by destination subnet name
-	TC map[string]*arc.ETG // keyed by TrafficClass.Key()
+	D  []*arc.ETG
+	TC []*arc.ETG
 }
 
 // Build constructs the HARC over every traffic class of the network.
@@ -40,43 +84,20 @@ func Build(n *topology.Network) *HARC {
 	return BuildForTCs(n, n.TrafficClasses())
 }
 
-// BuildForTCs constructs the HARC restricted to the given traffic classes
-// (used by the per-destination decomposition of §5.3).
-func BuildForTCs(n *topology.Network, tcs []topology.TrafficClass) *HARC {
-	slots := arc.Slots(n)
-	h := &HARC{
-		Network: n,
-		Slots:   slots,
-		ByKey:   make(map[string]*arc.Slot, len(slots)),
-		TCs:     tcs,
-		D:       make(map[string]*arc.ETG),
-		TC:      make(map[string]*arc.ETG),
-	}
-	for _, s := range slots {
-		h.ByKey[s.Key()] = s
-	}
-	h.A = arc.BuildAllETG(slots)
-	seen := map[string]bool{}
-	for _, tc := range tcs {
-		if !seen[tc.Dst.Name] {
-			seen[tc.Dst.Name] = true
-			h.Dsts = append(h.Dsts, tc.Dst)
-		}
-	}
-	// Each per-class and per-destination ETG is a pure function of the
-	// (immutable, key-precached) slot table, so they build concurrently
-	// over the same pool shape StateOf uses; the index maps are assembled
-	// serially in input order, keeping the HARC byte-identical to a
-	// sequential build.
-	tcOut := make([]*arc.ETG, len(tcs))
-	dstOut := make([]*arc.ETG, len(h.Dsts))
-	total := len(tcs) + len(h.Dsts)
+// ParallelFor runs fn(0..n-1) on one worker per core, handing indexes
+// out through a shared counter. Callers write results into slot i of a
+// preallocated slice, so assembly order is the input order whatever the
+// interleaving.
+func ParallelFor(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
+	if workers > n {
+		workers = n
 	}
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -86,60 +107,60 @@ func BuildForTCs(n *topology.Network, tcs []topology.TrafficClass) *HARC {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= total {
+				if i >= n {
 					return
 				}
-				if i < len(h.Dsts) {
-					dstOut[i] = arc.BuildDstETG(slots, h.Dsts[i])
-				} else {
-					tcOut[i-len(h.Dsts)] = arc.BuildTCETG(slots, tcs[i-len(h.Dsts)])
-				}
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, dst := range h.Dsts {
-		h.D[dst.Name] = dstOut[i]
-	}
-	for i, tc := range tcs {
-		h.TC[tc.Key()] = tcOut[i]
-	}
-	return h
 }
 
-// BuildLite constructs the slot table and class/destination indexes of
-// a HARC without materializing any ETG — enough for StateOf and the
-// *FromState builders, which read only Slots and the indexes. Verifiers
-// that compare states (rather than graphs) use it to skip the dominant
-// cost of BuildForTCs.
-func BuildLite(n *topology.Network, tcs []topology.TrafficClass) *HARC {
-	slots := arc.Slots(n)
-	h := &HARC{
-		Network: n,
-		Slots:   slots,
-		ByKey:   make(map[string]*arc.Slot, len(slots)),
-		TCs:     tcs,
-		D:       make(map[string]*arc.ETG),
-		TC:      make(map[string]*arc.ETG),
-	}
-	for _, s := range slots {
-		h.ByKey[s.Key()] = s
-	}
-	seen := map[string]bool{}
-	for _, tc := range tcs {
-		if !seen[tc.Dst.Name] {
-			seen[tc.Dst.Name] = true
-			h.Dsts = append(h.Dsts, tc.Dst)
+// BuildForTCs constructs the HARC restricted to the given traffic classes
+// (used by the per-destination decomposition of §5.3).
+func BuildForTCs(n *topology.Network, tcs []topology.TrafficClass) *HARC {
+	h := BuildLite(n, tcs)
+	h.A = arc.BuildAllETG(h.Table)
+	// Each per-class and per-destination ETG is a pure function of the
+	// immutable slot table, so they build concurrently, each into its own
+	// row.
+	h.D = make([]*arc.ETG, len(h.Dsts))
+	h.TC = make([]*arc.ETG, len(tcs))
+	ParallelFor(len(h.Dsts)+len(tcs), func(i int) {
+		if i < len(h.Dsts) {
+			h.D[i] = arc.BuildDstETG(h.Table, h.Dsts[i])
+		} else {
+			h.TC[i-len(h.Dsts)] = arc.BuildTCETG(h.Table, tcs[i-len(h.Dsts)])
 		}
-	}
+	})
 	return h
 }
 
-// TCETG returns the tcETG for tc.
-func (h *HARC) TCETG(tc topology.TrafficClass) *arc.ETG { return h.TC[tc.Key()] }
+// BuildLite constructs the slot table and class/destination rows of a
+// HARC without materializing any ETG — enough for StateOf and the
+// *FromState builders, which read only the layout. Verifiers that
+// compare states (rather than graphs) use it to skip the dominant cost
+// of BuildForTCs.
+func BuildLite(n *topology.Network, tcs []topology.TrafficClass) *HARC {
+	return &HARC{Layout: newLayout(n, tcs), Network: n}
+}
 
-// DETG returns the dETG for dst.
-func (h *HARC) DETG(dst *topology.Subnet) *arc.ETG { return h.D[dst.Name] }
+// TCETG returns the tcETG for tc, or nil if the HARC holds none.
+func (h *HARC) TCETG(tc topology.TrafficClass) *arc.ETG {
+	if r := h.TCRow(tc); r >= 0 && r < len(h.TC) {
+		return h.TC[r]
+	}
+	return nil
+}
+
+// DETG returns the dETG for dst, or nil if the HARC holds none.
+func (h *HARC) DETG(dst *topology.Subnet) *arc.ETG {
+	if r := h.DstRow(dst); r >= 0 && r < len(h.D) {
+		return h.D[r]
+	}
+	return nil
+}
 
 // ValidateHierarchy checks the HARC well-formedness invariants of §4.3:
 // every tcETG edge exists in the corresponding dETG, and every dETG edge
@@ -178,476 +199,17 @@ func (h *HARC) ValidateHierarchy() error {
 	return nil
 }
 
-// CostKey identifies the shared cost variable of an inter-device slot: the
-// directed egress interface. Routing protocols do not allow per-class or
-// per-destination costs (paper §5.1, constraint 13 discussion), so every
-// slot leaving the same interface shares one cost.
-func CostKey(s *arc.Slot) string {
-	if s.Kind != arc.SlotInterDevice {
-		return ""
-	}
-	return s.FromIntf.Device.Name + "/" + s.FromIntf.Name
-}
-
-// State is an explicit assignment of edge presence per HARC level plus
-// shared edge costs: the search space of the repair engine. Maps are
-// keyed by Slot.Key(); absent keys mean "absent edge". Costs are keyed by
-// CostKey.
-type State struct {
-	All  map[string]bool
-	Dst  map[string]map[string]bool // dst subnet name → slot key → present
-	TC   map[string]map[string]bool // tc key → slot key → present
-	Cost map[string]int64
-	// Waypoint records per-link middlebox presence (keyed by Link.Name());
-	// repairs may add waypoints (paper §2.2, footnote 2).
-	Waypoint map[string]bool
-	// RouteFilter records per-(destination, process) filtering, keyed
-	// "dst|procName"; Static records per-(destination, inter slot) static
-	// routes, keyed "dst|slotKey". These are the constructs the presence
-	// maps are derived from; the translator reads them directly.
-	RouteFilter map[string]bool
-	Static      map[string]bool
-}
-
-// RFKey builds a RouteFilter key.
-func RFKey(dstName, procName string) string { return dstName + "|" + procName }
-
-// StaticKey builds a Static key.
-func StaticKey(dstName, slotKey string) string { return dstName + "|" + slotKey }
-
-// NewState returns an empty state with allocated maps.
-func NewState() *State {
-	return &State{
-		All:         make(map[string]bool),
-		Dst:         make(map[string]map[string]bool),
-		TC:          make(map[string]map[string]bool),
-		Cost:        make(map[string]int64),
-		Waypoint:    make(map[string]bool),
-		RouteFilter: make(map[string]bool),
-		Static:      make(map[string]bool),
-	}
-}
-
-// Clone returns a deep copy.
-func (st *State) Clone() *State {
-	c := NewState()
-	for k, v := range st.All {
-		c.All[k] = v
-	}
-	for d, m := range st.Dst {
-		cm := make(map[string]bool, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		c.Dst[d] = cm
-	}
-	for t, m := range st.TC {
-		cm := make(map[string]bool, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		c.TC[t] = cm
-	}
-	for k, v := range st.Cost {
-		c.Cost[k] = v
-	}
-	for k, v := range st.Waypoint {
-		c.Waypoint[k] = v
-	}
-	for k, v := range st.RouteFilter {
-		c.RouteFilter[k] = v
-	}
-	for k, v := range st.Static {
-		c.Static[k] = v
-	}
-	return c
-}
-
-// StateOf extracts the current state of the HARC: presence of every slot
-// at every level and the cost of every directed interface. The
-// per-destination and per-traffic-class scans are independent and run
-// on one worker per core (the concrete maps are staged per index and
-// merged serially, so the result is deterministic).
-func StateOf(h *HARC) *State {
-	st := NewState()
-	for _, s := range h.Slots {
-		key := s.Key()
-		if s.Kind != arc.SlotSource && s.Kind != arc.SlotDest {
-			st.All[key] = s.PresentAll()
-		}
-		if ck := CostKey(s); ck != "" {
-			st.Cost[ck] = int64(s.FromIntf.Cost)
-		}
-	}
-	for _, l := range h.Network.Links {
-		st.Waypoint[l.Name()] = l.Waypoint
-	}
-
-	type dstMaps struct {
-		m, rf, static map[string]bool
-	}
-	dstOut := make([]dstMaps, len(h.Dsts))
-	tcOut := make([]map[string]bool, len(h.TCs))
-	total := len(h.Dsts) + len(h.TCs)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				if i < len(h.Dsts) {
-					dstOut[i] = dstMaps{m: stateOfDst(h, h.Dsts[i])}
-					dstOut[i].rf, dstOut[i].static = stateOfConstructs(h, h.Dsts[i])
-				} else {
-					tcOut[i-len(h.Dsts)] = stateOfTC(h, h.TCs[i-len(h.Dsts)])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, dst := range h.Dsts {
-		st.Dst[dst.Name] = dstOut[i].m
-		for k, v := range dstOut[i].rf {
-			st.RouteFilter[k] = v
-		}
-		for k, v := range dstOut[i].static {
-			st.Static[k] = v
-		}
-	}
-	for i, tc := range h.TCs {
-		st.TC[tc.Key()] = tcOut[i]
-	}
-	return st
-}
-
-// slotTouches reports whether a slot's presence can depend on the
-// configuration of any device in changed: its end processes' devices
-// and (for attachment slots) the attachment interface's device.
-func slotTouches(s *arc.Slot, changed map[string]bool) bool {
-	if s.FromProc != nil && changed[s.FromProc.Device.Name] {
-		return true
-	}
-	if s.ToProc != nil && changed[s.ToProc.Device.Name] {
-		return true
-	}
-	if s.Intf != nil && changed[s.Intf.Device.Name] {
-		return true
-	}
-	return false
-}
-
-// StateOfDelta computes StateOf(h) assuming base is the state of a HARC
-// whose network differs from h's only in the configurations of the
-// devices named in changed: slots touching a changed device are
-// recomputed from the slot rules, everything else is copied from base.
-// It returns nil — directing the caller to a full StateOf — whenever
-// the assumption is not checkable: base lacks a destination, class,
-// slot, link, cost, or construct key the new network has (the change
-// was structural, not just behavioral).
-//
-// Soundness rests on slot presence being a function of its end devices'
-// configurations and the subnet prefixes: every rule the slot evaluates
-// (route filters, ACLs, static routes, redistribution) lives in the
-// config of a device slotTouches covers. Prefix changes break that
-// locality — an ACL on an unchanged device matches against remote
-// prefixes — so callers must not use the delta path when any subnet's
-// prefix differs between the two networks (session.Delta enforces
-// this).
-func StateOfDelta(h *HARC, base *State, changed map[string]bool) *State {
-	if base == nil || len(changed) == 0 {
-		return nil
-	}
-	for _, dst := range h.Dsts {
-		if base.Dst[dst.Name] == nil {
-			return nil
-		}
-	}
-	for _, tc := range h.TCs {
-		if base.TC[tc.Key()] == nil {
-			return nil
-		}
-	}
-	st := NewState()
-	for _, s := range h.Slots {
-		key := s.Key()
-		t := slotTouches(s, changed)
-		if s.Kind != arc.SlotSource && s.Kind != arc.SlotDest {
-			if t {
-				st.All[key] = s.PresentAll()
-			} else if v, ok := base.All[key]; ok {
-				st.All[key] = v
-			} else {
-				return nil
-			}
-		}
-		if ck := CostKey(s); ck != "" {
-			if t {
-				st.Cost[ck] = int64(s.FromIntf.Cost)
-			} else if v, ok := base.Cost[ck]; ok {
-				st.Cost[ck] = v
-			} else {
-				return nil
-			}
-		}
-	}
-	for _, l := range h.Network.Links {
-		if changed[l.A.Device.Name] || changed[l.B.Device.Name] {
-			st.Waypoint[l.Name()] = l.Waypoint
-		} else if v, ok := base.Waypoint[l.Name()]; ok {
-			st.Waypoint[l.Name()] = v
-		} else {
-			return nil
-		}
-	}
-
-	type dstMaps struct {
-		m, rf, static map[string]bool
-	}
-	dstOut := make([]dstMaps, len(h.Dsts))
-	tcOut := make([]map[string]bool, len(h.TCs))
-	total := len(h.Dsts) + len(h.TCs)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total || failed.Load() {
-					return
-				}
-				ok := true
-				if i < len(h.Dsts) {
-					dst := h.Dsts[i]
-					dstOut[i].m, ok = stateOfDstDelta(h, base, dst, changed)
-					if ok {
-						dstOut[i].rf, dstOut[i].static, ok = stateOfConstructsDelta(h, base, dst, changed)
-					}
-				} else {
-					tcOut[i-len(h.Dsts)], ok = stateOfTCDelta(h, base, h.TCs[i-len(h.Dsts)], changed)
-				}
-				if !ok {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return nil
-	}
-	for i, dst := range h.Dsts {
-		st.Dst[dst.Name] = dstOut[i].m
-		for k, v := range dstOut[i].rf {
-			st.RouteFilter[k] = v
-		}
-		for k, v := range dstOut[i].static {
-			st.Static[k] = v
-		}
-	}
-	for i, tc := range h.TCs {
-		st.TC[tc.Key()] = tcOut[i]
-	}
-	return st
-}
-
-// stateOfDstDelta is stateOfDst with unchanged slots copied from base.
-func stateOfDstDelta(h *HARC, base *State, dst *topology.Subnet, changed map[string]bool) (map[string]bool, bool) {
-	bm := base.Dst[dst.Name]
-	m := make(map[string]bool, len(bm))
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotSource {
-			continue
-		}
-		if s.Kind == arc.SlotDest && s.Subnet != dst {
-			continue
-		}
-		key := s.Key()
-		if slotTouches(s, changed) {
-			m[key] = s.PresentDst(dst)
-		} else if v, ok := bm[key]; ok {
-			m[key] = v
-		} else {
-			return nil, false
-		}
-	}
-	return m, true
-}
-
-// stateOfConstructsDelta is stateOfConstructs with unchanged slots
-// copied from base.
-func stateOfConstructsDelta(h *HARC, base *State, dst *topology.Subnet, changed map[string]bool) (rf, static map[string]bool, ok bool) {
-	rf = make(map[string]bool)
-	static = make(map[string]bool)
-	for _, s := range h.Slots {
-		switch s.Kind {
-		case arc.SlotIntraSelf:
-			key := RFKey(dst.Name, s.FromProc.Name())
-			if slotTouches(s, changed) {
-				rf[key] = s.FromProc.BlocksDestination(dst.Prefix)
-			} else if v, ok := base.RouteFilter[key]; ok {
-				rf[key] = v
-			} else {
-				return nil, nil, false
-			}
-		case arc.SlotInterDevice:
-			key := StaticKey(dst.Name, s.Key())
-			if slotTouches(s, changed) {
-				static[key] = s.StaticBacked(dst) != nil
-			} else if v, ok := base.Static[key]; ok {
-				static[key] = v
-			} else {
-				return nil, nil, false
-			}
-		}
-	}
-	return rf, static, true
-}
-
-// stateOfTCDelta is stateOfTC with unchanged slots copied from base.
-func stateOfTCDelta(h *HARC, base *State, tc topology.TrafficClass, changed map[string]bool) (map[string]bool, bool) {
-	bm := base.TC[tc.Key()]
-	m := make(map[string]bool, len(bm))
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotSource && s.Subnet != tc.Src {
-			continue
-		}
-		if s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
-			continue
-		}
-		key := s.Key()
-		if slotTouches(s, changed) {
-			m[key] = s.PresentTC(tc)
-		} else if v, ok := bm[key]; ok {
-			m[key] = v
-		} else {
-			return nil, false
-		}
-	}
-	return m, true
-}
-
-// stateOfDst computes one destination's dETG presence map.
-func stateOfDst(h *HARC, dst *topology.Subnet) map[string]bool {
-	m := make(map[string]bool)
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotSource {
-			continue
-		}
-		if s.Kind == arc.SlotDest && s.Subnet != dst {
-			continue
-		}
-		m[s.Key()] = s.PresentDst(dst)
-	}
-	return m
-}
-
-// stateOfConstructs computes one destination's route-filter and
-// static-route construct maps.
-func stateOfConstructs(h *HARC, dst *topology.Subnet) (rf, static map[string]bool) {
-	rf = make(map[string]bool)
-	static = make(map[string]bool)
-	for _, s := range h.Slots {
-		switch s.Kind {
-		case arc.SlotIntraSelf:
-			rf[RFKey(dst.Name, s.FromProc.Name())] =
-				s.FromProc.BlocksDestination(dst.Prefix)
-		case arc.SlotInterDevice:
-			static[StaticKey(dst.Name, s.Key())] = s.StaticBacked(dst) != nil
-		}
-	}
-	return rf, static
-}
-
-// stateOfTC computes one traffic class's tcETG presence map.
-func stateOfTC(h *HARC, tc topology.TrafficClass) map[string]bool {
-	m := make(map[string]bool)
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotSource && s.Subnet != tc.Src {
-			continue
-		}
-		if s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
-			continue
-		}
-		m[s.Key()] = s.PresentTC(tc)
-	}
-	return m
-}
-
-// procStatic reports whether the state has a static route for dst
-// leaving through the given process (an inter slot with that tail).
-func (st *State) procStatic(h *HARC, dstName string, proc *topology.Process) bool {
-	for _, s := range h.Slots {
-		if s.Kind != arc.SlotInterDevice || s.FromProc != proc {
-			continue
-		}
-		if st.Static[StaticKey(dstName, s.Key())] {
-			return true
-		}
-	}
-	return false
-}
-
-// SlotCost returns the state's cost for slot s, falling back to the
-// slot's structural weight for non-inter-device slots.
-func (st *State) SlotCost(s *arc.Slot, dst *topology.Subnet) int64 {
-	if ck := CostKey(s); ck != "" {
-		if c, ok := st.Cost[ck]; ok {
-			return c
-		}
-	}
-	return s.Weight(dst)
-}
-
 // BuildTCETGFromState materializes the tcETG encoded in the state for tc:
 // the graph with exactly the slots marked present at the tc level, using
 // the state's costs. Used to re-verify repaired HARCs before translation.
 func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
-	etg := &arc.ETG{
-		Level:     arc.LevelTC,
-		TC:        tc,
-		DstSubnet: tc.Dst,
-		G:         graph.New(),
-		SlotOf:    make(map[graph.E]*arc.Slot),
-		EdgeOf:    make(map[string]graph.E),
-	}
-	etg.Src = etg.G.AddVertex("SRC")
-	etg.Dst = etg.G.AddVertex("DST")
-	etg.Waypoints = st.Waypoint
-	m := st.TC[tc.Key()]
-	for _, s := range h.Slots {
-		if !m[s.Key()] {
-			continue
+	var present []*arc.Slot
+	st.TCBits(tc).Each(func(id int) {
+		if s := h.Slots[id]; s.ApplicableTC(tc) {
+			present = append(present, s)
 		}
-		if s.Kind == arc.SlotSource && s.Subnet != tc.Src {
-			continue
-		}
-		if s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
-			continue
-		}
-		from := etg.G.AddVertex(s.FromVertex())
-		to := etg.G.AddVertex(s.ToVertex())
-		e := etg.G.AddEdge(from, to, st.SlotCost(s, tc.Dst))
-		etg.SlotOf[e] = s
-		etg.EdgeOf[s.Key()] = e
-	}
-	return etg
+	})
+	return etgFromState(h, st, tc, present)
 }
 
 // BuildRoutingETGFromState materializes the routing graph encoded in the
@@ -656,38 +218,29 @@ func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG 
 // attachment uses tc-level presence — a blocked entry drops traffic
 // outright, it cannot be routed around.
 func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
-	etg := &arc.ETG{
-		Level:     arc.LevelTC,
-		TC:        tc,
-		DstSubnet: tc.Dst,
-		G:         graph.New(),
-		SlotOf:    make(map[graph.E]*arc.Slot),
-		EdgeOf:    make(map[string]graph.E),
-	}
-	etg.Src = etg.G.AddVertex("SRC")
-	etg.Dst = etg.G.AddVertex("DST")
-	etg.Waypoints = st.Waypoint
-	dstm := st.Dst[tc.Dst.Name]
-	tcm := st.TC[tc.Key()]
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotSource {
-			if s.Subnet != tc.Src || !tcm[s.Key()] {
-				continue
-			}
-		} else {
-			if s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
-				continue
-			}
-			if !dstm[s.Key()] {
-				continue
-			}
+	tcRow, dstRow := st.TCBits(tc), st.DstBits(tc.Dst)
+	var present []*arc.Slot
+	for id, s := range h.Slots {
+		if !s.ApplicableTC(tc) {
+			continue
 		}
-		from := etg.G.AddVertex(s.FromVertex())
-		to := etg.G.AddVertex(s.ToVertex())
-		e := etg.G.AddEdge(from, to, st.SlotCost(s, tc.Dst))
-		etg.SlotOf[e] = s
-		etg.EdgeOf[s.Key()] = e
+		if s.Kind == arc.SlotSource {
+			if !tcRow.Has(id) {
+				continue
+			}
+		} else if !dstRow.Has(id) {
+			continue
+		}
+		present = append(present, s)
 	}
+	return etgFromState(h, st, tc, present)
+}
+
+func etgFromState(h *HARC, st *State, tc topology.TrafficClass, present []*arc.Slot) *arc.ETG {
+	etg := arc.NewETG(h.Table, arc.LevelTC, present, func(s *arc.Slot) int64 { return st.SlotCost(s, tc.Dst) })
+	etg.TC = tc
+	etg.DstSubnet = tc.Dst
+	etg.Waypoints = st.Waypoint
 	return etg
 }
 
@@ -696,36 +249,34 @@ func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc
 // intra-device edges).
 func (h *HARC) ValidateState(st *State) error {
 	for _, tc := range h.TCs {
-		m := st.TC[tc.Key()]
-		dm := st.Dst[tc.Dst.Name]
-		for key, present := range m {
-			s := h.ByKey[key]
-			if s == nil {
-				return fmt.Errorf("harc: state references unknown slot %s", key)
+		dm := st.DstBits(tc.Dst)
+		var err error
+		st.TCBits(tc).Each(func(id int) {
+			if s := h.Slots[id]; err == nil && s.Kind != arc.SlotSource && !dm.Has(id) {
+				err = fmt.Errorf("harc: state has %s in tcETG(%s) but not dETG(%s)", s.Key(), tc, tc.Dst.Name)
 			}
-			if s.Kind == arc.SlotSource {
-				continue
-			}
-			if present && !dm[key] {
-				return fmt.Errorf("harc: state has %s in tcETG(%s) but not dETG(%s)", key, tc, tc.Dst.Name)
-			}
+		})
+		if err != nil {
+			return err
 		}
 	}
-	for dstName, dm := range st.Dst {
-		for key, present := range dm {
-			if !present {
-				continue
+	for _, dst := range h.Dsts {
+		r := st.lay.DstRow(dst)
+		if r < 0 {
+			continue
+		}
+		var err error
+		st.Dst[r].Each(func(id int) {
+			s := h.Slots[id]
+			if err != nil || (s.Kind != arc.SlotIntraSelf && s.Kind != arc.SlotIntraRedist) {
+				return
 			}
-			s := h.ByKey[key]
-			if s == nil {
-				return fmt.Errorf("harc: state references unknown slot %s", key)
+			if !st.All.Has(id) && !st.procStatic(h, r, s.FromProcID) {
+				err = fmt.Errorf("harc: state has intra edge %s in dETG(%s) but not aETG", s.Key(), dst.Name)
 			}
-			switch s.Kind {
-			case arc.SlotIntraSelf, arc.SlotIntraRedist:
-				if !st.All[key] && !st.procStatic(h, dstName, s.FromProc) {
-					return fmt.Errorf("harc: state has intra edge %s in dETG(%s) but not aETG", key, dstName)
-				}
-			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

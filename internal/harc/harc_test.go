@@ -8,6 +8,27 @@ import (
 	"repro/internal/topology"
 )
 
+// interSlot returns the (last) inter-device slot from device a to b.
+func interSlot(h *HARC, a, b string) *arc.Slot {
+	var slot *arc.Slot
+	for _, s := range h.Slots {
+		if s.Kind == arc.SlotInterDevice && s.FromProc.Device.Name == a && s.ToProc.Device.Name == b {
+			slot = s
+		}
+	}
+	return slot
+}
+
+// procID returns the id of the named process, or -1.
+func procID(h *HARC, name string) int {
+	for id, p := range h.Procs {
+		if p.Name() == name {
+			return id
+		}
+	}
+	return -1
+}
+
 func TestBuildFigure2a(t *testing.T) {
 	n := topology.Figure2a()
 	h := Build(n)
@@ -100,21 +121,12 @@ func TestStateClone(t *testing.T) {
 	h := Build(n)
 	st := StateOf(h)
 	c := st.Clone()
-	for k := range c.All {
-		c.All[k] = !c.All[k]
-		break
-	}
+	c.SetAll(0, !c.All.Has(0))
 	for k := range c.Cost {
 		c.Cost[k] = 99
 		break
 	}
-	same := true
-	for k, v := range st.All {
-		if c.All[k] != v {
-			same = false
-		}
-	}
-	if same {
+	if c.All.Equal(st.All) {
 		t.Error("clone mutation should diverge from original")
 	}
 	// Original costs untouched.
@@ -131,14 +143,8 @@ func TestValidateStateCatchesHierarchyViolation(t *testing.T) {
 	st := StateOf(h)
 	// Force an edge into a tcETG without its dETG: pick an inter-device
 	// slot absent from the dETG for U (e.g. A->C, passive).
-	var key string
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotInterDevice && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "C" {
-			key = s.Key()
-		}
-	}
-	tcKey := topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("U")}.Key()
-	st.TC[tcKey][key] = true
+	id := interSlot(h, "A", "C").ID
+	st.SetTC(h.TCRow(topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("U")}), id, true)
 	if err := h.ValidateState(st); err == nil {
 		t.Error("ValidateState should reject tcETG edge missing from dETG")
 	}
@@ -149,14 +155,14 @@ func TestValidateStateCatchesIntraViolation(t *testing.T) {
 	h := Build(n)
 	st := StateOf(h)
 	// An intra-redist edge present in a dETG but not the aETG is invalid.
-	var key string
+	id := -1
 	for _, s := range h.Slots {
 		if s.Kind == arc.SlotIntraRedist {
-			key = s.Key()
+			id = s.ID
 			break
 		}
 	}
-	if key == "" {
+	if id < 0 {
 		// Figure2a has single-process devices; fabricate a second process.
 		n2 := topology.Figure2a()
 		d := n2.Device("A")
@@ -165,16 +171,16 @@ func TestValidateStateCatchesIntraViolation(t *testing.T) {
 		st = StateOf(h)
 		for _, s := range h.Slots {
 			if s.Kind == arc.SlotIntraRedist {
-				key = s.Key()
+				id = s.ID
 				break
 			}
 		}
 	}
-	if key == "" {
+	if id < 0 {
 		t.Fatal("no intra-redist slot found")
 	}
-	st.Dst[h.Dsts[0].Name][key] = true
-	st.All[key] = false
+	st.SetDst(0, id, true)
+	st.SetAll(id, false)
 	if err := h.ValidateState(st); err == nil {
 		t.Error("ValidateState should reject intra dETG edge missing from aETG")
 	}
@@ -186,15 +192,10 @@ func TestBuildTCETGFromStateRespectsEdits(t *testing.T) {
 	st := StateOf(h)
 	tc := topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("T")}
 	// Add the A->C edge at all levels (the Figure 2b repair in state form).
-	var key string
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotInterDevice && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "C" {
-			key = s.Key()
-		}
-	}
-	st.All[key] = true
-	st.Dst["T"][key] = true
-	st.TC[tc.Key()][key] = true
+	id := interSlot(h, "A", "C").ID
+	st.SetAll(id, true)
+	st.SetDst(h.DstRow(n.Subnet("T")), id, true)
+	st.SetTC(h.TCRow(tc), id, true)
 	etg := BuildTCETGFromState(h, st, tc)
 	from, to := etg.G.Vertex("A:ospf10:O"), etg.G.Vertex("C:ospf10:I")
 	if from < 0 || to < 0 || etg.G.FindEdge(from, to) < 0 {
@@ -212,25 +213,20 @@ func TestStateOfConstructs(t *testing.T) {
 	pc.RouteFilters = append(pc.RouteFilters, n.Subnet("U").Prefix)
 	h := Build(n)
 	st := StateOf(h)
-	if !st.RouteFilter[RFKey("U", "C:ospf10")] {
+	u, tRow, c10 := h.DstRow(n.Subnet("U")), h.DstRow(n.Subnet("T")), procID(h, "C:ospf10")
+	if !st.RouteFilter[u].Has(c10) {
 		t.Error("route filter on C for U not recorded")
 	}
-	if st.RouteFilter[RFKey("T", "C:ospf10")] {
+	if st.RouteFilter[tRow].Has(c10) {
 		t.Error("no filter for T should be recorded")
 	}
-	foundStatic := false
-	for key, v := range st.Static {
-		if v && key[:2] == "T|" {
-			foundStatic = true
-		}
-	}
-	if !foundStatic {
+	if st.Static[tRow].Count() == 0 {
 		t.Error("static route for T not recorded")
 	}
-	// Clone copies constructs.
+	// Clone copies constructs on write.
 	c := st.Clone()
-	c.RouteFilter[RFKey("U", "C:ospf10")] = false
-	if !st.RouteFilter[RFKey("U", "C:ospf10")] {
+	c.SetRouteFilter(u, c10, false)
+	if !st.RouteFilter[u].Has(c10) {
 		t.Error("clone construct mutation leaked")
 	}
 }
@@ -242,14 +238,9 @@ func TestValidateStateStaticBackedIntra(t *testing.T) {
 	h := Build(n)
 	st := StateOf(h)
 	// Pretend a static for T leaves A via C: find the A->C inter slot.
-	var interKey string
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotInterDevice && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "C" {
-			interKey = s.Key()
-		}
-	}
-	st.Static[StaticKey("T", interKey)] = true
-	st.Dst["T"][interKey] = true
+	id, tRow := interSlot(h, "A", "C").ID, h.DstRow(n.Subnet("T"))
+	st.SetStatic(tRow, id, true)
+	st.SetDst(tRow, id, true)
 	if err := h.ValidateState(st); err != nil {
 		t.Errorf("static-backed inter edge should validate: %v", err)
 	}
@@ -266,10 +257,10 @@ func TestCostKey(t *testing.T) {
 			selfSlot = s
 		}
 	}
-	if CostKey(interSlot) == "" {
+	if interSlot.CostKey() == "" {
 		t.Error("inter-device slot should have a cost key")
 	}
-	if CostKey(selfSlot) != "" {
+	if selfSlot.CostKey() != "" {
 		t.Error("intra slot should have no cost key")
 	}
 }

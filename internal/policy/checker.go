@@ -52,10 +52,10 @@ func (c *StateChecker) routingETG(tc topology.TrafficClass) *arc.ETG {
 // Check verifies one policy against the checker's state, equivalent to
 // CheckState(h, st, p).
 func (c *StateChecker) Check(p Policy) bool {
-	etg := c.etg(p.TC)
 	if p.Kind == Isolated {
-		return checkIsolated(etg, c.etg(p.TC2))
+		return isolatedInState(c.st, p)
 	}
+	etg := c.etg(p.TC)
 	if p.Kind == PrimaryPath {
 		return arc.VerifyPrimaryPath(etg, c.routingETG(p.TC), p.Path)
 	}

@@ -50,7 +50,7 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 	case PrimaryPath:
 		// Route selection ignores ACLs, so the witness comes from the
 		// routing graph, not the tcETG.
-		routing := arc.BuildRoutingETG(h.Slots, p.TC)
+		routing := arc.BuildRoutingETG(h.Table, p.TC)
 		path, unique := routing.G.ShortestPathUnique(routing.Src, routing.Dst)
 		if path == nil {
 			return "destination is unreachable", true
@@ -70,9 +70,9 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 
 	case Isolated:
 		other := tcETGOf(h, p.TC2)
-		for key := range etg.EdgeOf {
-			if _, shared := other.EdgeOf[key]; shared {
-				return fmt.Sprintf("classes share edge %s", key), true
+		for _, s := range etg.SlotOf {
+			if other.HasSlot(s) {
+				return fmt.Sprintf("classes share edge %s", s.Key()), true
 			}
 		}
 		return "", false

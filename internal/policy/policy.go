@@ -88,7 +88,7 @@ func Check(h *harc.HARC, p Policy) bool {
 		// PC4 compares against the routing graph: route selection is
 		// ACL-blind, so the tcETG alone cannot decide which path traffic
 		// takes.
-		return arc.VerifyPrimaryPath(tcETGOf(h, p.TC), arc.BuildRoutingETG(h.Slots, p.TC), p.Path)
+		return arc.VerifyPrimaryPath(tcETGOf(h, p.TC), arc.BuildRoutingETG(h.Table, p.TC), p.Path)
 	}
 	return checkETG(tcETGOf(h, p.TC), h.Network, p)
 }
@@ -97,16 +97,16 @@ func tcETGOf(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
 	if etg := h.TCETG(tc); etg != nil {
 		return etg
 	}
-	return arc.BuildTCETG(h.Slots, tc)
+	return arc.BuildTCETG(h.Table, tc)
 }
 
 // CheckState verifies the policy against the tcETG encoded in an explicit
 // HARC state (used to validate repairs before translation).
 func CheckState(h *harc.HARC, st *harc.State, p Policy) bool {
-	etg := harc.BuildTCETGFromState(h, st, p.TC)
 	if p.Kind == Isolated {
-		return checkIsolated(etg, harc.BuildTCETGFromState(h, st, p.TC2))
+		return isolatedInState(st, p)
 	}
+	etg := harc.BuildTCETGFromState(h, st, p.TC)
 	if p.Kind == PrimaryPath {
 		return arc.VerifyPrimaryPath(etg, harc.BuildRoutingETGFromState(h, st, p.TC), p.Path)
 	}
@@ -114,14 +114,22 @@ func CheckState(h *harc.HARC, st *harc.State, p Policy) bool {
 }
 
 // checkIsolated reports whether the two tcETGs share no edge slot
-// (edge_tc1 ⇒ ¬edge_tc2 for every edge, §5.1).
+// (edge_tc1 ⇒ ¬edge_tc2 for every edge, §5.1). Both graphs are laid over
+// one slot table, so a shared slot is one with an edge in each.
 func checkIsolated(a, b *arc.ETG) bool {
-	for key := range a.EdgeOf {
-		if _, shared := b.EdgeOf[key]; shared {
+	for _, s := range a.SlotOf {
+		if b.HasSlot(s) {
 			return false
 		}
 	}
 	return true
+}
+
+// isolatedInState is checkIsolated on an explicit state, where it needs
+// no graph: the two classes' presence rows are indexed by the same slot
+// ids, so they share an edge iff the rows intersect.
+func isolatedInState(st *harc.State, p Policy) bool {
+	return !st.TCBits(p.TC).Intersects(st.TCBits(p.TC2))
 }
 
 func checkETG(etg *arc.ETG, n *topology.Network, p Policy) bool {
@@ -136,11 +144,15 @@ func checkETG(etg *arc.ETG, n *topology.Network, p Policy) bool {
 	return false
 }
 
-// Violations returns the subset of policies the HARC currently violates.
+// Violations returns the subset of policies the HARC currently violates,
+// in input order. Checks are independent graph queries over the
+// (read-only) HARC, so they fan out over one worker per core.
 func Violations(h *harc.HARC, policies []Policy) []Policy {
+	bad := make([]bool, len(policies))
+	harc.ParallelFor(len(policies), func(i int) { bad[i] = !Check(h, policies[i]) })
 	var out []Policy
-	for _, p := range policies {
-		if !Check(h, p) {
+	for i, p := range policies {
+		if bad[i] {
 			out = append(out, p)
 		}
 	}
@@ -239,10 +251,10 @@ func Format(policies []Policy) string {
 // only without failures yields PC3 with K=1. A traffic class cannot have
 // both (PC1 and PC3 are mutually exclusive).
 func Infer(n *topology.Network) []Policy {
-	slots := arc.Slots(n)
+	t := arc.NewTable(n)
 	var out []Policy
 	for _, tc := range n.TrafficClasses() {
-		etg := arc.BuildTCETG(slots, tc)
+		etg := arc.BuildTCETG(t, tc)
 		if arc.VerifyAlwaysBlocked(etg) {
 			out = append(out, Policy{Kind: AlwaysBlocked, TC: tc})
 			continue

@@ -207,7 +207,7 @@ func TestPathsetEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.Slots(n), tc)
+		etg := arc.BuildTCETG(arc.NewTable(n), tc)
 		etgHasPath := etg.G.PathExists(etg.Src, etg.Dst)
 		simReaches := ReachableUnderSomeFailure(n, tc, len(n.Links))
 		if etgHasPath != simReaches {
@@ -232,7 +232,7 @@ func TestPathEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.Slots(n), tc)
+		etg := arc.BuildTCETG(arc.NewTable(n), tc)
 		path, unique := etg.G.ShortestPathUnique(etg.Src, etg.Dst)
 		if path == nil || !unique {
 			return true // unreachable or ambiguous: out of scope
@@ -306,7 +306,7 @@ func TestWaypointEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.Slots(n), tc)
+		etg := arc.BuildTCETG(arc.NewTable(n), tc)
 		etgOK := arc.VerifyAlwaysWaypoint(etg)
 		simOK := AlwaysTraversesWaypoint(n, tc)
 		if etgOK != simOK {
@@ -330,7 +330,7 @@ func TestKReachableEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.Slots(n), tc)
+		etg := arc.BuildTCETG(arc.NewTable(n), tc)
 		for k := 1; k <= 2; k++ {
 			etgOK := arc.VerifyKReachable(etg, n, k)
 			simOK := DeliveredUnderAllFailures(n, tc, k)

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/arc"
+	"repro/internal/bitset"
 	"repro/internal/config"
 	"repro/internal/harc"
 	"repro/internal/topology"
@@ -104,6 +105,11 @@ func (t *translator) addLines(lcs []config.LineChange) {
 }
 
 func (t *translator) run() error {
+	for _, d := range t.h.Network.Devices() {
+		if _, err := t.cfg(d); err != nil {
+			return err
+		}
+	}
 	if err := t.adjacencies(); err != nil {
 		return err
 	}
@@ -126,117 +132,114 @@ func (t *translator) run() error {
 	return nil
 }
 
+// Every pass below walks only the bits at which the original and repaired
+// rows differ (bitset.EachDiff), in ascending id order — the order the
+// slot table is sorted in, so lines come out in the order a scan over
+// every (row, slot) pair would emit them, at a cost proportional to what
+// the repair changed.
+
 // adjacencies handles aETG inter-device edge changes (Table 3: "enable
 // routing" and its inverse). Both directions of an adjacency share one
 // change; the canonical direction (smaller key) drives it.
 func (t *translator) adjacencies() error {
-	done := map[string]bool{}
-	for _, s := range t.h.Slots {
-		if s.Kind != arc.SlotInterDevice {
-			continue
+	var err error
+	bitset.EachDiff(t.orig.All, t.rep.All, func(id int) {
+		s := t.h.Slots[id]
+		if err != nil || s.Kind != arc.SlotInterDevice || s.Canon != id {
+			return
 		}
-		pair := s.Link.Name() + "|" + s.FromProc.Name() + "|" + s.ToProc.Name()
-		revPair := s.Link.Name() + "|" + s.ToProc.Name() + "|" + s.FromProc.Name()
-		if done[pair] || done[revPair] {
-			continue
-		}
-		done[pair] = true
-		origA, newA := t.orig.All[s.Key()], t.rep.All[s.Key()]
-		if origA == newA {
-			continue
-		}
-		if newA {
-			// Enable: fix whichever side prevents the adjacency. BGP
-			// sessions need a neighbor statement per side; IGPs need the
-			// interface active (non-passive and covered).
-			for _, side := range []struct {
-				proc *topology.Process
-				intf *topology.Interface
-				peer *topology.Interface
-				far  *topology.Process
-			}{
-				{s.FromProc, s.FromIntf, s.ToIntf, s.ToProc},
-				{s.ToProc, s.ToIntf, s.FromIntf, s.FromProc},
-			} {
-				if side.proc.UsesInterface(side.intf) && !side.proc.IsPassive(side.intf) {
-					continue
-				}
-				c, err := t.cfg(side.proc.Device)
-				if err != nil {
-					return err
-				}
-				if side.proc.Proto == topology.BGP {
-					if !side.peer.Prefix.IsValid() {
-						return fmt.Errorf("translate: BGP peer interface %s has no address", side.peer.Name)
-					}
-					if err := t.add(c.AddBGPNeighbor(side.proc.ID, side.peer.Prefix.Addr(), side.far.ID)); err != nil {
-						return err
-					}
-					continue
-				}
-				if err := t.add(c.EnableAdjacency(side.proc.Proto, side.proc.ID, side.intf.Name)); err != nil {
-					return err
-				}
-			}
+		if t.rep.All.Has(id) {
+			err = t.enableAdjacency(s)
 		} else {
-			// Disable: one line suffices (passive-interface for IGPs,
-			// neighbor removal for BGP).
-			c, err := t.cfg(s.FromProc.Device)
-			if err != nil {
+			err = t.disableAdjacency(s)
+		}
+	})
+	return err
+}
+
+// enableAdjacency fixes whichever side prevents the adjacency. BGP
+// sessions need a neighbor statement per side; IGPs need the interface
+// active (non-passive and covered).
+func (t *translator) enableAdjacency(s *arc.Slot) error {
+	for _, side := range []struct {
+		proc *topology.Process
+		intf *topology.Interface
+		peer *topology.Interface
+		far  *topology.Process
+	}{
+		{s.FromProc, s.FromIntf, s.ToIntf, s.ToProc},
+		{s.ToProc, s.ToIntf, s.FromIntf, s.FromProc},
+	} {
+		if side.proc.UsesInterface(side.intf) && !side.proc.IsPassive(side.intf) {
+			continue
+		}
+		c, err := t.cfg(side.proc.Device)
+		if err != nil {
+			return err
+		}
+		if side.proc.Proto == topology.BGP {
+			if !side.peer.Prefix.IsValid() {
+				return fmt.Errorf("translate: BGP peer interface %s has no address", side.peer.Name)
+			}
+			if err := t.add(c.AddBGPNeighbor(side.proc.ID, side.peer.Prefix.Addr(), side.far.ID)); err != nil {
 				return err
 			}
-			if s.FromProc.Proto == topology.BGP {
-				if err := t.add(c.RemoveBGPNeighbor(s.FromProc.ID, s.ToIntf.Prefix.Addr())); err != nil {
-					return err
-				}
-			} else if err := t.add(c.DisableAdjacency(s.FromProc.Proto, s.FromProc.ID, s.FromIntf.Name)); err != nil {
-				return err
-			}
+			continue
+		}
+		if err := t.add(c.EnableAdjacency(side.proc.Proto, side.proc.ID, side.intf.Name)); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// disableAdjacency: one line suffices (passive-interface for IGPs,
+// neighbor removal for BGP).
+func (t *translator) disableAdjacency(s *arc.Slot) error {
+	c, err := t.cfg(s.FromProc.Device)
+	if err != nil {
+		return err
+	}
+	if s.FromProc.Proto == topology.BGP {
+		return t.add(c.RemoveBGPNeighbor(s.FromProc.ID, s.ToIntf.Prefix.Addr()))
+	}
+	return t.add(c.DisableAdjacency(s.FromProc.Proto, s.FromProc.ID, s.FromIntf.Name))
 }
 
 // redistribution handles aETG intra-device redistribution edges.
 func (t *translator) redistribution() error {
-	for _, s := range t.h.Slots {
-		if s.Kind != arc.SlotIntraRedist {
-			continue
-		}
-		origA, newA := t.orig.All[s.Key()], t.rep.All[s.Key()]
-		if origA == newA {
-			continue
+	var err error
+	bitset.EachDiff(t.orig.All, t.rep.All, func(id int) {
+		s := t.h.Slots[id]
+		if err != nil || s.Kind != arc.SlotIntraRedist {
+			return
 		}
 		entry, owner := s.ToProc, s.FromProc
-		c, err := t.cfg(entry.Device)
-		if err != nil {
-			return err
+		var c *config.Config
+		if c, err = t.cfg(entry.Device); err != nil {
+			return
 		}
-		if newA {
-			if err := t.add(c.AddRedistribute(entry.Proto, entry.ID, owner.Proto, owner.ID)); err != nil {
-				return err
-			}
+		if t.rep.All.Has(id) {
+			err = t.add(c.AddRedistribute(entry.Proto, entry.ID, owner.Proto, owner.ID))
 		} else {
-			if err := t.add(c.RemoveRedistribute(entry.Proto, entry.ID, owner.Proto, owner.ID)); err != nil {
-				return err
-			}
+			err = t.add(c.RemoveRedistribute(entry.Proto, entry.ID, owner.Proto, owner.ID))
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // routeFilters compares the explicit per-(process, destination) filter
-// constructs of the two states (Table 3 intra-device rows).
+// constructs of the two states (Table 3 intra-device rows). Rows are
+// indexed by process id but lines are emitted in self-slot order, so a
+// destination whose row changed is walked by slot.
 func (t *translator) routeFilters() error {
-	for _, dst := range t.h.Dsts {
+	for r, dst := range t.h.Dsts {
+		origRF, newRF := t.orig.RouteFilter[r], t.rep.RouteFilter[r]
+		if origRF.Equal(newRF) {
+			continue
+		}
 		for _, s := range t.h.Slots {
-			if s.Kind != arc.SlotIntraSelf {
-				continue
-			}
-			rfKey := harc.RFKey(dst.Name, s.FromProc.Name())
-			origRF := t.orig.RouteFilter[rfKey]
-			newRF := t.rep.RouteFilter[rfKey]
-			if origRF == newRF {
+			if s.Kind != arc.SlotIntraSelf || origRF.Has(s.FromProcID) == newRF.Has(s.FromProcID) {
 				continue
 			}
 			proc := s.FromProc
@@ -244,14 +247,13 @@ func (t *translator) routeFilters() error {
 			if err != nil {
 				return err
 			}
-			if newRF {
-				if err := t.add(c.AddRouteFilter(proc.Proto, proc.ID, dst.Prefix)); err != nil {
-					return err
-				}
+			if newRF.Has(s.FromProcID) {
+				err = t.add(c.AddRouteFilter(proc.Proto, proc.ID, dst.Prefix))
 			} else {
-				if err := t.add(c.RemoveRouteFilter(proc.Proto, proc.ID, dst.Prefix)); err != nil {
-					return err
-				}
+				err = t.add(c.RemoveRouteFilter(proc.Proto, proc.ID, dst.Prefix))
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -259,32 +261,39 @@ func (t *translator) routeFilters() error {
 }
 
 // staticRoutes compares the explicit static-route constructs of the two
-// states (Table 3: "add static route for dst" and the inverse).
+// states (Table 3: "add static route for dst" and the inverse). A static
+// route present in both still needs a look: a cost repair can change its
+// distance.
 func (t *translator) staticRoutes() error {
-	for _, dst := range t.h.Dsts {
-		for _, s := range t.h.Slots {
-			if s.Kind != arc.SlotInterDevice {
-				continue
-			}
-			stKey := harc.StaticKey(dst.Name, s.Key())
-			origStatic := t.orig.Static[stKey]
-			newStatic := t.rep.Static[stKey]
-			c, err := t.cfg(s.FromProc.Device)
+	for r, dst := range t.h.Dsts {
+		origRow, newRow := t.orig.Static[r], t.rep.Static[r]
+		either := origRow.Clone()
+		either.Or(newRow)
+		var err error
+		either.Each(func(id int) {
 			if err != nil {
-				return err
+				return
+			}
+			s := t.h.Slots[id]
+			var c *config.Config
+			if c, err = t.cfg(s.FromProc.Device); err != nil {
+				return
 			}
 			nh := s.ToIntf.Prefix.Addr()
 			dist := int(t.rep.SlotCost(s, dst))
-			switch {
-			case !origStatic && newStatic:
+			switch origStatic, newStatic := origRow.Has(id), newRow.Has(id); {
+			case !origStatic:
 				t.addLines(c.AddStaticRoute(dst.Prefix, nh, dist))
-			case origStatic && !newStatic:
+			case !newStatic:
 				t.addLines(c.RemoveStaticRoute(dst.Prefix, nh))
-			case origStatic && newStatic:
+			default:
 				if sr := s.StaticBacked(dst); sr != nil && sr.Distance != dist {
 					t.addLines(c.SetStaticDistance(dst.Prefix, nh, dist))
 				}
 			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -304,12 +313,12 @@ func (t *translator) interfaceCosts() error {
 		return nil
 	}
 	emitted := map[string]bool{}
-	for _, s := range t.h.Slots {
+	for id, s := range t.h.Slots {
 		if s.Kind != arc.SlotInterDevice {
 			continue
 		}
-		ck := harc.CostKey(s)
-		if !changed[ck] || emitted[ck] || !t.rep.All[s.Key()] {
+		ck := s.CostKey()
+		if !changed[ck] || emitted[ck] || !t.rep.All.Has(id) {
 			continue
 		}
 		emitted[ck] = true
@@ -325,13 +334,21 @@ func (t *translator) interfaceCosts() error {
 }
 
 // acls handles tcETG deviations (Table 3: "remove tc from ACL" and the
-// inverse) for inter-device edges and subnet attachment edges.
+// inverse) for inter-device edges and subnet attachment edges. A slot
+// whose tc-level and destination-level bits are both unchanged can need
+// neither an added nor a removed deny, so each class visits only the
+// slots at which either level changed.
 func (t *translator) acls() error {
-	for _, tc := range t.h.TCs {
-		key := tc.Key()
-		origM, newM := t.orig.TC[key], t.rep.TC[key]
-		origDM, newDM := t.orig.Dst[tc.Dst.Name], t.rep.Dst[tc.Dst.Name]
-		for _, s := range t.h.Slots {
+	for r, tc := range t.h.TCs {
+		d := t.h.DstRow(tc.Dst)
+		origM, newM := t.orig.TC[r], t.rep.TC[r]
+		origDM, newDM := t.orig.Dst[d], t.rep.Dst[d]
+		var err error
+		bitset.EachDiff2(origM, newM, origDM, newDM, func(id int) {
+			s := t.h.Slots[id]
+			if err != nil || !s.ApplicableTC(tc) {
+				return
+			}
 			// addACL: the repaired state needs a deny that did not exist.
 			// removeACL: an existing deny must go because the tc edge is
 			// now required. A stale deny whose parent edge also vanished
@@ -341,75 +358,57 @@ func (t *translator) acls() error {
 			var dev *topology.Device
 			var intfName, dir string
 			switch s.Kind {
-			case arc.SlotInterDevice:
-				origACL := origDM[s.Key()] && !origM[s.Key()]
-				addACL = newDM[s.Key()] && !newM[s.Key()] && !origACL
-				removeACL = origACL && newM[s.Key()]
-				dev, intfName, dir = s.ToIntf.Device, s.ToIntf.Name, "in"
+			case arc.SlotInterDevice, arc.SlotDest:
+				origACL := origDM.Has(id) && !origM.Has(id)
+				addACL = newDM.Has(id) && !newM.Has(id) && !origACL
+				removeACL = origACL && newM.Has(id)
+				if s.Kind == arc.SlotInterDevice {
+					dev, intfName, dir = s.ToIntf.Device, s.ToIntf.Name, "in"
+				} else {
+					dev, intfName, dir = s.Intf.Device, s.Intf.Name, "out"
+				}
 			case arc.SlotSource:
-				if s.Subnet != tc.Src {
-					continue
-				}
-				addACL = origM[s.Key()] && !newM[s.Key()]
-				removeACL = !origM[s.Key()] && newM[s.Key()]
+				addACL = origM.Has(id) && !newM.Has(id)
+				removeACL = !origM.Has(id) && newM.Has(id)
 				dev, intfName, dir = s.Intf.Device, s.Intf.Name, "in"
-			case arc.SlotDest:
-				if s.Subnet != tc.Dst {
-					continue
-				}
-				origACL := origDM[s.Key()] && !origM[s.Key()]
-				addACL = newDM[s.Key()] && !newM[s.Key()] && !origACL
-				removeACL = origACL && newM[s.Key()]
-				dev, intfName, dir = s.Intf.Device, s.Intf.Name, "out"
-			default:
-				continue
 			}
 			if !addACL && !removeACL {
-				continue
+				return
 			}
-			c, err := t.cfg(dev)
-			if err != nil {
-				return err
+			var c *config.Config
+			if c, err = t.cfg(dev); err != nil {
+				return
 			}
 			if addACL {
-				if err := t.add(c.AddACLDeny(intfName, dir, tc.Src.Prefix, tc.Dst.Prefix)); err != nil {
-					return err
-				}
+				err = t.add(c.AddACLDeny(intfName, dir, tc.Src.Prefix, tc.Dst.Prefix))
 			} else {
-				if err := t.add(c.RemoveACLDeny(intfName, dir, tc.Src.Prefix, tc.Dst.Prefix)); err != nil {
-					return err
-				}
+				err = t.add(c.RemoveACLDeny(intfName, dir, tc.Src.Prefix, tc.Dst.Prefix))
 			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // waypoints records middlebox changes and mirrors them into the config
-// (a "waypoint" marker on one endpoint interface).
+// (a "waypoint" marker on one endpoint interface), in link-name order
+// (link id breaking ties between parallel links).
 func (t *translator) waypoints() {
-	names := make([]string, 0, len(t.rep.Waypoint))
-	for name := range t.rep.Waypoint {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		newWP := t.rep.Waypoint[name]
-		if t.orig.Waypoint[name] == newWP {
-			continue
-		}
-		t.plan.Waypoints = append(t.plan.Waypoints, WaypointChange{Link: name, Add: newWP})
+	var changed []int
+	bitset.EachDiff(t.orig.Waypoint, t.rep.Waypoint, func(link int) { changed = append(changed, link) })
+	links := t.h.Links
+	sort.SliceStable(changed, func(i, j int) bool { return links[changed[i]].Name() < links[changed[j]].Name() })
+	for _, link := range changed {
+		l, newWP := links[link], t.rep.Waypoint.Has(link)
+		t.plan.Waypoints = append(t.plan.Waypoints, WaypointChange{Link: l.Name(), Add: newWP})
 		var mirrored []config.LineChange
-		for _, l := range t.h.Network.Links {
-			if l.Name() != name {
-				continue
-			}
-			if c := t.cfgs[l.A.Device.Name]; c != nil {
-				// Waypoint markers are tracked separately from line counts;
-				// the mirroring lines go to WaypointLines, not Lines.
-				if lcs, err := c.SetWaypoint(l.A.Name, newWP); err == nil {
-					mirrored = append(mirrored, lcs...)
-				}
+		if c := t.cfgs[l.A.Device.Name]; c != nil {
+			// Waypoint markers are tracked separately from line counts;
+			// the mirroring lines go to WaypointLines, not Lines.
+			if lcs, err := c.SetWaypoint(l.A.Name, newWP); err == nil {
+				mirrored = append(mirrored, lcs...)
 			}
 		}
 		t.plan.WaypointLines = append(t.plan.WaypointLines, mirrored)
@@ -427,30 +426,18 @@ func ImpactedTCs(h *harc.HARC, orig, repaired *harc.State) []topology.TrafficCla
 			changedCosts[ck] = true
 		}
 	}
-	changedWPs := map[string]bool{}
-	for name, v := range repaired.Waypoint {
-		if orig.Waypoint[name] != v {
-			changedWPs[name] = true
-		}
-	}
 	var out []topology.TrafficClass
-	for _, tc := range h.TCs {
-		key := tc.Key()
-		origM, newM := orig.TC[key], repaired.TC[key]
-		impacted := false
-		for _, s := range h.Slots {
-			sk := s.Key()
-			if origM[sk] != newM[sk] {
-				impacted = true
-				break
-			}
-			if !newM[sk] || s.Kind != arc.SlotInterDevice {
-				continue
-			}
-			if changedCosts[harc.CostKey(s)] || changedWPs[s.Link.Name()] {
-				impacted = true
-				break
-			}
+	for r, tc := range h.TCs {
+		newM := repaired.TC[r]
+		impacted := !orig.TC[r].Equal(newM)
+		if !impacted {
+			newM.Each(func(id int) {
+				s := h.Slots[id]
+				if s.Kind == arc.SlotInterDevice &&
+					(changedCosts[s.CostKey()] || orig.Waypoint.Has(s.LinkID) != repaired.Waypoint.Has(s.LinkID)) {
+					impacted = true
+				}
+			})
 		}
 		if impacted {
 			out = append(out, tc)

@@ -102,13 +102,13 @@ func TestTable3StaticRouteAddition(t *testing.T) {
 			slotKey = s.Key()
 		}
 	}
-	rep.Dst["T"][slotKey] = true
-	rep.Static[harc.StaticKey("T", slotKey)] = true
+	setDst(h, rep, "T", slotKey, true)
+	rep.SetStatic(h.DstRow(h.Network.Subnet("T")), h.SlotID(slotKey), true)
 	// Children follow: the new edge appears in every tcETG toward T
 	// (destination-based routing, no ACLs added).
 	for _, tc := range h.TCs {
 		if tc.Dst.Name == "T" {
-			rep.TC[tc.Key()][slotKey] = true
+			rep.SetTC(h.TCRow(tc), h.SlotID(slotKey), true)
 		}
 	}
 	plan, err := Translate(h, orig, rep, cfgs)
@@ -153,11 +153,11 @@ func TestTable3StaticRouteRemoval(t *testing.T) {
 	rep := orig.Clone()
 	for _, s := range h.Slots {
 		if s.Kind.String() == "inter" && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "C" {
-			if !orig.Dst["T"][s.Key()] {
+			if !orig.DstBits(h.Network.Subnet("T")).Has(s.ID) {
 				t.Fatal("static-backed edge should be present initially")
 			}
-			rep.Dst["T"][s.Key()] = false
-			rep.Static[harc.StaticKey("T", s.Key())] = false
+			setDst(h, rep, "T", s.Key(), false)
+			rep.SetStatic(h.DstRow(h.Network.Subnet("T")), s.ID, false)
 		}
 	}
 	plan, err := Translate(h, orig, rep, cfgs)
@@ -183,7 +183,7 @@ func TestTable3ACLChanges(t *testing.T) {
 	// in the dETG).
 	for _, sl := range h.Slots {
 		if sl.Kind.String() == "inter" && sl.FromProc.Device.Name == "A" && sl.ToProc.Device.Name == "B" {
-			rep.TC[tcSU.Key()][sl.Key()] = true
+			rep.SetTC(h.TCRow(tcSU), h.SlotID(sl.Key()), true)
 		}
 	}
 	plan, err := Translate(h, orig, rep, cfgs)
@@ -213,7 +213,7 @@ func TestTable3ACLAddition(t *testing.T) {
 	// Block S->T on the B->C hop (tcETG-only removal).
 	for _, sl := range h.Slots {
 		if sl.Kind.String() == "inter" && sl.FromProc.Device.Name == "B" && sl.ToProc.Device.Name == "C" {
-			rep.TC[tcST.Key()][sl.Key()] = false
+			rep.SetTC(h.TCRow(tcST), h.SlotID(sl.Key()), false)
 		}
 	}
 	plan, err := Translate(h, orig, rep, cfgs)
@@ -235,7 +235,7 @@ func TestTable3RouteFilter(t *testing.T) {
 	// Filter destination U on C's process: remove C's self edge in
 	// dETG(U) (and consequently in tcETGs toward U).
 	selfKey := "self:C:ospf10"
-	if !orig.Dst["U"][selfKey] {
+	if !orig.DstBits(h.Network.Subnet("U")).Has(h.SlotID(selfKey)) {
 		t.Fatal("self edge should be present initially")
 	}
 	// A route filter on C for U removes C's self edge and every edge
@@ -248,14 +248,14 @@ func TestTable3RouteFilter(t *testing.T) {
 		}
 	}
 	for _, key := range removed {
-		rep.Dst["U"][key] = false
+		setDst(h, rep, "U", key, false)
 		for _, tc := range h.TCs {
 			if tc.Dst.Name == "U" {
-				rep.TC[tc.Key()][key] = false
+				rep.SetTC(h.TCRow(tc), h.SlotID(key), false)
 			}
 		}
 	}
-	rep.RouteFilter[harc.RFKey("U", "C:ospf10")] = true
+	rep.SetRouteFilter(h.DstRow(h.Network.Subnet("U")), procID(h, "C:ospf10"), true)
 	plan, err := Translate(h, orig, rep, cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -281,12 +281,12 @@ func TestTable3AdjacencyEnableDisable(t *testing.T) {
 		}
 		devs := s.FromProc.Device.Name + s.ToProc.Device.Name
 		if devs == "AC" || devs == "CA" {
-			rep.All[s.Key()] = true
+			rep.SetAll(h.SlotID(s.Key()), true)
 			for _, d := range []string{"T", "U", "R", "S"} {
-				rep.Dst[d][s.Key()] = true
+				setDst(h, rep, d, s.Key(), true)
 			}
 			for _, tc := range h.TCs {
-				rep.TC[tc.Key()][s.Key()] = true
+				rep.SetTC(h.TCRow(tc), h.SlotID(s.Key()), true)
 			}
 		}
 	}
@@ -309,12 +309,12 @@ func TestTable3AdjacencyEnableDisable(t *testing.T) {
 		}
 		devs := s.FromProc.Device.Name + s.ToProc.Device.Name
 		if devs == "AB" || devs == "BA" {
-			rep2.All[s.Key()] = false
+			rep2.SetAll(h2.SlotID(s.Key()), false)
 			for _, d := range []string{"T", "U", "R", "S"} {
-				rep2.Dst[d][s.Key()] = false
+				setDst(h2, rep2, d, s.Key(), false)
 			}
 			for _, tc := range h2.TCs {
-				rep2.TC[tc.Key()][s.Key()] = false
+				rep2.SetTC(h2.TCRow(tc), h2.SlotID(s.Key()), false)
 			}
 		}
 	}
@@ -332,7 +332,7 @@ func TestWaypointChangeTracked(t *testing.T) {
 	h := harc.Build(n)
 	orig := harc.StateOf(h)
 	rep := orig.Clone()
-	rep.Waypoint["A-C"] = true
+	rep.SetWaypoint(linkID(h, "A-C"), true)
 	plan, err := Translate(h, orig, rep, cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestImpactedTCs(t *testing.T) {
 	tcSU := topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("U")}
 	for _, s := range h.Slots {
 		if s.Kind.String() == "inter" && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "B" {
-			rep.TC[tcSU.Key()][s.Key()] = true
+			rep.SetTC(h.TCRow(tcSU), h.SlotID(s.Key()), true)
 		}
 	}
 	impacted := ImpactedTCs(h, orig, rep)
@@ -409,13 +409,38 @@ func TestTranslateMissingConfig(t *testing.T) {
 	orig := harc.StateOf(h)
 	rep := orig.Clone()
 	// Force a change on C.
-	rep.Dst["U"]["self:C:ospf10"] = false
+	setDst(h, rep, "U", "self:C:ospf10", false)
 	for _, tc := range h.TCs {
 		if tc.Dst.Name == "U" {
-			rep.TC[tc.Key()]["self:C:ospf10"] = false
+			rep.SetTC(h.TCRow(tc), h.SlotID("self:C:ospf10"), false)
 		}
 	}
 	if _, err := Translate(h, orig, rep, cfgs); err == nil {
 		t.Error("expected error for missing device config")
 	}
+}
+
+// setDst sets the dETG bit of the slot with the given key for the named
+// destination.
+func setDst(h *harc.HARC, st *harc.State, dst, slotKey string, v bool) {
+	st.SetDst(h.DstRow(h.Network.Subnet(dst)), h.SlotID(slotKey), v)
+}
+
+// procID and linkID resolve a process or link name to its id.
+func procID(h *harc.HARC, name string) int {
+	for id, p := range h.Procs {
+		if p.Name() == name {
+			return id
+		}
+	}
+	return -1
+}
+
+func linkID(h *harc.HARC, name string) int {
+	for id, l := range h.Links {
+		if l.Name() == name {
+			return id
+		}
+	}
+	return -1
 }
