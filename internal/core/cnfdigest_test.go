@@ -1,0 +1,144 @@
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"testing"
+
+	"repro/internal/compress"
+	"repro/internal/generate"
+	"repro/internal/harc"
+	"repro/internal/policy"
+	"repro/internal/smt/formula"
+	"repro/internal/topology"
+)
+
+// cnfDigest encodes one sub-problem and hashes everything the solver is
+// given: nVars ‖ clause stream (length-prefixed clauses in emission
+// order) ‖ soft count ‖ soft literals ‖ weights, each a little-endian
+// uint32.
+func cnfDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) string {
+	t.Helper()
+	enc := newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	if err := enc.encode(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	word := func(v uint32) {
+		var buf [4]byte
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
+	}
+	word(uint32(sc.NumVars()))
+	for _, l := range sc.Stream() {
+		word(uint32(l))
+	}
+	word(uint32(len(enc.softs)))
+	for _, l := range enc.softs {
+		word(uint32(l))
+	}
+	for _, w := range enc.weights {
+		word(uint32(w))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCNFDigest pins the encoder's output bit for bit. The digests in
+// testdata/cnf_digests.json were recorded at the commit before the
+// formula arena and sat.Solver.Load existed, by logging every NewVar and
+// AddClause call of the pointer-AST encoder: variable numbering, sharing
+// and clause order are a contract (the solve cache, bench/golden.json and
+// the pinned serve trace all rest on the solver's trajectory), so a
+// change to the constraint-building layer must reproduce them exactly. A
+// change that means to alter the formula re-records them, and says so.
+func TestCNFDigest(t *testing.T) {
+	data, err := os.ReadFile("testdata/cnf_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	sc := newScratch()
+	all := func(name string, h *harc.HARC, policies []policy.Policy, opts Options) {
+		t.Helper()
+		problems, err := buildProblems(h, policies, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := newTables(h, problems)
+		orig := harc.StateOf(h)
+		for _, pr := range problems {
+			got[name+"/"+pr.label] = cnfDigest(t, sc, tb, orig, pr, opts)
+		}
+	}
+
+	n := topology.Figure2a()
+	h := harc.Build(n)
+	for _, g := range []Granularity{PerDst, AllTCs} {
+		for _, o := range []Objective{MinLines, MinDevices} {
+			opts := DefaultOptions()
+			opts.Granularity, opts.Objective = g, o
+			all("fig2a/"+g.String()+"/"+o.String(), h, figure2aPolicies(n), opts)
+		}
+	}
+
+	// The bench's fattree-pc4 input: the pc4-merged problem bit-blasts
+	// primary-path costs through package bv.
+	ft, err := generate.FatTree(generate.FatTreeOptions{K: 4, PC1: 4, PC2: 2, PC3: 4, PC4: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := generate.BreakFatTree(ft, 5, 8); err != nil {
+		t.Fatal(err)
+	}
+	all("fattree-pc4", ft.Harc(), ft.Policies, DefaultOptions())
+
+	// Three networks of the bench's corpus-batch population.
+	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 24, SubnetScale: 1.0, Seed: 20170801})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 8, 16} {
+		all("corpus/"+corpus[i].Name, corpus[i].Harc(), corpus[i].Policies, DefaultOptions())
+	}
+
+	// One dc-256 sub-problem on its quotient, built the way tryCompressed
+	// builds it.
+	dc, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dh, opts := dc.Harc(), DefaultOptions()
+	problems, err := buildProblems(dh, dc.Policies, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := problems[0]
+	q, err := compress.Build(dh.Network, compress.Spec{TCs: pr.tcs, Redundancy: compressRedundancy(pr, opts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qtcs, qpolicies, err := remapToQuotient(q.Net, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qh := harc.BuildForTCs(q.Net, qtcs)
+	qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
+	got["dc256-quotient/"+pr.label] = cnfDigest(t, sc, newTables(qh, []*problem{qpr}), harc.StateOf(qh), qpr, opts)
+
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: digest %.16s…, want %.16s…", name, got[name], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("encoded %d sub-problems, testdata pins %d", len(got), len(want))
+	}
+}

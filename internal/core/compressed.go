@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/harc"
 	"repro/internal/policy"
+	"repro/internal/smt/formula"
 	"repro/internal/smt/sat"
 	"repro/internal/topology"
 )
@@ -101,7 +102,7 @@ func compressRedundancy(pr *problem, opts Options) int {
 // staged for the serial merge; on any failure it records the fallback
 // stage in the stats and returns false so the caller proceeds with the
 // normal uncompressed path.
-func tryCompressed(ctx context.Context, h *harc.HARC, orig *harc.State, pr *problem, opts Options) (ok bool) {
+func tryCompressed(ctx context.Context, sc *formula.Builder, h *harc.HARC, orig *harc.State, pr *problem, opts Options) (ok bool) {
 	if !compressEligible(h, pr, opts) {
 		return false
 	}
@@ -138,9 +139,9 @@ func tryCompressed(ctx context.Context, h *harc.HARC, orig *harc.State, pr *prob
 	qorig := harc.StateOf(qh)
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
 	qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
-	qtb := newTables(qh, []*problem{qpr})
-	enc := newEncoder(qtb, qorig, qtcs, qpolicies, true, opts)
 	t0 = time.Now()
+	qtb := newTables(qh, []*problem{qpr})
+	enc := newEncoder(sc, qtb, qorig, qtcs, qpolicies, true, opts)
 	if err := enc.encode(ctx); err != nil {
 		pr.stat.EncodeNs += time.Since(t0).Nanoseconds()
 		pr.stat.CompressFallback = "encode"

@@ -28,13 +28,14 @@ import (
 
 // encoder builds the MaxSMT problem for one group of traffic classes.
 //
-// Variables are interned: every encoder owns a formula.Pool and looks
-// edge variables up in dense ID tables indexed by (local tc/dst index,
-// slot id) instead of concatenating string names per use; the original
-// state is read the same way, a bit per (row, slot id). The shared
-// read-only tables (applicability, vertex spaces) come precomputed from
-// the per-repair tables value, so parallel per-dst encoders never
-// recompute them.
+// Constraints are built as formula handles in a worker's scratch arena
+// and written out as one CNF stream, which the encoder's own solver loads
+// in a single step at the end of encode (see DESIGN.md, "Interned
+// encoding"). Edge variables are looked up in dense tables indexed by
+// (local tc/dst index, slot id); the original state is read the same
+// way, a bit per (row, slot id). The shared read-only tables
+// (applicability, vertex spaces) come precomputed from the per-repair
+// tables value, so parallel per-dst encoders never recompute them.
 type encoder struct {
 	tb   *tables
 	st   *harc.State // original state
@@ -44,42 +45,48 @@ type encoder struct {
 	dsts     []*topology.Subnet
 	policies []policy.Policy
 	// tcRow/dstRow are the HARC rows of tcs/dsts (state rows and tables
-	// rows alike).
+	// rows alike); tcLocal inverts tcRow (HARC row → local index) and
+	// tcDst is each local class's local destination.
 	tcRow, dstRow []int
+	tcLocal       []int32
+	tcDst         []int
 
 	// freezeAll pins aETG variables to their original values (per-dst
 	// decomposition: repairs are restricted to per-destination constructs
 	// so per-problem solutions merge without conflicts, §5.3).
 	freezeAll bool
 
-	s    *sat.Solver
+	s *sat.Solver
+	// b and p are the worker's constraint-building scratch, borrowed from
+	// newEncoder until encode returns; afterwards the encoder reads its
+	// variables through lits (variable ordinal → solver literal + 1, 0 if
+	// no constraint used it) and retains no formula.
 	b    *formula.Builder
-	pool *formula.Pool
+	p    *formula.Pool
+	lits []sat.Lit
 
 	// Dense variable tables. Rows are indexed by slot id (rfVar: process
-	// id); nil entries mark inapplicable slots. tVar/dVar/stVar/rfVar outer
-	// dimensions are the local tc/dst indices (tcIdx/dstIdx).
-	tcIdx  map[string]int
-	dstIdx map[string]int
-	aVar   []*formula.F   // canonical slot index → aETG variable
-	tVar   [][]*formula.F // tcETG edge variables
-	dVar   [][]*formula.F // dETG edge variables
-	stVar  [][]*formula.F // static-route construct variables (inter slots)
-	rfVar  [][]*formula.F // route-filter construct variables (proc index)
+	// id); zero entries mark inapplicable slots. tVar/dVar/stVar/rfVar
+	// outer dimensions are the local tc/dst indices.
+	aVar  []formula.F   // canonical slot index → aETG variable
+	tVar  [][]formula.F // tcETG edge variables
+	dVar  [][]formula.F // dETG edge variables
+	stVar [][]formula.F // static-route construct variables (inter slots)
+	rfVar [][]formula.F // route-filter construct variables (proc index)
 
 	softs   []sat.Lit
 	weights []int
 	// byDevice collects keep-formulas per device for the MinDevices
 	// objective (§5.2's "minimal number of devices changed").
-	byDevice map[string][]*formula.F
+	byDevice map[string][]formula.F
 
 	costVecs   map[string]bv.Vec // CostKey → cost variable (PC4 problems)
 	costOrder  []string
-	wedgeVars  []*formula.F // link id → waypoint variable (nil until used)
+	wedgeVars  []formula.F // link id → waypoint variable (zero until used)
 	wedgeOrder []int
 }
 
-func constBool(v bool) *formula.F {
+func constBool(v bool) formula.F {
 	if v {
 		return formula.True
 	}
@@ -99,54 +106,61 @@ func aclDevice(s *arc.Slot) string {
 	}
 }
 
-func newEncoder(tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
+// newEncoder sets up a sub-problem's variables in b, the calling
+// worker's scratch builder, which it resets and holds until encode
+// returns.
+func newEncoder(b *formula.Builder, tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
 	solver := sat.New()
 	solver.Budget = opts.ConflictBudget
-	pool := formula.NewPool()
+	b.Reset()
+	pool := b.Pool()
 	e := &encoder{
 		tb: tb, st: st, opts: opts,
 		tcs: tcs, policies: policies, freezeAll: freezeAll,
-		s: solver, b: formula.NewPooledBuilder(solver, pool), pool: pool,
+		s: solver, b: b, p: pool,
 		costVecs:  make(map[string]bv.Vec),
-		wedgeVars: make([]*formula.F, len(tb.h.Links)),
-		byDevice:  make(map[string][]*formula.F),
+		wedgeVars: make([]formula.F, len(tb.h.Links)),
+		byDevice:  make(map[string][]formula.F),
 	}
 	nslots := len(tb.slots)
 
-	// Eagerly create the variable nodes (node creation is one small
-	// allocation; solver variables stay lazy until a constraint uses
-	// them). Everything downstream is then a slice index away.
-	e.tcIdx = make(map[string]int, len(tcs))
-	e.dstIdx = make(map[string]int)
+	// Eagerly create the variables (a variable is just its ordinal; solver
+	// variables stay lazy until a constraint uses them). Everything
+	// downstream is then a slice index away.
+	e.tcLocal = make([]int32, len(tb.h.TCs))
+	dstLocal := make([]int, len(tb.h.Dsts)) // HARC row → local index + 1
 	e.tcRow = make([]int, len(tcs))
-	e.tVar = make([][]*formula.F, len(tcs))
+	e.tcDst = make([]int, len(tcs))
+	e.tVar = make([][]formula.F, len(tcs))
 	for tl, tc := range tcs {
-		e.tcIdx[tc.Key()] = tl
 		e.tcRow[tl] = tb.h.TCRow(tc)
-		if _, seen := e.dstIdx[tc.Dst.Name]; !seen {
-			e.dstIdx[tc.Dst.Name] = len(e.dsts)
+		e.tcLocal[e.tcRow[tl]] = int32(tl)
+		dr := tb.h.DstRow(tc.Dst)
+		if dstLocal[dr] == 0 {
 			e.dsts = append(e.dsts, tc.Dst)
-			e.dstRow = append(e.dstRow, tb.h.DstRow(tc.Dst))
+			e.dstRow = append(e.dstRow, dr)
+			dstLocal[dr] = len(e.dsts)
 		}
-		row := make([]*formula.F, nslots)
+		e.tcDst[tl] = dstLocal[dr] - 1
+		row := make([]formula.F, nslots)
 		for _, si := range tb.tc[e.tcRow[tl]].slots {
 			row[si] = pool.Fresh()
 		}
 		e.tVar[tl] = row
 	}
-	e.dVar = make([][]*formula.F, len(e.dsts))
-	e.stVar = make([][]*formula.F, len(e.dsts))
-	e.rfVar = make([][]*formula.F, len(e.dsts))
+	e.dVar = make([][]formula.F, len(e.dsts))
+	e.stVar = make([][]formula.F, len(e.dsts))
+	e.rfVar = make([][]formula.F, len(e.dsts))
 	for dl := range e.dsts {
-		drow := make([]*formula.F, nslots)
-		srow := make([]*formula.F, nslots)
+		drow := make([]formula.F, nslots)
+		srow := make([]formula.F, nslots)
 		for _, si := range tb.dst[e.dstRow[dl]] {
 			drow[si] = pool.Fresh()
 			if tb.slots[si].Kind == arc.SlotInterDevice {
 				srow[si] = pool.Fresh()
 			}
 		}
-		rrow := make([]*formula.F, len(tb.h.Procs))
+		rrow := make([]formula.F, len(tb.h.Procs))
 		for pi := range rrow {
 			rrow[pi] = pool.Fresh()
 		}
@@ -155,7 +169,7 @@ func newEncoder(tb *tables, st *harc.State, tcs []topology.TrafficClass, policie
 		e.rfVar[dl] = rrow
 	}
 	if !freezeAll {
-		e.aVar = make([]*formula.F, nslots)
+		e.aVar = make([]formula.F, nslots)
 		for si, s := range tb.slots {
 			switch s.Kind {
 			case arc.SlotInterDevice:
@@ -170,11 +184,32 @@ func newEncoder(tb *tables, st *harc.State, tcs []topology.TrafficClass, policie
 	return e
 }
 
+// tl returns the local index of a policy's traffic class.
+func (e *encoder) tl(tc topology.TrafficClass) int { return int(e.tcLocal[e.tb.h.TCRow(tc)]) }
+
+// lit returns the solver literal of variable f once encode has loaded the
+// solver, or ok=false for the zero handle and for variables no
+// constraint used.
+func (e *encoder) lit(f formula.F) (sat.Lit, bool) {
+	if f == 0 {
+		return 0, false
+	}
+	l := e.lits[f.Var()]
+	return l - 1, l != 0
+}
+
+// value reads variable f from the solver's model (unused variables are
+// false).
+func (e *encoder) value(f formula.F) bool {
+	l, ok := e.lit(f)
+	return ok && e.s.ValueLit(l)
+}
+
 // eA returns the aETG presence formula for the slot at index si. Self
 // edges always exist in the aETG; inter-device slots share one variable
 // per adjacency (both directions); in per-dst mode the aETG is frozen to
 // its original value.
-func (e *encoder) eA(si int) *formula.F {
+func (e *encoder) eA(si int) formula.F {
 	s := e.tb.slots[si]
 	if s.Kind == arc.SlotIntraSelf {
 		return formula.True
@@ -189,7 +224,7 @@ func (e *encoder) eA(si int) *formula.F {
 // Existing middleboxes stay in place; repairs may only add waypoints
 // (footnote 2 of the paper), which keeps per-destination sub-problems
 // mergeable.
-func (e *encoder) wedge(si int) *formula.F {
+func (e *encoder) wedge(si int) formula.F {
 	s := e.tb.slots[si]
 	if s.Kind != arc.SlotInterDevice {
 		// Intra-device waypoint (device middlebox) is not repairable.
@@ -202,10 +237,10 @@ func (e *encoder) wedge(si int) *formula.F {
 	if !e.opts.AllowWaypointChanges {
 		return formula.False
 	}
-	if f := e.wedgeVars[link]; f != nil {
+	if f := e.wedgeVars[link]; f != 0 {
 		return f
 	}
-	f := e.pool.Fresh()
+	f := e.p.Fresh()
 	e.wedgeVars[link] = f
 	e.wedgeOrder = append(e.wedgeOrder, link)
 	return f
@@ -222,30 +257,24 @@ func (e *encoder) cost(si int) bv.Vec {
 	if v, ok := e.costVecs[ck]; ok {
 		return v
 	}
-	v := bv.Fresh(e.pool, e.opts.CostBits)
+	v := bv.Fresh(e.p, e.opts.CostBits)
 	e.costVecs[ck] = v
 	e.costOrder = append(e.costOrder, ck)
 	// Constraint 13: cost > 0.
-	e.b.Assert(bv.NonZero(v))
+	e.b.Assert(bv.NonZero(e.p, v))
 	return v
 }
 
-// freshVec returns n fresh anonymous variables.
-func (e *encoder) freshVec(n int) []*formula.F {
-	out := make([]*formula.F, n)
-	for i := range out {
-		out[i] = e.pool.Fresh()
-	}
-	return out
-}
+// freshVec returns n fresh variables.
+func (e *encoder) freshVec(n int) []formula.F { return bv.Fresh(e.p, n) }
 
 // soft registers a keep-formula attributed to a device. Under the
 // MinLines objective each formula is one unit-weight soft (Table 2);
 // under MinDevices the per-device conjunctions become the softs.
-func (e *encoder) soft(device string, f *formula.F) { e.softWeighted(device, f, 1) }
+func (e *encoder) soft(device string, f formula.F) { e.softWeighted(device, f, 1) }
 
 // softWeighted registers a keep-formula with an explicit weight.
-func (e *encoder) softWeighted(device string, f *formula.F, weight int) {
+func (e *encoder) softWeighted(device string, f formula.F, weight int) {
 	if e.opts.Objective == MinDevices {
 		e.byDevice[device] = append(e.byDevice[device], f)
 		return
@@ -265,7 +294,7 @@ func (e *encoder) finalizeSofts() {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		e.softs = append(e.softs, e.b.Lit(formula.And(e.byDevice[name]...)))
+		e.softs = append(e.softs, e.b.Lit(e.p.And(e.byDevice[name]...)))
 		e.weights = append(e.weights, 1)
 	}
 }
@@ -274,6 +303,8 @@ func (e *encoder) finalizeSofts() {
 // long as solving them, so it polls ctx between policies — the loop
 // dominates encoding time — and cancellation surfaces as ctx's error.
 func (e *encoder) encode(ctx context.Context) error {
+	// However encode ends, the scratch is the worker's again.
+	defer func() { e.b, e.p = nil, nil }()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -301,6 +332,8 @@ func (e *encoder) encode(ctx context.Context) error {
 		return err
 	}
 	e.softConstraints()
+	e.s.Load(e.b.NumVars(), e.b.Stream())
+	e.lits = e.b.VarLits()
 	e.seedPhases()
 	return nil
 }
@@ -314,8 +347,8 @@ func (e *encoder) seedPhases() {
 	for tl, r := range e.tcRow {
 		tcState := e.st.TC[r]
 		for _, si := range e.tb.tc[r].slots {
-			if f := e.tVar[tl][si]; e.b.AllocatedVar(f) {
-				e.b.PreferF(f, tcState.Has(si))
+			if l, ok := e.lit(e.tVar[tl][si]); ok {
+				e.s.SetPhase(l.Var(), tcState.Has(si))
 			}
 		}
 	}
@@ -323,17 +356,17 @@ func (e *encoder) seedPhases() {
 		dstState := e.st.Dst[e.dstRow[dl]]
 		for _, si := range e.tb.dst[e.dstRow[dl]] {
 			s := e.tb.slots[si]
-			if f := e.dVar[dl][si]; e.b.AllocatedVar(f) {
-				e.b.PreferF(f, dstState.Has(si))
+			if l, ok := e.lit(e.dVar[dl][si]); ok {
+				e.s.SetPhase(l.Var(), dstState.Has(si))
 			}
 			switch s.Kind {
 			case arc.SlotIntraSelf:
-				if f := e.rfVar[dl][s.FromProcID]; e.b.AllocatedVar(f) {
-					e.b.PreferF(f, s.FromProc.BlocksDestination(dst.Prefix))
+				if l, ok := e.lit(e.rfVar[dl][s.FromProcID]); ok {
+					e.s.SetPhase(l.Var(), s.FromProc.BlocksDestination(dst.Prefix))
 				}
 			case arc.SlotInterDevice:
-				if f := e.stVar[dl][si]; e.b.AllocatedVar(f) {
-					e.b.PreferF(f, s.StaticBacked(dst) != nil)
+				if l, ok := e.lit(e.stVar[dl][si]); ok {
+					e.s.SetPhase(l.Var(), s.StaticBacked(dst) != nil)
 				}
 			}
 		}
@@ -345,8 +378,8 @@ func (e *encoder) seedPhases() {
 			default:
 				continue
 			}
-			if f := e.aVar[s.Canon]; f != nil && e.b.AllocatedVar(f) {
-				e.b.PreferF(f, e.st.All.Has(si))
+			if l, ok := e.lit(e.aVar[s.Canon]); ok {
+				e.s.SetPhase(l.Var(), e.st.All.Has(si))
 			}
 		}
 	}
@@ -357,7 +390,9 @@ func (e *encoder) seedPhases() {
 			orig = max
 		}
 		for i, bit := range e.costVecs[ck] {
-			e.b.PreferF(bit, orig&(1<<uint(i)) != 0)
+			if l, ok := e.lit(bit); ok {
+				e.s.SetPhase(l.Var(), orig&(1<<uint(i)) != 0)
+			}
 		}
 	}
 }
@@ -369,23 +404,22 @@ func (e *encoder) seedPhases() {
 // constructs that realize them — route filters and static routes — so
 // every satisfying model is directly implementable in configuration.
 func (e *encoder) hierarchyConstraints() {
-	for tl, tc := range e.tcs {
-		dl := e.dstIdx[tc.Dst.Name]
+	for tl := range e.tcs {
+		dl := e.tcDst[tl]
 		for _, si := range e.tb.tc[e.tcRow[tl]].slots {
 			switch s := e.tb.slots[si]; s.Kind {
 			case arc.SlotSource:
 				// A source edge needs the gateway process to have a route
 				// to the destination (no route filter).
-				e.b.Assert(formula.Implies(e.tVar[tl][si],
-					formula.Not(e.rfVar[dl][s.ToProcID])))
+				e.b.AssertImplies(e.tVar[tl][si], formula.Not(e.rfVar[dl][s.ToProcID]))
 			case arc.SlotIntraSelf, arc.SlotIntraRedist:
 				// ACLs cannot act inside a device: intra tcETG edges equal
 				// their dETG edges (Table 3's "invalid modification").
-				e.b.Assert(formula.Iff(e.tVar[tl][si], e.dVar[dl][si]))
+				e.b.AssertIff(e.tVar[tl][si], e.dVar[dl][si])
 			default:
 				// Constraint 18: tcETG edge ⇒ dETG edge (the gap is an
 				// interface ACL).
-				e.b.Assert(formula.Implies(e.tVar[tl][si], e.dVar[dl][si]))
+				e.b.AssertImplies(e.tVar[tl][si], e.dVar[dl][si])
 			}
 		}
 	}
@@ -393,19 +427,14 @@ func (e *encoder) hierarchyConstraints() {
 		// procStatic(p) is true when a static route for dst leaves
 		// through process p's links: a FIB-level static also backs the
 		// intra edges into p's outgoing vertex.
-		procParts := make([][]*formula.F, len(e.tb.h.Procs))
+		procParts := make([][]formula.F, len(e.tb.h.Procs))
 		for si, s := range e.tb.slots {
 			if s.Kind != arc.SlotInterDevice {
 				continue
 			}
 			procParts[s.FromProcID] = append(procParts[s.FromProcID], e.stVar[dl][si])
 		}
-		procStatic := func(pi int) *formula.F {
-			if parts := procParts[pi]; len(parts) > 0 {
-				return formula.Or(parts...)
-			}
-			return formula.False
-		}
+		procStatic := func(pi int) formula.F { return e.p.Or(procParts[pi]...) }
 		for _, si := range e.tb.dst[e.dstRow[dl]] {
 			s := e.tb.slots[si]
 			switch s.Kind {
@@ -413,32 +442,31 @@ func (e *encoder) hierarchyConstraints() {
 				// A process forwards toward dst unless it filters the
 				// route — or a static route makes the FIB authoritative.
 				from := s.FromProcID
-				e.b.Assert(formula.Iff(e.dVar[dl][si], formula.Or(
+				e.b.AssertIff(e.dVar[dl][si], e.p.Or(
 					formula.Not(e.rfVar[dl][from]),
 					procStatic(from),
-				)))
+				))
 			case arc.SlotIntraRedist:
 				// Redistribution edge: configured and unfiltered, or
 				// static-backed at the device level.
 				from := s.FromProcID
-				e.b.Assert(formula.Iff(e.dVar[dl][si], formula.Or(
-					formula.And(
+				e.b.AssertIff(e.dVar[dl][si], e.p.Or(
+					e.p.And(
 						e.eA(si),
 						formula.Not(e.rfVar[dl][s.ToProcID]),
 						formula.Not(e.rfVar[dl][from]),
 					),
 					procStatic(from),
-				)))
+				))
 			case arc.SlotInterDevice:
 				// Constraint 19: adjacency-backed (and the receiver
 				// advertises dst) or static-backed.
-				e.b.Assert(formula.Iff(e.dVar[dl][si], formula.Or(
-					formula.And(e.eA(si), formula.Not(e.rfVar[dl][s.ToProcID])),
+				e.b.AssertIff(e.dVar[dl][si], e.p.Or(
+					e.p.And(e.eA(si), formula.Not(e.rfVar[dl][s.ToProcID])),
 					e.stVar[dl][si],
-				)))
+				))
 			case arc.SlotDest:
-				e.b.Assert(formula.Iff(e.dVar[dl][si],
-					formula.Not(e.rfVar[dl][s.FromProcID])))
+				e.b.AssertIff(e.dVar[dl][si], formula.Not(e.rfVar[dl][s.FromProcID]))
 			}
 		}
 	}
@@ -465,11 +493,11 @@ func (e *encoder) policyConstraints(p policy.Policy) error {
 // encodeIsolation forbids the two traffic classes from sharing any ETG
 // edge (§5.1: edge_tc1 ⇒ ¬edge_tc2 and vice versa).
 func (e *encoder) encodeIsolation(p policy.Policy) {
-	t1 := e.tVar[e.tcIdx[p.TC.Key()]]
-	t2 := e.tVar[e.tcIdx[p.TC2.Key()]]
+	t1 := e.tVar[e.tl(p.TC)]
+	t2 := e.tVar[e.tl(p.TC2)]
 	for si := range e.tb.slots {
-		if t1[si] != nil && t2[si] != nil {
-			e.b.Assert(formula.Not(formula.And(t1[si], t2[si])))
+		if t1[si] != 0 && t2[si] != 0 {
+			e.b.Assert(formula.Not(e.p.And(t1[si], t2[si])))
 		}
 	}
 }
@@ -478,15 +506,15 @@ func (e *encoder) encodeIsolation(p policy.Policy) {
 // reachability-closure form: reach(SRC) holds, presence propagates
 // reachability along edges, and reach(DST) is forbidden.
 func (e *encoder) encodePC1(p policy.Policy) {
-	tl := e.tcIdx[p.TC.Key()]
+	tl := e.tl(p.TC)
 	t := e.tb.tc[e.tcRow[tl]]
 	reach := e.freshVec(t.nv)
 	e.b.Assert(reach[0]) // SRC
 	for k, si := range t.slots {
-		e.b.Assert(formula.Implies(
-			formula.And(e.tVar[tl][si], reach[t.fromV[k]]),
+		e.b.AssertImplies(
+			e.p.And(e.tVar[tl][si], reach[t.fromV[k]]),
 			reach[t.toV[k]],
-		))
+		)
 	}
 	e.b.Assert(formula.Not(reach[1])) // DST
 }
@@ -495,49 +523,51 @@ func (e *encoder) encodePC1(p policy.Policy) {
 // SRC to DST may exist, where wedge variables mark waypoint-carrying
 // edges (repairs may add waypoints, footnote 2).
 func (e *encoder) encodePC2(p policy.Policy) {
-	tl := e.tcIdx[p.TC.Key()]
+	tl := e.tl(p.TC)
 	t := e.tb.tc[e.tcRow[tl]]
 	nw := e.freshVec(t.nv)
 	e.b.Assert(nw[0]) // SRC
 	for k, si := range t.slots {
-		e.b.Assert(formula.Implies(
-			formula.And(e.tVar[tl][si], formula.Not(e.wedge(si)), nw[t.fromV[k]]),
+		e.b.AssertImplies(
+			e.p.And(e.tVar[tl][si], formula.Not(e.wedge(si)), nw[t.fromV[k]]),
 			nw[t.toV[k]],
-		))
+		)
 	}
 	e.b.Assert(formula.Not(nw[1])) // DST
-}
-
-// peVars gathers path-edge variables for the given slot positions.
-func peVars(row []*formula.F, positions []int) []*formula.F {
-	out := make([]*formula.F, len(positions))
-	for i, k := range positions {
-		out[i] = row[k]
-	}
-	return out
 }
 
 // encodePC3 emits Figure 5 constraints 7-12: K link-disjoint paths must
 // exist in the tcETG.
 func (e *encoder) encodePC3(p policy.Policy) {
-	tl := e.tcIdx[p.TC.Key()]
+	tl := e.tl(p.TC)
 	t := e.tb.tc[e.tcRow[tl]]
 
 	// pe[j][k] selects the slot at position k into path j.
-	pe := make([][]*formula.F, p.K)
+	pe := make([][]formula.F, p.K)
 	for j := range pe {
 		pe[j] = e.freshVec(len(t.slots))
+	}
+	// peVars gathers a path's edge variables at the given slot positions
+	// into one reused buffer: every result is consumed before the next
+	// call.
+	var buf []formula.F
+	peVars := func(row []formula.F, positions []int) []formula.F {
+		buf = buf[:0]
+		for _, k := range positions {
+			buf = append(buf, row[k])
+		}
+		return buf
 	}
 
 	for j := 0; j < p.K; j++ {
 		// Constraint 7: path edges exist in the tcETG.
 		for k, si := range t.slots {
-			e.b.Assert(formula.Implies(pe[j][k], e.tVar[tl][si]))
+			e.b.AssertImplies(pe[j][k], e.tVar[tl][si])
 		}
 		// Constraint 8: the path leaves SRC.
-		e.b.Assert(formula.Or(peVars(pe[j], t.byTail[0])...))
+		e.b.AssertOr(peVars(pe[j], t.byTail[0])...)
 		// Constraint 9: the path enters DST.
-		e.b.Assert(formula.Or(peVars(pe[j], t.byHead[1])...))
+		e.b.AssertOr(peVars(pe[j], t.byHead[1])...)
 		// Constraints 10 and 11: interior continuity.
 		for vi := 0; vi < t.nv; vi++ {
 			if vi == 0 { // SRC
@@ -549,9 +579,9 @@ func (e *encoder) encodePC3(p policy.Policy) {
 			}
 			// Constraint 10: a selected edge out of v needs a selected
 			// edge into v.
-			inAny := formula.Or(peVars(pe[j], t.byHead[vi])...)
+			inAny := e.p.Or(peVars(pe[j], t.byHead[vi])...)
 			for _, k := range outs {
-				e.b.Assert(formula.Implies(pe[j][k], inAny))
+				e.b.AssertImplies(pe[j][k], inAny)
 			}
 		}
 		for vi := 0; vi < t.nv; vi++ {
@@ -565,9 +595,9 @@ func (e *encoder) encodePC3(p policy.Policy) {
 			// Constraint 11: a selected edge into v needs exactly one
 			// selected edge out of v.
 			outFs := peVars(pe[j], t.byTail[vi])
-			outAny := formula.Or(outFs...)
+			outAny := e.p.Or(outFs...)
 			for _, k := range ins {
-				e.b.Assert(formula.Implies(pe[j][k], outAny))
+				e.b.AssertImplies(pe[j][k], outAny)
 			}
 			if len(outFs) > 1 {
 				e.b.AtMostOne(outFs...)
@@ -577,14 +607,14 @@ func (e *encoder) encodePC3(p policy.Policy) {
 	// Constraint 12: link-disjointness across the K paths, enforced per
 	// physical link (both directions of a link belong to at most one
 	// path).
+	used := make([]formula.F, p.K)
 	for _, positions := range t.links {
-		used := make([]*formula.F, p.K)
 		for j := 0; j < p.K; j++ {
-			used[j] = formula.Or(peVars(pe[j], positions)...)
+			used[j] = e.p.Or(peVars(pe[j], positions)...)
 		}
 		for a := 0; a < p.K; a++ {
 			for b := a + 1; b < p.K; b++ {
-				e.b.Assert(formula.Not(formula.And(used[a], used[b])))
+				e.b.Assert(formula.Not(e.p.And(used[a], used[b])))
 			}
 		}
 	}
@@ -595,8 +625,8 @@ func (e *encoder) encodePC3(p policy.Policy) {
 // the required path P at every hop.
 func (e *encoder) encodePC4(p policy.Policy) error {
 	tc := p.TC
-	tl := e.tcIdx[tc.Key()]
-	dl := e.dstIdx[tc.Dst.Name]
+	tl := e.tl(tc)
+	dl := e.tcDst[tl]
 	t := e.tb.tc[e.tcRow[tl]]
 	distBits := e.opts.DistBits
 
@@ -607,7 +637,7 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 	// concretely the traffic still routes into that edge and is dropped
 	// by the very ACL that was added. Only the source attachment, which
 	// exists solely at the tc level, keeps its tc variable.
-	pres := func(k int) *formula.F {
+	pres := func(k int) formula.F {
 		si := t.slots[k]
 		if e.tb.slots[si].Kind == arc.SlotSource {
 			return e.tVar[tl][si]
@@ -618,7 +648,7 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 	dist := make([]bv.Vec, t.nv)
 	unreach := e.freshVec(t.nv)
 	for vi := 0; vi < t.nv; vi++ {
-		dist[vi] = bv.Fresh(e.pool, distBits)
+		dist[vi] = bv.Fresh(e.p, distBits)
 	}
 	// Constraints 14-15: SRC is the root at distance 0.
 	bv.AssertEqualConst(e.b, dist[0], 0)
@@ -628,12 +658,12 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 	// label, and makes the head reachable.
 	for k, si := range t.slots {
 		u, v := t.fromV[k], t.toV[k]
-		premise := formula.And(pres(k), formula.Not(unreach[u]))
-		sum := bv.Add(dist[u], e.cost(si))
-		e.b.Assert(formula.Implies(premise, formula.And(
+		premise := e.p.And(pres(k), formula.Not(unreach[u]))
+		sum := bv.Add(e.p, dist[u], e.cost(si))
+		e.b.AssertImplies(premise, e.p.And(
 			formula.Not(unreach[v]),
-			bv.LessEq(dist[v], sum),
-		)))
+			bv.LessEq(e.p, dist[v], sum),
+		))
 	}
 	// Tightness (constraint 16's support condition): every reachable
 	// non-SRC vertex has an incoming tight edge. With strictly positive
@@ -643,16 +673,16 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 		if vi == 0 { // SRC
 			continue
 		}
-		var supports []*formula.F
+		var supports []formula.F
 		for _, k := range t.byHead[vi] {
 			u := t.fromV[k]
-			supports = append(supports, formula.And(
+			supports = append(supports, e.p.And(
 				pres(k),
 				formula.Not(unreach[u]),
-				bv.Equal(dist[vi], bv.Add(dist[u], e.cost(t.slots[k]))),
+				bv.Equal(e.p, dist[vi], bv.Add(e.p, dist[u], e.cost(t.slots[k]))),
 			))
 		}
-		e.b.Assert(formula.Or(unreach[vi], formula.Or(supports...)))
+		e.b.AssertOr(unreach[vi], e.p.Or(supports...))
 	}
 
 	// Constraint 17: the edges of P exist, are tight, and are strictly
@@ -669,17 +699,17 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 		// routing presence.
 		e.b.Assert(e.tVar[tl][si])
 		e.b.Assert(formula.Not(unreach[u]))
-		chainSum := bv.Add(dist[u], e.cost(si))
-		e.b.Assert(bv.Equal(dist[v], chainSum))
+		chainSum := bv.Add(e.p, dist[u], e.cost(si))
+		e.b.Assert(bv.Equal(e.p, dist[v], chainSum))
 		for _, ok := range t.byHead[v] {
 			if ok == ck {
 				continue
 			}
 			w := t.fromV[ok]
-			e.b.Assert(formula.Implies(
-				formula.And(pres(ok), formula.Not(unreach[w])),
-				bv.Less(chainSum, bv.Add(dist[w], e.cost(t.slots[ok]))),
-			))
+			e.b.AssertImplies(
+				e.p.And(pres(ok), formula.Not(unreach[w])),
+				bv.Less(e.p, chainSum, bv.Add(e.p, dist[w], e.cost(t.slots[ok]))),
+			)
 		}
 	}
 	return nil
@@ -692,7 +722,7 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 // rejected).
 func (e *encoder) chainSlots(p policy.Policy) ([]int, error) {
 	tc := p.TC
-	t := e.tb.tc[e.tcRow[e.tcIdx[tc.Key()]]]
+	t := e.tb.tc[e.tcRow[e.tl(tc)]]
 	var chain []int
 
 	find := func(pred func(*arc.Slot) bool, what string) (int, error) {
@@ -760,8 +790,8 @@ func (e *encoder) chainSlots(p policy.Policy) ([]int, error) {
 // softConstraints emits Table 2 plus the cost and waypoint softs.
 func (e *encoder) softConstraints() {
 	// tcETG-level softs.
-	for tl, tc := range e.tcs {
-		dl := e.dstIdx[tc.Dst.Name]
+	for tl := range e.tcs {
+		dl := e.tcDst[tl]
 		tcState := e.st.TC[e.tcRow[tl]]
 		dstState := e.st.Dst[e.dstRow[dl]]
 		for _, si := range e.tb.tc[e.tcRow[tl]].slots {
@@ -770,7 +800,7 @@ func (e *encoder) softConstraints() {
 			if e.tb.slots[si].Kind == arc.SlotSource {
 				// Source edges have no dETG parent; keeping them as-is
 				// avoids an ACL change on the host-facing interface.
-				e.soft(dev, formula.Iff(e.tVar[tl][si], constBool(origTC)))
+				e.soft(dev, e.p.Iff(e.tVar[tl][si], constBool(origTC)))
 				continue
 			}
 			origD := dstState.Has(si)
@@ -779,7 +809,7 @@ func (e *encoder) softConstraints() {
 				// edge stays absent (Table 2 rows 2 and 6).
 				e.soft(dev, formula.Not(e.tVar[tl][si]))
 			} else {
-				e.soft(dev, formula.Iff(e.tVar[tl][si], e.dVar[dl][si]))
+				e.soft(dev, e.p.Iff(e.tVar[tl][si], e.dVar[dl][si]))
 			}
 		}
 	}
@@ -797,11 +827,11 @@ func (e *encoder) softConstraints() {
 				if !seenRF[pi] {
 					seenRF[pi] = true
 					orig := s.FromProc.BlocksDestination(dst.Prefix)
-					e.soft(e.tb.procDev(pi), formula.Iff(e.rfVar[dl][pi], constBool(orig)))
+					e.soft(e.tb.procDev(pi), e.p.Iff(e.rfVar[dl][pi], constBool(orig)))
 				}
 			case arc.SlotInterDevice:
 				orig := s.StaticBacked(dst) != nil
-				e.soft(e.tb.procDev(s.FromProcID), formula.Iff(e.stVar[dl][si], constBool(orig)))
+				e.soft(e.tb.procDev(s.FromProcID), e.p.Iff(e.stVar[dl][si], constBool(orig)))
 			}
 		}
 	}
@@ -843,7 +873,7 @@ func (e *encoder) softConstraints() {
 		if i := strings.IndexByte(ck, '/'); i >= 0 {
 			dev = ck[:i]
 		}
-		e.soft(dev, bv.Equal(vec, bv.Const(uint64(orig), e.opts.CostBits)))
+		e.soft(dev, bv.Equal(e.p, vec, bv.Const(uint64(orig), e.opts.CostBits)))
 	}
 	// Waypoint softs: adding a middlebox is a change (wedge variables are
 	// only created for links without one). Middleboxes are not device
@@ -873,40 +903,40 @@ func (e *encoder) extract(out *harc.State) {
 			default:
 				continue // self edges are constant; attach slots have no aETG level
 			}
-			if f := e.aVar[s.Canon]; f != nil && e.b.AllocatedVar(f) {
-				out.SetAll(si, e.b.Value(f))
+			if l, ok := e.lit(e.aVar[s.Canon]); ok {
+				out.SetAll(si, e.s.ValueLit(l))
 			}
 		}
 	}
 	for dl, r := range e.dstRow {
 		for _, si := range e.tb.dst[r] {
-			if f := e.dVar[dl][si]; e.b.AllocatedVar(f) {
-				out.SetDst(r, si, e.b.Value(f))
+			if l, ok := e.lit(e.dVar[dl][si]); ok {
+				out.SetDst(r, si, e.s.ValueLit(l))
 			}
 			switch s := e.tb.slots[si]; s.Kind {
 			case arc.SlotIntraSelf:
-				if f := e.rfVar[dl][s.FromProcID]; e.b.AllocatedVar(f) {
-					out.SetRouteFilter(r, s.FromProcID, e.b.Value(f))
+				if l, ok := e.lit(e.rfVar[dl][s.FromProcID]); ok {
+					out.SetRouteFilter(r, s.FromProcID, e.s.ValueLit(l))
 				}
 			case arc.SlotInterDevice:
-				if f := e.stVar[dl][si]; e.b.AllocatedVar(f) {
-					out.SetStatic(r, si, e.b.Value(f))
+				if l, ok := e.lit(e.stVar[dl][si]); ok {
+					out.SetStatic(r, si, e.s.ValueLit(l))
 				}
 			}
 		}
 	}
 	for tl, r := range e.tcRow {
 		for _, si := range e.tb.tc[r].slots {
-			if f := e.tVar[tl][si]; e.b.AllocatedVar(f) {
-				out.SetTC(r, si, e.b.Value(f))
+			if l, ok := e.lit(e.tVar[tl][si]); ok {
+				out.SetTC(r, si, e.s.ValueLit(l))
 			}
 		}
 	}
 	for _, ck := range e.costOrder {
-		out.Cost[ck] = int64(bv.Value(e.b, e.costVecs[ck]))
+		out.Cost[ck] = int64(bv.Value(e.costVecs[ck], e.value))
 	}
 	for _, link := range e.wedgeOrder {
-		if e.b.Value(e.wedgeVars[link]) {
+		if e.value(e.wedgeVars[link]) {
 			out.SetWaypoint(link, true)
 		}
 	}

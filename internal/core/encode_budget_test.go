@@ -1,0 +1,124 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"repro/internal/generate"
+	"repro/internal/harc"
+	"repro/internal/policy"
+	"repro/internal/smt/formula"
+	"repro/internal/topology"
+)
+
+// encodeFixture is one network's per-destination sub-problems, ready to
+// encode.
+type encodeFixture struct {
+	tb       *tables
+	orig     *harc.State
+	problems []*problem
+	opts     Options
+}
+
+func newEncodeFixture(t *testing.T, h *harc.HARC, policies []policy.Policy) *encodeFixture {
+	t.Helper()
+	opts := DefaultOptions()
+	problems, err := buildProblems(h, policies, opts)
+	if err != nil || len(problems) == 0 {
+		t.Fatalf("buildProblems: %d problems, err %v", len(problems), err)
+	}
+	return &encodeFixture{newTables(h, problems), harc.StateOf(h), problems, opts}
+}
+
+// encodeAll encodes every sub-problem through one scratch, as a worker
+// would.
+func (f *encodeFixture) encodeAll(t *testing.T, sc *formula.Builder) []*encoder {
+	encs := make([]*encoder, len(f.problems))
+	for i, pr := range f.problems {
+		encs[i] = newEncoder(sc, f.tb, f.orig, pr.tcs, pr.policies, pr.freeze, f.opts)
+		if err := encs[i].encode(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return encs
+}
+
+func corpusFixture(t *testing.T) *encodeFixture {
+	t.Helper()
+	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 24, SubnetScale: 1.0, Seed: 20170801})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newEncodeFixture(t, corpus[8].Harc(), corpus[8].Policies)
+}
+
+// TestEncodeAllocBudget is the allocation gate on the encoder. With a
+// warm scratch, encoding allocates the encoder's tables, the solver's
+// arrays, and the binary-implication and watch lists that level-0
+// simplification grows past their carved share — nothing per formula
+// node or per variable — so the count repeats to within an allocation
+// and is pinned a few percent above it (the pointer-AST encoder made
+// 314,267 for the corpus network). Raising a budget needs a reason
+// in the commit that does it.
+func TestEncodeAllocBudget(t *testing.T) {
+	n := topology.Figure2a()
+	for _, tc := range []struct {
+		name   string
+		fix    *encodeFixture
+		budget float64
+	}{
+		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 570},
+		{"corpus-dc08", corpusFixture(t), 6250},
+	} {
+		sc := newScratch()
+		tc.fix.encodeAll(t, sc) // grow the scratch to its working size
+		got := testing.AllocsPerRun(5, func() { tc.fix.encodeAll(t, sc) })
+		t.Logf("%s: %.0f allocs per encode (budget %.0f)", tc.name, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s: %.0f allocs per encode, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}
+
+// heapDelta returns the live-heap growth across build, whose result it
+// keeps reachable until after the second measurement.
+func heapDelta(build func() any) (int64, any) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc), kept
+}
+
+// TestApproxBytesTracksHeap holds the O(1) retained-memory estimates
+// (what /statsz reports as retained bytes) to the measured heap: within
+// 25 % for the encoders a solve cache would retain, and for the worker
+// scratch they were built in.
+func TestApproxBytesTracksHeap(t *testing.T) {
+	fix := corpusFixture(t)
+	within := func(what string, approx, measured int64) {
+		t.Helper()
+		t.Logf("%s: approx %d B, measured %d B (%.2fx)", what, approx, measured, float64(approx)/float64(measured))
+		if approx < measured*3/4 || approx > measured*5/4 {
+			t.Errorf("%s: approxBytes %d is not within 25%% of the measured %d", what, approx, measured)
+		}
+	}
+	var sc *formula.Builder
+	measured, kept := heapDelta(func() any {
+		sc = newScratch()
+		fix.encodeAll(t, sc)
+		return sc
+	})
+	within("scratch", sc.ApproxBytes(), measured)
+
+	measured, kept = heapDelta(func() any { return fix.encodeAll(t, sc) })
+	var approx int64
+	for _, enc := range kept.([]*encoder) {
+		approx += enc.approxBytes()
+	}
+	within("encoders", approx, measured)
+	runtime.KeepAlive(kept)
+}

@@ -23,10 +23,12 @@ import (
 // produce: the solver is deterministic, and two sub-problems with equal
 // fingerprints build equal formulas.
 //
-// Entries retain the live encoder (interned formula.Pool plus the
-// sat.Solver with its learned clauses and saved phases), which makes the
-// session's memory footprint observable (Stats) and reclaimable
-// (Release), and supplies the model that WarmStart seeds re-solves from.
+// Entries retain the live encoder (its variable tables plus the
+// sat.Solver with its learned clauses and saved phases; the formula
+// arena it was built in is worker scratch and is not retained), which
+// makes the session's memory footprint observable (Stats) and
+// reclaimable (Release), and supplies the model that WarmStart seeds
+// re-solves from.
 //
 // A SolveCache is safe for concurrent use by parallel per-destination
 // workers and by concurrent Repair calls sharing one session.
@@ -64,7 +66,7 @@ type solveEntry struct {
 	// repair state. mergeRows replays either kind of state.
 	realized        *harc.State
 	realizedChanges int
-	// enc is the retained live encoder (pool + solver) of an uncompressed
+	// enc is the retained live encoder (tables + solver) of an uncompressed
 	// solve; nil for compressed entries, whose quotient encoder is
 	// discarded inside tryCompressed.
 	enc   *encoder
@@ -207,7 +209,7 @@ func (c *SolveCache) Stats() SolveCacheStats {
 	return st
 }
 
-// Release drops every entry, unpinning the retained solvers and pools.
+// Release drops every entry, unpinning the retained solvers.
 // The session cache calls this on LRU eviction so long-lived solvers
 // cannot leak past their session's lifetime.
 func (c *SolveCache) Release() {
@@ -466,25 +468,15 @@ func entryFor(orig *harc.State, pr *problem) *solveEntry {
 }
 
 // approxBytes estimates the heap retained by a live encoder: the SAT
-// solver's arenas, the interned formula pool, and the dense variable
-// tables.
+// solver, the dense variable tables (every row spans the slot or process
+// table) and the variable-to-literal table. The formula arena is the
+// worker's scratch, not the encoder's, so it does not count.
 func (e *encoder) approxBytes() int64 {
 	if e == nil {
 		return 0
 	}
-	n := e.s.ApproxBytes() + e.pool.ApproxBytes()
-	for _, r := range e.tVar {
-		n += int64(len(r)) * 8
-	}
-	for _, r := range e.dVar {
-		n += int64(len(r)) * 8
-	}
-	for _, r := range e.stVar {
-		n += int64(len(r)) * 8
-	}
-	for _, r := range e.rfVar {
-		n += int64(len(r)) * 8
-	}
-	n += int64(len(e.aVar))*8 + int64(len(e.softs))*4 + int64(len(e.weights))*8
-	return n
+	handles := int64(len(e.tVar)+len(e.dVar)+len(e.stVar))*int64(len(e.tb.slots)) +
+		int64(len(e.rfVar))*int64(len(e.tb.h.Procs)) +
+		int64(cap(e.aVar)+cap(e.wedgeVars))
+	return e.s.ApproxBytes() + 4*(handles+int64(cap(e.lits)+cap(e.softs))) + 8*int64(cap(e.weights))
 }

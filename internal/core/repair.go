@@ -14,6 +14,7 @@ import (
 	"repro/internal/greedy"
 	"repro/internal/harc"
 	"repro/internal/policy"
+	"repro/internal/smt/formula"
 	"repro/internal/smt/maxsat"
 	"repro/internal/smt/sat"
 	"repro/internal/topology"
@@ -662,22 +663,32 @@ func scheduleOrder(problems []*problem) []*problem {
 // Traffic classes dominate the variable count; policies break ties.
 func (pr *problem) sizeHint() int { return len(pr.tcs)*16 + len(pr.policies) }
 
+// newScratch returns one worker's constraint-building scratch: the
+// formula arena and CNF stream every sub-problem that worker encodes
+// reuses.
+func newScratch() *formula.Builder { return formula.NewBuilder(formula.NewPool()) }
+
 // runFailFast is the legacy fan-out: build and solve each problem (in
 // parallel for per-dst); the first error aborts the batch.
 func runFailFast(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options) error {
 	workers := opts.workerCount()
 	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, workers)
+		wg sync.WaitGroup
+		// A worker slot is its constraint-building scratch: holding one
+		// is holding the semaphore.
+		slots    = make(chan *formula.Builder, workers)
 		mu       sync.Mutex
 		firstErr error
 	)
+	for i := 0; i < workers; i++ {
+		slots <- newScratch()
+	}
 	for _, pr := range scheduleOrder(problems) {
 		wg.Add(1)
 		go func(pr *problem) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+			sc := <-slots
+			defer func() { slots <- sc }()
 			if ctx.Err() != nil {
 				return // cancelled while queued; RepairCtx reports ctx.Err()
 			}
@@ -690,15 +701,15 @@ func runFailFast(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 					return
 				}
 			}
-			if tryCompressed(ctx, h, orig, pr, opts) {
+			if tryCompressed(ctx, sc, h, orig, pr, opts) {
 				if memo && cacheableOutcome(pr, ctx.Err()) {
 					opts.Cache.store(fp, entryFor(orig, pr))
 				}
 				pr.stat.Duration = time.Since(t0)
 				return
 			}
-			enc := newEncoder(tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 			te := time.Now()
+			enc := newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 			if err := enc.encode(ctx); err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -755,8 +766,9 @@ func runIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := newScratch()
 			for pr := range queue {
-				solveIsolated(ctx, h, tb, orig, pr, opts, attempts, workers, &pending)
+				solveIsolated(ctx, sc, h, tb, orig, pr, opts, attempts, workers, &pending)
 				pending.Add(-1)
 			}
 		}()
@@ -765,7 +777,7 @@ func runIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 }
 
 // solveIsolated drives one sub-problem to a terminal outcome.
-func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, attempts, workers int, pending *atomic.Int64) {
+func solveIsolated(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, attempts, workers int, pending *atomic.Int64) {
 	t0 := time.Now()
 	defer func() { pr.stat.Duration = time.Since(t0) }()
 
@@ -776,7 +788,7 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 			return
 		}
 	}
-	if tryCompressed(ctx, h, orig, pr, opts) {
+	if tryCompressed(ctx, sc, h, orig, pr, opts) {
 		if memo && cacheableOutcome(pr, ctx.Err()) {
 			opts.Cache.store(fp, entryFor(orig, pr))
 		}
@@ -792,7 +804,7 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 		}
 		pr.stat.Attempts = attempt
 		wctx, cancel := watchdogCtx(ctx, opts, workers, pending)
-		enc, cost, status, err := solveOnce(wctx, tb, orig, pr, budget, opts, attempt)
+		enc, cost, status, err := solveOnce(wctx, sc, tb, orig, pr, budget, opts, attempt)
 		cancel()
 		if enc != nil {
 			pr.enc = enc
@@ -844,7 +856,7 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 // Panics anywhere in encoding or search are recovered into SolveErrors,
 // so a pathological destination cannot kill the process or its sibling
 // solves.
-func solveOnce(ctx context.Context, tb *tables, orig *harc.State, pr *problem, budget int64, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
+func solveOnce(ctx context.Context, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, budget int64, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
 	phase := "encode"
 	defer func() {
 		if r := recover(); r != nil {
@@ -854,8 +866,8 @@ func solveOnce(ctx context.Context, tb *tables, orig *harc.State, pr *problem, b
 	}()
 	o := opts
 	o.ConflictBudget = budget
-	enc = newEncoder(tb, orig, pr.tcs, pr.policies, pr.freeze, o)
 	te := time.Now()
+	enc = newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, o)
 	if eerr := enc.encode(ctx); eerr != nil {
 		pr.stat.EncodeNs += time.Since(te).Nanoseconds()
 		return enc, 0, sat.Unknown, &SolveError{Label: pr.label, Phase: "encode", Attempt: attempt, Err: eerr}

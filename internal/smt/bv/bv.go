@@ -12,7 +12,7 @@ import (
 )
 
 // Vec is an unsigned integer as bits, least-significant first.
-type Vec []*formula.F
+type Vec []formula.F
 
 // Const returns the width-bit constant v. Panics if v does not fit.
 func Const(v uint64, width int) Vec {
@@ -30,19 +30,7 @@ func Const(v uint64, width int) Vec {
 	return out
 }
 
-// New returns a width-bit vector of fresh named variables name.0 ...
-// name.<width-1>.
-func New(name string, width int) Vec {
-	out := make(Vec, width)
-	for i := range out {
-		out[i] = formula.Var(fmt.Sprintf("%s.%d", name, i))
-	}
-	return out
-}
-
-// Fresh returns a width-bit vector of fresh anonymous pool variables.
-// The pooled analogue of New for encoders that track vectors by ID
-// tables instead of names.
+// Fresh returns a width-bit vector of fresh pool variables.
 func Fresh(p *formula.Pool, width int) Vec {
 	out := make(Vec, width)
 	for i := range out {
@@ -55,7 +43,7 @@ func Fresh(p *formula.Pool, width int) Vec {
 func (v Vec) Width() int { return len(v) }
 
 // bit returns bit i, or False beyond the width.
-func (v Vec) bit(i int) *formula.F {
+func (v Vec) bit(i int) formula.F {
 	if i < len(v) {
 		return v[i]
 	}
@@ -63,7 +51,7 @@ func (v Vec) bit(i int) *formula.F {
 }
 
 // Add returns a+b with width max(len(a),len(b))+1 (no overflow).
-func Add(a, b Vec) Vec {
+func Add(p *formula.Pool, a, b Vec) Vec {
 	width := len(a)
 	if len(b) > width {
 		width = len(b)
@@ -72,10 +60,10 @@ func Add(a, b Vec) Vec {
 	carry := formula.False
 	for i := 0; i < width; i++ {
 		ai, bi := a.bit(i), b.bit(i)
-		out[i] = formula.Xor(formula.Xor(ai, bi), carry)
-		carry = formula.Or(
-			formula.And(ai, bi),
-			formula.And(carry, formula.Or(ai, bi)),
+		out[i] = p.Xor(p.Xor(ai, bi), carry)
+		carry = p.Or(
+			p.And(ai, bi),
+			p.And(carry, p.Or(ai, bi)),
 		)
 	}
 	out[width] = carry
@@ -94,20 +82,20 @@ func (v Vec) Truncate(width int) Vec {
 
 // Equal returns the formula a == b (widths may differ; missing high bits
 // are zero).
-func Equal(a, b Vec) *formula.F {
+func Equal(p *formula.Pool, a, b Vec) formula.F {
 	width := len(a)
 	if len(b) > width {
 		width = len(b)
 	}
-	parts := make([]*formula.F, width)
+	parts := make([]formula.F, width)
 	for i := 0; i < width; i++ {
-		parts[i] = formula.Iff(a.bit(i), b.bit(i))
+		parts[i] = p.Iff(a.bit(i), b.bit(i))
 	}
-	return formula.And(parts...)
+	return p.And(parts...)
 }
 
 // Less returns the formula a < b (unsigned).
-func Less(a, b Vec) *formula.F {
+func Less(p *formula.Pool, a, b Vec) formula.F {
 	width := len(a)
 	if len(b) > width {
 		width = len(b)
@@ -116,29 +104,25 @@ func Less(a, b Vec) *formula.F {
 	lt := formula.False
 	for i := 0; i < width; i++ {
 		ai, bi := a.bit(i), b.bit(i)
-		lt = formula.Or(
-			formula.And(formula.Not(ai), bi),
-			formula.And(formula.Iff(ai, bi), lt),
+		lt = p.Or(
+			p.And(formula.Not(ai), bi),
+			p.And(p.Iff(ai, bi), lt),
 		)
 	}
 	return lt
 }
 
 // LessEq returns the formula a <= b (unsigned).
-func LessEq(a, b Vec) *formula.F { return formula.Not(Less(b, a)) }
+func LessEq(p *formula.Pool, a, b Vec) formula.F { return formula.Not(Less(p, b, a)) }
 
 // NonZero returns the formula v != 0.
-func NonZero(v Vec) *formula.F {
-	parts := make([]*formula.F, len(v))
-	copy(parts, v)
-	return formula.Or(parts...)
-}
+func NonZero(p *formula.Pool, v Vec) formula.F { return p.Or(v...) }
 
-// Value reads the vector's integer value from the builder's model.
-func Value(b *formula.Builder, v Vec) uint64 {
+// Value reads the vector's integer value, bit by bit, from a model.
+func Value(v Vec, model func(formula.F) bool) uint64 {
 	var out uint64
 	for i, bit := range v {
-		if b.Value(bit) {
+		if model(bit) {
 			out |= 1 << uint(i)
 		}
 	}

@@ -9,16 +9,31 @@ import (
 	"repro/internal/smt/sat"
 )
 
-func TestConstRoundTrip(t *testing.T) {
+// bench is one pool with its builder; solve loads the builder's CNF into
+// a new solver and returns the model as Value's bit reader.
+type bench struct {
+	p *formula.Pool
+	b *formula.Builder
+}
+
+func newBench() bench {
+	p := formula.NewPool()
+	return bench{p, formula.NewBuilder(p)}
+}
+
+func (x bench) solve(t *testing.T, want sat.Status) func(formula.F) bool {
+	t.Helper()
 	s := sat.New()
-	b := formula.NewBuilder(s)
-	v := Const(13, 5)
-	// Force allocation of the const-literal machinery and solve.
-	b.Assert(formula.True)
-	if s.Solve() != sat.Sat {
-		t.Fatal("want sat")
+	s.Load(x.b.NumVars(), x.b.Stream())
+	if got := s.Solve(); got != want {
+		t.Fatalf("status %v, want %v", got, want)
 	}
-	if got := Value(b, v); got != 13 {
+	return func(f formula.F) bool { return x.b.Value(s, f) }
+}
+
+func TestConstRoundTrip(t *testing.T) {
+	x := newBench()
+	if got := Value(Const(13, 5), x.solve(t, sat.Sat)); got != 13 {
 		t.Errorf("Value = %d, want 13", got)
 	}
 }
@@ -34,31 +49,21 @@ func TestConstOverflowPanics(t *testing.T) {
 
 func TestAddConstants(t *testing.T) {
 	for _, tc := range []struct{ a, b uint64 }{{0, 0}, {1, 1}, {7, 9}, {15, 15}, {5, 0}} {
-		s := sat.New()
-		bd := formula.NewBuilder(s)
-		sum := Add(Const(tc.a, 4), Const(tc.b, 4))
-		bd.Assert(formula.True)
-		if s.Solve() != sat.Sat {
-			t.Fatal("want sat")
-		}
-		if got := Value(bd, sum); got != tc.a+tc.b {
+		x := newBench()
+		sum := Add(x.p, Const(tc.a, 4), Const(tc.b, 4))
+		if got := Value(sum, x.solve(t, sat.Sat)); got != tc.a+tc.b {
 			t.Errorf("%d+%d = %d, want %d", tc.a, tc.b, got, tc.a+tc.b)
 		}
 	}
 }
 
 func TestAddVariables(t *testing.T) {
-	s := sat.New()
-	bd := formula.NewBuilder(s)
-	x := New("x", 4)
-	y := New("y", 4)
-	sum := Add(x, y)
-	AssertEqualConst(bd, x, 9)
-	AssertEqualConst(bd, y, 8)
-	if s.Solve() != sat.Sat {
-		t.Fatal("want sat")
-	}
-	if got := Value(bd, sum); got != 17 {
+	x := newBench()
+	a, b := Fresh(x.p, 4), Fresh(x.p, 4)
+	sum := Add(x.p, a, b)
+	AssertEqualConst(x.b, a, 9)
+	AssertEqualConst(x.b, b, 8)
+	if got := Value(sum, x.solve(t, sat.Sat)); got != 17 {
 		t.Errorf("sum = %d, want 17 (no overflow: width grows)", got)
 	}
 }
@@ -69,71 +74,54 @@ func TestLessAndLessEq(t *testing.T) {
 		lt   bool
 	}{{3, 5, true}, {5, 3, false}, {4, 4, false}, {0, 1, true}, {15, 0, false}}
 	for _, tc := range cases {
-		s := sat.New()
-		bd := formula.NewBuilder(s)
-		f := Less(Const(tc.a, 4), Const(tc.b, 4))
-		bd.Assert(formula.True)
-		if s.Solve() != sat.Sat {
-			t.Fatal("want sat")
-		}
-		if got := bd.Value(f); got != tc.lt {
+		x := newBench()
+		lt := Less(x.p, Const(tc.a, 4), Const(tc.b, 4))
+		le := LessEq(x.p, Const(tc.a, 4), Const(tc.b, 4))
+		model := x.solve(t, sat.Sat)
+		if got := model(lt); got != tc.lt {
 			t.Errorf("%d < %d = %v, want %v", tc.a, tc.b, got, tc.lt)
 		}
-		le := bd.Value(LessEq(Const(tc.a, 4), Const(tc.b, 4)))
-		if le != (tc.a <= tc.b) {
-			t.Errorf("%d <= %d = %v", tc.a, tc.b, le)
+		if model(le) != (tc.a <= tc.b) {
+			t.Errorf("%d <= %d = %v", tc.a, tc.b, model(le))
 		}
 	}
 }
 
 func TestEqualMixedWidths(t *testing.T) {
-	s := sat.New()
-	bd := formula.NewBuilder(s)
-	f := Equal(Const(5, 3), Const(5, 6))
-	g := Equal(Const(5, 3), Const(13, 6))
-	bd.Assert(formula.True)
-	if s.Solve() != sat.Sat {
-		t.Fatal("want sat")
-	}
-	if !bd.Value(f) {
+	x := newBench()
+	f := Equal(x.p, Const(5, 3), Const(5, 6))
+	g := Equal(x.p, Const(5, 3), Const(13, 6))
+	model := x.solve(t, sat.Sat)
+	if !model(f) {
 		t.Error("5 == 5 across widths should hold")
 	}
-	if bd.Value(g) {
+	if model(g) {
 		t.Error("5 == 13 should not hold")
 	}
 }
 
 func TestNonZero(t *testing.T) {
-	s := sat.New()
-	bd := formula.NewBuilder(s)
-	x := New("x", 3)
-	bd.Assert(NonZero(x))
-	bd.Assert(formula.Not(x[1]))
-	bd.Assert(formula.Not(x[2]))
-	if s.Solve() != sat.Sat {
-		t.Fatal("want sat")
-	}
-	if Value(bd, x) != 1 {
-		t.Errorf("x = %d, want 1", Value(bd, x))
+	x := newBench()
+	v := Fresh(x.p, 3)
+	x.b.Assert(NonZero(x.p, v))
+	x.b.Assert(formula.Not(v[1]))
+	x.b.Assert(formula.Not(v[2]))
+	if got := Value(v, x.solve(t, sat.Sat)); got != 1 {
+		t.Errorf("v = %d, want 1", got)
 	}
 }
 
 func TestSolverFindsAddends(t *testing.T) {
-	// x + y == 10, x < y, x > 0: solver must find a concrete split.
-	s := sat.New()
-	bd := formula.NewBuilder(s)
-	x := New("x", 4)
-	y := New("y", 4)
-	sum := Add(x, y)
-	bd.Assert(Equal(sum, Const(10, 5)))
-	bd.Assert(Less(x, y))
-	bd.Assert(NonZero(x))
-	if s.Solve() != sat.Sat {
-		t.Fatal("want sat")
-	}
-	xv, yv := Value(bd, x), Value(bd, y)
-	if xv+yv != 10 || xv >= yv || xv == 0 {
-		t.Errorf("x=%d y=%d violates constraints", xv, yv)
+	// a + b == 10, a < b, a > 0: solver must find a concrete split.
+	x := newBench()
+	a, b := Fresh(x.p, 4), Fresh(x.p, 4)
+	x.b.Assert(Equal(x.p, Add(x.p, a, b), Const(10, 5)))
+	x.b.Assert(Less(x.p, a, b))
+	x.b.Assert(NonZero(x.p, a))
+	model := x.solve(t, sat.Sat)
+	av, bv := Value(a, model), Value(b, model)
+	if av+bv != 10 || av >= bv || av == 0 {
+		t.Errorf("a=%d b=%d violates constraints", av, bv)
 	}
 }
 
@@ -153,29 +141,15 @@ func TestDifferentialArithmetic(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := uint64(r.Intn(256))
 		b := uint64(r.Intn(256))
-		s := sat.New()
-		bd := formula.NewBuilder(s)
-		va := New("a", 8)
-		vb := New("b", 8)
-		AssertEqualConst(bd, va, a)
-		AssertEqualConst(bd, vb, b)
-		sum := Add(va, vb)
-		if s.Solve() != sat.Sat {
-			return false
-		}
-		if Value(bd, sum) != a+b {
-			return false
-		}
-		if bd.Value(Less(va, vb)) != (a < b) {
-			return false
-		}
-		if bd.Value(LessEq(va, vb)) != (a <= b) {
-			return false
-		}
-		if bd.Value(Equal(va, vb)) != (a == b) {
-			return false
-		}
-		return true
+		x := newBench()
+		va, vb := Fresh(x.p, 8), Fresh(x.p, 8)
+		AssertEqualConst(x.b, va, a)
+		AssertEqualConst(x.b, vb, b)
+		sum := Add(x.p, va, vb)
+		lt, le, eq := Less(x.p, va, vb), LessEq(x.p, va, vb), Equal(x.p, va, vb)
+		model := x.solve(t, sat.Sat)
+		return Value(sum, model) == a+b &&
+			model(lt) == (a < b) && model(le) == (a <= b) && model(eq) == (a == b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -183,11 +157,7 @@ func TestDifferentialArithmetic(t *testing.T) {
 }
 
 func TestAssertEqualConstTooBig(t *testing.T) {
-	s := sat.New()
-	bd := formula.NewBuilder(s)
-	x := New("x", 3)
-	AssertEqualConst(bd, x, 9) // does not fit in 3 bits
-	if s.Solve() != sat.Unsat {
-		t.Error("oversized AssertEqualConst should be unsat")
-	}
+	x := newBench()
+	AssertEqualConst(x.b, Fresh(x.p, 3), 9) // does not fit in 3 bits
+	x.solve(t, sat.Unsat)
 }

@@ -124,22 +124,22 @@ func Parse(r io.Reader) (*Problem, error) {
 // becomes (C_i ∨ ¬s_i) and the returned lits are the s_i (true ⇔ the
 // clause must hold), ready for maxsat.SolveWeighted.
 func (p *Problem) Load() (*sat.Solver, []sat.Lit) {
-	s := sat.New()
-	for i := 0; i < p.NumVars; i++ {
-		s.NewVar()
-	}
+	var stream []sat.Lit
 	for _, c := range p.Hard {
-		s.AddClause(c...)
+		stream = sat.AppendClause(stream, c...)
 	}
 	selectors := make([]sat.Lit, len(p.Soft))
+	var clause []sat.Lit
 	for i, c := range p.Soft {
-		sel := sat.MkLit(s.NewVar(), false)
-		clause := append(append([]sat.Lit{}, c...), sel.Not())
-		s.AddClause(clause...)
+		sel := sat.MkLit(sat.Var(p.NumVars+i), false)
+		clause = append(append(clause[:0], c...), sel.Not())
+		stream = sat.AppendClause(stream, clause...)
 		selectors[i] = sel
 	}
 	// The reverse binding (clause ⇒ sel) is unnecessary: minimizing
 	// violated selectors sets sel true exactly when the clause holds.
+	s := sat.New()
+	s.Load(p.NumVars+len(p.Soft), stream)
 	return s, selectors
 }
 

@@ -1,555 +1,487 @@
-// Package formula provides a boolean formula AST with light
-// simplification and a Tseitin transformation onto the CDCL SAT solver.
-// It is the constraint-building layer used by CPR's MaxSMT encoding
-// (Figure 5 of the paper) and by the bitvector arithmetic of package bv.
+// Package formula provides hash-consed boolean formulas in a flat arena
+// and a Tseitin transformation that writes CNF as a clause stream for
+// sat.Solver.Load. It is the constraint-building layer used by CPR's
+// MaxSMT encoding (Figure 5 of the paper) and by the bitvector
+// arithmetic of package bv.
 package formula
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/smt/sat"
 )
 
-// Op is a formula node kind.
-type Op int
+// F is a formula handle into a Pool: bit 0 negates, bit 1 marks a
+// variable, and the remaining bits index the pool's variables (by
+// ordinal) or its composite nodes. Handles compare with ==: within one
+// pool, structurally identical formulas have equal handles. The zero
+// value means "no formula", so tables of handles start out empty.
+type F uint32
 
-// Node kinds.
+const (
+	negBit F = 1 << iota
+	varBit
+	indexShift = iota
+)
+
+// True and False are the boolean constants (composite node 1 of every
+// pool, plain and negated).
+const (
+	True  F = 1 << indexShift
+	False F = True | negBit
+)
+
+// Not negates f: a bit flip that allocates and interns nothing, which
+// also folds double negation and the constants.
+func Not(f F) F { return f ^ negBit }
+
+// IsVar reports whether f is a variable or a negated one.
+func (f F) IsVar() bool { return f&varBit != 0 }
+
+// Var returns the ordinal of f's variable (f.IsVar() must hold).
+func (f F) Var() int { return int(f >> indexShift) }
+
+// Op is a composite node kind.
+type Op uint8
+
+// Node kinds. Variables and negations are handle bits, not nodes.
 const (
 	OpTrue Op = iota
-	OpFalse
-	OpVar
-	OpNot
 	OpAnd
 	OpOr
 )
 
-// F is an immutable boolean formula node. Construct via the package
-// functions; the zero value is not meaningful. Nodes created through a
-// Pool additionally carry an integer ID for dense Builder lookups.
-type F struct {
-	op   Op
-	name string
-	kids []*F
-	pool *Pool
-	id   int32
-}
-
-// True and False are the boolean constants.
-var (
-	True  = &F{op: OpTrue}
-	False = &F{op: OpFalse}
-)
-
-// Var returns a named variable node. Two Var calls with the same name
-// denote the same SAT variable within one Builder.
-func Var(name string) *F { return &F{op: OpVar, name: name} }
-
-// Pool hash-conses formula nodes into integer-ID, slice-backed storage.
-// Structurally identical composites built from pooled operands return
-// the same *F, so node identity is pointer identity and a Builder can
-// cache Tseitin literals in a dense slice instead of a map. A Pool is
-// not safe for concurrent use; encoders own one pool each.
+// Pool is the arena formulas live in: per composite node an op and a kid
+// range, every kid in one shared backing array, and an open-addressed
+// hash-cons table. Building a formula allocates only when one of those
+// slices grows; Reset keeps them for the next use. A Pool is not safe
+// for concurrent use: every encoding worker owns one.
 type Pool struct {
-	nodes   []*F
-	byName  map[string]*F
-	buckets map[uint64][]*F
+	nvars uint32
+	// Node i's kids are kids[offs[i]:offs[i+1]] (nodes and their kids are
+	// appended together). Node 0 is unused, so that no handle is zero;
+	// node 1 is the constant.
+	ops  []Op
+	offs []uint32
+	kids []F
+	// table holds node indices, 0 for an empty slot, at no more than half
+	// load.
+	table []uint32
+	// buf is the stack And, Or and the Builder's top-level clausifier
+	// flatten their operands onto.
+	buf []F
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{byName: make(map[string]*F), buckets: make(map[uint64][]*F)}
-}
-
-// Size returns the number of interned nodes.
-func (p *Pool) Size() int { return len(p.nodes) }
-
-// ApproxBytes estimates the heap retained by the pool: every interned
-// node plus the hash-cons index structures. Used for /statsz memory
-// accounting of encodings persisted across incremental-repair calls.
-func (p *Pool) ApproxBytes() int64 {
-	const nodeSize = 64 // *F header + op/name/kids/pool/id fields
-	n := int64(cap(p.nodes)) * 8
-	for _, f := range p.nodes {
-		n += nodeSize + int64(len(f.name)) + int64(cap(f.kids))*8
-	}
-	// map overhead: roughly one bucket slot (key + pointer) per entry.
-	n += int64(len(p.byName)) * 40
-	for _, bucket := range p.buckets {
-		n += 16 + int64(cap(bucket))*8
-	}
-	return n
-}
-
-// Var returns the pool's variable node for name, interning on first use.
-func (p *Pool) Var(name string) *F {
-	if f, ok := p.byName[name]; ok {
-		return f
-	}
-	f := p.newNode(OpVar, name, nil)
-	p.byName[name] = f
-	return f
-}
-
-// Fresh returns a new anonymous variable node, distinct from every other
-// node in the pool. Fresh variables skip string naming entirely — the
-// encoder's precomputed ID tables make names unnecessary on the hot path.
-func (p *Pool) Fresh() *F { return p.newNode(OpVar, "", nil) }
-
-func (p *Pool) newNode(op Op, name string, kids []*F) *F {
-	f := &F{op: op, name: name, kids: kids, pool: p, id: int32(len(p.nodes))}
-	p.nodes = append(p.nodes, f)
-	return f
-}
-
-// intern returns the pooled node for (op, kids), hash-consing on the
-// kids' IDs. All kids must already belong to this pool.
-func (p *Pool) intern(op Op, kids []*F) *F {
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(op)) * 1099511628211
-	for _, k := range kids {
-		h = (h ^ uint64(uint32(k.id))) * 1099511628211
-	}
-	for _, f := range p.buckets[h] {
-		if f.op == op && len(f.kids) == len(kids) {
-			same := true
-			for i, k := range f.kids {
-				if k != kids[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				return f
-			}
-		}
-	}
-	f := p.newNode(op, "", kids)
-	p.buckets[h] = append(p.buckets[h], f)
-	return f
-}
-
-// poolOf returns the common pool of kids, or nil if any kid is unpooled
-// or the kids span distinct pools.
-func poolOf(kids []*F) *Pool {
-	var p *Pool
-	for _, k := range kids {
-		if k.pool == nil {
-			return nil
-		}
-		if p == nil {
-			p = k.pool
-		} else if p != k.pool {
-			return nil
-		}
-	}
+	p := &Pool{table: make([]uint32, 256)}
+	p.Reset()
 	return p
 }
 
-// Not negates f, folding constants and double negation.
-func Not(f *F) *F {
-	switch f.op {
-	case OpTrue:
+// Reset empties the pool, keeping its storage. Every handle it issued is
+// invalid afterwards.
+func (p *Pool) Reset() {
+	p.nvars = 0
+	p.ops = append(p.ops[:0], OpTrue, OpTrue)
+	p.offs = append(p.offs[:0], 0, 0, 0)
+	p.kids = p.kids[:0]
+	p.buf = p.buf[:0] // a panic mid-construction may have left operands pushed
+	clear(p.table)
+}
+
+// Size returns the number of composite nodes interned so far.
+func (p *Pool) Size() int { return len(p.ops) - 2 }
+
+// ApproxBytes is the heap the pool holds: the capacities of its slices.
+func (p *Pool) ApproxBytes() int64 {
+	return int64(cap(p.ops)) + 4*int64(cap(p.offs)+cap(p.kids)+cap(p.table)+cap(p.buf))
+}
+
+// Fresh returns a new variable, distinct from every other. Variables
+// have no node and no name: a variable is its ordinal.
+func (p *Pool) Fresh() F {
+	p.nvars++
+	return F(p.nvars-1)<<indexShift | varBit
+}
+
+// node returns the composite node index of f and its op, or ok=false
+// when f is negated, a variable or a constant.
+func (p *Pool) node(f F) (i uint32, op Op, ok bool) {
+	if f&(negBit|varBit) != 0 {
+		return 0, 0, false
+	}
+	i = uint32(f >> indexShift)
+	return i, p.ops[i], p.ops[i] != OpTrue
+}
+
+func (p *Pool) kidsOf(i uint32) []F { return p.kids[p.offs[i]:p.offs[i+1]] }
+
+func hashNode(op Op, kids []F) uint32 {
+	h := (uint32(2166136261) ^ uint32(op)) * 16777619
+	for _, k := range kids {
+		h = (h ^ uint32(k)) * 16777619
+	}
+	// The table index is h's low bits, which the multiply alone leaves
+	// dependent on the operands' low (flag) bits only.
+	h ^= h >> 15
+	h *= 0x2c1b3c6d
+	return h ^ h>>12
+}
+
+// intern returns the node for (op, kids), appending it on first sight.
+func (p *Pool) intern(op Op, kids []F) F {
+	mask := uint32(len(p.table) - 1)
+	slot := hashNode(op, kids) & mask
+probe:
+	for ; p.table[slot] != 0; slot = (slot + 1) & mask {
+		i := p.table[slot]
+		have := p.kidsOf(i)
+		if p.ops[i] != op || len(have) != len(kids) {
+			continue
+		}
+		for j, k := range have {
+			if k != kids[j] {
+				continue probe
+			}
+		}
+		return F(i) << indexShift
+	}
+	i := uint32(len(p.ops))
+	p.ops = append(p.ops, op)
+	p.kids = append(p.kids, kids...)
+	p.offs = append(p.offs, uint32(len(p.kids)))
+	p.table[slot] = i
+	if 2*len(p.ops) > len(p.table) {
+		p.rehash()
+	}
+	return F(i) << indexShift
+}
+
+// rehash doubles the table and reinserts every node.
+func (p *Pool) rehash() {
+	p.table = make([]uint32, 2*len(p.table))
+	mask := uint32(len(p.table) - 1)
+	for i := uint32(2); i < uint32(len(p.ops)); i++ {
+		slot := hashNode(p.ops[i], p.kidsOf(i)) & mask
+		for p.table[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		p.table[slot] = i
+	}
+}
+
+// unit is the identity constant of an op-junction; its negation absorbs.
+func unit(op Op) F {
+	if op == OpOr {
 		return False
-	case OpFalse:
-		return True
-	case OpNot:
-		return f.kids[0]
 	}
-	if f.pool != nil {
-		return f.pool.intern(OpNot, []*F{f})
+	return True
+}
+
+// flatten pushes the operands of an op-junction onto p.buf, dropping the
+// op's identity constant and splicing in the kids of un-negated same-op
+// operands, and returns them (the caller pops: p.buf = p.buf[:mark]). An
+// absorbing constant among the operands gives absorbed=true instead.
+// Only plain same-op operands are spliced — a negated junction keeps its
+// own node and its own Tseitin variable — and that rule is part of the
+// CNF contract: it decides which sub-formulas are shared.
+func (p *Pool) flatten(op Op, fs []F) (kids []F, absorbed bool) {
+	mark := len(p.buf)
+	for _, f := range fs {
+		switch i, fop, ok := p.node(f); {
+		case f == unit(op):
+		case f == Not(unit(op)):
+			return nil, true
+		case ok && fop == op:
+			p.buf = append(p.buf, p.kidsOf(i)...)
+		default:
+			p.buf = append(p.buf, f)
+		}
 	}
-	return &F{op: OpNot, kids: []*F{f}}
+	return p.buf[mark:], false
+}
+
+func (p *Pool) junction(op Op, fs []F) F {
+	mark := len(p.buf)
+	kids, absorbed := p.flatten(op, fs)
+	var f F
+	switch {
+	case absorbed:
+		f = Not(unit(op))
+	case len(kids) == 0:
+		f = unit(op)
+	case len(kids) == 1:
+		f = kids[0]
+	default:
+		f = p.intern(op, kids)
+	}
+	p.buf = p.buf[:mark]
+	return f
 }
 
 // And conjoins fs, flattening nested conjunctions and folding constants.
-func And(fs ...*F) *F {
-	var kids []*F
-	for _, f := range fs {
-		switch f.op {
-		case OpTrue:
-			continue
-		case OpFalse:
-			return False
-		case OpAnd:
-			kids = append(kids, f.kids...)
-		default:
-			kids = append(kids, f)
-		}
-	}
-	switch len(kids) {
-	case 0:
-		return True
-	case 1:
-		return kids[0]
-	}
-	if p := poolOf(kids); p != nil {
-		return p.intern(OpAnd, kids)
-	}
-	return &F{op: OpAnd, kids: kids}
-}
+func (p *Pool) And(fs ...F) F { return p.junction(OpAnd, fs) }
 
 // Or disjoins fs, flattening nested disjunctions and folding constants.
-func Or(fs ...*F) *F {
-	var kids []*F
-	for _, f := range fs {
-		switch f.op {
-		case OpFalse:
-			continue
-		case OpTrue:
-			return True
-		case OpOr:
-			kids = append(kids, f.kids...)
-		default:
-			kids = append(kids, f)
-		}
-	}
-	switch len(kids) {
-	case 0:
-		return False
-	case 1:
-		return kids[0]
-	}
-	if p := poolOf(kids); p != nil {
-		return p.intern(OpOr, kids)
-	}
-	return &F{op: OpOr, kids: kids}
-}
+func (p *Pool) Or(fs ...F) F { return p.junction(OpOr, fs) }
 
 // Implies returns a → b.
-func Implies(a, b *F) *F { return Or(Not(a), b) }
+func (p *Pool) Implies(a, b F) F { return p.Or(Not(a), b) }
 
 // Iff returns a ↔ b.
-func Iff(a, b *F) *F { return And(Implies(a, b), Implies(b, a)) }
+func (p *Pool) Iff(a, b F) F { return p.And(p.Implies(a, b), p.Implies(b, a)) }
 
 // Xor returns a ⊕ b.
-func Xor(a, b *F) *F { return Or(And(a, Not(b)), And(Not(a), b)) }
+func (p *Pool) Xor(a, b F) F { return p.Or(p.And(a, Not(b)), p.And(Not(a), b)) }
 
 // Ite returns the multiplexer: cond ? a : b.
-func Ite(cond, a, b *F) *F { return And(Implies(cond, a), Implies(Not(cond), b)) }
+func (p *Pool) Ite(cond, a, b F) F {
+	return p.And(p.Implies(cond, a), p.Implies(Not(cond), b))
+}
 
-// String renders the formula for debugging.
-func (f *F) String() string {
-	switch f.op {
-	case OpTrue:
+// String renders f for debugging.
+func (p *Pool) String(f F) string {
+	switch i, op, ok := p.node(f &^ negBit); {
+	case f == True:
 		return "true"
-	case OpFalse:
+	case f == False:
 		return "false"
-	case OpVar:
-		if f.name == "" && f.pool != nil {
-			return fmt.Sprintf("v%d", f.id)
+	case f&negBit != 0:
+		return "!" + p.String(Not(f))
+	case !ok:
+		return fmt.Sprintf("v%d", f.Var())
+	default:
+		parts := make([]string, 0, 4)
+		for _, k := range p.kidsOf(i) {
+			parts = append(parts, p.String(k))
 		}
-		return f.name
-	case OpNot:
-		return "!" + f.kids[0].String()
-	case OpAnd, OpOr:
-		opStr := " & "
-		if f.op == OpOr {
-			opStr = " | "
-		}
-		parts := make([]string, len(f.kids))
-		for i, k := range f.kids {
-			parts[i] = k.String()
-		}
-		return "(" + strings.Join(parts, opStr) + ")"
+		return "(" + strings.Join(parts, [...]string{OpAnd: " & ", OpOr: " | "}[op]) + ")"
 	}
-	return "?"
 }
 
-// Builder maps formulas onto a SAT solver: named variables to solver
-// variables and composite nodes to Tseitin-defined literals. A builder
-// attached to a Pool (NewPooledBuilder) caches pooled nodes in a dense
-// ID-indexed slice; name-keyed and pointer-keyed maps remain only as the
-// fallback for unpooled nodes.
+// Builder turns formulas of one pool into CNF. It numbers solver
+// variables itself and appends clauses to a flat stream
+// (sat.AppendClause's layout) that a single sat.Solver.Load consumes,
+// instead of calling the solver per variable and per clause.
+//
+// The numbering is part of the solve-cache and golden contract: a
+// formula variable gets its solver variable at first use, and a
+// composite gets its Tseitin variable after every kid has one (Lit's
+// post-order walk); clauses appear in emission order.
 type Builder struct {
-	S     *sat.Solver
-	pool  *Pool
-	vars  map[string]sat.Var
-	cache map[*F]sat.Lit
-	// nodeLits caches literals for pooled nodes, indexed by node ID.
-	// Entries store lit+1 so the zero value means "unset".
+	p      *Pool
+	nVars  int
+	stream []sat.Lit
+	// varLits and nodeLits hold literal+1 per pool variable and per
+	// composite node, 0 until first use.
+	varLits  []sat.Lit
 	nodeLits []sat.Lit
-	// constTrue is a literal asserted true, used for constant nodes.
-	constTrue sat.Lit
-	hasConst  bool
+	// tmp is the stack clauses are assembled on.
+	tmp []sat.Lit
 }
 
-// NewBuilder wraps a solver.
-func NewBuilder(s *sat.Solver) *Builder {
-	return &Builder{S: s, vars: make(map[string]sat.Var), cache: make(map[*F]sat.Lit)}
+// NewBuilder returns a builder for formulas of p.
+func NewBuilder(p *Pool) *Builder { return &Builder{p: p} }
+
+// Pool returns the pool whose formulas the builder encodes.
+func (b *Builder) Pool() *Pool { return b.p }
+
+// Reset empties the builder and its pool for the next encoding, keeping
+// their storage.
+func (b *Builder) Reset() {
+	b.p.Reset()
+	b.nVars = 0
+	b.stream = b.stream[:0]
+	b.varLits = b.varLits[:0]
+	b.nodeLits = b.nodeLits[:0]
+	b.tmp = b.tmp[:0]
 }
 
-// NewPooledBuilder wraps a solver with dense literal caching for nodes
-// of pool p.
-func NewPooledBuilder(s *sat.Solver, p *Pool) *Builder {
-	b := NewBuilder(s)
-	b.pool = p
-	return b
+// NumVars and Stream are the CNF built so far: sat.Solver.Load's
+// arguments. The stream aliases the builder's storage until Reset.
+func (b *Builder) NumVars() int      { return b.nVars }
+func (b *Builder) Stream() []sat.Lit { return b.stream }
+
+// VarLits returns a copy of the variable table: per pool variable its
+// solver literal plus one, or 0 if no constraint ever used it. It is what
+// a caller keeps to read a model once the builder has been reset.
+func (b *Builder) VarLits() []sat.Lit {
+	out := make([]sat.Lit, b.p.nvars)
+	copy(out, b.varLits)
+	return out
 }
 
-// pooledLit returns the cached literal of a pooled node, or ok=false.
-func (b *Builder) pooledLit(f *F) (sat.Lit, bool) {
-	if int(f.id) >= len(b.nodeLits) {
-		return 0, false
-	}
-	l := b.nodeLits[f.id]
-	if l == 0 {
-		return 0, false
-	}
-	return l - 1, true
+// ApproxBytes is the heap the builder and its pool hold.
+func (b *Builder) ApproxBytes() int64 {
+	return b.p.ApproxBytes() + 4*int64(cap(b.stream)+cap(b.varLits)+cap(b.nodeLits)+cap(b.tmp))
 }
 
-// setPooledLit caches the literal of a pooled node. The cache grows
-// geometrically: the pool keeps interning nodes while constraints are
-// emitted, so sizing to the pool's current size would reallocate on
-// nearly every new node.
-func (b *Builder) setPooledLit(f *F, l sat.Lit) {
-	if int(f.id) >= len(b.nodeLits) {
-		n := 2 * len(b.nodeLits)
-		if n < int(f.id)+1 {
-			n = int(f.id) + 1
+// slot returns the table entry for index i, extending the table with
+// zeros (spare capacity may hold a previous encoding's entries).
+func slot(table *[]sat.Lit, i int) *sat.Lit {
+	if t := *table; i >= len(t) {
+		if i < cap(t) {
+			clear(t[len(t) : i+1])
+			*table = t[:i+1]
+		} else {
+			*table = append(t, make([]sat.Lit, i+1-len(t))...)
 		}
-		if n < 64 {
-			n = 64
-		}
-		grown := make([]sat.Lit, n)
-		copy(grown, b.nodeLits)
-		b.nodeLits = grown
 	}
-	b.nodeLits[f.id] = l + 1
+	return &(*table)[i]
 }
 
-// VarLit returns (allocating on first use) the solver variable for name.
-func (b *Builder) VarLit(name string) sat.Lit {
-	v, ok := b.vars[name]
-	if !ok {
-		v = b.S.NewVar()
-		b.vars[name] = v
-	}
-	return sat.MkLit(v, false)
+func (b *Builder) newVar() sat.Lit {
+	b.nVars++
+	return sat.MkLit(sat.Var(b.nVars-1), false)
 }
 
-// Prefer seeds the solver's branching polarity for a named variable;
-// unknown names allocate the variable.
-func (b *Builder) Prefer(name string, val bool) {
-	l := b.VarLit(name)
-	b.S.SetPhase(l.Var(), val)
-}
-
-// PreferF seeds the solver's branching polarity for a variable node,
-// allocating its solver variable on first use. The ID-indexed analogue
-// of Prefer for pooled anonymous variables.
-func (b *Builder) PreferF(f *F, val bool) {
-	b.S.SetPhase(b.Lit(f).Var(), val)
-}
-
-// AllocatedVar reports whether the variable node f already has a solver
-// variable, without allocating one. The node-based analogue of HasVar
-// for pooled anonymous variables.
-func (b *Builder) AllocatedVar(f *F) bool {
-	if f.op != OpVar {
-		return false
-	}
-	if f.name != "" {
-		_, ok := b.vars[f.name]
-		return ok
-	}
-	if b.pool != nil && f.pool == b.pool {
-		_, ok := b.pooledLit(f)
-		return ok
-	}
-	_, ok := b.cache[f]
-	return ok
-}
-
-// HasVar reports whether a named variable has been allocated.
-func (b *Builder) HasVar(name string) bool {
-	_, ok := b.vars[name]
-	return ok
-}
-
-// VarNames returns all allocated variable names, sorted.
-func (b *Builder) VarNames() []string {
-	names := make([]string, 0, len(b.vars))
-	for n := range b.vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// trueLit returns a literal constrained to be true.
-func (b *Builder) trueLit() sat.Lit {
-	if !b.hasConst {
-		v := b.S.NewVar()
-		b.constTrue = sat.MkLit(v, false)
-		b.S.AddClause(b.constTrue)
-		b.hasConst = true
-	}
-	return b.constTrue
-}
+func (b *Builder) clause(lits ...sat.Lit) { b.stream = sat.AppendClause(b.stream, lits...) }
 
 // Lit returns a solver literal equivalent to f, introducing Tseitin
-// definitions for composite nodes (cached per node). Pooled nodes hit a
-// dense ID-indexed cache; hash-consing makes structurally identical
-// pooled composites share one Tseitin definition.
-func (b *Builder) Lit(f *F) sat.Lit {
-	dense := b.pool != nil && f.pool == b.pool
-	switch f.op {
+// definitions for composite nodes (one per node: hash-consing makes
+// structurally identical composites share it).
+func (b *Builder) Lit(f F) sat.Lit {
+	neg := sat.Lit(f & negBit)
+	if f.IsVar() {
+		l := slot(&b.varLits, f.Var())
+		if *l == 0 {
+			*l = b.newVar() + 1
+		}
+		return (*l - 1) ^ neg
+	}
+	i := uint32(f >> indexShift)
+	if l := *slot(&b.nodeLits, int(i)); l != 0 {
+		return (l - 1) ^ neg
+	}
+	mark := len(b.tmp)
+	for _, k := range b.p.kidsOf(i) {
+		kl := b.Lit(k)
+		b.tmp = append(b.tmp, kl)
+	}
+	l := b.newVar()
+	kids := b.tmp[mark:]
+	switch b.p.ops[i] {
 	case OpTrue:
-		return b.trueLit()
-	case OpFalse:
-		return b.trueLit().Not()
-	case OpVar:
-		if f.name != "" {
-			// Named variables unify by name across pooled and legacy
-			// construction, preserving Var's contract.
-			return b.VarLit(f.name)
-		}
-		if dense {
-			if l, ok := b.pooledLit(f); ok {
-				return l
-			}
-			l := sat.MkLit(b.S.NewVar(), false)
-			b.setPooledLit(f, l)
-			return l
-		}
-		if l, ok := b.cache[f]; ok {
-			return l
-		}
-		l := sat.MkLit(b.S.NewVar(), false)
-		b.cache[f] = l
-		return l
-	case OpNot:
-		return b.Lit(f.kids[0]).Not()
-	}
-	if dense {
-		if l, ok := b.pooledLit(f); ok {
-			return l
-		}
-	} else if l, ok := b.cache[f]; ok {
-		return l
-	}
-	kidLits := make([]sat.Lit, len(f.kids))
-	for i, k := range f.kids {
-		kidLits[i] = b.Lit(k)
-	}
-	v := b.S.NewVar()
-	l := sat.MkLit(v, false)
-	switch f.op {
+		b.clause(l)
 	case OpAnd:
 		// l ↔ AND(kids): (¬l ∨ k_i) for each i; (l ∨ ¬k_1 ∨ ... ∨ ¬k_n).
-		long := make([]sat.Lit, 0, len(kidLits)+1)
-		long = append(long, l)
-		for _, k := range kidLits {
-			b.S.AddClause(l.Not(), k)
-			long = append(long, k.Not())
+		for _, k := range kids {
+			b.clause(l.Not(), k)
 		}
-		b.S.AddClause(long...)
+		b.stream = append(b.stream, sat.Lit(len(kids)+1), l)
+		for _, k := range kids {
+			b.stream = append(b.stream, k.Not())
+		}
 	case OpOr:
 		// l ↔ OR(kids): (¬k_i ∨ l) for each i; (¬l ∨ k_1 ∨ ... ∨ k_n).
-		long := make([]sat.Lit, 0, len(kidLits)+1)
-		long = append(long, l.Not())
-		for _, k := range kidLits {
-			b.S.AddClause(k.Not(), l)
-			long = append(long, k)
+		for _, k := range kids {
+			b.clause(k.Not(), l)
 		}
-		b.S.AddClause(long...)
-	default:
-		panic(fmt.Sprintf("formula: unexpected op %d", f.op))
+		b.stream = append(append(b.stream, sat.Lit(len(kids)+1), l.Not()), kids...)
 	}
-	if dense {
-		b.setPooledLit(f, l)
-	} else {
-		b.cache[f] = l
-	}
-	return l
+	b.tmp = b.tmp[:mark]
+	b.nodeLits[i] = l + 1
+	return l ^ neg
 }
 
 // Assert adds f as a hard constraint. Top-level conjunctions become
 // separate assertions and top-level disjunctions become a single clause,
 // avoiding auxiliary variables where possible.
-func (b *Builder) Assert(f *F) {
-	switch f.op {
-	case OpTrue:
-		return
-	case OpFalse:
-		b.S.AddClause() // empty clause: unsatisfiable
-		return
-	case OpAnd:
-		for _, k := range f.kids {
+func (b *Builder) Assert(f F) {
+	switch i, op, ok := b.p.node(f); {
+	case f == True:
+	case f == False:
+		b.clause() // empty clause: unsatisfiable
+	case ok && op == OpAnd:
+		for _, k := range b.p.kidsOf(i) {
 			b.Assert(k)
 		}
-		return
-	case OpOr:
-		clause := make([]sat.Lit, len(f.kids))
-		for i, k := range f.kids {
-			clause[i] = b.Lit(k)
-		}
-		b.S.AddClause(clause...)
-		return
+	case ok && op == OpOr:
+		b.anyOf(b.p.kidsOf(i))
+	default:
+		b.clause(b.Lit(f))
 	}
-	b.S.AddClause(b.Lit(f))
+}
+
+// anyOf emits the clause over the literals of kids.
+func (b *Builder) anyOf(kids []F) {
+	mark := len(b.tmp)
+	for _, k := range kids {
+		kl := b.Lit(k)
+		b.tmp = append(b.tmp, kl)
+	}
+	b.clause(b.tmp[mark:]...)
+	b.tmp = b.tmp[:mark]
+}
+
+// AssertOr is Assert(p.Or(fs...)) without interning the disjunction: the
+// operands are flattened and folded exactly as Or would, then clausified
+// in place. AssertImplies and AssertIff do the same for a → b and a ↔ b
+// (two implications). The CNF is the same either way — a top-level
+// disjunction never gets a Tseitin variable — so these exist only to
+// keep nodes that nothing else refers to out of the arena.
+func (b *Builder) AssertOr(fs ...F) {
+	p := b.p
+	mark := len(p.buf)
+	switch kids, absorbed := p.flatten(OpOr, fs); {
+	case absorbed:
+	case len(kids) == 0:
+		b.clause()
+	case len(kids) == 1:
+		b.Assert(kids[0])
+	default:
+		b.anyOf(kids)
+	}
+	p.buf = p.buf[:mark]
+}
+
+// AssertImplies asserts a → b.
+func (b *Builder) AssertImplies(a, c F) { b.AssertOr(Not(a), c) }
+
+// AssertIff asserts a ↔ b.
+func (b *Builder) AssertIff(a, c F) {
+	b.AssertImplies(a, c)
+	b.AssertImplies(c, a)
 }
 
 // AtMostOne asserts that at most one of fs holds (pairwise encoding; the
 // repair constraints use it for small sets only).
-func (b *Builder) AtMostOne(fs ...*F) {
-	lits := make([]sat.Lit, len(fs))
-	for i, f := range fs {
-		lits[i] = b.Lit(f)
+func (b *Builder) AtMostOne(fs ...F) {
+	mark := len(b.tmp)
+	for _, f := range fs {
+		l := b.Lit(f)
+		b.tmp = append(b.tmp, l)
 	}
-	for i := 0; i < len(lits); i++ {
+	lits := b.tmp[mark:]
+	for i := range lits {
 		for j := i + 1; j < len(lits); j++ {
-			b.S.AddClause(lits[i].Not(), lits[j].Not())
+			b.clause(lits[i].Not(), lits[j].Not())
 		}
 	}
+	b.tmp = b.tmp[:mark]
 }
 
-// Value evaluates f under the solver's current model (valid after Sat).
-func (b *Builder) Value(f *F) bool {
-	switch f.op {
-	case OpTrue:
-		return true
-	case OpFalse:
-		return false
-	case OpVar:
-		if f.name == "" && f.pool != nil {
-			// Anonymous pooled variable: read the cached literal without
-			// allocating (unallocated variables default to false).
-			if b.pool == f.pool {
-				if l, ok := b.pooledLit(f); ok {
-					return b.S.Value(l.Var())
-				}
-				return false
-			}
-			if l, ok := b.cache[f]; ok {
-				return b.S.Value(l.Var())
-			}
-			return false
-		}
-		v, ok := b.vars[f.name]
-		if !ok {
-			return false // unconstrained variable defaults to false
-		}
-		return b.S.Value(v)
-	case OpNot:
-		return !b.Value(f.kids[0])
-	case OpAnd:
-		for _, k := range f.kids {
-			if !b.Value(k) {
-				return false
-			}
-		}
-		return true
-	case OpOr:
-		for _, k := range f.kids {
-			if b.Value(k) {
-				return true
-			}
-		}
-		return false
+// Value evaluates f under s's model (valid after Sat), where s was
+// loaded from this builder. Variables no constraint used are false.
+func (b *Builder) Value(s *sat.Solver, f F) bool {
+	if f&negBit != 0 {
+		return !b.Value(s, Not(f))
 	}
-	return false
+	i, op, ok := b.p.node(f)
+	switch {
+	case f.IsVar():
+		l := *slot(&b.varLits, f.Var())
+		return l != 0 && s.ValueLit(l-1)
+	case !ok:
+		return true
+	}
+	decides := op == OpOr // the kid value that settles the junction
+	for _, k := range b.p.kidsOf(i) {
+		if b.Value(s, k) == decides {
+			return decides
+		}
+	}
+	return !decides
 }

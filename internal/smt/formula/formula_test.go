@@ -8,24 +8,42 @@ import (
 	"repro/internal/smt/sat"
 )
 
+// fresh returns a pool, its builder and n variables.
+func fresh(n int) (*Pool, *Builder, []F) {
+	p := NewPool()
+	vars := make([]F, n)
+	for i := range vars {
+		vars[i] = p.Fresh()
+	}
+	return p, NewBuilder(p), vars
+}
+
+// load solves the builder's CNF in a new solver.
+func load(b *Builder) (*sat.Solver, sat.Status) {
+	s := sat.New()
+	s.Load(b.NumVars(), b.Stream())
+	return s, s.Solve()
+}
+
 func TestConstantFolding(t *testing.T) {
-	a := Var("a")
-	if And() != True {
+	p, _, v := fresh(1)
+	a := v[0]
+	if p.And() != True {
 		t.Error("empty And should be True")
 	}
-	if Or() != False {
+	if p.Or() != False {
 		t.Error("empty Or should be False")
 	}
-	if And(a, False) != False {
+	if p.And(a, False) != False {
 		t.Error("And with False should fold")
 	}
-	if Or(a, True) != True {
+	if p.Or(a, True) != True {
 		t.Error("Or with True should fold")
 	}
-	if And(True, a) != a {
+	if p.And(True, a) != a {
 		t.Error("And(True, a) should be a")
 	}
-	if Or(False, a) != a {
+	if p.Or(False, a) != a {
 		t.Error("Or(False, a) should be a")
 	}
 	if Not(True) != False || Not(False) != True {
@@ -34,283 +52,313 @@ func TestConstantFolding(t *testing.T) {
 	if Not(Not(a)) != a {
 		t.Error("double negation should fold")
 	}
+	if a == 0 || Not(a) == 0 || True == 0 || False == 0 {
+		t.Error("the zero handle is reserved for \"no formula\"")
+	}
 }
 
 func TestFlattening(t *testing.T) {
-	a, b, c := Var("a"), Var("b"), Var("c")
-	f := And(And(a, b), c)
-	if len(f.kids) != 3 {
-		t.Errorf("nested And not flattened: %s", f)
+	p, _, v := fresh(3)
+	a, b, c := v[0], v[1], v[2]
+	if f := p.And(p.And(a, b), c); f != p.And(a, b, c) {
+		t.Errorf("nested And not flattened: %s", p.String(f))
 	}
-	g := Or(Or(a, b), c)
-	if len(g.kids) != 3 {
-		t.Errorf("nested Or not flattened: %s", g)
+	if g := p.Or(p.Or(a, b), c); g != p.Or(a, b, c) {
+		t.Errorf("nested Or not flattened: %s", p.String(g))
+	}
+	// Only un-negated same-op operands are spliced: ¬(a∧b) keeps its node
+	// (and so its Tseitin variable) inside a disjunction.
+	if f := p.Or(Not(p.And(a, b)), c); f == p.Or(Not(a), Not(b), c) {
+		t.Error("a negated conjunction must not be rewritten into the disjunction")
 	}
 }
 
 func TestString(t *testing.T) {
-	f := And(Var("a"), Not(Var("b")))
-	if f.String() != "(a & !b)" {
-		t.Errorf("String = %q", f.String())
+	p, _, v := fresh(2)
+	if got := p.String(p.And(v[0], Not(v[1]))); got != "(v0 & !v1)" {
+		t.Errorf("String = %q", got)
 	}
 }
 
-func solveF(t *testing.T, f *F) (sat.Status, *Builder) {
-	t.Helper()
-	s := sat.New()
-	b := NewBuilder(s)
-	b.Assert(f)
-	return s.Solve(), b
+func TestHashConsing(t *testing.T) {
+	p, _, v := fresh(2)
+	a, b := v[0], v[1]
+	if p.And(a, b) != p.And(a, b) {
+		t.Error("structurally identical And nodes not hash-consed")
+	}
+	if p.Or(a, Not(b)) != p.Or(a, Not(b)) {
+		t.Error("structurally identical Or/Not nodes not hash-consed")
+	}
+	if p.Implies(a, b) != p.Implies(a, b) {
+		t.Error("structurally identical Implies nodes not hash-consed")
+	}
+	if p.And(a, b) == p.And(b, a) {
+		t.Error("distinct kid orders must be distinct nodes (And does not sort)")
+	}
+	if p.And(a, b) == p.Or(a, b) {
+		t.Error("And and Or over the same kids must be distinct nodes")
+	}
+	// Constants fold away before interning.
+	if p.And(a, True, b) != p.And(a, b) {
+		t.Error("constant folding should reach the same node")
+	}
+	// Sharing survives the index growing past its initial size.
+	first, before := p.And(a, b), p.Size()
+	for i := 0; i < 1000; i++ {
+		p.And(a, p.Fresh())
+	}
+	if p.And(a, b) != first || p.Size() != before+1000 {
+		t.Errorf("after growth: And(a, b) moved or nodes were duplicated (size %d)", p.Size())
+	}
 }
 
-func TestAssertSat(t *testing.T) {
-	a, b := Var("a"), Var("b")
-	st, bd := solveF(t, And(a, Not(b)))
+func TestResetReuses(t *testing.T) {
+	p, b, v := fresh(2)
+	b.Assert(p.And(v[0], Not(v[1])))
+	b.Reset()
+	if p.Size() != 0 || b.NumVars() != 0 || len(b.Stream()) != 0 {
+		t.Fatal("Reset left nodes, variables or clauses behind")
+	}
+	x, y := p.Fresh(), p.Fresh()
+	b.Assert(p.Or(x, y))
+	b.Assert(Not(x))
+	s, st := load(b)
+	if st != sat.Sat || b.Value(s, x) || !b.Value(s, y) {
+		t.Error("a reset builder must encode the next formula from scratch")
+	}
+}
+
+func TestFreshDistinct(t *testing.T) {
+	p, b, v := fresh(2)
+	if v[0] == v[1] {
+		t.Fatal("Fresh returned the same variable twice")
+	}
+	b.Assert(v[0])
+	b.Assert(Not(v[1]))
+	s, st := load(b)
+	if st != sat.Sat {
+		t.Fatal("distinct fresh vars must be independently assignable")
+	}
+	if !b.Value(s, v[0]) || b.Value(s, v[1]) || b.Value(s, p.Fresh()) {
+		t.Error("fresh var model values wrong (unused variables read false)")
+	}
+}
+
+func solveF(p *Pool, f F) (*Builder, *sat.Solver, sat.Status) {
+	b := NewBuilder(p)
+	b.Assert(f)
+	s, st := load(b)
+	return b, s, st
+}
+
+func TestAssertSatUnsat(t *testing.T) {
+	p, _, v := fresh(2)
+	a, b := v[0], v[1]
+	bd, s, st := solveF(p, p.And(a, Not(b)))
 	if st != sat.Sat {
 		t.Fatal("want sat")
 	}
-	if !bd.Value(a) || bd.Value(b) {
+	if !bd.Value(s, a) || bd.Value(s, b) {
 		t.Error("model wrong")
 	}
-}
-
-func TestAssertUnsat(t *testing.T) {
-	a := Var("a")
-	st, _ := solveF(t, And(a, Not(a)))
-	if st != sat.Unsat {
+	if _, _, st := solveF(p, p.And(a, Not(a))); st != sat.Unsat {
 		t.Fatal("want unsat")
+	}
+	if _, _, st := solveF(p, False); st != sat.Unsat {
+		t.Error("asserting False should be unsat")
 	}
 }
 
 func TestImpliesIffXorIte(t *testing.T) {
-	a, b, c := Var("a"), Var("b"), Var("c")
+	p, _, v := fresh(3)
+	a, b, c := v[0], v[1], v[2]
 	// a ∧ (a→b) forces b.
-	st, bd := solveF(t, And(a, Implies(a, b)))
-	if st != sat.Sat || !bd.Value(b) {
+	if bd, s, st := solveF(p, p.And(a, p.Implies(a, b))); st != sat.Sat || !bd.Value(s, b) {
 		t.Error("Implies chain failed")
 	}
 	// Iff: a↔b with ¬a forces ¬b.
-	st, bd = solveF(t, And(Not(a), Iff(a, b)))
-	if st != sat.Sat || bd.Value(b) {
+	if bd, s, st := solveF(p, p.And(Not(a), p.Iff(a, b))); st != sat.Sat || bd.Value(s, b) {
 		t.Error("Iff failed")
 	}
 	// Xor: a⊕b with a forces ¬b.
-	st, bd = solveF(t, And(a, Xor(a, b)))
-	if st != sat.Sat || bd.Value(b) {
+	if bd, s, st := solveF(p, p.And(a, p.Xor(a, b))); st != sat.Sat || bd.Value(s, b) {
 		t.Error("Xor failed")
 	}
-	// Ite: cond ? b : c with cond and ¬b is unsat... cond=a.
-	st, _ = solveF(t, And(a, Not(b), Ite(a, b, c)))
-	if st != sat.Unsat {
+	// Ite: a ? b : c with a and ¬b is unsat.
+	if _, _, st := solveF(p, p.And(a, Not(b), p.Ite(a, b, c))); st != sat.Unsat {
 		t.Error("Ite then-branch not enforced")
 	}
 }
 
 func TestAtMostOne(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
-	vars := []*F{Var("x"), Var("y"), Var("z")}
-	b.AtMostOne(vars...)
-	b.Assert(Var("x"))
-	b.Assert(Var("y"))
-	if s.Solve() != sat.Unsat {
-		t.Error("two of an at-most-one set should be unsat")
-	}
-	s2 := sat.New()
-	b2 := NewBuilder(s2)
-	b2.AtMostOne(vars...)
-	b2.Assert(Var("x"))
-	if s2.Solve() != sat.Sat {
+	_, b, v := fresh(3)
+	b.AtMostOne(v...)
+	b.Assert(v[0])
+	if _, st := load(b); st != sat.Sat {
 		t.Error("one of an at-most-one set should be sat")
 	}
-}
-
-func TestVarLitStable(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
-	l1 := b.VarLit("a")
-	l2 := b.VarLit("a")
-	if l1 != l2 {
-		t.Error("VarLit not stable for same name")
-	}
-	if !b.HasVar("a") || b.HasVar("zz") {
-		t.Error("HasVar wrong")
-	}
-	names := b.VarNames()
-	if len(names) != 1 || names[0] != "a" {
-		t.Errorf("VarNames = %v", names)
+	b.Assert(v[1])
+	if _, st := load(b); st != sat.Unsat {
+		t.Error("two of an at-most-one set should be unsat")
 	}
 }
 
 func TestTseitinCacheReuse(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
-	f := And(Var("a"), Var("b"))
+	p, b, v := fresh(2)
+	f := p.And(v[0], v[1])
 	l1 := b.Lit(f)
-	l2 := b.Lit(f)
-	if l1 != l2 {
-		t.Error("Tseitin literal should be cached per node")
+	n := len(b.Stream())
+	if l2 := b.Lit(p.And(v[0], v[1])); l1 != l2 || len(b.Stream()) != n {
+		t.Error("a node's Tseitin definition should be emitted once")
+	}
+	if b.Lit(Not(f)) != l1.Not() {
+		t.Error("a negated handle is the negated literal")
 	}
 }
 
-// randomFormula builds a random formula over nvars variables.
-func randomFormula(r *rand.Rand, depth, nvars int) *F {
-	return randomFormulaWith(r, depth, nvars, Var)
+func TestConstantsAsSubformulas(t *testing.T) {
+	_, b, _ := fresh(0)
+	tl, fl := b.Lit(True), b.Lit(False)
+	s, st := load(b)
+	if st != sat.Sat {
+		t.Fatal("want sat")
+	}
+	if !s.ValueLit(tl) || s.ValueLit(fl) {
+		t.Error("constant literals wrong")
+	}
 }
 
-// randomFormulaWith is randomFormula with the variable constructor
-// abstracted, so the pooled differential tests can replay the identical
-// rand sequence through Pool.Var.
-func randomFormulaWith(r *rand.Rand, depth, nvars int, mkVar func(string) *F) *F {
+// TestNumberingContract pins the order solver variables are handed out
+// in: a formula variable at first use, a composite after all its kids.
+func TestNumberingContract(t *testing.T) {
+	p, b, v := fresh(3)
+	f := p.Or(p.And(v[2], v[0]), Not(p.And(v[0], v[1])))
+	b.Assert(f) // clause over the two conjunctions: no variable for the Or
+	want := map[F]int{v[2]: 0, v[0]: 1, p.And(v[2], v[0]): 2, v[1]: 3, p.And(v[0], v[1]): 4}
+	for g, n := range want {
+		if l := b.Lit(g); l != sat.MkLit(sat.Var(n), false) {
+			t.Errorf("%s got literal %v, want variable %d", p.String(g), l, n)
+		}
+	}
+	if b.NumVars() != 5 {
+		t.Errorf("NumVars = %d, want 5", b.NumVars())
+	}
+	if tab := b.VarLits(); len(tab) != 3 || tab[0] != 3 || tab[1] != 7 || tab[2] != 1 {
+		t.Errorf("VarLits = %v, want literal+1 per variable: [3 7 1]", tab)
+	}
+}
+
+// TestAssertOrMatchesOr holds the no-interning clausifiers to the CNF of
+// the interned formulas they stand for.
+func TestAssertOrMatchesOr(t *testing.T) {
+	build := func(direct bool) ([]sat.Lit, int) {
+		p, b, v := fresh(4)
+		inner := p.Or(v[1], v[2])
+		conj := p.And(v[2], v[3])
+		if direct {
+			b.AssertOr(Not(v[0]), inner, False)
+			b.AssertOr(True, v[0])
+			b.AssertOr(False, conj)
+			b.AssertImplies(conj, v[0])
+			b.AssertIff(v[3], inner)
+			b.AssertOr()
+		} else {
+			b.Assert(p.Or(Not(v[0]), inner, False))
+			b.Assert(p.Or(True, v[0]))
+			b.Assert(p.Or(False, conj))
+			b.Assert(p.Implies(conj, v[0]))
+			b.Assert(p.Iff(v[3], inner))
+			b.Assert(p.Or())
+		}
+		return append([]sat.Lit(nil), b.Stream()...), b.NumVars()
+	}
+	want, wantVars := build(false)
+	got, gotVars := build(true)
+	if gotVars != wantVars || len(got) != len(want) {
+		t.Fatalf("direct: %d vars, %d stream words; interned: %d vars, %d words", gotVars, len(got), wantVars, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("streams differ at word %d: direct %v, interned %v", i, got[i], want[i])
+		}
+	}
+}
+
+// randomFormula builds a random formula over vars.
+func randomFormula(r *rand.Rand, p *Pool, depth int, vars []F) F {
 	if depth == 0 || r.Intn(3) == 0 {
-		v := mkVar(string(rune('a' + r.Intn(nvars))))
+		v := vars[r.Intn(len(vars))]
 		if r.Intn(2) == 0 {
 			return Not(v)
 		}
 		return v
 	}
-	n := 2 + r.Intn(2)
-	kids := make([]*F, n)
+	kids := make([]F, 2+r.Intn(2))
 	for i := range kids {
-		kids[i] = randomFormulaWith(r, depth-1, nvars, mkVar)
+		kids[i] = randomFormula(r, p, depth-1, vars)
 	}
 	switch r.Intn(4) {
 	case 0:
-		return And(kids...)
+		return p.And(kids...)
 	case 1:
-		return Or(kids...)
+		return p.Or(kids...)
 	case 2:
-		return Not(And(kids...))
+		return Not(p.And(kids...))
 	default:
-		return Implies(kids[0], kids[1%len(kids)])
+		return p.Implies(kids[0], kids[1])
 	}
 }
 
-// evalBrute evaluates f under an assignment.
-func evalBrute(f *F, assign map[string]bool) bool {
-	switch f.op {
-	case OpTrue:
+// evalBrute evaluates f under an assignment of the variables (bit i of
+// assign is variable i), independently of Builder.Value.
+func evalBrute(p *Pool, f F, assign int) bool {
+	if f&negBit != 0 {
+		return !evalBrute(p, Not(f), assign)
+	}
+	if f.IsVar() {
+		return assign&(1<<f.Var()) != 0
+	}
+	i, op, ok := p.node(f)
+	if !ok {
 		return true
-	case OpFalse:
-		return false
-	case OpVar:
-		return assign[f.name]
-	case OpNot:
-		return !evalBrute(f.kids[0], assign)
-	case OpAnd:
-		for _, k := range f.kids {
-			if !evalBrute(k, assign) {
-				return false
-			}
+	}
+	for _, k := range p.kidsOf(i) {
+		if evalBrute(p, k, assign) != (op == OpAnd) {
+			return op == OpOr
 		}
-		return true
-	case OpOr:
-		for _, k := range f.kids {
-			if evalBrute(k, assign) {
-				return true
-			}
-		}
-		return false
 	}
-	return false
-}
-
-// collectVars gathers variable names.
-func collectVars(f *F, out map[string]bool) {
-	if f.op == OpVar {
-		out[f.name] = true
-	}
-	for _, k := range f.kids {
-		collectVars(k, out)
-	}
+	return op == OpAnd
 }
 
 // Property: Tseitin-encoded satisfiability equals brute-force
-// satisfiability, and returned models evaluate to true.
+// satisfiability, returned models evaluate to true, and rebuilding a
+// formula from the same random sequence yields the same handle.
 func TestDifferentialTseitin(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		nvars := 2 + r.Intn(4)
-		form := randomFormula(r, 3, nvars)
-
-		// Brute force over all assignments.
-		varSet := map[string]bool{}
-		collectVars(form, varSet)
-		var names []string
-		for n := range varSet {
-			names = append(names, n)
-		}
-		bruteSat := false
-		for mask := 0; mask < 1<<len(names); mask++ {
-			assign := map[string]bool{}
-			for i, n := range names {
-				assign[n] = mask&(1<<i) != 0
-			}
-			if evalBrute(form, assign) {
-				bruteSat = true
-				break
-			}
-		}
-
-		s := sat.New()
-		b := NewBuilder(s)
-		b.Assert(form)
-		gotSat := s.Solve() == sat.Sat
-		if gotSat != bruteSat {
-			t.Logf("seed %d: formula %s: sat=%v brute=%v", seed, form, gotSat, bruteSat)
+		p, b, vars := fresh(2 + r.Intn(4))
+		form := randomFormula(rand.New(rand.NewSource(seed+1)), p, 3, vars)
+		if again := randomFormula(rand.New(rand.NewSource(seed+1)), p, 3, vars); again != form {
+			t.Logf("seed %d: replaying the rand sequence produced a different handle", seed)
 			return false
 		}
-		if gotSat {
-			// Model must satisfy the formula.
-			if !b.Value(form) {
-				t.Logf("seed %d: model does not satisfy %s", seed, form)
-				return false
-			}
+		bruteSat := false
+		for assign := 0; assign < 1<<len(vars) && !bruteSat; assign++ {
+			bruteSat = evalBrute(p, form, assign)
+		}
+		b.Assert(form)
+		s, st := load(b)
+		if (st == sat.Sat) != bruteSat {
+			t.Logf("seed %d: formula %s: status %v, brute sat=%v", seed, p.String(form), st, bruteSat)
+			return false
+		}
+		if st == sat.Sat && !b.Value(s, form) {
+			t.Logf("seed %d: model does not satisfy %s", seed, p.String(form))
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPreferSeedsModel(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
-	// a and b unconstrained; prefer a=true, b=false.
-	b.Prefer("a", true)
-	b.Prefer("b", false)
-	b.Assert(Or(Var("a"), Var("b"), Var("c")))
-	if s.Solve() != sat.Sat {
-		t.Fatal("want sat")
-	}
-	if !b.Value(Var("a")) {
-		t.Error("preferred-true variable should come out true")
-	}
-	if b.Value(Var("b")) {
-		t.Error("preferred-false variable should come out false")
-	}
-}
-
-func TestAssertFalseIsUnsat(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
-	b.Assert(False)
-	if s.Solve() != sat.Unsat {
-		t.Error("asserting False should be unsat")
-	}
-}
-
-func TestConstantsAsSubformulas(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
-	// Lit on constants.
-	tl := b.Lit(True)
-	fl := b.Lit(False)
-	if s.Solve() != sat.Sat {
-		t.Fatal("want sat")
-	}
-	if !s.ValueLit(tl) || s.ValueLit(fl) {
-		t.Error("constant literals wrong")
 	}
 }

@@ -268,32 +268,154 @@ func grow[T any](xs []T, c int) []T {
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	if len(s.assigns) == cap(s.assigns) {
-		c := 2*len(s.assigns) + 64
-		s.assigns = grow(s.assigns, c)
-		s.phase = grow(s.phase, c)
-		s.level = grow(s.level, c)
-		s.reason = grow(s.reason, c)
-		s.activity = grow(s.activity, c)
-		s.seen = grow(s.seen, c)
-		s.watches = grow(s.watches, 2*c)
-		s.bins = grow(s.bins, 2*c)
-		s.litStamp = grow(s.litStamp, 2*c)
-		s.lbdStamp = grow(s.lbdStamp, c+1)
+	n := len(s.assigns)
+	if n == cap(s.assigns) {
+		s.reserve(2*n + 64)
 	}
-	s.assigns = append(s.assigns, lUndef)
-	s.phase = append(s.phase, false)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, refUndef)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
-	s.bins = append(s.bins, nil, nil)
-	s.litStamp = append(s.litStamp, 0, 0)
-	s.lbdStamp = append(s.lbdStamp, 0) // one more possible decision level
-	s.order.insert(v, s.activity)
-	return v
+	s.setNumVars(n + 1)
+	return Var(n)
+}
+
+// reserve gives every per-variable array capacity for c variables.
+func (s *Solver) reserve(c int) {
+	if c <= cap(s.assigns) {
+		return
+	}
+	s.assigns = grow(s.assigns, c)
+	s.phase = grow(s.phase, c)
+	s.level = grow(s.level, c)
+	s.reason = grow(s.reason, c)
+	s.activity = grow(s.activity, c)
+	s.seen = grow(s.seen, c)
+	s.watches = grow(s.watches, 2*c)
+	s.bins = grow(s.bins, 2*c)
+	s.litStamp = grow(s.litStamp, 2*c)
+	s.lbdStamp = grow(s.lbdStamp, c+1)
+	s.order.reserve(c)
+}
+
+// setNumVars extends the solver to n variables (within reserved
+// capacity): unassigned, phase false, no reason, zero activity, queued
+// for branching in index order. The added elements start out zero —
+// every per-variable array only ever grows, so spare capacity was never
+// written.
+func (s *Solver) setNumVars(n int) {
+	old := len(s.assigns)
+	s.assigns = s.assigns[:n]
+	s.phase = s.phase[:n]
+	s.level = s.level[:n]
+	s.reason = s.reason[:n]
+	s.activity = s.activity[:n]
+	s.seen = s.seen[:n]
+	s.watches = s.watches[:2*n]
+	s.bins = s.bins[:2*n]
+	s.litStamp = s.litStamp[:2*n]
+	if len(s.lbdStamp) < n+1 { // one possible decision level per variable
+		s.lbdStamp = s.lbdStamp[:n+1]
+	}
+	for v := old; v < n; v++ {
+		s.reason[v] = refUndef
+		s.order.insert(Var(v), s.activity)
+	}
+}
+
+// AppendClause appends one clause to a Load stream: its length, then its
+// literals.
+func AppendClause(stream []Lit, lits ...Lit) []Lit {
+	return append(append(stream, Lit(len(lits))), lits...)
+}
+
+// Load brings the solver to nVars variables and adds the clauses of
+// stream (AppendClause's layout) in order, leaving exactly the state the
+// same NewVar and AddClause calls would: every clause goes through
+// AddClause, so level-0 simplification, unit propagation and early
+// UNSAT happen at the same points. What it saves is growth. Every
+// per-variable array is allocated once, and the binary-implication and
+// watch lists are carved at their initial capacity out of one backing
+// array each (lists that later outgrow their share reallocate on their
+// own, as append always did). Returns false if the formula became
+// trivially unsatisfiable. Encoders build the whole CNF first and call
+// Load once on a new solver; variables and clauses added afterwards
+// (MaxSAT totalizers) use NewVar and AddClause.
+func (s *Solver) Load(nVars int, stream []Lit) bool {
+	if nVars > len(s.assigns) {
+		// An eighth of headroom: MaxSAT engines add selector and totalizer
+		// variables after the load, and the first NewVar past capacity
+		// reallocates every per-variable array.
+		s.reserve(nVars + nVars/8 + 64)
+		s.setNumVars(nVars)
+	}
+	s.carveLists(stream)
+	for i := 0; i < len(stream) && s.ok; {
+		n := int(stream[i])
+		s.AddClause(stream[i+1 : i+1+n]...)
+		i += 1 + n
+	}
+	return s.ok
+}
+
+// carveLists sizes the clause arena and the still-empty bins and watch
+// lists for the clauses of stream. It counts, per literal, the binary
+// clauses and the watched positions (a long clause watches its first
+// two literals) the stream will attach — before level-0 simplification,
+// which may shorten a clause, so a share can be off by a few entries —
+// using litStamp as scratch: binaries in the high half of each word,
+// watchers in the low half. The stamps are zero again on return, which
+// no AddClause generation ever equals.
+func (s *Solver) carveLists(stream []Lit) {
+	clear(s.litStamp)
+	var long, words int
+	for i := 0; i < len(stream); {
+		n := int(stream[i])
+		c := stream[i+1 : i+1+n]
+		i += 1 + n
+		if n < 2 {
+			continue
+		}
+		for _, l := range c[:2] {
+			if l < 0 || int(l.Var()) >= len(s.assigns) {
+				panic("sat: literal references unallocated variable")
+			}
+		}
+		one := uint64(1)
+		if n == 2 {
+			one <<= 32
+		} else {
+			long++
+			words += 1 + n
+		}
+		s.litStamp[c[0].Not()] += one
+		s.litStamp[c[1].Not()] += one
+	}
+	var nb, nw uint64
+	for l, c := range s.litStamp {
+		if len(s.bins[l]) == 0 {
+			nb += c >> 32
+		}
+		if len(s.watches[l]) == 0 {
+			nw += uint64(uint32(c))
+		}
+	}
+	binBack := make([]Lit, nb)
+	watchBack := make([]watcher, nw)
+	for l, c := range s.litStamp {
+		if b := int(c >> 32); b > 0 && len(s.bins[l]) == 0 {
+			s.bins[l], binBack = binBack[:0:b], binBack[b:]
+		}
+		if w := int(uint32(c)); w > 0 && len(s.watches[l]) == 0 {
+			s.watches[l], watchBack = watchBack[:0:w], watchBack[w:]
+		}
+		s.litStamp[l] = 0
+	}
+	if need := len(s.arena) + words; need > cap(s.arena) {
+		s.arena = grow(s.arena, need)
+	}
+	if need := len(s.clauses) + long; need > cap(s.clauses) {
+		s.clauses = grow(s.clauses, need)
+	}
+	if len(s.assigns) > cap(s.trail) {
+		s.trail = grow(s.trail, len(s.assigns))
+	}
 }
 
 // value returns the literal's current assignment.

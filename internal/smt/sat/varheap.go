@@ -15,14 +15,20 @@ func (h *varHeap) approxBytes() int64 {
 	return int64(cap(h.heap))*4 + int64(cap(h.pos))*4
 }
 
+// reserve gives the heap capacity for c variables.
+func (h *varHeap) reserve(c int) {
+	if c > cap(h.pos) {
+		h.pos = grow(h.pos, c)
+		h.heap = grow(h.heap, c)
+	}
+}
+
 func (h *varHeap) ensure(v Var) {
 	if int(v) < len(h.pos) {
 		return
 	}
 	if int(v) >= cap(h.pos) {
-		c := 2*int(v) + 64
-		h.pos = grow(h.pos, c)
-		h.heap = grow(h.heap, c)
+		h.reserve(2*int(v) + 64)
 	}
 	for int(v) >= len(h.pos) {
 		h.pos = append(h.pos, -1)
