@@ -367,35 +367,6 @@ func benchCompressVerify(b *testing.B, concrete bool) {
 func BenchmarkCompressVerifyQuotientOn(b *testing.B)  { benchCompressVerify(b, false) }
 func BenchmarkCompressVerifyQuotientOff(b *testing.B) { benchCompressVerify(b, true) }
 
-// BenchmarkHarcStateOfDelta measures the incremental pre-repair state
-// derivation against the from-scratch build it replaces: one leaf's
-// config "changes", and StateOfDelta recomputes only the process
-// presences and per-TC graphs that device can influence, cloning the
-// rest from the base state.
-func BenchmarkHarcStateOfDelta(b *testing.B) {
-	h, _ := compressDCInstance(b)
-	base := harc.StateOf(h)
-	changed := map[string]bool{h.Network.Devices()[0].Name: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if st := harc.StateOfDelta(h, base, changed); st == nil {
-			b.Fatal("delta derivation bailed to a full rebuild")
-		}
-	}
-}
-
-// BenchmarkHarcStateOfFull is the from-scratch baseline for
-// BenchmarkHarcStateOfDelta, on the same instance.
-func BenchmarkHarcStateOfFull(b *testing.B) {
-	h, _ := compressDCInstance(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = harc.StateOf(h)
-	}
-}
-
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkSubstrateSATRandom3SAT(b *testing.B) {

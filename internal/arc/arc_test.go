@@ -506,7 +506,7 @@ func TestHandBuiltSlotsAreSafe(t *testing.T) {
 			t.Fatalf("HasSlot(%s) differs for the other table's slot", s.Key())
 		}
 	}
-	for _, id := range []graph.E{-1, graph.E(len(etg.SlotOf)), 1 << 20} {
+	for _, id := range []graph.E{-1, graph.E(len(table.Slots)), 1 << 20} {
 		if etg.WaypointEdge(id) {
 			t.Fatalf("WaypointEdge(%d) = true for an id naming no edge", id)
 		}

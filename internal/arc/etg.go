@@ -19,11 +19,12 @@ const (
 	LevelTC
 )
 
-// ETG is an extended topology graph: the per-level digraph derived from a
-// network's slot table. Every ETG of a network is laid over the table's
-// shared vertex space (SRC and DST are always vertices 0 and 1, present
-// even when no edge reaches them), so graphs carry no name index and
-// vertex ids mean the same thing in all of them.
+// ETG is an extended topology graph: one level's view of the network's
+// slot table. Every ETG of a network shares the table's base digraph —
+// one vertex space (SRC and DST are always vertices 0 and 1), one edge per
+// slot with edge id ≡ slot id, adjacency in ascending slot id — and adds
+// only a mask of the slots present at its level and a weight vector, so
+// vertex and edge ids mean the same thing in all of them.
 type ETG struct {
 	Level     Level
 	TC        topology.TrafficClass // set for LevelTC
@@ -33,11 +34,6 @@ type ETG struct {
 	Src graph.V
 	Dst graph.V
 
-	// SlotOf maps each edge id to the slot it instantiates; EdgeOf is the
-	// inverse, indexed by Slot.ID, with graph.None for absent slots.
-	SlotOf []*Slot
-	EdgeOf []graph.E
-
 	// Waypoints, when non-nil, overrides link waypoint presence by link id.
 	// Used when verifying repaired states that add or remove middleboxes.
 	Waypoints bitset.Set
@@ -45,40 +41,36 @@ type ETG struct {
 	tab *Table
 }
 
-// NewETG returns the ETG over t's vertex space whose edges are exactly
-// the given slots (each a slot of t, in ascending ID order), slot i
-// weighted weight(i).
-func NewETG(t *Table, level Level, present []*Slot, weight func(*Slot) int64) *ETG {
-	edges := make([]graph.Edge, len(present))
-	edgeOf := make([]graph.E, len(t.Slots))
-	for i := range edgeOf {
-		edgeOf[i] = graph.E(graph.None)
-	}
-	for i, s := range present {
-		edges[i] = graph.Edge{From: s.From, To: s.To, Weight: weight(s)}
-		edgeOf[s.ID] = graph.E(i)
-	}
-	return &ETG{
-		Level:  level,
-		G:      graph.NewOver(t.Vertices, edges),
-		Src:    VSrc,
-		Dst:    VDst,
-		SlotOf: present,
-		EdgeOf: edgeOf,
-		tab:    t,
-	}
+// NewETG returns the view of t in which exactly the slots whose bit is
+// set in live (by slot id) are present, slot i weighing w[i]. The view
+// reads live and never writes it: the caller may share one row among any
+// number of views, and must leave it alone while they are in use.
+func NewETG(t *Table, level Level, live bitset.Set, w *graph.Weights) *ETG {
+	return &ETG{Level: level, G: t.base.View(live, w), Src: VSrc, Dst: VDst, tab: t}
 }
 
-// build gathers the slots a presence rule admits and lays the ETG over
-// them.
+// Weights returns the lazily filled weight vector that weighs slot i of t
+// at weight(t.Slots[i]).
+func (t *Table) Weights(weight func(*Slot) int64) *graph.Weights {
+	return graph.LazyWeights(func() []int64 {
+		w := make([]int64, len(t.Slots))
+		for i, s := range t.Slots {
+			w[i] = weight(s)
+		}
+		return w
+	})
+}
+
+// build evaluates a presence rule over the whole table and lays the ETG
+// over the slots it admits.
 func build(t *Table, level Level, dst *topology.Subnet, present func(*Slot) bool) *ETG {
-	var in []*Slot
-	for _, s := range t.Slots {
+	live := bitset.New(len(t.Slots))
+	for i, s := range t.Slots {
 		if present(s) {
-			in = append(in, s)
+			live.Put(i, true)
 		}
 	}
-	e := NewETG(t, level, in, func(s *Slot) int64 { return s.Weight(dst) })
+	e := NewETG(t, level, live, t.Weights(func(s *Slot) int64 { return s.Weight(dst) }))
 	e.DstSubnet = dst
 	return e
 }
@@ -126,33 +118,33 @@ func BuildAllETG(t *Table) *ETG {
 	return e
 }
 
-// edgeOf returns the edge instantiating s, or graph.None. Slots of the
-// ETG's own table resolve by id; any other slot (hand-built, or from
-// another network's table) falls back to a key comparison.
-func (e *ETG) edgeOf(s *Slot) graph.E {
-	if s.tab == e.tab {
-		return e.EdgeOf[s.ID]
-	}
-	key := s.Key()
-	for id, own := range e.SlotOf {
-		if own.Key() == key {
-			return graph.E(id)
-		}
-	}
-	return graph.E(graph.None)
+// Slot returns the slot edge id instantiates (edge id ≡ slot id).
+func (e *ETG) Slot(id graph.E) *Slot { return e.tab.Slots[id] }
+
+// EachSlot calls fn for every present slot, in ascending id order.
+func (e *ETG) EachSlot(fn func(*Slot)) {
+	e.G.Live().Each(func(id int) { fn(e.tab.Slots[id]) })
 }
 
-// HasSlot reports whether the slot's edge is present in the ETG.
-func (e *ETG) HasSlot(s *Slot) bool { return e.edgeOf(s) != graph.E(graph.None) }
+// HasSlot reports whether the slot's edge is present in the ETG. Slots of
+// the ETG's own table resolve by id; any other slot (hand-built, or from
+// another network's table) is looked up by key.
+func (e *ETG) HasSlot(s *Slot) bool {
+	id := s.ID
+	if s.tab != e.tab {
+		id = e.tab.SlotID(s.Key())
+	}
+	return id >= 0 && e.G.EdgeLive(graph.E(id))
+}
 
 // WaypointEdge reports whether edge id carries a waypoint, honoring the
 // Waypoints override for inter-device edges. Ids that name no edge carry
 // none.
 func (e *ETG) WaypointEdge(id graph.E) bool {
-	if id < 0 || int(id) >= len(e.SlotOf) {
+	if id < 0 || int(id) >= len(e.tab.Slots) {
 		return false
 	}
-	s := e.SlotOf[id]
+	s := e.tab.Slots[id]
 	if e.Waypoints != nil && s.Kind == SlotInterDevice {
 		return e.Waypoints.Has(s.LinkID)
 	}
@@ -160,18 +152,17 @@ func (e *ETG) WaypointEdge(id graph.E) bool {
 }
 
 // WithoutLinks returns a copy of the ETG with every inter-device edge over
-// a failed physical link (a set of link ids) removed, in ascending edge
-// order. The copy shares the original's vertex/edge storage (only removal
-// flags are duplicated), so it supports reachability queries but must not
-// be extended.
+// a failed physical link (a set of link ids) removed. The copy is another
+// view of the same table with a mask of its own; the original is
+// untouched.
 func (e *ETG) WithoutLinks(failed bitset.Set) *ETG {
 	c := *e
-	c.G = e.G.CloneEdgesShared()
-	for id, s := range e.SlotOf {
+	c.G = e.G.View(nil, nil)
+	e.EachSlot(func(s *Slot) {
 		if failed.Has(s.LinkID) {
-			c.G.RemoveEdge(graph.E(id))
+			c.G.RemoveEdge(graph.E(s.ID))
 		}
-	}
+	})
 	return &c
 }
 

@@ -34,8 +34,9 @@ type flowEdge struct {
 
 // linkFlowNet is the auxiliary flow network in CSR form. Vertices
 // 0..nv-1 mirror the ETG's vertices; two extra vertices per physical link
-// carry its capacity-1 bottleneck edge. Construction order follows ETG
-// edge ids, so the network — and every BFS over it — is deterministic.
+// carry its capacity-1 bottleneck edge. Construction order follows the
+// present slots' ids, so the network — and every BFS over it — is
+// deterministic.
 //
 // Verification runs one PC3 check per policy across the whole repair, so
 // the arrays (and the BFS scratch) are pooled and reused across checks
@@ -74,7 +75,7 @@ func grow(s []int32, n int) []int32 {
 // classifies edges and counts per-vertex arc degrees, the second fills
 // the CSR arrays in the same deterministic order.
 func (f *linkFlowNet) build(e *ETG, k int) {
-	nv := e.G.NumVertices()
+	nv := len(e.tab.Vertices)
 	f.linkSeq = f.linkSeq[:0]
 	f.linkIdx = grow(f.linkIdx, len(e.tab.Links))
 	for i := range f.linkIdx {
@@ -84,9 +85,9 @@ func (f *linkFlowNet) build(e *ETG, k int) {
 	f.eKind = f.eKind[:0]
 	f.eFrom = f.eFrom[:0]
 	f.eTo = f.eTo[:0]
-	e.G.Edges(func(id graph.E, ed graph.Edge) {
+	e.EachSlot(func(s *Slot) {
 		li := int32(-1)
-		if s := e.SlotOf[id]; s.Kind == SlotInterDevice {
+		if s.Kind == SlotInterDevice {
 			li = f.linkIdx[s.LinkID]
 			if li < 0 {
 				li = int32(len(f.linkSeq))
@@ -95,8 +96,8 @@ func (f *linkFlowNet) build(e *ETG, k int) {
 			}
 		}
 		f.eKind = append(f.eKind, li)
-		f.eFrom = append(f.eFrom, int32(ed.From))
-		f.eTo = append(f.eTo, int32(ed.To))
+		f.eFrom = append(f.eFrom, int32(s.From))
+		f.eTo = append(f.eTo, int32(s.To))
 	})
 
 	L := len(f.linkSeq)

@@ -169,11 +169,11 @@ func TestPropertyMaxFlowSoundness(t *testing.T) {
 // some physical link (the overcount caveat of MaxDisjointFlow).
 func sharesLinkBothDirections(etg *ETG) bool {
 	seen := map[string]int{}
-	for _, s := range etg.SlotOf {
+	etg.EachSlot(func(s *Slot) {
 		if s.Kind == SlotInterDevice {
 			seen[s.Link.Name()]++
 		}
-	}
+	})
 	for _, c := range seen {
 		if c > 1 {
 			return true

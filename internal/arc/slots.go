@@ -87,9 +87,13 @@ type Slot struct {
 	Canon int
 
 	tab     *Table
-	reverse *Slot  // the opposite direction of an inter-device slot
-	key     string // cached Key()
-	costKey string // cached CostKey()
+	reverse *Slot // the opposite direction of an inter-device slot
+	// outACL/inACL cache acls() for enumerated slots: an ACL is looked up
+	// by name in its device's map, once per slot instead of once per
+	// (slot, traffic class).
+	outACL, inACL *topology.ACL
+	key           string // cached Key()
+	costKey       string // cached CostKey()
 	// adjUp caches adjacencyUp() (valid when adjCached): adjacency
 	// depends only on the immutable interface/passive configuration, and
 	// the uncached path scans every process interface per call.
@@ -112,6 +116,15 @@ type Table struct {
 	// Vertices names the shared ETG vertex space: SRC, DST, then
 	// "<proc>:I" and "<proc>:O" per process id.
 	Vertices []string
+	// TCVaries lists, ascending, the ids of the slots whose presence for a
+	// traffic class is not simply their presence for its destination:
+	// source attachments (absent from every dETG) and slots that cross an
+	// ACL. Every other bit of a class's row is its destination row's.
+	TCVaries []int
+
+	// base is the digraph every ETG of the network is a view of: all slots,
+	// edge id ≡ slot id.
+	base *graph.Digraph
 }
 
 // Vertex ids of the two endpoint vertices in every Table.
@@ -350,11 +363,18 @@ func NewTable(n *topology.Network) *Table {
 			s.LinkID = linkID[s.Link]
 		}
 	}
-	for _, s := range slots {
+	edges := make([]graph.Edge, len(slots))
+	for i, s := range slots {
 		if s.reverse != nil && s.reverse.ID < s.ID {
 			s.Canon = s.reverse.ID
 		}
+		s.outACL, s.inACL = s.lookupACLs()
+		if s.Kind == SlotSource || s.outACL != nil || s.inACL != nil {
+			t.TCVaries = append(t.TCVaries, i)
+		}
+		edges[i] = graph.Edge{From: s.From, To: s.To}
 	}
+	t.base = graph.NewOver(t.Vertices, edges)
 	return t
 }
 
@@ -517,15 +537,7 @@ func (s *Slot) PresentTC(tc topology.TrafficClass) bool {
 	if !s.PresentDst(tc.Dst) {
 		return false
 	}
-	switch s.Kind {
-	case SlotInterDevice:
-		if s.aclBlocks(s.FromIntf.OutACL, s.FromIntf.Device, tc) {
-			return false
-		}
-		if s.aclBlocks(s.ToIntf.InACL, s.ToIntf.Device, tc) {
-			return false
-		}
-	case SlotSource:
+	if s.Kind == SlotSource {
 		if s.Subnet != tc.Src {
 			return false
 		}
@@ -534,23 +546,32 @@ func (s *Slot) PresentTC(tc topology.TrafficClass) bool {
 		if s.ToProc.BlocksDestination(tc.Dst.Prefix) {
 			return false
 		}
-		if s.aclBlocks(s.Intf.InACL, s.Intf.Device, tc) {
-			return false
-		}
-	case SlotDest:
-		if s.aclBlocks(s.Intf.OutACL, s.Intf.Device, tc) {
-			return false
-		}
 	}
-	return true
+	out, in := s.acls()
+	return !out.Blocks(tc.Src.Prefix, tc.Dst.Prefix) && !in.Blocks(tc.Src.Prefix, tc.Dst.Prefix)
 }
 
-// aclBlocks reports whether the named ACL on dev blocks tc.
-func (s *Slot) aclBlocks(name string, dev *topology.Device, tc topology.TrafficClass) bool {
-	if name == "" {
-		return false
+// acls returns the ACLs traffic crossing the slot must pass (nil: none):
+// the egress and ingress lists of an inter-device slot's two interfaces,
+// the inbound list of a source attachment, the outbound list of a
+// destination attachment.
+func (s *Slot) acls() (out, in *topology.ACL) {
+	if s.tab != nil {
+		return s.outACL, s.inACL
 	}
-	return dev.ACLs[name].Blocks(tc.Src.Prefix, tc.Dst.Prefix)
+	return s.lookupACLs()
+}
+
+func (s *Slot) lookupACLs() (out, in *topology.ACL) {
+	switch s.Kind {
+	case SlotInterDevice:
+		return s.FromIntf.Device.ACLs[s.FromIntf.OutACL], s.ToIntf.Device.ACLs[s.ToIntf.InACL]
+	case SlotSource:
+		return nil, s.Intf.Device.ACLs[s.Intf.InACL]
+	case SlotDest:
+		return s.Intf.Device.ACLs[s.Intf.OutACL], nil
+	}
+	return nil, nil
 }
 
 // Weight returns the slot's edge weight for destination dst: the egress

@@ -29,7 +29,7 @@ func VerifyAlwaysWaypoint(e *ETG) bool {
 func MaxDisjointFlow(e *ETG) int {
 	const big = int64(1) << 40
 	flow, _ := e.G.MaxFlow(e.Src, e.Dst, func(id graph.E) int64 {
-		if s := e.SlotOf[id]; s != nil && s.Kind == SlotInterDevice {
+		if e.Slot(id).Kind == SlotInterDevice {
 			return 1
 		}
 		return big
@@ -130,7 +130,7 @@ func minEdgeSlot(e *ETG, u, v graph.V) *Slot {
 			return
 		}
 		if best == nil || ed.Weight < bestW {
-			best, bestW = e.SlotOf[id], ed.Weight
+			best, bestW = e.Slot(id), ed.Weight
 		}
 	})
 	return best

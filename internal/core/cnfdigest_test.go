@@ -72,7 +72,7 @@ func TestCNFDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb := newTables(h, problems)
+		tb := newTables(h)
 		orig := harc.StateOf(h)
 		for _, pr := range problems {
 			got[name+"/"+pr.label] = cnfDigest(t, sc, tb, orig, pr, opts)
@@ -131,7 +131,7 @@ func TestCNFDigest(t *testing.T) {
 	}
 	qh := harc.BuildForTCs(q.Net, qtcs)
 	qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
-	got["dc256-quotient/"+pr.label] = cnfDigest(t, sc, newTables(qh, []*problem{qpr}), harc.StateOf(qh), qpr, opts)
+	got["dc256-quotient/"+pr.label] = cnfDigest(t, sc, newTables(qh), harc.StateOf(qh), qpr, opts)
 
 	for name, w := range want {
 		if got[name] != w {

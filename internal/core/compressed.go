@@ -138,10 +138,8 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, h *harc.HARC, orig 
 	qh := harc.BuildForTCs(q.Net, qtcs)
 	qorig := harc.StateOf(qh)
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
-	qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
 	t0 = time.Now()
-	qtb := newTables(qh, []*problem{qpr})
-	enc := newEncoder(sc, qtb, qorig, qtcs, qpolicies, true, opts)
+	enc := newEncoder(sc, newTables(qh), qorig, qtcs, qpolicies, true, opts)
 	if err := enc.encode(ctx); err != nil {
 		pr.stat.EncodeNs += time.Since(t0).Nanoseconds()
 		pr.stat.CompressFallback = "encode"

@@ -133,6 +133,7 @@ func newEncoder(b *formula.Builder, tb *tables, st *harc.State, tcs []topology.T
 	e.tcDst = make([]int, len(tcs))
 	e.tVar = make([][]formula.F, len(tcs))
 	for tl, tc := range tcs {
+		tb.need(tc)
 		e.tcRow[tl] = tb.h.TCRow(tc)
 		e.tcLocal[e.tcRow[tl]] = int32(tl)
 		dr := tb.h.DstRow(tc.Dst)

@@ -28,7 +28,7 @@ func newEncodeFixture(t *testing.T, h *harc.HARC, policies []policy.Policy) *enc
 	if err != nil || len(problems) == 0 {
 		t.Fatalf("buildProblems: %d problems, err %v", len(problems), err)
 	}
-	return &encodeFixture{newTables(h, problems), harc.StateOf(h), problems, opts}
+	return &encodeFixture{newTables(h), harc.StateOf(h), problems, opts}
 }
 
 // encodeAll encodes every sub-problem through one scratch, as a worker
@@ -106,6 +106,9 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 			t.Errorf("%s: approxBytes %d is not within 25%% of the measured %d", what, approx, measured)
 		}
 	}
+	// The shared tables are built by the first encode that needs them and
+	// belong to the repair, not to a scratch or an encoder.
+	fix.encodeAll(t, newScratch())
 	var sc *formula.Builder
 	measured, kept := heapDelta(func() any {
 		sc = newScratch()

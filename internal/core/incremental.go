@@ -43,14 +43,6 @@ type SolveCache struct {
 	hits      uint64
 	misses    uint64
 	stores    uint64
-	// orig caches the pre-repair HARC state of this cache's epoch, so
-	// back-to-back Repair calls on the same session skip the O(network)
-	// StateOf recomputation. baseOrig/baseChanged, set by ForkDelta, let
-	// the first call of a derived epoch compute its state as a delta from
-	// the parent session's instead of from scratch.
-	orig        *harc.State
-	baseOrig    *harc.State
-	baseChanged map[string]bool
 }
 
 // solveEntry is one memoized terminal sub-problem outcome. Entries are
@@ -98,20 +90,6 @@ func (c *SolveCache) Epoch() string { return c.epoch }
 // epoch simply never match again and age out when the forked session is
 // released.
 func (c *SolveCache) Fork(epoch string) *SolveCache {
-	return c.ForkDelta(epoch, nil)
-}
-
-// ForkDelta is Fork for a derived session whose configs differ from the
-// parent's only on the named devices: the forked cache additionally
-// inherits the parent's cached pre-repair state as a delta base, so the
-// derived epoch's first OrigState recomputes only the changed devices'
-// slots (harc.StateOfDelta) instead of the whole network. A nil or
-// empty changed set (or a parent with no cached state yet) degrades to
-// a plain Fork. Callers must include every device whose parsed config
-// differs — and must not use the delta path at all when a subnet
-// changed its prefix, since remote ACL matching makes slot presence
-// depend on prefixes network-wide (session.Delta enforces this).
-func (c *SolveCache) ForkDelta(epoch string, changed map[string]bool) *SolveCache {
 	nc := NewSolveCache(epoch)
 	if c == nil {
 		return nc
@@ -124,54 +102,7 @@ func (c *SolveCache) ForkDelta(epoch string, changed map[string]bool) *SolveCach
 	for k, v := range c.lastModel {
 		nc.lastModel[k] = v
 	}
-	if len(changed) > 0 {
-		base := c.orig
-		if base == nil {
-			base = c.baseOrig // grandparent base still valid for this parent
-		}
-		if base != nil {
-			if c.orig == nil && c.baseOrig != nil {
-				// Parent never materialized its own state; compose the two
-				// change sets so the grandchild recomputes both deltas.
-				merged := make(map[string]bool, len(changed)+len(c.baseChanged))
-				for d := range c.baseChanged {
-					merged[d] = true
-				}
-				for d := range changed {
-					merged[d] = true
-				}
-				changed = merged
-			}
-			nc.baseOrig = base
-			nc.baseChanged = changed
-		}
-	}
 	return nc
-}
-
-// OrigState returns the pre-repair state of the cache's epoch, computing
-// it on first use — as a delta from the parent session's state when
-// ForkDelta provided one, from scratch otherwise — and memoizing it for
-// subsequent Repair calls. A nil cache or an empty epoch (no pinned
-// config-set identity) returns nil, directing the caller to compute a
-// fresh state itself. The returned state is shared: callers must treat
-// it as read-only.
-func (c *SolveCache) OrigState(h *harc.HARC) *harc.State {
-	if c == nil || c.epoch == "" {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.orig != nil {
-		return c.orig
-	}
-	if c.baseOrig != nil {
-		c.orig = harc.StateOfDelta(h, c.baseOrig, c.baseChanged)
-	}
-	if c.orig == nil {
-		c.orig = harc.StateOf(h)
-	}
-	return c.orig
 }
 
 // SolveCacheStats is a point-in-time cache summary.

@@ -453,13 +453,7 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 	if opts.WaypointWeight == 0 {
 		opts.WaypointWeight = 1
 	}
-	var orig *harc.State
-	if !opts.DisableSolveCache {
-		orig = opts.Cache.OrigState(h)
-	}
-	if orig == nil {
-		orig = harc.StateOf(h)
-	}
+	orig := harc.StateOf(h)
 	out := orig.Clone()
 	res := &Result{State: out, Solved: true, Orig: orig}
 
@@ -474,9 +468,9 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 			}
 		}
 	}
-	// The read-only tables are shared by every sub-problem encoder,
-	// including across parallel workers.
-	tb := newTables(h, problems)
+	// The tables are shared by every sub-problem encoder, including across
+	// parallel workers.
+	tb := newTables(h)
 
 	// Isolation applies to the per-destination decomposition, whose
 	// sub-problems are naturally independent; the single all-tcs problem

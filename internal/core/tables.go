@@ -1,27 +1,30 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/arc"
 	"repro/internal/graph"
 	"repro/internal/harc"
-	"repro/internal/policy"
 	"repro/internal/topology"
 )
 
-// tables is the read-only, per-repair precomputed structure shared by
-// every sub-problem encoder: the per-destination and per-traffic-class
-// applicability lists with their local vertex numbering. Slot keys, cost
-// keys, canonical adjacency directions and slot/process/link/vertex ids
-// live on the HARC's slot table. Parallel per-destination
-// solves read it concurrently, so nothing here may be mutated after
-// newTables returns.
+// tables is the per-repair structure shared by every sub-problem encoder:
+// the per-destination and per-traffic-class applicability lists with
+// their local vertex numbering. Slot keys, cost keys, canonical adjacency
+// directions and slot/process/link/vertex ids live on the HARC's slot
+// table. A row is built by the first encoder that needs it (need) and
+// read-only from then on; it is a function of the slot table and the
+// class alone, so which worker builds it changes nothing.
 type tables struct {
 	h     *harc.HARC
 	slots []*arc.Slot
 	// tc and dst are indexed by the HARC's traffic-class and destination
-	// rows; rows outside the problems are nil.
-	tc  []*tcTables
-	dst [][]int // applicable slot ids, ascending
+	// rows; a row may be read only after need has returned for its class.
+	tc      []*tcTables
+	dst     [][]int // applicable slot ids, ascending
+	tcOnce  []sync.Once
+	dstOnce []sync.Once
 }
 
 // tcTables precomputes one traffic class's slot applicability and ETG
@@ -47,30 +50,35 @@ type tcTables struct {
 // attributed to.
 func (tb *tables) procDev(pi int) string { return tb.h.Procs[pi].Device.Name }
 
-// newTables builds the shared tables for the traffic classes and
-// destinations appearing in the given problems.
-func newTables(h *harc.HARC, problems []*problem) *tables {
-	tb := &tables{
-		h:     h,
-		slots: h.Slots,
-		tc:    make([]*tcTables, len(h.TCs)),
-		dst:   make([][]int, len(h.Dsts)),
+// newTables returns the (still empty) shared tables of a repair over h.
+func newTables(h *harc.HARC) *tables {
+	return &tables{
+		h:       h,
+		slots:   h.Slots,
+		tc:      make([]*tcTables, len(h.TCs)),
+		dst:     make([][]int, len(h.Dsts)),
+		tcOnce:  make([]sync.Once, len(h.TCs)),
+		dstOnce: make([]sync.Once, len(h.Dsts)),
 	}
-	for _, pr := range problems {
-		for _, tc := range pr.tcs {
-			tb.addTC(tc)
-		}
-	}
-	return tb
 }
 
-// addTC builds (once) the tcTables for tc and the applicability list of
-// its destination.
-func (tb *tables) addTC(tc topology.TrafficClass) {
+// need makes the rows of tc and of its destination readable by the
+// caller, building each if no encoder has yet: when every sub-problem
+// compresses, nobody needs the concrete network's rows at all.
+func (tb *tables) need(tc topology.TrafficClass) {
 	r := tb.h.TCRow(tc)
-	if tb.tc[r] != nil {
-		return
-	}
+	tb.tcOnce[r].Do(func() { tb.tc[r] = tb.buildTC(tc) })
+	d := tb.h.DstRow(tc.Dst)
+	tb.dstOnce[d].Do(func() {
+		for i, s := range tb.slots {
+			if s.ApplicableDst(tc.Dst) {
+				tb.dst[d] = append(tb.dst[d], i)
+			}
+		}
+	})
+}
+
+func (tb *tables) buildTC(tc topology.TrafficClass) *tcTables {
 	t := &tcTables{nv: 2}
 	local := make([]int, len(tb.h.Vertices)) // 0 = not numbered yet (or SRC)
 	local[arc.VDst] = 1
@@ -106,20 +114,5 @@ func (tb *tables) addTC(tc topology.TrafficClass) {
 		t.byTail[t.fromV[k]] = append(t.byTail[t.fromV[k]], k)
 		t.byHead[t.toV[k]] = append(t.byHead[t.toV[k]], k)
 	}
-	tb.tc[r] = t
-
-	if d := tb.h.DstRow(tc.Dst); tb.dst[d] == nil {
-		for i, s := range tb.slots {
-			if s.ApplicableDst(tc.Dst) {
-				tb.dst[d] = append(tb.dst[d], i)
-			}
-		}
-	}
-}
-
-// tablesFor returns tables covering the given policies directly (used by
-// callers outside the Repair orchestration, e.g. tests).
-func tablesFor(h *harc.HARC, policies []policy.Policy) *tables {
-	pr := &problem{tcs: uniqueTCs(policies), policies: policies}
-	return newTables(h, []*problem{pr})
+	return t
 }

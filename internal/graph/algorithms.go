@@ -19,10 +19,10 @@ func (g *Digraph) Reachable(src V, fn func(E) bool) []bool {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.out[v] {
-			if g.removed[e] || (fn != nil && !fn(e)) {
+			if !g.live.Has(int(e)) || (fn != nil && !fn(e)) {
 				continue
 			}
-			to := g.edges[e].To
+			to := g.head[e]
 			if !seen[to] {
 				seen[to] = true
 				stack = append(stack, to)
@@ -67,10 +67,10 @@ func (g *Digraph) PathAvoiding(src, dst V, avoid func(E) bool) []V {
 		v := queue[0]
 		queue = queue[1:]
 		for _, e := range g.out[v] {
-			if g.removed[e] || (avoid != nil && avoid(e)) {
+			if !g.live.Has(int(e)) || (avoid != nil && avoid(e)) {
 				continue
 			}
-			to := g.edges[e].To
+			to := g.head[e]
 			if !seen[to] {
 				seen[to] = true
 				pred[to] = e
@@ -87,7 +87,7 @@ func (g *Digraph) PathAvoiding(src, dst V, avoid func(E) bool) []V {
 		if v == src {
 			break
 		}
-		v = g.edges[pred[v]].From
+		v = g.tail[pred[v]]
 	}
 	path := make([]V, len(rev))
 	for i, v := range rev {
@@ -137,6 +137,7 @@ func (g *Digraph) Dijkstra(src V) (dist []int64, pred []E) {
 	dist[src] = 0
 	h := &dijkstraHeap{{v: src, dist: 0}}
 	done := make([]bool, n)
+	w := g.w.get()
 	for h.Len() > 0 {
 		it := heap.Pop(h).(dijkstraItem)
 		if done[it.v] {
@@ -144,15 +145,14 @@ func (g *Digraph) Dijkstra(src V) (dist []int64, pred []E) {
 		}
 		done[it.v] = true
 		for _, e := range g.out[it.v] {
-			if g.removed[e] {
+			if !g.live.Has(int(e)) {
 				continue
 			}
-			ed := g.edges[e]
-			nd := it.dist + ed.Weight
-			if nd < dist[ed.To] || (nd == dist[ed.To] && pred[ed.To] != E(None) && e < pred[ed.To]) {
-				dist[ed.To] = nd
-				pred[ed.To] = e
-				heap.Push(h, dijkstraItem{v: ed.To, dist: nd})
+			to, nd := g.head[e], it.dist+w[e]
+			if nd < dist[to] || (nd == dist[to] && pred[to] != E(None) && e < pred[to]) {
+				dist[to] = nd
+				pred[to] = e
+				heap.Push(h, dijkstraItem{v: to, dist: nd})
 			}
 		}
 	}
@@ -172,7 +172,7 @@ func (g *Digraph) ShortestPath(src, dst V) []V {
 		if v == src {
 			break
 		}
-		v = g.edges[pred[v]].From
+		v = g.tail[pred[v]]
 	}
 	path := make([]V, len(rev))
 	for i, v := range rev {
@@ -215,7 +215,7 @@ func (g *Digraph) ShortestPathUnique(src, dst V) (path []V, unique bool) {
 // It returns the flow value and the per-edge flow assignment.
 func (g *Digraph) MaxFlow(src, dst V, capacity func(E) int64) (int64, []int64) {
 	n := len(g.names)
-	flow := make([]int64, len(g.edges))
+	flow := make([]int64, len(g.tail))
 	if src < 0 || dst < 0 || src == dst {
 		return 0, flow
 	}
@@ -242,10 +242,10 @@ func (g *Digraph) MaxFlow(src, dst V, capacity func(E) int64) (int64, []int64) {
 			v := queue[0]
 			queue = queue[1:]
 			for _, e := range g.out[v] {
-				if g.removed[e] || flow[e] >= capOf(e) {
+				if !g.live.Has(int(e)) || flow[e] >= capOf(e) {
 					continue
 				}
-				to := g.edges[e].To
+				to := g.head[e]
 				if !visited[to] {
 					visited[to] = true
 					predEdge[to] = e
@@ -258,10 +258,10 @@ func (g *Digraph) MaxFlow(src, dst V, capacity func(E) int64) (int64, []int64) {
 				}
 			}
 			for _, e := range g.in[v] {
-				if g.removed[e] || flow[e] <= 0 {
+				if !g.live.Has(int(e)) || flow[e] <= 0 {
 					continue
 				}
-				from := g.edges[e].From
+				from := g.tail[e]
 				if !visited[from] {
 					visited[from] = true
 					predEdge[from] = e
@@ -285,22 +285,22 @@ func (g *Digraph) MaxFlow(src, dst V, capacity func(E) int64) (int64, []int64) {
 				if r := capOf(e) - flow[e]; r < bottleneck {
 					bottleneck = r
 				}
-				v = g.edges[e].From
+				v = g.tail[e]
 			} else {
 				if flow[e] < bottleneck {
 					bottleneck = flow[e]
 				}
-				v = g.edges[e].To
+				v = g.head[e]
 			}
 		}
 		for v := dst; v != src; {
 			e := predEdge[v]
 			if predDir[v] == 1 {
 				flow[e] += bottleneck
-				v = g.edges[e].From
+				v = g.tail[e]
 			} else {
 				flow[e] -= bottleneck
-				v = g.edges[e].To
+				v = g.head[e]
 			}
 		}
 		total += bottleneck
@@ -328,19 +328,19 @@ func (g *Digraph) MinCut(src, dst V, capacity func(E) int64) []E {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, e := range g.out[v] {
-				if g.removed[e] || flow[e] >= capOf(e) {
+				if !g.live.Has(int(e)) || flow[e] >= capOf(e) {
 					continue
 				}
-				if to := g.edges[e].To; !visited[to] {
+				if to := g.head[e]; !visited[to] {
 					visited[to] = true
 					stack = append(stack, to)
 				}
 			}
 			for _, e := range g.in[v] {
-				if g.removed[e] || flow[e] <= 0 {
+				if !g.live.Has(int(e)) || flow[e] <= 0 {
 					continue
 				}
-				if from := g.edges[e].From; !visited[from] {
+				if from := g.tail[e]; !visited[from] {
 					visited[from] = true
 					stack = append(stack, from)
 				}
@@ -348,9 +348,9 @@ func (g *Digraph) MinCut(src, dst V, capacity func(E) int64) []E {
 		}
 	}
 	var cut []E
-	g.Edges(func(e E, ed Edge) {
-		if visited[ed.From] && !visited[ed.To] && capOf(e) > 0 {
-			cut = append(cut, e)
+	g.live.Each(func(e int) {
+		if visited[g.tail[e]] && !visited[g.head[e]] && capOf(E(e)) > 0 {
+			cut = append(cut, E(e))
 		}
 	})
 	return cut
@@ -370,11 +370,11 @@ func (g *Digraph) DisjointPaths(src, dst V, capacity func(E) int64) [][]V {
 		for v != dst {
 			advanced := false
 			for _, e := range g.out[v] {
-				if g.removed[e] || remaining[e] <= 0 {
+				if !g.live.Has(int(e)) || remaining[e] <= 0 {
 					continue
 				}
 				remaining[e]--
-				v = g.edges[e].To
+				v = g.head[e]
 				path = append(path, v)
 				advanced = true
 				break

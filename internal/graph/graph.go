@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+
+	"repro/internal/bitset"
 )
 
 // V identifies a vertex within a single Digraph.
@@ -27,42 +30,81 @@ type Edge struct {
 	Weight int64
 }
 
-// Digraph is a mutable directed multigraph with string-named vertices.
-// The zero value is an empty graph ready to use. A graph carries no
-// name→vertex index: graphs built by NewOver share one immutable vertex
-// table with every other graph of the same network and address vertices
-// by id; Vertex and AddVertex scan the table and exist for small
-// hand-built graphs, tests and debugging.
+// shape is the part of a graph its views share and never write: the
+// vertex table, every edge's endpoints, and the adjacency lists (edge ids
+// in ascending order per vertex).
+type shape struct {
+	names      []string
+	tail, head []V
+	out, in    [][]E
+}
+
+// Weights is an edge-weight vector by edge id that may be filled on first
+// read, so that the many views of one base graph that are only ever asked
+// about connectivity never pay for it, and the views that share a
+// weighting compute it once. Safe for concurrent readers.
+type Weights struct {
+	once sync.Once
+	fill func() []int64
+	vec  []int64
+}
+
+// LazyWeights returns a weight vector that fill produces on first read.
+func LazyWeights(fill func() []int64) *Weights { return &Weights{fill: fill} }
+
+func (w *Weights) get() []int64 {
+	w.once.Do(func() {
+		if w.fill != nil {
+			w.vec, w.fill = w.fill(), nil
+		}
+	})
+	return w.vec
+}
+
+// Digraph is a directed multigraph with string-named vertices: a shape,
+// a mask of the edges that are live, and a weight per edge. The zero value
+// is not usable; New returns an empty graph that owns its shape and may
+// grow, NewOver one laid over a shared vertex table, and View a graph that
+// shares another's shape under its own mask and weights.
+//
+// A graph carries no name→vertex index: vertices are addressed by id;
+// Vertex and AddVertex scan the table and exist for small hand-built
+// graphs, tests and debugging.
 type Digraph struct {
-	names   []string
-	edges   []Edge
-	removed []bool // removed[e] marks edge e as deleted without reindexing
-	out     [][]E
-	in      [][]E
-	nlive   int
+	*shape
+	// live is shared with whoever supplied it until the first RemoveEdge or
+	// RestoreEdge, which copies it (ownsLive): a view never writes storage
+	// it was handed.
+	live     bitset.Set
+	ownsLive bool
+	w        *Weights
 }
 
 // New returns an empty digraph.
-func New() *Digraph { return &Digraph{} }
+func New() *Digraph { return &Digraph{shape: &shape{}, ownsLive: true, w: &Weights{}} }
 
 // NewOver returns a digraph over the shared vertex table names (vertex v
-// is names[v]) holding exactly the given edges, edge e being edges[e].
-// The table is not copied and must never change; the edge slice is
-// adopted. Adjacency lists are carved out of two backing arrays sized
-// from the edge list, so a build costs a fixed handful of allocations
-// however many vertices it touches (ETG construction's hot path).
+// is names[v]) holding exactly the given edges, all live, edge e being
+// edges[e]. The table is not copied and must never change. Adjacency
+// lists are carved out of two backing arrays sized from the edge list, so
+// a build costs a fixed handful of allocations however many vertices it
+// touches. The result is meant to be the base of many Views and must not
+// be extended once it has one.
 func NewOver(names []string, edges []Edge) *Digraph {
 	nv, ne := len(names), len(edges)
-	g := &Digraph{
-		names:   names[:nv:nv],
-		edges:   edges,
-		removed: make([]bool, ne),
-		out:     make([][]E, nv),
-		in:      make([][]E, nv),
-		nlive:   ne,
+	sh := &shape{
+		names: names[:nv:nv],
+		tail:  make([]V, ne),
+		head:  make([]V, ne),
+		out:   make([][]E, nv),
+		in:    make([][]E, nv),
 	}
+	weights := make([]int64, ne)
+	live := bitset.New(ne)
 	deg := make([]int32, 2*nv)
-	for _, ed := range edges {
+	for i, ed := range edges {
+		sh.tail[i], sh.head[i], weights[i] = ed.From, ed.To, ed.Weight
+		live.Put(i, true)
 		deg[ed.From]++
 		deg[nv+int(ed.To)]++
 	}
@@ -70,51 +112,37 @@ func NewOver(names []string, edges []Edge) *Digraph {
 	off := 0
 	for v := 0; v < nv; v++ {
 		d := int(deg[v])
-		g.out[v] = backing[off : off : off+d]
+		sh.out[v] = backing[off : off : off+d]
 		off += d
 	}
 	for v := 0; v < nv; v++ {
 		d := int(deg[nv+v])
-		g.in[v] = backing[off : off : off+d]
+		sh.in[v] = backing[off : off : off+d]
 		off += d
 	}
 	for i, ed := range edges {
-		g.out[ed.From] = append(g.out[ed.From], E(i))
-		g.in[ed.To] = append(g.in[ed.To], E(i))
+		sh.out[ed.From] = append(sh.out[ed.From], E(i))
+		sh.in[ed.To] = append(sh.in[ed.To], E(i))
 	}
-	return g
+	return &Digraph{shape: sh, live: live, ownsLive: true, w: &Weights{vec: weights}}
 }
 
-// Clone returns a deep copy of g (the vertex table is immutable once
-// shared, so the copy keeps the same one).
-func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{
-		names:   g.names[:len(g.names):len(g.names)],
-		edges:   append([]Edge(nil), g.edges...),
-		removed: append([]bool(nil), g.removed...),
-		out:     make([][]E, len(g.out)),
-		in:      make([][]E, len(g.in)),
-		nlive:   g.nlive,
+// View returns a graph over g's vertices, endpoints and adjacency whose
+// live edges are exactly the set bits of live (nil: g's own mask) and
+// whose weights are w (nil: g's own). Nothing is copied: the view reads
+// live and never writes it — RemoveEdge and RestoreEdge on the view work
+// on a private copy made at the first call — so any number of views may
+// share one mask with each other and with its owner, who must not change
+// it while they are in use. Edge ids, and therefore traversal order, are
+// g's. A view must not be extended.
+func (g *Digraph) View(live bitset.Set, w *Weights) *Digraph {
+	if live == nil {
+		live = g.live
 	}
-	for i := range g.out {
-		c.out[i] = append([]E(nil), g.out[i]...)
+	if w == nil {
+		w = g.w
 	}
-	for i := range g.in {
-		c.in[i] = append([]E(nil), g.in[i]...)
-	}
-	return c
-}
-
-// CloneEdgesShared returns a copy that shares g's vertex and edge
-// storage but owns its removal flags: RemoveEdge/RestoreEdge on the
-// copy do not affect g, and all read operations work. The copy must
-// not have vertices or edges added to it. Use this instead of Clone
-// for transient what-if queries (e.g. reachability under failed links),
-// which only toggle removal flags.
-func (g *Digraph) CloneEdgesShared() *Digraph {
-	c := *g
-	c.removed = append([]bool(nil), g.removed...)
-	return &c
+	return &Digraph{shape: g.shape, live: live, w: w}
 }
 
 // AddVertex adds a vertex named name, or returns the existing vertex with
@@ -149,50 +177,55 @@ func (g *Digraph) Name(v V) string { return g.names[v] }
 func (g *Digraph) NumVertices() int { return len(g.names) }
 
 // NumEdges returns the number of live (non-removed) edges.
-func (g *Digraph) NumEdges() int { return g.nlive }
+func (g *Digraph) NumEdges() int { return g.live.Count() }
 
 // AddEdge adds a directed edge from→to with the given weight and returns
-// its id. Parallel edges are permitted.
+// its id. Parallel edges are permitted. Only a graph that owns its shape
+// (from New) may grow, and only while it has no views.
 func (g *Digraph) AddEdge(from, to V, weight int64) E {
-	e := E(len(g.edges))
-	g.edges = append(g.edges, Edge{From: from, To: to, Weight: weight})
-	g.removed = append(g.removed, false)
+	e := E(len(g.tail))
+	g.tail = append(g.tail, from)
+	g.head = append(g.head, to)
+	g.w.vec = append(g.w.get(), weight)
 	g.out[from] = append(g.out[from], e)
 	g.in[to] = append(g.in[to], e)
-	g.nlive++
+	if int(e)>>6 >= len(g.live) {
+		g.live = append(g.live, 0)
+	}
+	g.live.Put(int(e), true)
 	return e
+}
+
+// ownLive makes the mask private before its first write.
+func (g *Digraph) ownLive() bitset.Set {
+	if !g.ownsLive {
+		g.live, g.ownsLive = g.live.Clone(), true
+	}
+	return g.live
 }
 
 // RemoveEdge marks edge e as removed. Removing an already-removed edge is
 // a no-op.
-func (g *Digraph) RemoveEdge(e E) {
-	if !g.removed[e] {
-		g.removed[e] = true
-		g.nlive--
-	}
-}
+func (g *Digraph) RemoveEdge(e E) { g.ownLive().Put(int(e), false) }
 
 // RestoreEdge undoes RemoveEdge.
-func (g *Digraph) RestoreEdge(e E) {
-	if g.removed[e] {
-		g.removed[e] = false
-		g.nlive++
-	}
-}
+func (g *Digraph) RestoreEdge(e E) { g.ownLive().Put(int(e), true) }
 
 // EdgeLive reports whether edge e is present (not removed).
-func (g *Digraph) EdgeLive(e E) bool { return !g.removed[e] }
+func (g *Digraph) EdgeLive(e E) bool { return g.live.Has(int(e)) }
+
+// Live returns the mask of live edges by edge id, for reading only.
+func (g *Digraph) Live() bitset.Set { return g.live }
 
 // Edge returns the endpoints and weight of edge e (live or removed).
-func (g *Digraph) Edge(e E) Edge { return g.edges[e] }
-
-// SetWeight updates the weight of edge e.
-func (g *Digraph) SetWeight(e E, w int64) { g.edges[e].Weight = w }
+func (g *Digraph) Edge(e E) Edge {
+	return Edge{From: g.tail[e], To: g.head[e], Weight: g.w.get()[e]}
+}
 
 // FindEdge returns the id of a live edge from→to, or None.
 func (g *Digraph) FindEdge(from, to V) E {
 	for _, e := range g.out[from] {
-		if !g.removed[e] && g.edges[e].To == to {
+		if g.live.Has(int(e)) && g.head[e] == to {
 			return e
 		}
 	}
@@ -200,30 +233,28 @@ func (g *Digraph) FindEdge(from, to V) E {
 }
 
 // Out calls fn for each live out-edge of v.
-func (g *Digraph) Out(v V, fn func(e E, edge Edge)) {
-	for _, e := range g.out[v] {
-		if !g.removed[e] {
-			fn(e, g.edges[e])
-		}
-	}
-}
+func (g *Digraph) Out(v V, fn func(e E, edge Edge)) { g.each(g.out[v], fn) }
 
 // In calls fn for each live in-edge of v.
-func (g *Digraph) In(v V, fn func(e E, edge Edge)) {
-	for _, e := range g.in[v] {
-		if !g.removed[e] {
-			fn(e, g.edges[e])
+func (g *Digraph) In(v V, fn func(e E, edge Edge)) { g.each(g.in[v], fn) }
+
+// each calls fn for the live edges among ids, in list order. It reads the
+// weights, so the connectivity algorithms walk the adjacency themselves.
+func (g *Digraph) each(ids []E, fn func(e E, edge Edge)) {
+	w := g.w.get()
+	for _, e := range ids {
+		if g.live.Has(int(e)) {
+			fn(e, Edge{From: g.tail[e], To: g.head[e], Weight: w[e]})
 		}
 	}
 }
 
 // Edges calls fn for each live edge.
 func (g *Digraph) Edges(fn func(e E, edge Edge)) {
-	for i := range g.edges {
-		if !g.removed[i] {
-			fn(E(i), g.edges[i])
-		}
-	}
+	w := g.w.get()
+	g.live.Each(func(e int) {
+		fn(E(e), Edge{From: g.tail[e], To: g.head[e], Weight: w[e]})
+	})
 }
 
 // String renders the graph as "name -> name (w)" lines, sorted, for tests

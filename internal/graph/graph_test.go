@@ -161,19 +161,23 @@ func TestDijkstraUnreachable(t *testing.T) {
 }
 
 func TestShortestPathUnique(t *testing.T) {
-	g := New()
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
-	c := g.AddVertex("c")
-	d := g.AddVertex("d")
-	g.AddEdge(a, b, 1)
-	g.AddEdge(b, d, 1)
-	g.AddEdge(a, c, 1)
-	g.AddEdge(c, d, 1)
-	if _, unique := g.ShortestPathUnique(a, d); unique {
+	var a, d V
+	build := func(ac int64) *Digraph {
+		g := New()
+		a = g.AddVertex("a")
+		b := g.AddVertex("b")
+		c := g.AddVertex("c")
+		d = g.AddVertex("d")
+		g.AddEdge(a, b, 1)
+		g.AddEdge(b, d, 1)
+		g.AddEdge(a, c, ac)
+		g.AddEdge(c, d, 1)
+		return g
+	}
+	if _, unique := build(1).ShortestPathUnique(a, d); unique {
 		t.Error("two equal-cost paths should not be unique")
 	}
-	g.SetWeight(g.FindEdge(a, c), 2)
+	g := build(2)
 	path, unique := g.ShortestPathUnique(a, d)
 	if !unique {
 		t.Error("single best path should be unique")
@@ -277,9 +281,11 @@ func TestTopoSort(t *testing.T) {
 	}
 }
 
+// TestClone: a view with no mask of its own starts as a copy of the
+// graph it views and diverges, privately, at its first edge removal.
 func TestClone(t *testing.T) {
 	g, a, b, _, d := buildDiamond(t)
-	c := g.Clone()
+	c := g.View(nil, nil)
 	c.RemoveEdge(c.FindEdge(a, b))
 	if g.NumEdges() != 4 {
 		t.Error("mutating clone affected original")

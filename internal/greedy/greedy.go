@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/arc"
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/harc"
 	"repro/internal/policy"
@@ -79,7 +80,7 @@ const bigCap = int64(1) << 40
 // effectively infinite capacity to intra-device edges.
 func removableCap(etg *arc.ETG) func(graph.E) int64 {
 	return func(e graph.E) int64 {
-		switch etg.SlotOf[e].Kind {
+		switch etg.Slot(e).Kind {
 		case arc.SlotInterDevice, arc.SlotSource, arc.SlotDest:
 			return 1
 		}
@@ -98,7 +99,7 @@ func repairPC1(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	}
 	r := h.TCRow(p.TC)
 	for _, e := range cut {
-		st.SetTC(r, etg.SlotOf[e].ID, false)
+		st.SetTC(r, etg.Slot(e).ID, false)
 	}
 	return len(cut), nil
 }
@@ -109,18 +110,14 @@ func repairPC1(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	etg := harc.BuildTCETGFromState(h, st, p.TC)
 	// Remove already-waypointed edges, then cut what remains.
-	removed := []graph.E{}
-	etg.G.Edges(func(e graph.E, _ graph.Edge) {
-		if etg.WaypointEdge(e) {
-			removed = append(removed, e)
+	etg.EachSlot(func(s *arc.Slot) {
+		if e := graph.E(s.ID); etg.WaypointEdge(e) {
+			etg.G.RemoveEdge(e)
 		}
 	})
-	for _, e := range removed {
-		etg.G.RemoveEdge(e)
-	}
 	// Only inter-device edges can host a middlebox.
 	capOf := func(e graph.E) int64 {
-		if etg.SlotOf[e].Kind == arc.SlotInterDevice {
+		if etg.Slot(e).Kind == arc.SlotInterDevice {
 			return 1
 		}
 		return bigCap
@@ -131,7 +128,7 @@ func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	}
 	n := 0
 	for _, e := range cut {
-		s := etg.SlotOf[e]
+		s := etg.Slot(e)
 		if s.Kind != arc.SlotInterDevice {
 			return 0, fmt.Errorf("greedy: PC2 cut contains non-link edge %s", s.Key())
 		}
@@ -151,7 +148,7 @@ func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	full := candidateETG(h, p.TC)
 	capOf := func(e graph.E) int64 {
-		if full.SlotOf[e].Kind == arc.SlotInterDevice {
+		if full.Slot(e).Kind == arc.SlotInterDevice {
 			return 1
 		}
 		return bigCap
@@ -164,7 +161,7 @@ func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	r, d := h.TCRow(p.TC), h.DstRow(p.TC.Dst)
 	for _, path := range paths[:p.K] {
 		for i := 0; i+1 < len(path); i++ {
-			s := full.SlotOf[full.G.FindEdge(path[i], path[i+1])]
+			s := full.Slot(full.G.FindEdge(path[i], path[i+1]))
 			if s.Kind != arc.SlotSource && !st.Dst[d].Has(s.ID) {
 				st.SetDst(d, s.ID, true) // realized by a static route
 				changes++
@@ -181,11 +178,9 @@ func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 // candidateETG builds the graph of every candidate slot for tc ("all
 // possible edges"), ignoring current presence.
 func candidateETG(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
-	var all []*arc.Slot
-	for _, s := range h.Slots {
-		if s.ApplicableTC(tc) {
-			all = append(all, s)
-		}
+	all := bitset.New(len(h.Slots))
+	for id, s := range h.Slots {
+		all.Put(id, s.ApplicableTC(tc))
 	}
-	return arc.NewETG(h.Table, arc.LevelTC, all, func(*arc.Slot) int64 { return 1 })
+	return arc.NewETG(h.Table, arc.LevelTC, all, h.Weights(func(*arc.Slot) int64 { return 1 }))
 }

@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/arc"
+	"repro/internal/bitset"
+	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -77,6 +79,11 @@ type HARC struct {
 	A  *arc.ETG
 	D  []*arc.ETG
 	TC []*arc.ETG
+
+	// rows is the network's own state, evaluated from the slot rules once,
+	// at build: A, D and TC are views of its presence rows and StateOf
+	// hands out copy-on-write clones of it. Nothing writes it afterwards.
+	rows *State
 }
 
 // Build constructs the HARC over every traffic class of the network.
@@ -118,32 +125,38 @@ func ParallelFor(n int, fn func(i int)) {
 }
 
 // BuildForTCs constructs the HARC restricted to the given traffic classes
-// (used by the per-destination decomposition of §5.3).
+// (used by the per-destination decomposition of §5.3). The ETGs are views
+// of the state rows BuildLite computed: a view costs two small headers,
+// and a destination's weights are shared by its dETG and every tcETG
+// toward it, filled in only if a PC4 check reads them.
 func BuildForTCs(n *topology.Network, tcs []topology.TrafficClass) *HARC {
 	h := BuildLite(n, tcs)
-	h.A = arc.BuildAllETG(h.Table)
-	// Each per-class and per-destination ETG is a pure function of the
-	// immutable slot table, so they build concurrently, each into its own
-	// row.
+	st, none := h.rows, graph.V(graph.None)
+	h.A = arc.NewETG(h.Table, arc.LevelAll, st.All, h.Weights(func(s *arc.Slot) int64 { return s.Weight(nil) }))
+	h.A.Src, h.A.Dst = none, none
 	h.D = make([]*arc.ETG, len(h.Dsts))
+	weights := make([]*graph.Weights, len(h.Dsts))
+	for r, dst := range h.Dsts {
+		weights[r] = h.Weights(func(s *arc.Slot) int64 { return s.Weight(dst) })
+		h.D[r] = arc.NewETG(h.Table, arc.LevelDst, st.Dst[r], weights[r])
+		h.D[r].DstSubnet, h.D[r].Src = dst, none
+	}
 	h.TC = make([]*arc.ETG, len(tcs))
-	ParallelFor(len(h.Dsts)+len(tcs), func(i int) {
-		if i < len(h.Dsts) {
-			h.D[i] = arc.BuildDstETG(h.Table, h.Dsts[i])
-		} else {
-			h.TC[i-len(h.Dsts)] = arc.BuildTCETG(h.Table, tcs[i-len(h.Dsts)])
-		}
-	})
+	for r, tc := range tcs {
+		h.TC[r] = arc.NewETG(h.Table, arc.LevelTC, st.TC[r], weights[h.DstRow(tc.Dst)])
+		h.TC[r].TC, h.TC[r].DstSubnet = tc, tc.Dst
+	}
 	return h
 }
 
-// BuildLite constructs the slot table and class/destination rows of a
-// HARC without materializing any ETG — enough for StateOf and the
-// *FromState builders, which read only the layout. Verifiers that
-// compare states (rather than graphs) use it to skip the dominant cost
-// of BuildForTCs.
+// BuildLite constructs the slot table, the class/destination rows and
+// the state of a HARC without laying any ETG over them — all that StateOf
+// and the *FromState builders read. Verifiers that compare states
+// (rather than graphs) use it.
 func BuildLite(n *topology.Network, tcs []topology.TrafficClass) *HARC {
-	return &HARC{Layout: newLayout(n, tcs), Network: n}
+	h := &HARC{Layout: newLayout(n, tcs), Network: n}
+	h.rows = evalState(h)
+	return h
 }
 
 // TCETG returns the tcETG for tc, or nil if the HARC holds none.
@@ -202,14 +215,16 @@ func (h *HARC) ValidateHierarchy() error {
 // BuildTCETGFromState materializes the tcETG encoded in the state for tc:
 // the graph with exactly the slots marked present at the tc level, using
 // the state's costs. Used to re-verify repaired HARCs before translation.
+// The result holds a snapshot of the row: later writes to the state do
+// not show through it.
 func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
-	var present []*arc.Slot
+	live := bitset.New(len(h.Slots))
 	st.TCBits(tc).Each(func(id int) {
-		if s := h.Slots[id]; s.ApplicableTC(tc) {
-			present = append(present, s)
+		if h.Slots[id].ApplicableTC(tc) {
+			live.Put(id, true)
 		}
 	})
-	return etgFromState(h, st, tc, present)
+	return etgFromState(h, st, tc, live)
 }
 
 // BuildRoutingETGFromState materializes the routing graph encoded in the
@@ -219,25 +234,22 @@ func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG 
 // outright, it cannot be routed around.
 func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
 	tcRow, dstRow := st.TCBits(tc), st.DstBits(tc.Dst)
-	var present []*arc.Slot
+	live := bitset.New(len(h.Slots))
 	for id, s := range h.Slots {
 		if !s.ApplicableTC(tc) {
 			continue
 		}
 		if s.Kind == arc.SlotSource {
-			if !tcRow.Has(id) {
-				continue
-			}
-		} else if !dstRow.Has(id) {
-			continue
+			live.Put(id, tcRow.Has(id))
+		} else {
+			live.Put(id, dstRow.Has(id))
 		}
-		present = append(present, s)
 	}
-	return etgFromState(h, st, tc, present)
+	return etgFromState(h, st, tc, live)
 }
 
-func etgFromState(h *HARC, st *State, tc topology.TrafficClass, present []*arc.Slot) *arc.ETG {
-	etg := arc.NewETG(h.Table, arc.LevelTC, present, func(s *arc.Slot) int64 { return st.SlotCost(s, tc.Dst) })
+func etgFromState(h *HARC, st *State, tc topology.TrafficClass, live bitset.Set) *arc.ETG {
+	etg := arc.NewETG(h.Table, arc.LevelTC, live, h.Weights(func(s *arc.Slot) int64 { return st.SlotCost(s, tc.Dst) }))
 	etg.TC = tc
 	etg.DstSubnet = tc.Dst
 	etg.Waypoints = st.Waypoint

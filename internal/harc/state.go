@@ -295,32 +295,20 @@ func (st *State) SlotCost(s *arc.Slot, dst *topology.Subnet) int64 {
 	return s.Weight(dst)
 }
 
-// StateOf extracts the current state of the HARC: presence of every slot
-// at every level and the cost of every directed interface. The
-// per-destination and per-traffic-class rows are independent and fill in
-// parallel, each worker writing only its own rows.
-func StateOf(h *HARC) *State {
+// StateOf returns the current state of the HARC: presence of every slot
+// at every level and the cost of every directed interface, as the slot
+// rules evaluated them when the HARC was built. The result is the
+// caller's to write — a copy-on-write clone that shares each row with the
+// HARC until the first write to it.
+func StateOf(h *HARC) *State { return h.rows.Clone() }
+
+// evalState evaluates the slot rules into a fresh state of h's layout.
+// The hierarchy does most of the work: a destination's rows come from the
+// rules, a class's row starts as its destination's. Rows are independent
+// within a level and fill in parallel, each worker writing only its own.
+func evalState(h *HARC) *State {
 	st := newState(h.Layout)
-	all := allIDs(len(h.Slots))
-	fillShared(h, st, all, nil)
-	ParallelFor(len(h.Dsts)+len(h.TCs), func(i int) { fillRow(h, st, i, all) })
-	return st
-}
-
-func allIDs(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
-// fillShared computes the aETG bits and interface costs of the given
-// slots, and the waypoint bits of the links with an end device in changed
-// (every link when changed is nil).
-func fillShared(h *HARC, st *State, ids []int, changed map[string]bool) {
-	for _, id := range ids {
-		s := h.Slots[id]
+	for id, s := range h.Slots {
 		if s.Kind != arc.SlotSource && s.Kind != arc.SlotDest {
 			st.All.Put(id, s.PresentAll())
 		}
@@ -329,32 +317,18 @@ func fillShared(h *HARC, st *State, ids []int, changed map[string]bool) {
 		}
 	}
 	for i, l := range h.Links {
-		if changed == nil || changed[l.A.Device.Name] || changed[l.B.Device.Name] {
-			st.Waypoint.Put(i, l.Waypoint)
-		}
+		st.Waypoint.Put(i, l.Waypoint)
 	}
+	ParallelFor(len(h.Dsts), func(r int) { fillDst(h, st, r) })
+	ParallelFor(len(h.TCs), func(r int) { fillTC(h, st, r) })
+	return st
 }
 
-// fillRow is the one row-filling routine behind StateOf and StateOfDelta:
-// it computes, from the slot rules, the bits of the given slot ids in row
-// i of the HARC — a destination's presence, route-filter and static rows
-// for i < len(h.Dsts), a traffic class's presence row after that. The
-// state must own the row; other bits are left as they are.
-func fillRow(h *HARC, st *State, i int, ids []int) {
-	if i >= len(h.Dsts) {
-		r := i - len(h.Dsts)
-		tc, row := h.TCs[r], st.TC[r]
-		for _, id := range ids {
-			if s := h.Slots[id]; s.ApplicableTC(tc) {
-				row.Put(id, s.PresentTC(tc))
-			}
-		}
-		return
-	}
-	dst := h.Dsts[i]
-	row, rf, static := st.Dst[i], st.RouteFilter[i], st.Static[i]
-	for _, id := range ids {
-		s := h.Slots[id]
+// fillDst computes destination row r: presence, route filters, statics.
+func fillDst(h *HARC, st *State, r int) {
+	dst := h.Dsts[r]
+	row, rf, static := st.Dst[r], st.RouteFilter[r], st.Static[r]
+	for id, s := range h.Slots {
 		if s.ApplicableDst(dst) {
 			row.Put(id, s.PresentDst(dst))
 		}
@@ -367,82 +341,15 @@ func fillRow(h *HARC, st *State, i int, ids []int) {
 	}
 }
 
-// slotTouches reports whether a slot's presence can depend on the
-// configuration of any device in changed: its end processes' devices
-// and (for attachment slots) the attachment interface's device.
-func slotTouches(s *arc.Slot, changed map[string]bool) bool {
-	if s.FromProc != nil && changed[s.FromProc.Device.Name] {
-		return true
-	}
-	if s.ToProc != nil && changed[s.ToProc.Device.Name] {
-		return true
-	}
-	if s.Intf != nil && changed[s.Intf.Device.Name] {
-		return true
-	}
-	return false
-}
-
-// StateOfDelta computes StateOf(h) assuming base is the state of a HARC
-// whose network differs from h's only in the configurations of the
-// devices named in changed: every row starts as a copy of base's and
-// only the slots touching a changed device — listed once, up front — are
-// recomputed from the slot rules. It returns nil — directing the caller
-// to a full StateOf — whenever the assumption is not checkable: the two
-// layouts are not the same shape, or base lacks a destination, class or
-// cost the new network has (the change was structural, not just
-// behavioral).
-//
-// Soundness rests on slot presence being a function of its end devices'
-// configurations and the subnet prefixes: every rule the slot evaluates
-// (route filters, ACLs, static routes, redistribution) lives in the
-// config of a device slotTouches covers. Prefix changes break that
-// locality — an ACL on an unchanged device matches against remote
-// prefixes — so callers must not use the delta path when any subnet's
-// prefix differs between the two networks (session.Delta enforces
-// this).
-func StateOfDelta(h *HARC, base *State, changed map[string]bool) *State {
-	if base == nil || len(changed) == 0 || !h.Table.SameShape(base.lay.Table) {
-		return nil
-	}
-	bl := base.lay
-	for _, dst := range h.Dsts {
-		if bl.DstRow(dst) < 0 {
-			return nil
+// fillTC computes traffic-class row r from its (already filled)
+// destination row: only the slots the table lists as varying by class —
+// source attachments and ACL crossings — are put to the tc-level rule.
+func fillTC(h *HARC, st *State, r int) {
+	tc, row := h.TCs[r], st.TC[r]
+	copy(row, st.Dst[h.DstRow(tc.Dst)])
+	for _, id := range h.TCVaries {
+		if s := h.Slots[id]; s.ApplicableTC(tc) {
+			row.Put(id, s.PresentTC(tc))
 		}
 	}
-	for _, tc := range h.TCs {
-		if bl.TCRow(tc) < 0 {
-			return nil
-		}
-	}
-	st := newState(h.Layout)
-	var touched []int
-	for id, s := range h.Slots {
-		if slotTouches(s, changed) {
-			touched = append(touched, id)
-		} else if ck := s.CostKey(); ck != "" {
-			v, ok := base.Cost[ck]
-			if !ok {
-				return nil
-			}
-			st.Cost[ck] = v
-		}
-	}
-	copy(st.All, base.All)
-	copy(st.Waypoint, base.Waypoint)
-	fillShared(h, st, touched, changed)
-	ParallelFor(len(h.Dsts)+len(h.TCs), func(i int) {
-		if i < len(h.Dsts) {
-			br := bl.DstRow(h.Dsts[i])
-			copy(st.Dst[i], base.Dst[br])
-			copy(st.RouteFilter[i], base.RouteFilter[br])
-			copy(st.Static[i], base.Static[br])
-		} else {
-			r := i - len(h.Dsts)
-			copy(st.TC[r], base.TC[bl.TCRow(h.TCs[r])])
-		}
-		fillRow(h, st, i, touched)
-	})
-	return st
 }

@@ -69,11 +69,8 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 		return "", false
 
 	case Isolated:
-		other := tcETGOf(h, p.TC2)
-		for _, s := range etg.SlotOf {
-			if other.HasSlot(s) {
-				return fmt.Sprintf("classes share edge %s", s.Key()), true
-			}
+		if s := sharedSlot(etg, tcETGOf(h, p.TC2)); s != nil {
+			return fmt.Sprintf("classes share edge %s", s.Key()), true
 		}
 		return "", false
 	}

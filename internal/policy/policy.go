@@ -114,15 +114,18 @@ func CheckState(h *harc.HARC, st *harc.State, p Policy) bool {
 }
 
 // checkIsolated reports whether the two tcETGs share no edge slot
-// (edge_tc1 ⇒ ¬edge_tc2 for every edge, §5.1). Both graphs are laid over
-// one slot table, so a shared slot is one with an edge in each.
-func checkIsolated(a, b *arc.ETG) bool {
-	for _, s := range a.SlotOf {
-		if b.HasSlot(s) {
-			return false
+// (edge_tc1 ⇒ ¬edge_tc2 for every edge, §5.1).
+func checkIsolated(a, b *arc.ETG) bool { return sharedSlot(a, b) == nil }
+
+// sharedSlot returns the lowest-id slot present in both ETGs, or nil.
+func sharedSlot(a, b *arc.ETG) *arc.Slot {
+	var shared *arc.Slot
+	a.EachSlot(func(s *arc.Slot) {
+		if shared == nil && b.HasSlot(s) {
+			shared = s
 		}
-	}
-	return true
+	})
+	return shared
 }
 
 // isolatedInState is checkIsolated on an explicit state, where it needs

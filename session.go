@@ -104,7 +104,6 @@ func (s *Session) Delta(changed map[string]string) (*Session, error) {
 		return nil, fmt.Errorf("cpr: delta removes every configuration")
 	}
 	parsed := make(map[string]*config.Config, len(texts))
-	changedHosts := map[string]bool{}
 	for _, k := range sortedLabels(texts) {
 		if old, ok := s.parsed[k]; ok && s.texts[k] == texts[k] {
 			parsed[k] = old
@@ -115,35 +114,13 @@ func (s *Session) Delta(changed map[string]string) (*Session, error) {
 			return nil, err
 		}
 		parsed[k] = c
-		// A replaced label changes both the device it used to describe
-		// and the one it now describes (usually the same).
-		if old, ok := s.parsed[k]; ok {
-			changedHosts[old.Hostname] = true
-		}
-		changedHosts[c.Hostname] = true
-	}
-	for k, c := range s.parsed {
-		if _, kept := texts[k]; !kept {
-			changedHosts[c.Hostname] = true
-		}
 	}
 	sys, err := systemFromParsed(parsed)
 	if err != nil {
 		return nil, err
 	}
-	// The changed-device set lets the forked solve cache derive the new
-	// epoch's pre-repair state as a delta from this session's — unless a
-	// subnet kept its name but changed its prefix, which invalidates slot
-	// presence network-wide (ACLs on unchanged devices match prefixes) and
-	// forces a from-scratch state.
-	for _, sub := range sys.Network.Subnets {
-		if old := s.sys.Network.Subnet(sub.Name); old != nil && old.Prefix != sub.Prefix {
-			changedHosts = nil
-			break
-		}
-	}
 	key := ContentKey(texts)
-	return &Session{key: key, texts: texts, parsed: parsed, sys: sys, cache: s.cache.ForkDelta(key, changedHosts)}, nil
+	return &Session{key: key, texts: texts, parsed: parsed, sys: sys, cache: s.cache.Fork(key)}, nil
 }
 
 // DeltaKey returns the content key Delta(changed) would produce, without
