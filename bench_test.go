@@ -440,18 +440,58 @@ func BenchmarkSubstrateFatTreeGen(b *testing.B) {
 	}
 }
 
+// The verification benchmarks below are for profiling, not for claims
+// (those go through ./bench). They run on the dc-256 preset of the
+// dc256-oneshot workload and, for the sweep, on a Figure-7-sized data
+// center as well.
+
 func BenchmarkSubstrateVerifyAllPolicies(b *testing.B) {
-	inst, err := generate.DataCenter(generate.DCOptions{
+	dc8, err := generate.DataCenter(generate.DCOptions{
 		Name: "bench", Routers: 8, Subnets: 12, BlockedFrac: 0.3, Violations: 2, Seed: 5,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := inst.Harc()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		policy.Violations(h, inst.Policies)
+	dc256, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		b.Fatal(err)
 	}
+	for _, c := range []struct {
+		name string
+		inst *generate.Instance
+	}{{"dc-8", dc8}, {"dc-256", dc256}} {
+		b.Run(c.name, func(b *testing.B) {
+			h := c.inst.Harc()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				policy.Violations(h, c.inst.Policies)
+			}
+		})
+	}
+}
+
+// BenchmarkSubstrateLinkDisjointFlow times one PC3 check, cycling through
+// the tcETG of every PC3 policy of the instance at k = 2.
+func BenchmarkSubstrateLinkDisjointFlow(b *testing.B) {
+	b.Run("dc-256", func(b *testing.B) {
+		inst, err := generate.Preset("dc-256", 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := inst.Harc()
+		var etgs []*arc.ETG
+		for _, p := range inst.Policies {
+			if p.Kind == policy.KReachable {
+				etgs = append(etgs, h.TCETG(p.TC))
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			arc.LinkDisjointFlow(etgs[i%len(etgs)], 2)
+		}
+	})
 }
 
 // --- cprd daemon benchmarks ---

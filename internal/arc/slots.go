@@ -13,6 +13,7 @@ package arc
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/topology"
@@ -121,10 +122,22 @@ type Table struct {
 	// source attachments (absent from every dETG) and slots that cross an
 	// ACL. Every other bit of a class's row is its destination row's.
 	TCVaries []int
+	// ACLs numbers the distinct ACLs the slots cross, after ACLs[0] == nil,
+	// the list that is not there (and blocks nothing). VaryACLs[i] holds the
+	// ids of the (egress, ingress) lists slot TCVaries[i] must pass: a
+	// class's verdict on an ACL is the same for every slot that crosses it,
+	// so it is computed once per class, not once per slot.
+	ACLs     []*topology.ACL
+	VaryACLs [][2]int32
 
 	// base is the digraph every ETG of the network is a view of: all slots,
 	// edge id ≡ slot id.
 	base *graph.Digraph
+
+	// flow is the skeleton of the PC3 flow network (kflow.go), built by the
+	// first check on any ETG of the table.
+	flowOnce sync.Once
+	flow     *flowShape
 }
 
 // Vertex ids of the two endpoint vertices in every Table.
@@ -363,6 +376,23 @@ func NewTable(n *topology.Network) *Table {
 			s.LinkID = linkID[s.Link]
 		}
 	}
+	t.ACLs = []*topology.ACL{nil}
+	var aclIDs map[*topology.ACL]int32 // made by the first ACL seen
+	aclID := func(a *topology.ACL) int32 {
+		if a == nil {
+			return 0
+		}
+		id, ok := aclIDs[a]
+		if !ok {
+			if aclIDs == nil {
+				aclIDs = make(map[*topology.ACL]int32)
+			}
+			id = int32(len(t.ACLs))
+			aclIDs[a] = id
+			t.ACLs = append(t.ACLs, a)
+		}
+		return id
+	}
 	edges := make([]graph.Edge, len(slots))
 	for i, s := range slots {
 		if s.reverse != nil && s.reverse.ID < s.ID {
@@ -371,6 +401,7 @@ func NewTable(n *topology.Network) *Table {
 		s.outACL, s.inACL = s.lookupACLs()
 		if s.Kind == SlotSource || s.outACL != nil || s.inACL != nil {
 			t.TCVaries = append(t.TCVaries, i)
+			t.VaryACLs = append(t.VaryACLs, [2]int32{aclID(s.outACL), aclID(s.inACL)})
 		}
 		edges[i] = graph.Edge{From: s.From, To: s.To}
 	}

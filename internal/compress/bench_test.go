@@ -22,8 +22,9 @@ func benchInput(b *testing.B) (*topology.Network, Spec) {
 	}
 }
 
-// BenchmarkCompressRefine isolates the partition-refinement fixed point:
-// class seeding on configuration shape plus neighborhood rounds.
+// BenchmarkCompressRefine isolates the per-request half of the
+// partition-refinement fixed point — class seeding on configuration shape
+// plus neighborhood rounds — over a network prepared once.
 func BenchmarkCompressRefine(b *testing.B) {
 	n, spec := benchInput(b)
 	relevant := make(map[*topology.Subnet]bool)
@@ -31,19 +32,11 @@ func BenchmarkCompressRefine(b *testing.B) {
 		relevant[tc.Src] = true
 		relevant[tc.Dst] = true
 	}
-	concrete := make(map[string]bool)
-	for _, d := range n.Devices() {
-		for _, intf := range d.Interfaces() {
-			if intf.Subnet != nil && relevant[intf.Subnet] {
-				concrete[d.Name] = true
-				break
-			}
-		}
-	}
+	p := Prepare(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		part := refine(n, relevant, concrete)
+		part := p.refine(relevant)
 		if len(part.classes) == 0 {
 			b.Fatal("empty partition")
 		}

@@ -101,6 +101,11 @@ func (q *Quotient) Members(dev string) []string {
 // guaranteed to be behaviorally equivalent — callers must re-verify
 // concretized repairs on the uncompressed network.
 func Build(n *topology.Network, spec Spec) (*Quotient, error) {
+	return Prepare(n).Build(spec)
+}
+
+// Build is the package-level Build for the prepared network.
+func (p *Prepared) Build(spec Spec) (*Quotient, error) {
 	if len(spec.TCs) == 0 {
 		return nil, fmt.Errorf("compress: no traffic classes")
 	}
@@ -113,15 +118,5 @@ func Build(n *topology.Network, spec Spec) (*Quotient, error) {
 		relevant[tc.Src] = true
 		relevant[tc.Dst] = true
 	}
-	concrete := make(map[string]bool)
-	for _, d := range n.Devices() {
-		for _, intf := range d.Interfaces() {
-			if intf.Subnet != nil && relevant[intf.Subnet] {
-				concrete[d.Name] = true
-				break
-			}
-		}
-	}
-	part := refine(n, relevant, concrete)
-	return synthesize(n, part, r, relevant)
+	return synthesize(p.n, p.refine(relevant), r, relevant)
 }

@@ -15,6 +15,94 @@ type partition struct {
 	classes [][]string     // class index → sorted member names
 }
 
+// Prepared is the half of refinement that reads the network alone and
+// not the request: every device's signature material rendered once, so
+// that the sub-problems of one repair — which compress the same network
+// for different endpoints — share it instead of each re-rendering every
+// interface in every round. It is immutable and safe for concurrent
+// Builds.
+type Prepared struct {
+	n    *topology.Network
+	devs []prepDevice // aligned with n.Devices()
+}
+
+// prepDevice holds the strings seedSig and roundSig assemble for one
+// device.
+type prepDevice struct {
+	d *topology.Device
+	// head is the seed signature's endpoint-independent opening: waypoint
+	// role, processes, static routes.
+	head string
+	// lnk lists the seed lines of the link interfaces, sorted; subs those of
+	// the host-facing interfaces, which count only for relevant subnets.
+	lnk  []string
+	subs []prepSub
+	// plain is the whole seed signature of the device when none of its
+	// subnets is relevant: head followed by lnk.
+	plain string
+	// edges are roundSig's lines — one per link interface, one per static
+	// route — minus the class numbers.
+	edges []prepEdge
+}
+
+type prepSub struct {
+	subnet *topology.Subnet
+	line   string
+}
+
+// prepEdge is one roundSig line, split around the class number of the
+// device at its far end ("" for a static route that resolves to none).
+type prepEdge struct {
+	before, peer, after string
+}
+
+// Prepare renders the network-only part of the signatures. Build(n, spec)
+// is Prepare(n).Build(spec); a caller with several specs for one network
+// prepares once.
+func Prepare(n *topology.Network) *Prepared {
+	devs := n.Devices()
+	p := &Prepared{n: n, devs: make([]prepDevice, len(devs))}
+	for i, d := range devs {
+		pd := &p.devs[i]
+		pd.d = d
+		pd.head = seedHead(d)
+		for _, intf := range d.Interfaces() {
+			attrs := intfAttrSig(d, intf)
+			switch {
+			case intf.Subnet != nil:
+				pd.subs = append(pd.subs, prepSub{intf.Subnet, "sub " + intf.Subnet.Name + " " + attrs})
+			case intf.Link != nil:
+				pd.lnk = append(pd.lnk, "lnk "+attrs)
+			}
+			if peer := intf.Peer(); peer != nil {
+				pd.edges = append(pd.edges, prepEdge{
+					before: "e c",
+					peer:   peer.Device.Name,
+					after:  " " + attrs + " | " + intfAttrSig(peer.Device, peer) + " | ",
+				})
+			}
+		}
+		sort.Strings(pd.lnk)
+		pd.plain = pd.head + joinLines(pd.lnk)
+		for _, sr := range d.Statics {
+			e := prepEdge{before: "s " + sr.Prefix.String() + " c"}
+			if peer := staticPeer(d, sr); peer != nil {
+				e.peer = peer.Name
+			}
+			pd.edges = append(pd.edges, e)
+		}
+	}
+	return p
+}
+
+func joinLines(lines []string) string {
+	var b strings.Builder
+	for _, l := range lines {
+		b.WriteString(l + "\n")
+	}
+	return b.String()
+}
+
 // refine computes the coarsest role-equivalence partition that the seed
 // signatures and neighborhood structure support. The seed splits on
 // everything locally observable in a device's configuration; each
@@ -22,16 +110,16 @@ type partition struct {
 // signatures (peer class plus both endpoints' edge attributes) until
 // the partition reaches a fixed point. Classes only ever split, so the
 // loop terminates in at most |devices| rounds.
-func refine(n *topology.Network, relevant map[*topology.Subnet]bool, concrete map[string]bool) *partition {
-	devs := n.Devices()
+func (p *Prepared) refine(relevant map[*topology.Subnet]bool) *partition {
+	devs := p.n.Devices()
 	sigs := make(map[string]string, len(devs))
-	for _, d := range devs {
-		sigs[d.Name] = seedSig(d, relevant, concrete)
+	for i := range p.devs {
+		sigs[devs[i].Name] = p.devs[i].seedSig(relevant)
 	}
 	part := groupBySig(devs, sigs)
 	for {
-		for _, d := range devs {
-			sigs[d.Name] = roundSig(d, part.classOf)
+		for i := range p.devs {
+			sigs[devs[i].Name] = p.devs[i].roundSig(part.classOf)
 		}
 		next := groupBySig(devs, sigs)
 		if len(next.classes) == len(part.classes) {
@@ -67,17 +155,33 @@ func groupBySig(devs []*topology.Device, sigs map[string]string) *partition {
 }
 
 // seedSig renders everything locally observable about a device: policy
-// endpoints stay singletons, and the protocol mix, redistribution
-// graph, route filters, static routes, host attachments, ACL contents,
-// link costs and waypoint role all split the partition. Differing in a
-// single ACL entry, link weight or static route therefore lands two
-// otherwise identical devices in distinct classes.
-func seedSig(d *topology.Device, relevant map[*topology.Subnet]bool, concrete map[string]bool) string {
-	var b strings.Builder
-	if concrete[d.Name] {
-		// Policy endpoints are pinned concrete by name.
-		b.WriteString("!" + d.Name + "\n")
+// endpoints — the devices a relevant subnet attaches to — stay singletons,
+// and the protocol mix, redistribution graph, route filters, static
+// routes, host attachments, ACL contents, link costs and waypoint role all
+// split the partition. Differing in a single ACL entry, link weight or
+// static route therefore lands two otherwise identical devices in
+// distinct classes. Irrelevant subnets contribute no slots to the problem
+// and are dropped from the quotient entirely, so they do not show.
+func (pd *prepDevice) seedSig(relevant map[*topology.Subnet]bool) string {
+	var intfs []string
+	for _, sub := range pd.subs {
+		if relevant[sub.subnet] {
+			intfs = append(intfs, sub.line)
+		}
 	}
+	if intfs == nil {
+		return pd.plain
+	}
+	intfs = append(intfs, pd.lnk...)
+	sort.Strings(intfs)
+	// Policy endpoints are pinned concrete by name.
+	return "!" + pd.d.Name + "\n" + pd.head + joinLines(intfs)
+}
+
+// seedHead renders the part of a device's seed signature that precedes
+// its interfaces.
+func seedHead(d *topology.Device) string {
+	var b strings.Builder
 	if d.Waypoint {
 		b.WriteString("wp\n")
 	}
@@ -104,27 +208,7 @@ func seedSig(d *topology.Device, relevant map[*topology.Subnet]bool, concrete ma
 		statics = append(statics, fmt.Sprintf("st %s d%d", sr.Prefix, sr.Distance))
 	}
 	sort.Strings(statics)
-	for _, s := range statics {
-		b.WriteString(s + "\n")
-	}
-	var intfs []string
-	for _, intf := range d.Interfaces() {
-		switch {
-		case intf.Subnet != nil:
-			if !relevant[intf.Subnet] {
-				// Irrelevant subnets contribute no slots to the problem
-				// and are dropped from the quotient entirely.
-				continue
-			}
-			intfs = append(intfs, "sub "+intf.Subnet.Name+" "+intfAttrSig(d, intf))
-		case intf.Link != nil:
-			intfs = append(intfs, "lnk "+intfAttrSig(d, intf))
-		}
-	}
-	sort.Strings(intfs)
-	for _, s := range intfs {
-		b.WriteString(s + "\n")
-	}
+	b.WriteString(joinLines(statics))
 	return b.String()
 }
 
@@ -178,31 +262,17 @@ func aclSig(d *topology.Device, name string) string {
 // class plus the sorted multiset of incident edge signatures, each
 // naming the peer's class and both endpoints' edge attributes, plus the
 // class each static route's next hop resolves to.
-func roundSig(d *topology.Device, classOf map[string]int) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(classOf[d.Name]))
-	b.WriteByte('\n')
-	var edges []string
-	for _, intf := range d.Interfaces() {
-		peer := intf.Peer()
-		if peer == nil {
-			continue
-		}
-		edges = append(edges, fmt.Sprintf("e c%d %s | %s | %s",
-			classOf[peer.Device.Name], intfAttrSig(d, intf), intfAttrSig(peer.Device, peer), ""))
-	}
-	for _, sr := range d.Statics {
+func (pd *prepDevice) roundSig(classOf map[string]int) string {
+	edges := make([]string, 0, len(pd.edges))
+	for _, e := range pd.edges {
 		pc := -1
-		if peer := staticPeer(d, sr); peer != nil {
-			pc = classOf[peer.Name]
+		if e.peer != "" {
+			pc = classOf[e.peer]
 		}
-		edges = append(edges, fmt.Sprintf("s %s c%d", sr.Prefix, pc))
+		edges = append(edges, e.before+strconv.Itoa(pc)+e.after)
 	}
 	sort.Strings(edges)
-	for _, e := range edges {
-		b.WriteString(e + "\n")
-	}
-	return b.String()
+	return strconv.Itoa(classOf[pd.d.Name]) + "\n" + joinLines(edges)
 }
 
 // staticPeer resolves the device a static route's next hop points at:

@@ -102,7 +102,8 @@ func compressRedundancy(pr *problem, opts Options) int {
 // staged for the serial merge; on any failure it records the fallback
 // stage in the stats and returns false so the caller proceeds with the
 // normal uncompressed path.
-func tryCompressed(ctx context.Context, sc *formula.Builder, h *harc.HARC, orig *harc.State, pr *problem, opts Options) (ok bool) {
+func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) (ok bool) {
+	h := tb.h
 	if !compressEligible(h, pr, opts) {
 		return false
 	}
@@ -112,7 +113,7 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, h *harc.HARC, orig 
 			ok = false
 		}
 	}()
-	q, err := compress.Build(h.Network, compress.Spec{
+	q, err := tb.prepared().Build(compress.Spec{
 		TCs:        pr.tcs,
 		Redundancy: compressRedundancy(pr, opts),
 	})

@@ -479,7 +479,7 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 	if isolated {
 		runIsolated(ctx, h, tb, orig, problems, opts)
 	} else {
-		if err := runFailFast(ctx, h, tb, orig, problems, opts); err != nil {
+		if err := runFailFast(ctx, tb, orig, problems, opts); err != nil {
 			return nil, err
 		}
 		if err := ctx.Err(); err != nil {
@@ -664,7 +664,7 @@ func newScratch() *formula.Builder { return formula.NewBuilder(formula.NewPool()
 
 // runFailFast is the legacy fan-out: build and solve each problem (in
 // parallel for per-dst); the first error aborts the batch.
-func runFailFast(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options) error {
+func runFailFast(ctx context.Context, tb *tables, orig *harc.State, problems []*problem, opts Options) error {
 	workers := opts.workerCount()
 	var (
 		wg sync.WaitGroup
@@ -695,7 +695,7 @@ func runFailFast(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 					return
 				}
 			}
-			if tryCompressed(ctx, sc, h, orig, pr, opts) {
+			if tryCompressed(ctx, sc, tb, orig, pr, opts) {
 				if memo && cacheableOutcome(pr, ctx.Err()) {
 					opts.Cache.store(fp, entryFor(orig, pr))
 				}
@@ -782,7 +782,7 @@ func solveIsolated(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *t
 			return
 		}
 	}
-	if tryCompressed(ctx, sc, h, orig, pr, opts) {
+	if tryCompressed(ctx, sc, tb, orig, pr, opts) {
 		if memo && cacheableOutcome(pr, ctx.Err()) {
 			opts.Cache.store(fp, entryFor(orig, pr))
 		}

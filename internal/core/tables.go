@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/arc"
+	"repro/internal/compress"
 	"repro/internal/graph"
 	"repro/internal/harc"
 	"repro/internal/topology"
@@ -25,6 +26,11 @@ type tables struct {
 	dst     [][]int // applicable slot ids, ascending
 	tcOnce  []sync.Once
 	dstOnce []sync.Once
+
+	// prep is the network-only half of symmetry compression, made by the
+	// first sub-problem that compresses and shared by the rest.
+	prepOnce sync.Once
+	prep     *compress.Prepared
 }
 
 // tcTables precomputes one traffic class's slot applicability and ETG
@@ -60,6 +66,12 @@ func newTables(h *harc.HARC) *tables {
 		tcOnce:  make([]sync.Once, len(h.TCs)),
 		dstOnce: make([]sync.Once, len(h.Dsts)),
 	}
+}
+
+// prepared returns the network prepared for compress.Build.
+func (tb *tables) prepared() *compress.Prepared {
+	tb.prepOnce.Do(func() { tb.prep = compress.Prepare(tb.h.Network) })
+	return tb.prep
 }
 
 // need makes the rows of tc and of its destination readable by the

@@ -320,7 +320,15 @@ func evalState(h *HARC) *State {
 		st.Waypoint.Put(i, l.Waypoint)
 	}
 	ParallelFor(len(h.Dsts), func(r int) { fillDst(h, st, r) })
-	ParallelFor(len(h.TCs), func(r int) { fillTC(h, st, r) })
+	// Classes fill in blocks, so that the per-class ACL verdicts live in one
+	// scratch per block rather than one per class.
+	const block = 64
+	ParallelFor((len(h.TCs)+block-1)/block, func(b int) {
+		verdict := make([]aclVerdict, len(h.ACLs))
+		for r := b * block; r < min((b+1)*block, len(h.TCs)); r++ {
+			fillTC(h, st, r, verdict)
+		}
+	})
 	return st
 }
 
@@ -341,15 +349,45 @@ func fillDst(h *HARC, st *State, r int) {
 	}
 }
 
+// aclVerdict is one class's memoised verdict on one ACL.
+type aclVerdict uint8
+
+const (
+	aclUnknown aclVerdict = iota
+	aclPermits
+	aclBlocks
+)
+
 // fillTC computes traffic-class row r from its (already filled)
 // destination row: only the slots the table lists as varying by class —
-// source attachments and ACL crossings — are put to the tc-level rule.
-func fillTC(h *HARC, st *State, r int) {
+// source attachments and ACL crossings — can differ from it. A source
+// attachment is put to the tc-level rule. Any other varying slot is
+// present iff it is for the destination and neither ACL it crosses blocks
+// the class; an ACL is evaluated when the first such slot asks, once per
+// class, into verdict (the caller's scratch, one entry per ACL id). On
+// dc-256 that is 5 of the table's 52 ACLs for the average class: the rest
+// guard only slots the destination row already lacks.
+func fillTC(h *HARC, st *State, r int, verdict []aclVerdict) {
 	tc, row := h.TCs[r], st.TC[r]
-	copy(row, st.Dst[h.DstRow(tc.Dst)])
-	for _, id := range h.TCVaries {
-		if s := h.Slots[id]; s.ApplicableTC(tc) {
-			row.Put(id, s.PresentTC(tc))
+	dstRow := st.Dst[h.DstRow(tc.Dst)]
+	copy(row, dstRow)
+	clear(verdict)
+	blocks := func(acl int32) bool {
+		if verdict[acl] == aclUnknown {
+			verdict[acl] = aclPermits
+			if h.ACLs[acl].Blocks(tc.Src.Prefix, tc.Dst.Prefix) {
+				verdict[acl] = aclBlocks
+			}
+		}
+		return verdict[acl] == aclBlocks
+	}
+	for i, id := range h.TCVaries {
+		if s := h.Slots[id]; s.Kind == arc.SlotSource {
+			if s.ApplicableTC(tc) {
+				row.Put(id, s.PresentTC(tc))
+			}
+		} else if acls := h.VaryACLs[i]; dstRow.Has(id) && (blocks(acls[0]) || blocks(acls[1])) {
+			row.Put(id, false)
 		}
 	}
 }
