@@ -198,11 +198,11 @@ func BenchmarkAblationMaxSATOLL(b *testing.B) {
 	benchDCRepair(b, opts)
 }
 
-// benchDC256SolveStage repairs the broken dc-256 preset — the
-// solve-stage-dominated workload — and reports the SAT-solve stage's
-// share (summed SolveNs across sub-problems) as solve-ns/op alongside
-// the end-to-end time. The OLL/Linear pair is the core-guided engine's
-// headline speedup evidence.
+// benchDC256SolveStage repairs the broken dc-256 preset and reports the
+// SAT-solve stage's share (summed SolveNs across sub-problems) as
+// solve-ns/op alongside the end-to-end time. Under OLL the solve stage
+// is about a seventh of the repair — encoding owns the rest — and the
+// OLL/Linear pair is the core-guided engine's headline speedup evidence.
 func benchDC256SolveStage(b *testing.B, algo maxsat.Algorithm) {
 	inst, err := generate.Preset("dc-256", 7)
 	if err != nil {

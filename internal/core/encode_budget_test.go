@@ -54,13 +54,13 @@ func corpusFixture(t *testing.T) *encodeFixture {
 }
 
 // TestEncodeAllocBudget is the allocation gate on the encoder. With a
-// warm scratch, encoding allocates the encoder's tables, the solver's
-// arrays, and the binary-implication and watch lists that level-0
-// simplification grows past their carved share — nothing per formula
-// node or per variable — so the count repeats to within an allocation
-// and is pinned a few percent above it (the pointer-AST encoder made
-// 314,267 for the corpus network). Raising a budget needs a reason
-// in the commit that does it.
+// warm scratch, encoding allocates the encoder's tables and the solver's
+// arrays — per sub-problem, nothing per formula node, per variable or,
+// now that the solver's lists are windows into two backings, per literal
+// — so the count repeats to within an allocation and is pinned a few
+// percent above it (182 and 810; with a Go slice per list 555 and 6,095;
+// the pointer-AST encoder made 314,267 for the corpus network). Raising
+// a budget needs a reason in the commit that does it.
 func TestEncodeAllocBudget(t *testing.T) {
 	n := topology.Figure2a()
 	for _, tc := range []struct {
@@ -68,8 +68,8 @@ func TestEncodeAllocBudget(t *testing.T) {
 		fix    *encodeFixture
 		budget float64
 	}{
-		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 570},
-		{"corpus-dc08", corpusFixture(t), 6250},
+		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 190},
+		{"corpus-dc08", corpusFixture(t), 840},
 	} {
 		sc := newScratch()
 		tc.fix.encodeAll(t, sc) // grow the scratch to its working size

@@ -91,7 +91,14 @@ func (tb *tables) need(tc topology.TrafficClass) {
 }
 
 func (tb *tables) buildTC(tc topology.TrafficClass) *tcTables {
-	t := &tcTables{nv: 2}
+	n := 0
+	for _, s := range tb.slots {
+		if s.ApplicableTC(tc) {
+			n++
+		}
+	}
+	aligned := make([]int, 3*n)
+	t := &tcTables{nv: 2, slots: aligned[:0:n], fromV: aligned[n : n : 2*n], toV: aligned[2*n : 2*n : 3*n]}
 	local := make([]int, len(tb.h.Vertices)) // 0 = not numbered yet (or SRC)
 	local[arc.VDst] = 1
 	vertex := func(v graph.V) int {
@@ -102,29 +109,53 @@ func (tb *tables) buildTC(tc topology.TrafficClass) *tcTables {
 		return local[v]
 	}
 	linkIdx := make([]int, len(tb.h.Links)) // 1 + index into t.links; 0 = unseen
+	linkOf := make([]int, 0, n)             // per position, its index into t.links; -1 = not inter-device
+	nLinks := 0
 	for i, s := range tb.slots {
 		if !s.ApplicableTC(tc) {
 			continue
 		}
-		k := len(t.slots)
 		t.slots = append(t.slots, i)
 		t.fromV = append(t.fromV, vertex(s.From))
 		t.toV = append(t.toV, vertex(s.To))
+		li := -1
 		if s.Kind == arc.SlotInterDevice {
-			li := linkIdx[s.LinkID] - 1
-			if li < 0 {
-				li = len(t.links)
+			if li = linkIdx[s.LinkID] - 1; li < 0 {
+				li = nLinks
+				nLinks++
 				linkIdx[s.LinkID] = li + 1
-				t.links = append(t.links, nil)
 			}
-			t.links[li] = append(t.links[li], k)
+		}
+		linkOf = append(linkOf, li)
+	}
+	t.byTail = groupPositions(t.fromV, t.nv)
+	t.byHead = groupPositions(t.toV, t.nv)
+	t.links = groupPositions(linkOf, nLinks)
+	return t
+}
+
+// groupPositions returns, for each of n groups, the positions k with
+// group[k] == that group, ascending (a negative entry belongs to none).
+// The lists are carved out of one backing array: count, prefix-sum, fill.
+func groupPositions(group []int, n int) [][]int {
+	start := make([]int, n+1)
+	for _, g := range group {
+		if g >= 0 {
+			start[g+1]++
 		}
 	}
-	t.byTail = make([][]int, t.nv)
-	t.byHead = make([][]int, t.nv)
-	for k := range t.slots {
-		t.byTail[t.fromV[k]] = append(t.byTail[t.fromV[k]], k)
-		t.byHead[t.toV[k]] = append(t.byHead[t.toV[k]], k)
+	for g := 0; g < n; g++ {
+		start[g+1] += start[g]
 	}
-	return t
+	back := make([]int, start[n])
+	out := make([][]int, n)
+	for g := range out {
+		out[g] = back[start[g]:start[g]:start[g+1]]
+	}
+	for k, g := range group {
+		if g >= 0 {
+			out[g] = append(out[g], k)
+		}
+	}
+	return out
 }

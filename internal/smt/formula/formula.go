@@ -337,7 +337,28 @@ func (b *Builder) newVar() sat.Lit {
 	return sat.MkLit(sat.Var(b.nVars-1), false)
 }
 
-func (b *Builder) clause(lits ...sat.Lit) { b.stream = sat.AppendClause(b.stream, lits...) }
+// room extends the stream by n literals and returns them for the caller
+// to fill. A full stream grows by half: append's quarter reallocates a
+// worker's first multi-megabyte stream some fifteen times, and doubling,
+// which allocates least in total, raised the process's peak memory.
+func (b *Builder) room(n int) []sat.Lit {
+	at := len(b.stream)
+	if at+n > cap(b.stream) {
+		grown := make([]sat.Lit, at, max(at+n, cap(b.stream)+cap(b.stream)/2))
+		copy(grown, b.stream)
+		b.stream = grown
+	}
+	b.stream = b.stream[:at+n]
+	return b.stream[at:]
+}
+
+// clause emits one clause in sat.AppendClause's layout: its length, then
+// its literals.
+func (b *Builder) clause(lits ...sat.Lit) {
+	dst := b.room(1 + len(lits))
+	dst[0] = sat.Lit(len(lits))
+	copy(dst[1:], lits)
+}
 
 // Lit returns a solver literal equivalent to f, introducing Tseitin
 // definitions for composite nodes (one per node: hash-consing makes
@@ -370,16 +391,19 @@ func (b *Builder) Lit(f F) sat.Lit {
 		for _, k := range kids {
 			b.clause(l.Not(), k)
 		}
-		b.stream = append(b.stream, sat.Lit(len(kids)+1), l)
-		for _, k := range kids {
-			b.stream = append(b.stream, k.Not())
+		dst := b.room(2 + len(kids))
+		dst[0], dst[1] = sat.Lit(len(kids)+1), l
+		for j, k := range kids {
+			dst[2+j] = k.Not()
 		}
 	case OpOr:
 		// l ↔ OR(kids): (¬k_i ∨ l) for each i; (¬l ∨ k_1 ∨ ... ∨ k_n).
 		for _, k := range kids {
 			b.clause(k.Not(), l)
 		}
-		b.stream = append(append(b.stream, sat.Lit(len(kids)+1), l.Not()), kids...)
+		dst := b.room(2 + len(kids))
+		dst[0], dst[1] = sat.Lit(len(kids)+1), l.Not()
+		copy(dst[2:], kids)
 	}
 	b.tmp = b.tmp[:mark]
 	b.nodeLits[i] = l + 1

@@ -1,6 +1,9 @@
 package sat
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Clause storage: all non-binary clauses live in one contiguous []uint32
 // arena and are identified by the index of their header word (a "cref").
@@ -18,9 +21,9 @@ import "math"
 //	bits 20..31  LBD, saturated at 4095 (0 for problem clauses)
 //
 // Binary clauses never enter the arena: they are specialized into the
-// per-literal implication lists (Solver.bins) and referenced through
-// tagged reasons, so neither storing nor propagating them touches the
-// arena. Unit clauses become level-0 trail entries.
+// per-literal implication lists (Solver.bins, see lists below) and
+// referenced through tagged reasons, so neither storing nor propagating
+// them touches the arena. Unit clauses become level-0 trail entries.
 //
 // Reason/conflict references share the cref space via tagging:
 //
@@ -147,8 +150,8 @@ func (s *Solver) newClause(lits []Lit, learned bool, lbd uint32) uint32 {
 func (s *Solver) watchClause(ref uint32) {
 	w := s.lits(ref)
 	l0, l1 := Lit(w[0]), Lit(w[1])
-	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{ref, l1})
-	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{ref, l0})
+	s.watches.push(l0.Not(), watcher{ref, l1})
+	s.watches.push(l1.Not(), watcher{ref, l0})
 }
 
 // markDeleted flags a learned clause for the next GC and accounts its
@@ -171,14 +174,16 @@ func (s *Solver) markDeleted(ref uint32) {
 // watched exactly once under each watched literal, nothing else in any
 // list — holds between reductions.
 func (s *Solver) cleanWatches() {
-	for i, ws := range s.watches {
-		kept := ws[:0]
-		for _, w := range ws {
-			if !s.deleted(w.cref) {
-				kept = append(kept, w)
+	back := s.watches.back
+	for i := range s.watches.win {
+		w := &s.watches.win[i]
+		kept := back[w.off:w.off]
+		for _, e := range back[w.off : w.off+w.n] {
+			if !s.deleted(e.cref) {
+				kept = append(kept, e)
 			}
 		}
-		s.watches[i] = kept
+		w.n = uint32(len(kept))
 	}
 }
 
@@ -230,9 +235,10 @@ func (s *Solver) gcArena() {
 			s.reason[v] = old[r]
 		}
 	}
-	// Rebuild the watch lists in clause order, keeping their capacity.
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
+	// Rebuild the watch lists in clause order, in their existing windows
+	// (each list gets back at most the entries it had).
+	for i := range s.watches.win {
+		s.watches.win[i].n = 0
 	}
 	for _, ref := range s.clauses {
 		s.watchClause(ref)
@@ -241,4 +247,124 @@ func (s *Solver) gcArena() {
 		s.watchClause(ref)
 	}
 	s.wasted = 0
+}
+
+// Occurrence lists: every literal's binary-implication list and watch
+// list is a window into one backing slice per kind, so a solver holds two
+// pointer-free arrays where it would hold two slice headers per literal —
+// nothing for the collector to scan and no write barrier on a push.
+//
+// Three rules make it safe to walk one list while others grow:
+//
+//  1. A push never moves or reuses a live window other than the pushed
+//     list's own. A full list moves — order kept — to a hole or to the
+//     backing's tail and leaves its old window behind as a hole.
+//  2. propagate never pushes to the list it is filtering: the literal it
+//     starts watching is not false, so its negation is not the true
+//     literal p whose list is being walked. It reads the backing again
+//     after a push that moved a list, because the move may have
+//     reallocated it (offsets are kept).
+//  3. Whatever rewrites many windows at once (cleanWatches, gcArena,
+//     Load's sizing) runs only where no list is being walked.
+
+// window locates one literal's list, back[off : off+n], and says how many
+// entries (cap) fit before the list has to move.
+type window struct{ off, n, cap uint32 }
+
+// maxListEntries bounds a backing so that every offset fits a uint32.
+const maxListEntries = math.MaxUint32
+
+// cell is an entry type whose first word can carry the free-list link
+// while the entry is the head of a hole.
+type cell[T any] interface {
+	link() uint32
+	withLink(next uint32) T
+}
+
+func (l Lit) link() uint32                   { return uint32(l) }
+func (Lit) withLink(next uint32) Lit         { return Lit(next) }
+func (w watcher) link() uint32               { return w.cref }
+func (watcher) withLink(next uint32) watcher { return watcher{cref: next} }
+
+// lists is the per-literal lists of one kind. Below len(back) everything
+// is a live window (entries, then slack up to its cap) or a hole.
+type lists[T cell[T]] struct {
+	win  []window // indexed by literal
+	back []T
+	// holes[k] is 1 + the offset of the first hole of capacity class k
+	// (room for 2^k entries; an abandoned window of another size is
+	// rounded down), 0 if there is none. A hole's first entry links the
+	// next hole of its class the same way.
+	holes [32]uint32
+}
+
+// list returns l's entries. The slice aliases the backing: it is
+// invalidated by a push to any list of the same kind.
+func (ls *lists[T]) list(l Lit) []T {
+	w := ls.win[l]
+	return ls.back[w.off : w.off+w.n]
+}
+
+// push appends x to l's list.
+func (ls *lists[T]) push(l Lit, x T) {
+	w := &ls.win[l]
+	if w.n == w.cap {
+		ls.move(w)
+	}
+	ls.back[w.off+w.n] = x
+	w.n++
+}
+
+// move takes the full list w to a window of the next capacity class, the
+// least power of two above its present capacity.
+func (ls *lists[T]) move(w *window) {
+	k := bits.Len32(w.cap)
+	var off uint32
+	if k < len(ls.holes) && ls.holes[k] != 0 {
+		off = ls.holes[k] - 1
+		ls.holes[k] = ls.back[off].link()
+	} else {
+		off = ls.carve(1 << k)
+	}
+	copy(ls.back[off:], ls.back[w.off:w.off+w.n])
+	if w.cap > 0 {
+		var hole T
+		class := k - 1 // floor(log2(cap))
+		ls.back[w.off] = hole.withLink(ls.holes[class])
+		ls.holes[class] = w.off + 1
+	}
+	w.off, w.cap = off, 1<<k
+}
+
+// carve returns the offset of c new entries at the backing's tail. The
+// backing doubles when it is full and keeps every offset.
+func (ls *lists[T]) carve(c uint64) uint32 {
+	off := uint64(len(ls.back))
+	end := off + c
+	if end > maxListEntries {
+		panic("sat: occurrence lists exhausted")
+	}
+	if end > uint64(cap(ls.back)) {
+		ls.back = grow(ls.back, int(max(end, 2*uint64(cap(ls.back)))))
+	}
+	ls.back = ls.back[:end]
+	return uint32(off)
+}
+
+// layout places every window, in literal order, at the capacity already
+// counted into its cap field, in a new backing with an eighth of headroom
+// (without it the first push past a window's share — a totalizer clause
+// after a load — would double the whole backing). The lists must be
+// empty.
+func (ls *lists[T]) layout() {
+	var total uint64
+	for i := range ls.win {
+		w := &ls.win[i]
+		w.off = uint32(total)
+		total += uint64(w.cap)
+	}
+	if total > maxListEntries {
+		panic("sat: occurrence lists exhausted")
+	}
+	ls.back = make([]T, total, total+total/8)
 }

@@ -30,10 +30,10 @@ func (s *Solver) debugVerifyModel() {
 	for _, ref := range s.learnts {
 		check(ref, true)
 	}
-	// Each binary clause {p.Not(), q} appears as q in bins[p] (twice in
+	// Each binary clause {p.Not(), q} appears as q in p's list (twice in
 	// total, once per orientation); checking both is harmless.
-	for p := range s.bins {
-		for _, q := range s.bins[p] {
+	for p := range s.bins.win {
+		for _, q := range s.bins.list(Lit(p)) {
 			if s.value(Lit(p).Not()) != lTrue && s.value(q) != lTrue {
 				panic(fmt.Sprintf("binary clause {%v, %v} unsatisfied", Lit(p).Not(), q))
 			}

@@ -2,18 +2,66 @@ package sat
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
+// checkLayout verifies the storage invariant of one kind of occurrence
+// list: every window lies inside the backing and holds no more entries
+// than it has room for, no two live windows overlap, and no hole on a
+// free list overlaps a live window or another hole.
+func checkLayout[T cell[T]](t *testing.T, kind string, ls *lists[T]) {
+	t.Helper()
+	type span struct {
+		off, end uint64
+		what     string
+		id       int // the window's literal, or the hole's class
+	}
+	var spans []span
+	for l, w := range ls.win {
+		if w.n > w.cap {
+			t.Fatalf("%s[%d]: %d entries in a window of capacity %d", kind, l, w.n, w.cap)
+		}
+		if w.cap > 0 {
+			spans = append(spans, span{uint64(w.off), uint64(w.off) + uint64(w.cap), "window", l})
+		}
+	}
+	for k, head := range ls.holes {
+		for at, steps := head, 0; at != 0; at = ls.back[at-1].link() {
+			off := uint64(at - 1)
+			spans = append(spans, span{off, off + 1<<k, "hole", k})
+			if off+1<<k > uint64(len(ls.back)) {
+				break // reported below; the link must not be read out of range
+			}
+			if steps++; steps > len(ls.back) {
+				t.Fatalf("%s: free list of class %d loops", kind, k)
+			}
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	for i, sp := range spans {
+		if sp.end > uint64(len(ls.back)) {
+			t.Fatalf("%s: %s %d spans [%d,%d), past the backing's %d entries", kind, sp.what, sp.id, sp.off, sp.end, len(ls.back))
+		}
+		if i > 0 && spans[i-1].end > sp.off {
+			p := spans[i-1]
+			t.Fatalf("%s: %s %d [%d,%d) overlaps %s %d [%d,%d)", kind, p.what, p.id, p.off, p.end, sp.what, sp.id, sp.off, sp.end)
+		}
+	}
+}
+
 // checkWatches verifies the full watcher-list invariant:
+//   - both kinds of list are laid out soundly (checkLayout);
 //   - every live arena clause is watched exactly once under each of its
 //     first two literals' negations, and nowhere else;
 //   - no watch list contains an entry for a deleted clause (propagate
 //     drops them, and reduceDB/gcArena purge them in batch);
 //   - every binary clause appears symmetrically in the implication
-//     lists: q in bins[p] iff p.Not()'s partner p appears in bins[q.Not()].
+//     lists: q under p iff p.Not() under q.Not().
 func checkWatches(t *testing.T, s *Solver) {
 	t.Helper()
+	checkLayout(t, "bins", &s.bins)
+	checkLayout(t, "watches", &s.watches)
 	type key struct {
 		ref uint32
 		lit Lit
@@ -32,8 +80,8 @@ func checkWatches(t *testing.T, s *Solver) {
 		}
 	}
 	got := map[key]int{}
-	for i, ws := range s.watches {
-		for _, w := range ws {
+	for i := range s.watches.win {
+		for _, w := range s.watches.list(Lit(i)) {
 			if s.deleted(w.cref) {
 				t.Fatalf("watch list %d holds deleted clause %d", i, w.cref)
 			}
@@ -54,7 +102,7 @@ func checkWatches(t *testing.T, s *Solver) {
 		}
 	}
 	// Binary implication-list symmetry: clause {p.Not(), q} recorded as
-	// q in bins[p] must also be recorded as p.Not() in bins[q.Not()].
+	// q under p must also be recorded as p.Not() under q.Not().
 	count := func(list []Lit, l Lit) int {
 		n := 0
 		for _, x := range list {
@@ -64,10 +112,10 @@ func checkWatches(t *testing.T, s *Solver) {
 		}
 		return n
 	}
-	for p := range s.bins {
-		for _, q := range s.bins[p] {
-			fwd := count(s.bins[p], q)
-			rev := count(s.bins[q.Not()], Lit(p).Not())
+	for p := range s.bins.win {
+		for _, q := range s.bins.list(Lit(p)) {
+			fwd := count(s.bins.list(Lit(p)), q)
+			rev := count(s.bins.list(q.Not()), Lit(p).Not())
 			if fwd != rev {
 				t.Fatalf("binary clause {%v, %v} asymmetric: %d forward vs %d reverse entries",
 					Lit(p).Not(), q, fwd, rev)

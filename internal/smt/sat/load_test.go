@@ -10,18 +10,27 @@ import (
 )
 
 // loadInput is one Load-versus-AddClause differential case: clauses over
-// nVars variables, plus unit-weight softs for the MaxSAT leg (OLL's
-// totalizers add variables and clauses after the load).
+// nVars variables, late clauses that both solvers get through
+// NewVar/AddClause after the load (over lateVars more variables: a push
+// into a window the load sized exactly has to move the list), plus
+// unit-weight softs for the MaxSAT leg (OLL's totalizers add variables
+// and clauses too).
 type loadInput struct {
 	nVars   int
 	clauses [][]sat.Lit
+	late    [][]sat.Lit
 	softs   []sat.Lit
 }
+
+// lateVars is how many variables the late clauses may use beyond nVars.
+const lateVars = 2
 
 // decodeLoad reads a case from fuzz bytes: the variable count, the soft
 // count, then one token per byte — a literal, or (the two values past the
 // literal range) end of clause. Two terminators in a row make an empty
-// clause; repeated and complementary literals arise on their own.
+// clause; repeated and complementary literals arise on their own. The
+// first time the second terminator value appears it also ends the load:
+// the clauses after it are late ones, read over nVars+lateVars variables.
 func decodeLoad(data []byte) loadInput {
 	in := loadInput{nVars: 1}
 	if len(data) > 0 {
@@ -36,23 +45,38 @@ func decodeLoad(data []byte) loadInput {
 		data = nil
 	}
 	clause := []sat.Lit{}
+	into, lits := &in.clauses, 2*in.nVars
 	for _, b := range data {
-		if x := int(b) % (2*in.nVars + 2); x < 2*in.nVars {
+		x := int(b) % (lits + 2)
+		if x < lits {
 			clause = append(clause, sat.Lit(x))
-		} else {
-			in.clauses = append(in.clauses, clause)
-			clause = []sat.Lit{}
+			continue
+		}
+		*into = append(*into, clause)
+		clause = []sat.Lit{}
+		if x == lits+1 && into == &in.clauses {
+			into, lits = &in.late, 2*(in.nVars+lateVars)
 		}
 	}
 	if len(clause) > 0 {
-		in.clauses = append(in.clauses, clause)
+		*into = append(*into, clause)
 	}
 	return in
 }
 
 // encodeLoad is decodeLoad's inverse for building the seed corpus.
 func encodeLoad(nVars, nSofts int, clauses ...[]int) []byte {
-	data := []byte{byte(nVars - 1), byte(nSofts)}
+	return encodeClauses([]byte{byte(nVars - 1), byte(nSofts)}, nVars, clauses)
+}
+
+// encodeLate ends the load after data's last clause and appends late
+// clauses over nVars+lateVars variables.
+func encodeLate(data []byte, nVars int, late ...[]int) []byte {
+	data[len(data)-1]++ // the second terminator value
+	return encodeClauses(data, nVars+lateVars, late)
+}
+
+func encodeClauses(data []byte, nVars int, clauses [][]int) []byte {
 	for _, c := range clauses {
 		for _, d := range c { // DIMACS-style: ±(var+1)
 			l := sat.MkLit(sat.Var(abs(d)-1), d < 0)
@@ -71,10 +95,14 @@ func abs(x int) int {
 }
 
 // checkLoad holds one solver built by NewVar/AddClause calls and one
-// built by a single Load to the same observable behaviour: Okay, then
-// verdict, counters and model after Solve, then the same again after an
-// OLL MaxSAT run has extended both with totalizers. It returns how many
-// variables that run added, so callers can tell the leg was exercised.
+// built by a single Load to the same state — every implication and watch
+// list in order, arena, trail and ok (sat.StateDiff), with both solvers'
+// storage invariants intact — and the same observable behaviour: Okay,
+// counters and model. It compares after the load, after the late clauses
+// have been added to both through NewVar/AddClause, after Solve, and
+// after an OLL MaxSAT run has extended both with totalizers. It returns
+// how many variables that run added, so callers can tell the leg was
+// exercised.
 func checkLoad(t *testing.T, in loadInput) int64 {
 	t.Helper()
 	seq := sat.New()
@@ -102,8 +130,24 @@ func checkLoad(t *testing.T, in loadInput) int64 {
 		if a, b := seq.ModelPhases(), ld.ModelPhases(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: models differ:\nsequential %v\nloaded     %v", stage, a, b)
 		}
+		if d := sat.StateDiff(seq, ld); d != "" {
+			t.Fatalf("%s: sequential and loaded state differ: %s", stage, d)
+		}
+		sat.CheckInvariants(t, seq)
+		sat.CheckInvariants(t, ld)
 	}
 	same("after load")
+	if len(in.late) > 0 {
+		for _, s := range []*sat.Solver{seq, ld} {
+			for i := 0; i < lateVars; i++ {
+				s.NewVar()
+			}
+			for _, c := range in.late {
+				s.AddClause(c...)
+			}
+		}
+		same("after late clauses")
+	}
 	if a, b := seq.Solve(), ld.Solve(); a != b {
 		t.Fatalf("Solve: sequential %v, loaded %v", a, b)
 	}
@@ -128,15 +172,23 @@ var loadSeeds = [][]byte{
 	encodeLoad(2, 2, []int{1, 2}, []int{}, []int{-1, 2}),                                                                             // early UNSAT by the empty clause
 	encodeLoad(6, 6, []int{1, 2, 3}, []int{-1, -2}, []int{-3, 4, 5}, []int{-4, -5, 6}, []int{2, 4, 6}, []int{-2, -4}, []int{-6, -1}), // softs conflict: OLL adds totalizers
 	encodeLoad(5, 4, []int{-1, -2, -3, -4}, []int{1, 5}, []int{2, 5}, []int{3, -5}, []int{4, -5}),
+	encodeLate(encodeLoad(4, 3, []int{1, 2}, []int{-1, 3}, []int{2, 3, 4}, []int{-2, -3, -4}), 4, // late clauses outgrow exact windows
+		[]int{1, 5}, []int{-1, 6}, []int{2, 3, 5}, []int{-2, 4, -6, 5}, []int{-5, -6}, []int{1, -3}, []int{6}),
 }
 
 func TestLoadSeeds(t *testing.T) {
 	var totalizerVars int64
+	late := 0
 	for _, data := range loadSeeds {
-		totalizerVars += checkLoad(t, decodeLoad(data))
+		in := decodeLoad(data)
+		late += len(in.late)
+		totalizerVars += checkLoad(t, in)
 	}
 	if totalizerVars == 0 {
 		t.Error("no seed made OLL extend a loaded solver with totalizer variables")
+	}
+	if late == 0 {
+		t.Error("no seed adds clauses after the load")
 	}
 }
 
@@ -159,6 +211,34 @@ func TestLoadMatchesSequential(t *testing.T) {
 		}
 		checkLoad(t, in)
 	}
+}
+
+// TestLoadStateMatchesSequential runs checkLoad's state comparison — the
+// one the seeds, the random cases above and FuzzLoad go through — on
+// streams with an encoder's clause mix (85 % binaries, 1 % units that
+// satisfy and shorten other clauses, width 3 and 4 for the rest), at
+// sizes where most windows hold several entries, with late clauses over
+// the loaded variables.
+func TestLoadStateMatchesSequential(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := loadInput{nVars: 50 << seed}
+		in.clauses = clausesOf(sat.DCShapedStream(rng, in.nVars, 5*in.nVars))
+		in.late = clausesOf(sat.DCShapedStream(rng, in.nVars, in.nVars/5))
+		for v := 0; v < in.nVars; v += 7 {
+			in.softs = append(in.softs, sat.MkLit(sat.Var(v), rng.Intn(2) == 0))
+		}
+		checkLoad(t, in)
+	}
+}
+
+// clausesOf splits a Load stream back into its clauses.
+func clausesOf(stream []sat.Lit) [][]sat.Lit {
+	var clauses [][]sat.Lit
+	for i := 0; i < len(stream); i += 1 + int(stream[i]) {
+		clauses = append(clauses, stream[i+1:i+1+int(stream[i])])
+	}
+	return clauses
 }
 
 func FuzzLoad(f *testing.F) {

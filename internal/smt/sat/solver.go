@@ -102,11 +102,13 @@ type Solver struct {
 	wasted  int      // arena words held by deleted clauses
 	gcFrac  float64  // wasted/len(arena) fraction that triggers gcArena
 
-	// bins[p] lists, for every binary clause {p.Not(), q}, the literal q
-	// that becomes forced when p is assigned true. Binary propagation
-	// walks these flat lists and never touches the arena.
-	bins    [][]Lit
-	watches [][]watcher
+	// bins lists under p, for every binary clause {p.Not(), q}, the
+	// literal q that becomes forced when p is assigned true. Binary
+	// propagation walks these flat lists and never touches the arena.
+	// watches lists under p the long clauses watching p.Not(). Both are
+	// windows into shared pointer-free backings (see arena.go).
+	bins    lists[Lit]
+	watches lists[watcher]
 
 	assigns  []lbool
 	phase    []bool // saved phases
@@ -228,14 +230,8 @@ func (s *Solver) SeedPhases(vals []bool) {
 // long-lived incremental sessions have observable memory accounting.
 func (s *Solver) ApproxBytes() int64 {
 	n := int64(cap(s.arena)+cap(s.clauses)+cap(s.learnts)+cap(s.reduceBuf)) * 4
-	for _, b := range s.bins {
-		n += int64(cap(b)) * 4
-	}
-	n += int64(cap(s.bins)) * 24
-	for _, w := range s.watches {
-		n += int64(cap(w)) * 8
-	}
-	n += int64(cap(s.watches)) * 24
+	n += int64(cap(s.bins.win)+cap(s.watches.win)) * 12 // three 32-bit fields
+	n += int64(cap(s.bins.back))*4 + int64(cap(s.watches.back))*8
 	n += int64(cap(s.assigns) + cap(s.phase) + cap(s.seen))         // byte-sized
 	n += int64(cap(s.level)+cap(s.reason)) * 4                      // 32-bit
 	n += int64(cap(s.trail)+cap(s.trailLim)+cap(s.model)) * 4       // 32-bit
@@ -287,8 +283,8 @@ func (s *Solver) reserve(c int) {
 	s.reason = grow(s.reason, c)
 	s.activity = grow(s.activity, c)
 	s.seen = grow(s.seen, c)
-	s.watches = grow(s.watches, 2*c)
-	s.bins = grow(s.bins, 2*c)
+	s.watches.win = grow(s.watches.win, 2*c)
+	s.bins.win = grow(s.bins.win, 2*c)
 	s.litStamp = grow(s.litStamp, 2*c)
 	s.lbdStamp = grow(s.lbdStamp, c+1)
 	s.order.reserve(c)
@@ -307,8 +303,8 @@ func (s *Solver) setNumVars(n int) {
 	s.reason = s.reason[:n]
 	s.activity = s.activity[:n]
 	s.seen = s.seen[:n]
-	s.watches = s.watches[:2*n]
-	s.bins = s.bins[:2*n]
+	s.watches.win = s.watches.win[:2*n]
+	s.bins.win = s.bins.win[:2*n]
 	s.litStamp = s.litStamp[:2*n]
 	if len(s.lbdStamp) < n+1 { // one possible decision level per variable
 		s.lbdStamp = s.lbdStamp[:n+1]
@@ -327,16 +323,22 @@ func AppendClause(stream []Lit, lits ...Lit) []Lit {
 
 // Load brings the solver to nVars variables and adds the clauses of
 // stream (AppendClause's layout) in order, leaving exactly the state the
-// same NewVar and AddClause calls would: every clause goes through
-// AddClause, so level-0 simplification, unit propagation and early
-// UNSAT happen at the same points. What it saves is growth. Every
-// per-variable array is allocated once, and the binary-implication and
-// watch lists are carved at their initial capacity out of one backing
-// array each (lists that later outgrow their share reallocate on their
-// own, as append always did). Returns false if the formula became
-// trivially unsatisfiable. Encoders build the whole CNF first and call
-// Load once on a new solver; variables and clauses added afterwards
-// (MaxSAT totalizers) use NewVar and AddClause.
+// same NewVar and AddClause calls would: the same entries in the same
+// order in every implication and watch list, the same arena, trail and
+// ok, so every later decision, propagation and model is the same too.
+// What it saves is growth and the general path. Every per-variable array
+// is allocated once; on a solver that holds no clauses yet, each list's
+// window is laid out at the size the stream will fill; and a clause
+// AddClause would store exactly as given — a binary over two distinct
+// unassigned variables, a longer one with no assigned, repeated or
+// complementary literal — is written where it belongs without being
+// copied and normalised first. Everything else (units, which propagate
+// at that very point; clauses a level-0 fact satisfies or shortens;
+// duplicates, tautologies, the empty clause) goes through AddClause.
+// Returns false if the formula became trivially unsatisfiable. Encoders
+// build the whole CNF first and call Load once on a new solver;
+// variables and clauses added afterwards (MaxSAT totalizers) use NewVar
+// and AddClause.
 func (s *Solver) Load(nVars int, stream []Lit) bool {
 	if nVars > len(s.assigns) {
 		// An eighth of headroom: MaxSAT engines add selector and totalizer
@@ -345,25 +347,33 @@ func (s *Solver) Load(nVars int, stream []Lit) bool {
 		s.reserve(nVars + nVars/8 + 64)
 		s.setNumVars(nVars)
 	}
-	s.carveLists(stream)
+	if len(s.bins.back) == 0 && len(s.watches.back) == 0 {
+		s.sizeFor(stream)
+	}
 	for i := 0; i < len(stream) && s.ok; {
 		n := int(stream[i])
-		s.AddClause(stream[i+1 : i+1+n]...)
+		c := stream[i+1 : i+1+n]
 		i += 1 + n
+		switch {
+		case n == 2 && s.unassigned(c[0]) && s.unassigned(c[1]) && c[0].Var() != c[1].Var():
+			s.addBinary(c[0], c[1])
+		case n > 2 && s.plain(c):
+			s.newClause(c, false, 0)
+		default:
+			s.AddClause(c...)
+		}
 	}
 	return s.ok
 }
 
-// carveLists sizes the clause arena and the still-empty bins and watch
-// lists for the clauses of stream. It counts, per literal, the binary
-// clauses and the watched positions (a long clause watches its first
-// two literals) the stream will attach — before level-0 simplification,
-// which may shorten a clause, so a share can be off by a few entries —
-// using litStamp as scratch: binaries in the high half of each word,
-// watchers in the low half. The stamps are zero again on return, which
-// no AddClause generation ever equals.
-func (s *Solver) carveLists(stream []Lit) {
-	clear(s.litStamp)
+// sizeFor sizes the clause arena and the (entirely empty) implication
+// and watch lists for the clauses of stream. It counts, per literal, the
+// binary clauses and the watched positions (a long clause watches its
+// first two literals) the stream will attach, straight into the windows'
+// cap fields — before level-0 simplification, which may drop or shorten
+// a clause, so a window can end up with slack or be outgrown by a few
+// entries, which then move like any other full list.
+func (s *Solver) sizeFor(stream []Lit) {
 	var long, words int
 	for i := 0; i < len(stream); {
 		n := int(stream[i])
@@ -372,41 +382,20 @@ func (s *Solver) carveLists(stream []Lit) {
 		if n < 2 {
 			continue
 		}
-		for _, l := range c[:2] {
-			if l < 0 || int(l.Var()) >= len(s.assigns) {
-				panic("sat: literal references unallocated variable")
-			}
-		}
-		one := uint64(1)
+		s.checkLit(c[0])
+		s.checkLit(c[1])
 		if n == 2 {
-			one <<= 32
+			s.bins.win[c[0].Not()].cap++
+			s.bins.win[c[1].Not()].cap++
 		} else {
+			s.watches.win[c[0].Not()].cap++
+			s.watches.win[c[1].Not()].cap++
 			long++
 			words += 1 + n
 		}
-		s.litStamp[c[0].Not()] += one
-		s.litStamp[c[1].Not()] += one
 	}
-	var nb, nw uint64
-	for l, c := range s.litStamp {
-		if len(s.bins[l]) == 0 {
-			nb += c >> 32
-		}
-		if len(s.watches[l]) == 0 {
-			nw += uint64(uint32(c))
-		}
-	}
-	binBack := make([]Lit, nb)
-	watchBack := make([]watcher, nw)
-	for l, c := range s.litStamp {
-		if b := int(c >> 32); b > 0 && len(s.bins[l]) == 0 {
-			s.bins[l], binBack = binBack[:0:b], binBack[b:]
-		}
-		if w := int(uint32(c)); w > 0 && len(s.watches[l]) == 0 {
-			s.watches[l], watchBack = watchBack[:0:w], watchBack[w:]
-		}
-		s.litStamp[l] = 0
-	}
+	s.bins.layout()
+	s.watches.layout()
 	if need := len(s.arena) + words; need > cap(s.arena) {
 		s.arena = grow(s.arena, need)
 	}
@@ -416,6 +405,33 @@ func (s *Solver) carveLists(stream []Lit) {
 	if len(s.assigns) > cap(s.trail) {
 		s.trail = grow(s.trail, len(s.assigns))
 	}
+}
+
+// checkLit panics unless l is a literal of an allocated variable.
+func (s *Solver) checkLit(l Lit) {
+	if uint(l) >= uint(2*len(s.assigns)) {
+		panic("sat: literal references unallocated variable")
+	}
+}
+
+// unassigned reports whether l's variable has no value yet.
+func (s *Solver) unassigned(l Lit) bool {
+	s.checkLit(l)
+	return s.assigns[l.Var()] == lUndef
+}
+
+// plain reports whether AddClause would store c exactly as given: every
+// literal unassigned, none repeated, none complemented.
+func (s *Solver) plain(c []Lit) bool {
+	s.addGen++
+	g := s.addGen
+	for _, l := range c {
+		if !s.unassigned(l) || s.litStamp[l] == g || s.litStamp[l.Not()] == g {
+			return false
+		}
+		s.litStamp[l] = g
+	}
+	return true
 }
 
 // value returns the literal's current assignment.
@@ -455,11 +471,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// satisfied clauses. The literal stamp array replaces a per-call map.
 	s.addGen++
 	g := s.addGen
-	out := s.addBuf[:0]
+	if cap(s.addBuf) < len(lits) {
+		s.addBuf = make([]Lit, 0, 2*len(lits))
+	}
+	out := s.addBuf[:0] // never grows, so the early returns lose nothing
 	for _, l := range lits {
-		if int(l.Var()) >= len(s.assigns) {
-			panic("sat: literal references unallocated variable")
-		}
+		s.checkLit(l)
 		switch s.value(l) {
 		case lTrue:
 			return true // already satisfied at level 0
@@ -475,7 +492,6 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.litStamp[l] = g
 		out = append(out, l)
 	}
-	s.addBuf = out[:0]
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -501,8 +517,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // addBinary records the binary clause {a, b} in the implication lists:
 // when either literal's negation becomes true, the other is forced.
 func (s *Solver) addBinary(a, b Lit) {
-	s.bins[a.Not()] = append(s.bins[a.Not()], b)
-	s.bins[b.Not()] = append(s.bins[b.Not()], a)
+	s.bins.push(a.Not(), b)
+	s.bins.push(b.Not(), a)
 }
 
 // enqueue assigns literal l with the given reason reference.
@@ -534,10 +550,10 @@ func (s *Solver) propagate() uint32 {
 		s.qhead++
 		s.Propagations++
 
-		// Binary implications first: each q in bins[p] is forced by the
-		// clause {p.Not(), q}. This is a flat list walk — no watcher
-		// bookkeeping and no arena access.
-		for _, q := range s.bins[p] {
+		// Binary implications first: each q listed under p is forced by
+		// the clause {p.Not(), q}. This is a flat list walk — no watcher
+		// bookkeeping, no arena access, and nothing in it pushes.
+		for _, q := range s.bins.list(p) {
 			switch s.value(q) {
 			case lFalse:
 				s.binConfl[0] = p.Not()
@@ -550,13 +566,20 @@ func (s *Solver) propagate() uint32 {
 			}
 		}
 
-		ws := s.watches[p]
-		kept := ws[:0]
+		// Filter p's watch window in place, by index: entries [off, j) are
+		// kept, [i, end) still to visit. Moving a watch pushes to another
+		// list (never p's own — arena.go, rule 2); a push that has to move
+		// that list may reallocate the backing, so it is read again.
+		pw := &s.watches.win[p]
+		back := s.watches.back
+		i, j, end := pw.off, pw.off, pw.off+pw.n
 		conflict := refUndef
-		for i := 0; i < len(ws); i++ {
-			w := ws[i]
+		for i < end {
+			w := back[i]
+			i++
 			if s.value(w.blocker) == lTrue {
-				kept = append(kept, w)
+				back[j] = w
+				j++
 				continue
 			}
 			hdr := s.arena[w.cref]
@@ -570,7 +593,8 @@ func (s *Solver) propagate() uint32 {
 			}
 			first := Lit(s.arena[base])
 			if first != w.blocker && s.value(first) == lTrue {
-				kept = append(kept, watcher{w.cref, first})
+				back[j] = watcher{w.cref, first}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
@@ -580,7 +604,14 @@ func (s *Solver) propagate() uint32 {
 				if s.value(Lit(s.arena[base+k])) != lFalse {
 					s.arena[base+1], s.arena[base+k] = s.arena[base+k], s.arena[base+1]
 					nl := Lit(s.arena[base+1])
-					s.watches[nl.Not()] = append(s.watches[nl.Not()], watcher{w.cref, first})
+					// push, spelled out: the call is not inlined here.
+					nw := &s.watches.win[nl.Not()]
+					if nw.n == nw.cap {
+						s.watches.move(nw)
+						back = s.watches.back
+					}
+					back[nw.off+nw.n] = watcher{w.cref, first}
+					nw.n++
 					found = true
 					break
 				}
@@ -589,16 +620,17 @@ func (s *Solver) propagate() uint32 {
 				continue
 			}
 			// Clause is unit or conflicting: keep the watcher (once).
-			kept = append(kept, watcher{w.cref, first})
+			back[j] = watcher{w.cref, first}
+			j++
 			if s.value(first) == lFalse {
 				conflict = w.cref
 				s.qhead = len(s.trail)
-				kept = append(kept, ws[i+1:]...)
+				j += uint32(copy(back[j:], back[i:end]))
 				break
 			}
 			s.enqueue(first, w.cref)
 		}
-		s.watches[p] = kept
+		pw.n = j - pw.off
 		if conflict != refUndef {
 			return conflict
 		}
