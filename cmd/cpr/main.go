@@ -35,18 +35,11 @@ func main() {
 		verifyOnly = flag.Bool("verify", false, "verify only; do not repair")
 		showStats  = flag.Bool("stats", true, "print per-problem and solver statistics after a repair")
 		granFlag   = flag.String("granularity", "per-dst", "MaxSMT granularity: per-dst or all-tcs")
-		algoFlag   = flag.String("algorithm", "oll", "MaxSAT algorithm: oll, linear, or fu-malik")
 		objFlag    = flag.String("objective", "min-lines", "minimality objective: min-lines or min-devices")
 		parallel   = flag.Int("parallel", 0, "parallel per-destination solves (0 = one per core)")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per problem (0 = unlimited)")
 		timeout    = flag.Duration("timeout", 0, "repair deadline (0 = none); exceeding it cancels the solve")
-		isolation  = flag.String("isolation", "on", "per-destination fault isolation: on or off")
-		retries    = flag.Int("retries", 0, "solve attempts per destination under isolation (0 = default 3)")
-		dstTimeout = flag.Duration("dst-timeout", 0, "per-destination watchdog deadline (0 = derive from -timeout)")
-		noFallback = flag.Bool("no-fallback", false, "disable greedy degradation of exhausted destinations")
 		compress   = flag.String("compress", "auto", "symmetry compression: auto, on, or off")
-		solveCache = flag.String("solve-cache", "on", "session solve cache on repeat repairs: on or off (cprd sessions only; a one-shot cpr run has nothing to reuse)")
-		warmStart  = flag.Bool("warm-start", false, "seed solver phases from the previous repair's model (relaxes cross-call byte-identity)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -64,17 +57,10 @@ func main() {
 	// shared with the daemon's JSON body).
 	optFlags := cpr.OptionFlags{
 		Granularity:    *granFlag,
-		Algorithm:      *algoFlag,
 		Objective:      *objFlag,
 		Parallelism:    *parallel,
 		ConflictBudget: *budget,
-		Isolation:      *isolation,
-		RetryAttempts:  *retries,
-		DstTimeoutMS:   dstTimeout.Milliseconds(),
-		NoFallback:     *noFallback,
 		Compress:       *compress,
-		SolveCache:     *solveCache,
-		WarmStart:      *warmStart,
 	}
 	runErr := run(*configDir, *policyFile, *outDir, *verifyOnly, *showStats, optFlags, *timeout)
 	if perr := stopProf(); perr != nil && runErr == nil {

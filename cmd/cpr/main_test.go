@@ -36,7 +36,7 @@ func TestReadConfigs(t *testing.T) {
 
 func TestRunInferMode(t *testing.T) {
 	dir := writeFigure2a(t)
-	if err := run(dir, "", "", false, true, cpr.OptionFlags{Granularity: "per-dst", Algorithm: "linear", Parallelism: 1}, 0); err != nil {
+	if err := run(dir, "", "", false, true, cpr.OptionFlags{Granularity: "per-dst", Parallelism: 1}, 0); err != nil {
 		t.Fatalf("infer mode: %v", err)
 	}
 }
@@ -47,7 +47,7 @@ func TestRunVerifyOnly(t *testing.T) {
 	if err := os.WriteFile(spec, []byte("always-blocked S U\nreachable S T 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, spec, "", true, true, cpr.OptionFlags{Granularity: "per-dst", Algorithm: "linear", Parallelism: 1}, 0); err != nil {
+	if err := run(dir, spec, "", true, true, cpr.OptionFlags{Granularity: "per-dst", Parallelism: 1}, 0); err != nil {
 		t.Fatalf("verify mode: %v", err)
 	}
 }
@@ -60,7 +60,7 @@ func TestRunRepairWritesPatchedConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := t.TempDir()
-	if err := run(dir, spec, out, false, true, cpr.OptionFlags{Granularity: "per-dst", Algorithm: "linear", Parallelism: 2}, 0); err != nil {
+	if err := run(dir, spec, out, false, true, cpr.OptionFlags{Granularity: "per-dst", Parallelism: 2}, 0); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	// Patched configs exist, re-parse, and satisfy the spec.
@@ -76,19 +76,19 @@ func TestRunRepairWritesPatchedConfigs(t *testing.T) {
 	if err := os.WriteFile(spec2, []byte(specText), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(out, spec2, "", true, true, cpr.OptionFlags{Granularity: "per-dst", Algorithm: "linear", Parallelism: 1}, 0); err != nil {
+	if err := run(out, spec2, "", true, true, cpr.OptionFlags{Granularity: "per-dst", Parallelism: 1}, 0); err != nil {
 		t.Fatalf("verify after repair: %v", err)
 	}
 }
 
-func TestRunFuMalikAndAllTCs(t *testing.T) {
+func TestRunAllTCs(t *testing.T) {
 	dir := writeFigure2a(t)
 	spec := filepath.Join(dir, "policies.spec")
 	if err := os.WriteFile(spec, []byte("reachable S T 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "all-tcs", Algorithm: "fu-malik", Parallelism: 1}, 0); err != nil {
-		t.Fatalf("all-tcs/fu-malik: %v", err)
+	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "all-tcs", Parallelism: 1}, 0); err != nil {
+		t.Fatalf("all-tcs: %v", err)
 	}
 }
 
@@ -98,11 +98,11 @@ func TestRunBadFlags(t *testing.T) {
 	if err := os.WriteFile(spec, []byte("reachable S T 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "bogus", Algorithm: "linear", Parallelism: 1}, 0); err == nil {
+	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "bogus", Parallelism: 1}, 0); err == nil {
 		t.Error("bad granularity should error")
 	}
-	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "per-dst", Algorithm: "bogus", Parallelism: 1}, 0); err == nil {
-		t.Error("bad algorithm should error")
+	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "per-dst", Compress: "bogus", Parallelism: 1}, 0); err == nil {
+		t.Error("bad compress mode should error")
 	}
 	if err := run(dir, filepath.Join(dir, "missing.spec"), "", false, true, cpr.OptionFlags{}, 0); err == nil {
 		t.Error("missing spec should error")
@@ -115,7 +115,7 @@ func TestRunUnsatisfiableSpec(t *testing.T) {
 	if err := os.WriteFile(spec, []byte("always-blocked S T\nreachable S T 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "per-dst", Algorithm: "linear", Parallelism: 1}, 0); err == nil {
+	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "per-dst", Parallelism: 1}, 0); err == nil {
 		t.Error("unsatisfiable spec should surface an error")
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cprsat [-algorithm linear|fu-malik] [-budget N] file.cnf
+//	cprsat [-algorithm oll|linear] [-budget N] file.cnf
 //	cprsat file.wcnf
 //
 // CNF instances are decided (SATISFIABLE/UNSATISFIABLE, with a model);
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		algoFlag = flag.String("algorithm", "linear", "MaxSAT algorithm: linear or fu-malik")
+		algoFlag = flag.String("algorithm", "oll", "MaxSAT algorithm: oll (the engine repairs run) or linear (the reference)")
 		budget   = flag.Int64("budget", 0, "conflict budget per solve (0 = unlimited)")
 	)
 	flag.Parse()
@@ -42,12 +42,12 @@ func main() {
 func run(path, algoFlag string, budget int64, out *os.File) error {
 	var algo maxsat.Algorithm
 	switch algoFlag {
+	case "oll":
+		algo = maxsat.OLL
 	case "linear":
 		algo = maxsat.LinearDescent
-	case "fu-malik":
-		algo = maxsat.FuMalik
 	default:
-		return fmt.Errorf("unknown algorithm %q", algoFlag)
+		return fmt.Errorf("unknown algorithm %q (want oll or linear)", algoFlag)
 	}
 	f, err := os.Open(path)
 	if err != nil {

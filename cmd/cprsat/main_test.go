@@ -49,9 +49,9 @@ func TestCNFUnsat(t *testing.T) {
 
 func TestWCNFOptimum(t *testing.T) {
 	in := "p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n1 -2 0\n"
-	for _, algo := range []string{"linear", "fu-malik"} {
+	for _, algo := range []string{"oll", "linear"} {
 		got := runCapture(t, in, algo)
-		if !strings.Contains(got, "o 1") || !strings.Contains(got, "s OPTIMUM FOUND") {
+		if !strings.HasPrefix(got, "o 1\n") || !strings.Contains(got, "s OPTIMUM FOUND") {
 			t.Errorf("%s output: %s", algo, got)
 		}
 	}
@@ -69,7 +69,9 @@ func TestBadInputs(t *testing.T) {
 	}
 	good := filepath.Join(dir, "ok.cnf")
 	os.WriteFile(good, []byte("p cnf 1 1\n1 0\n"), 0o644)
-	if err := run(good, "bogus", 0, os.Stdout); err == nil {
-		t.Error("bad algorithm should error")
+	for _, algo := range []string{"bogus", "fu-malik"} {
+		if err := run(good, algo, 0, os.Stdout); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("algorithm %q: err = %v, want a labeled unknown-algorithm error", algo, err)
+		}
 	}
 }

@@ -197,11 +197,11 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 		return nil, err
 	}
 	out := &RepairOutput{Result: res}
-	// Under fault isolation a partial result is still worth translating:
-	// every solved or degraded destination's repair is verified and
-	// patched, while failed destinations are reported in Result.Stats.
-	// res.Repaired lists exactly the policies the repaired state must
-	// satisfy (all of them when res.Solved).
+	// A partial result is still worth translating: every solved or
+	// degraded destination's repair is verified and patched, while failed
+	// destinations are reported in Result.Stats. res.Repaired lists
+	// exactly the policies the repaired state must satisfy (all of them
+	// when res.Solved).
 	if !res.Usable() {
 		return out, nil
 	}

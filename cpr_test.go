@@ -2,11 +2,14 @@ package cpr
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 )
 
 func loadFigure2a(t *testing.T) *System {
@@ -71,19 +74,61 @@ func TestOptionFlagsResolve(t *testing.T) {
 	if err != nil || opts != DefaultOptions() {
 		t.Errorf("zero flags = %+v, %v; want defaults", opts, err)
 	}
-	opts, err = OptionFlags{Granularity: "all-tcs", Algorithm: "fu-malik", Objective: "min-devices", Parallelism: 4, ConflictBudget: 100}.Resolve()
+	opts, err = OptionFlags{Granularity: "all-tcs", Objective: "min-devices", Parallelism: 4, ConflictBudget: 100, Compress: "off"}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Granularity != AllTCs || opts.Objective != MinDevices || opts.Parallelism != 4 || opts.ConflictBudget != 100 {
+	if opts.Granularity != AllTCs || opts.Objective != MinDevices || opts.Parallelism != 4 || opts.ConflictBudget != 100 || opts.Compress != core.CompressOff {
 		t.Errorf("resolved = %+v", opts)
 	}
 	for _, bad := range []OptionFlags{
-		{Granularity: "x"}, {Algorithm: "x"}, {Objective: "x"}, {ConflictBudget: -1},
+		{Granularity: "x"}, {Objective: "x"}, {Parallelism: -1}, {ConflictBudget: -1}, {Compress: "x"},
 	} {
 		if _, err := bad.Resolve(); err == nil {
 			t.Errorf("flags %+v resolved without error", bad)
 		}
+	}
+	// Spellings that selected a second path through the engine no longer
+	// exist: a request body carrying one is an unknown field to the strict
+	// decoder cprd uses, never a silently ignored one.
+	for _, body := range []string{
+		`{"isolation":"off"}`, `{"algorithm":"linear"}`, `{"warm_start":true}`, `{"solve_cache":"off"}`,
+		`{"no_fallback":true}`, `{"retry_attempts":1}`, `{"dst_timeout_ms":5}`, `{"compress_redundancy":3}`,
+	} {
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		var f OptionFlags
+		if err := dec.Decode(&f); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("options %s: err = %v, want an unknown-field error", body, err)
+		}
+	}
+}
+
+// TestOptionSurface pins the option surface by name. The rule for growing
+// either list: a new field needs two callers outside tests and examples
+// that set it to different values — with one value in use it is a
+// constant, and a value the engine can work out from its inputs (as it
+// does the retry bound, the watchdog share and the fallback from whether
+// the problem froze the aETG) is a derivation, not an option.
+func TestOptionSurface(t *testing.T) {
+	fields := func(v any) []string {
+		typ := reflect.TypeOf(v)
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			names = append(names, typ.Field(i).Name)
+		}
+		return names
+	}
+	if got, want := fields(OptionFlags{}), []string{
+		"Granularity", "Objective", "Parallelism", "ConflictBudget", "Compress",
+	}; !reflect.DeepEqual(got, want) {
+		t.Errorf("OptionFlags fields = %v, want %v", got, want)
+	}
+	if got, want := fields(Options{}), []string{
+		"Granularity", "Algorithm", "Objective", "Parallelism", "CostBits", "DistBits",
+		"AllowWaypointChanges", "WaypointWeight", "ConflictBudget", "Compress", "CompressRedundancy", "Cache",
+	}; !reflect.DeepEqual(got, want) {
+		t.Errorf("core.Options fields = %v, want %v", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -38,14 +39,14 @@ func chaosSeed(t *testing.T) int64 {
 	return 1
 }
 
-// checkChaosInvariants asserts what must hold after ANY isolated repair,
-// faults or not: a result (never an error, never a crash), every
-// sub-problem classified, counts consistent, and the partial state
-// verified against exactly the policies the result claims repaired.
+// checkChaosInvariants asserts what must hold after ANY repair, faults
+// or not: a result (never an error, never a crash), every sub-problem
+// classified, counts consistent, and the partial state verified against
+// exactly the policies the result claims repaired.
 func checkChaosInvariants(t *testing.T, h *harc.HARC, res *Result, err error, round string) {
 	t.Helper()
 	if err != nil {
-		t.Fatalf("%s: isolated repair returned error %v, want fault containment", round, err)
+		t.Fatalf("%s: repair returned error %v, want fault containment", round, err)
 	}
 	if res == nil {
 		t.Fatalf("%s: nil result", round)
@@ -83,7 +84,7 @@ func checkChaosInvariants(t *testing.T, h *harc.HARC, res *Result, err error, ro
 	}
 }
 
-// TestChaosCampaign drives the isolated repair pipeline through every
+// TestChaosCampaign drives the repair pipeline through every
 // failpoint — first one site at a time (finite then unlimited faults),
 // then seeded random combinations — and checks after every round that
 // faults were contained, outcomes are accurate, and every destination
@@ -181,18 +182,23 @@ func TestChaosCampaign(t *testing.T) {
 	}
 }
 
+// figure2aPC3 is Figure 2a with only its (violated) PC3 policy: one
+// greedy-eligible sub-problem.
+func figure2aPC3() (*harc.HARC, []policy.Policy) {
+	n := topology.Figure2a()
+	return harc.Build(n), []policy.Policy{{
+		Kind: policy.KReachable, K: 2,
+		TC: topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("T")},
+	}}
+}
+
 // TestDegradedFallbackVerifies pins the degradation path end to end on a
 // deterministic instance: with the solver permanently starved, the PC3
 // problem must fall back to the greedy baseline, be realized as
 // per-destination constructs, and the merged state must satisfy the
 // policy.
 func TestDegradedFallbackVerifies(t *testing.T) {
-	n := topology.Figure2a()
-	h := harc.Build(n)
-	ps := []policy.Policy{{
-		Kind: policy.KReachable, K: 2,
-		TC: topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("T")},
-	}}
+	h, ps := figure2aPC3()
 	if err := faultinject.Set(faultinject.SATBudgetStarve, "error"); err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +216,8 @@ func TestDegradedFallbackVerifies(t *testing.T) {
 	if st.Outcome != OutcomeDegraded || st.Fallback != "greedy" {
 		t.Errorf("stat = outcome %s fallback %q, want degraded via greedy", st.Outcome, st.Fallback)
 	}
-	if st.Attempts != defaultRetryAttempts {
-		t.Errorf("attempts = %d, want %d (budget escalation exhausted)", st.Attempts, defaultRetryAttempts)
+	if st.Attempts != maxAttempts {
+		t.Errorf("attempts = %d, want %d (budget escalation exhausted)", st.Attempts, maxAttempts)
 	}
 	if st.Err == "" {
 		t.Error("degraded stat lost the error that forced the fallback")
@@ -342,29 +348,62 @@ func testCompressVerifyFallback(t *testing.T, site, stage string) {
 	}
 }
 
-// TestNoFallbackMarksFailed checks the DisableFallback escape hatch:
-// with degradation off, a starved problem is failed, not silently
-// greedy-repaired.
-func TestNoFallbackMarksFailed(t *testing.T) {
-	n := topology.Figure2a()
-	h := harc.Build(n)
-	ps := []policy.Policy{{
-		Kind: policy.KReachable, K: 2,
-		TC: topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("T")},
-	}}
+// allTCsChaosInstance is the instance TestDegradedFallbackVerifies
+// degrades per destination, as one monolithic problem.
+func allTCsChaosInstance() (*harc.HARC, []policy.Policy, Options) {
+	h, ps := figure2aPC3()
+	opts := DefaultOptions()
+	opts.Granularity = AllTCs
+	return h, ps, opts
+}
+
+// TestChaosAllTCsSolvePanicContained: the monolithic problem runs in the
+// same failure domain as a destination — a solver panic is a failed
+// sub-problem naming the panic, not a dead process — but gets one attempt
+// and no greedy fallback.
+func TestChaosAllTCsSolvePanicContained(t *testing.T) {
+	h, ps, opts := allTCsChaosInstance()
+	if err := faultinject.Set(faultinject.SATSolvePanic, "1*panic"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+
+	res, err := Repair(h, ps, opts)
+	checkChaosInvariants(t, h, res, err, "all-tcs solve panic")
+	if res.Failed != 1 || len(res.Stats) != 1 {
+		t.Fatalf("failed=%d over %d problems, want the one all-tcs problem failed", res.Failed, len(res.Stats))
+	}
+	st := res.Stats[0]
+	if st.Attempts != 1 || st.Fallback != "" {
+		t.Errorf("attempts=%d fallback=%q, want one attempt and no fallback", st.Attempts, st.Fallback)
+	}
+	if !strings.Contains(st.Err, "panic during solve") {
+		t.Errorf("err = %q, want it to name the solver panic", st.Err)
+	}
+}
+
+// TestChaosAllTCsBudgetStarveOneAttempt: a starved all-tcs solve is
+// reported after one attempt at the caller's budget — no escalation, no
+// greedy fallback — and leaves the state as it found it.
+func TestChaosAllTCsBudgetStarveOneAttempt(t *testing.T) {
+	h, ps, opts := allTCsChaosInstance()
 	if err := faultinject.Set(faultinject.SATBudgetStarve, "error"); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Reset()
 
-	opts := DefaultOptions()
-	opts.DisableFallback = true
 	res, err := Repair(h, ps, opts)
-	if err != nil {
-		t.Fatal(err)
+	checkChaosInvariants(t, h, res, err, "all-tcs budget starve")
+	if len(res.Stats) != 1 {
+		t.Fatalf("%d problems, want the one all-tcs problem", len(res.Stats))
 	}
-	if res.Failed != 1 || res.Degraded != 0 || res.Usable() {
-		t.Fatalf("failed=%d degraded=%d usable=%v, want one failed problem and nothing usable",
-			res.Failed, res.Degraded, res.Usable())
+	st := res.Stats[0]
+	if st.Outcome != OutcomeFailed || st.Attempts != 1 || st.Fallback != "" {
+		t.Errorf("outcome=%s attempts=%d fallback=%q, want failed after one attempt without fallback",
+			st.Outcome, st.Attempts, st.Fallback)
+	}
+	if res.Usable() || !res.State.Equal(res.Orig) {
+		t.Errorf("usable=%v, state equals orig=%v; want an unusable result on the untouched state",
+			res.Usable(), res.State.Equal(res.Orig))
 	}
 }

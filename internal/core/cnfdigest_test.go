@@ -9,7 +9,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/generate"
 	"repro/internal/harc"
 	"repro/internal/policy"
@@ -109,8 +108,7 @@ func TestCNFDigest(t *testing.T) {
 		all("corpus/"+corpus[i].Name, corpus[i].Harc(), corpus[i].Policies, DefaultOptions())
 	}
 
-	// One dc-256 sub-problem on its quotient, built the way tryCompressed
-	// builds it.
+	// One dc-256 sub-problem on its quotient, as tryCompressed builds it.
 	dc, err := generate.Preset("dc-256", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -121,15 +119,10 @@ func TestCNFDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := problems[0]
-	q, err := compress.Build(dh.Network, compress.Spec{TCs: pr.tcs, Redundancy: compressRedundancy(pr, opts)})
-	if err != nil {
-		t.Fatal(err)
+	_, qh, qtcs, qpolicies, stage := buildQuotient(newTables(dh), pr, opts)
+	if stage != "" {
+		t.Fatalf("no quotient for %s: stage %q", pr.label, stage)
 	}
-	qtcs, qpolicies, err := remapToQuotient(q.Net, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qh := harc.BuildForTCs(q.Net, qtcs)
 	qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
 	got["dc256-quotient/"+pr.label] = cnfDigest(t, sc, newTables(qh), harc.StateOf(qh), qpr, opts)
 

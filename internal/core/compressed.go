@@ -94,6 +94,37 @@ func compressRedundancy(pr *problem, opts Options) int {
 	return r
 }
 
+// buildQuotient constructs the quotient problem of one compression-
+// eligible sub-problem: the quotient network, the sub-problem's classes
+// and policies rebound onto it, and its HARC. It records the quotient's
+// shape and the HARC build time in the problem's stats. A non-empty stage
+// names why there is no quotient problem to solve (the CompressFallback
+// stage) and leaves the other results unusable.
+func buildQuotient(tb *tables, pr *problem, opts Options) (q *compress.Quotient, qh *harc.HARC, qtcs []topology.TrafficClass, qpolicies []policy.Policy, stage string) {
+	q, err := tb.prepared().Build(compress.Spec{
+		TCs:        pr.tcs,
+		Redundancy: compressRedundancy(pr, opts),
+	})
+	if err != nil {
+		return nil, nil, nil, nil, "quotient"
+	}
+	pr.stat.DeviceClasses = len(q.Classes)
+	pr.stat.QuotientDevices = q.Net.NumDevices()
+	pr.stat.CompressRatio = q.Ratio()
+	// A quotient no smaller than the network cannot pay for itself.
+	if opts.Compress != CompressOn && 4*q.Net.NumDevices() > 3*tb.h.Network.NumDevices() {
+		return nil, nil, nil, nil, "incompressible"
+	}
+	qtcs, qpolicies, err = remapToQuotient(q.Net, pr)
+	if err != nil {
+		return nil, nil, nil, nil, "remap"
+	}
+	t0 := time.Now()
+	qh = harc.BuildForTCs(q.Net, qtcs)
+	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
+	return q, qh, qtcs, qpolicies, ""
+}
+
 // tryCompressed attempts the compressed solve for one sub-problem:
 // build the quotient, repair it with the unchanged encoder, concretize
 // the patch onto every class member, and accept only if the realized
@@ -113,30 +144,12 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *h
 			ok = false
 		}
 	}()
-	q, err := tb.prepared().Build(compress.Spec{
-		TCs:        pr.tcs,
-		Redundancy: compressRedundancy(pr, opts),
-	})
-	if err != nil {
-		pr.stat.CompressFallback = "quotient"
-		return false
-	}
-	pr.stat.DeviceClasses = len(q.Classes)
-	pr.stat.QuotientDevices = q.Net.NumDevices()
-	pr.stat.CompressRatio = q.Ratio()
-	// A quotient no smaller than the network cannot pay for itself.
-	if opts.Compress != CompressOn && 4*q.Net.NumDevices() > 3*h.Network.NumDevices() {
-		pr.stat.CompressFallback = "incompressible"
-		return false
-	}
-
-	qtcs, qpolicies, rerr := remapToQuotient(q.Net, pr)
-	if rerr != nil {
-		pr.stat.CompressFallback = "remap"
+	q, qh, qtcs, qpolicies, stage := buildQuotient(tb, pr, opts)
+	if stage != "" {
+		pr.stat.CompressFallback = stage
 		return false
 	}
 	t0 := time.Now()
-	qh := harc.BuildForTCs(q.Net, qtcs)
 	qorig := harc.StateOf(qh)
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
 	t0 = time.Now()
@@ -175,12 +188,11 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *h
 		return false
 	}
 	// The safety net: verify the patch on the quotient plus a
-	// deterministic concrete spot-check sample (or, under
-	// CompressConcreteVerify, on every policy concretely). Any over-merge
-	// the refiner committed surfaces here and sends the destination down
-	// the uncompressed path with the failing stage recorded.
+	// deterministic concrete spot-check sample. Any over-merge the refiner
+	// committed surfaces here and sends the destination down the
+	// uncompressed path with the failing stage recorded.
 	t0 = time.Now()
-	vok := verifyOnQuotient(h, qh, qrep, trial, pr, qpolicies, q, touched, opts)
+	vok := verifyOnQuotient(h, qh, qrep, trial, pr, qpolicies, q, touched)
 	pr.stat.ReverifyNs += time.Since(t0).Nanoseconds()
 	if !vok {
 		return false
@@ -197,11 +209,8 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *h
 	return true
 }
 
-// verifyOnQuotient decides whether a concretized patch is accepted. The
-// pre-quotient-verify behavior (every policy re-checked concretely on
-// trial) is kept behind Options.CompressConcreteVerify as the oracle and
-// benchmark baseline. The default ladder has two rungs, each naming its
-// own fallback stage:
+// verifyOnQuotient decides whether a concretized patch is accepted, on
+// a ladder of two rungs, each naming its own fallback stage:
 //
 //  1. "qverify" — every remapped policy is verified on the quotient HARC
 //     against the extracted quotient state. The solver's hard constraints
@@ -217,20 +226,12 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *h
 //     members), which is where count-based concretization can go wrong.
 //
 // Either failure returns false with ProblemStat.CompressFallback set, so
-// the caller re-solves uncompressed — the same full concrete guarantee
-// as before, reached only when the cheap checks disagree. Fallback
-// stages are never cached (cacheableOutcome requires an empty stage).
-func verifyOnQuotient(h, qh *harc.HARC, qrep, trial *harc.State, pr *problem, qpolicies []policy.Policy, q *compress.Quotient, touched map[string]bool, opts Options) bool {
-	if opts.CompressConcreteVerify {
-		checker := policy.NewStateChecker(h, trial)
-		for _, p := range pr.policies {
-			if !checker.Check(p) {
-				pr.stat.CompressFallback = "verify"
-				return false
-			}
-		}
-		return true
-	}
+// the caller re-solves uncompressed. The full concrete guarantee is not
+// this ladder's to give: cpr.RepairCtx re-verifies every touched policy
+// on the uncompressed state and replays the patched text before anything
+// is returned. Fallback stages are never cached (cacheableOutcome
+// requires an empty stage).
+func verifyOnQuotient(h, qh *harc.HARC, qrep, trial *harc.State, pr *problem, qpolicies []policy.Policy, q *compress.Quotient, touched map[string]bool) bool {
 	if faultinject.Eval(faultinject.CoreQVerifyError) != nil {
 		pr.stat.CompressFallback = "qverify"
 		return false

@@ -25,10 +25,13 @@ import (
 //
 // Entries retain the live encoder (its variable tables plus the
 // sat.Solver with its learned clauses and saved phases; the formula
-// arena it was built in is worker scratch and is not retained), which
-// makes the session's memory footprint observable (Stats) and
-// reclaimable (Release), and supplies the model that WarmStart seeds
-// re-solves from.
+// arena it was built in is worker scratch and is not retained). Nothing
+// reads it back — replay copies the captured rows — but it is counted
+// (Stats) and reclaimable (Release), and it is deliberate heap ballast:
+// on cprd's small-request mix the retained solvers are what paces the
+// collector, and dropping them costs +42–62 % op_ms_p95 for −99 %
+// retained bytes (DESIGN.md §6 has the four measured pairs). Remove it
+// only together with a soft memory limit.
 //
 // A SolveCache is safe for concurrent use by parallel per-destination
 // workers and by concurrent Repair calls sharing one session.
@@ -36,13 +39,9 @@ type SolveCache struct {
 	mu      sync.Mutex
 	epoch   string
 	entries map[string]*solveEntry
-	// lastModel maps a sub-problem label to the most recently stored
-	// model's phase vector, the WarmStart seed for re-solves of the same
-	// destination after its fingerprint was invalidated.
-	lastModel map[string][]bool
-	hits      uint64
-	misses    uint64
-	stores    uint64
+	hits    uint64
+	misses  uint64
+	stores  uint64
 }
 
 // solveEntry is one memoized terminal sub-problem outcome. Entries are
@@ -62,7 +61,6 @@ type solveEntry struct {
 	// solve; nil for compressed entries, whose quotient encoder is
 	// discarded inside tryCompressed.
 	enc   *encoder
-	model []bool
 	bytes int64
 }
 
@@ -73,11 +71,7 @@ type solveEntry struct {
 // rather than just the sub-problem's closure. An empty epoch disables
 // caching for those sub-problems only.
 func NewSolveCache(epoch string) *SolveCache {
-	return &SolveCache{
-		epoch:     epoch,
-		entries:   make(map[string]*solveEntry),
-		lastModel: make(map[string][]bool),
-	}
+	return &SolveCache{epoch: epoch, entries: make(map[string]*solveEntry)}
 }
 
 // Epoch returns the config-set identity this cache was built or forked
@@ -85,10 +79,9 @@ func NewSolveCache(epoch string) *SolveCache {
 func (c *SolveCache) Epoch() string { return c.epoch }
 
 // Fork snapshots the cache for a derived session under a new epoch.
-// Entries and models are shared by reference (they are immutable);
-// counters start fresh. Entries whose fingerprint embedded the old
-// epoch simply never match again and age out when the forked session is
-// released.
+// Entries are shared by reference (they are immutable); counters start
+// fresh. Entries whose fingerprint embedded the old epoch simply never
+// match again and age out when the forked session is released.
 func (c *SolveCache) Fork(epoch string) *SolveCache {
 	nc := NewSolveCache(epoch)
 	if c == nil {
@@ -98,9 +91,6 @@ func (c *SolveCache) Fork(epoch string) *SolveCache {
 	defer c.mu.Unlock()
 	for k, v := range c.entries {
 		nc.entries[k] = v
-	}
-	for k, v := range c.lastModel {
-		nc.lastModel[k] = v
 	}
 	return nc
 }
@@ -150,7 +140,6 @@ func (c *SolveCache) Release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*solveEntry)
-	c.lastModel = make(map[string][]bool)
 }
 
 func (c *SolveCache) lookup(fp string) *solveEntry {
@@ -175,17 +164,6 @@ func (c *SolveCache) store(fp string, e *solveEntry) {
 		c.entries[fp] = e
 		c.stores++
 	}
-	if e.model != nil {
-		c.lastModel[e.stat.Label] = e.model
-	}
-}
-
-// priorModel returns the last stored model for a sub-problem label, the
-// WarmStart phase seed.
-func (c *SolveCache) priorModel(label string) []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastModel[label]
 }
 
 // replay copies the memoized outcome onto the problem. The caller's
@@ -238,7 +216,7 @@ func (w *fpWriter) boolean(v bool) {
 
 // fingerprintVersion tags the hash layout; bump it whenever the encoder
 // reads a new input, so stale-layout fingerprints cannot collide.
-const fingerprintVersion = "cprfp3"
+const fingerprintVersion = "cprfp4"
 
 // problemFingerprint hashes the complete input closure of one
 // sub-problem's encode+solve: the slot table's shape, and every
@@ -282,7 +260,6 @@ func problemFingerprint(tb *tables, orig *harc.State, pr *problem, opts Options,
 	w.i64(opts.ConflictBudget)
 	w.i64(int64(opts.Compress))
 	w.i64(int64(opts.CompressRedundancy))
-	w.boolean(opts.CompressConcreteVerify)
 	w.boolean(pr.freeze)
 	w.str(pr.label)
 
@@ -346,7 +323,7 @@ func problemFingerprint(tb *tables, orig *harc.State, pr *problem, opts Options,
 // problemMemo decides whether a sub-problem participates in the solve
 // cache and, if so, computes its fingerprint.
 func problemMemo(tb *tables, orig *harc.State, pr *problem, opts Options) (string, bool) {
-	if opts.Cache == nil || opts.DisableSolveCache {
+	if opts.Cache == nil {
 		return "", false
 	}
 	return problemFingerprint(tb, orig, pr, opts, opts.Cache.Epoch())
@@ -388,8 +365,7 @@ func entryFor(orig *harc.State, pr *problem) *solveEntry {
 	if pr.stat.Outcome == OutcomeSolved {
 		e.extracted = orig.Clone()
 		pr.enc.extract(e.extracted)
-		e.model = pr.enc.s.ModelPhases()
-		e.bytes += e.extracted.ApproxBytes() + int64(len(e.model))
+		e.bytes += e.extracted.ApproxBytes()
 	}
 	e.enc = pr.enc
 	if pr.enc != nil {

@@ -37,7 +37,7 @@ func dcInstance(t *testing.T) *generate.Instance {
 func TestRepairCtxCancelMidFanoutPartialResult(t *testing.T) {
 	inst := dcInstance(t)
 	h := inst.Harc()
-	opts := DefaultOptions() // per-dst, isolation on
+	opts := DefaultOptions()
 	// The cancellation point below counts encode entries, which requires
 	// sequential ordered dispatch.
 	opts.Parallelism = 1
@@ -72,7 +72,7 @@ func TestRepairCtxCancelMidFanoutPartialResult(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", rerr)
 	}
 	if res == nil {
-		t.Fatal("cancelled isolated repair returned no partial result")
+		t.Fatal("cancelled repair returned no partial result")
 	}
 
 	solved := 0
@@ -120,41 +120,5 @@ func TestRepairCtxCancelMidFanoutPartialResult(t *testing.T) {
 			t.Fatalf("goroutines = %d after cancelled fan-out, started with %d", runtime.NumGoroutine(), g0)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRepairIsolationMatchesLegacyWhenHealthy checks that with no
-// faults injected the isolated driver returns the same repair as the
-// legacy fail-fast driver.
-func TestRepairIsolationMatchesLegacyWhenHealthy(t *testing.T) {
-	inst := dcInstance(t)
-	h := inst.Harc()
-
-	iso := DefaultOptions()
-	legacy := DefaultOptions()
-	legacy.Isolation = IsolationOff
-
-	r1, err := Repair(h, inst.Policies, iso)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Repair(h, inst.Policies, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Solved || !r2.Solved {
-		t.Fatalf("solved: isolated=%v legacy=%v, want both", r1.Solved, r2.Solved)
-	}
-	if r1.Changes != r2.Changes {
-		t.Errorf("changes: isolated=%d legacy=%d, want equal", r1.Changes, r2.Changes)
-	}
-	if len(r1.Stats) != len(r2.Stats) {
-		t.Errorf("problems: isolated=%d legacy=%d, want equal", len(r1.Stats), len(r2.Stats))
-	}
-	if len(r1.Repaired) != len(inst.Policies) {
-		t.Errorf("isolated Repaired covers %d policies, want all %d", len(r1.Repaired), len(inst.Policies))
-	}
-	if bad := VerifyRepair(h, r1.State, inst.Policies); len(bad) != 0 {
-		t.Errorf("isolated repair violates %v", bad)
 	}
 }

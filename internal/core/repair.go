@@ -62,33 +62,6 @@ func (o Objective) String() string {
 	return "min-lines"
 }
 
-// IsolationMode selects how per-destination sub-problem failures are
-// contained.
-type IsolationMode int
-
-// Isolation modes.
-const (
-	// IsolationOff is the legacy fail-fast fan-out: the first sub-problem
-	// error aborts every sibling and Repair returns that error.
-	IsolationOff IsolationMode = iota
-	// IsolationOn gives each per-destination sub-problem its own failure
-	// domain (PerDst granularity only): solver panics become typed
-	// SolveErrors, each attempt runs under a watchdog deadline derived
-	// from the request budget, transient Unknown verdicts retry with an
-	// escalating conflict budget, and exhausted sub-problems degrade to
-	// the greedy baseline (where the policy classes allow it) or are
-	// marked failed — while every other destination still returns a
-	// verified repair.
-	IsolationOn
-)
-
-func (m IsolationMode) String() string {
-	if m == IsolationOn {
-		return "on"
-	}
-	return "off"
-}
-
 // Outcome classifies one sub-problem's final disposition.
 type Outcome int
 
@@ -115,9 +88,9 @@ func (o Outcome) String() string {
 	return "solved"
 }
 
-// SolveError is a typed per-sub-problem failure under fault isolation:
-// a recovered solver panic, an encoding error, or a transient
-// exhaustion, tagged with the sub-problem and attempt it occurred on.
+// SolveError is a typed per-sub-problem failure: a recovered solver
+// panic, an encoding error, or a transient exhaustion, tagged with the
+// sub-problem and attempt it occurred on.
 type SolveError struct {
 	Label   string // sub-problem label (destination name, "pc4-merged", "all-tcs")
 	Phase   string // "encode" or "solve"
@@ -161,20 +134,9 @@ type Options struct {
 	WaypointWeight int
 	// ConflictBudget bounds each SAT call (0 = unlimited); exceeding it
 	// yields an Unknown problem status, CPR's analogue of the paper's
-	// 8-hour limit. Under isolation, retries escalate the budget.
+	// 8-hour limit. Per-destination retries escalate the budget; the
+	// all-tcs problem runs once at exactly this budget.
 	ConflictBudget int64
-	// Isolation contains per-destination failures instead of aborting the
-	// whole batch; it applies to PerDst granularity only.
-	Isolation IsolationMode
-	// RetryAttempts bounds solve attempts per sub-problem under isolation
-	// (0 = default 3; 1 = no retry).
-	RetryAttempts int
-	// DstTimeout overrides the derived per-attempt watchdog deadline
-	// under isolation (0 = derive a fair share of the request deadline).
-	DstTimeout time.Duration
-	// DisableFallback turns off greedy degradation under isolation:
-	// exhausted sub-problems are marked failed instead.
-	DisableFallback bool
 	// Compress selects Bonsai-style symmetry compression for eligible
 	// per-destination sub-problems: repair a quotient of role-equivalent
 	// routers, concretize the patch onto every class member, and accept
@@ -186,45 +148,28 @@ type Options struct {
 	// PC3 K)). Values at or above the largest class size make the
 	// quotient lossless.
 	CompressRedundancy int
-	// CompressConcreteVerify restores the pre-quotient-verify acceptance
-	// check for compressed sub-problems: every policy re-verified on the
-	// concretized state, instead of the quotient check plus deterministic
-	// concrete spot-check (see verifyOnQuotient). It is the differential
-	// oracle and A/B benchmark baseline for quotient-side verification.
-	CompressConcreteVerify bool
 	// Cache, when set, memoizes terminal sub-problem solves across Repair
 	// calls keyed by the sub-problem's full encoding fingerprint, and
 	// retains the live encoder/solver of each hit source. Hits replay
 	// results byte-identical to a fresh solve (see SolveCache). Sessions
 	// (cpr.Session, cprd) inject their per-session cache here.
 	Cache *SolveCache
-	// DisableSolveCache bypasses Cache for this call even when the
-	// session carries one (the request-level solve_cache=off escape
-	// hatch for A/B measurement).
-	DisableSolveCache bool
-	// WarmStart seeds each fresh solve's phase polarities from the last
-	// model the cache stored for the same sub-problem label, on top of
-	// the original-state phase seeding. Off by default: it can steer the
-	// solver to a different equally-minimal repair than a cold session
-	// would find, trading cross-session byte-identity for faster
-	// re-solves of invalidated destinations. Results remain verified-
-	// optimal either way.
-	WarmStart bool
 }
 
-// defaultRetryAttempts is the per-sub-problem attempt bound under
-// isolation when Options.RetryAttempts is zero.
-const defaultRetryAttempts = 3
+// maxAttempts bounds the solve attempts of one per-destination
+// sub-problem; budgetEscalation multiplies the conflict budget on each
+// retry, so a sub-problem that merely needed more search gets it before
+// the fallback fires.
+const (
+	maxAttempts      = 3
+	budgetEscalation = 4
+)
 
 // Workers resolves Options.Parallelism to a worker count: zero means
 // one worker per available core, negative means sequential. Callers
 // running their own verification fan-out use it to match the repair's
 // parallelism.
-func (o Options) Workers() int { return o.workerCount() }
-
-// workerCount resolves Options.Parallelism: zero means one worker per
-// available core, negative means sequential.
-func (o Options) workerCount() int {
+func (o Options) Workers() int {
 	if o.Parallelism == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -234,13 +179,8 @@ func (o Options) workerCount() int {
 	return o.Parallelism
 }
 
-// budgetEscalation multiplies the conflict budget on each isolated
-// retry, so a sub-problem that merely needed more search gets it before
-// the fallback fires.
-const budgetEscalation = 4
-
 // DefaultOptions returns the configuration used throughout the paper's
-// evaluation reproduction, with per-destination fault isolation on.
+// evaluation reproduction.
 func DefaultOptions() Options {
 	return Options{
 		Granularity: PerDst,
@@ -251,8 +191,6 @@ func DefaultOptions() Options {
 		DistBits:             8,
 		AllowWaypointChanges: true,
 		WaypointWeight:       1,
-		Isolation:            IsolationOn,
-		RetryAttempts:        defaultRetryAttempts,
 	}
 }
 
@@ -278,10 +216,10 @@ type ProblemStat struct {
 	// degraded sub-problem keeps the error that forced the fallback.
 	Err string
 	// Conflicts is the SAT solver's conflict count for this sub-problem
-	// (summed across isolated attempts).
+	// (summed across attempts).
 	Conflicts int64
 	// Solver holds the full solver counter snapshot for this sub-problem
-	// (summed across isolated attempts); Solver.Conflicts == Conflicts.
+	// (summed across attempts); Solver.Conflicts == Conflicts.
 	Solver   sat.Stats
 	Duration time.Duration
 	// Compressed marks a sub-problem solved on a symmetry-compressed
@@ -298,15 +236,14 @@ type ProblemStat struct {
 	// CompressFallback names the stage at which an attempted compression
 	// was abandoned for the uncompressed path ("quotient", "remap",
 	// "incompressible", "encode", "solve", "trivial", "concretize",
-	// "qverify", "spot-check", "verify", or "panic"; empty when
-	// compression succeeded or was not attempted).
+	// "qverify", "spot-check", or "panic"; empty when compression
+	// succeeded or was not attempted).
 	CompressFallback string
 	// Per-stage wall-clock breakdown in nanoseconds, summed across
-	// isolated attempts. EncodeNs and SolveNs cover every solve path;
-	// HarcBuildNs (quotient HARC construction), ConcretizeNs (patch
-	// fan-out) and ReverifyNs (the quotient-verify/spot-check ladder, or
-	// the full concrete re-verification under CompressConcreteVerify) are
-	// populated only when compression was attempted.
+	// attempts. EncodeNs and SolveNs cover every solve path; HarcBuildNs
+	// (quotient HARC construction), ConcretizeNs (patch fan-out) and
+	// ReverifyNs (the quotient-verify/spot-check ladder) are populated
+	// only when compression was attempted.
 	HarcBuildNs  int64
 	EncodeNs     int64
 	SolveNs      int64
@@ -321,8 +258,8 @@ type ProblemStat struct {
 
 // Result is the outcome of a Repair call.
 type Result struct {
-	// State is the repaired HARC state. Under fault isolation it reflects
-	// every solved and degraded sub-problem even when some failed.
+	// State is the repaired HARC state. It reflects every solved and
+	// degraded sub-problem even when some failed.
 	State *harc.State
 	// Changes is the total number of violated soft constraints across
 	// sub-problems: the modeled count of configuration changes. Degraded
@@ -437,11 +374,10 @@ func Repair(h *harc.HARC, policies []policy.Policy, opts Options) (*Result, erro
 }
 
 // RepairCtx is Repair under a context. Cancelling ctx interrupts every
-// in-flight SAT solve (the CDCL search loop polls an interruption flag).
-// Without isolation RepairCtx returns ctx's error instead of a partial
-// result; under isolation it returns the partial Result — completed
-// destinations keep their solved statuses, pending ones are marked
-// failed — alongside ctx's error.
+// in-flight SAT solve (the CDCL search loop polls an interruption flag),
+// and RepairCtx returns the partial Result — completed sub-problems keep
+// their solved statuses, pending ones are marked failed — alongside
+// ctx's error.
 func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts Options) (*Result, error) {
 	start := time.Now()
 	if opts.CostBits == 0 {
@@ -472,20 +408,7 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 	// parallel workers.
 	tb := newTables(h)
 
-	// Isolation applies to the per-destination decomposition, whose
-	// sub-problems are naturally independent; the single all-tcs problem
-	// has no siblings to protect.
-	isolated := opts.Isolation == IsolationOn && opts.Granularity == PerDst
-	if isolated {
-		runIsolated(ctx, h, tb, orig, problems, opts)
-	} else {
-		if err := runFailFast(ctx, tb, orig, problems, opts); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
+	runProblems(ctx, h, tb, orig, problems, opts)
 
 	// Serial merge: extract each usable sub-problem's model (or realized
 	// fallback state) into the shared repaired state.
@@ -559,12 +482,7 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 		}
 	}
 	res.Duration = time.Since(start)
-	if isolated {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return res, ctx.Err()
 }
 
 // buildProblems decomposes the specification per Options.Granularity.
@@ -662,92 +580,12 @@ func (pr *problem) sizeHint() int { return len(pr.tcs)*16 + len(pr.policies) }
 // reuses.
 func newScratch() *formula.Builder { return formula.NewBuilder(formula.NewPool()) }
 
-// runFailFast is the legacy fan-out: build and solve each problem (in
-// parallel for per-dst); the first error aborts the batch.
-func runFailFast(ctx context.Context, tb *tables, orig *harc.State, problems []*problem, opts Options) error {
-	workers := opts.workerCount()
-	var (
-		wg sync.WaitGroup
-		// A worker slot is its constraint-building scratch: holding one
-		// is holding the semaphore.
-		slots    = make(chan *formula.Builder, workers)
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 0; i < workers; i++ {
-		slots <- newScratch()
-	}
-	for _, pr := range scheduleOrder(problems) {
-		wg.Add(1)
-		go func(pr *problem) {
-			defer wg.Done()
-			sc := <-slots
-			defer func() { slots <- sc }()
-			if ctx.Err() != nil {
-				return // cancelled while queued; RepairCtx reports ctx.Err()
-			}
-			t0 := time.Now()
-			fp, memo := problemMemo(tb, orig, pr, opts)
-			if memo {
-				if ent := opts.Cache.lookup(fp); ent != nil {
-					ent.replay(pr)
-					pr.stat.Duration = time.Since(t0)
-					return
-				}
-			}
-			if tryCompressed(ctx, sc, tb, orig, pr, opts) {
-				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(orig, pr))
-				}
-				pr.stat.Duration = time.Since(t0)
-				return
-			}
-			te := time.Now()
-			enc := newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
-			if err := enc.encode(ctx); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			pr.stat.EncodeNs += time.Since(te).Nanoseconds()
-			ts := time.Now()
-			cost, status := enc.solve(ctx)
-			pr.stat.SolveNs += time.Since(ts).Nanoseconds()
-			pr.enc = enc
-			pr.stat.Vars = enc.s.NumVars()
-			pr.stat.Softs = len(enc.softs)
-			pr.stat.Violations = cost
-			pr.stat.Status = status
-			pr.stat.Attempts = 1
-			pr.stat.Conflicts = enc.s.Conflicts
-			pr.stat.Solver = enc.s.Snapshot()
-			pr.stat.Duration = time.Since(t0)
-			if status != sat.Sat {
-				pr.stat.Outcome = OutcomeFailed
-				pr.stat.Err = "status " + status.String()
-			}
-			if memo && cacheableOutcome(pr, ctx.Err()) {
-				opts.Cache.store(fp, entryFor(orig, pr))
-			}
-		}(pr)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// runIsolated is the fault-isolated fan-out: a fixed worker pool drains
-// the problem queue largest-first (deterministic dispatch under
-// Parallelism 1), and every problem resolves to solved, degraded, or
-// failed — never to an aborted batch.
-func runIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options) {
-	workers := opts.workerCount()
-	attempts := opts.RetryAttempts
-	if attempts < 1 {
-		attempts = defaultRetryAttempts
-	}
+// runProblems is the fan-out: a fixed worker pool drains the problem
+// queue largest-first (deterministic dispatch under Parallelism 1), and
+// every problem resolves to solved, degraded, or failed — never to an
+// aborted batch or a dead process.
+func runProblems(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options) {
+	workers := opts.Workers()
 	var pending atomic.Int64
 	pending.Store(int64(len(problems)))
 	queue := make(chan *problem, len(problems))
@@ -762,7 +600,7 @@ func runIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 			defer wg.Done()
 			sc := newScratch()
 			for pr := range queue {
-				solveIsolated(ctx, sc, h, tb, orig, pr, opts, attempts, workers, &pending)
+				solveProblem(ctx, sc, h, tb, orig, pr, opts, workers, &pending)
 				pending.Add(-1)
 			}
 		}()
@@ -770,8 +608,16 @@ func runIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 	wg.Wait()
 }
 
-// solveIsolated drives one sub-problem to a terminal outcome.
-func solveIsolated(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, attempts, workers int, pending *atomic.Int64) {
+// solveProblem drives one sub-problem to a terminal outcome: a solve-
+// cache replay, a compressed solve, or up to maxAttempts uncompressed
+// attempts — each in its own failure domain (solveOnce) under a watchdog
+// deadline, retried with an escalating conflict budget on a transient
+// Unknown — and then the greedy fallback. The monolithic all-tcs problem
+// (the one problem that does not freeze the aETG) gets one attempt and no
+// fallback: its caller's ConflictBudget is the paper's 8-hour-limit
+// analogue, so escalating it would move the DNF cells of Figures 7 and 9,
+// and realizeGreedy is written for frozen-aETG problems.
+func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, workers int, pending *atomic.Int64) {
 	t0 := time.Now()
 	defer func() { pr.stat.Duration = time.Since(t0) }()
 
@@ -788,6 +634,10 @@ func solveIsolated(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *t
 		}
 		return
 	}
+	attempts := maxAttempts
+	if !pr.freeze {
+		attempts = 1
+	}
 	budget := opts.ConflictBudget
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
@@ -797,7 +647,7 @@ func solveIsolated(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *t
 			return
 		}
 		pr.stat.Attempts = attempt
-		wctx, cancel := watchdogCtx(ctx, opts, workers, pending)
+		wctx, cancel := watchdogCtx(ctx, workers, pending)
 		enc, cost, status, err := solveOnce(wctx, sc, tb, orig, pr, budget, opts, attempt)
 		cancel()
 		if enc != nil {
@@ -843,7 +693,7 @@ func solveIsolated(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *t
 			budget *= budgetEscalation
 		}
 	}
-	degrade(h, orig, pr, opts, lastErr)
+	degrade(h, orig, pr, lastErr)
 }
 
 // solveOnce builds a fresh encoder and solver and runs one attempt.
@@ -867,14 +717,6 @@ func solveOnce(ctx context.Context, sc *formula.Builder, tb *tables, orig *harc.
 		return enc, 0, sat.Unknown, &SolveError{Label: pr.label, Phase: "encode", Attempt: attempt, Err: eerr}
 	}
 	pr.stat.EncodeNs += time.Since(te).Nanoseconds()
-	// Opt-in warm start: overlay the previous repair's model for this
-	// label on top of the original-state phase seeding (see
-	// Options.WarmStart for the byte-identity caveat).
-	if opts.WarmStart && opts.Cache != nil && !opts.DisableSolveCache {
-		if m := opts.Cache.priorModel(pr.label); m != nil {
-			enc.s.SeedPhases(m)
-		}
-	}
 	phase = "solve"
 	ts := time.Now()
 	cost, status = enc.solve(ctx)
@@ -882,15 +724,11 @@ func solveOnce(ctx context.Context, sc *formula.Builder, tb *tables, orig *harc.
 	return enc, cost, status, nil
 }
 
-// watchdogCtx derives one attempt's deadline: an explicit DstTimeout if
-// configured, otherwise a fair share of the request's remaining budget
-// (remaining time divided by the number of solve waves left). Without
-// any deadline the parent context is used as-is, so the common
-// no-deadline path allocates nothing.
-func watchdogCtx(ctx context.Context, opts Options, workers int, pending *atomic.Int64) (context.Context, context.CancelFunc) {
-	if opts.DstTimeout > 0 {
-		return context.WithTimeout(ctx, opts.DstTimeout)
-	}
+// watchdogCtx derives one attempt's deadline: a fair share of the
+// request's remaining budget (remaining time divided by the number of
+// solve waves left). Without any deadline the parent context is used
+// as-is, so the common no-deadline path allocates nothing.
+func watchdogCtx(ctx context.Context, workers int, pending *atomic.Int64) (context.Context, context.CancelFunc) {
 	deadline, ok := ctx.Deadline()
 	if !ok {
 		return ctx, func() {}
@@ -908,14 +746,14 @@ func watchdogCtx(ctx context.Context, opts Options, workers int, pending *atomic
 }
 
 // degrade resolves an exhausted sub-problem: greedy fallback when the
-// policy classes support it and the realized repair verifies, failed
-// otherwise.
-func degrade(h *harc.HARC, orig *harc.State, pr *problem, opts Options, lastErr error) {
+// problem froze the aETG, the policy classes support it and the realized
+// repair verifies, failed otherwise.
+func degrade(h *harc.HARC, orig *harc.State, pr *problem, lastErr error) {
 	pr.stat.Outcome = OutcomeFailed
 	if lastErr != nil {
 		pr.stat.Err = lastErr.Error()
 	}
-	if opts.DisableFallback || !greedyEligible(pr.policies) {
+	if !pr.freeze || !greedyEligible(pr.policies) {
 		return
 	}
 	gres, err := greedy.Repair(h, pr.policies)

@@ -76,17 +76,16 @@ func TestRepairMinimalityAcrossGranularities(t *testing.T) {
 	}
 }
 
-func TestRepairFuMalikAgrees(t *testing.T) {
+func TestRepairLinearReferenceAgrees(t *testing.T) {
+	_, _, resO := repairFigure2a(t, DefaultOptions())
 	optsL := DefaultOptions()
-	_, _, resL := repairFigure2a(t, optsL)
-	optsF := DefaultOptions()
-	optsF.Algorithm = maxsat.FuMalik
-	h, policies, resF := repairFigure2a(t, optsF)
-	if resL.Changes != resF.Changes {
-		t.Errorf("linear cost %d != fu-malik cost %d", resL.Changes, resF.Changes)
+	optsL.Algorithm = maxsat.LinearDescent
+	h, policies, resL := repairFigure2a(t, optsL)
+	if resO.Changes != resL.Changes {
+		t.Errorf("oll cost %d != linear cost %d", resO.Changes, resL.Changes)
 	}
-	if v := VerifyRepair(h, resF.State, policies); len(v) != 0 {
-		t.Fatalf("fu-malik repaired state violates: %v", v)
+	if v := VerifyRepair(h, resL.State, policies); len(v) != 0 {
+		t.Fatalf("linear repaired state violates: %v", v)
 	}
 }
 

@@ -10,8 +10,8 @@
 //     print/parse round trip and UNSAT-core sanity (the core must itself
 //     be unsatisfiable).
 //   - CheckMaxSAT: random weighted partial MaxSAT instances where both
-//     exact algorithms (linear descent and Fu–Malik) must report the
-//     exhaustive-search optimum, through a WCNF round trip.
+//     exact algorithms (OLL and the linear-descent reference) must report
+//     the exhaustive-search optimum, through a WCNF round trip.
 //   - CheckRepair: an end-to-end repair oracle — generate a fat-tree
 //     workload, break it, repair it with cpr.Repair, replay the recorded
 //     patch onto an independent copy of the broken configurations, and

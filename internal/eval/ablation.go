@@ -73,11 +73,6 @@ func Ablation(ctx *Context) (*Report, error) {
 			o.Algorithm = maxsat.LinearDescent
 			return o
 		}},
-		{"per-dst/fu-malik", func() core.Options {
-			o := core.DefaultOptions()
-			o.Algorithm = maxsat.FuMalik
-			return o
-		}},
 		{"per-dst/parallel-8", func() core.Options {
 			o := core.DefaultOptions()
 			o.Parallelism = 8

@@ -154,11 +154,11 @@ func TestRedistributionRepair(t *testing.T) {
 
 // TestRedistributionRepairCostAcrossAlgorithms: the redistribution
 // instance has several equal-cost optima, and the engines may land on
-// different ones — but every exact engine must agree on the optimum
+// different ones — but both exact engines must agree on the optimum
 // cost, and every repair must verify.
 func TestRedistributionRepairCostAcrossAlgorithms(t *testing.T) {
 	costs := map[maxsat.Algorithm]int{}
-	for _, algo := range []maxsat.Algorithm{maxsat.LinearDescent, maxsat.FuMalik, maxsat.OLL} {
+	for _, algo := range []maxsat.Algorithm{maxsat.LinearDescent, maxsat.OLL} {
 		_, n := loadRedistribution(t)
 		h := harc.Build(n)
 		tc := topology.TrafficClass{Src: n.Subnet("NET1"), Dst: n.Subnet("NET2")}
@@ -184,7 +184,7 @@ func TestRedistributionRepairCostAcrossAlgorithms(t *testing.T) {
 			costs[algo] += st.Violations
 		}
 	}
-	if costs[maxsat.OLL] != costs[maxsat.LinearDescent] || costs[maxsat.FuMalik] != costs[maxsat.LinearDescent] {
+	if costs[maxsat.OLL] != costs[maxsat.LinearDescent] {
 		t.Fatalf("engines disagree on the optimum: %v", costs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	cpr "repro"
 	"repro/internal/config"
 	"repro/internal/faultinject"
 )
@@ -157,5 +158,36 @@ func TestChaosDaemonSurvivesInjectedFaults(t *testing.T) {
 	}
 	if st := getJSON(t, ts, "/healthz", &hz); st != http.StatusOK || !hz.OK {
 		t.Fatalf("healthz after chaos = %d %+v", st, hz)
+	}
+}
+
+// TestChaosAllTCsPanicContained: a solver panic inside an all-tcs repair
+// happens on the engine's worker goroutine, where net/http's handler
+// recovery cannot reach it; the engine must contain it. The request
+// answers 200 with its one problem failed, and the same server answers
+// the next request.
+func TestChaosAllTCsPanicContained(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	defer faultinject.Reset()
+	lr := loadFigure2a(t, ts)
+
+	if err := faultinject.Set(faultinject.SATSolvePanic, "1*panic"); err != nil {
+		t.Fatal(err)
+	}
+	req := RepairRequest{Session: lr.Session, Policies: "reachable S T 2\n", Options: cpr.OptionFlags{Granularity: "all-tcs"}}
+	var rr RepairResponse
+	if st := postJSON(t, ts, "/v1/repair", req, &rr); st != http.StatusOK {
+		t.Fatalf("all-tcs repair under a solver panic: status = %d, want 200", st)
+	}
+	if rr.Solved || rr.Failed != 1 || len(rr.Problems) != 1 || rr.Problems[0].Error == "" {
+		t.Fatalf("response = solved=%v failed=%d problems=%+v, want the one all-tcs problem failed with its error",
+			rr.Solved, rr.Failed, rr.Problems)
+	}
+	if st := postJSON(t, ts, "/v1/repair", req, &rr); st != http.StatusOK || !rr.Solved {
+		t.Fatalf("next repair = %d solved=%v, want a clean solve on the same server", st, rr.Solved)
+	}
+	sz := srv.stats.snapshot(srv.cache.len(), srv.cache.retained())
+	if sz.Destinations.Failed != 1 || sz.Destinations.Solved != 1 || sz.Solves.Completed != 2 {
+		t.Errorf("statsz destinations = %+v solves = %+v, want failed=1 solved=1 completed=2", sz.Destinations, sz.Solves)
 	}
 }

@@ -50,6 +50,18 @@ func TestDecodeRejectsUnknownField(t *testing.T) {
 	if !strings.Contains(er.Error, "granularty") {
 		t.Errorf("error = %q, want it to name the nested unknown field", er.Error)
 	}
+
+	// Options that used to select a second path through the engine are
+	// unknown fields now — rejected by name, never silently ignored.
+	for field, opt := range map[string]string{
+		"isolation": `"off"`, "algorithm": `"linear"`, "warm_start": `true`, "solve_cache": `"off"`, "no_fallback": `true`,
+	} {
+		st, er = postRaw(t, ts.URL, "/v1/repair",
+			`{"session":"`+lr.Session+`","policies":"reachable S T 2\n","options":{"`+field+`":`+opt+`}}`)
+		if st != http.StatusBadRequest || !strings.Contains(er.Error, `unknown field "`+field+`"`) {
+			t.Errorf("removed option %s: status = %d error = %q, want 400 naming the unknown field", field, st, er.Error)
+		}
+	}
 }
 
 func TestDecodeRejectsTrailingData(t *testing.T) {

@@ -32,7 +32,6 @@ import (
 	cpr "repro"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/smt/sat"
 )
 
 // Config tunes the daemon; zero values select the documented defaults.
@@ -405,8 +404,8 @@ type RepairRequest struct {
 type RepairProblem struct {
 	Label  string `json:"label"`
 	Status string `json:"status"`
-	// Outcome is the sub-problem's disposition under fault isolation:
-	// "solved", "degraded" (greedy fallback), or "failed".
+	// Outcome is the sub-problem's disposition: "solved", "degraded"
+	// (greedy fallback), or "failed".
 	Outcome string `json:"outcome"`
 	// Attempts counts solve attempts (retries included; 0 = cancelled
 	// before starting).
@@ -509,14 +508,11 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	perr := s.pool.do(ctx, func() {
 		s.stats.solveStarted()
 		out, rerr = sess.RepairCtx(ctx, policies, opts)
-		cancelled := rerr != nil && (errors.Is(rerr, context.DeadlineExceeded) || errors.Is(rerr, context.Canceled))
-		var conflicts int64
-		var solver sat.Stats
+		var res *core.Result
 		if rerr == nil {
-			conflicts = out.Result.Conflicts
-			solver = out.Result.Solver
+			res = out.Result
 		}
-		s.stats.solveFinished(cancelled, conflicts, solver)
+		s.stats.repairFinished(res, errors.Is(rerr, context.DeadlineExceeded) || errors.Is(rerr, context.Canceled))
 	})
 	if perr != nil {
 		if errors.Is(perr, errSaturated) {
@@ -561,11 +557,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		resp.Plan = out.Plan.String()
 		resp.Lines = out.Plan.NumLines()
 	}
-	solvedProblems := 0
 	for _, st := range out.Result.Stats {
-		if st.Outcome == core.OutcomeSolved {
-			solvedProblems++
-		}
 		resp.Problems = append(resp.Problems, RepairProblem{
 			Label:      st.Label,
 			Status:     st.Status.String(),
@@ -595,9 +587,6 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			ReverifyMS:   float64(st.ReverifyNs) / 1e6,
 		})
 	}
-	s.stats.recordOutcomes(solvedProblems, out.Result.Degraded, out.Result.Failed, out.Result.Reused)
-	s.stats.recordCompression(out.Result.Compressed, out.Result.CompressFallbacks)
-	s.stats.recordStages(out.Result.Stats)
 	writeJSON(w, http.StatusOK, resp)
 }
 

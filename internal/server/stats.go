@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/smt/sat"
 )
 
 // latencyBucketsMS are the upper bounds (milliseconds, inclusive) of the
@@ -43,51 +42,9 @@ func (h *histogram) observe(d time.Duration) {
 type stats struct {
 	mu    sync.Mutex
 	start time.Time
-
-	// Session cache.
-	loadsBuilt     int64 // /v1/load calls that parsed configs and built a HARC
-	cacheHits      int64 // loads answered from the session cache
-	loadsCoalesced int64 // loads deduplicated onto an in-flight build
-
-	// Config deltas (/v1/delta): incremental sessions derived from a
-	// cached base, answered from the cache, or coalesced onto an
-	// in-flight identical delta.
-	deltasBuilt     int64
-	deltaHits       int64
-	deltasCoalesced int64
-
-	// Solves (repair requests admitted to the worker pool).
-	solvesInFlight  int
-	solvesCompleted int64
-	solvesCancelled int64     // deadline exceeded or client gone
-	solvesRejected  int64     // shed with HTTP 429
-	conflicts       int64     // total SAT conflicts across completed solves
-	solver          sat.Stats // aggregate solver counters across completed solves
-
-	// Per-destination sub-problem outcomes under fault isolation,
-	// summed across completed solves. dstReused counts sub-problems
-	// replayed from a session's solve cache instead of re-solved.
-	dstSolved   int64
-	dstDegraded int64
-	dstFailed   int64
-	dstReused   int64
-
-	// Symmetry compression, summed across completed solves: sub-problems
-	// solved on quotient networks and sub-problems that tried compression
-	// but fell back uncompressed.
-	dstCompressed        int64
-	dstCompressFallbacks int64
-
-	// Per-stage wall-clock totals (nanoseconds) summed across every
-	// sub-problem of every completed solve: where repair time actually
-	// goes (HARC builds vs. encode vs. SAT search vs. concretize vs.
-	// re-verify).
-	stageHarcBuildNs  int64
-	stageEncodeNs     int64
-	stageSolveNs      int64
-	stageConcretizeNs int64
-	stageReverifyNs   int64
-
+	// z accumulates the counters that are sums over requests, in the shape
+	// /statsz reports them; snapshot fills in the rest.
+	z         Statsz
 	endpoints map[string]*histogram
 }
 
@@ -106,96 +63,95 @@ func (st *stats) observeLatency(endpoint string, d time.Duration) {
 	h.observe(d)
 }
 
+// recordLoad accumulates one /v1/load call's cache disposition.
 func (st *stats) recordLoad(how loadOutcome) {
+	c := &st.z.Cache
+	st.recordDisposition(how, &c.Builds, &c.Hits, &c.Coalesced)
+}
+
+// recordDelta accumulates one /v1/delta call's cache disposition.
+func (st *stats) recordDelta(how loadOutcome) {
+	c := &st.z.Cache
+	st.recordDisposition(how, &c.DeltaBuilds, &c.DeltaHits, &c.DeltaCoalesced)
+}
+
+func (st *stats) recordDisposition(how loadOutcome, built, hit, coalesced *int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	switch how {
 	case loadBuilt:
-		st.loadsBuilt++
+		*built++
 	case loadHit:
-		st.cacheHits++
+		*hit++
 	case loadCoalesced:
-		st.loadsCoalesced++
+		*coalesced++
 	}
 }
 
 func (st *stats) solveStarted() {
 	st.mu.Lock()
-	st.solvesInFlight++
+	st.z.Solves.InFlight++
 	st.mu.Unlock()
 }
 
-func (st *stats) solveFinished(cancelled bool, conflicts int64, solver sat.Stats) {
+// repairFinished folds one repair that held a worker slot into the
+// counters: res is its result, nil when the repair returned an error
+// (cancelled: the error was its deadline or its client going away).
+func (st *stats) repairFinished(res *core.Result, cancelled bool) {
 	st.mu.Lock()
-	st.solvesInFlight--
+	defer st.mu.Unlock()
+	z := &st.z
+	z.Solves.InFlight--
 	if cancelled {
-		st.solvesCancelled++
+		z.Solves.Cancelled++
 	} else {
-		st.solvesCompleted++
+		z.Solves.Completed++
 	}
-	st.conflicts += conflicts
-	st.solver.Accumulate(solver)
-	st.mu.Unlock()
+	if res == nil {
+		return
+	}
+	z.Solves.Conflicts += res.Conflicts
+	sv := &z.Solver
+	sv.Decisions += res.Solver.Decisions
+	sv.Propagations += res.Solver.Propagations
+	sv.BinaryProps += res.Solver.BinaryProps
+	sv.Restarts += res.Solver.Restarts
+	sv.LearnedLits += res.Solver.LearnedLits
+	sv.DBReductions += res.Solver.DBReductions
+	sv.ArenaGCs += res.Solver.ArenaGCs
+	sv.AssumpSolves += res.Solver.AssumpSolves
+	sv.CoresExtracted += res.Solver.CoresExtracted
+	sv.TotalizerVars += res.Solver.TotalizerVars
+	sv.HardenedSofts += res.Solver.HardenedSofts
+	d := &z.Destinations
+	d.Degraded += int64(res.Degraded)
+	d.Failed += int64(res.Failed)
+	d.Reused += int64(res.Reused)
+	d.Compressed += int64(res.Compressed)
+	d.CompressFallbacks += int64(res.CompressFallbacks)
+	for _, p := range res.Stats {
+		if p.Outcome == core.OutcomeSolved {
+			d.Solved++
+		}
+		z.Stages.HarcBuildMS += float64(p.HarcBuildNs) / 1e6
+		z.Stages.EncodeMS += float64(p.EncodeNs) / 1e6
+		z.Stages.SolveMS += float64(p.SolveNs) / 1e6
+		z.Stages.ConcretizeMS += float64(p.ConcretizeNs) / 1e6
+		z.Stages.ReverifyMS += float64(p.ReverifyNs) / 1e6
+	}
 }
 
 // solveCancelledQueued records a request whose deadline expired while it
 // was still waiting for a worker slot (admitted but never started).
 func (st *stats) solveCancelledQueued() {
 	st.mu.Lock()
-	st.solvesCancelled++
+	st.z.Solves.Cancelled++
 	st.mu.Unlock()
 }
 
 func (st *stats) solveRejected() {
 	st.mu.Lock()
-	st.solvesRejected++
-	st.mu.Unlock()
-}
-
-// recordOutcomes accumulates one repair's per-destination dispositions.
-func (st *stats) recordOutcomes(solved, degraded, failed, reused int) {
-	st.mu.Lock()
-	st.dstSolved += int64(solved)
-	st.dstDegraded += int64(degraded)
-	st.dstFailed += int64(failed)
-	st.dstReused += int64(reused)
-	st.mu.Unlock()
-}
-
-// recordDelta accumulates one /v1/delta call's cache disposition.
-func (st *stats) recordDelta(how loadOutcome) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch how {
-	case loadBuilt:
-		st.deltasBuilt++
-	case loadHit:
-		st.deltaHits++
-	case loadCoalesced:
-		st.deltasCoalesced++
-	}
-}
-
-// recordCompression accumulates one repair's symmetry-compression
-// dispositions (quotient-solved sub-problems and fallbacks).
-func (st *stats) recordCompression(compressed, fallbacks int) {
-	st.mu.Lock()
-	st.dstCompressed += int64(compressed)
-	st.dstCompressFallbacks += int64(fallbacks)
-	st.mu.Unlock()
-}
-
-// recordStages accumulates one repair's per-stage wall-clock split
-// across its sub-problems.
-func (st *stats) recordStages(problems []core.ProblemStat) {
-	st.mu.Lock()
-	for _, p := range problems {
-		st.stageHarcBuildNs += p.HarcBuildNs
-		st.stageEncodeNs += p.EncodeNs
-		st.stageSolveNs += p.SolveNs
-		st.stageConcretizeNs += p.ConcretizeNs
-		st.stageReverifyNs += p.ReverifyNs
-	}
+	st.z.Solves.Rejected++
 	st.mu.Unlock()
 }
 
@@ -317,8 +273,8 @@ type Statsz struct {
 		TotalizerVars  int64 `json:"totalizer_vars"`
 		HardenedSofts  int64 `json:"hardened_softs"`
 	} `json:"solver"`
-	// Destinations counts per-destination sub-problem outcomes under
-	// fault isolation, summed across completed solves.
+	// Destinations counts per-destination sub-problem outcomes, summed
+	// across completed solves.
 	Destinations struct {
 		Solved   int64 `json:"solved"`
 		Degraded int64 `json:"degraded"`
@@ -348,48 +304,15 @@ type Statsz struct {
 func (st *stats) snapshot(sessions int, retained core.SolveCacheStats) Statsz {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var out Statsz
+	out := st.z
 	out.UptimeSeconds = time.Since(st.start).Seconds()
 	out.SessionsCached = sessions
-	out.Cache.Builds = st.loadsBuilt
-	out.Cache.Hits = st.cacheHits
-	out.Cache.Coalesced = st.loadsCoalesced
-	out.Cache.DeltaBuilds = st.deltasBuilt
-	out.Cache.DeltaHits = st.deltaHits
-	out.Cache.DeltaCoalesced = st.deltasCoalesced
 	out.Retained.Entries = retained.Entries
 	out.Retained.Solvers = retained.Solvers
 	out.Retained.Bytes = retained.RetainedBytes
 	out.Retained.SolveHits = retained.Hits
 	out.Retained.SolveMisses = retained.Misses
 	out.Retained.SolveStores = retained.Stores
-	out.Solves.InFlight = st.solvesInFlight
-	out.Solves.Completed = st.solvesCompleted
-	out.Solves.Cancelled = st.solvesCancelled
-	out.Solves.Rejected = st.solvesRejected
-	out.Solves.Conflicts = st.conflicts
-	out.Solver.Decisions = st.solver.Decisions
-	out.Solver.Propagations = st.solver.Propagations
-	out.Solver.BinaryProps = st.solver.BinaryProps
-	out.Solver.Restarts = st.solver.Restarts
-	out.Solver.LearnedLits = st.solver.LearnedLits
-	out.Solver.DBReductions = st.solver.DBReductions
-	out.Solver.ArenaGCs = st.solver.ArenaGCs
-	out.Solver.AssumpSolves = st.solver.AssumpSolves
-	out.Solver.CoresExtracted = st.solver.CoresExtracted
-	out.Solver.TotalizerVars = st.solver.TotalizerVars
-	out.Solver.HardenedSofts = st.solver.HardenedSofts
-	out.Destinations.Solved = st.dstSolved
-	out.Destinations.Degraded = st.dstDegraded
-	out.Destinations.Failed = st.dstFailed
-	out.Destinations.Reused = st.dstReused
-	out.Destinations.Compressed = st.dstCompressed
-	out.Destinations.CompressFallbacks = st.dstCompressFallbacks
-	out.Stages.HarcBuildMS = float64(st.stageHarcBuildNs) / 1e6
-	out.Stages.EncodeMS = float64(st.stageEncodeNs) / 1e6
-	out.Stages.SolveMS = float64(st.stageSolveNs) / 1e6
-	out.Stages.ConcretizeMS = float64(st.stageConcretizeNs) / 1e6
-	out.Stages.ReverifyMS = float64(st.stageReverifyNs) / 1e6
 	out.Endpoints = make(map[string]EndpointStats, len(st.endpoints))
 	for name, h := range st.endpoints {
 		es := EndpointStats{Count: h.Count, SumMS: h.SumMS, BucketsMS: make(map[string]int64, len(h.Buckets))}

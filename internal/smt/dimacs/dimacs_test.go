@@ -139,7 +139,7 @@ func TestWCNFOptimumMatchesBrute(t *testing.T) {
 		}
 		want, feasible := bruteOptimum(p)
 		s, sels := p.Load()
-		res := maxsat.SolveWeighted(s, sels, p.Weights, maxsat.FuMalik)
+		res := maxsat.SolveWeighted(s, sels, p.Weights, maxsat.OLL)
 		if !feasible {
 			return res.Status == sat.Unsat
 		}

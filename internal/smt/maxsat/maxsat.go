@@ -2,11 +2,11 @@
 // sat.Solver) and a set of soft literals, find a model of the hard
 // clauses that minimizes the violated softs' weight.
 //
-// Three exact algorithms are provided, mirroring the MaxSMT engines used
-// by Z3 in the paper: linear SAT→UNSAT descent with a totalizer
-// cardinality encoding, Fu–Malik core-guided search, and stratified OLL
-// over incremental totalizers (the default — see oll.go). All are exact;
-// the choice is a performance ablation (see bench_test.go).
+// Two exact algorithms are provided: stratified OLL over incremental
+// totalizers (the engine every repair runs — see oll.go) and linear
+// SAT→UNSAT descent with a totalizer cardinality encoding, the
+// independent reference the oracles and the benchmark's golden
+// cross-check pin OLL against.
 package maxsat
 
 import (
@@ -25,40 +25,19 @@ const (
 	// LinearDescent finds an initial model, then repeatedly tightens a
 	// totalizer bound on the number of violated softs until UNSAT.
 	LinearDescent Algorithm = iota
-	// FuMalik relaxes one unsat core per iteration until SAT.
-	FuMalik
 	// OLL is the core-guided descent of Andres et al.: each unsat core
 	// is relaxed through an incremental totalizer whose bound output
 	// becomes a new assumption, with weight stratification and clause
-	// hardening on the weighted path. Exact, like the others, but no
-	// encoding is ever built over the full soft set.
+	// hardening on the weighted path. Exact, like the linear descent, but
+	// no encoding is ever built over the full soft set.
 	OLL
 )
 
 func (a Algorithm) String() string {
-	switch a {
-	case FuMalik:
-		return "fu-malik"
-	case OLL:
+	if a == OLL {
 		return "oll"
 	}
 	return "linear"
-}
-
-// ParseAlgorithm resolves the string spelling shared by cpr's
-// -algorithm flag and cprd's JSON "algorithm" field, rejecting unknown
-// values with a labeled error instead of silently falling back. The
-// empty string selects the default engine (OLL).
-func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "", "oll":
-		return OLL, nil
-	case "linear":
-		return LinearDescent, nil
-	case "fu-malik":
-		return FuMalik, nil
-	}
-	return OLL, fmt.Errorf("unknown algorithm %q (want oll, linear, or fu-malik)", name)
 }
 
 // Result reports the outcome of a MaxSAT solve.
@@ -71,14 +50,11 @@ type Result struct {
 
 // Solve minimizes the number of violated softs. The solver must contain
 // the hard clauses; on return with Status == Sat its model is an optimal
-// assignment. Unknown Algorithm values panic — string-level front ends
-// reject them earlier with ParseAlgorithm's labeled error.
+// assignment. Unknown Algorithm values panic.
 func Solve(s *sat.Solver, softs []sat.Lit, algo Algorithm) Result {
 	switch algo {
 	case LinearDescent:
 		return linearDescent(s, softs)
-	case FuMalik:
-		return fuMalik(s, softs)
 	case OLL:
 		return oll(s, softs, nil)
 	}
@@ -88,7 +64,7 @@ func Solve(s *sat.Solver, softs []sat.Lit, algo Algorithm) Result {
 // SolveWeighted minimizes the total weight of violated softs (weights
 // must be non-negative; zero-weight softs are ignored). The OLL engine
 // handles weights natively through stratification and residual-weight
-// accounting; the legacy engines realize them by duplication — exact
+// accounting; the linear reference realizes them by duplication — exact
 // and simple for the small integer weights CPR uses. Either way Cost is
 // the violated weight sum.
 func SolveWeighted(s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm) Result {
@@ -262,78 +238,6 @@ func warmStart(s *sat.Solver, softs []sat.Lit) sat.Status {
 		default:
 			// Budget exhausted during warm start: try one unguided solve.
 			return s.Solve()
-		}
-	}
-}
-
-func fuMalik(s *sat.Solver, softs []sat.Lit) Result {
-	// Working clause per soft: (soft_i ∨ relaxers_i ∨ ¬sel_i), assumed via
-	// sel_i. Each discovered core retires the selectors of its softs and
-	// re-issues their clauses with one extra relaxer.
-	type work struct {
-		soft     sat.Lit
-		relaxers []sat.Lit
-		sel      sat.Lit
-	}
-	works := make([]*work, len(softs))
-	bySel := make(map[sat.Lit]int)
-	addWork := func(i int) {
-		w := works[i]
-		w.sel = sat.MkLit(s.NewVar(), false)
-		// Phase hints: selectors are assumed true every round, and most
-		// relaxers stay off in the optimum — seed both so each round's
-		// search resumes near the previous one.
-		s.SetPhase(w.sel.Var(), true)
-		clause := append([]sat.Lit{w.soft}, w.relaxers...)
-		clause = append(clause, w.sel.Not())
-		s.AddClause(clause...)
-		bySel[w.sel] = i
-	}
-	for i, l := range softs {
-		works[i] = &work{soft: l}
-		addWork(i)
-	}
-	cost := 0
-	for {
-		asm := make([]sat.Lit, len(works))
-		for i, w := range works {
-			asm[i] = w.sel
-		}
-		st := s.Solve(asm...)
-		if st == sat.Sat {
-			return Result{Status: sat.Sat, Cost: cost}
-		}
-		if st != sat.Unsat {
-			return Result{Status: st}
-		}
-		core := s.UnsatCore()
-		coreIdx := make([]int, 0, len(core))
-		for _, l := range core {
-			if i, ok := bySel[l]; ok {
-				coreIdx = append(coreIdx, i)
-			}
-		}
-		if len(coreIdx) == 0 {
-			// The hard clauses alone are unsatisfiable.
-			return Result{Status: sat.Unsat}
-		}
-		cost++
-		var blocks []sat.Lit
-		for _, i := range coreIdx {
-			w := works[i]
-			delete(bySel, w.sel)
-			s.AddClause(w.sel.Not()) // retire old working clause
-			b := sat.MkLit(s.NewVar(), false)
-			s.SetPhase(b.Var(), false)
-			w.relaxers = append(w.relaxers, b)
-			blocks = append(blocks, b)
-			addWork(i)
-		}
-		// At most one relaxer of this round may fire.
-		for i := 0; i < len(blocks); i++ {
-			for j := i + 1; j < len(blocks); j++ {
-				s.AddClause(blocks[i].Not(), blocks[j].Not())
-			}
 		}
 	}
 }

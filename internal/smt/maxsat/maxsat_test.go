@@ -18,7 +18,7 @@ func mk(n int) (*sat.Solver, []sat.Var) {
 }
 
 func TestAllSoftsSatisfiable(t *testing.T) {
-	for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+	for _, algo := range []Algorithm{LinearDescent, OLL} {
 		s, vars := mk(3)
 		s.AddClause(sat.MkLit(vars[0], false), sat.MkLit(vars[1], false))
 		softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[2], false)}
@@ -33,7 +33,7 @@ func TestAllSoftsSatisfiable(t *testing.T) {
 }
 
 func TestConflictingSofts(t *testing.T) {
-	for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+	for _, algo := range []Algorithm{LinearDescent, OLL} {
 		s, vars := mk(1)
 		softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[0], true)}
 		res := Solve(s, softs, algo)
@@ -44,7 +44,7 @@ func TestConflictingSofts(t *testing.T) {
 }
 
 func TestHardUnsat(t *testing.T) {
-	for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+	for _, algo := range []Algorithm{LinearDescent, OLL} {
 		s, vars := mk(1)
 		s.AddClause(sat.MkLit(vars[0], false))
 		s.AddClause(sat.MkLit(vars[0], true))
@@ -56,7 +56,7 @@ func TestHardUnsat(t *testing.T) {
 }
 
 func TestHardConstraintsForceViolations(t *testing.T) {
-	for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+	for _, algo := range []Algorithm{LinearDescent, OLL} {
 		s, vars := mk(4)
 		// Hard: exactly-one of x0..x3 true (at least one + pairwise AMO).
 		s.AddClause(sat.MkLit(vars[0], false), sat.MkLit(vars[1], false), sat.MkLit(vars[2], false), sat.MkLit(vars[3], false))
@@ -159,7 +159,7 @@ func TestDifferentialOptimum(t *testing.T) {
 		}
 		want, feasible := bruteOptimum(nvars, hard, softs)
 
-		for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+		for _, algo := range []Algorithm{LinearDescent, OLL} {
 			s, _ := mk(nvars)
 			ok := true
 			for _, c := range hard {
@@ -197,7 +197,7 @@ func TestDifferentialOptimum(t *testing.T) {
 func TestLargerInstanceBothAlgorithms(t *testing.T) {
 	// 20 softs forcing a chain: x_i soft-true, hard x_i → ¬x_{i+1} for
 	// even i: optimum violates 10.
-	for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+	for _, algo := range []Algorithm{LinearDescent, OLL} {
 		s, vars := mk(20)
 		for i := 0; i < 20; i += 2 {
 			s.AddClause(sat.MkLit(vars[i], true), sat.MkLit(vars[i+1], true))
@@ -214,7 +214,7 @@ func TestLargerInstanceBothAlgorithms(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	if LinearDescent.String() != "linear" || FuMalik.String() != "fu-malik" {
+	if LinearDescent.String() != "linear" || OLL.String() != "oll" {
 		t.Error("Algorithm.String wrong")
 	}
 }

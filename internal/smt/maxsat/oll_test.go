@@ -245,36 +245,3 @@ func TestSolverReuseAfterCoreExtraction(t *testing.T) {
 		t.Fatalf("second descent: got %+v, want cost 3", res2)
 	}
 }
-
-// TestParseAlgorithm: the string surface accepts the three engines and
-// rejects everything else with a labeled error.
-func TestParseAlgorithm(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Algorithm
-		ok   bool
-	}{
-		{"", OLL, true},
-		{"oll", OLL, true},
-		{"linear", LinearDescent, true},
-		{"fu-malik", FuMalik, true},
-		{"fumalik", OLL, false},
-		{"OLL", OLL, false},
-		{"rc2", OLL, false},
-	}
-	for _, c := range cases {
-		got, err := ParseAlgorithm(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseAlgorithm(%q): expected error", c.in)
-		}
-	}
-	for _, a := range []Algorithm{LinearDescent, FuMalik, OLL} {
-		back, err := ParseAlgorithm(a.String())
-		if err != nil || back != a {
-			t.Errorf("round-trip %v: got %v, %v", a, back, err)
-		}
-	}
-}

@@ -30,7 +30,7 @@ func TestStressLargerDifferential(t *testing.T) {
 			softs = append(softs, sat.MkLit(sat.Var(r.Intn(nvars)), r.Intn(2) == 0))
 		}
 		want, feasible := bruteOptimum(nvars, hard, softs)
-		for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+		for _, algo := range []Algorithm{LinearDescent, OLL} {
 			s := sat.New()
 			for i := 0; i < nvars; i++ {
 				s.NewVar()

@@ -9,7 +9,7 @@ import (
 )
 
 func TestWeightedBasic(t *testing.T) {
-	for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+	for _, algo := range []Algorithm{LinearDescent, OLL} {
 		// x vs !x, weighted 3 vs 1: keep x (violating the weight-1 soft).
 		s, vars := mk(1)
 		softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[0], true)}
@@ -107,7 +107,7 @@ func TestWeightedDifferential(t *testing.T) {
 			weights = append(weights, r.Intn(4))
 		}
 		want, feasible := bruteWeightedOptimum(nvars, hard, softs, weights)
-		for _, algo := range []Algorithm{LinearDescent, FuMalik, OLL} {
+		for _, algo := range []Algorithm{LinearDescent, OLL} {
 			s, _ := mk(nvars)
 			ok := true
 			for _, c := range hard {

@@ -197,33 +197,6 @@ func (s *Solver) SeedPhasesFromModel() {
 	}
 }
 
-// ModelPhases returns the last satisfying assignment as a polarity
-// vector indexed by variable, for cross-solver warm starts: a retained
-// session solver's model can seed a freshly built solver for the same
-// sub-problem via SeedPhases. Returns nil when no model is available.
-func (s *Solver) ModelPhases() []bool {
-	if len(s.model) == 0 {
-		return nil
-	}
-	out := make([]bool, len(s.model))
-	for v := range s.model {
-		out[v] = s.model[v] == lTrue
-	}
-	return out
-}
-
-// SeedPhases overlays an externally captured polarity vector (see
-// ModelPhases) onto the saved phases, index-aligned and truncated to
-// the shorter of the two. The counterpart of SeedPhasesFromModel for
-// models that came from a different solver instance.
-func (s *Solver) SeedPhases(vals []bool) {
-	n := len(vals)
-	if n > len(s.phase) {
-		n = len(s.phase)
-	}
-	copy(s.phase[:n], vals[:n])
-}
-
 // ApproxBytes estimates the heap retained by the solver: the clause
 // arena, watch and binary-implication lists, and every per-variable
 // array. Session caches report this per retained solver in /statsz so

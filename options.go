@@ -2,20 +2,19 @@ package cpr
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/smt/maxsat"
 )
 
 // OptionFlags is the string-level repair option surface shared by the
 // cpr CLI flags and cprd's JSON request bodies, so both front ends
-// accept identical spellings. Zero values mean "use the default".
+// accept identical spellings. Zero values mean "use the default". These
+// five are the choices an operator makes; everything else the engine
+// derives or fixes (see core.Options), and cprd rejects any other field
+// name as unknown rather than ignoring it.
 type OptionFlags struct {
 	// Granularity is "per-dst" (default) or "all-tcs".
 	Granularity string `json:"granularity,omitempty"`
-	// Algorithm is "oll" (default), "linear", or "fu-malik".
-	Algorithm string `json:"algorithm,omitempty"`
 	// Objective is "min-lines" (default) or "min-devices".
 	Objective string `json:"objective,omitempty"`
 	// Parallelism bounds concurrent per-destination solves. Zero (the
@@ -24,36 +23,10 @@ type OptionFlags struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// ConflictBudget bounds each SAT call (0 = unlimited).
 	ConflictBudget int64 `json:"conflict_budget,omitempty"`
-	// Isolation is "on" (default) or "off": per-destination fault
-	// isolation with retries and greedy degradation (per-dst granularity
-	// only).
-	Isolation string `json:"isolation,omitempty"`
-	// RetryAttempts bounds solve attempts per destination under isolation
-	// (0 = default 3).
-	RetryAttempts int `json:"retry_attempts,omitempty"`
-	// DstTimeoutMS overrides the derived per-destination watchdog
-	// deadline, in milliseconds (0 = derive from the request deadline).
-	DstTimeoutMS int64 `json:"dst_timeout_ms,omitempty"`
-	// NoFallback disables greedy degradation: exhausted destinations are
-	// marked failed instead.
-	NoFallback bool `json:"no_fallback,omitempty"`
 	// Compress is "auto" (default: compress eligible sub-problems on
 	// networks with at least 24 devices), "on", or "off" — Bonsai-style
 	// symmetry compression with concrete re-verification.
 	Compress string `json:"compress,omitempty"`
-	// CompressRedundancy overrides the representative members kept per
-	// role-equivalence class (0 = derive from the problem's policies).
-	CompressRedundancy int `json:"compress_redundancy,omitempty"`
-	// SolveCache is "on" (default) or "off": per-sub-problem result
-	// replay from the session's solve cache on repeat repairs (only
-	// effective through a Session; plain System repairs have no cache).
-	SolveCache string `json:"solve_cache,omitempty"`
-	// WarmStart seeds each fresh solve's phase polarities from the
-	// previous repair's model for the same sub-problem. Off by default:
-	// it can steer the solver to a different (equally optimal) repair
-	// than a cold solve would find, trading the cross-call byte-identity
-	// guarantee for speed on near-miss churn.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // Resolve converts the string-level flags into engine Options, rejecting
@@ -68,11 +41,6 @@ func (f OptionFlags) Resolve() (Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown granularity %q (want per-dst or all-tcs)", f.Granularity)
 	}
-	algo, err := maxsat.ParseAlgorithm(f.Algorithm)
-	if err != nil {
-		return opts, err
-	}
-	opts.Algorithm = algo
 	switch f.Objective {
 	case "", "min-lines":
 		opts.Objective = core.MinLines
@@ -89,25 +57,6 @@ func (f OptionFlags) Resolve() (Options, error) {
 		return opts, fmt.Errorf("negative conflict budget %d", f.ConflictBudget)
 	}
 	opts.ConflictBudget = f.ConflictBudget
-	switch f.Isolation {
-	case "", "on":
-		opts.Isolation = core.IsolationOn
-	case "off":
-		opts.Isolation = core.IsolationOff
-	default:
-		return opts, fmt.Errorf("unknown isolation %q (want on or off)", f.Isolation)
-	}
-	if f.RetryAttempts < 0 {
-		return opts, fmt.Errorf("negative retry attempts %d", f.RetryAttempts)
-	}
-	if f.RetryAttempts > 0 {
-		opts.RetryAttempts = f.RetryAttempts
-	}
-	if f.DstTimeoutMS < 0 {
-		return opts, fmt.Errorf("negative destination timeout %dms", f.DstTimeoutMS)
-	}
-	opts.DstTimeout = time.Duration(f.DstTimeoutMS) * time.Millisecond
-	opts.DisableFallback = f.NoFallback
 	switch f.Compress {
 	case "", "auto":
 		opts.Compress = core.CompressAuto
@@ -118,18 +67,5 @@ func (f OptionFlags) Resolve() (Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown compress %q (want auto, on, or off)", f.Compress)
 	}
-	if f.CompressRedundancy < 0 {
-		return opts, fmt.Errorf("negative compress redundancy %d", f.CompressRedundancy)
-	}
-	opts.CompressRedundancy = f.CompressRedundancy
-	switch f.SolveCache {
-	case "", "on":
-		opts.DisableSolveCache = false
-	case "off":
-		opts.DisableSolveCache = true
-	default:
-		return opts, fmt.Errorf("unknown solve_cache %q (want on or off)", f.SolveCache)
-	}
-	opts.WarmStart = f.WarmStart
 	return opts, nil
 }

@@ -150,28 +150,24 @@ func overlayConfigs(base, changed map[string]string) map[string]string {
 
 // Repair is System.Repair through the session's solve cache: solved
 // sub-problems are retained and replayed on later calls when their
-// inputs are unchanged. Results are byte-identical to a fresh solve.
-// Set opts.DisableSolveCache to bypass the cache for one call.
+// inputs are unchanged. Results are byte-identical to a fresh solve; a
+// caller that wants one uncached calls s.System().Repair.
 func (s *Session) Repair(policies []Policy, opts Options) (*RepairOutput, error) {
 	return s.RepairCtx(context.Background(), policies, opts)
 }
 
 // RepairCtx is Repair under a context.
 func (s *Session) RepairCtx(ctx context.Context, policies []Policy, opts Options) (*RepairOutput, error) {
-	key, memo := repairMemoKey(policies, opts)
-	if memo {
-		if out := s.lookupOutput(key); out != nil {
-			return out, nil
-		}
+	key := repairMemoKey(policies, opts)
+	if out := s.lookupOutput(key); out != nil {
+		return out, nil
 	}
-	if !opts.DisableSolveCache {
-		opts.Cache = s.cache
-	}
+	opts.Cache = s.cache
 	out, err := s.sys.RepairCtx(ctx, policies, opts)
 	// Memoize only clean, fully solved outputs: anything degraded,
 	// failed, or fallback-tainted re-runs fresh (matching the
 	// sub-problem cache's cacheability rule).
-	if memo && err == nil && out != nil && out.Solved() && out.Result.CompressFallbacks == 0 {
+	if err == nil && out != nil && out.Solved() && out.Result.CompressFallbacks == 0 {
 		s.storeOutput(key, out)
 	}
 	return out, err
@@ -179,12 +175,8 @@ func (s *Session) RepairCtx(ctx context.Context, policies []Policy, opts Options
 
 // repairMemoKey hashes the repair request's full input surface beyond
 // the session itself: the policy set (by canonical string) and every
-// option. WarmStart requests are never memoized (they deliberately
-// relax cross-call byte-identity), nor are cache-bypassing ones.
-func repairMemoKey(policies []Policy, opts Options) (string, bool) {
-	if opts.DisableSolveCache || opts.WarmStart {
-		return "", false
-	}
+// option.
+func repairMemoKey(policies []Policy, opts Options) string {
 	o := opts
 	o.Cache = nil
 	h := sha256.New()
@@ -193,7 +185,7 @@ func repairMemoKey(policies []Policy, opts Options) (string, bool) {
 		fmt.Fprintf(h, "%d:%s\x00", len(str), str)
 	}
 	fmt.Fprintf(h, "%+v", o)
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // lookupOutput returns a replay of a memoized output: a copy whose

@@ -189,15 +189,13 @@ func TestSessionDeltaInvalidation(t *testing.T) {
 	}
 	sameRepair(t, coldOut, out)
 
-	// DisableSolveCache bypasses replay entirely.
-	o := opts
-	o.DisableSolveCache = true
-	bypass, err := next.Repair(mustPolicies(t, next, figure2aSpec), o)
+	// The session's System repairs without the cache or the output memo.
+	bypass, err := next.System().Repair(mustPolicies(t, next, figure2aSpec), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bypass.Result.Reused != 0 {
-		t.Fatalf("DisableSolveCache reused %d problems, want 0", bypass.Result.Reused)
+		t.Fatalf("System().Repair reused %d problems, want 0", bypass.Result.Reused)
 	}
 	sameRepair(t, coldOut, bypass)
 }
