@@ -6,19 +6,6 @@ import (
 	"repro/internal/topology"
 )
 
-// Level selects which control-plane constructs an ETG models.
-type Level int
-
-// Abstraction levels (paper §4.3).
-const (
-	// LevelAll models routing adjacencies and redistribution only (aETG).
-	LevelAll Level = iota
-	// LevelDst additionally models route filters and static routes (dETG).
-	LevelDst
-	// LevelTC additionally models ACLs (tcETG).
-	LevelTC
-)
-
 // ETG is an extended topology graph: one level's view of the network's
 // slot table. Every ETG of a network shares the table's base digraph —
 // one vertex space (SRC and DST are always vertices 0 and 1), one edge per
@@ -26,9 +13,8 @@ const (
 // only a mask of the slots present at its level and a weight vector, so
 // vertex and edge ids mean the same thing in all of them.
 type ETG struct {
-	Level     Level
-	TC        topology.TrafficClass // set for LevelTC
-	DstSubnet *topology.Subnet      // set for LevelDst and LevelTC
+	TC        topology.TrafficClass // set for a tcETG and for a routing graph
+	DstSubnet *topology.Subnet      // set for every ETG toward one destination
 
 	G   *graph.Digraph
 	Src graph.V
@@ -45,8 +31,8 @@ type ETG struct {
 // set in live (by slot id) are present, slot i weighing w[i]. The view
 // reads live and never writes it: the caller may share one row among any
 // number of views, and must leave it alone while they are in use.
-func NewETG(t *Table, level Level, live bitset.Set, w *graph.Weights) *ETG {
-	return &ETG{Level: level, G: t.base.View(live, w), Src: VSrc, Dst: VDst, tab: t}
+func NewETG(t *Table, live bitset.Set, w *graph.Weights) *ETG {
+	return &ETG{G: t.base.View(live, w), Src: VSrc, Dst: VDst, tab: t}
 }
 
 // Weights returns the lazily filled weight vector that weighs slot i of t
@@ -63,21 +49,21 @@ func (t *Table) Weights(weight func(*Slot) int64) *graph.Weights {
 
 // build evaluates a presence rule over the whole table and lays the ETG
 // over the slots it admits.
-func build(t *Table, level Level, dst *topology.Subnet, present func(*Slot) bool) *ETG {
+func build(t *Table, dst *topology.Subnet, present func(*Slot) bool) *ETG {
 	live := bitset.New(len(t.Slots))
 	for i, s := range t.Slots {
 		if present(s) {
 			live.Put(i, true)
 		}
 	}
-	e := NewETG(t, level, live, t.Weights(func(s *Slot) int64 { return s.Weight(dst) }))
+	e := NewETG(t, live, t.Weights(func(s *Slot) int64 { return s.Weight(dst) }))
 	e.DstSubnet = dst
 	return e
 }
 
 // BuildTCETG builds the traffic-class ETG for tc (Algorithm 1).
 func BuildTCETG(t *Table, tc topology.TrafficClass) *ETG {
-	e := build(t, LevelTC, tc.Dst, func(s *Slot) bool {
+	e := build(t, tc.Dst, func(s *Slot) bool {
 		return s.ApplicableTC(tc) && s.PresentTC(tc)
 	})
 	e.TC = tc
@@ -91,30 +77,10 @@ func BuildTCETG(t *Table, tc topology.TrafficClass) *ETG {
 // tcETG. PC4 verification walks this graph, then checks tcETG usability
 // of the resulting path.
 func BuildRoutingETG(t *Table, tc topology.TrafficClass) *ETG {
-	e := build(t, LevelTC, tc.Dst, func(s *Slot) bool {
+	e := build(t, tc.Dst, func(s *Slot) bool {
 		return s.ApplicableTC(tc) && s.PresentRouting(tc)
 	})
 	e.TC = tc
-	return e
-}
-
-// BuildDstETG builds the destination ETG for dst: route filters and static
-// routes apply, ACLs do not, and all sources are represented (source slots
-// are omitted).
-func BuildDstETG(t *Table, dst *topology.Subnet) *ETG {
-	e := build(t, LevelDst, dst, func(s *Slot) bool {
-		return s.ApplicableDst(dst) && s.PresentDst(dst)
-	})
-	e.Src = graph.V(graph.None)
-	return e
-}
-
-// BuildAllETG builds the aETG: adjacencies and redistribution only.
-func BuildAllETG(t *Table) *ETG {
-	e := build(t, LevelAll, nil, func(s *Slot) bool {
-		return s.Kind != SlotSource && s.Kind != SlotDest && s.PresentAll()
-	})
-	e.Src, e.Dst = graph.V(graph.None), graph.V(graph.None)
 	return e
 }
 

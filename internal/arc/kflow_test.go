@@ -92,7 +92,7 @@ func RandomMaskETG(t *Table, r *rand.Rand) *ETG {
 	for i := range t.Slots {
 		live.Put(i, r.Intn(4) > 0)
 	}
-	return NewETG(t, LevelTC, live, t.Weights(func(s *Slot) int64 { return s.Weight(nil) }))
+	return NewETG(t, live, t.Weights(func(s *Slot) int64 { return s.Weight(nil) }))
 }
 
 // RandomFailures returns a random set of about a quarter of n's link ids.

@@ -69,7 +69,7 @@ func referenceInstances(t *testing.T) []refInstance {
 var none = graph.V(graph.None)
 
 func denseAll(t *arc.Table) *arc.ETG {
-	e := arc.DenseETG(t, arc.LevelAll, nil, func(s *arc.Slot) bool {
+	e := arc.DenseETG(t, nil, func(s *arc.Slot) bool {
 		return s.Kind != arc.SlotSource && s.Kind != arc.SlotDest && s.PresentAll()
 	}, func(s *arc.Slot) int64 { return s.Weight(nil) })
 	e.Src, e.Dst = none, none
@@ -77,7 +77,7 @@ func denseAll(t *arc.Table) *arc.ETG {
 }
 
 func denseDst(t *arc.Table, dst *topology.Subnet) *arc.ETG {
-	e := arc.DenseETG(t, arc.LevelDst, dst, func(s *arc.Slot) bool {
+	e := arc.DenseETG(t, dst, func(s *arc.Slot) bool {
 		return s.ApplicableDst(dst) && s.PresentDst(dst)
 	}, func(s *arc.Slot) int64 { return s.Weight(dst) })
 	e.Src = none
@@ -85,7 +85,7 @@ func denseDst(t *arc.Table, dst *topology.Subnet) *arc.ETG {
 }
 
 func denseTC(t *arc.Table, tc topology.TrafficClass, weight func(*arc.Slot) int64) *arc.ETG {
-	e := arc.DenseETG(t, arc.LevelTC, tc.Dst, func(s *arc.Slot) bool {
+	e := arc.DenseETG(t, tc.Dst, func(s *arc.Slot) bool {
 		return s.ApplicableTC(tc) && s.PresentTC(tc)
 	}, weight)
 	e.TC = tc
@@ -93,7 +93,7 @@ func denseTC(t *arc.Table, tc topology.TrafficClass, weight func(*arc.Slot) int6
 }
 
 func denseRouting(t *arc.Table, tc topology.TrafficClass) *arc.ETG {
-	e := arc.DenseETG(t, arc.LevelTC, tc.Dst, func(s *arc.Slot) bool {
+	e := arc.DenseETG(t, tc.Dst, func(s *arc.Slot) bool {
 		return s.ApplicableTC(tc) && s.PresentRouting(tc)
 	}, func(s *arc.Slot) int64 { return s.Weight(tc.Dst) })
 	e.TC = tc
@@ -250,20 +250,21 @@ func TestViewsMatchDenseReference(t *testing.T) {
 			tab, st := h.Table, harc.StateOf(h)
 			np := len(tab.Procs)
 
-			// aETG and dETGs have no SRC (and the aETG no DST): walk them
-			// from a few processes' outgoing vertices instead (vertex
-			// 2+2p is process p's incoming vertex, 3+2p its outgoing one).
-			da := denseAll(tab)
-			ids := sameGraph(t, "aETG", h.A, da)
+			// The HARC lays no graph over its aETG and dETG rows; view them
+			// here. Neither has a SRC (and the aETG no DST): walk them from a
+			// few processes' outgoing vertices instead (vertex 2+2p is
+			// process p's incoming vertex, 3+2p its outgoing one).
+			va, da := arc.NewETG(tab, st.All, tab.Weights(func(s *arc.Slot) int64 { return s.Weight(nil) })), denseAll(tab)
+			ids := sameGraph(t, "aETG", va, da)
 			for _, p := range strided(np, 4) {
-				sameAnswers(t, "aETG", h.A, da, ids, graph.V(3+2*p), graph.V(2+2*(np-1-p)))
+				sameAnswers(t, "aETG", va, da, ids, graph.V(3+2*p), graph.V(2+2*(np-1-p)))
 			}
 			for r, dst := range h.Dsts {
 				what := "dETG(" + dst.Name + ")"
-				dd := denseDst(tab, dst)
-				ids := sameGraph(t, what, h.D[r], dd)
+				vd, dd := arc.NewETG(tab, st.Dst[r], tab.Weights(func(s *arc.Slot) int64 { return s.Weight(dst) })), denseDst(tab, dst)
+				ids := sameGraph(t, what, vd, dd)
 				for _, p := range strided(np, 3) {
-					sameAnswers(t, what, h.D[r], dd, ids, graph.V(3+2*p), arc.VDst)
+					sameAnswers(t, what, vd, dd, ids, graph.V(3+2*p), arc.VDst)
 				}
 			}
 
@@ -337,11 +338,6 @@ func TestExplainMatchesDenseReference(t *testing.T) {
 			}
 
 			dense := *h
-			dense.A = denseAll(h.Table)
-			dense.D = make([]*arc.ETG, len(h.Dsts))
-			for r, dst := range h.Dsts {
-				dense.D[r] = denseDst(h.Table, dst)
-			}
 			// Classes no policy names stay nil; nothing asks for them.
 			dense.TC = make([]*arc.ETG, len(h.TCs))
 			for _, p := range policies {

@@ -226,35 +226,6 @@ func (s *Slot) CostKey() string {
 	return s.FromIntf.Device.Name + "/" + s.FromIntf.Name
 }
 
-// FromVertex returns the tail ETG vertex name.
-func (s *Slot) FromVertex() string {
-	switch s.Kind {
-	case SlotSource:
-		return "SRC"
-	case SlotIntraRedist:
-		return s.ToProc.Name() + ":I" // traffic enters via the redistributing process
-	case SlotIntraSelf, SlotDest:
-		return s.FromProc.Name() + ":I"
-	default: // SlotInterDevice
-		return s.FromProc.Name() + ":O"
-	}
-}
-
-// ToVertex returns the head ETG vertex name.
-func (s *Slot) ToVertex() string {
-	switch s.Kind {
-	case SlotDest:
-		return "DST"
-	case SlotInterDevice:
-		return s.ToProc.Name() + ":I"
-	case SlotSource:
-		return s.ToProc.Name() + ":O"
-	default:
-		// Intra-device edges end at the route owner's outgoing vertex.
-		return s.FromProc.Name() + ":O"
-	}
-}
-
 // Slots enumerates every candidate edge slot of the network in a
 // deterministic order (NewTable(n).Slots).
 func Slots(n *topology.Network) []*Slot { return NewTable(n).Slots }

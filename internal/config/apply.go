@@ -27,16 +27,6 @@ func (c *Config) Apply(lc LineChange) error {
 	return fmt.Errorf("config: apply: unknown section %q", lc.Section)
 }
 
-// ApplyAll replays changes in order, stopping at the first failure.
-func (c *Config) ApplyAll(lcs []LineChange) error {
-	for _, lc := range lcs {
-		if err := c.Apply(lc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (c *Config) applyTopLevel(p *parser, lc LineChange) error {
 	fields := strings.Fields(lc.Line)
 	if len(fields) < 2 || fields[0] != "ip" || fields[1] != "route" {

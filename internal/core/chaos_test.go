@@ -235,8 +235,8 @@ func TestDegradedFallbackVerifies(t *testing.T) {
 
 // compressibleChaosInstance returns a broken k=4 fat-tree: small enough
 // for the chaos suite, symmetric enough that the quotient builder finds
-// real device classes, so compressed repairs reach the verification
-// stage the failpoints below target.
+// real device classes, so compressed repairs reach the acceptance check
+// the failpoint below targets.
 func compressibleChaosInstance(t *testing.T) (*harc.HARC, []policy.Policy) {
 	t.Helper()
 	inst, err := generate.FatTree(generate.FatTreeOptions{K: 4, PC1: 2, PC2: 1, PC3: 2, Seed: 7})
@@ -249,26 +249,13 @@ func compressibleChaosInstance(t *testing.T) (*harc.HARC, []policy.Policy) {
 	return inst.Harc(), inst.Policies
 }
 
-// TestChaosQuotientVerifyFallback arms the quotient-verification
-// failpoint (a simulated quotient/concrete disagreement before the
-// spot-check) and pins the degraded path: every affected sub-problem
-// falls back at stage "qverify", re-solves uncompressed to the same
-// state the compress-off run produces, and nothing fallback-tainted is
-// ever cached.
-func TestChaosQuotientVerifyFallback(t *testing.T) {
-	testCompressVerifyFallback(t, faultinject.CoreQVerifyError, "qverify")
-}
-
-// TestChaosSpotCheckDisagreement is the seeded spot-check-disagreement
-// case: the quotient verification passes but the concrete spot-check
-// member disagrees (simulated by the failpoint), so the sub-problem must
-// fall back at stage "spot-check" and full concrete re-verification —
-// the uncompressed re-solve — must take over.
-func TestChaosSpotCheckDisagreement(t *testing.T) {
-	testCompressVerifyFallback(t, faultinject.CoreSpotCheckError, "spot-check")
-}
-
-func testCompressVerifyFallback(t *testing.T, site, stage string) {
+// TestChaosReverifyFallback arms the acceptance-check failpoint (a
+// simulated disagreement between the concretized patch and the concrete
+// network) and pins the degraded path: every affected sub-problem falls
+// back at stage "reverify", re-solves uncompressed to the same state the
+// compress-off run produces, and nothing fallback-tainted is ever cached.
+func TestChaosReverifyFallback(t *testing.T) {
+	const site, stage = faultinject.CoreReverifyError, "reverify"
 	h, ps := compressibleChaosInstance(t)
 
 	off := DefaultOptions()
@@ -288,7 +275,7 @@ func testCompressVerifyFallback(t *testing.T, site, stage string) {
 
 	opts := DefaultOptions()
 	opts.Compress = CompressOn
-	opts.Cache = NewSolveCache("chaos-qverify")
+	opts.Cache = NewSolveCache("chaos-reverify")
 	res, err := Repair(h, ps, opts)
 	if err != nil {
 		t.Fatal(err)

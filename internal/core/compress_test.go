@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/arc"
 	"repro/internal/generate"
+	"repro/internal/policy"
 )
 
 // TestCompressedRepairFatTree runs the headline compression scenario: a
@@ -124,4 +126,62 @@ func TestCompressedLosslessCostExact(t *testing.T) {
 	if v := VerifyRepair(h, cres.State, cres.Repaired); len(v) > 0 {
 		t.Fatalf("repaired policies violated: %v", v[0])
 	}
+}
+
+// TestCompressedAcceptanceChecksEveryPolicy pins the acceptance rule of a
+// concretized patch: every policy of the sub-problem is checked on the
+// concrete state, not the pre-violated ones plus a sample. For each
+// compressed sub-problem of a repaired data center, each reachability
+// policy that held before the repair is broken in turn — its class's
+// source attachment bit cleared in an otherwise accepted state — and every
+// such state must be rejected at stage "reverify". (A check that samples
+// one policy per touched class beside the pre-violated ones accepts all
+// but a handful of these.)
+func TestCompressedAcceptanceChecksEveryPolicy(t *testing.T) {
+	inst, err := generate.DataCenter(generate.DCOptions{
+		Name: "compress-accept", Routers: 24, Subnets: 12,
+		BlockedFrac: 0.3, FullyBlockedDsts: 1, Violations: 4, Seed: 21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := inst.Harc()
+	opts := DefaultOptions()
+	opts.Compress = CompressOn
+	res, err := Repair(h, inst.Policies, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := policy.GroupByDst(inst.Policies)
+	broken := 0
+	for _, stat := range res.Stats {
+		if !stat.Compressed {
+			continue
+		}
+		pr := &problem{label: stat.Label, policies: groups[stat.Label]}
+		if !acceptConcrete(h, res.State, pr) {
+			t.Fatalf("problem %s: the accepted state is rejected untampered", pr.label)
+		}
+		for _, p := range pr.policies {
+			if p.Kind != policy.KReachable || !policy.Check(h, p) {
+				continue
+			}
+			tampered := res.State.Clone()
+			r := h.TCRow(p.TC)
+			tampered.TC[r].Each(func(id int) {
+				if h.Slots[id].Kind == arc.SlotSource {
+					tampered.SetTC(r, id, false)
+				}
+			})
+			pr.stat = ProblemStat{}
+			if acceptConcrete(h, tampered, pr) || pr.stat.CompressFallback != "reverify" {
+				t.Errorf("problem %s: state violating %q accepted (stage %q)", pr.label, p, pr.stat.CompressFallback)
+			}
+			broken++
+		}
+	}
+	if broken == 0 {
+		t.Fatalf("no compressed sub-problem with a satisfied reachability policy to break (stats: %+v)", res.Stats)
+	}
+	t.Logf("%d tampered states, all rejected", broken)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"repro/internal/arc"
@@ -181,18 +180,14 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *h
 	enc.extract(qrep)
 
 	t0 = time.Now()
-	trial, changes, touched, cok := concretizePatch(h, orig, pr, q, qh, qorig, qrep, opts)
+	trial, changes, cok := concretizePatch(h, orig, pr, q, qh, qorig, qrep, opts)
 	pr.stat.ConcretizeNs += time.Since(t0).Nanoseconds()
 	if !cok {
 		pr.stat.CompressFallback = "concretize"
 		return false
 	}
-	// The safety net: verify the patch on the quotient plus a
-	// deterministic concrete spot-check sample. Any over-merge the refiner
-	// committed surfaces here and sends the destination down the
-	// uncompressed path with the failing stage recorded.
 	t0 = time.Now()
-	vok := verifyOnQuotient(h, qh, qrep, trial, pr, qpolicies, q, touched)
+	vok := acceptConcrete(h, trial, pr)
 	pr.stat.ReverifyNs += time.Since(t0).Nanoseconds()
 	if !vok {
 		return false
@@ -209,106 +204,20 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *h
 	return true
 }
 
-// verifyOnQuotient decides whether a concretized patch is accepted, on
-// a ladder of two rungs, each naming its own fallback stage:
-//
-//  1. "qverify" — every remapped policy is verified on the quotient HARC
-//     against the extracted quotient state. The solver's hard constraints
-//     make this pass by construction, so a failure means the extraction
-//     or remap is broken; the same stage also absorbs an injected
-//     core/qverify-error fault, degrading to the uncompressed solve.
-//  2. "spot-check" — a deterministic concrete sample: every policy the
-//     sub-problem was created to fix (violated pre-repair), plus one
-//     seeded policy per equivalence class the patch touched. Checking a
-//     policy on the concrete trial state exercises every member of the
-//     touched classes (policy endpoints stay concrete; class members are
-//     interior, so any class-crossing path traverses non-representative
-//     members), which is where count-based concretization can go wrong.
-//
-// Either failure returns false with ProblemStat.CompressFallback set, so
-// the caller re-solves uncompressed. The full concrete guarantee is not
-// this ladder's to give: cpr.RepairCtx re-verifies every touched policy
-// on the uncompressed state and replays the patched text before anything
-// is returned. Fallback stages are never cached (cacheableOutcome
-// requires an empty stage).
-func verifyOnQuotient(h, qh *harc.HARC, qrep, trial *harc.State, pr *problem, qpolicies []policy.Policy, q *compress.Quotient, touched map[string]bool) bool {
-	if faultinject.Eval(faultinject.CoreQVerifyError) != nil {
-		pr.stat.CompressFallback = "qverify"
-		return false
+// acceptConcrete is the acceptance rule for a concretized patch: every
+// policy of the sub-problem holds on the concrete trial state. The verdict
+// comes from the uncompressed network, never from the abstraction that
+// produced the patch, so any over-merge the refiner committed or any edit
+// count-based concretization misplaced surfaces here and sends the
+// destination down the uncompressed path at stage "reverify" (as does an
+// injected core/reverify-error fault). Fallback stages are never cached
+// (cacheableOutcome requires an empty stage).
+func acceptConcrete(h *harc.HARC, trial *harc.State, pr *problem) bool {
+	if faultinject.Eval(faultinject.CoreReverifyError) == nil && len(VerifyRepair(h, trial, pr.policies)) == 0 {
+		return true
 	}
-	qchecker := policy.NewStateChecker(qh, qrep)
-	for _, qp := range qpolicies {
-		if !qchecker.Check(qp) {
-			pr.stat.CompressFallback = "qverify"
-			return false
-		}
-	}
-	if faultinject.Eval(faultinject.CoreSpotCheckError) != nil {
-		pr.stat.CompressFallback = "spot-check"
-		return false
-	}
-	checker := policy.NewStateChecker(h, trial)
-	for _, p := range spotCheckSample(pr, q, touched) {
-		if !checker.Check(p) {
-			pr.stat.CompressFallback = "spot-check"
-			return false
-		}
-	}
-	return true
-}
-
-// spotCheckSample selects the concrete policies to verify after a
-// quotient-verified patch: every policy violated before the repair (the
-// ones the patch must fix), plus one policy per lossy equivalence class
-// holding a device the patch touched, chosen by a seed derived from the
-// sub-problem label so the sample is identical at every parallelism
-// setting and across runs. Classes the patch left alone cannot have
-// changed state; lossless classes (every member kept) concretize
-// per-slot byte-exactly and need no sampling.
-func spotCheckSample(pr *problem, q *compress.Quotient, touched map[string]bool) []policy.Policy {
-	if len(pr.policies) == 0 {
-		return nil
-	}
-	picked := make(map[int]bool, len(pr.violated)+4)
-	var sample []policy.Policy
-	byString := make(map[string]int, len(pr.policies))
-	for i, p := range pr.policies {
-		byString[p.String()] = i
-	}
-	for _, p := range pr.violated {
-		if i, ok := byString[p.String()]; ok && !picked[i] {
-			picked[i] = true
-			sample = append(sample, pr.policies[i])
-		}
-	}
-	seed := fnv.New64a()
-	seed.Write([]byte(pr.label))
-	base := seed.Sum64()
-	for ci, c := range q.Classes {
-		if len(c.Members) <= len(c.Kept) {
-			continue
-		}
-		hit := false
-		for _, m := range c.Members {
-			if touched[m] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		idx := int((base ^ (uint64(ci)*0x9e3779b97f4a7c15 + 1)) % uint64(len(pr.policies)))
-		for tries := 0; tries < len(pr.policies); tries++ {
-			if !picked[idx] {
-				picked[idx] = true
-				sample = append(sample, pr.policies[idx])
-				break
-			}
-			idx = (idx + 1) % len(pr.policies)
-		}
-	}
-	return sample
+	pr.stat.CompressFallback = "reverify"
+	return false
 }
 
 // remapToQuotient rebinds the sub-problem's traffic classes and
@@ -460,20 +369,17 @@ func settleCounts(qslots, cslots []*arc.Slot, was, now func(q *arc.Slot) bool, h
 // writes are ever copied. Quotient and concrete states have different
 // shapes: rows meet by subnet name, processes by (representative, kind)
 // and slots by key or symmetry group (settleCounts). Returns the trial
-// state, the concrete modeled-change count, the set of concrete devices
-// whose constructs the patch edited (driving the spot-check sample and
-// the incremental re-check), and whether every quotient edit found a
-// concrete home.
-func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Quotient, qh *harc.HARC, qorig, qrep *harc.State, opts Options) (*harc.State, int, map[string]bool, bool) {
+// state, the concrete modeled-change count, and whether every quotient
+// edit found a concrete home.
+func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Quotient, qh *harc.HARC, qorig, qrep *harc.State, opts Options) (*harc.State, int, bool) {
 	// Per-destination repairs with no PC4 never touch link costs.
 	for ck, v := range qrep.Cost {
 		if v != qorig.Cost[ck] {
-			return nil, 0, nil, false
+			return nil, 0, false
 		}
 	}
 	trial := orig.Clone()
 	changes := 0
-	touched := map[string]bool{}
 	dsts := pr.dsts()
 
 	// Waypoint additions fan out class-pair-wide: the quotient link's
@@ -498,8 +404,6 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			if wanted[classes(l)] && !trial.Waypoint.Has(i) {
 				trial.SetWaypoint(i, true)
 				changes += opts.WaypointWeight
-				touched[l.A.Device.Name] = true
-				touched[l.B.Device.Name] = true
 			}
 		}
 	}
@@ -516,7 +420,7 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	}
 	for _, d := range h.Network.Devices() {
 		if q.Rep[d.Name] == "" {
-			return nil, 0, nil, false
+			return nil, 0, false
 		}
 	}
 	for _, dst := range dsts {
@@ -533,7 +437,6 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			if trial.RouteFilter[r].Has(pid) != v {
 				trial.SetRouteFilter(r, pid, v)
 				changes++
-				touched[p.Device.Name] = true
 			}
 		}
 	}
@@ -542,11 +445,11 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	cGroups := groupInterSlots(h, q.ClassOf)
 	// eachGroup visits every concrete device's inter-slot groups with the
 	// matching group of its representative.
-	eachGroup := func(visit func(dev string, qslots, cslots []*arc.Slot) bool) bool {
+	eachGroup := func(visit func(qslots, cslots []*arc.Slot) bool) bool {
 		for _, d := range h.Network.Devices() {
 			rep := q.Rep[d.Name]
 			for _, gk := range cGroups.devOrder[d.Name] {
-				if !visit(d.Name, qGroups.byDev[rep][gk], cGroups.byDev[d.Name][gk]) {
+				if !visit(qGroups.byDev[rep][gk], cGroups.byDev[d.Name][gk]) {
 					return false
 				}
 			}
@@ -557,20 +460,17 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	// Static routes: per destination, per group.
 	for _, dst := range dsts {
 		r, qr := h.DstRow(dst), qh.DstRow(dst)
-		ok := eachGroup(func(dev string, qslots, cslots []*arc.Slot) bool {
+		ok := eachGroup(func(qslots, cslots []*arc.Slot) bool {
 			flips, ok := settleCounts(qslots, cslots,
 				func(qs *arc.Slot) bool { return qorig.Static[qr].Has(qs.ID) },
 				func(qs *arc.Slot) bool { return qrep.Static[qr].Has(qs.ID) },
 				func(s *arc.Slot) bool { return trial.Static[r].Has(s.ID) },
 				func(s *arc.Slot, v bool) { trial.SetStatic(r, s.ID, v) })
-			if flips > 0 {
-				changes += flips
-				touched[dev] = true
-			}
+			changes += flips
 			return ok
 		})
 		if !ok {
-			return nil, 0, nil, false // quotient edit with no concrete home
+			return nil, 0, false // quotient edit with no concrete home
 		}
 	}
 
@@ -591,7 +491,7 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 
 		// Plan inter-slot deviation flips for this class.
 		plan := map[int]bool{} // slot id → desired deviation
-		ok := eachGroup(func(dev string, qslots, cslots []*arc.Slot) bool {
+		ok := eachGroup(func(qslots, cslots []*arc.Slot) bool {
 			flips, ok := settleCounts(qslots, cslots,
 				func(qs *arc.Slot) bool { return deviated(qodm, qom, qs.ID) },
 				func(qs *arc.Slot) bool { return deviated(qdm, qm, qs.ID) },
@@ -602,14 +502,11 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 					return deviated(origDm, origM, s.ID)
 				},
 				func(s *arc.Slot, v bool) { plan[s.ID] = v })
-			if flips > 0 {
-				changes += flips
-				touched[dev] = true
-			}
+			changes += flips
 			return ok
 		})
 		if !ok {
-			return nil, 0, nil, false
+			return nil, 0, false
 		}
 
 		dm := trial.Dst[d]
@@ -621,12 +518,11 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			case arc.SlotSource:
 				qid := qh.SlotID(s.Key())
 				if qid < 0 {
-					return nil, 0, nil, false // endpoint slot must exist in the quotient
+					return nil, 0, false // endpoint slot must exist in the quotient
 				}
 				v := qm.Has(qid)
 				if v != origM.Has(id) {
 					changes++
-					touched[s.ToProc.Device.Name] = true
 				}
 				trial.SetTC(r, id, v && !trial.RouteFilter[d].Has(s.ToProcID))
 			case arc.SlotIntraSelf, arc.SlotIntraRedist:
@@ -634,12 +530,11 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			case arc.SlotDest:
 				qid := qh.SlotID(s.Key())
 				if qid < 0 {
-					return nil, 0, nil, false
+					return nil, 0, false
 				}
 				now := deviated(qdm, qm, qid)
 				if now != deviated(origDm, origM, id) {
 					changes++
-					touched[s.FromProc.Device.Name] = true
 				}
 				trial.SetTC(r, id, dm.Has(id) && !now)
 			case arc.SlotInterDevice:
@@ -651,5 +546,5 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			}
 		}
 	}
-	return trial, changes, touched, true
+	return trial, changes, true
 }

@@ -86,6 +86,13 @@ type encoder struct {
 	wedgeOrder []int
 }
 
+// PC4 arithmetic widths: edge-cost variables are costBits wide (costs
+// range 1..2^costBits-1), distance labels distBits wide.
+const (
+	costBits = 4
+	distBits = 8
+)
+
 func constBool(v bool) formula.F {
 	if v {
 		return formula.True
@@ -235,9 +242,6 @@ func (e *encoder) wedge(si int) formula.F {
 	if e.st.Waypoint.Has(link) {
 		return formula.True
 	}
-	if !e.opts.AllowWaypointChanges {
-		return formula.False
-	}
 	if f := e.wedgeVars[link]; f != 0 {
 		return f
 	}
@@ -258,7 +262,7 @@ func (e *encoder) cost(si int) bv.Vec {
 	if v, ok := e.costVecs[ck]; ok {
 		return v
 	}
-	v := bv.Fresh(e.p, e.opts.CostBits)
+	v := bv.Fresh(e.p, costBits)
 	e.costVecs[ck] = v
 	e.costOrder = append(e.costOrder, ck)
 	// Constraint 13: cost > 0.
@@ -386,7 +390,7 @@ func (e *encoder) seedPhases() {
 	}
 	for _, ck := range e.costOrder {
 		orig := uint64(e.st.Cost[ck])
-		max := uint64(1)<<uint(e.opts.CostBits) - 1
+		max := uint64(1)<<costBits - 1
 		if orig > max {
 			orig = max
 		}
@@ -629,7 +633,6 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 	tl := e.tl(tc)
 	dl := e.tcDst[tl]
 	t := e.tb.tc[e.tcRow[tl]]
-	distBits := e.opts.DistBits
 
 	// Route selection is ACL-blind: distance labels, tightness, and the
 	// strict-preference comparisons all range over ROUTING-level edge
@@ -866,7 +869,7 @@ func (e *encoder) softConstraints() {
 	for _, ck := range e.costOrder {
 		vec := e.costVecs[ck]
 		orig := e.st.Cost[ck]
-		max := int64(1)<<uint(e.opts.CostBits) - 1
+		max := int64(1)<<costBits - 1
 		if orig > max {
 			orig = max
 		}
@@ -874,7 +877,7 @@ func (e *encoder) softConstraints() {
 		if i := strings.IndexByte(ck, '/'); i >= 0 {
 			dev = ck[:i]
 		}
-		e.soft(dev, bv.Equal(e.p, vec, bv.Const(uint64(orig), e.opts.CostBits)))
+		e.soft(dev, bv.Equal(e.p, vec, bv.Const(uint64(orig), costBits)))
 	}
 	// Waypoint softs: adding a middlebox is a change (wedge variables are
 	// only created for links without one). Middleboxes are not device
@@ -893,9 +896,10 @@ func (e *encoder) solve(ctx context.Context) (int, sat.Status) {
 	return res.Cost, res.Status
 }
 
-// extract reads the model into the merged repaired state, writing only
-// the levels this problem solved. The orchestrator applies the
-// follow-the-parent rule for unsolved levels afterwards.
+// extract reads the model into out, a clone of the original state,
+// writing only the levels this problem solved. The orchestrator merges
+// the problem's rows and applies the follow-the-parent rule for unsolved
+// levels afterwards.
 func (e *encoder) extract(out *harc.State) {
 	if !e.freezeAll {
 		for si, s := range e.tb.slots {

@@ -48,13 +48,8 @@ type SolveCache struct {
 // immutable after store; replay only copies out of them.
 type solveEntry struct {
 	stat ProblemStat // Duration zeroed; Reused set on replay
-	// extracted holds the model extraction of an uncompressed Sat solve,
-	// captured once at store time into a copy-on-write clone of the
-	// original state (so it owns only the problem's rows). nil for Unsat
-	// and compressed entries.
-	extracted *harc.State
-	// realized/realizedChanges hold a compressed solve's concretized
-	// repair state. mergeRows replays either kind of state.
+	// realized/realizedChanges are the problem's staged repair (see
+	// problem.realized): nil for Unsat entries.
 	realized        *harc.State
 	realizedChanges int
 	// enc is the retained live encoder (tables + solver) of an uncompressed
@@ -172,7 +167,6 @@ func (c *SolveCache) store(fp string, e *solveEntry) {
 func (e *solveEntry) replay(pr *problem) {
 	pr.stat = e.stat
 	pr.stat.Reused = true
-	pr.cached = e
 	pr.realized = e.realized
 	pr.realizedChanges = e.realizedChanges
 }
@@ -216,7 +210,7 @@ func (w *fpWriter) boolean(v bool) {
 
 // fingerprintVersion tags the hash layout; bump it whenever the encoder
 // reads a new input, so stale-layout fingerprints cannot collide.
-const fingerprintVersion = "cprfp4"
+const fingerprintVersion = "cprfp5"
 
 // problemFingerprint hashes the complete input closure of one
 // sub-problem's encode+solve: the slot table's shape, and every
@@ -253,9 +247,6 @@ func problemFingerprint(tb *tables, orig *harc.State, pr *problem, opts Options,
 	w.i64(int64(opts.Granularity))
 	w.i64(int64(opts.Algorithm))
 	w.i64(int64(opts.Objective))
-	w.i64(int64(opts.CostBits))
-	w.i64(int64(opts.DistBits))
-	w.boolean(opts.AllowWaypointChanges)
 	w.i64(int64(opts.WaypointWeight))
 	w.i64(opts.ConflictBudget)
 	w.i64(int64(opts.Compress))
@@ -349,28 +340,16 @@ func cacheableOutcome(pr *problem, ctxErr error) bool {
 }
 
 // entryFor builds the memo entry for a problem that just reached a
-// cacheable terminal outcome. For uncompressed Sat solves the model
-// extraction is captured once into a clone of the original state;
-// replay then copies the problem's rows out of it (mergeRows).
-func entryFor(orig *harc.State, pr *problem) *solveEntry {
-	e := &solveEntry{stat: pr.stat}
+// cacheable terminal outcome: its staged repair (replay hands the same
+// immutable state to mergeRows) and its retained encoder.
+func entryFor(pr *problem) *solveEntry {
+	e := &solveEntry{stat: pr.stat, realized: pr.realized, realizedChanges: pr.realizedChanges, enc: pr.enc}
 	e.stat.Duration = 0
 	e.stat.Reused = false
-	if pr.stat.Compressed {
-		e.realized = pr.realized
-		e.realizedChanges = pr.realizedChanges
+	if pr.realized != nil {
 		e.bytes = pr.realized.ApproxBytes()
-		return e
 	}
-	if pr.stat.Outcome == OutcomeSolved {
-		e.extracted = orig.Clone()
-		pr.enc.extract(e.extracted)
-		e.bytes += e.extracted.ApproxBytes()
-	}
-	e.enc = pr.enc
-	if pr.enc != nil {
-		e.bytes += pr.enc.approxBytes()
-	}
+	e.bytes += pr.enc.approxBytes()
 	return e
 }
 

@@ -118,19 +118,11 @@ type Options struct {
 	// core, matching cprd's -workers convention; negative values are
 	// treated as 1 (sequential). Results are byte-identical at every
 	// setting: sub-problems are scheduled largest-first for wall-clock,
-	// but models are extracted and merged in deterministic problem order.
+	// but their repairs are merged in deterministic problem order.
 	Parallelism int
-	// CostBits is the bit width of PC4 edge-cost variables (costs range
-	// 1..2^CostBits-1).
-	CostBits int
-	// DistBits is the bit width of PC4 distance labels.
-	DistBits int
-	// AllowWaypointChanges lets repairs add middleboxes to links
-	// (footnote 2); disable to require ¬wedge for all unwaypointed links.
-	AllowWaypointChanges bool
 	// WaypointWeight is the objective cost of placing one middlebox,
 	// relative to a configuration line (default 1, the paper's implicit
-	// accounting).
+	// accounting). Repairs may always add middleboxes to links (footnote 2).
 	WaypointWeight int
 	// ConflictBudget bounds each SAT call (0 = unlimited); exceeding it
 	// yields an Unknown problem status, CPR's analogue of the paper's
@@ -187,10 +179,7 @@ func DefaultOptions() Options {
 		Algorithm:   maxsat.OLL,
 		Parallelism: 0, // all available cores
 
-		CostBits:             4,
-		DistBits:             8,
-		AllowWaypointChanges: true,
-		WaypointWeight:       1,
+		WaypointWeight: 1,
 	}
 }
 
@@ -236,14 +225,14 @@ type ProblemStat struct {
 	// CompressFallback names the stage at which an attempted compression
 	// was abandoned for the uncompressed path ("quotient", "remap",
 	// "incompressible", "encode", "solve", "trivial", "concretize",
-	// "qverify", "spot-check", or "panic"; empty when compression
-	// succeeded or was not attempted).
+	// "reverify", or "panic"; empty when compression succeeded or was not
+	// attempted).
 	CompressFallback string
 	// Per-stage wall-clock breakdown in nanoseconds, summed across
 	// attempts. EncodeNs and SolveNs cover every solve path; HarcBuildNs
 	// (quotient HARC construction), ConcretizeNs (patch fan-out) and
-	// ReverifyNs (the quotient-verify/spot-check ladder) are populated
-	// only when compression was attempted.
+	// ReverifyNs (the concrete acceptance check) are populated only when
+	// compression was attempted.
 	HarcBuildNs  int64
 	EncodeNs     int64
 	SolveNs      int64
@@ -315,23 +304,18 @@ type problem struct {
 	label    string
 	tcs      []topology.TrafficClass
 	policies []policy.Policy
-	// violated is the subset of policies violated before the repair —
-	// the reason the sub-problem exists. The compressed path's concrete
-	// spot-check always re-verifies exactly these.
-	violated []policy.Policy
 	freeze   bool
 	enc      *encoder
-	// realized is a construct-realized repair state staged for the serial
-	// merge instead of a model extraction: the greedy fallback for
-	// degraded problems (realizeGreedy) or the concretized quotient
-	// repair for compressed ones (concretizePatch).
+	// realized is the sub-problem's repair, staged by the worker for the
+	// serial merge in a copy-on-write clone of the original state (so it
+	// owns only the problem's rows): the model extraction of a solve, the
+	// concretized quotient repair of a compressed one (concretizePatch),
+	// the greedy fallback of a degraded one (realizeGreedy), or any of
+	// those replayed from the solve cache. realizedChanges is the change
+	// count of a degraded or compressed repair.
 	realized        *harc.State
 	realizedChanges int
-	// cached is set when the problem was replayed from the solve cache;
-	// the serial merge applies its captured extraction instead of reading
-	// a (non-existent) fresh model.
-	cached *solveEntry
-	stat   ProblemStat
+	stat            ProblemStat
 }
 
 // dsts returns the problem's unique destination subnets.
@@ -380,12 +364,6 @@ func Repair(h *harc.HARC, policies []policy.Policy, opts Options) (*Result, erro
 // ctx's error.
 func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts Options) (*Result, error) {
 	start := time.Now()
-	if opts.CostBits == 0 {
-		opts.CostBits = 4
-	}
-	if opts.DistBits == 0 {
-		opts.DistBits = 8
-	}
 	if opts.WaypointWeight == 0 {
 		opts.WaypointWeight = 1
 	}
@@ -410,8 +388,8 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 
 	runProblems(ctx, h, tb, orig, problems, opts)
 
-	// Serial merge: extract each usable sub-problem's model (or realized
-	// fallback state) into the shared repaired state.
+	// Serial merge: copy each usable sub-problem's staged rows into the
+	// shared repaired state.
 	solvedDsts := map[string]bool{}
 	solvedTCs := map[string]bool{}
 	for _, pr := range problems {
@@ -429,23 +407,18 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 			res.Changes += pr.stat.Violations
 			if pr.stat.Compressed {
 				res.Compressed++
-				mergeRows(orig, out, pr.realized, pr)
-			} else if pr.cached != nil {
-				mergeRows(orig, out, pr.cached.extracted, pr)
-			} else {
-				pr.enc.extract(out)
 			}
 		case OutcomeDegraded:
 			res.Changes += pr.realizedChanges
 			res.Degraded++
 			res.Solved = false
-			mergeRows(orig, out, pr.realized, pr)
 		case OutcomeFailed:
 			res.Failed++
 			res.Solved = false
 			res.Stats = append(res.Stats, pr.stat)
 			continue
 		}
+		mergeRows(orig, out, pr.realized, pr)
 		res.Stats = append(res.Stats, pr.stat)
 		for _, d := range pr.dsts() {
 			solvedDsts[d.Name] = true
@@ -523,28 +496,23 @@ func buildProblems(h *harc.HARC, policies []policy.Policy, opts Options) ([]*pro
 				pc4Group = append(pc4Group, g...)
 				continue
 			}
-			viol := policy.Violations(h, g)
-			if len(viol) == 0 {
+			if len(policy.Violations(h, g)) == 0 {
 				continue // no violated policy for this destination
 			}
 			problems = append(problems, &problem{
 				label:    name,
 				tcs:      uniqueTCs(g),
 				policies: g,
-				violated: viol,
 				freeze:   true,
 			})
 		}
-		if len(pc4Group) > 0 {
-			if viol := policy.Violations(h, pc4Group); len(viol) > 0 {
-				problems = append(problems, &problem{
-					label:    "pc4-merged",
-					tcs:      uniqueTCs(pc4Group),
-					policies: pc4Group,
-					violated: viol,
-					freeze:   true,
-				})
-			}
+		if len(policy.Violations(h, pc4Group)) > 0 {
+			problems = append(problems, &problem{
+				label:    "pc4-merged",
+				tcs:      uniqueTCs(pc4Group),
+				policies: pc4Group,
+				freeze:   true,
+			})
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown granularity %d", opts.Granularity)
@@ -630,7 +598,7 @@ func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *ta
 	}
 	if tryCompressed(ctx, sc, tb, orig, pr, opts) {
 		if memo && cacheableOutcome(pr, ctx.Err()) {
-			opts.Cache.store(fp, entryFor(orig, pr))
+			opts.Cache.store(fp, entryFor(pr))
 		}
 		return
 	}
@@ -663,8 +631,10 @@ func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *ta
 			case sat.Sat:
 				pr.stat.Outcome = OutcomeSolved
 				pr.stat.Violations = cost
+				pr.realized = orig.Clone()
+				enc.extract(pr.realized)
 				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(orig, pr))
+					opts.Cache.store(fp, entryFor(pr))
 				}
 				return
 			case sat.Unsat:
@@ -673,7 +643,7 @@ func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *ta
 				pr.stat.Outcome = OutcomeFailed
 				pr.stat.Err = "unsatisfiable"
 				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(orig, pr))
+					opts.Cache.store(fp, entryFor(pr))
 				}
 				return
 			}
@@ -830,10 +800,8 @@ func realizeGreedy(h *harc.HARC, orig *harc.State, pr *problem, gres *greedy.Res
 	for _, tc := range pr.tcs {
 		realizeTCPresence(h, trial, gst, tc)
 	}
-	for _, p := range pr.policies {
-		if !policy.CheckState(h, trial, p) {
-			return nil, 0, false
-		}
+	if len(VerifyRepair(h, trial, pr.policies)) != 0 {
+		return nil, 0, false
 	}
 	return trial, gres.Changes, true
 }
@@ -911,14 +879,13 @@ func realizeTCPresence(h *harc.HARC, trial, gst *harc.State, tc topology.Traffic
 	}
 }
 
-// mergeRows copies one usable sub-problem's rows from src — a realized
-// trial state (greedy fallback, concretized quotient repair) or the
-// extraction a solve-cache entry captured — into the shared repaired
-// state: its destinations' presence and construct rows, its traffic
+// mergeRows copies one usable sub-problem's rows from src, its staged
+// repair (problem.realized), into the shared repaired state: its
+// destinations' presence and construct rows, its traffic
 // classes' rows, the aETG row when the problem solved it, any cost it
 // changed and any waypoint it added. src descends from a Clone of an
 // original state equal to orig on everything the problem reads, so whole
-// rows carry exactly the writes extract would have made.
+// rows carry exactly the problem's own writes.
 func mergeRows(orig, out, src *harc.State, pr *problem) {
 	for _, dst := range pr.dsts() {
 		out.CopyDst(src, dst)

@@ -73,14 +73,10 @@ const (
 	// mid-request. The fleet front tier's failover path is exercised
 	// against exactly this site.
 	ServerRepairAbort = "server/repair-abort"
-	// CoreQVerifyError fails the quotient-side verification of a
-	// compressed repair, forcing the "qverify" fallback to the
+	// CoreReverifyError fails the concrete acceptance check of a
+	// compressed repair, forcing the "reverify" fallback to the
 	// uncompressed solve.
-	CoreQVerifyError = "core/qverify-error"
-	// CoreSpotCheckError fails the concrete spot-check of a
-	// quotient-verified compressed repair, forcing the "spot-check"
-	// fallback to the uncompressed solve.
-	CoreSpotCheckError = "core/spot-check-error"
+	CoreReverifyError = "core/reverify-error"
 )
 
 // Sites lists every registered injection site, sorted.
@@ -91,8 +87,7 @@ func Sites() []string {
 		SATBudgetStarve,
 		CoreEncodeError,
 		CoreEncodeSlow,
-		CoreQVerifyError,
-		CoreSpotCheckError,
+		CoreReverifyError,
 		ServerCacheLoadError,
 		ServerDeltaError,
 		ServerRepairAbort,

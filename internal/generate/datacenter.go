@@ -287,12 +287,6 @@ type CorpusOptions struct {
 	Seed        int64
 }
 
-// DefaultCorpus mirrors the paper's dataset dimensions at a runtime-
-// friendly scale.
-func DefaultCorpus() CorpusOptions {
-	return CorpusOptions{Networks: 96, SubnetScale: 1.0, Seed: 20170801}
-}
-
 // Corpus generates the synthetic stand-in for the paper's 96 real
 // data-center networks. Sizes span 2-24 routers with a median of 8;
 // traffic-class counts have a long tail; each network has a handful of

@@ -387,29 +387,3 @@ func (g *Digraph) DisjointPaths(src, dst V, capacity func(E) int64) [][]V {
 	}
 	return paths
 }
-
-// TopoSort returns a topological order of the live subgraph, or ok=false if
-// it contains a cycle.
-func (g *Digraph) TopoSort() (order []V, ok bool) {
-	n := len(g.names)
-	indeg := make([]int, n)
-	g.Edges(func(_ E, ed Edge) { indeg[ed.To]++ })
-	var queue []V
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, V(v))
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		g.Out(v, func(_ E, ed Edge) {
-			indeg[ed.To]--
-			if indeg[ed.To] == 0 {
-				queue = append(queue, ed.To)
-			}
-		})
-	}
-	return order, len(order) == n
-}

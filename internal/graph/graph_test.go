@@ -262,25 +262,6 @@ func TestDisjointPaths(t *testing.T) {
 	}
 }
 
-func TestTopoSort(t *testing.T) {
-	g, a, b, c, d := buildDiamond(t)
-	order, ok := g.TopoSort()
-	if !ok {
-		t.Fatal("diamond is acyclic; TopoSort should succeed")
-	}
-	pos := make(map[V]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	if !(pos[a] < pos[b] && pos[a] < pos[c] && pos[b] < pos[d] && pos[c] < pos[d]) {
-		t.Errorf("bad topological order %v", order)
-	}
-	g.AddEdge(d, a, 1)
-	if _, ok := g.TopoSort(); ok {
-		t.Error("cycle should make TopoSort fail")
-	}
-}
-
 // TestClone: a view with no mask of its own starts as a copy of the
 // graph it views and diverges, privately, at its first edge removal.
 func TestClone(t *testing.T) {

@@ -182,5 +182,5 @@ func candidateETG(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
 	for id, s := range h.Slots {
 		all.Put(id, s.ApplicableTC(tc))
 	}
-	return arc.NewETG(h.Table, arc.LevelTC, all, h.Weights(func(*arc.Slot) int64 { return 1 }))
+	return arc.NewETG(h.Table, all, h.Weights(func(*arc.Slot) int64 { return 1 }))
 }

@@ -1,12 +1,12 @@
 // Package harc implements the Hierarchical Abstract Representation for
-// Control planes (paper §4.3): a traffic-class ETG per (src,dst) pair, a
-// destination ETG per destination subnet, and one all-traffic-classes
-// ETG, all derived from a shared slot table so the hierarchy invariants
-// hold by construction.
+// Control planes (paper §4.3): traffic-class, destination and
+// all-traffic-classes levels, all derived from a shared slot table so the
+// hierarchy invariants hold by construction.
 //
-// The package also defines State — the assignment of per-level presence
-// booleans and edge costs that the repair engine searches over — and can
-// rebuild ETGs from a repaired State for re-verification.
+// The hierarchy lives in State — the assignment of per-level presence
+// booleans and edge costs that the repair engine searches over. Graphs
+// exist only where a graph algorithm runs: a tcETG view per traffic class
+// for verification, rebuilt from a repaired State for re-verification.
 package harc
 
 import (
@@ -69,19 +69,17 @@ func (l *Layout) DstRow(dst *topology.Subnet) int {
 	return -1
 }
 
-// HARC bundles the three ETG layers of a network for a set of traffic
-// classes. D and TC are indexed by the layout's destination and
-// traffic-class rows.
+// HARC bundles the three levels of a network for a set of traffic
+// classes: the state its configuration evaluates to, and one tcETG per
+// class (indexed by the layout's traffic-class rows) laid over it.
 type HARC struct {
 	*Layout
 	Network *topology.Network
 
-	A  *arc.ETG
-	D  []*arc.ETG
 	TC []*arc.ETG
 
 	// rows is the network's own state, evaluated from the slot rules once,
-	// at build: A, D and TC are views of its presence rows and StateOf
+	// at build: every TC is a view of its class's presence row and StateOf
 	// hands out copy-on-write clones of it. Nothing writes it afterwards.
 	rows *State
 }
@@ -125,25 +123,19 @@ func ParallelFor(n int, fn func(i int)) {
 }
 
 // BuildForTCs constructs the HARC restricted to the given traffic classes
-// (used by the per-destination decomposition of §5.3). The ETGs are views
-// of the state rows BuildLite computed: a view costs two small headers,
-// and a destination's weights are shared by its dETG and every tcETG
-// toward it, filled in only if a PC4 check reads them.
+// (used by the per-destination decomposition of §5.3). The tcETGs are
+// views of the state rows BuildLite computed: a view costs two small
+// headers, and a destination's weights are shared by every tcETG toward
+// it, filled in only if a PC4 check reads them.
 func BuildForTCs(n *topology.Network, tcs []topology.TrafficClass) *HARC {
 	h := BuildLite(n, tcs)
-	st, none := h.rows, graph.V(graph.None)
-	h.A = arc.NewETG(h.Table, arc.LevelAll, st.All, h.Weights(func(s *arc.Slot) int64 { return s.Weight(nil) }))
-	h.A.Src, h.A.Dst = none, none
-	h.D = make([]*arc.ETG, len(h.Dsts))
 	weights := make([]*graph.Weights, len(h.Dsts))
 	for r, dst := range h.Dsts {
 		weights[r] = h.Weights(func(s *arc.Slot) int64 { return s.Weight(dst) })
-		h.D[r] = arc.NewETG(h.Table, arc.LevelDst, st.Dst[r], weights[r])
-		h.D[r].DstSubnet, h.D[r].Src = dst, none
 	}
 	h.TC = make([]*arc.ETG, len(tcs))
 	for r, tc := range tcs {
-		h.TC[r] = arc.NewETG(h.Table, arc.LevelTC, st.TC[r], weights[h.DstRow(tc.Dst)])
+		h.TC[r] = arc.NewETG(h.Table, h.rows.TC[r], weights[h.DstRow(tc.Dst)])
 		h.TC[r].TC, h.TC[r].DstSubnet = tc, tc.Dst
 	}
 	return h
@@ -163,51 +155,6 @@ func BuildLite(n *topology.Network, tcs []topology.TrafficClass) *HARC {
 func (h *HARC) TCETG(tc topology.TrafficClass) *arc.ETG {
 	if r := h.TCRow(tc); r >= 0 && r < len(h.TC) {
 		return h.TC[r]
-	}
-	return nil
-}
-
-// DETG returns the dETG for dst, or nil if the HARC holds none.
-func (h *HARC) DETG(dst *topology.Subnet) *arc.ETG {
-	if r := h.DstRow(dst); r >= 0 && r < len(h.D) {
-		return h.D[r]
-	}
-	return nil
-}
-
-// ValidateHierarchy checks the HARC well-formedness invariants of §4.3:
-// every tcETG edge exists in the corresponding dETG, and every dETG edge
-// exists in the aETG or (inter-device only) is backed by a static route.
-func (h *HARC) ValidateHierarchy() error {
-	for _, tc := range h.TCs {
-		tcETG := h.TCETG(tc)
-		dETG := h.DETG(tc.Dst)
-		for _, s := range h.Slots {
-			if s.Kind == arc.SlotSource {
-				continue // source edges exist only at the tc level
-			}
-			if tcETG.HasSlot(s) && !dETG.HasSlot(s) {
-				return fmt.Errorf("harc: edge %s in tcETG(%s) but not dETG(%s)", s.Key(), tc, tc.Dst.Name)
-			}
-		}
-	}
-	for _, dst := range h.Dsts {
-		dETG := h.DETG(dst)
-		for _, s := range h.Slots {
-			if !dETG.HasSlot(s) {
-				continue
-			}
-			switch s.Kind {
-			case arc.SlotInterDevice:
-				if !h.A.HasSlot(s) && s.StaticBacked(dst) == nil {
-					return fmt.Errorf("harc: inter-device edge %s in dETG(%s) without aETG edge or static route", s.Key(), dst.Name)
-				}
-			case arc.SlotIntraSelf, arc.SlotIntraRedist:
-				if !h.A.HasSlot(s) && !arc.ProcStaticFor(s.FromProc, dst) {
-					return fmt.Errorf("harc: intra-device edge %s in dETG(%s) but not aETG", s.Key(), dst.Name)
-				}
-			}
-		}
 	}
 	return nil
 }
@@ -249,16 +196,19 @@ func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc
 }
 
 func etgFromState(h *HARC, st *State, tc topology.TrafficClass, live bitset.Set) *arc.ETG {
-	etg := arc.NewETG(h.Table, arc.LevelTC, live, h.Weights(func(s *arc.Slot) int64 { return st.SlotCost(s, tc.Dst) }))
+	etg := arc.NewETG(h.Table, live, h.Weights(func(s *arc.Slot) int64 { return st.SlotCost(s, tc.Dst) }))
 	etg.TC = tc
 	etg.DstSubnet = tc.Dst
 	etg.Waypoints = st.Waypoint
 	return etg
 }
 
-// ValidateState checks the hierarchy invariants on an explicit state
-// (constraints 18-19 of Figure 5 plus the static-backing rule for
-// intra-device edges).
+// ValidateState checks the HARC well-formedness invariants of §4.3 on an
+// explicit state (constraints 18-19 of Figure 5 plus the static-backing
+// rules): every tcETG edge exists in the corresponding dETG, and every
+// dETG edge exists in the aETG or is backed by a static route — the
+// state's own Static bit for an inter-device edge, a static route leaving
+// through the owning process for an intra-device one.
 func (h *HARC) ValidateState(st *State) error {
 	for _, tc := range h.TCs {
 		dm := st.DstBits(tc.Dst)
@@ -279,12 +229,18 @@ func (h *HARC) ValidateState(st *State) error {
 		}
 		var err error
 		st.Dst[r].Each(func(id int) {
-			s := h.Slots[id]
-			if err != nil || (s.Kind != arc.SlotIntraSelf && s.Kind != arc.SlotIntraRedist) {
+			if err != nil || st.All.Has(id) {
 				return
 			}
-			if !st.All.Has(id) && !st.procStatic(h, r, s.FromProcID) {
-				err = fmt.Errorf("harc: state has intra edge %s in dETG(%s) but not aETG", s.Key(), dst.Name)
+			switch s := h.Slots[id]; s.Kind {
+			case arc.SlotInterDevice:
+				if !st.Static[r].Has(id) {
+					err = fmt.Errorf("harc: state has inter-device edge %s in dETG(%s) without aETG edge or static route", s.Key(), dst.Name)
+				}
+			case arc.SlotIntraSelf, arc.SlotIntraRedist:
+				if !st.procStatic(h, r, s.FromProcID) {
+					err = fmt.Errorf("harc: state has intra edge %s in dETG(%s) but not aETG", s.Key(), dst.Name)
+				}
 			}
 		})
 		if err != nil {

@@ -35,14 +35,11 @@ func TestBuildFigure2a(t *testing.T) {
 	if len(h.TCs) != 12 {
 		t.Fatalf("traffic classes = %d, want 12", len(h.TCs))
 	}
-	if len(h.Dsts) != 4 || len(h.D) != 4 {
-		t.Fatalf("destinations = %d, want 4", len(h.Dsts))
+	if len(h.Dsts) != 4 || len(h.TC) != 12 {
+		t.Fatalf("destinations = %d, tcETGs = %d, want 4 and 12", len(h.Dsts), len(h.TC))
 	}
-	if h.A == nil {
-		t.Fatal("aETG missing")
-	}
-	if err := h.ValidateHierarchy(); err != nil {
-		t.Fatalf("ValidateHierarchy: %v", err)
+	if err := h.ValidateState(StateOf(h)); err != nil {
+		t.Fatalf("ValidateState: %v", err)
 	}
 }
 
@@ -56,32 +53,28 @@ func TestBuildForTCsSubset(t *testing.T) {
 	if len(h.TC) != 2 {
 		t.Fatalf("tcETGs = %d, want 2", len(h.TC))
 	}
-	if len(h.D) != 1 || h.DETG(n.Subnet("T")) == nil {
-		t.Fatal("expected a single dETG for T")
+	if len(h.Dsts) != 1 || h.DstRow(n.Subnet("T")) != 0 {
+		t.Fatal("expected a single destination row, for T")
 	}
 }
 
-func TestValidateHierarchyWithStatic(t *testing.T) {
+func TestValidateStateWithStatic(t *testing.T) {
 	n := topology.Figure2a()
 	n.Device("A").AddStatic(n.Subnet("T").Prefix, netip.MustParseAddr("10.0.2.3"), 3)
 	h := Build(n)
-	if err := h.ValidateHierarchy(); err != nil {
+	st := StateOf(h)
+	if err := h.ValidateState(st); err != nil {
 		t.Fatalf("static-backed edge should be hierarchy-valid: %v", err)
 	}
 	// The static edge is in the dETG for T but not in the aETG.
-	var slot *arc.Slot
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotInterDevice && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "C" {
-			slot = s
-		}
-	}
+	slot := interSlot(h, "A", "C")
 	if slot == nil {
 		t.Fatal("A->C slot not found")
 	}
-	if !h.DETG(n.Subnet("T")).HasSlot(slot) {
+	if !st.Dst[h.DstRow(n.Subnet("T"))].Has(slot.ID) {
 		t.Error("A->C should be in dETG(T)")
 	}
-	if h.A.HasSlot(slot) {
+	if st.All.Has(slot.ID) {
 		t.Error("A->C should not be in aETG")
 	}
 }
@@ -232,8 +225,8 @@ func TestStateOfConstructs(t *testing.T) {
 }
 
 func TestValidateStateStaticBackedIntra(t *testing.T) {
-	// An intra edge backed by a state-level static (no aETG edge) must be
-	// hierarchy-valid.
+	// An inter-device edge backed by a state-level static (no aETG edge)
+	// must be hierarchy-valid, and invalid once the static bit goes.
 	n := topology.Figure2a()
 	h := Build(n)
 	st := StateOf(h)
@@ -243,6 +236,10 @@ func TestValidateStateStaticBackedIntra(t *testing.T) {
 	st.SetDst(tRow, id, true)
 	if err := h.ValidateState(st); err != nil {
 		t.Errorf("static-backed inter edge should validate: %v", err)
+	}
+	st.SetStatic(tRow, id, false)
+	if err := h.ValidateState(st); err == nil {
+		t.Error("ValidateState should reject an inter-device dETG edge with neither aETG edge nor static route")
 	}
 }
 

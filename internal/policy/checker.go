@@ -9,8 +9,7 @@ import (
 // StateChecker verifies a batch of policies against one explicit HARC
 // state, caching the per-traffic-class ETGs it materializes: checking
 // several policies on the same class builds each graph once instead of
-// once per policy (CheckState's behavior). PC4 routing graphs are cached
-// the same way. A StateChecker is not safe for concurrent use; parallel
+// once per policy. PC4 routing graphs are cached the same way. A StateChecker is not safe for concurrent use; parallel
 // verifiers each keep their own.
 type StateChecker struct {
 	h       *harc.HARC
@@ -49,8 +48,7 @@ func (c *StateChecker) routingETG(tc topology.TrafficClass) *arc.ETG {
 	return e
 }
 
-// Check verifies one policy against the checker's state, equivalent to
-// CheckState(h, st, p).
+// Check verifies one policy against the checker's state.
 func (c *StateChecker) Check(p Policy) bool {
 	if p.Kind == Isolated {
 		return isolatedInState(c.st, p)

@@ -100,17 +100,11 @@ func tcETGOf(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
 	return arc.BuildTCETG(h.Table, tc)
 }
 
-// CheckState verifies the policy against the tcETG encoded in an explicit
-// HARC state (used to validate repairs before translation).
+// CheckState verifies one policy against the tcETG encoded in an explicit
+// HARC state. Callers with several policies to check on one state keep a
+// StateChecker instead, which builds each class's graph once.
 func CheckState(h *harc.HARC, st *harc.State, p Policy) bool {
-	if p.Kind == Isolated {
-		return isolatedInState(st, p)
-	}
-	etg := harc.BuildTCETGFromState(h, st, p.TC)
-	if p.Kind == PrimaryPath {
-		return arc.VerifyPrimaryPath(etg, harc.BuildRoutingETGFromState(h, st, p.TC), p.Path)
-	}
-	return checkETG(etg, h.Network, p)
+	return NewStateChecker(h, st).Check(p)
 }
 
 // checkIsolated reports whether the two tcETGs share no edge slot

@@ -365,16 +365,6 @@ func WaypointUnderFailures(n *topology.Network, tc topology.TrafficClass, maxFai
 	})
 }
 
-// DeliveredUnderFailures reports whether tc is delivered under every
-// failure set of at most maxFail links, the empty set included (the
-// bounded ground truth for PC3 with k = maxFail+1).
-func DeliveredUnderFailures(n *topology.Network, tc topology.TrafficClass, maxFail int) bool {
-	return ForEachFailureSet(n, maxFail, func(failed map[*topology.Link]bool) bool {
-		out, _, _ := Forward(n, tc, failed)
-		return out == Delivered
-	})
-}
-
 // Forward walks a packet of traffic class tc from its source attachment
 // into the network, returning the outcome and the device path taken.
 // Ambiguous (ECMP) choices follow the recorded route deterministically
