@@ -13,6 +13,7 @@ import (
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/smt/formula"
+	"repro/internal/smt/sat"
 	"repro/internal/topology"
 )
 
@@ -46,25 +47,13 @@ func cnfDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State, 
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestCNFDigest pins the encoder's output bit for bit. The digests in
-// testdata/cnf_digests.json were recorded at the commit before the
-// formula arena and sat.Solver.Load existed, by logging every NewVar and
-// AddClause call of the pointer-AST encoder: variable numbering, sharing
-// and clause order are a contract (the solve cache, bench/golden.json and
-// the pinned serve trace all rest on the solver's trajectory), so a
-// change to the constraint-building layer must reproduce them exactly. A
-// change that means to alter the formula re-records them, and says so.
-func TestCNFDigest(t *testing.T) {
-	data, err := os.ReadFile("testdata/cnf_digests.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]string{}
-	sc := newScratch()
+// digestProblems encodes nothing itself: it calls visit with each of the
+// 19 pinned sub-problems — Figure 2a under both granularities and both
+// objectives, the bench's fattree-pc4 input, three corpus-batch networks
+// and one dc-256 sub-problem on its quotient — under the name the
+// testdata files key them by.
+func digestProblems(t *testing.T, visit func(name string, tb *tables, orig *harc.State, pr *problem, opts Options)) {
+	t.Helper()
 	all := func(name string, h *harc.HARC, policies []policy.Policy, opts Options) {
 		t.Helper()
 		problems, err := buildProblems(h, policies, opts)
@@ -74,7 +63,7 @@ func TestCNFDigest(t *testing.T) {
 		tb := newTables(h)
 		orig := harc.StateOf(h)
 		for _, pr := range problems {
-			got[name+"/"+pr.label] = cnfDigest(t, sc, tb, orig, pr, opts)
+			visit(name+"/"+pr.label, tb, orig, pr, opts)
 		}
 	}
 
@@ -90,13 +79,7 @@ func TestCNFDigest(t *testing.T) {
 
 	// The bench's fattree-pc4 input: the pc4-merged problem bit-blasts
 	// primary-path costs through package bv.
-	ft, err := generate.FatTree(generate.FatTreeOptions{K: 4, PC1: 4, PC2: 2, PC3: 4, PC4: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := generate.BreakFatTree(ft, 5, 8); err != nil {
-		t.Fatal(err)
-	}
+	ft := pc4FatTree(t)
 	all("fattree-pc4", ft.Harc(), ft.Policies, DefaultOptions())
 
 	// Three networks of the bench's corpus-batch population.
@@ -124,14 +107,105 @@ func TestCNFDigest(t *testing.T) {
 		t.Fatalf("no quotient for %s: stage %q", pr.label, stage)
 	}
 	qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
-	got["dc256-quotient/"+pr.label] = cnfDigest(t, sc, newTables(qh), harc.StateOf(qh), qpr, opts)
+	visit("dc256-quotient/"+pr.label, newTables(qh), harc.StateOf(qh), qpr, opts)
+}
 
+// pc4FatTree is the bench's fattree-pc4 network: k=4, four policies of
+// every class, five links broken.
+func pc4FatTree(tb testing.TB) *generate.Instance {
+	tb.Helper()
+	ft, err := generate.FatTree(generate.FatTreeOptions{K: 4, PC1: 4, PC2: 2, PC3: 4, PC4: 4, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := generate.BreakFatTree(ft, 5, 8); err != nil {
+		tb.Fatal(err)
+	}
+	return ft
+}
+
+// checkDigests compares got against the digests pinned in testdata/file.
+func checkDigests(t *testing.T, file string, got map[string]string) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/" + file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("%s: digest %.16s…, want %.16s…", name, got[name], w)
 		}
 	}
 	if len(got) != len(want) {
-		t.Errorf("encoded %d sub-problems, testdata pins %d", len(got), len(want))
+		t.Errorf("digested %d sub-problems, testdata pins %d", len(got), len(want))
 	}
+}
+
+// TestCNFDigest pins the encoder's output bit for bit. The digests in
+// testdata/cnf_digests.json were recorded at the commit before the
+// formula arena and sat.Solver.Load existed, by logging every NewVar and
+// AddClause call of the pointer-AST encoder: variable numbering, sharing
+// and clause order are a contract (the solve cache, bench/golden.json and
+// the pinned serve trace all rest on the solver's trajectory), so a
+// change to the constraint-building layer must reproduce them exactly. A
+// change that means to alter the formula re-records them, and says so.
+func TestCNFDigest(t *testing.T) {
+	got := map[string]string{}
+	sc := newScratch()
+	digestProblems(t, func(name string, tb *tables, orig *harc.State, pr *problem, opts Options) {
+		got[name] = cnfDigest(t, sc, tb, orig, pr, opts)
+	})
+	checkDigests(t, "cnf_digests.json", got)
+}
+
+// solveDigest encodes and solves one sub-problem and hashes the search it
+// took: status ‖ cost ‖ conflicts ‖ decisions ‖ propagations ‖ restarts ‖
+// learned literals, each a little-endian uint64, then (when satisfiable)
+// the model over the encoder's variables, one bit each.
+func solveDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) string {
+	t.Helper()
+	enc := newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	if err := enc.encode(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	nVars := sc.NumVars()
+	cost, status := enc.solve(context.Background())
+	st := enc.s.Snapshot()
+	h := sha256.New()
+	for _, v := range []int64{int64(status), int64(cost), st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.LearnedLits} {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	if status == sat.Sat {
+		bits := make([]byte, (nVars+7)/8)
+		for v := 0; v < nVars; v++ {
+			if enc.s.Value(sat.Var(v)) {
+				bits[v/8] |= 1 << (v % 8)
+			}
+		}
+		h.Write(bits)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSolveDigest pins the solver's trajectory, not just its input: for
+// each TestCNFDigest sub-problem, the verdict, the optimum, the search
+// counters and the model. The digests in testdata/solve_digests.json were
+// recorded on the commit before literal-indexed values and the keyed VSIDS
+// heap (6446423). A change that only makes the solver's steps cheaper
+// must reproduce them exactly — every conflict, decision and propagation,
+// and the same one of several equal-cost optima. Like the CNF digests,
+// they are never re-recorded to make a speed change pass.
+func TestSolveDigest(t *testing.T) {
+	got := map[string]string{}
+	sc := newScratch()
+	digestProblems(t, func(name string, tb *tables, orig *harc.State, pr *problem, opts Options) {
+		got[name] = solveDigest(t, sc, tb, orig, pr, opts)
+	})
+	checkDigests(t, "solve_digests.json", got)
 }

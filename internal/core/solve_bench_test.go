@@ -1,0 +1,49 @@
+package core
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"repro/internal/harc"
+	"repro/internal/smt/maxsat"
+	"repro/internal/smt/sat"
+)
+
+// BenchmarkSolvePC4Merged times the solver alone on the fattree-pc4
+// workload's pc4-merged sub-problem, nearly all of that workload's op:
+// each iteration loads the encoder's formula into a new solver, seeds
+// the encoder's phases and runs the MaxSAT descent (the formula is
+// encoded once, untimed). The search is the same every iteration, so
+// ns/propagation is the cost of the CDCL loop's steps — the profiling
+// entry point for solver bookkeeping.
+func BenchmarkSolvePC4Merged(b *testing.B) {
+	ft := pc4FatTree(b)
+	h, opts := ft.Harc(), DefaultOptions()
+	problems, err := buildProblems(h, ft.Policies, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	i := slices.IndexFunc(problems, func(pr *problem) bool { return pr.label == "pc4-merged" })
+	if i < 0 {
+		b.Fatal("fattree-pc4 has no pc4-merged sub-problem")
+	}
+	pr, sc := problems[i], newScratch()
+	enc := newEncoder(sc, newTables(h), harc.StateOf(h), pr.tcs, pr.policies, pr.freeze, opts)
+	if err := enc.encode(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	nVars, stream := sc.NumVars(), slices.Clone(sc.Stream())
+	var props int64
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		enc.s = sat.New()
+		enc.s.Load(nVars, stream)
+		enc.seedPhases()
+		if res := maxsat.SolveWeighted(enc.s, enc.softs, enc.weights, opts.Algorithm); res.Status != sat.Sat {
+			b.Fatalf("pc4-merged: %v", res.Status)
+		}
+		props += enc.s.Propagations
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(props), "ns/propagation")
+}

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -11,21 +12,34 @@ import (
 // DCShapedStream is dcShapedStream (bench_test.go).
 var DCShapedStream = dcShapedStream
 
-// CheckInvariants is checkWatches (invariant_test.go).
-var CheckInvariants = checkWatches
+// CheckInvariants is checkInvariants (invariant_test.go).
+var CheckInvariants = checkInvariants
+
+// SetStampGens puts both stamp generations (AddClause's literal stamps
+// and the LBD level stamps) at g, so a test can drive them across the
+// wrap.
+func SetStampGens(s *Solver, g uint32) { s.addGen, s.lbdGen = g, g }
+
+// NextStamp is nextStamp (solver.go).
+var NextStamp = nextStamp
+
+// StampGens returns the literal and LBD stamp generations.
+func StampGens(s *Solver) (add, lbd uint32) { return s.addGen, s.lbdGen }
 
 // StateDiff describes the first difference between the internal states of
 // two solvers, or returns "" when they agree on everything search reads:
 // ok, every literal's implication list and watch list in order, the arena
 // word for word, the clause references, the trail and the propagation
-// head. Where a list's window sits in its backing is storage, not state,
-// and is not compared.
+// head, and what branching reads — the VSIDS heap's order and keys, the
+// activities (bit for bit), the activity increment and the saved phases.
+// Where a list's window sits in its backing is storage, not state, and is
+// not compared.
 func StateDiff(a, b *Solver) string {
 	switch {
 	case a.ok != b.ok:
 		return fmt.Sprintf("ok: %v vs %v", a.ok, b.ok)
-	case len(a.assigns) != len(b.assigns):
-		return fmt.Sprintf("variables: %d vs %d", len(a.assigns), len(b.assigns))
+	case a.NumVars() != b.NumVars():
+		return fmt.Sprintf("variables: %d vs %d", a.NumVars(), b.NumVars())
 	case !slices.Equal(a.trail, b.trail):
 		return fmt.Sprintf("trail: %v vs %v", a.trail, b.trail)
 	case a.qhead != b.qhead:
@@ -36,6 +50,16 @@ func StateDiff(a, b *Solver) string {
 		return fmt.Sprintf("clause refs: %v vs %v", a.clauses, b.clauses)
 	case !slices.Equal(a.learnts, b.learnts):
 		return fmt.Sprintf("learnt refs: %v vs %v", a.learnts, b.learnts)
+	case !slices.Equal(a.order.heap, b.order.heap):
+		return fmt.Sprintf("heap order: %v vs %v", a.order.heap, b.order.heap)
+	case !bitEqual(a.order.keys, b.order.keys):
+		return fmt.Sprintf("heap keys: %v vs %v", a.order.keys, b.order.keys)
+	case !bitEqual(a.activity, b.activity):
+		return fmt.Sprintf("activities: %v vs %v", a.activity, b.activity)
+	case a.varInc != b.varInc:
+		return fmt.Sprintf("activity increment: %v vs %v", a.varInc, b.varInc)
+	case !slices.Equal(a.phase, b.phase):
+		return fmt.Sprintf("saved phases: %v vs %v", a.phase, b.phase)
 	}
 	for l := range a.bins.win {
 		if x, y := a.bins.list(Lit(l)), b.bins.list(Lit(l)); !slices.Equal(x, y) {
@@ -46,4 +70,9 @@ func StateDiff(a, b *Solver) string {
 		}
 	}
 	return ""
+}
+
+// bitEqual reports whether x and y hold the same float64 bit patterns.
+func bitEqual(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
 }

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -124,6 +125,58 @@ func checkWatches(t *testing.T, s *Solver) {
 	}
 }
 
+// checkHeap verifies what branching reads: the VSIDS heap is in order on
+// its keys, each key is bit-equal to its variable's activity, positions
+// and heap entries agree, and every unassigned variable is in the heap
+// (pickBranchVar may only skip assigned ones); and each literal's value
+// is the complement of its negation's, or both are undefined.
+func checkHeap(t *testing.T, s *Solver) {
+	t.Helper()
+	h := s.order
+	if len(h.keys) != len(h.heap) {
+		t.Fatalf("heap holds %d variables but %d keys", len(h.heap), len(h.keys))
+	}
+	for i, v := range h.heap {
+		if p := (i - 1) / 2; i > 0 && h.keys[p] < h.keys[i] {
+			t.Fatalf("heap order: key %v at %d under key %v at %d", h.keys[i], i, h.keys[p], p)
+		}
+		if math.Float64bits(h.keys[i]) != math.Float64bits(s.activity[v]) {
+			t.Fatalf("heap key of variable %d is %v, its activity %v", v, h.keys[i], s.activity[v])
+		}
+		if h.pos[v] != int32(i) {
+			t.Fatalf("variable %d at heap index %d has position %d", v, i, h.pos[v])
+		}
+	}
+	for v, i := range h.pos {
+		if i != -1 && (int(i) >= len(h.heap) || h.heap[i] != Var(v)) {
+			t.Fatalf("variable %d has position %d, not its heap index", v, i)
+		}
+	}
+	if len(s.vals) != 2*s.NumVars() {
+		t.Fatalf("%d literal values for %d variables", len(s.vals), s.NumVars())
+	}
+	for v := 0; v < s.NumVars(); v++ {
+		l := MkLit(Var(v), false)
+		switch a, b := s.vals[l], s.vals[l.Not()]; {
+		case a == lUndef && b == lUndef:
+			if v >= len(h.pos) || h.pos[v] == -1 {
+				t.Fatalf("unassigned variable %d is not in the heap", v)
+			}
+		case a == lTrue && b == lFalse, a == lFalse && b == lTrue:
+		default:
+			t.Fatalf("variable %d: values %d and %d for its two literals", v, a, b)
+		}
+	}
+}
+
+// checkInvariants runs every structural check: checkWatches and
+// checkHeap.
+func checkInvariants(t *testing.T, s *Solver) {
+	t.Helper()
+	checkWatches(t, s)
+	checkHeap(t, s)
+}
+
 // TestWatcherInvariantAcrossReductionAndGC drives a solver hard enough
 // (tiny reduceDB trigger, aggressive GC threshold) that learned clauses
 // are deleted and the arena is compacted repeatedly, then asserts the
@@ -159,7 +212,7 @@ func TestWatcherInvariantAcrossReductionAndGC(t *testing.T) {
 				asm = append(asm, MkLit(Var(r.Intn(nvars)), r.Intn(2) == 0))
 			}
 			s.Solve(asm...)
-			checkWatches(t, s)
+			checkInvariants(t, s)
 		}
 		if s.DBReductions == 0 && seed == 0 {
 			t.Log("warning: seed 0 triggered no reductions; invariant untested under deletion")
@@ -204,7 +257,7 @@ func TestIncrementalAssumptionStress(t *testing.T) {
 				asm = append(asm, MkLit(Var(r.Intn(nvars)), r.Intn(2) == 0))
 			}
 			st := s.Solve(asm...)
-			checkWatches(t, s)
+			checkInvariants(t, s)
 			// Oracle: fresh solver with clauses + assumptions as units.
 			o := New()
 			for i := 0; i < nvars; i++ {

@@ -21,7 +21,7 @@ func TestWatchGrowthDuringPropagate(t *testing.T) {
 	var moved, regrown int
 	drive := func(s *Solver, rng *rand.Rand) {
 		for v := 0; v < s.NumVars(); v++ {
-			if s.assigns[v] != lUndef {
+			if s.value(MkLit(Var(v), false)) != lUndef {
 				continue
 			}
 			offs := make([]uint32, len(s.watches.win))
@@ -32,7 +32,7 @@ func TestWatchGrowthDuringPropagate(t *testing.T) {
 			s.newDecisionLevel()
 			s.enqueue(MkLit(Var(v), rng.Intn(2) == 0), refUndef)
 			conflict := s.propagate()
-			checkWatches(t, s)
+			checkInvariants(t, s)
 			for l, w := range s.watches.win {
 				if w.off != offs[l] {
 					moved++
@@ -54,7 +54,7 @@ func TestWatchGrowthDuringPropagate(t *testing.T) {
 		if got := s.Solve(); got != Unsat {
 			t.Fatalf("PHP(%d) = %v, want unsat", n, got)
 		}
-		checkWatches(t, s)
+		checkInvariants(t, s)
 	}
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -77,7 +77,7 @@ func TestWatchGrowthDuringPropagate(t *testing.T) {
 		if got := s.Solve(); got != want { // a Sat model passes debugVerifyModel or Solve panics
 			t.Fatalf("seed %d: %v, reference says %v", seed, got, want)
 		}
-		checkWatches(t, s)
+		checkInvariants(t, s)
 	}
 	if moved == 0 || regrown == 0 {
 		t.Errorf("propagate moved %d lists and reallocated the backing %d times; the test needs both", moved, regrown)

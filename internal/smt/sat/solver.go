@@ -12,6 +12,7 @@ package sat
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -110,7 +111,9 @@ type Solver struct {
 	bins    lists[Lit]
 	watches lists[watcher]
 
-	assigns  []lbool
+	// vals is indexed by literal: vals[l] is l's value and vals[l^1] its
+	// complement's, so reading a literal's value is one load.
+	vals     []lbool
 	phase    []bool // saved phases
 	level    []int32
 	reason   []uint32 // arena cref, tagged binary ref, or refUndef
@@ -129,20 +132,22 @@ type Solver struct {
 	seen []bool
 
 	// lbdStamp[level] == lbdGen marks levels already counted by the
-	// current LBD computation (one array pass, no clearing).
-	lbdStamp []uint64
-	lbdGen   uint64
+	// current LBD computation (one array pass, no clearing; see
+	// nextStamp for the wrap).
+	lbdStamp []uint32
+	lbdGen   uint32
 
 	// litStamp[lit] == addGen marks literals already seen by the current
 	// AddClause call (replaces a per-call map).
-	litStamp []uint64
-	addGen   uint64
+	litStamp []uint32
+	addGen   uint32
 
 	// Reused scratch buffers (valid only within one call).
 	addBuf     []Lit
 	learnedBuf []Lit
 	clearBuf   []Lit
 	reduceBuf  []uint32
+	varBuf     []Var
 
 	ok          bool
 	model       []lbool // snapshot of the last satisfying assignment
@@ -151,6 +156,7 @@ type Solver struct {
 	clauseInc   float64
 	assumptions []Lit
 	core        []Lit
+	coreBuf     []Lit // backs core between Solve calls
 
 	// Budget limits Solve to roughly this many conflicts (0 = unlimited);
 	// exceeded budgets return Unknown.
@@ -169,13 +175,13 @@ func New() *Solver {
 		clauseInc:  1.0,
 		maxLearned: 4000,
 		gcFrac:     0.25,
-		lbdStamp:   make([]uint64, 1), // level 0
+		lbdStamp:   make([]uint32, 1), // level 0
 		order:      newVarHeap(),
 	}
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // SetPhase sets the variable's initial branching polarity (overwritten
 // later by phase saving). Seeding phases with a known near-solution
@@ -205,11 +211,11 @@ func (s *Solver) ApproxBytes() int64 {
 	n := int64(cap(s.arena)+cap(s.clauses)+cap(s.learnts)+cap(s.reduceBuf)) * 4
 	n += int64(cap(s.bins.win)+cap(s.watches.win)) * 12 // three 32-bit fields
 	n += int64(cap(s.bins.back))*4 + int64(cap(s.watches.back))*8
-	n += int64(cap(s.assigns) + cap(s.phase) + cap(s.seen))         // byte-sized
-	n += int64(cap(s.level)+cap(s.reason)) * 4                      // 32-bit
-	n += int64(cap(s.trail)+cap(s.trailLim)+cap(s.model)) * 4       // 32-bit
-	n += int64(cap(s.activity)+cap(s.lbdStamp)+cap(s.litStamp)) * 8 // 64-bit
-	n += int64(cap(s.addBuf)+cap(s.learnedBuf)+cap(s.clearBuf)+cap(s.assumptions)+cap(s.core)) * 4
+	n += int64(cap(s.vals) + cap(s.phase) + cap(s.seen) + cap(s.model))        // byte-sized
+	n += int64(cap(s.level)+cap(s.reason)+cap(s.lbdStamp)+cap(s.litStamp)) * 4 // 32-bit
+	n += int64(cap(s.trail)+cap(s.trailLim)+cap(s.varBuf)) * 4                 // 32-bit
+	n += int64(cap(s.activity)) * 8                                            // 64-bit
+	n += int64(cap(s.addBuf)+cap(s.learnedBuf)+cap(s.clearBuf)+cap(s.assumptions)+cap(s.coreBuf)) * 4
 	if s.order != nil {
 		n += s.order.approxBytes()
 	}
@@ -237,8 +243,8 @@ func grow[T any](xs []T, c int) []T {
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	n := len(s.assigns)
-	if n == cap(s.assigns) {
+	n := s.NumVars()
+	if n == cap(s.level) {
 		s.reserve(2*n + 64)
 	}
 	s.setNumVars(n + 1)
@@ -247,10 +253,10 @@ func (s *Solver) NewVar() Var {
 
 // reserve gives every per-variable array capacity for c variables.
 func (s *Solver) reserve(c int) {
-	if c <= cap(s.assigns) {
+	if c <= cap(s.level) {
 		return
 	}
-	s.assigns = grow(s.assigns, c)
+	s.vals = grow(s.vals, 2*c)
 	s.phase = grow(s.phase, c)
 	s.level = grow(s.level, c)
 	s.reason = grow(s.reason, c)
@@ -269,8 +275,8 @@ func (s *Solver) reserve(c int) {
 // every per-variable array only ever grows, so spare capacity was never
 // written.
 func (s *Solver) setNumVars(n int) {
-	old := len(s.assigns)
-	s.assigns = s.assigns[:n]
+	old := s.NumVars()
+	s.vals = s.vals[:2*n]
 	s.phase = s.phase[:n]
 	s.level = s.level[:n]
 	s.reason = s.reason[:n]
@@ -313,7 +319,7 @@ func AppendClause(stream []Lit, lits ...Lit) []Lit {
 // variables and clauses added afterwards (MaxSAT totalizers) use NewVar
 // and AddClause.
 func (s *Solver) Load(nVars int, stream []Lit) bool {
-	if nVars > len(s.assigns) {
+	if nVars > s.NumVars() {
 		// An eighth of headroom: MaxSAT engines add selector and totalizer
 		// variables after the load, and the first NewVar past capacity
 		// reallocates every per-variable array.
@@ -375,14 +381,14 @@ func (s *Solver) sizeFor(stream []Lit) {
 	if need := len(s.clauses) + long; need > cap(s.clauses) {
 		s.clauses = grow(s.clauses, need)
 	}
-	if len(s.assigns) > cap(s.trail) {
-		s.trail = grow(s.trail, len(s.assigns))
+	if s.NumVars() > cap(s.trail) {
+		s.trail = grow(s.trail, s.NumVars())
 	}
 }
 
 // checkLit panics unless l is a literal of an allocated variable.
 func (s *Solver) checkLit(l Lit) {
-	if uint(l) >= uint(2*len(s.assigns)) {
+	if uint(l) >= uint(len(s.vals)) {
 		panic("sat: literal references unallocated variable")
 	}
 }
@@ -390,14 +396,13 @@ func (s *Solver) checkLit(l Lit) {
 // unassigned reports whether l's variable has no value yet.
 func (s *Solver) unassigned(l Lit) bool {
 	s.checkLit(l)
-	return s.assigns[l.Var()] == lUndef
+	return s.vals[l] == lUndef
 }
 
 // plain reports whether AddClause would store c exactly as given: every
 // literal unassigned, none repeated, none complemented.
 func (s *Solver) plain(c []Lit) bool {
-	s.addGen++
-	g := s.addGen
+	g := nextStamp(s.litStamp, &s.addGen)
 	for _, l := range c {
 		if !s.unassigned(l) || s.litStamp[l] == g || s.litStamp[l.Not()] == g {
 			return false
@@ -408,18 +413,19 @@ func (s *Solver) plain(c []Lit) bool {
 }
 
 // value returns the literal's current assignment.
-func (s *Solver) value(l Lit) lbool {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
+
+// nextStamp advances a stamp generation and returns it. Before the
+// counter wraps it clears the stamps' full capacity, not just their
+// length, and restarts at 1, so no stamp an earlier generation left
+// anywhere in the array can equal a new one.
+func nextStamp(stamps []uint32, gen *uint32) uint32 {
+	if *gen == math.MaxUint32 {
+		clear(stamps[:cap(stamps)])
+		*gen = 0
 	}
-	if l.Neg() {
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
+	*gen++
+	return *gen
 }
 
 // Value returns the variable's value in the model after a Sat result.
@@ -442,8 +448,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	// Normalize: drop duplicate and false literals; detect tautologies and
 	// satisfied clauses. The literal stamp array replaces a per-call map.
-	s.addGen++
-	g := s.addGen
+	g := nextStamp(s.litStamp, &s.addGen)
 	if cap(s.addBuf) < len(lits) {
 		s.addBuf = make([]Lit, 0, 2*len(lits))
 	}
@@ -494,7 +499,8 @@ func (s *Solver) addBinary(a, b Lit) {
 	s.bins.push(b.Not(), a)
 }
 
-// enqueue assigns literal l with the given reason reference.
+// enqueue assigns literal l with the given reason reference unless it
+// already has a value; it reports whether l is true afterwards.
 func (s *Solver) enqueue(l Lit, from uint32) bool {
 	switch s.value(l) {
 	case lTrue:
@@ -502,16 +508,19 @@ func (s *Solver) enqueue(l Lit, from uint32) bool {
 	case lFalse:
 		return false
 	}
+	s.assign(l, from)
+	return true
+}
+
+// assign makes the unassigned literal l true with the given reason
+// reference.
+func (s *Solver) assign(l Lit, from uint32) {
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	return true
 }
 
 // propagate performs unit propagation; returns a conflicting clause
@@ -535,7 +544,7 @@ func (s *Solver) propagate() uint32 {
 				return refBinConfl
 			case lUndef:
 				s.BinaryProps++
-				s.enqueue(q, mkBinRef(p.Not()))
+				s.assign(q, mkBinRef(p.Not()))
 			}
 		}
 
@@ -601,7 +610,7 @@ func (s *Solver) propagate() uint32 {
 				j += uint32(copy(back[j:], back[i:end]))
 				break
 			}
-			s.enqueue(first, w.cref)
+			s.assign(first, w.cref)
 		}
 		pw.n = j - pw.off
 		if conflict != refUndef {
@@ -626,9 +635,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	bound := int(s.trailLim[lvl])
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assigns[v] == lTrue
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Neg()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.reason[v] = refUndef
 		s.order.insert(v, s.activity)
 	}
@@ -644,6 +654,7 @@ func (s *Solver) bumpVar(v Var) {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
+		s.order.scale(1e-100)
 		s.varInc *= 1e-100
 	}
 	s.order.update(v, s.activity)
@@ -663,8 +674,7 @@ func (s *Solver) ensureLBDStamp(lvl int32) {
 // as a literal slice: the number of distinct non-zero decision levels
 // among its (assigned) literals. Lower is better (Audemard & Simon).
 func (s *Solver) computeLBDLits(lits []Lit) uint32 {
-	s.lbdGen++
-	g := s.lbdGen
+	g := nextStamp(s.lbdStamp, &s.lbdGen)
 	var lbd uint32
 	for _, l := range lits {
 		lvl := s.level[l.Var()]
@@ -682,8 +692,7 @@ func (s *Solver) computeLBDLits(lits []Lit) uint32 {
 
 // computeLBDRef is computeLBDLits over an arena clause.
 func (s *Solver) computeLBDRef(ref uint32) uint32 {
-	s.lbdGen++
-	g := s.lbdGen
+	g := nextStamp(s.lbdStamp, &s.lbdGen)
 	var lbd uint32
 	for _, w := range s.lits(ref) {
 		lvl := s.level[Lit(w).Var()]
@@ -899,8 +908,8 @@ func (s *Solver) isReason(ref uint32) bool {
 	if len(w) == 0 {
 		return false
 	}
-	v := Lit(w[0]).Var()
-	return s.assigns[v] != lUndef && s.reason[v] == ref
+	l := Lit(w[0])
+	return s.value(l) != lUndef && s.reason[l.Var()] == ref
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -985,10 +994,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				}
 			case 2:
 				s.addBinary(learned[0], learned[1])
-				s.enqueue(learned[0], mkBinRef(learned[1]))
+				s.assign(learned[0], mkBinRef(learned[1]))
 			default:
 				ref := s.newClause(learned, true, lbd)
-				s.enqueue(learned[0], ref)
+				s.assign(learned[0], ref)
 			}
 			s.varInc /= 0.95
 			s.clauseInc /= 0.999
@@ -1023,7 +1032,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 			s.newDecisionLevel()
-			s.enqueue(a, refUndef)
+			s.assign(a, refUndef)
 			continue
 		}
 		v := s.pickBranchVar()
@@ -1031,12 +1040,12 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			if debugParanoid {
 				s.debugVerifyModel()
 			}
-			s.model = append(s.model[:0], s.assigns...)
+			s.snapshotModel()
 			return Sat
 		}
 		s.Decisions++
 		s.newDecisionLevel()
-		s.enqueue(MkLit(v, !s.phase[v]), refUndef)
+		s.assign(MkLit(v, !s.phase[v]), refUndef)
 	}
 }
 
@@ -1050,14 +1059,27 @@ func (s *Solver) assumptionsOnTrail() []Lit {
 	return s.assumptions[:n]
 }
 
+// snapshotModel copies the current full assignment, one value per
+// variable, into the model.
+func (s *Solver) snapshotModel() {
+	n := s.NumVars()
+	if cap(s.model) < n {
+		s.model = make([]lbool, n)
+	}
+	s.model = s.model[:n]
+	for v := range s.model {
+		s.model[v] = s.vals[2*v]
+	}
+}
+
 // pickBranchVar selects the highest-activity unassigned variable.
 func (s *Solver) pickBranchVar() Var {
 	for {
-		v, ok := s.order.popMax(s.activity)
+		v, ok := s.order.popMax()
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[MkLit(v, false)] == lUndef {
 			return v
 		}
 	}
@@ -1067,93 +1089,84 @@ func (s *Solver) pickBranchVar() Var {
 // on assumptions: all assumption literals reachable backward from the
 // conflict.
 func (s *Solver) analyzeFinal(conflictRef uint32) {
-	var core []Lit
-	seen := make(map[Var]bool)
-	var queue []Var
-	push := func(l Lit) {
-		if !seen[l.Var()] {
-			seen[l.Var()] = true
-			queue = append(queue, l.Var())
-		}
-	}
+	s.startCore()
 	if conflictRef == refBinConfl {
-		push(s.binConfl[0])
-		push(s.binConfl[1])
+		s.markCore(s.binConfl[0])
+		s.markCore(s.binConfl[1])
 	} else {
 		for _, w := range s.lits(conflictRef) {
-			push(Lit(w))
+			s.markCore(Lit(w))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if s.level[v] == 0 {
-			continue
-		}
-		ref := s.reason[v]
-		switch {
-		case ref == refUndef:
-			// Decision: must be an assumption (conflict is at assumption
-			// levels).
-			for _, a := range s.assumptions {
-				if a.Var() == v {
-					core = append(core, a)
-					break
-				}
-			}
-		case isBinRef(ref):
-			push(binRefOther(ref))
-		default:
-			for _, w := range s.lits(ref) {
-				push(Lit(w))
-			}
-		}
-	}
-	s.core = core
-	s.CoresExtracted++
+	s.walkCore(-1)
 }
 
 // coreFromFailedAssumption computes the core when assumption a is already
 // false on the trail.
 func (s *Solver) coreFromFailedAssumption(a Lit) {
-	core := []Lit{a}
-	seen := map[Var]bool{a.Var(): true}
-	queue := []Var{a.Var()}
-	push := func(l Lit) {
-		if !seen[l.Var()] {
-			seen[l.Var()] = true
-			queue = append(queue, l.Var())
-		}
+	s.startCore()
+	s.core = append(s.core, a)
+	s.markCore(a)
+	s.walkCore(a)
+}
+
+// startCore empties the core and the walk's scratch buffers.
+func (s *Solver) startCore() {
+	s.core = s.coreBuf[:0]
+	s.varBuf = s.varBuf[:0]
+	s.clearBuf = s.clearBuf[:0]
+}
+
+// markCore queues l's variable for walkCore unless it is already marked.
+func (s *Solver) markCore(l Lit) {
+	if v := l.Var(); !s.seen[v] {
+		s.seen[v] = true
+		s.varBuf = append(s.varBuf, v)
+		s.clearBuf = append(s.clearBuf, l)
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+}
+
+// walkCore follows reasons backward from the queued variables, depth
+// first, visiting each variable once (marked by the seen flags, which it
+// clears before returning), and appends to the core, for every decision
+// it reaches above level 0, the first assumption on that variable other
+// than failed.
+func (s *Solver) walkCore(failed Lit) {
+	for len(s.varBuf) > 0 {
+		v := s.varBuf[len(s.varBuf)-1]
+		s.varBuf = s.varBuf[:len(s.varBuf)-1]
 		if s.level[v] == 0 {
 			continue
 		}
 		ref := s.reason[v]
 		switch {
 		case ref == refUndef:
-			for _, asm := range s.assumptions {
-				if asm.Var() == v && asm != a {
-					core = append(core, asm)
+			// Decision: must be an assumption (the conflict is at
+			// assumption levels).
+			for _, a := range s.assumptions {
+				if a.Var() == v && a != failed {
+					s.core = append(s.core, a)
 					break
 				}
 			}
 		case isBinRef(ref):
-			push(binRefOther(ref))
+			s.markCore(binRefOther(ref))
 		default:
 			for _, w := range s.lits(ref) {
-				push(Lit(w))
+				s.markCore(Lit(w))
 			}
 		}
 	}
-	s.core = core
+	for _, l := range s.clearBuf {
+		s.seen[l.Var()] = false
+	}
+	s.coreBuf = s.core
 	s.CoresExtracted++
 }
 
 // UnsatCore returns the subset of the last Solve call's assumptions that
-// were involved in proving unsatisfiability. Valid only after Unsat.
+// were involved in proving unsatisfiability. Valid only after Unsat; the
+// next Solve call reuses the slice, so copy it to keep it.
 func (s *Solver) UnsatCore() []Lit { return s.core }
 
 // Okay reports whether the formula is still possibly satisfiable (false

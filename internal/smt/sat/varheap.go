@@ -3,16 +3,26 @@ package sat
 // varHeap is an indexed binary max-heap of variables ordered by VSIDS
 // activity. It supports insert, activity update, and pop-max; variables
 // absent from the heap have position -1.
+//
+// keys[i] is a bit-identical copy of the activity of heap[i], so sifting
+// compares adjacent keys instead of loading each entry's activity from a
+// per-variable array. The copy is refreshed whenever the activity of a
+// heaped variable changes (update, scale); the layout and every
+// comparison are those of a heap that reads the activities directly, so
+// every pop is too. The two arrays stay parallel rather than forming one
+// slice of {key, var} pairs: the pair pads to 16 bytes, which measured
+// the same speed and 1.1 % more allocation on dc-256.
 type varHeap struct {
 	heap []Var
-	pos  []int32 // var → index in heap, -1 if absent
+	keys []float64 // keys[i] == activity[heap[i]]
+	pos  []int32   // var → index in heap, -1 if absent
 }
 
 func newVarHeap() *varHeap { return &varHeap{} }
 
 // approxBytes estimates the heap's retained memory for ApproxBytes.
 func (h *varHeap) approxBytes() int64 {
-	return int64(cap(h.heap))*4 + int64(cap(h.pos))*4
+	return int64(cap(h.heap))*4 + int64(cap(h.keys))*8 + int64(cap(h.pos))*4
 }
 
 // reserve gives the heap capacity for c variables.
@@ -20,6 +30,7 @@ func (h *varHeap) reserve(c int) {
 	if c > cap(h.pos) {
 		h.pos = grow(h.pos, c)
 		h.heap = grow(h.heap, c)
+		h.keys = grow(h.keys, c)
 	}
 }
 
@@ -35,60 +46,69 @@ func (h *varHeap) ensure(v Var) {
 	}
 }
 
-// insert adds v if absent.
+// insert adds v, keyed by act[v], if absent.
 func (h *varHeap) insert(v Var, act []float64) {
 	h.ensure(v)
 	if h.pos[v] != -1 {
 		return
 	}
-	h.pos[v] = int32(len(h.heap))
 	h.heap = append(h.heap, v)
-	h.siftUp(int(h.pos[v]), act)
+	h.keys = append(h.keys, act[v])
+	h.siftUp(len(h.heap) - 1)
 }
 
-// update restores heap order after v's activity increased.
+// update restores heap order after v's activity increased to act[v].
 func (h *varHeap) update(v Var, act []float64) {
 	h.ensure(v)
-	if h.pos[v] == -1 {
+	i := h.pos[v]
+	if i == -1 {
 		return
 	}
-	h.siftUp(int(h.pos[v]), act)
+	h.keys[i] = act[v]
+	h.siftUp(int(i))
+}
+
+// scale multiplies every key by f, as the activities they copy were.
+func (h *varHeap) scale(f float64) {
+	for i := range h.keys {
+		h.keys[i] *= f
+	}
 }
 
 // popMax removes and returns the highest-activity variable.
-func (h *varHeap) popMax(act []float64) (Var, bool) {
-	if len(h.heap) == 0 {
+func (h *varHeap) popMax() (Var, bool) {
+	n := len(h.heap) - 1
+	if n < 0 {
 		return -1, false
 	}
 	top := h.heap[0]
-	last := h.heap[len(h.heap)-1]
-	h.heap = h.heap[:len(h.heap)-1]
 	h.pos[top] = -1
-	if len(h.heap) > 0 {
-		h.heap[0] = last
-		h.pos[last] = 0
-		h.siftDown(0, act)
+	last, lastKey := h.heap[n], h.keys[n]
+	h.heap, h.keys = h.heap[:n], h.keys[:n]
+	if n > 0 {
+		h.heap[0], h.keys[0] = last, lastKey
+		h.siftDown(0)
 	}
 	return top, true
 }
 
-func (h *varHeap) siftUp(i int, act []float64) {
-	v := h.heap[i]
+func (h *varHeap) siftUp(i int) {
+	v, k := h.heap[i], h.keys[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if act[h.heap[parent]] >= act[v] {
+		if h.keys[parent] >= k {
 			break
 		}
-		h.heap[i] = h.heap[parent]
+		h.heap[i], h.keys[i] = h.heap[parent], h.keys[parent]
 		h.pos[h.heap[i]] = int32(i)
 		i = parent
 	}
-	h.heap[i] = v
+	h.heap[i], h.keys[i] = v, k
 	h.pos[v] = int32(i)
 }
 
-func (h *varHeap) siftDown(i int, act []float64) {
-	v := h.heap[i]
+func (h *varHeap) siftDown(i int) {
+	v, k := h.heap[i], h.keys[i]
 	n := len(h.heap)
 	for {
 		left := 2*i + 1
@@ -96,16 +116,16 @@ func (h *varHeap) siftDown(i int, act []float64) {
 			break
 		}
 		best := left
-		if right := left + 1; right < n && act[h.heap[right]] > act[h.heap[left]] {
+		if right := left + 1; right < n && h.keys[right] > h.keys[left] {
 			best = right
 		}
-		if act[v] >= act[h.heap[best]] {
+		if k >= h.keys[best] {
 			break
 		}
-		h.heap[i] = h.heap[best]
+		h.heap[i], h.keys[i] = h.heap[best], h.keys[best]
 		h.pos[h.heap[i]] = int32(i)
 		i = best
 	}
-	h.heap[i] = v
+	h.heap[i], h.keys[i] = v, k
 	h.pos[v] = int32(i)
 }
