@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/generate"
@@ -23,7 +24,7 @@ import (
 // uint32.
 func cnfDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) string {
 	t.Helper()
-	enc := newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	enc := newEncoder(sc, sat.New(), tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +156,21 @@ func checkDigests(t *testing.T, file string, got map[string]string) {
 // change that means to alter the formula re-records them, and says so.
 func TestCNFDigest(t *testing.T) {
 	got := map[string]string{}
-	sc := newScratch()
+	sc := newWorker().b
 	digestProblems(t, func(name string, tb *tables, orig *harc.State, pr *problem, opts Options) {
 		got[name] = cnfDigest(t, sc, tb, orig, pr, opts)
 	})
 	checkDigests(t, "cnf_digests.json", got)
 }
 
-// solveDigest encodes and solves one sub-problem and hashes the search it
-// took: status ‖ cost ‖ conflicts ‖ decisions ‖ propagations ‖ restarts ‖
-// learned literals, each a little-endian uint64, then (when satisfiable)
-// the model over the encoder's variables, one bit each.
-func solveDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) string {
+// solveDigest encodes and solves one sub-problem on s, an empty solver,
+// and hashes the search it took: status ‖ cost ‖ conflicts ‖ decisions ‖
+// propagations ‖ restarts ‖ learned literals, each a little-endian
+// uint64, then (when satisfiable) the model over the encoder's variables,
+// one bit each.
+func solveDigest(t *testing.T, sc *formula.Builder, s *sat.Solver, tb *tables, orig *harc.State, pr *problem, opts Options) string {
 	t.Helper()
-	enc := newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	enc := newEncoder(sc, s, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +203,47 @@ func solveDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State
 // must reproduce them exactly — every conflict, decision and propagation,
 // and the same one of several equal-cost optima. Like the CNF digests,
 // they are never re-recorded to make a speed change pass.
+//
+// The digests are solved twice over. First each sub-problem gets a new
+// solver. Then one worker solves them all in sequence, forward and then
+// reversed, as runProblems' workers do: after the first, every one runs
+// on the solver the one before it used, reset — so a reset solver has to
+// reproduce a new one's search exactly, whatever it was used for before.
 func TestSolveDigest(t *testing.T) {
-	got := map[string]string{}
-	sc := newScratch()
+	type digestCase struct {
+		name string
+		tb   *tables
+		orig *harc.State
+		pr   *problem
+		opts Options
+	}
+	var cases []digestCase
 	digestProblems(t, func(name string, tb *tables, orig *harc.State, pr *problem, opts Options) {
-		got[name] = solveDigest(t, sc, tb, orig, pr, opts)
+		cases = append(cases, digestCase{name, tb, orig, pr, opts})
 	})
+
+	w := newWorker()
+	got := map[string]string{}
+	for _, c := range cases {
+		got[c.name] = solveDigest(t, w.b, sat.New(), c.tb, c.orig, c.pr, c.opts)
+	}
 	checkDigests(t, "solve_digests.json", got)
+
+	resets := 0
+	for _, order := range []string{"forward", "reversed"} {
+		got := map[string]string{}
+		for _, c := range cases {
+			if w.spare != nil {
+				resets++
+			}
+			s := w.solver(false)
+			got[c.name] = solveDigest(t, w.b, s, c.tb, c.orig, c.pr, c.opts)
+			w.recycle(s)
+		}
+		t.Run(order, func(t *testing.T) { checkDigests(t, "solve_digests.json", got) })
+		slices.Reverse(cases)
+	}
+	if want := 2*len(cases) - 1; resets != want {
+		t.Errorf("%d of %d solves ran on a reset solver, want %d", resets, 2*len(cases), want)
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/harc"
 	"repro/internal/policy"
-	"repro/internal/smt/formula"
 	"repro/internal/smt/sat"
 	"repro/internal/topology"
 )
@@ -132,15 +131,20 @@ func buildQuotient(tb *tables, pr *problem, opts Options) (q *compress.Quotient,
 // staged for the serial merge; on any failure it records the fallback
 // stage in the stats and returns false so the caller proceeds with the
 // normal uncompressed path.
-func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) (ok bool) {
+func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State, pr *problem, opts Options) (ok bool) {
 	h := tb.h
 	if !compressEligible(h, pr, opts) {
 		return false
 	}
+	// The quotient encoder is never cached, so its solver goes back to
+	// the worker once the attempt is over, unless it ended in a panic.
+	var s *sat.Solver
 	defer func() {
 		if r := recover(); r != nil {
 			pr.stat.CompressFallback = "panic"
 			ok = false
+		} else if s != nil {
+			w.recycle(s)
 		}
 	}()
 	q, qh, qtcs, qpolicies, stage := buildQuotient(tb, pr, opts)
@@ -152,7 +156,8 @@ func tryCompressed(ctx context.Context, sc *formula.Builder, tb *tables, orig *h
 	qorig := harc.StateOf(qh)
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
 	t0 = time.Now()
-	enc := newEncoder(sc, newTables(qh), qorig, qtcs, qpolicies, true, opts)
+	s = w.solver(false)
+	enc := newEncoder(w.b, s, newTables(qh), qorig, qtcs, qpolicies, true, opts)
 	if err := enc.encode(ctx); err != nil {
 		pr.stat.EncodeNs += time.Since(t0).Nanoseconds()
 		pr.stat.CompressFallback = "encode"

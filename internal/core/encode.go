@@ -115,9 +115,8 @@ func aclDevice(s *arc.Slot) string {
 
 // newEncoder sets up a sub-problem's variables in b, the calling
 // worker's scratch builder, which it resets and holds until encode
-// returns.
-func newEncoder(b *formula.Builder, tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
-	solver := sat.New()
+// returns. solver must be empty: new, or reset by the worker.
+func newEncoder(b *formula.Builder, solver *sat.Solver, tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
 	solver.Budget = opts.ConflictBudget
 	b.Reset()
 	pool := b.Pool()

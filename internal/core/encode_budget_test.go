@@ -9,6 +9,7 @@ import (
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/smt/formula"
+	"repro/internal/smt/sat"
 	"repro/internal/topology"
 )
 
@@ -36,7 +37,7 @@ func newEncodeFixture(t *testing.T, h *harc.HARC, policies []policy.Policy) *enc
 func (f *encodeFixture) encodeAll(t *testing.T, sc *formula.Builder) []*encoder {
 	encs := make([]*encoder, len(f.problems))
 	for i, pr := range f.problems {
-		encs[i] = newEncoder(sc, f.tb, f.orig, pr.tcs, pr.policies, pr.freeze, f.opts)
+		encs[i] = newEncoder(sc, sat.New(), f.tb, f.orig, pr.tcs, pr.policies, pr.freeze, f.opts)
 		if err := encs[i].encode(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestEncodeAllocBudget(t *testing.T) {
 		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 190},
 		{"corpus-dc08", corpusFixture(t), 840},
 	} {
-		sc := newScratch()
+		sc := newWorker().b
 		tc.fix.encodeAll(t, sc) // grow the scratch to its working size
 		got := testing.AllocsPerRun(5, func() { tc.fix.encodeAll(t, sc) })
 		t.Logf("%s: %.0f allocs per encode (budget %.0f)", tc.name, got, tc.budget)
@@ -108,10 +109,10 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 	}
 	// The shared tables are built by the first encode that needs them and
 	// belong to the repair, not to a scratch or an encoder.
-	fix.encodeAll(t, newScratch())
+	fix.encodeAll(t, newWorker().b)
 	var sc *formula.Builder
 	measured, kept := heapDelta(func() any {
-		sc = newScratch()
+		sc = newWorker().b
 		fix.encodeAll(t, sc)
 		return sc
 	})

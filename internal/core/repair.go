@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -543,10 +544,46 @@ func scheduleOrder(problems []*problem) []*problem {
 // Traffic classes dominate the variable count; policies break ties.
 func (pr *problem) sizeHint() int { return len(pr.tcs)*16 + len(pr.policies) }
 
-// newScratch returns one worker's constraint-building scratch: the
-// formula arena and CNF stream every sub-problem that worker encodes
-// reuses.
-func newScratch() *formula.Builder { return formula.NewBuilder(formula.NewPool()) }
+// worker is what one runProblems goroutine keeps across the sub-problems
+// it solves in one repair: the constraint-building scratch (formula arena
+// and CNF stream) every encode resets, and the solver of its last
+// finished attempt, which the next attempt resets and reuses instead of
+// allocating its own. Both die with the repair: nothing is kept across
+// repairs (DESIGN.md, "One solver per worker").
+type worker struct {
+	b     *formula.Builder
+	spare *sat.Solver
+}
+
+func newWorker() *worker { return &worker{b: formula.NewBuilder(formula.NewPool())} }
+
+// solverTaken, when set, is told about every attempt's solver and whether
+// it is a reset one. Only tests set it, to see how much of a workload
+// recycling reaches and which solvers it hands out.
+var solverTaken func(s *sat.Solver, reset bool)
+
+// solver returns an attempt's solver: the worker's spare, reset, or a new
+// one when there is no spare or the solve cache may keep the attempt's
+// encoder (cacheable). A cached solver is then always one that was never
+// recycled, sized by its own formula alone.
+func (w *worker) solver(cacheable bool) *sat.Solver {
+	s, reset := w.spare, w.spare != nil && !cacheable
+	if reset {
+		w.spare = nil
+		s.Reset()
+	} else {
+		s = sat.New()
+	}
+	if solverTaken != nil {
+		solverTaken(s, reset)
+	}
+	return s
+}
+
+// recycle makes s the worker's spare. The caller is done with it: the
+// attempt returned without a panic, its model is extracted and its
+// counters copied, and no cache entry can hold it.
+func (w *worker) recycle(s *sat.Solver) { w.spare = s }
 
 // runProblems is the fan-out: a fixed worker pool drains the problem
 // queue largest-first (deterministic dispatch under Parallelism 1), and
@@ -566,9 +603,9 @@ func runProblems(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newScratch()
+			w := newWorker()
 			for pr := range queue {
-				solveProblem(ctx, sc, h, tb, orig, pr, opts, workers, &pending)
+				solveProblem(ctx, w, h, tb, orig, pr, opts, workers, &pending)
 				pending.Add(-1)
 			}
 		}()
@@ -585,7 +622,7 @@ func runProblems(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 // fallback: its caller's ConflictBudget is the paper's 8-hour-limit
 // analogue, so escalating it would move the DNF cells of Figures 7 and 9,
 // and realizeGreedy is written for frozen-aETG problems.
-func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, workers int, pending *atomic.Int64) {
+func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, workers int, pending *atomic.Int64) {
 	t0 := time.Now()
 	defer func() { pr.stat.Duration = time.Since(t0) }()
 
@@ -596,7 +633,7 @@ func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *ta
 			return
 		}
 	}
-	if tryCompressed(ctx, sc, tb, orig, pr, opts) {
+	if tryCompressed(ctx, w, tb, orig, pr, opts) {
 		if memo && cacheableOutcome(pr, ctx.Err()) {
 			opts.Cache.store(fp, entryFor(pr))
 		}
@@ -616,23 +653,33 @@ func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *ta
 		}
 		pr.stat.Attempts = attempt
 		wctx, cancel := watchdogCtx(ctx, workers, pending)
-		enc, cost, status, err := solveOnce(wctx, sc, tb, orig, pr, budget, opts, attempt)
+		enc, cost, status, err := solveOnce(wctx, w.solver(memo), w.b, tb, orig, pr, budget, opts, attempt)
 		cancel()
 		if enc != nil {
-			pr.enc = enc
+			if memo {
+				pr.enc = enc // the cache entry's, if the outcome is stored
+			}
 			pr.stat.Vars = enc.s.NumVars()
 			pr.stat.Softs = len(enc.softs)
 			pr.stat.Conflicts += enc.s.Conflicts
 			pr.stat.Solver.Accumulate(enc.s.Snapshot())
 		}
 		pr.stat.Status = status
+		if err == nil && status == sat.Sat {
+			pr.realized = orig.Clone()
+			enc.extract(pr.realized)
+		}
+		// The attempt is over. Its solver is the worker's for the next one,
+		// unless the cache may keep its encoder or the attempt panicked.
+		var se *SolveError
+		if enc != nil && !memo && !(errors.As(err, &se) && se.Panic != nil) {
+			w.recycle(enc.s)
+		}
 		if err == nil {
 			switch status {
 			case sat.Sat:
 				pr.stat.Outcome = OutcomeSolved
 				pr.stat.Violations = cost
-				pr.realized = orig.Clone()
-				enc.extract(pr.realized)
 				if memo && cacheableOutcome(pr, ctx.Err()) {
 					opts.Cache.store(fp, entryFor(pr))
 				}
@@ -666,11 +713,11 @@ func solveProblem(ctx context.Context, sc *formula.Builder, h *harc.HARC, tb *ta
 	degrade(h, orig, pr, lastErr)
 }
 
-// solveOnce builds a fresh encoder and solver and runs one attempt.
-// Panics anywhere in encoding or search are recovered into SolveErrors,
-// so a pathological destination cannot kill the process or its sibling
-// solves.
-func solveOnce(ctx context.Context, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, budget int64, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
+// solveOnce builds a fresh encoder around s, an empty solver, and runs
+// one attempt. Panics anywhere in encoding or search are recovered into
+// SolveErrors, so a pathological destination cannot kill the process or
+// its sibling solves.
+func solveOnce(ctx context.Context, s *sat.Solver, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, budget int64, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
 	phase := "encode"
 	defer func() {
 		if r := recover(); r != nil {
@@ -681,7 +728,7 @@ func solveOnce(ctx context.Context, sc *formula.Builder, tb *tables, orig *harc.
 	o := opts
 	o.ConflictBudget = budget
 	te := time.Now()
-	enc = newEncoder(sc, tb, orig, pr.tcs, pr.policies, pr.freeze, o)
+	enc = newEncoder(sc, s, tb, orig, pr.tcs, pr.policies, pr.freeze, o)
 	if eerr := enc.encode(ctx); eerr != nil {
 		pr.stat.EncodeNs += time.Since(te).Nanoseconds()
 		return enc, 0, sat.Unknown, &SolveError{Label: pr.label, Phase: "encode", Attempt: attempt, Err: eerr}

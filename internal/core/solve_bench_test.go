@@ -28,8 +28,8 @@ func BenchmarkSolvePC4Merged(b *testing.B) {
 	if i < 0 {
 		b.Fatal("fattree-pc4 has no pc4-merged sub-problem")
 	}
-	pr, sc := problems[i], newScratch()
-	enc := newEncoder(sc, newTables(h), harc.StateOf(h), pr.tcs, pr.policies, pr.freeze, opts)
+	pr, sc := problems[i], newWorker().b
+	enc := newEncoder(sc, sat.New(), newTables(h), harc.StateOf(h), pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		b.Fatal(err)
 	}

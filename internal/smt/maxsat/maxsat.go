@@ -103,20 +103,35 @@ func SolveWeighted(s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm
 // Status == Unknown. Callers distinguish cancellation from an exhausted
 // conflict budget via ctx.Err().
 func SolveCtx(ctx context.Context, s *sat.Solver, softs []sat.Lit, algo Algorithm) Result {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, s.Interrupt)
-		defer stop()
-	}
+	defer interruptOn(ctx, s)()
 	return Solve(s, softs, algo)
 }
 
 // SolveWeightedCtx is SolveWeighted under a context; see SolveCtx.
 func SolveWeightedCtx(ctx context.Context, s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm) Result {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, s.Interrupt)
-		defer stop()
-	}
+	defer interruptOn(ctx, s)()
 	return SolveWeighted(s, softs, weights, algo)
+}
+
+// interruptOn interrupts s when ctx is cancelled, until the returned
+// function is called. That function returns only once no interrupt can
+// still land: if cancellation has already started the callback, it waits
+// for it, so a caller that goes on to Reset the solver for another formula
+// cannot have that formula's solve stopped by this one's context.
+func interruptOn(ctx context.Context, s *sat.Solver) func() {
+	if ctx.Done() == nil {
+		return func() {}
+	}
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		s.Interrupt()
+		close(fired)
+	})
+	return func() {
+		if !stop() {
+			<-fired
+		}
+	}
 }
 
 // countViolated counts softs false under the solver's current model.

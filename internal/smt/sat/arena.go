@@ -352,10 +352,11 @@ func (ls *lists[T]) carve(c uint64) uint32 {
 }
 
 // layout places every window, in literal order, at the capacity already
-// counted into its cap field, in a new backing with an eighth of headroom
+// counted into its cap field, in a backing with an eighth of headroom
 // (without it the first push past a window's share — a totalizer clause
-// after a load — would double the whole backing). The lists must be
-// empty.
+// after a load — would double the whole backing): the present one when
+// that fits in its capacity (a reset solver's), else a new one. The lists
+// must be empty, so no entry of the backing is read before it is written.
 func (ls *lists[T]) layout() {
 	var total uint64
 	for i := range ls.win {
@@ -366,5 +367,19 @@ func (ls *lists[T]) layout() {
 	if total > maxListEntries {
 		panic("sat: occurrence lists exhausted")
 	}
-	ls.back = make([]T, total, total+total/8)
+	if need := total + total/8; need <= uint64(cap(ls.back)) {
+		ls.back = ls.back[:total]
+	} else {
+		ls.back = make([]T, total, need)
+	}
+}
+
+// reset empties every list, keeping both arrays' capacity. The windows
+// are cleared before they are truncated (setNumVars extends them into
+// their spare capacity and counts on it being zero) and the holes are
+// forgotten.
+func (ls *lists[T]) reset() {
+	ls.win = wipe(ls.win)
+	ls.back = ls.back[:0]
+	ls.holes = [32]uint32{}
 }

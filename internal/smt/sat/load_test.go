@@ -93,15 +93,16 @@ func abs(x int) int {
 	return x
 }
 
-// checkLoad holds one solver built by NewVar/AddClause calls and one
-// built by a single Load to the same state — every implication and watch
-// list in order, arena, trail and ok (sat.StateDiff), with both solvers'
-// storage invariants intact — and the same observable behaviour: Okay,
-// counters and model. It compares after the load, after the late clauses
-// have been added to both through NewVar/AddClause, after Solve, and
-// after an OLL MaxSAT run has extended both with totalizers. It returns
-// how many variables that run added, so callers can tell the leg was
-// exercised.
+// checkLoad holds one solver built by NewVar/AddClause calls, one built
+// by a single Load, and one that a worker would hand out — a solver used
+// for an unrelated formula (usedSolver), then Reset — given the same Load
+// to the same state: every implication and watch list in order, arena,
+// trail and ok (sat.StateDiff), with every solver's storage invariants
+// intact, and the same observable behaviour: Okay, counters and model. It
+// compares after the load, after the late clauses have been added to all
+// three through NewVar/AddClause, after Solve, and after an OLL MaxSAT run
+// has extended them with totalizers. It returns how many variables that
+// run added, so callers can tell the leg was exercised.
 func checkLoad(t *testing.T, in loadInput) int64 {
 	t.Helper()
 	seq := sat.New()
@@ -113,35 +114,44 @@ func checkLoad(t *testing.T, in loadInput) int64 {
 		seq.AddClause(c...)
 		stream = sat.AppendClause(stream, c...)
 	}
-	ld := sat.New()
-	if ok := ld.Load(in.nVars, stream); ok != ld.Okay() {
-		t.Fatalf("Load returned %v, Okay() = %v", ok, ld.Okay())
+	ld, rc := sat.New(), usedSolver(t)
+	rc.Reset()
+	for _, s := range []*sat.Solver{ld, rc} {
+		if ok := s.Load(in.nVars, stream); ok != s.Okay() {
+			t.Fatalf("Load returned %v, Okay() = %v", ok, s.Okay())
+		}
 	}
+	all := []*sat.Solver{seq, ld, rc}
 	// hasModel says the stage follows a Sat result, whose model covers
 	// every variable.
 	same := func(stage string, hasModel bool) {
 		t.Helper()
-		if seq.Okay() != ld.Okay() || seq.NumVars() != ld.NumVars() {
-			t.Fatalf("%s: sequential okay=%v vars=%d, loaded okay=%v vars=%d",
-				stage, seq.Okay(), seq.NumVars(), ld.Okay(), ld.NumVars())
-		}
-		if a, b := seq.Snapshot(), ld.Snapshot(); a != b {
-			t.Fatalf("%s: counters differ:\nsequential %+v\nloaded     %+v", stage, a, b)
-		}
-		for v := sat.Var(0); hasModel && int(v) < seq.NumVars(); v++ {
-			if seq.Value(v) != ld.Value(v) {
-				t.Fatalf("%s: models differ at variable %d: sequential %v, loaded %v", stage, v, seq.Value(v), ld.Value(v))
-			}
-		}
-		if d := sat.StateDiff(seq, ld); d != "" {
-			t.Fatalf("%s: sequential and loaded state differ: %s", stage, d)
-		}
 		sat.CheckInvariants(t, seq)
-		sat.CheckInvariants(t, ld)
+		for _, o := range []struct {
+			name string
+			s    *sat.Solver
+		}{{"loaded", ld}, {"recycled", rc}} {
+			if seq.Okay() != o.s.Okay() || seq.NumVars() != o.s.NumVars() {
+				t.Fatalf("%s: sequential okay=%v vars=%d, %s okay=%v vars=%d",
+					stage, seq.Okay(), seq.NumVars(), o.name, o.s.Okay(), o.s.NumVars())
+			}
+			if a, b := seq.Snapshot(), o.s.Snapshot(); a != b {
+				t.Fatalf("%s: counters differ:\nsequential %+v\n%-10s %+v", stage, a, o.name, b)
+			}
+			for v := sat.Var(0); hasModel && int(v) < seq.NumVars(); v++ {
+				if seq.Value(v) != o.s.Value(v) {
+					t.Fatalf("%s: models differ at variable %d: sequential %v, %s %v", stage, v, seq.Value(v), o.name, o.s.Value(v))
+				}
+			}
+			if d := sat.StateDiff(seq, o.s); d != "" {
+				t.Fatalf("%s: sequential and %s state differ: %s", stage, o.name, d)
+			}
+			sat.CheckInvariants(t, o.s)
+		}
 	}
 	same("after load", false)
 	if len(in.late) > 0 {
-		for _, s := range []*sat.Solver{seq, ld} {
+		for _, s := range all {
 			for i := 0; i < lateVars; i++ {
 				s.NewVar()
 			}
@@ -151,18 +161,85 @@ func checkLoad(t *testing.T, in loadInput) int64 {
 		}
 		same("after late clauses", false)
 	}
-	st, stLoaded := seq.Solve(), ld.Solve()
-	if st != stLoaded {
-		t.Fatalf("Solve: sequential %v, loaded %v", st, stLoaded)
+	var st [3]sat.Status
+	for i, s := range all {
+		st[i] = s.Solve()
 	}
-	same("after Solve", st == sat.Sat)
-	ra := maxsat.Solve(seq, in.softs, maxsat.OLL)
-	rb := maxsat.Solve(ld, in.softs, maxsat.OLL)
-	if ra.Status != rb.Status || ra.Cost != rb.Cost {
-		t.Fatalf("MaxSAT: sequential %v cost %d, loaded %v cost %d", ra.Status, ra.Cost, rb.Status, rb.Cost)
+	if st[0] != st[1] || st[0] != st[2] {
+		t.Fatalf("Solve: sequential %v, loaded %v, recycled %v", st[0], st[1], st[2])
 	}
-	same("after MaxSAT", ra.Status == sat.Sat)
+	same("after Solve", st[0] == sat.Sat)
+	var r [3]maxsat.Result
+	for i, s := range all {
+		r[i] = maxsat.Solve(s, in.softs, maxsat.OLL)
+	}
+	if r[0] != r[1] || r[0] != r[2] {
+		t.Fatalf("MaxSAT: sequential %+v, loaded %+v, recycled %+v", r[0], r[1], r[2])
+	}
+	same("after MaxSAT", r[0].Status == sat.Sat)
 	return seq.Snapshot().TotalizerVars
+}
+
+// usedSolver returns a solver that has been through what a worker's
+// solver goes through before the worker resets it for the next
+// sub-problem, on a formula unrelated to any test's: a load, late clauses,
+// a Solve, an OLL descent with a learnt-clause reduction and an arena GC
+// forced at every chance, a Solve that runs out of conflict budget (the
+// budget left set), and an interrupt left pending. Its formula is two
+// pigeonhole instances, each pigeon's at-least-one clause guarded: by a
+// soft selector in PHP(5, 4), which OLL must refute to find that one
+// selector has to go, and by one hard guard in PHP(6, 5), which the
+// budgeted Solve assumes.
+func usedSolver(t *testing.T) *sat.Solver {
+	t.Helper()
+	s := sat.New()
+	var stream []sat.Lit
+	next := 0
+	fresh := func() sat.Lit { next++; return sat.MkLit(sat.Var(next-1), false) }
+	// php appends PHP(holes+1, holes) with pigeon p's at-least-one clause
+	// guarded by guard(p).
+	php := func(holes int, guard func(p int) sat.Lit) {
+		x := make([][]sat.Lit, holes+1)
+		for p := range x {
+			c := []sat.Lit{guard(p).Not()}
+			for h := 0; h < holes; h++ {
+				x[p] = append(x[p], fresh())
+			}
+			stream = sat.AppendClause(stream, append(c, x[p]...)...)
+		}
+		for h := 0; h < holes; h++ {
+			for p := range x {
+				for q := p + 1; q < len(x); q++ {
+					stream = sat.AppendClause(stream, x[p][h].Not(), x[q][h].Not())
+				}
+			}
+		}
+	}
+	var softs []sat.Lit
+	php(4, func(int) sat.Lit { softs = append(softs, fresh()); return softs[len(softs)-1] })
+	g := fresh()
+	php(5, func(int) sat.Lit { return g })
+	s.Load(next, stream)
+	s.SetMaxLearned(0)
+	s.SetGCWasteFraction(0.01)
+	a, b := s.NewVar(), s.NewVar()
+	s.AddClause(sat.MkLit(a, false), sat.MkLit(b, false), softs[0].Not())
+	s.AddClause(sat.MkLit(a, true), sat.MkLit(b, true), softs[1].Not())
+	if st := s.Solve(); st != sat.Sat {
+		t.Fatalf("used solver: plain Solve %v, want sat", st)
+	}
+	if r := maxsat.Solve(s, softs, maxsat.OLL); r.Status != sat.Sat || r.Cost != 1 {
+		t.Fatalf("used solver: OLL %+v, want sat at cost 1", r)
+	}
+	if s.DBReductions == 0 || s.ArenaGCs == 0 {
+		t.Fatalf("used solver: %d reductions, %d arena GCs, want both", s.DBReductions, s.ArenaGCs)
+	}
+	s.Budget = 1
+	if st := s.Solve(g); st != sat.Unknown || s.Interrupted() {
+		t.Fatalf("used solver: budgeted Solve %v, want unknown by budget", st)
+	}
+	s.Interrupt()
+	return s
 }
 
 // loadSeeds are the shapes Load's normalisation must treat exactly as
@@ -178,6 +255,29 @@ var loadSeeds = [][]byte{
 	encodeLoad(5, 4, []int{-1, -2, -3, -4}, []int{1, 5}, []int{2, 5}, []int{3, -5}, []int{4, -5}),
 	encodeLate(encodeLoad(4, 3, []int{1, 2}, []int{-1, 3}, []int{2, 3, 4}, []int{-2, -3, -4}), 4, // late clauses outgrow exact windows
 		[]int{1, 5}, []int{-1, 6}, []int{2, 3, 5}, []int{-2, 4, -6, 5}, []int{-5, -6}, []int{1, -3}, []int{6}),
+	encodeLoad(12, 0, pigeonhole(3)...), // a real search: conflicts, long learnt clauses
+}
+
+// pigeonhole returns PHP(holes+1, holes) in DIMACS form: pigeon p in hole
+// h is variable p*holes+h+1.
+func pigeonhole(holes int) [][]int {
+	x := func(p, h int) int { return p*holes + h + 1 }
+	var clauses [][]int
+	for p := 0; p <= holes; p++ {
+		var c []int
+		for h := 0; h < holes; h++ {
+			c = append(c, x(p, h))
+		}
+		clauses = append(clauses, c)
+	}
+	for h := 0; h < holes; h++ {
+		for p := 0; p <= holes; p++ {
+			for q := p + 1; q <= holes; q++ {
+				clauses = append(clauses, []int{-x(p, h), -x(q, h)})
+			}
+		}
+	}
+	return clauses
 }
 
 func TestLoadSeeds(t *testing.T) {

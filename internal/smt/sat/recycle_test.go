@@ -1,6 +1,9 @@
 package sat
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -129,5 +132,142 @@ func TestSolverReuseAfterBudgetExhaustion(t *testing.T) {
 	// A root-level unsat IS sticky — further solves answer immediately.
 	if st := s.Solve(); st != Unsat {
 		t.Fatalf("solve after unsat = %v, want unsat", st)
+	}
+}
+
+// TestResetIsNew pins Reset ≡ New field by field. A solver is driven
+// through everything a worker's solver sees — a model, a budget run out,
+// an unsat core, learnt-clause reductions and arena GCs, moved lists, an
+// interrupt left pending — and then Reset: every field must equal a new
+// solver's, slices compared by content (capacity is storage, not state),
+// and every array setNumVars extends in place must be zero through its
+// capacity. A field added to Solver without its line in Reset fails here.
+func TestResetIsNew(t *testing.T) {
+	// PHP(6, 5) with pigeon p's at-least-one clause guarded by sel[p]:
+	// satisfiable, unsatisfiable under all the selectors.
+	const holes = 5
+	s := New()
+	s.SetMaxLearned(0)
+	s.SetGCWasteFraction(0.01)
+	sel := make([]Lit, holes+1)
+	x := make([][]Lit, holes+1)
+	for p := range x {
+		sel[p] = MkLit(s.NewVar(), false)
+		for h := 0; h < holes; h++ {
+			x[p] = append(x[p], MkLit(s.NewVar(), false))
+		}
+		s.AddClause(append([]Lit{sel[p].Not()}, x[p]...)...)
+	}
+	for h := 0; h < holes; h++ {
+		for p := range x {
+			for q := p + 1; q < len(x); q++ {
+				s.AddClause(x[p][h].Not(), x[q][h].Not())
+			}
+		}
+	}
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("plain solve = %v, want sat", st)
+	}
+	s.Budget = 2
+	if st := s.Solve(sel...); st != Unknown {
+		t.Fatalf("budgeted solve = %v, want unknown", st)
+	}
+	s.Budget = 1 << 20 // enough to finish, and left set for Reset to clear
+	if st := s.Solve(sel...); st != Unsat || len(s.UnsatCore()) == 0 {
+		t.Fatalf("solve under every selector = %v with core %v, want unsat with a core", st, s.UnsatCore())
+	}
+	if s.DBReductions == 0 || s.ArenaGCs == 0 || len(s.model) == 0 {
+		t.Fatalf("%d reductions, %d arena GCs, %d model values: the solver was not driven far enough",
+			s.DBReductions, s.ArenaGCs, len(s.model))
+	}
+	s.Interrupt()
+	s.Reset()
+	if d := diffFields("Solver", reflect.ValueOf(s).Elem(), reflect.ValueOf(New()).Elem()); d != "" {
+		t.Fatalf("reset solver differs from a new one: %s", d)
+	}
+	for name, zero := range map[string]bool{
+		"vals": allZero(s.vals), "phase": allZero(s.phase), "level": allZero(s.level),
+		"reason": allZero(s.reason), "activity": allZero(s.activity), "seen": allZero(s.seen),
+		"litStamp": allZero(s.litStamp), "lbdStamp": allZero(s.lbdStamp),
+		"bins.win": allZero(s.bins.win), "watches.win": allZero(s.watches.win),
+	} {
+		if !zero {
+			t.Errorf("%s: spare capacity written after Reset", name)
+		}
+	}
+}
+
+// diffFields describes the first difference between a and b, two values
+// of one type, or returns "": pointers are followed, slices compare by
+// length and elements, floats bit for bit.
+func diffFields(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return path + ": nil vs non-nil"
+			}
+			return ""
+		}
+		return diffFields(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := diffFields(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: length %d vs %d", path, a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := diffFields(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return fmt.Sprintf("%s: %v vs %v", path, a.Bool(), b.Bool())
+		}
+	case reflect.Int, reflect.Int8, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf("%s: %d vs %d", path, a.Int(), b.Int())
+		}
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		if a.Uint() != b.Uint() {
+			return fmt.Sprintf("%s: %d vs %d", path, a.Uint(), b.Uint())
+		}
+	case reflect.Float32, reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf("%s: %v vs %v", path, a.Float(), b.Float())
+		}
+	default:
+		return fmt.Sprintf("%s: cannot compare a %v", path, a.Kind())
+	}
+	return ""
+}
+
+// allZero reports whether xs is zero through its whole capacity.
+func allZero[T comparable](xs []T) bool {
+	var zero T
+	for _, x := range xs[:cap(xs)] {
+		if x != zero {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResetClearsInterrupt: a reset solver's next Solve is not stopped by
+// an interrupt its previous formula received.
+func TestResetClearsInterrupt(t *testing.T) {
+	s := New()
+	s.AddClause(MkLit(s.NewVar(), false))
+	s.Interrupt()
+	s.Reset()
+	a := s.NewVar()
+	s.AddClause(MkLit(a, true))
+	if st := s.Solve(); st != Sat || s.Value(a) {
+		t.Fatalf("solve after Interrupt and Reset = %v, want sat with the variable false", st)
 	}
 }

@@ -92,6 +92,13 @@ type watcher struct {
 	blocker Lit
 }
 
+// Defaults of the learnt-clause and arena limits (SetMaxLearned,
+// SetGCWasteFraction), which New sets and Reset restores.
+const (
+	defaultMaxLearned = 4000
+	defaultGCFrac     = 0.25
+)
+
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	Stats // cumulative search counters, promoted (s.Conflicts etc.)
@@ -173,11 +180,57 @@ func New() *Solver {
 		ok:         true,
 		varInc:     1.0,
 		clauseInc:  1.0,
-		maxLearned: 4000,
-		gcFrac:     0.25,
+		maxLearned: defaultMaxLearned,
+		gcFrac:     defaultGCFrac,
 		lbdStamp:   make([]uint32, 1), // level 0
 		order:      newVarHeap(),
 	}
+}
+
+// Reset returns the solver to New's state — no variables, clauses or
+// learnt clauses, zero counters, default limits, interrupt cleared — but
+// keeps every array's capacity, so a worker that solves one formula after
+// another allocates its solver's memory once. Capacity is storage, not
+// state: a reset solver given the same calls as a new one makes the same
+// decisions and finds the same models. Reset must not race with
+// Interrupt; a caller that interrupts from a context makes sure the
+// interrupt has landed or never will before it resets (maxsat.SolveCtx
+// waits for its callback).
+func (s *Solver) Reset() {
+	s.Stats = Stats{}
+	s.arena, s.clauses, s.learnts = s.arena[:0], s.clauses[:0], s.learnts[:0]
+	s.wasted, s.gcFrac = 0, defaultGCFrac
+	s.bins.reset()
+	s.watches.reset()
+	// setNumVars relies on spare capacity being zero: clear what was used
+	// before truncating.
+	s.vals = wipe(s.vals)
+	s.phase = wipe(s.phase)
+	s.level = wipe(s.level)
+	s.reason = wipe(s.reason)
+	s.activity = wipe(s.activity)
+	s.seen = wipe(s.seen)
+	s.litStamp = wipe(s.litStamp)
+	s.lbdStamp = wipe(s.lbdStamp)[:1] // level 0
+	s.lbdGen, s.addGen = 0, 0
+	s.trail, s.trailLim, s.qhead = s.trail[:0], s.trailLim[:0], 0
+	s.binConfl = [2]Lit{}
+	s.varInc = 1.0
+	s.order.reset()
+	s.addBuf, s.learnedBuf, s.clearBuf = s.addBuf[:0], s.learnedBuf[:0], s.clearBuf[:0]
+	s.reduceBuf, s.varBuf = s.reduceBuf[:0], s.varBuf[:0]
+	s.ok = true
+	s.model = s.model[:0]
+	s.numLearned, s.maxLearned, s.clauseInc = 0, defaultMaxLearned, 1.0
+	s.assumptions, s.core, s.coreBuf = nil, nil, s.coreBuf[:0]
+	s.Budget = 0
+	s.stop.Store(false)
+}
+
+// wipe zeroes xs and returns it emptied, capacity kept.
+func wipe[T any](xs []T) []T {
+	clear(xs)
+	return xs[:0]
 }
 
 // NumVars returns the number of allocated variables.
@@ -272,8 +325,8 @@ func (s *Solver) reserve(c int) {
 // setNumVars extends the solver to n variables (within reserved
 // capacity): unassigned, phase false, no reason, zero activity, queued
 // for branching in index order. The added elements start out zero —
-// every per-variable array only ever grows, so spare capacity was never
-// written.
+// every per-variable array only ever grows, and Reset clears what it
+// truncates, so spare capacity is never left written.
 func (s *Solver) setNumVars(n int) {
 	old := s.NumVars()
 	s.vals = s.vals[:2*n]
