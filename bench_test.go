@@ -365,7 +365,7 @@ func BenchmarkSubstrateETGConstruction(b *testing.B) {
 	tcs := n.TrafficClasses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arc.BuildTCETG(arc.NewTable(n), tcs[i%len(tcs)])
+		harc.BuildForTCs(n, tcs[i%len(tcs):i%len(tcs)+1])
 	}
 }
 

@@ -37,7 +37,7 @@ type (
 	// Policy is one reachability requirement (PC1-PC4 of the paper).
 	Policy = policy.Policy
 	// Options configures the repair engine (granularity, MaxSAT
-	// algorithm, parallelism, cost widths, budgets).
+	// algorithm, objective, parallelism, budgets, compression).
 	Options = core.Options
 	// Result carries solver-level statistics of a repair.
 	Result = core.Result
@@ -70,7 +70,7 @@ const (
 )
 
 // DefaultOptions returns the paper's default configuration
-// (maxsmt-per-dst, exact linear MaxSAT).
+// (maxsmt-per-dst, core-guided OLL MaxSAT).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // System is a loaded network: parsed configurations, the extracted
@@ -149,7 +149,7 @@ func (s *System) ParsePolicies(text string) ([]Policy, error) {
 // satisfies, the procedure used for networks without a written
 // specification (§8).
 func (s *System) InferPolicies() []Policy {
-	return policy.Infer(s.Network)
+	return policy.Infer(s.HARC)
 }
 
 // Verify returns the policies the network currently violates.
@@ -245,24 +245,20 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 }
 
 // verifyPatchedConfigs re-parses patched configuration text and checks
-// the given policies against the HARC of the network it describes,
+// the given policies against the state of the network it describes,
 // restricted to the policies' traffic classes (building the full
 // all-pairs HARC would dwarf the repair itself on large networks).
-// Policies are rebound to the re-parsed network's subnets by name.
+// Checks find a class's rows by subnet name, so the policies need no
+// rebinding; the classes are bound to the re-parsed network's subnets.
 //
-// Fast path: when the re-parsed network's extracted state is identical
-// (on every map a policy check reads) to the already-verified repaired
-// state `want`, every verdict must agree with the verified one, so the
-// per-policy graph checks — and the per-class ETG builds they imply —
-// are skipped entirely. Any difference falls back to the full checks.
+// Fast path: when the re-parsed network's state reads the same as the
+// already-verified repaired state `want` (on everything a policy check
+// reads), every verdict must agree with the verified one, so the
+// per-policy graph checks are skipped entirely. Any difference falls back
+// to checking every policy on the re-parsed state.
 func verifyPatchedConfigs(ctx context.Context, patched map[string]string, policies []Policy, want *harc.State) bool {
-	keys := make([]string, 0, len(patched))
-	for k := range patched {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var parsed []*config.Config
-	for _, k := range keys {
+	for _, k := range sortedLabels(patched) {
 		c, err := config.Parse(k, patched[k])
 		if err != nil {
 			return false
@@ -273,55 +269,30 @@ func verifyPatchedConfigs(ctx context.Context, patched map[string]string, polici
 	if err != nil {
 		return false
 	}
-	remap := func(tc TrafficClass) (TrafficClass, bool) {
-		if tc.Src == nil || tc.Dst == nil {
-			return tc, false
-		}
-		src, dst := n.Subnet(tc.Src.Name), n.Subnet(tc.Dst.Name)
-		if src == nil || dst == nil {
-			return tc, false
-		}
-		return TrafficClass{Src: src, Dst: dst}, true
-	}
-	var rebound []Policy
 	seen := map[string]bool{}
 	var tcs []TrafficClass
-	addTC := func(tc TrafficClass) {
-		if !seen[tc.Key()] {
-			seen[tc.Key()] = true
-			tcs = append(tcs, tc)
-		}
-	}
 	for _, p := range policies {
-		rp := p
-		tc, ok := remap(p.TC)
-		if !ok {
-			return false
-		}
-		rp.TC = tc
-		addTC(tc)
-		if p.Kind == policy.Isolated {
-			tc2, ok := remap(p.TC2)
-			if !ok {
+		for i, tc := range []TrafficClass{p.TC, p.TC2} {
+			if i == 1 && p.Kind != policy.Isolated {
+				break
+			}
+			if tc.Src == nil || tc.Dst == nil || n.Subnet(tc.Src.Name) == nil || n.Subnet(tc.Dst.Name) == nil {
 				return false
 			}
-			rp.TC2 = tc2
-			addTC(tc2)
-		}
-		rebound = append(rebound, rp)
-	}
-	if want != nil {
-		lh := harc.BuildLite(n, tcs)
-		if patchedStateMatches(harc.StateOf(lh), want, tcs) {
-			return true
+			if !seen[tc.Key()] {
+				seen[tc.Key()] = true
+				tcs = append(tcs, TrafficClass{Src: n.Subnet(tc.Src.Name), Dst: n.Subnet(tc.Dst.Name)})
+			}
 		}
 	}
-	h := harc.BuildForTCs(n, tcs)
-	for _, p := range rebound {
-		if ctx.Err() != nil {
-			return false
-		}
-		if !policy.Check(h, p) {
+	h := harc.BuildLite(n, tcs)
+	got := harc.StateOf(h)
+	if want != nil && patchedStateMatches(got, want, h.Dsts, tcs) {
+		return true
+	}
+	checker := policy.NewStateChecker(h, got)
+	for _, p := range policies {
+		if ctx.Err() != nil || !checker.Check(p) {
 			return false
 		}
 	}
@@ -329,25 +300,18 @@ func verifyPatchedConfigs(ctx context.Context, patched map[string]string, polici
 }
 
 // patchedStateMatches compares the state extracted from re-parsed
-// patched configs with the verified repaired state, over every row the
+// patched configs with the verified repaired state, over everything the
 // policy verifiers read: per-class and per-destination presence for the
-// given classes, edge costs, and waypoints. Equality means the patched
-// network's graphs are the repaired state's graphs, so every verified
-// verdict transfers; the construct rows (route filters, statics) only
-// feed presence and need no separate comparison. The two states come
-// from different networks: when their slot tables are not the same shape
-// (the patch changed the slot-key sequence) nothing can be compared word
-// for word, and the caller falls back to the full checks.
-func patchedStateMatches(got, want *harc.State, tcs []TrafficClass) bool {
-	if !got.SameShape(want) || len(got.Cost) != len(want.Cost) {
-		return false
-	}
-	for k, v := range got.Cost {
-		if wv, ok := want.Cost[k]; !ok || wv != v {
-			return false
-		}
-	}
-	if !got.Waypoint.Equal(want.Waypoint) {
+// given classes (and their destinations dsts), waypoints, and the weight
+// of every present edge. Equality means the patched network's graphs are
+// the repaired state's graphs, so every verified verdict transfers; the
+// construct rows (route filters, statics) only feed presence and weights
+// and need no separate comparison. The two states come from different
+// networks: when their slot tables are not the same shape (the patch
+// changed the slot-key sequence) nothing can be compared word for word,
+// and the caller falls back to the full checks.
+func patchedStateMatches(got, want *harc.State, dsts []*topology.Subnet, tcs []TrafficClass) bool {
+	if !got.SameShape(want) || !got.Waypoint.Equal(want.Waypoint) {
 		return false
 	}
 	for _, tc := range tcs {
@@ -357,7 +321,7 @@ func patchedStateMatches(got, want *harc.State, tcs []TrafficClass) bool {
 			return false
 		}
 	}
-	return true
+	return got.WeighAlike(want, dsts)
 }
 
 // RepairOutput bundles a repair's solver result, its configuration

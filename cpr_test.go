@@ -127,7 +127,7 @@ func TestOptionSurface(t *testing.T) {
 		t.Errorf("OptionFlags fields = %v, want %v", got, want)
 	}
 	if got, want := fields(Options{}), []string{
-		"Granularity", "Algorithm", "Objective", "Parallelism", "WaypointWeight",
+		"Granularity", "Algorithm", "Objective", "Parallelism",
 		"ConflictBudget", "Compress", "CompressRedundancy", "Cache",
 	}; !reflect.DeepEqual(got, want) {
 		t.Errorf("core.Options fields = %v, want %v", got, want)
@@ -258,16 +258,13 @@ func TestPlanRendering(t *testing.T) {
 	}
 }
 
-// TestStaticDistanceIsNotState pins a known divergence between the two
-// sources of a tcETG. harc.State keeps one cost per interface, so a static
-// route's administrative distance is not state: on Figure 2a's repaired
-// configs the static `ip route … 10.0.2.3 3` weighs 3 in the HARC's own
-// views (arc.Slot.Weight) and its interface's cost, 1, in a graph rebuilt
-// from the state (State.SlotCost), and the two disagree on PC4. This is why
-// policy.Check keeps the prebuilt views instead of going through the
-// from-state builders. ROADMAP item 1 (e) owns the fix; whoever makes
-// distance state flips the last assertion.
-func TestStaticDistanceIsNotState(t *testing.T) {
+// TestStaticDistanceIsState: a static route's administrative distance is
+// state. On Figure 2a's repaired configs the static `ip route … 10.0.2.3 3`
+// over an interface of cost 1 weighs 3 wherever a verdict reads it, so
+// the HARC's own rows and a StateOf clone of them give every policy the
+// same verdict, and the patched configs read exactly as the verified
+// repaired state (verifyPatchedConfigs' fast path).
+func TestStaticDistanceIsState(t *testing.T) {
 	sys := loadFigure2a(t)
 	policies, err := sys.ParsePolicies(figure2aSpec)
 	if err != nil {
@@ -284,18 +281,81 @@ func TestStaticDistanceIsNotState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policies, err = fixed.ParsePolicies(figure2aSpec)
+	rebound, err := fixed.ParsePolicies(figure2aSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fromState := policy.NewStateChecker(fixed.HARC, harc.StateOf(fixed.HARC))
-	for _, p := range policies {
-		views, state := policy.Check(fixed.HARC, p), fromState.Check(p)
-		if !views {
-			t.Errorf("%s violated on the repaired configs", p)
+	for _, p := range rebound {
+		if own, state := policy.Check(fixed.HARC, p), fromState.Check(p); !own || !state {
+			t.Errorf("%s on the repaired configs: own rows %v, StateOf %v; want both true", p, own, state)
 		}
-		if want := p.Kind != PrimaryPath; state != want {
-			t.Errorf("%s from the state = %v, want %v", p, state, want)
-		}
+	}
+	var tcs []TrafficClass
+	for _, p := range rebound {
+		tcs = append(tcs, p.TC)
+	}
+	lh := harc.BuildLite(fixed.Network, tcs)
+	if !patchedStateMatches(harc.StateOf(lh), rep.Result.State, lh.Dsts, tcs) {
+		t.Error("the patched configs do not read as the verified repaired state")
+	}
+	if !verifyPatchedConfigs(context.Background(), rep.PatchedConfigs, policies, rep.Result.State) {
+		t.Error("verifyPatchedConfigs rejects the repaired configs")
+	}
+	// Without a verified state to match, every policy is checked on the
+	// re-parsed network, the original policies finding its rows by name.
+	if !verifyPatchedConfigs(context.Background(), rep.PatchedConfigs, policies, nil) {
+		t.Error("the full check rejects the repaired configs")
+	}
+	if verifyPatchedConfigs(context.Background(), config.Figure2aConfigs(), policies, nil) {
+		t.Error("the full check accepts the unrepaired configs")
+	}
+}
+
+// TestRerepairKeepsStaticDistance: repairing already-repaired configs
+// must not touch a static route nothing asked to change. Figure 2a's
+// repair adds a distance-3 static route over a cost-1 interface; a second
+// repair that only adds `always-blocked R S` used to rewrite that route's
+// distance to its interface's cost, breaking the primary path the first
+// repair had secured.
+func TestRerepairKeepsStaticDistance(t *testing.T) {
+	sys := loadFigure2a(t)
+	policies, err := sys.ParsePolicies(figure2aSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sys.Repair(policies, DefaultOptions())
+	if err != nil || !first.Solved() {
+		t.Fatalf("repair: %v", err)
+	}
+	fixed, err := Load(first.PatchedConfigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := figure2aSpec + "always-blocked R S\n"
+	policies, err = fixed.ParsePolicies(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := fixed.Repair(policies, DefaultOptions())
+	if err != nil || !second.Solved() {
+		t.Fatalf("second repair: %v", err)
+	}
+	if strings.Contains(second.Plan.String(), "ip route") {
+		t.Errorf("the second repair edits a static route:\n%s", second.Plan)
+	}
+	again, err := Load(second.PatchedConfigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies, err = again.ParsePolicies(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(policies) != 5 {
+		t.Fatalf("%d policies, want 5", len(policies))
+	}
+	if bad := again.Verify(policies); len(bad) != 0 {
+		t.Errorf("the re-patched configs violate %v\nplan:\n%s", bad, second.Plan)
 	}
 }

@@ -3,7 +3,6 @@ package arc
 import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
-	"repro/internal/topology"
 )
 
 // ETG is an extended topology graph: one level's view of the network's
@@ -13,9 +12,6 @@ import (
 // only a mask of the slots present at its level and a weight vector, so
 // vertex and edge ids mean the same thing in all of them.
 type ETG struct {
-	TC        topology.TrafficClass // set for a tcETG and for a routing graph
-	DstSubnet *topology.Subnet      // set for every ETG toward one destination
-
 	G   *graph.Digraph
 	Src graph.V
 	Dst graph.V
@@ -45,43 +41,6 @@ func (t *Table) Weights(weight func(*Slot) int64) *graph.Weights {
 		}
 		return w
 	})
-}
-
-// build evaluates a presence rule over the whole table and lays the ETG
-// over the slots it admits.
-func build(t *Table, dst *topology.Subnet, present func(*Slot) bool) *ETG {
-	live := bitset.New(len(t.Slots))
-	for i, s := range t.Slots {
-		if present(s) {
-			live.Put(i, true)
-		}
-	}
-	e := NewETG(t, live, t.Weights(func(s *Slot) int64 { return s.Weight(dst) }))
-	e.DstSubnet = dst
-	return e
-}
-
-// BuildTCETG builds the traffic-class ETG for tc (Algorithm 1).
-func BuildTCETG(t *Table, tc topology.TrafficClass) *ETG {
-	e := build(t, tc.Dst, func(s *Slot) bool {
-		return s.ApplicableTC(tc) && s.PresentTC(tc)
-	})
-	e.TC = tc
-	return e
-}
-
-// BuildRoutingETG builds the graph route selection operates on for tc:
-// the dETG for tc.Dst augmented with tc's SRC and DST attachment edges.
-// ACLs are deliberately ignored — they drop packets but do not influence
-// shortest-path computation — so this graph can strictly contain the
-// tcETG. PC4 verification walks this graph, then checks tcETG usability
-// of the resulting path.
-func BuildRoutingETG(t *Table, tc topology.TrafficClass) *ETG {
-	e := build(t, tc.Dst, func(s *Slot) bool {
-		return s.ApplicableTC(tc) && s.PresentRouting(tc)
-	})
-	e.TC = tc
-	return e
 }
 
 // Slot returns the slot edge id instantiates (edge id ≡ slot id).

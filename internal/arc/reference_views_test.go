@@ -2,7 +2,9 @@ package arc_test
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/arc"
@@ -28,16 +30,49 @@ type refInstance struct {
 	policies []policy.Policy
 }
 
-func referenceInstances(t *testing.T) []refInstance {
-	t.Helper()
-	n := topology.Figure2a()
+// figure2aPolicies returns the §2.2 policies on n (a Figure 2a network),
+// plus PC4 requirements for R→T and S→U along A,C — the path a static
+// route over A-C can make the shortest.
+func figure2aPolicies(n *topology.Network) []policy.Policy {
 	s, tt, u, r := n.Subnet("S"), n.Subnet("T"), n.Subnet("U"), n.Subnet("R")
-	insts := []refInstance{{"figure2a", n, []policy.Policy{
+	return []policy.Policy{
 		{Kind: policy.AlwaysBlocked, TC: topology.TrafficClass{Src: s, Dst: u}},
 		{Kind: policy.AlwaysWaypoint, TC: topology.TrafficClass{Src: s, Dst: tt}},
 		{Kind: policy.KReachable, K: 2, TC: topology.TrafficClass{Src: s, Dst: tt}},
 		{Kind: policy.PrimaryPath, Path: []string{"A", "B", "C"}, TC: topology.TrafficClass{Src: r, Dst: tt}},
-	}}}
+		{Kind: policy.PrimaryPath, Path: []string{"A", "C"}, TC: topology.TrafficClass{Src: r, Dst: tt}},
+		{Kind: policy.PrimaryPath, Path: []string{"A", "C"}, TC: topology.TrafficClass{Src: s, Dst: u}},
+	}
+}
+
+// staticInstances are Figure 2a with static routes on A over its link to
+// C (interface cost 1, next hop C's address 10.0.2.3), where a route's
+// distance and its interface's cost part ways: a distance of its own with
+// the A-C adjacency down (the route weighs its distance) and up (the
+// adjacency's cost wins), and two destinations' routes over the one
+// interface at different distances (T's ties A,B,C: PC4 is ambiguous).
+func staticInstances() []refInstance {
+	viaC := netip.MustParseAddr("10.0.2.3")
+	down := topology.Figure2a()
+	down.Device("A").AddStatic(down.Subnet("T").Prefix, viaC, 3)
+	up := topology.Figure2a()
+	delete(up.Device("C").Process(topology.OSPF, 10).Passive, "Ethernet0/1")
+	up.Device("A").AddStatic(up.Subnet("T").Prefix, viaC, 5)
+	two := topology.Figure2a()
+	two.Device("A").AddStatic(two.Subnet("T").Prefix, viaC, 2)
+	two.Device("A").AddStatic(two.Subnet("U").Prefix, viaC, 7)
+	return []refInstance{
+		{"figure2a-static-adjacency-down", down, figure2aPolicies(down)},
+		{"figure2a-static-adjacency-up", up, figure2aPolicies(up)},
+		{"figure2a-statics-two-destinations", two, figure2aPolicies(two)},
+	}
+}
+
+func referenceInstances(t *testing.T) []refInstance {
+	t.Helper()
+	n := topology.Figure2a()
+	insts := []refInstance{{"figure2a", n, figure2aPolicies(n)[:4]}}
+	insts = append(insts, staticInstances()...)
 	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 24, SubnetScale: 1.0, Seed: 20170801})
 	if err != nil {
 		t.Fatal(err)
@@ -84,20 +119,16 @@ func denseDst(t *arc.Table, dst *topology.Subnet) *arc.ETG {
 	return e
 }
 
-func denseTC(t *arc.Table, tc topology.TrafficClass, weight func(*arc.Slot) int64) *arc.ETG {
-	e := arc.DenseETG(t, tc.Dst, func(s *arc.Slot) bool {
+func denseTC(t *arc.Table, tc topology.TrafficClass) *arc.ETG {
+	return arc.DenseETG(t, tc.Dst, func(s *arc.Slot) bool {
 		return s.ApplicableTC(tc) && s.PresentTC(tc)
-	}, weight)
-	e.TC = tc
-	return e
+	}, func(s *arc.Slot) int64 { return s.Weight(tc.Dst) })
 }
 
 func denseRouting(t *arc.Table, tc topology.TrafficClass) *arc.ETG {
-	e := arc.DenseETG(t, tc.Dst, func(s *arc.Slot) bool {
+	return arc.DenseETG(t, tc.Dst, func(s *arc.Slot) bool {
 		return s.ApplicableTC(tc) && s.PresentRouting(tc)
 	}, func(s *arc.Slot) int64 { return s.Weight(tc.Dst) })
-	e.TC = tc
-	return e
 }
 
 // sameGraph checks that the view and the dense graph hold the same slots
@@ -261,7 +292,14 @@ func TestViewsMatchDenseReference(t *testing.T) {
 			}
 			for r, dst := range h.Dsts {
 				what := "dETG(" + dst.Name + ")"
-				vd, dd := arc.NewETG(tab, st.Dst[r], tab.Weights(func(s *arc.Slot) int64 { return s.Weight(dst) })), denseDst(tab, dst)
+				// The state weighs every slot as the rules do: an interface's
+				// cost, or a static route's distance while its adjacency is down.
+				for _, s := range tab.Slots {
+					if got, want := st.SlotCost(s, dst), s.Weight(dst); got != want {
+						t.Fatalf("%s: %s weighs %d in the state, %d by the rules", what, s.Key(), got, want)
+					}
+				}
+				vd, dd := arc.NewETG(tab, st.Dst[r], tab.Weights(func(s *arc.Slot) int64 { return st.SlotCost(s, dst) })), denseDst(tab, dst)
 				ids := sameGraph(t, what, vd, dd)
 				for _, p := range strided(np, 3) {
 					sameAnswers(t, what, vd, dd, ids, graph.V(3+2*p), arc.VDst)
@@ -277,22 +315,23 @@ func TestViewsMatchDenseReference(t *testing.T) {
 			for _, r := range strided(len(h.TCs), 60) {
 				tc := h.TCs[r]
 				what := "tcETG(" + tc.String() + ")"
-				view, dense := h.TC[r], denseTC(tab, tc, func(s *arc.Slot) int64 { return s.Weight(tc.Dst) })
+				view, dense := h.TC[r], denseTC(tab, tc)
 				ids := sameGraph(t, what, view, dense)
 				sameAnswers(t, what, view, dense, ids, view.Src, view.Dst)
 				sameVerdicts(t, what, view, dense, inst.net)
 
-				// The graph rebuilt from the HARC's own state is the same
-				// graph at the state's costs.
+				// A StateOf clone of the HARC's rows lays the same graph.
 				fromState := harc.BuildTCETGFromState(h, st, tc)
-				denseState := denseTC(tab, tc, func(s *arc.Slot) int64 { return st.SlotCost(s, tc.Dst) })
-				ids = sameGraph(t, what+" from state", fromState, denseState)
-				sameAnswers(t, what+" from state", fromState, denseState, ids, fromState.Src, fromState.Dst)
+				ids = sameGraph(t, what+" from state", fromState, dense)
+				sameAnswers(t, what+" from state", fromState, dense, ids, fromState.Src, fromState.Dst)
 
 				what = "routing(" + tc.String() + ")"
-				routing, denseR := arc.BuildRoutingETG(tab, tc), denseRouting(tab, tc)
+				routing, denseR := harc.BuildRoutingETGFromState(h, nil, tc), denseRouting(tab, tc)
 				ids = sameGraph(t, what, routing, denseR)
 				sameAnswers(t, what, routing, denseR, ids, routing.Src, routing.Dst)
+				routingFromState := harc.BuildRoutingETGFromState(h, st, tc)
+				ids = sameGraph(t, what+" from state", routingFromState, denseR)
+				sameAnswers(t, what+" from state", routingFromState, denseR, ids, routingFromState.Src, routingFromState.Dst)
 
 				// PC4 against the path routing actually takes (holds unless
 				// an ACL drops it or it ties), its reverse (fails), and the
@@ -346,7 +385,7 @@ func TestExplainMatchesDenseReference(t *testing.T) {
 						continue // TC2 of a policy that is not an isolation
 					}
 					if r := h.TCRow(tc); dense.TC[r] == nil {
-						dense.TC[r] = denseTC(h.Table, tc, func(s *arc.Slot) int64 { return s.Weight(tc.Dst) })
+						dense.TC[r] = denseTC(h.Table, tc)
 					}
 				}
 			}
@@ -363,9 +402,51 @@ func TestExplainMatchesDenseReference(t *testing.T) {
 				}
 				t.Fatalf("views explain %d violations, dense %d", len(got), len(want))
 			}
-			if bad, denseBad := policy.Violations(h, policies), policy.Violations(&dense, policies); !reflect.DeepEqual(bad, denseBad) {
-				t.Fatalf("views find %d violations, dense %d", len(bad), len(denseBad))
+			if bad, ruleBad := policy.Violations(h, policies), ruleViolations(h.Table, inst.net, policies); !reflect.DeepEqual(bad, ruleBad) {
+				t.Fatalf("the state's rows find %d violations, the rules %d", len(bad), len(ruleBad))
+			}
+			// A PC4 witness names the path the rule-built routing graph takes
+			// (the dense HARC above shares the state's routing graphs).
+			for _, p := range policies {
+				if p.Kind != policy.PrimaryPath {
+					continue
+				}
+				w, violated := policy.Explain(h, p)
+				routing := denseRouting(h.Table, p.TC)
+				if holds := arc.VerifyPrimaryPath(denseTC(h.Table, p.TC), routing, p.Path); violated == holds {
+					t.Fatalf("%s: explained as violated=%v, the rules say holds=%v", p, violated, holds)
+				}
+				path, _ := routing.G.ShortestPathUnique(routing.Src, routing.Dst)
+				taken := strings.Join(routing.DevicePath(path), " -> ")
+				if violated && path != nil && taken != strings.Join(p.Path, " -> ") && !strings.Contains(w, taken) {
+					t.Fatalf("%s: witness %q does not name the routed path %s", p, w, taken)
+				}
 			}
 		})
 	}
+}
+
+// ruleViolations is policy.Violations over the rule-built graphs.
+func ruleViolations(tab *arc.Table, n *topology.Network, policies []policy.Policy) []policy.Policy {
+	var out []policy.Policy
+	for _, p := range policies {
+		etg := arc.BuildTCETG(tab, p.TC)
+		var holds bool
+		switch p.Kind {
+		case policy.AlwaysBlocked:
+			holds = arc.VerifyAlwaysBlocked(etg)
+		case policy.AlwaysWaypoint:
+			holds = arc.VerifyAlwaysWaypoint(etg)
+		case policy.KReachable:
+			holds = arc.VerifyKReachable(etg, n, p.K)
+		case policy.PrimaryPath:
+			holds = arc.VerifyPrimaryPath(etg, arc.BuildRoutingETG(tab, p.TC), p.Path)
+		case policy.Isolated:
+			holds = !etg.G.Live().Intersects(arc.BuildTCETG(tab, p.TC2).G.Live())
+		}
+		if !holds {
+			out = append(out, p)
+		}
+	}
+	return out
 }

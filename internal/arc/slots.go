@@ -520,19 +520,6 @@ func (s *Slot) PresentDst(dst *topology.Subnet) bool {
 	return false
 }
 
-// PresentRouting reports whether the slot's edge exists in the graph
-// route selection operates on for tc. Routing is ACL-blind — an ACL
-// drops packets but never steers them elsewhere — so presence is
-// destination-level for every slot except the source attachment, which
-// only exists for tc's own source and still requires the gateway
-// process to hold a route to the destination.
-func (s *Slot) PresentRouting(tc topology.TrafficClass) bool {
-	if s.Kind == SlotSource {
-		return s.Subnet == tc.Src && !s.ToProc.BlocksDestination(tc.Dst.Prefix)
-	}
-	return s.PresentDst(tc.Dst)
-}
-
 // PresentTC reports whether the slot's edge exists in the tcETG for tc,
 // which additionally models ACLs (Algorithm 1, lines 14-15).
 func (s *Slot) PresentTC(tc topology.TrafficClass) bool {
@@ -574,25 +561,6 @@ func (s *Slot) lookupACLs() (out, in *topology.ACL) {
 		return s.Intf.Device.ACLs[s.Intf.OutACL], nil
 	}
 	return nil, nil
-}
-
-// Weight returns the slot's edge weight for destination dst: the egress
-// interface cost for adjacency-backed inter-device edges, the configured
-// administrative distance for static-backed edges, and 0 for intra-device
-// and attachment edges (matching the ETG weighting of §4.1).
-func (s *Slot) Weight(dst *topology.Subnet) int64 {
-	if s.Kind != SlotInterDevice {
-		return 0
-	}
-	if s.adjacencyUp() {
-		return int64(s.FromIntf.Cost)
-	}
-	if dst != nil {
-		if sr := s.StaticBacked(dst); sr != nil {
-			return int64(sr.Distance)
-		}
-	}
-	return int64(s.FromIntf.Cost)
 }
 
 // Waypoint reports whether the slot's edge carries an on-path middlebox:

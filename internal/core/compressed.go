@@ -118,7 +118,7 @@ func buildQuotient(tb *tables, pr *problem, opts Options) (q *compress.Quotient,
 		return nil, nil, nil, nil, "remap"
 	}
 	t0 := time.Now()
-	qh = harc.BuildForTCs(q.Net, qtcs)
+	qh = harc.BuildLite(q.Net, qtcs)
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
 	return q, qh, qtcs, qpolicies, ""
 }
@@ -408,7 +408,7 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 		for i, l := range h.Links {
 			if wanted[classes(l)] && !trial.Waypoint.Has(i) {
 				trial.SetWaypoint(i, true)
-				changes += opts.WaypointWeight
+				changes++
 			}
 		}
 	}

@@ -275,16 +275,13 @@ func (e *encoder) freshVec(n int) []formula.F { return bv.Fresh(e.p, n) }
 // soft registers a keep-formula attributed to a device. Under the
 // MinLines objective each formula is one unit-weight soft (Table 2);
 // under MinDevices the per-device conjunctions become the softs.
-func (e *encoder) soft(device string, f formula.F) { e.softWeighted(device, f, 1) }
-
-// softWeighted registers a keep-formula with an explicit weight.
-func (e *encoder) softWeighted(device string, f formula.F, weight int) {
+func (e *encoder) soft(device string, f formula.F) {
 	if e.opts.Objective == MinDevices {
 		e.byDevice[device] = append(e.byDevice[device], f)
 		return
 	}
 	e.softs = append(e.softs, e.b.Lit(f))
-	e.weights = append(e.weights, weight)
+	e.weights = append(e.weights, 1)
 }
 
 // finalizeSofts emits the per-device softs for MinDevices.
@@ -879,12 +876,12 @@ func (e *encoder) softConstraints() {
 		e.soft(dev, bv.Equal(e.p, vec, bv.Const(uint64(orig), costBits)))
 	}
 	// Waypoint softs: adding a middlebox is a change (wedge variables are
-	// only created for links without one). Middleboxes are not device
-	// configuration; attribute them to a pseudo-device per link.
-	// Their weight is configurable — placing a firewall typically costs
-	// more than editing a configuration line.
+	// only created for links without one), weighing one like a
+	// configuration line — the paper's implicit accounting; repairs may
+	// always add middleboxes to links (footnote 2). Middleboxes are not
+	// device configuration; attribute them to a pseudo-device per link.
 	for _, link := range e.wedgeOrder {
-		e.softWeighted("link:"+e.tb.h.Links[link].Name(), formula.Not(e.wedgeVars[link]), e.opts.WaypointWeight)
+		e.soft("link:"+e.tb.h.Links[link].Name(), formula.Not(e.wedgeVars[link]))
 	}
 	e.finalizeSofts()
 }

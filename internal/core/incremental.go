@@ -208,9 +208,10 @@ func (w *fpWriter) boolean(v bool) {
 	}
 }
 
-// fingerprintVersion tags the hash layout; bump it whenever the encoder
-// reads a new input, so stale-layout fingerprints cannot collide.
-const fingerprintVersion = "cprfp5"
+// fingerprintVersion tags the hash layout; bump it whenever the hashed
+// closure gains an input (one the encoder reads, or one the replayed rows
+// carry), so stale-layout fingerprints cannot collide.
+const fingerprintVersion = "cprfp6"
 
 // problemFingerprint hashes the complete input closure of one
 // sub-problem's encode+solve: the slot table's shape, and every
@@ -247,7 +248,6 @@ func problemFingerprint(tb *tables, orig *harc.State, pr *problem, opts Options,
 	w.i64(int64(opts.Granularity))
 	w.i64(int64(opts.Algorithm))
 	w.i64(int64(opts.Objective))
-	w.i64(int64(opts.WaypointWeight))
 	w.i64(opts.ConflictBudget)
 	w.i64(int64(opts.Compress))
 	w.i64(int64(opts.CompressRedundancy))
@@ -306,6 +306,9 @@ func problemFingerprint(tb *tables, orig *harc.State, pr *problem, opts Options,
 		w.bits(orig.Dst[r])
 		w.bits(orig.RouteFilter[r])
 		w.bits(orig.Static[r])
+		// The encoder does not read static distances, but the replayed rows
+		// carry them.
+		orig.Static[r].Each(func(id int) { w.i64(orig.StaticDistance(r, id)) })
 	}
 
 	return hex.EncodeToString(w.h.Sum(nil)), true

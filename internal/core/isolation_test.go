@@ -37,7 +37,7 @@ func TestIsolationRepair(t *testing.T) {
 	if !res.Solved {
 		t.Fatalf("isolation repair unsolved: %+v", res.Stats)
 	}
-	if !policy.CheckState(h, res.State, p) {
+	if !policy.NewStateChecker(h, res.State).Check(p) {
 		t.Fatal("repaired state still violates isolation")
 	}
 	if res.Changes == 0 {
@@ -86,7 +86,7 @@ func TestIsolationAllTCsGranularity(t *testing.T) {
 	if !res.Solved {
 		t.Fatalf("unsolved: %+v", res.Stats)
 	}
-	if !policy.CheckState(h, res.State, p) {
+	if !policy.NewStateChecker(h, res.State).Check(p) {
 		t.Fatal("repaired state violates isolation")
 	}
 }

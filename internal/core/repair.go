@@ -121,10 +121,6 @@ type Options struct {
 	// setting: sub-problems are scheduled largest-first for wall-clock,
 	// but their repairs are merged in deterministic problem order.
 	Parallelism int
-	// WaypointWeight is the objective cost of placing one middlebox,
-	// relative to a configuration line (default 1, the paper's implicit
-	// accounting). Repairs may always add middleboxes to links (footnote 2).
-	WaypointWeight int
 	// ConflictBudget bounds each SAT call (0 = unlimited); exceeding it
 	// yields an Unknown problem status, CPR's analogue of the paper's
 	// 8-hour limit. Per-destination retries escalate the budget; the
@@ -179,8 +175,6 @@ func DefaultOptions() Options {
 		Granularity: PerDst,
 		Algorithm:   maxsat.OLL,
 		Parallelism: 0, // all available cores
-
-		WaypointWeight: 1,
 	}
 }
 
@@ -365,9 +359,6 @@ func Repair(h *harc.HARC, policies []policy.Policy, opts Options) (*Result, erro
 // ctx's error.
 func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts Options) (*Result, error) {
 	start := time.Now()
-	if opts.WaypointWeight == 0 {
-		opts.WaypointWeight = 1
-	}
 	orig := harc.StateOf(h)
 	out := orig.Clone()
 	res := &Result{State: out, Solved: true, Orig: orig}
@@ -1008,8 +999,7 @@ func VerifyRepair(h *harc.HARC, st *harc.State, policies []policy.Policy) []poli
 // policy. Policies outside the set were verified satisfied before the
 // repair and their class state is untouched (see Result.Touched), so
 // skipping them loses nothing. Checks fan out over workers goroutines
-// in contiguous input-order chunks — same-class policies share a worker
-// and its cached per-class graphs — and the returned violations are in
+// in contiguous input-order chunks, and the returned violations are in
 // input order regardless of parallelism.
 func VerifyRepairIncremental(h *harc.HARC, st *harc.State, policies []policy.Policy, touched map[string]bool, workers int) []policy.Policy {
 	need := make([]int, 0, len(policies))
@@ -1028,8 +1018,8 @@ func VerifyRepairIncremental(h *harc.HARC, st *harc.State, policies []policy.Pol
 		workers = len(need)
 	}
 	bad := make([]bool, len(need))
+	checker := policy.NewStateChecker(h, st)
 	check := func(lo, hi int) {
-		checker := policy.NewStateChecker(h, st)
 		for j := lo; j < hi; j++ {
 			if !checker.Check(policies[need[j]]) {
 				bad[j] = true

@@ -40,9 +40,10 @@ type Result struct {
 // is out of the baseline's scope, §5).
 func Repair(h *harc.HARC, policies []policy.Policy) (*Result, error) {
 	st := harc.StateOf(h)
+	checker := policy.NewStateChecker(h, st)
 	changes := 0
 	for _, p := range policies {
-		if policy.CheckState(h, st, p) {
+		if checker.Check(p) {
 			continue
 		}
 		var (
@@ -66,7 +67,7 @@ func Repair(h *harc.HARC, policies []policy.Policy) (*Result, error) {
 	}
 	res := &Result{State: st, Changes: changes}
 	for _, p := range policies {
-		if !policy.CheckState(h, st, p) {
+		if !checker.Check(p) {
 			res.StillViolated = append(res.StillViolated, p)
 		}
 	}

@@ -4,9 +4,12 @@
 // hierarchy invariants hold by construction.
 //
 // The hierarchy lives in State — the assignment of per-level presence
-// booleans and edge costs that the repair engine searches over. Graphs
-// exist only where a graph algorithm runs: a tcETG view per traffic class
-// for verification, rebuilt from a repaired State for re-verification.
+// booleans, edge costs and static-route distances that the repair engine
+// searches over. Graphs exist only where a graph algorithm runs, and
+// every one is a view of a State's rows weighted by its SlotCost: the
+// tcETG of a class is its row, the routing graph of PC4 is laid from its
+// destination's row. The HARC's own state and a repaired one are read
+// the same way.
 package harc
 
 import (
@@ -126,81 +129,86 @@ func ParallelFor(n int, fn func(i int)) {
 // (used by the per-destination decomposition of §5.3). The tcETGs are
 // views of the state rows BuildLite computed: a view costs two small
 // headers, and a destination's weights are shared by every tcETG toward
-// it, filled in only if a PC4 check reads them.
+// it, filled in only if something reads them.
 func BuildForTCs(n *topology.Network, tcs []topology.TrafficClass) *HARC {
 	h := BuildLite(n, tcs)
 	weights := make([]*graph.Weights, len(h.Dsts))
 	for r, dst := range h.Dsts {
-		weights[r] = h.Weights(func(s *arc.Slot) int64 { return s.Weight(dst) })
+		weights[r] = stateWeights(h, h.rows, dst)
 	}
 	h.TC = make([]*arc.ETG, len(tcs))
 	for r, tc := range tcs {
-		h.TC[r] = arc.NewETG(h.Table, h.rows.TC[r], weights[h.DstRow(tc.Dst)])
-		h.TC[r].TC, h.TC[r].DstSubnet = tc, tc.Dst
+		h.TC[r] = view(h, h.rows, h.rows.TC[r], weights[h.DstRow(tc.Dst)])
 	}
 	return h
 }
 
 // BuildLite constructs the slot table, the class/destination rows and
 // the state of a HARC without laying any ETG over them — all that StateOf
-// and the *FromState builders read. Verifiers that compare states
-// (rather than graphs) use it.
+// reads. Verifiers that compare states (rather than graphs) use it.
 func BuildLite(n *topology.Network, tcs []topology.TrafficClass) *HARC {
 	h := &HARC{Layout: newLayout(n, tcs), Network: n}
 	h.rows = evalState(h)
 	return h
 }
 
-// TCETG returns the tcETG for tc, or nil if the HARC holds none.
-func (h *HARC) TCETG(tc topology.TrafficClass) *arc.ETG {
-	if r := h.TCRow(tc); r >= 0 && r < len(h.TC) {
-		return h.TC[r]
+// TCETG returns the tcETG of tc in the HARC's own state (see
+// BuildTCETGFromState).
+func (h *HARC) TCETG(tc topology.TrafficClass) *arc.ETG { return BuildTCETGFromState(h, nil, tc) }
+
+// BuildTCETGFromState returns the tcETG state st holds for tc: a view of
+// the class's presence row (empty when the state does not cover the
+// class) at the state's SlotCost weights. A nil st is the HARC's own
+// state, whose views TC holds. The view reads the row in place: the state
+// must not change while the view is in use.
+func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
+	if st == nil {
+		if r := h.TCRow(tc); r >= 0 && r < len(h.TC) {
+			return h.TC[r]
+		}
+		st = h.rows
 	}
-	return nil
+	row := st.TCBits(tc)
+	if row == nil {
+		row = bitset.New(len(h.Slots))
+	}
+	return view(h, st, row, stateWeights(h, st, tc.Dst))
 }
 
-// BuildTCETGFromState materializes the tcETG encoded in the state for tc:
-// the graph with exactly the slots marked present at the tc level, using
-// the state's costs. Used to re-verify repaired HARCs before translation.
-// The result holds a snapshot of the row: later writes to the state do
-// not show through it.
-func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
+// BuildRoutingETGFromState returns the graph route selection operates on
+// for tc in the state, laid from the destination's row — presence at the
+// destination level, since an ACL drops packets but never steers them —
+// plus tc's own source attachments at the tc level: a blocked entry drops
+// traffic outright, it cannot be routed around. Routing presence can
+// strictly contain the tcETG; PC4 walks this graph, then checks the
+// tcETG's use of the path. The graph owns its mask, one row's copy. A
+// nil st is the HARC's own state.
+func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
+	if st == nil {
+		st = h.rows
+	}
 	live := bitset.New(len(h.Slots))
-	st.TCBits(tc).Each(func(id int) {
-		if h.Slots[id].ApplicableTC(tc) {
+	copy(live, st.DstBits(tc.Dst))
+	tcRow := st.TCBits(tc)
+	for _, id := range h.TCVaries { // every source attachment varies by class
+		if h.Slots[id].Kind == arc.SlotSource && tcRow.Has(id) {
 			live.Put(id, true)
 		}
-	})
-	return etgFromState(h, st, tc, live)
-}
-
-// BuildRoutingETGFromState materializes the routing graph encoded in the
-// state for tc: destination-level presence for every slot (route
-// selection is ACL-blind) plus tc's own attachment edges. The source
-// attachment uses tc-level presence — a blocked entry drops traffic
-// outright, it cannot be routed around.
-func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
-	tcRow, dstRow := st.TCBits(tc), st.DstBits(tc.Dst)
-	live := bitset.New(len(h.Slots))
-	for id, s := range h.Slots {
-		if !s.ApplicableTC(tc) {
-			continue
-		}
-		if s.Kind == arc.SlotSource {
-			live.Put(id, tcRow.Has(id))
-		} else {
-			live.Put(id, dstRow.Has(id))
-		}
 	}
-	return etgFromState(h, st, tc, live)
+	return view(h, st, live, stateWeights(h, st, tc.Dst))
 }
 
-func etgFromState(h *HARC, st *State, tc topology.TrafficClass, live bitset.Set) *arc.ETG {
-	etg := arc.NewETG(h.Table, live, h.Weights(func(s *arc.Slot) int64 { return st.SlotCost(s, tc.Dst) }))
-	etg.TC = tc
-	etg.DstSubnet = tc.Dst
+func view(h *HARC, st *State, live bitset.Set, w *graph.Weights) *arc.ETG {
+	etg := arc.NewETG(h.Table, live, w)
 	etg.Waypoints = st.Waypoint
 	return etg
+}
+
+// stateWeights returns the lazily filled weights of st's graphs toward
+// dst (SlotCost).
+func stateWeights(h *HARC, st *State, dst *topology.Subnet) *graph.Weights {
+	r := st.lay.DstRow(dst)
+	return h.Weights(func(s *arc.Slot) int64 { return st.slotCost(s, r) })
 }
 
 // ValidateState checks the HARC well-formedness invariants of §4.3 on an

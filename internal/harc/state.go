@@ -1,6 +1,7 @@
 package harc
 
 import (
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/arc"
@@ -9,7 +10,8 @@ import (
 )
 
 // State is an explicit assignment of edge presence per HARC level plus
-// shared edge costs: the search space of the repair engine. Presence is
+// shared edge costs and static-route distances: the search space of the
+// repair engine, and everything a policy verdict reads. Presence is
 // dense: one bitset row per level, destination or traffic class, indexed
 // by the ids of the Layout the state was derived from. A slot that is
 // not applicable to a row (another subnet's attachment slot) is simply
@@ -39,6 +41,13 @@ type State struct {
 	// Cost is keyed by arc.Slot.CostKey.
 	Cost map[string]int64
 
+	// dist holds, by (destination row, inter slot), the administrative
+	// distance of every configured static route whose distance is not its
+	// interface's cost (StaticDistance). It is read only where the Static
+	// bit is set, and never written once made: a change replaces it, so
+	// clones share it.
+	dist map[rowSlot]int64
+
 	// A row is owned — writable in place — iff its stamp equals epoch.
 	// Clone gives the copy a fresh epoch and moves the receiver to another
 	// fresh one, so afterwards neither side owns a row the other can see.
@@ -49,6 +58,9 @@ type State struct {
 }
 
 var epochs atomic.Uint64
+
+// rowSlot keys a static route's distance: destination row, slot id.
+type rowSlot struct{ r, id int32 }
 
 // newState returns an all-absent state over the layout, owning its rows.
 func newState(l *Layout) *State {
@@ -109,6 +121,7 @@ func (st *State) Clone() *State {
 		RouteFilter: append([]bitset.Set(nil), st.RouteFilter...),
 		Static:      append([]bitset.Set(nil), st.Static...),
 		Cost:        make(map[string]int64, len(st.Cost)),
+		dist:        st.dist,
 		stamp:       make([]uint64, len(st.stamp)),
 	}
 	for k, v := range st.Cost {
@@ -172,15 +185,29 @@ func (st *State) SetDstRow(r int, row bitset.Set) { st.replace(&st.Dst[r], st.ds
 // SetTCRow: see SetDstRow.
 func (st *State) SetTCRow(r int, row bitset.Set) { st.replace(&st.TC[r], st.tcStamp(r), row) }
 
-// CopyDst makes st's rows for dst (presence, route filters, statics)
-// equal to src's; CopyTC does the same for one traffic class's row and
-// CopyAll for the aETG row. src must be a state of a same-shape layout
-// (arc.Table.SameShape) that covers the row.
+// CopyDst makes st's rows for dst (presence, route filters, statics and
+// their distances) equal to src's; CopyTC does the same for one traffic
+// class's row and CopyAll for the aETG row. src must be a state of a
+// same-shape layout (arc.Table.SameShape) that covers the row.
 func (st *State) CopyDst(src *State, dst *topology.Subnet) {
 	r, sr := st.lay.DstRow(dst), src.lay.DstRow(dst)
 	st.SetDstRow(r, src.Dst[sr].Clone())
 	st.replace(&st.RouteFilter[r], st.rfStamp(r), src.RouteFilter[sr].Clone())
 	st.replace(&st.Static[r], st.staticStamp(r), src.Static[sr].Clone())
+	if st.dist != nil || src.dist != nil {
+		m := make(map[rowSlot]int64)
+		for k, d := range st.dist {
+			if int(k.r) != r {
+				m[k] = d
+			}
+		}
+		for k, d := range src.dist {
+			if int(k.r) == sr {
+				m[rowSlot{int32(r), k.id}] = d
+			}
+		}
+		st.dist = m
+	}
 }
 
 // CopyTC: see CopyDst.
@@ -227,13 +254,9 @@ func (st *State) SameShape(o *State) bool { return st.lay.Table.SameShape(o.lay.
 // (states of one HARC, or of HARCs built alike from equal networks);
 // anything else is unequal.
 func (st *State) Equal(o *State) bool {
-	if !st.SameShape(o) || len(st.TC) != len(o.TC) || len(st.Dst) != len(o.Dst) || len(st.Cost) != len(o.Cost) {
+	if !st.SameShape(o) || len(st.TC) != len(o.TC) || len(st.Dst) != len(o.Dst) ||
+		!maps.Equal(st.Cost, o.Cost) || !maps.Equal(st.dist, o.dist) {
 		return false
-	}
-	for k, v := range st.Cost {
-		if ov, ok := o.Cost[k]; !ok || ov != v {
-			return false
-		}
 	}
 	rowsEqual := func(a, b []bitset.Set) bool {
 		for r := range a {
@@ -249,10 +272,11 @@ func (st *State) Equal(o *State) bool {
 }
 
 // ApproxBytes estimates the heap the state holds on its own: the rows it
-// owns (shared rows are charged to their owner), row headers and costs.
+// owns (shared rows are charged to their owner), row headers, costs and
+// distances.
 func (st *State) ApproxBytes() int64 {
 	ep := st.epoch.Load()
-	n := int64(len(st.stamp))*(8+24) + int64(len(st.Cost))*48
+	n := int64(len(st.stamp))*(8+24) + int64(len(st.Cost))*48 + int64(len(st.dist))*24
 	words := func(row bitset.Set, stamp int) {
 		if st.stamp[stamp] == ep {
 			n += int64(len(row)) * 8
@@ -284,22 +308,71 @@ func (st *State) procStatic(h *HARC, r, proc int) bool {
 	return found
 }
 
-// SlotCost returns the state's cost for slot s, falling back to the
-// slot's structural weight for non-inter-device slots.
+// SlotCost returns the weight of slot s in the graphs toward dst (the ETG
+// weighting of §4.1): an inter-device slot weighs its interface's cost,
+// or, while its adjacency is absent from the aETG row, the distance of
+// the static route that backs it; every other slot weighs 0.
 func (st *State) SlotCost(s *arc.Slot, dst *topology.Subnet) int64 {
-	if ck := s.CostKey(); ck != "" {
-		if c, ok := st.Cost[ck]; ok {
-			return c
+	return st.slotCost(s, st.lay.DstRow(dst))
+}
+
+// slotCost is SlotCost for destination row r (-1: a destination the state
+// does not cover, which has no static routes).
+func (st *State) slotCost(s *arc.Slot, r int) int64 {
+	switch {
+	case s.Kind != arc.SlotInterDevice:
+		return 0
+	case r >= 0 && !st.All.Has(s.ID) && st.Static[r].Has(s.ID):
+		return st.StaticDistance(r, s.ID)
+	}
+	return st.Cost[s.CostKey()]
+}
+
+// StaticDistance returns the administrative distance of the static route
+// for destination row r over inter slot id: the route's own where it
+// differs from its interface's configured cost, the interface's cost in
+// the state otherwise — which is also what a route the state adds weighs.
+func (st *State) StaticDistance(r, id int) int64 {
+	if d, ok := st.dist[rowSlot{int32(r), int32(id)}]; ok {
+		return d
+	}
+	return st.Cost[st.lay.Slots[id].CostKey()]
+}
+
+// WeighAlike reports whether every inter-device slot present in the
+// destination rows of dsts weighs the same in st and o (SlotCost): what a
+// verdict reads of costs and distances, however each state spells it. A
+// repair's new static route weighs its interface's cost variable; the
+// configuration that realizes it carries that value as the route's
+// distance and keeps the interface's cost. The two states must be of
+// same-shape layouts and hold equal rows for dsts.
+func (st *State) WeighAlike(o *State, dsts []*topology.Subnet) bool {
+	if len(st.dist) == 0 && len(o.dist) == 0 && maps.Equal(st.Cost, o.Cost) {
+		return true
+	}
+	for _, dst := range dsts {
+		r, or := st.lay.DstRow(dst), o.lay.DstRow(dst)
+		if r < 0 || or < 0 {
+			return false
+		}
+		alike := true
+		st.Dst[r].Each(func(id int) {
+			if alike {
+				alike = st.slotCost(st.lay.Slots[id], r) == o.slotCost(o.lay.Slots[id], or)
+			}
+		})
+		if !alike {
+			return false
 		}
 	}
-	return s.Weight(dst)
+	return true
 }
 
 // StateOf returns the current state of the HARC: presence of every slot
-// at every level and the cost of every directed interface, as the slot
-// rules evaluated them when the HARC was built. The result is the
-// caller's to write — a copy-on-write clone that shares each row with the
-// HARC until the first write to it.
+// at every level, the cost of every directed interface and the distance
+// of every static route, as the slot rules evaluated them when the HARC
+// was built. The result is the caller's to write — a copy-on-write clone
+// that shares each row with the HARC until the first write to it.
 func StateOf(h *HARC) *State { return h.rows.Clone() }
 
 // evalState evaluates the slot rules into a fresh state of h's layout.
@@ -320,6 +393,17 @@ func evalState(h *HARC) *State {
 		st.Waypoint.Put(i, l.Waypoint)
 	}
 	ParallelFor(len(h.Dsts), func(r int) { fillDst(h, st, r) })
+	for r, dst := range h.Dsts {
+		st.Static[r].Each(func(id int) {
+			s := h.Slots[id]
+			if d := s.StaticBacked(dst).Distance; d != s.FromIntf.Cost {
+				if st.dist == nil {
+					st.dist = make(map[rowSlot]int64)
+				}
+				st.dist[rowSlot{int32(r), int32(id)}] = int64(d)
+			}
+		})
+	}
 	// Classes fill in blocks, so that the per-class ACL verdicts live in one
 	// scratch per block rather than one per class.
 	const block = 64

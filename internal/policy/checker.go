@@ -3,59 +3,43 @@ package policy
 import (
 	"repro/internal/arc"
 	"repro/internal/harc"
-	"repro/internal/topology"
 )
 
-// StateChecker verifies a batch of policies against one explicit HARC
-// state, caching the per-traffic-class ETGs it materializes: checking
-// several policies on the same class builds each graph once instead of
-// once per policy. PC4 routing graphs are cached the same way. A StateChecker is not safe for concurrent use; parallel
-// verifiers each keep their own.
+// StateChecker verifies policies against one HARC state. It reads the
+// state's rows in place: a class's tcETG is a view of its row and PC4's
+// routing graph is laid from its destination's row, both weighted by the
+// state's SlotCost (harc.BuildTCETGFromState, BuildRoutingETGFromState).
+// Check reads the HARC's own state the same way. A StateChecker may be
+// shared by concurrent verifiers; the state must not change while it is
+// in use.
 type StateChecker struct {
-	h       *harc.HARC
-	st      *harc.State
-	tc      map[string]*arc.ETG
-	routing map[string]*arc.ETG
+	h  *harc.HARC
+	st *harc.State // nil: the HARC's own state
 }
 
-// NewStateChecker returns a checker over the given state. The state is
-// read, never written, and must not be mutated while the checker lives
-// (cached graphs would go stale).
+// NewStateChecker returns a checker over the given state, which it reads
+// and never writes.
 func NewStateChecker(h *harc.HARC, st *harc.State) *StateChecker {
-	return &StateChecker{h: h, st: st, tc: make(map[string]*arc.ETG)}
-}
-
-func (c *StateChecker) etg(tc topology.TrafficClass) *arc.ETG {
-	key := tc.Key()
-	if e, ok := c.tc[key]; ok {
-		return e
-	}
-	e := harc.BuildTCETGFromState(c.h, c.st, tc)
-	c.tc[key] = e
-	return e
-}
-
-func (c *StateChecker) routingETG(tc topology.TrafficClass) *arc.ETG {
-	key := tc.Key()
-	if e, ok := c.routing[key]; ok {
-		return e
-	}
-	if c.routing == nil {
-		c.routing = make(map[string]*arc.ETG)
-	}
-	e := harc.BuildRoutingETGFromState(c.h, c.st, tc)
-	c.routing[key] = e
-	return e
+	return &StateChecker{h: h, st: st}
 }
 
 // Check verifies one policy against the checker's state.
 func (c *StateChecker) Check(p Policy) bool {
-	if p.Kind == Isolated {
-		return isolatedInState(c.st, p)
+	etg := harc.BuildTCETGFromState(c.h, c.st, p.TC)
+	switch p.Kind {
+	case AlwaysBlocked:
+		return arc.VerifyAlwaysBlocked(etg)
+	case AlwaysWaypoint:
+		return arc.VerifyAlwaysWaypoint(etg)
+	case KReachable:
+		return arc.VerifyKReachable(etg, c.h.Network, p.K)
+	case PrimaryPath:
+		// Route selection is ACL-blind, so the tcETG alone cannot decide
+		// which path traffic takes.
+		return arc.VerifyPrimaryPath(etg, harc.BuildRoutingETGFromState(c.h, c.st, p.TC), p.Path)
+	case Isolated:
+		// The classes share an edge iff their rows intersect (§5.1).
+		return !etg.G.Live().Intersects(harc.BuildTCETGFromState(c.h, c.st, p.TC2).G.Live())
 	}
-	etg := c.etg(p.TC)
-	if p.Kind == PrimaryPath {
-		return arc.VerifyPrimaryPath(etg, c.routingETG(p.TC), p.Path)
-	}
-	return checkETG(etg, c.h.Network, p)
+	return false
 }

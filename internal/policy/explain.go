@@ -7,15 +7,15 @@ import (
 	"repro/internal/arc"
 	"repro/internal/graph"
 	"repro/internal/harc"
-	"repro/internal/topology"
 )
 
 // Explain returns a human-readable counterexample for a violated policy:
 // the offending path (PC1/PC2/PC4), the smallest failure scenario found
 // that disconnects the class (PC3), or a shared edge (Isolated). It
-// returns ok=false when the policy actually holds.
+// returns ok=false when the policy actually holds. Witnesses come from
+// the graphs Check reads.
 func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
-	etg := tcETGOf(h, p.TC)
+	etg := h.TCETG(p.TC)
 	switch p.Kind {
 	case AlwaysBlocked:
 		path := etg.G.PathAvoiding(etg.Src, etg.Dst, nil)
@@ -34,7 +34,9 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 		return fmt.Sprintf("waypoint-free path exists via %s", devicePath(etg, path)), true
 
 	case KReachable:
-		links, found := findKFailure(etg, h.Network, p.K)
+		// The witness is the min-cut side of the max-flow that decides PC3: a
+		// minimum set of fewer than K failed links disconnecting the class.
+		links, found := arc.MinLinkCut(etg, p.K)
 		if !found {
 			return "", false
 		}
@@ -50,7 +52,7 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 	case PrimaryPath:
 		// Route selection ignores ACLs, so the witness comes from the
 		// routing graph, not the tcETG.
-		routing := arc.BuildRoutingETG(h.Table, p.TC)
+		routing := harc.BuildRoutingETGFromState(h, nil, p.TC)
 		path, unique := routing.G.ShortestPathUnique(routing.Src, routing.Dst)
 		if path == nil {
 			return "destination is unreachable", true
@@ -69,7 +71,7 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 		return "", false
 
 	case Isolated:
-		if s := sharedSlot(etg, tcETGOf(h, p.TC2)); s != nil {
+		if s := sharedSlot(etg, h.TCETG(p.TC2)); s != nil {
 			return fmt.Sprintf("classes share edge %s", s.Key()), true
 		}
 		return "", false
@@ -77,13 +79,15 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 	return "", false
 }
 
-// findKFailure returns a minimum-cardinality set of fewer than k failed
-// links that disconnects SRC from DST (the most informative witness);
-// found=false means the policy holds. The witness comes from the min-cut
-// side of the same link-disjoint max-flow that decides PC3, so explaining
-// a violation costs the same as verifying it.
-func findKFailure(e *arc.ETG, n *topology.Network, k int) (links []*topology.Link, found bool) {
-	return arc.MinLinkCut(e, k)
+// sharedSlot returns the lowest-id slot present in both ETGs, or nil.
+func sharedSlot(a, b *arc.ETG) *arc.Slot {
+	var shared *arc.Slot
+	a.EachSlot(func(s *arc.Slot) {
+		if shared == nil && b.HasSlot(s) {
+			shared = s
+		}
+	})
+	return shared
 }
 
 // devicePath renders an ETG vertex path as "SRC -> A -> B -> DST".

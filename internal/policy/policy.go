@@ -79,74 +79,20 @@ func (p Policy) String() string {
 	return "?"
 }
 
-// Check verifies the policy against the HARC's current tcETG.
+// Check verifies the policy against the HARC's own state, reading its
+// rows in place (see StateChecker).
 func Check(h *harc.HARC, p Policy) bool {
-	if p.Kind == Isolated {
-		return checkIsolated(tcETGOf(h, p.TC), tcETGOf(h, p.TC2))
-	}
-	if p.Kind == PrimaryPath {
-		// PC4 compares against the routing graph: route selection is
-		// ACL-blind, so the tcETG alone cannot decide which path traffic
-		// takes.
-		return arc.VerifyPrimaryPath(tcETGOf(h, p.TC), arc.BuildRoutingETG(h.Table, p.TC), p.Path)
-	}
-	return checkETG(tcETGOf(h, p.TC), h.Network, p)
-}
-
-func tcETGOf(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
-	if etg := h.TCETG(tc); etg != nil {
-		return etg
-	}
-	return arc.BuildTCETG(h.Table, tc)
-}
-
-// CheckState verifies one policy against the tcETG encoded in an explicit
-// HARC state. Callers with several policies to check on one state keep a
-// StateChecker instead, which builds each class's graph once.
-func CheckState(h *harc.HARC, st *harc.State, p Policy) bool {
-	return NewStateChecker(h, st).Check(p)
-}
-
-// checkIsolated reports whether the two tcETGs share no edge slot
-// (edge_tc1 ⇒ ¬edge_tc2 for every edge, §5.1).
-func checkIsolated(a, b *arc.ETG) bool { return sharedSlot(a, b) == nil }
-
-// sharedSlot returns the lowest-id slot present in both ETGs, or nil.
-func sharedSlot(a, b *arc.ETG) *arc.Slot {
-	var shared *arc.Slot
-	a.EachSlot(func(s *arc.Slot) {
-		if shared == nil && b.HasSlot(s) {
-			shared = s
-		}
-	})
-	return shared
-}
-
-// isolatedInState is checkIsolated on an explicit state, where it needs
-// no graph: the two classes' presence rows are indexed by the same slot
-// ids, so they share an edge iff the rows intersect.
-func isolatedInState(st *harc.State, p Policy) bool {
-	return !st.TCBits(p.TC).Intersects(st.TCBits(p.TC2))
-}
-
-func checkETG(etg *arc.ETG, n *topology.Network, p Policy) bool {
-	switch p.Kind {
-	case AlwaysBlocked:
-		return arc.VerifyAlwaysBlocked(etg)
-	case AlwaysWaypoint:
-		return arc.VerifyAlwaysWaypoint(etg)
-	case KReachable:
-		return arc.VerifyKReachable(etg, n, p.K)
-	}
-	return false
+	c := StateChecker{h: h}
+	return c.Check(p)
 }
 
 // Violations returns the subset of policies the HARC currently violates,
 // in input order. Checks are independent graph queries over the
 // (read-only) HARC, so they fan out over one worker per core.
 func Violations(h *harc.HARC, policies []Policy) []Policy {
+	c := StateChecker{h: h}
 	bad := make([]bool, len(policies))
-	harc.ParallelFor(len(policies), func(i int) { bad[i] = !Check(h, policies[i]) })
+	harc.ParallelFor(len(policies), func(i int) { bad[i] = !c.Check(policies[i]) })
 	var out []Policy
 	for i, p := range policies {
 		if bad[i] {
@@ -166,25 +112,28 @@ func Parse(n *topology.Network, text string) ([]Policy, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		subnet := func(name string) (*topology.Subnet, error) {
-			s := n.Subnet(name)
-			if s == nil {
-				return nil, fmt.Errorf("policy: line %d: unknown subnet %q", lineno+1, name)
+		// class resolves a traffic class; the HARC has none from a subnet to
+		// itself.
+		class := func(src, dst string) (tc topology.TrafficClass, err error) {
+			tc = topology.TrafficClass{Src: n.Subnet(src), Dst: n.Subnet(dst)}
+			switch {
+			case tc.Src == nil:
+				err = fmt.Errorf("policy: line %d: unknown subnet %q", lineno+1, src)
+			case tc.Dst == nil:
+				err = fmt.Errorf("policy: line %d: unknown subnet %q", lineno+1, dst)
+			case tc.Src == tc.Dst:
+				err = fmt.Errorf("policy: line %d: source and destination are both %q", lineno+1, src)
 			}
-			return s, nil
+			return tc, err
 		}
 		if len(fields) < 3 {
 			return nil, fmt.Errorf("policy: line %d: too few fields", lineno+1)
 		}
-		src, err := subnet(fields[1])
+		tc, err := class(fields[1], fields[2])
 		if err != nil {
 			return nil, err
 		}
-		dst, err := subnet(fields[2])
-		if err != nil {
-			return nil, err
-		}
-		p := Policy{TC: topology.TrafficClass{Src: src, Dst: dst}}
+		p := Policy{TC: tc}
 		switch fields[0] {
 		case "always-blocked":
 			p.Kind = AlwaysBlocked
@@ -214,15 +163,9 @@ func Parse(n *topology.Network, text string) ([]Policy, error) {
 			if len(fields) != 5 {
 				return nil, fmt.Errorf("policy: line %d: isolated wants SRC1 DST1 SRC2 DST2", lineno+1)
 			}
-			src2, err := subnet(fields[3])
-			if err != nil {
+			if p.TC2, err = class(fields[3], fields[4]); err != nil {
 				return nil, err
 			}
-			dst2, err := subnet(fields[4])
-			if err != nil {
-				return nil, err
-			}
-			p.TC2 = topology.TrafficClass{Src: src2, Dst: dst2}
 		default:
 			return nil, fmt.Errorf("policy: line %d: unknown policy kind %q", lineno+1, fields[0])
 		}
@@ -246,17 +189,17 @@ func Format(policies []Policy) string {
 // traffic class that is always blocked yields PC1; one that remains
 // reachable under any single failure yields PC3 with K=2; one reachable
 // only without failures yields PC3 with K=1. A traffic class cannot have
-// both (PC1 and PC3 are mutually exclusive).
-func Infer(n *topology.Network) []Policy {
-	t := arc.NewTable(n)
+// both (PC1 and PC3 are mutually exclusive). One policy is inferred per
+// traffic class of the HARC, in its row order.
+func Infer(h *harc.HARC) []Policy {
 	var out []Policy
-	for _, tc := range n.TrafficClasses() {
-		etg := arc.BuildTCETG(t, tc)
+	for _, tc := range h.TCs {
+		etg := h.TCETG(tc)
 		if arc.VerifyAlwaysBlocked(etg) {
 			out = append(out, Policy{Kind: AlwaysBlocked, TC: tc})
 			continue
 		}
-		if arc.VerifyKReachable(etg, n, 2) {
+		if arc.VerifyKReachable(etg, h.Network, 2) {
 			out = append(out, Policy{Kind: KReachable, TC: tc, K: 2})
 		} else {
 			out = append(out, Policy{Kind: KReachable, TC: tc, K: 1})

@@ -103,6 +103,8 @@ func TestParseErrors(t *testing.T) {
 		"primary-path R T A,Z,C",
 		"frobnicate S T",
 		"short S",
+		"always-blocked S S",
+		"isolated S T R R",
 	}
 	for _, text := range cases {
 		if _, err := Parse(n, text); err == nil {
@@ -113,7 +115,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestInferFigure2a(t *testing.T) {
 	n := topology.Figure2a()
-	inferred := Infer(n)
+	inferred := Infer(harc.Build(n))
 	if len(inferred) != 12 {
 		t.Fatalf("inferred %d policies, want 12 (one per traffic class)", len(inferred))
 	}
@@ -140,7 +142,7 @@ func TestInferFigure2a(t *testing.T) {
 func TestInferredPoliciesHold(t *testing.T) {
 	n := topology.Figure2a()
 	h := harc.Build(n)
-	for _, p := range Infer(n) {
+	for _, p := range Infer(h) {
 		if !Check(h, p) {
 			t.Errorf("inferred policy %s does not hold", p)
 		}
@@ -153,8 +155,8 @@ func TestCheckStateMatchesCheck(t *testing.T) {
 	st := harc.StateOf(h)
 	ep1, ep2, ep3, ep4 := ep(n)
 	for _, p := range []Policy{ep1, ep2, ep3, ep4} {
-		if Check(h, p) != CheckState(h, st, p) {
-			t.Errorf("Check and CheckState disagree on %s", p)
+		if Check(h, p) != NewStateChecker(h, st).Check(p) {
+			t.Errorf("Check and a StateOf checker disagree on %s", p)
 		}
 	}
 }

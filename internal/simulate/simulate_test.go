@@ -8,11 +8,17 @@ import (
 	"testing/quick"
 
 	"repro/internal/arc"
+	"repro/internal/harc"
 	"repro/internal/topology"
 )
 
 func tcOf(n *topology.Network, src, dst string) topology.TrafficClass {
 	return topology.TrafficClass{Src: n.Subnet(src), Dst: n.Subnet(dst)}
+}
+
+// tcETG returns the tcETG of tc in n's configured state.
+func tcETG(n *topology.Network, tc topology.TrafficClass) *arc.ETG {
+	return harc.BuildForTCs(n, []topology.TrafficClass{tc}).TC[0]
 }
 
 func TestForwardFigure2a(t *testing.T) {
@@ -207,7 +213,7 @@ func TestPathsetEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.NewTable(n), tc)
+		etg := tcETG(n, tc)
 		etgHasPath := etg.G.PathExists(etg.Src, etg.Dst)
 		simReaches := ReachableUnderSomeFailure(n, tc, len(n.Links))
 		if etgHasPath != simReaches {
@@ -232,7 +238,7 @@ func TestPathEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.NewTable(n), tc)
+		etg := tcETG(n, tc)
 		path, unique := etg.G.ShortestPathUnique(etg.Src, etg.Dst)
 		if path == nil || !unique {
 			return true // unreachable or ambiguous: out of scope
@@ -306,7 +312,7 @@ func TestWaypointEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.NewTable(n), tc)
+		etg := tcETG(n, tc)
 		etgOK := arc.VerifyAlwaysWaypoint(etg)
 		simOK := AlwaysTraversesWaypoint(n, tc)
 		if etgOK != simOK {
@@ -330,7 +336,7 @@ func TestKReachableEquivalence(t *testing.T) {
 		if sameDevice(n, tc) {
 			return true
 		}
-		etg := arc.BuildTCETG(arc.NewTable(n), tc)
+		etg := tcETG(n, tc)
 		for k := 1; k <= 2; k++ {
 			etgOK := arc.VerifyKReachable(etg, n, k)
 			simOK := DeliveredUnderAllFailures(n, tc, k)

@@ -74,16 +74,14 @@ func fullScan(h *harc.HARC, orig, rep *harc.State, cfgs map[string]*config.Confi
 				continue
 			}
 			was, now := orig.Static[r].Has(s.ID), rep.Static[r].Has(s.ID)
-			c, nh, dist := cfgs[s.FromProc.Device.Name], s.ToIntf.Prefix.Addr(), int(rep.SlotCost(s, dst))
+			c, nh, dist := cfgs[s.FromProc.Device.Name], s.ToIntf.Prefix.Addr(), rep.StaticDistance(r, s.ID)
 			switch {
 			case !was && now:
-				t.addLines(c.AddStaticRoute(dst.Prefix, nh, dist))
+				t.addLines(c.AddStaticRoute(dst.Prefix, nh, int(dist)))
 			case was && !now:
 				t.addLines(c.RemoveStaticRoute(dst.Prefix, nh))
-			case was && now:
-				if sr := s.StaticBacked(dst); sr != nil && sr.Distance != dist {
-					t.addLines(c.SetStaticDistance(dst.Prefix, nh, dist))
-				}
+			case was && now && orig.StaticDistance(r, s.ID) != dist:
+				t.addLines(c.SetStaticDistance(dst.Prefix, nh, int(dist)))
 			}
 		}
 	}
@@ -270,13 +268,17 @@ func mutateState(rng *rand.Rand, h *harc.HARC, st *harc.State, kinds map[string]
 // over every (row, slot) pair: identical plans — lines, groups, waypoint
 // changes, and their order — on randomly mutated states.
 func TestDiffWalkMatchesFullScan(t *testing.T) {
-	figure2a := map[string]string{}
+	figure2a, statics := map[string]string{}, map[string]string{}
 	for name, text := range config.Figure2aConfigs() {
-		figure2a[name] = text
+		figure2a[name], statics[name] = text, text
 	}
+	// Two destinations' static routes over A's interface toward C (cost 1,
+	// adjacency down): one at the interface's cost, one at a distance of
+	// its own. Cost edits then move the first route's distance only.
+	statics["A"] += "ip route 10.20.0.0 255.255.0.0 10.0.2.3 1\nip route 10.30.0.0 255.255.0.0 10.0.2.3 7\n"
 	kinds := map[string]int{}
 	compared := 0
-	for name, texts := range map[string]map[string]string{"figure2a": figure2a, "multi-protocol": multiProtocolConfigs} {
+	for name, texts := range map[string]map[string]string{"figure2a": figure2a, "figure2a-statics": statics, "multi-protocol": multiProtocolConfigs} {
 		_, n := parseAll(t, texts)
 		h := harc.BuildLite(n, n.TrafficClasses())
 		orig := harc.StateOf(h)

@@ -8,6 +8,7 @@ package translate
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/arc"
@@ -133,7 +134,8 @@ func (t *translator) run() error {
 }
 
 // Every pass below walks only the bits at which the original and repaired
-// rows differ (bitset.EachDiff), in ascending id order — the order the
+// rows differ (bitset.EachDiff; a static route also differs by its
+// distance), in ascending id order — the order the
 // slot table is sorted in, so lines come out in the order a scan over
 // every (row, slot) pair would emit them, at a cost proportional to what
 // the repair changed.
@@ -261,16 +263,15 @@ func (t *translator) routeFilters() error {
 }
 
 // staticRoutes compares the explicit static-route constructs of the two
-// states (Table 3: "add static route for dst" and the inverse). A static
-// route present in both still needs a look: a cost repair can change its
-// distance.
+// states (Table 3: "add static route for dst" and the inverse). A route
+// present in both changes only if its distance does (harc.StaticDistance):
+// a cost repair moves the distance of a route that weighs its interface's
+// cost.
 func (t *translator) staticRoutes() error {
 	for r, dst := range t.h.Dsts {
 		origRow, newRow := t.orig.Static[r], t.rep.Static[r]
-		either := origRow.Clone()
-		either.Or(newRow)
 		var err error
-		either.Each(func(id int) {
+		eachStaticChange(t.orig, t.rep, r, func(id int) {
 			if err != nil {
 				return
 			}
@@ -280,16 +281,14 @@ func (t *translator) staticRoutes() error {
 				return
 			}
 			nh := s.ToIntf.Prefix.Addr()
-			dist := int(t.rep.SlotCost(s, dst))
-			switch origStatic, newStatic := origRow.Has(id), newRow.Has(id); {
-			case !origStatic:
+			dist := int(t.rep.StaticDistance(r, id))
+			switch {
+			case !origRow.Has(id):
 				t.addLines(c.AddStaticRoute(dst.Prefix, nh, dist))
-			case !newStatic:
+			case !newRow.Has(id):
 				t.addLines(c.RemoveStaticRoute(dst.Prefix, nh))
 			default:
-				if sr := s.StaticBacked(dst); sr != nil && sr.Distance != dist {
-					t.addLines(c.SetStaticDistance(dst.Prefix, nh, dist))
-				}
+				t.addLines(c.SetStaticDistance(dst.Prefix, nh, dist))
 			}
 		})
 		if err != nil {
@@ -297,6 +296,25 @@ func (t *translator) staticRoutes() error {
 		}
 	}
 	return nil
+}
+
+// eachStaticChange calls fn, in ascending slot id, for every static route
+// of destination row r that the two states disagree on: present in one
+// only, or present in both at different distances.
+func eachStaticChange(a, b *harc.State, r int, fn func(id int)) {
+	ra, rb := a.Static[r], b.Static[r]
+	for wi, w := range ra {
+		changed := w ^ rb[wi]
+		for both := w & rb[wi]; both != 0; both &= both - 1 {
+			id := wi<<6 + bits.TrailingZeros64(both)
+			if a.StaticDistance(r, id) != b.StaticDistance(r, id) {
+				changed |= both & -both
+			}
+		}
+		for ; changed != 0; changed &= changed - 1 {
+			fn(wi<<6 + bits.TrailingZeros64(changed))
+		}
+	}
 }
 
 // interfaceCosts emits "ip ospf cost" edits for cost variables that
