@@ -23,6 +23,7 @@ package compress
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/topology"
 )
@@ -109,14 +110,37 @@ func (p *Prepared) Build(spec Spec) (*Quotient, error) {
 	if len(spec.TCs) == 0 {
 		return nil, fmt.Errorf("compress: no traffic classes")
 	}
-	r := spec.Redundancy
-	if r < 1 {
-		r = 1
+	relevant := spec.relevant()
+	return synthesize(p.n, p.refine(relevant), spec.redundancy(), relevant)
+}
+
+// Key returns a string that two specs share iff Build makes the same
+// quotient of the prepared network from them: Build reads a spec only
+// through its redundancy and its relevant subnets — the endpoints of its
+// classes, of which only the network's own count.
+func (p *Prepared) Key(spec Spec) string {
+	if len(spec.TCs) == 0 {
+		return ""
 	}
+	relevant := spec.relevant()
+	b := strconv.AppendInt(nil, int64(spec.redundancy()), 10)
+	for i, s := range p.n.Subnets {
+		if relevant[s] {
+			b = strconv.AppendInt(append(b, ' '), int64(i), 10)
+		}
+	}
+	return string(b)
+}
+
+// relevant returns the endpoint subnets of the spec's classes.
+func (spec Spec) relevant() map[*topology.Subnet]bool {
 	relevant := make(map[*topology.Subnet]bool)
 	for _, tc := range spec.TCs {
 		relevant[tc.Src] = true
 		relevant[tc.Dst] = true
 	}
-	return synthesize(p.n, p.refine(relevant), r, relevant)
+	return relevant
 }
+
+// redundancy returns the representatives kept per class (at least one).
+func (spec Spec) redundancy() int { return max(spec.Redundancy, 1) }

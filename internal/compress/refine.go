@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/harc"
 	"repro/internal/topology"
 )
 
@@ -58,41 +59,44 @@ type prepEdge struct {
 
 // Prepare renders the network-only part of the signatures. Build(n, spec)
 // is Prepare(n).Build(spec); a caller with several specs for one network
-// prepares once.
+// prepares once. A device's rendering reads that device and its link
+// peers only, so devices render in parallel, each into its own slot.
 func Prepare(n *topology.Network) *Prepared {
 	devs := n.Devices()
 	p := &Prepared{n: n, devs: make([]prepDevice, len(devs))}
-	for i, d := range devs {
-		pd := &p.devs[i]
-		pd.d = d
-		pd.head = seedHead(d)
-		for _, intf := range d.Interfaces() {
-			attrs := intfAttrSig(d, intf)
-			switch {
-			case intf.Subnet != nil:
-				pd.subs = append(pd.subs, prepSub{intf.Subnet, "sub " + intf.Subnet.Name + " " + attrs})
-			case intf.Link != nil:
-				pd.lnk = append(pd.lnk, "lnk "+attrs)
-			}
-			if peer := intf.Peer(); peer != nil {
-				pd.edges = append(pd.edges, prepEdge{
-					before: "e c",
-					peer:   peer.Device.Name,
-					after:  " " + attrs + " | " + intfAttrSig(peer.Device, peer) + " | ",
-				})
-			}
+	harc.ParallelFor(len(devs), func(i int) { p.devs[i].render(devs[i]) })
+	return p
+}
+
+// render fills pd with device d's signature material.
+func (pd *prepDevice) render(d *topology.Device) {
+	pd.d = d
+	pd.head = seedHead(d)
+	for _, intf := range d.Interfaces() {
+		attrs := intfAttrSig(d, intf)
+		switch {
+		case intf.Subnet != nil:
+			pd.subs = append(pd.subs, prepSub{intf.Subnet, "sub " + intf.Subnet.Name + " " + attrs})
+		case intf.Link != nil:
+			pd.lnk = append(pd.lnk, "lnk "+attrs)
 		}
-		sort.Strings(pd.lnk)
-		pd.plain = pd.head + joinLines(pd.lnk)
-		for _, sr := range d.Statics {
-			e := prepEdge{before: "s " + sr.Prefix.String() + " c"}
-			if peer := staticPeer(d, sr); peer != nil {
-				e.peer = peer.Name
-			}
-			pd.edges = append(pd.edges, e)
+		if peer := intf.Peer(); peer != nil {
+			pd.edges = append(pd.edges, prepEdge{
+				before: "e c",
+				peer:   peer.Device.Name,
+				after:  " " + attrs + " | " + intfAttrSig(peer.Device, peer) + " | ",
+			})
 		}
 	}
-	return p
+	sort.Strings(pd.lnk)
+	pd.plain = pd.head + joinLines(pd.lnk)
+	for _, sr := range d.Statics {
+		e := prepEdge{before: "s " + sr.Prefix.String() + " c"}
+		if peer := staticPeer(d, sr); peer != nil {
+			e.peer = peer.Name
+		}
+		pd.edges = append(pd.edges, e)
+	}
 }
 
 func joinLines(lines []string) string {

@@ -89,6 +89,17 @@ func Parse(file, text string) (*Config, error) {
 	return cfg, nil
 }
 
+// parseAddr parses an IPv4 address, the one address family of the
+// dialect: masks and wildcards are dotted quads, and extraction matches
+// addresses by their four bytes.
+func parseAddr(s string) (netip.Addr, error) {
+	a, err := netip.ParseAddr(s)
+	if err == nil && !a.Is4() {
+		err = fmt.Errorf("config: %s is not an IPv4 address", s)
+	}
+	return a, err
+}
+
 // errf reports an error at the line just consumed.
 func (p *parser) errf(format string, args ...interface{}) error {
 	return &ParseError{File: p.file, Line: p.pos, Msg: fmt.Sprintf(format, args...)}
@@ -132,11 +143,11 @@ func (p *parser) parseInterface(name string) (*InterfaceStanza, error) {
 			if len(fields) != 4 {
 				return nil, p.errf("ip address wants ADDR MASK")
 			}
-			addr, err := netip.ParseAddr(fields[2])
+			addr, err := parseAddr(fields[2])
 			if err != nil {
 				return nil, p.errf("bad address %q", fields[2])
 			}
-			mask, err := netip.ParseAddr(fields[3])
+			mask, err := parseAddr(fields[3])
 			if err != nil {
 				return nil, p.errf("bad mask %q", fields[3])
 			}
@@ -198,11 +209,11 @@ func (p *parser) parseRouter(args []string) (*RouterStanza, error) {
 			if len(fields) != 3 && !(len(fields) == 5 && fields[3] == "area") {
 				return nil, p.errf("network wants ADDR WILDCARD [area N]")
 			}
-			addr, err := netip.ParseAddr(fields[1])
+			addr, err := parseAddr(fields[1])
 			if err != nil {
 				return nil, p.errf("bad network address %q", fields[1])
 			}
-			wild, err := netip.ParseAddr(fields[2])
+			wild, err := parseAddr(fields[2])
 			if err != nil {
 				return nil, p.errf("bad wildcard %q", fields[2])
 			}
@@ -220,6 +231,9 @@ func (p *parser) parseRouter(args []string) (*RouterStanza, error) {
 			}
 			st.Passive = append(st.Passive, fields[1])
 		case "redistribute":
+			if len(fields) < 2 {
+				return nil, p.errf("redistribute wants a source")
+			}
 			rl := RedistributeLine{Source: fields[1]}
 			switch fields[1] {
 			case "connected", "static":
@@ -243,7 +257,7 @@ func (p *parser) parseRouter(args []string) (*RouterStanza, error) {
 				return nil, p.errf("distribute-list wants: prefix A.B.C.D/L in")
 			}
 			pfx, err := netip.ParsePrefix(fields[2])
-			if err != nil {
+			if err != nil || !pfx.Addr().Is4() {
 				return nil, p.errf("bad prefix %q", fields[2])
 			}
 			st.DistributeListIn = append(st.DistributeListIn, pfx)
@@ -251,7 +265,7 @@ func (p *parser) parseRouter(args []string) (*RouterStanza, error) {
 			if len(fields) != 4 || fields[2] != "remote-as" {
 				return nil, p.errf("neighbor wants: ADDR remote-as N")
 			}
-			addr, err := netip.ParseAddr(fields[1])
+			addr, err := parseAddr(fields[1])
 			if err != nil {
 				return nil, p.errf("bad neighbor address %q", fields[1])
 			}
@@ -271,11 +285,11 @@ func (p *parser) parseStatic(args []string) (*StaticRouteLine, error) {
 	if len(args) != 3 && len(args) != 4 {
 		return nil, p.errf("ip route wants ADDR MASK NEXTHOP [DISTANCE]")
 	}
-	addr, err := netip.ParseAddr(args[0])
+	addr, err := parseAddr(args[0])
 	if err != nil {
 		return nil, p.errf("bad route address %q", args[0])
 	}
-	mask, err := netip.ParseAddr(args[1])
+	mask, err := parseAddr(args[1])
 	if err != nil {
 		return nil, p.errf("bad route mask %q", args[1])
 	}
@@ -283,7 +297,7 @@ func (p *parser) parseStatic(args []string) (*StaticRouteLine, error) {
 	if err != nil {
 		return nil, p.errf("%v", err)
 	}
-	nh, err := netip.ParseAddr(args[2])
+	nh, err := parseAddr(args[2])
 	if err != nil {
 		return nil, p.errf("bad next hop %q", args[2])
 	}
@@ -343,11 +357,11 @@ func (p *parser) parseACLTarget(fields []string) (netip.Prefix, []string, error)
 	if len(fields) < 2 {
 		return netip.Prefix{}, nil, p.errf("ACL target wants ADDR WILDCARD")
 	}
-	addr, err := netip.ParseAddr(fields[0])
+	addr, err := parseAddr(fields[0])
 	if err != nil {
 		return netip.Prefix{}, nil, p.errf("bad ACL address %q", fields[0])
 	}
-	wild, err := netip.ParseAddr(fields[1])
+	wild, err := parseAddr(fields[1])
 	if err != nil {
 		return netip.Prefix{}, nil, p.errf("bad ACL wildcard %q", fields[1])
 	}

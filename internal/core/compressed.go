@@ -93,19 +93,21 @@ func compressRedundancy(pr *problem, opts Options) int {
 }
 
 // buildQuotient constructs the quotient problem of one compression-
-// eligible sub-problem: the quotient network, the sub-problem's classes
+// eligible sub-problem: the quotient network (shared by every sub-problem
+// of the repair with the same compression spec), the sub-problem's classes
 // and policies rebound onto it, and its HARC. It records the quotient's
 // shape and the HARC build time in the problem's stats. A non-empty stage
 // names why there is no quotient problem to solve (the CompressFallback
 // stage) and leaves the other results unusable.
-func buildQuotient(tb *tables, pr *problem, opts Options) (q *compress.Quotient, qh *harc.HARC, qtcs []topology.TrafficClass, qpolicies []policy.Policy, stage string) {
-	q, err := tb.prepared().Build(compress.Spec{
+func buildQuotient(tb *tables, pr *problem, opts Options) (sq *sharedQuotient, qh *harc.HARC, qtcs []topology.TrafficClass, qpolicies []policy.Policy, stage string) {
+	sq, err := tb.quotient(compress.Spec{
 		TCs:        pr.tcs,
 		Redundancy: compressRedundancy(pr, opts),
 	})
 	if err != nil {
 		return nil, nil, nil, nil, "quotient"
 	}
+	q := sq.q
 	pr.stat.DeviceClasses = len(q.Classes)
 	pr.stat.QuotientDevices = q.Net.NumDevices()
 	pr.stat.CompressRatio = q.Ratio()
@@ -120,7 +122,7 @@ func buildQuotient(tb *tables, pr *problem, opts Options) (q *compress.Quotient,
 	t0 := time.Now()
 	qh = harc.BuildLite(q.Net, qtcs)
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
-	return q, qh, qtcs, qpolicies, ""
+	return sq, qh, qtcs, qpolicies, ""
 }
 
 // tryCompressed attempts the compressed solve for one sub-problem:
@@ -147,7 +149,7 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 			w.recycle(s)
 		}
 	}()
-	q, qh, qtcs, qpolicies, stage := buildQuotient(tb, pr, opts)
+	sq, qh, qtcs, qpolicies, stage := buildQuotient(tb, pr, opts)
 	if stage != "" {
 		pr.stat.CompressFallback = stage
 		return false
@@ -185,7 +187,7 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 	enc.extract(qrep)
 
 	t0 = time.Now()
-	trial, changes, cok := concretizePatch(h, orig, pr, q, qh, qorig, qrep, opts)
+	trial, changes, cok := concretizePatch(h, orig, pr, sq.q, sq.concreteGroups(h), qh, qorig, qrep)
 	pr.stat.ConcretizeNs += time.Since(t0).Nanoseconds()
 	if !cok {
 		pr.stat.CompressFallback = "concretize"
@@ -373,10 +375,14 @@ func settleCounts(qslots, cslots []*arc.Slot, was, now func(q *arc.Slot) bool, h
 // a copy-on-write clone of orig, so only the rows this sub-problem
 // writes are ever copied. Quotient and concrete states have different
 // shapes: rows meet by subnet name, processes by (representative, kind)
-// and slots by key or symmetry group (settleCounts). Returns the trial
-// state, the concrete modeled-change count, and whether every quotient
-// edit found a concrete home.
-func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Quotient, qh *harc.HARC, qorig, qrep *harc.State, opts Options) (*harc.State, int, bool) {
+// and slots by key or symmetry group (settleCounts; cGroups is h's inter
+// slots grouped by q's classes). Only what the quotient repair changed is
+// walked: a group none of whose quotient slots flipped settles to nothing,
+// so a destination whose static routes, or a class whose ACL deviations,
+// the repair left alone skips its group walk, which gives exactly what
+// the walk would. Returns the trial state, the concrete modeled-change
+// count, and whether every quotient edit found a concrete home.
+func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Quotient, cGroups *interGroups, qh *harc.HARC, qorig, qrep *harc.State) (*harc.State, int, bool) {
 	// Per-destination repairs with no PC4 never touch link costs.
 	for ck, v := range qrep.Cost {
 		if v != qorig.Cost[ck] {
@@ -447,7 +453,6 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	}
 
 	qGroups := groupInterSlots(qh, q.ClassOf)
-	cGroups := groupInterSlots(h, q.ClassOf)
 	// eachGroup visits every concrete device's inter-slot groups with the
 	// matching group of its representative.
 	eachGroup := func(visit func(qslots, cslots []*arc.Slot) bool) bool {
@@ -465,6 +470,9 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	// Static routes: per destination, per group.
 	for _, dst := range dsts {
 		r, qr := h.DstRow(dst), qh.DstRow(dst)
+		if qrep.Static[qr].Equal(qorig.Static[qr]) {
+			continue
+		}
 		ok := eachGroup(func(qslots, cslots []*arc.Slot) bool {
 			flips, ok := settleCounts(qslots, cslots,
 				func(qs *arc.Slot) bool { return qorig.Static[qr].Has(qs.ID) },
@@ -495,23 +503,26 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 		deviated := func(dm, m bitset.Set, id int) bool { return dm.Has(id) && !m.Has(id) }
 
 		// Plan inter-slot deviation flips for this class.
-		plan := map[int]bool{} // slot id → desired deviation
-		ok := eachGroup(func(qslots, cslots []*arc.Slot) bool {
-			flips, ok := settleCounts(qslots, cslots,
-				func(qs *arc.Slot) bool { return deviated(qodm, qom, qs.ID) },
-				func(qs *arc.Slot) bool { return deviated(qdm, qm, qs.ID) },
-				func(s *arc.Slot) bool {
-					if v, planned := plan[s.ID]; planned {
-						return v
-					}
-					return deviated(origDm, origM, s.ID)
-				},
-				func(s *arc.Slot, v bool) { plan[s.ID] = v })
-			changes += flips
-			return ok
-		})
-		if !ok {
-			return nil, 0, false
+		var plan map[int]bool // slot id → desired deviation
+		if !sameDeviations(qodm, qom, qdm, qm) {
+			plan = map[int]bool{}
+			ok := eachGroup(func(qslots, cslots []*arc.Slot) bool {
+				flips, ok := settleCounts(qslots, cslots,
+					func(qs *arc.Slot) bool { return deviated(qodm, qom, qs.ID) },
+					func(qs *arc.Slot) bool { return deviated(qdm, qm, qs.ID) },
+					func(s *arc.Slot) bool {
+						if v, planned := plan[s.ID]; planned {
+							return v
+						}
+						return deviated(origDm, origM, s.ID)
+					},
+					func(s *arc.Slot, v bool) { plan[s.ID] = v })
+				changes += flips
+				return ok
+			})
+			if !ok {
+				return nil, 0, false
+			}
 		}
 
 		dm := trial.Dst[d]
@@ -552,4 +563,16 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 		}
 	}
 	return trial, changes, true
+}
+
+// sameDeviations reports whether the deviations of one class — the slots
+// present in its destination's row dm but not in its own row m — are the
+// same in two states (a, b), word for word.
+func sameDeviations(adm, am, bdm, bm bitset.Set) bool {
+	for i := range adm {
+		if (adm[i]&^am[i])^(bdm[i]&^bm[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -28,9 +28,63 @@ type tables struct {
 	dstOnce []sync.Once
 
 	// prep is the network-only half of symmetry compression, made by the
-	// first sub-problem that compresses and shared by the rest.
+	// first sub-problem that compresses and shared by the rest; quots holds
+	// one quotient per compression spec, keyed by compress.Prepared.Key.
 	prepOnce sync.Once
 	prep     *compress.Prepared
+	quotMu   sync.Mutex
+	quots    map[string]*sharedQuotient
+}
+
+// sharedQuotient is the quotient of the repair's network for one
+// compression spec. Build reads a spec only through its relevant subnets
+// and its redundancy, so every sub-problem whose spec has the same key gets
+// the very quotient it would have built itself: the first to ask builds
+// it, the rest wait for it. The concrete network's inter-device slots,
+// grouped by the quotient's classes, are grouped on the first
+// concretization. Like the tables, it dies with the repair.
+type sharedQuotient struct {
+	once sync.Once
+	q    *compress.Quotient
+	err  error
+
+	groupsOnce sync.Once
+	groups     *interGroups
+}
+
+// quotientBuilt, when set, is told about every quotient the repair builds.
+// Only tests set it, to count them.
+var quotientBuilt func()
+
+// quotient returns the repair's quotient for spec, building it on first
+// use.
+func (tb *tables) quotient(spec compress.Spec) (*sharedQuotient, error) {
+	prep := tb.prepared()
+	key := prep.Key(spec)
+	tb.quotMu.Lock()
+	sq := tb.quots[key]
+	if sq == nil {
+		if tb.quots == nil {
+			tb.quots = make(map[string]*sharedQuotient)
+		}
+		sq = new(sharedQuotient)
+		tb.quots[key] = sq
+	}
+	tb.quotMu.Unlock()
+	sq.once.Do(func() {
+		if quotientBuilt != nil {
+			quotientBuilt()
+		}
+		sq.q, sq.err = prep.Build(spec)
+	})
+	return sq, sq.err
+}
+
+// concreteGroups returns h's inter-device slots grouped by the quotient's
+// classes (groupInterSlots).
+func (sq *sharedQuotient) concreteGroups(h *harc.HARC) *interGroups {
+	sq.groupsOnce.Do(func() { sq.groups = groupInterSlots(h, sq.q.ClassOf) })
+	return sq.groups
 }
 
 // tcTables precomputes one traffic class's slot applicability and ETG

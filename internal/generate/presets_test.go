@@ -18,7 +18,9 @@ func TestPresetUnknown(t *testing.T) {
 // must find on each symmetric preset for a single inter-pod traffic
 // class: these are regression anchors — if a refiner change splits more
 // (lost compression) or fewer (risky over-merging) classes, this fails
-// and the change needs a deliberate re-pin.
+// and the change needs a deliberate re-pin. A repair's per-destination
+// specs pin every source leaf and refine further
+// (TestRepairQuotientSizes in internal/core).
 func TestPresetClassCounts(t *testing.T) {
 	cases := []struct {
 		preset string

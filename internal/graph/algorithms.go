@@ -3,50 +3,79 @@ package graph
 import (
 	"container/heap"
 	"math"
+	"sync"
 )
 
-// Reachable returns, for every vertex, whether it is reachable from src
-// along live edges. fn, if non-nil, filters edges: only edges for which
-// fn returns true are traversed.
-func (g *Digraph) Reachable(src V, fn func(E) bool) []bool {
-	seen := make([]bool, len(g.names))
-	if int(src) >= len(seen) || src < 0 {
-		return seen
+// PathExists reports whether dst is reachable from src along live edges.
+func (g *Digraph) PathExists(src, dst V) bool { return g.PathExistsAvoiding(src, dst, nil) }
+
+// PathExistsAvoiding reports whether dst is reachable from src using only
+// edges for which avoid (nil: none) returns false. The search stops at dst
+// and works in pooled scratch, so a steady-state call allocates nothing.
+func (g *Digraph) PathExistsAvoiding(src, dst V, avoid func(E) bool) bool {
+	n := V(len(g.names))
+	if src < 0 || dst < 0 || src >= n || dst >= n {
+		return false
 	}
-	seen[src] = true
-	stack := []V{src}
+	f := reachPool.Get().(*reachScratch)
+	found := f.pathExists(g, src, dst, avoid)
+	reachPool.Put(f)
+	return found
+}
+
+// reachScratch is the state of one depth-first search, pooled per
+// goroutine and reused across searches and graphs. A search marks a vertex
+// with its own stamp when it reaches it, which makes every older mark
+// stale without clearing anything.
+type reachScratch struct {
+	mark  []uint32
+	stamp uint32
+	stack []V
+}
+
+var reachPool = sync.Pool{New: func() any { return new(reachScratch) }}
+
+func (f *reachScratch) pathExists(g *Digraph, src, dst V, avoid func(E) bool) bool {
+	if src == dst {
+		return true
+	}
+	if n := len(g.names); cap(f.mark) < n {
+		f.mark = make([]uint32, n)
+	} else {
+		f.mark = f.mark[:n]
+	}
+	// Before the counter wraps into values old marks still hold, clear every
+	// mark the scratch has ever held: its full capacity, not just this
+	// graph's share.
+	if f.stamp == math.MaxUint32 {
+		clear(f.mark[:cap(f.mark)])
+		f.stamp = 0
+	}
+	f.stamp++
+	mark, seen := f.mark, f.stamp
+	mark[src] = seen
+	stack, found := append(f.stack[:0], src), false
+search:
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.out[v] {
-			if !g.live.Has(int(e)) || (fn != nil && !fn(e)) {
+			if !g.live.Has(int(e)) || (avoid != nil && avoid(e)) {
 				continue
 			}
 			to := g.head[e]
-			if !seen[to] {
-				seen[to] = true
+			if to == dst {
+				found = true
+				break search
+			}
+			if mark[to] != seen {
+				mark[to] = seen
 				stack = append(stack, to)
 			}
 		}
 	}
-	return seen
-}
-
-// PathExists reports whether dst is reachable from src along live edges.
-func (g *Digraph) PathExists(src, dst V) bool {
-	if src < 0 || dst < 0 {
-		return false
-	}
-	return g.Reachable(src, nil)[dst]
-}
-
-// PathExistsAvoiding reports whether dst is reachable from src using only
-// edges for which avoid returns false.
-func (g *Digraph) PathExistsAvoiding(src, dst V, avoid func(E) bool) bool {
-	if src < 0 || dst < 0 {
-		return false
-	}
-	return g.Reachable(src, func(e E) bool { return !avoid(e) })[dst]
+	f.stack = stack
+	return found
 }
 
 // PathAvoiding returns the vertices of some src→dst path using only

@@ -100,6 +100,97 @@ func TestPathExistsAvoiding(t *testing.T) {
 	}
 }
 
+// reachable is the reference PathExists replaced: a sweep that marks
+// every vertex reachable from src along live edges (those for which fn,
+// if non-nil, returns true) in a fresh slice.
+func reachable(g *Digraph, src V, fn func(E) bool) []bool {
+	seen := make([]bool, len(g.names))
+	seen[src] = true
+	stack := []V{src}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.out[v] {
+			if !g.live.Has(int(e)) || (fn != nil && !fn(e)) {
+				continue
+			}
+			if to := g.head[e]; !seen[to] {
+				seen[to] = true
+				stack = append(stack, to)
+			}
+		}
+	}
+	return seen
+}
+
+// TestPathExistsMatchesReachable holds the early-stopping search to the
+// full reachability sweep on every vertex pair of random graphs with
+// removed edges, with and without an edge filter, through one scratch that
+// moves between graphs of different sizes.
+func TestPathExistsMatchesReachable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	f := new(reachScratch)
+	for trial := 0; trial < 200; trial++ {
+		g := randomGraph(rng, 1+rng.Intn(12))
+		for e := E(0); int(e) < len(g.tail); e++ {
+			if rng.Intn(3) == 0 {
+				g.RemoveEdge(e)
+			}
+		}
+		odd := func(e E) bool { return e%2 == 1 }
+		for src := V(0); src < V(g.NumVertices()); src++ {
+			all := reachable(g, src, nil)
+			even := reachable(g, src, func(e E) bool { return !odd(e) })
+			for dst := V(0); dst < V(g.NumVertices()); dst++ {
+				if got := g.PathExists(src, dst); got != all[dst] {
+					t.Fatalf("trial %d: PathExists(%d, %d) = %v, the full sweep says %v\n%s", trial, src, dst, got, all[dst], g)
+				}
+				if got := f.pathExists(g, src, dst, odd); got != even[dst] {
+					t.Fatalf("trial %d: avoiding odd edges, %d reaches %d = %v, the full sweep says %v\n%s", trial, src, dst, got, even[dst], g)
+				}
+			}
+		}
+	}
+	g, a, _, _, _ := buildDiamond(t)
+	for _, bad := range [][2]V{{V(None), a}, {a, V(None)}, {a, 4}, {4, a}} {
+		if g.PathExists(bad[0], bad[1]) {
+			t.Errorf("PathExists(%d, %d) on a 4-vertex graph = true, want false", bad[0], bad[1])
+		}
+	}
+}
+
+// TestPathExistsAllocs pins that a steady-state search allocates nothing,
+// with a filter that captures its surroundings as the PC2 check's does.
+func TestPathExistsAllocs(t *testing.T) {
+	g, a, b, _, d := buildDiamond(t)
+	viaB := g.FindEdge(a, b)
+	f := new(reachScratch)
+	f.pathExists(g, a, d, nil)
+	if allocs := testing.AllocsPerRun(100, func() { f.pathExists(g, a, d, nil) }); allocs != 0 {
+		t.Errorf("a steady-state PathExists allocates %.0f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		f.pathExists(g, a, d, func(e E) bool { return e == viaB })
+	}); allocs != 0 {
+		t.Errorf("a steady-state PathExistsAvoiding allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestPathExistsStampWrap runs searches across the wrap of the scratch's
+// stamp counter: marks left from before the wrap must not read as
+// reached.
+func TestPathExistsStampWrap(t *testing.T) {
+	g, a, b, c, d := buildDiamond(t)
+	f := new(reachScratch)
+	f.pathExists(g, a, d, nil) // marks b and c (and sizes the scratch)
+	f.stamp = ^uint32(0) - 1
+	for i := 0; i < 4; i++ {
+		if !f.pathExists(g, a, d, nil) || f.pathExists(g, b, c, nil) || f.pathExists(g, d, a, nil) {
+			t.Fatalf("search %d around the wrap (stamp %d) gave a wrong answer", i, f.stamp)
+		}
+	}
+}
+
 func TestPathAvoiding(t *testing.T) {
 	g, a, b, c, d := buildDiamond(t)
 	path := g.PathAvoiding(a, d, nil)

@@ -85,6 +85,8 @@ type HARC struct {
 	// at build: every TC is a view of its class's presence row and StateOf
 	// hands out copy-on-write clones of it. Nothing writes it afterwards.
 	rows *State
+	// verdicts records the checks made on rows (Verdicts).
+	verdicts *Verdicts
 }
 
 // Build constructs the HARC over every traffic class of the network.
@@ -147,7 +149,7 @@ func BuildForTCs(n *topology.Network, tcs []topology.TrafficClass) *HARC {
 // the state of a HARC without laying any ETG over them — all that StateOf
 // reads. Verifiers that compare states (rather than graphs) use it.
 func BuildLite(n *topology.Network, tcs []topology.TrafficClass) *HARC {
-	h := &HARC{Layout: newLayout(n, tcs), Network: n}
+	h := &HARC{Layout: newLayout(n, tcs), Network: n, verdicts: new(Verdicts)}
 	h.rows = evalState(h)
 	return h
 }

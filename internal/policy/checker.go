@@ -23,8 +23,44 @@ func NewStateChecker(h *harc.HARC, st *harc.State) *StateChecker {
 	return &StateChecker{h: h, st: st}
 }
 
-// Check verifies one policy against the checker's state.
+// Check verifies one policy against the checker's state. On the HARC's own
+// state, a PC1, PC2 or PC3 verdict is made at most once per class (and, for
+// PC3, per K the record cannot infer) and kept in the HARC's record
+// (harc.Verdicts); PC4 and isolation are checked every time.
 func (c *StateChecker) Check(p Policy) bool {
+	if c.st != nil {
+		return c.check(p)
+	}
+	r := c.h.TCRow(p.TC)
+	if r < 0 {
+		return c.check(p)
+	}
+	v := c.h.Verdicts()
+	switch p.Kind {
+	case AlwaysBlocked, AlwaysWaypoint:
+		i := harc.VerdictBlocked
+		if p.Kind == AlwaysWaypoint {
+			i = harc.VerdictWaypoint
+		}
+		if holds, known := v.Flag(r, i); known {
+			return holds
+		}
+		holds := c.check(p)
+		v.SetFlag(r, i, holds)
+		return holds
+	case KReachable:
+		if holds, known := v.AtLeast(r, p.K); known {
+			return holds
+		}
+		holds := c.check(p)
+		v.SetAtLeast(r, p.K, holds)
+		return holds
+	}
+	return c.check(p)
+}
+
+// check computes one verdict on the checker's state.
+func (c *StateChecker) check(p Policy) bool {
 	etg := harc.BuildTCETGFromState(c.h, c.st, p.TC)
 	switch p.Kind {
 	case AlwaysBlocked:
