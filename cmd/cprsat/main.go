@@ -73,7 +73,7 @@ func run(path, algoFlag string, budget int64, out *os.File) error {
 		}
 		return nil
 	}
-	res := maxsat.SolveWeighted(s, selectors, p.Weights, algo)
+	res := maxsat.SolveWeighted(s, selectors, p.Weights, algo, nil)
 	switch res.Status {
 	case sat.Sat:
 		fmt.Fprintf(out, "o %d\n", res.Cost)

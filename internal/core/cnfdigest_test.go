@@ -24,7 +24,7 @@ import (
 // weights, each a little-endian uint32.
 func cnfDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) string {
 	t.Helper()
-	enc := newEncoder(sc, sat.New(), tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	enc := newEncoder(sc, sat.New(), nil, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,13 @@ func TestCNFDigest(t *testing.T) {
 }
 
 // solveDigest encodes and solves one sub-problem on s, an empty solver,
-// and hashes the search it took: status ‖ cost ‖ conflicts ‖ decisions ‖
+// in store (a worker's, or nil for storage of its own), and hashes the search it took: status ‖ cost ‖ conflicts ‖ decisions ‖
 // propagations ‖ restarts ‖ learned literals, each a little-endian
 // uint64, then (when satisfiable) the model over the encoder's variables,
 // one bit each.
-func solveDigest(t *testing.T, sc *formula.Builder, s *sat.Solver, tb *tables, orig *harc.State, pr *problem, opts Options) string {
+func solveDigest(t *testing.T, sc *formula.Builder, s *sat.Solver, store *encStorage, tb *tables, orig *harc.State, pr *problem, opts Options) string {
 	t.Helper()
-	enc := newEncoder(sc, s, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	enc := newEncoder(sc, s, store, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,10 @@ func solveDigest(t *testing.T, sc *formula.Builder, s *sat.Solver, tb *tables, o
 // The digests are solved twice over. First each sub-problem gets a new
 // solver. Then one worker solves them all in sequence, forward and then
 // reversed, as runProblems' workers do: after the first, every one runs
-// on the solver the one before it used, reset — so a reset solver has to
-// reproduce a new one's search exactly, whatever it was used for before.
+// on the solver the one before it used, reset, and every one in the
+// encoder storage and OLL scratch the ones before it left — so a reset
+// solver and reused storage have to reproduce a new one's search exactly,
+// whatever they were used for before.
 func TestSolveDigest(t *testing.T) {
 	type digestCase struct {
 		name string
@@ -227,7 +229,7 @@ func TestSolveDigest(t *testing.T) {
 	w := newWorker()
 	got := map[string]string{}
 	for _, c := range cases {
-		got[c.name] = solveDigest(t, w.b, sat.New(), c.tb, c.orig, c.pr, c.opts)
+		got[c.name] = solveDigest(t, w.b, sat.New(), nil, c.tb, c.orig, c.pr, c.opts)
 	}
 	checkDigests(t, "solve_digests.json", got)
 
@@ -239,7 +241,7 @@ func TestSolveDigest(t *testing.T) {
 				resets++
 			}
 			s := w.solver(false)
-			got[c.name] = solveDigest(t, w.b, s, c.tb, c.orig, c.pr, c.opts)
+			got[c.name] = solveDigest(t, w.b, s, w.lend(false), c.tb, c.orig, c.pr, c.opts)
 			w.recycle(s)
 		}
 		t.Run(order, func(t *testing.T) { checkDigests(t, "solve_digests.json", got) })

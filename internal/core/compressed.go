@@ -138,8 +138,9 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 	if !compressEligible(h, pr, opts) {
 		return false
 	}
-	// The quotient encoder is never cached, so its solver goes back to
-	// the worker once the attempt is over, unless it ended in a panic.
+	// The quotient encoder is never cached, so it works in the worker's
+	// storage, and its solver goes back to the worker once the attempt is
+	// over, unless it ended in a panic.
 	var s *sat.Solver
 	defer func() {
 		if r := recover(); r != nil {
@@ -159,7 +160,7 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
 	t0 = time.Now()
 	s = w.solver(false)
-	enc := newEncoder(w.b, s, newTables(qh), qorig, qtcs, qpolicies, true, opts)
+	enc := newEncoder(w.b, s, w.lend(false), newTables(qh), qorig, qtcs, qpolicies, true, opts)
 	if err := enc.encode(ctx); err != nil {
 		pr.stat.EncodeNs += time.Since(t0).Nanoseconds()
 		pr.stat.CompressFallback = "encode"

@@ -60,10 +60,13 @@ type encoder struct {
 	// b and p are the worker's constraint-building scratch, borrowed from
 	// newEncoder until encode returns; afterwards the encoder reads its
 	// variables through lits (variable ordinal → solver literal + 1, 0 if
-	// no constraint used it) and retains no formula.
-	b    *formula.Builder
-	p    *formula.Pool
-	lits []sat.Lit
+	// no constraint used it, or past its end) and retains no formula.
+	// With lent storage (store) lits is the builder's own table, read in
+	// place until the worker's next encode resets it; otherwise a copy.
+	b     *formula.Builder
+	p     *formula.Pool
+	lits  []sat.Lit
+	store *encStorage
 
 	// Dense variable tables. Rows are indexed by slot id (rfVar: process
 	// id); zero entries mark inapplicable slots. tVar/dVar/stVar/rfVar
@@ -113,22 +116,57 @@ func aclDevice(s *arc.Slot) string {
 	}
 }
 
+// encStorage is the storage a worker lends to the encoders of its
+// attempts that the solve cache cannot keep: the soft and weight lists,
+// the backing of the dense variable tables and the OLL scratch the solve
+// works in. Each such encoder starts from what the last one left, so a
+// worker allocates it for its first sub-problem and, with an eighth to
+// spare, for any later one too large for it (DESIGN.md, "The capacity
+// rule"); the model table such an encoder reads is the worker's
+// builder's.
+type encStorage struct {
+	softs   []sat.Lit
+	weights []int
+	rows    []formula.F
+	oll     maxsat.Scratch
+}
+
+// rowsOf returns n zeroed handles for the dense variable tables, from st
+// when it is lent (nil: a new array).
+func (st *encStorage) rowsOf(n int) []formula.F {
+	if st == nil {
+		return make([]formula.F, n)
+	}
+	if cap(st.rows) < n {
+		st.rows = make([]formula.F, n, n+n/8)
+	} else {
+		st.rows = st.rows[:n]
+		clear(st.rows)
+	}
+	return st.rows
+}
+
 // newEncoder sets up a sub-problem's variables in b, the calling
 // worker's scratch builder, which it resets and holds until encode
-// returns. solver must be empty: new, or reset by the worker.
-func newEncoder(b *formula.Builder, solver *sat.Solver, tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
+// returns. solver must be empty: new, or reset by the worker. store is
+// the storage the worker lends the encoder, or nil for storage of its
+// own (an encoder the solve cache may keep).
+func newEncoder(b *formula.Builder, solver *sat.Solver, store *encStorage, tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
 	solver.Budget = opts.ConflictBudget
 	b.Reset()
 	pool := b.Pool()
 	e := &encoder{
 		tb: tb, st: st, opts: opts,
 		tcs: tcs, policies: policies, freezeAll: freezeAll,
-		s: solver, b: b, p: pool,
+		s: solver, b: b, p: pool, store: store,
 		costVecs:  make(map[string]bv.Vec),
 		wedgeVars: make([]formula.F, len(tb.h.Links)),
 		byDevice:  make(map[string][]formula.F),
 	}
-	nslots := len(tb.slots)
+	if store != nil {
+		e.softs, e.weights = store.softs[:0], store.weights[:0]
+	}
+	nslots, nprocs := len(tb.slots), len(tb.h.Procs)
 
 	// Eagerly create the variables (a variable is just its ordinal; solver
 	// variables stay lazy until a constraint uses them). Everything
@@ -137,7 +175,6 @@ func newEncoder(b *formula.Builder, solver *sat.Solver, tb *tables, st *harc.Sta
 	dstLocal := make([]int, len(tb.h.Dsts)) // HARC row → local index + 1
 	e.tcRow = make([]int, len(tcs))
 	e.tcDst = make([]int, len(tcs))
-	e.tVar = make([][]formula.F, len(tcs))
 	for tl, tc := range tcs {
 		tb.need(tc)
 		e.tcRow[tl] = tb.h.TCRow(tc)
@@ -149,25 +186,36 @@ func newEncoder(b *formula.Builder, solver *sat.Solver, tb *tables, st *harc.Sta
 			dstLocal[dr] = len(e.dsts)
 		}
 		e.tcDst[tl] = dstLocal[dr] - 1
-		row := make([]formula.F, nslots)
+	}
+	// Every row of the dense tables is carved from one backing.
+	nrows := (len(tcs)+2*len(e.dsts))*nslots + len(e.dsts)*nprocs
+	if !freezeAll {
+		nrows += nslots
+	}
+	rows := store.rowsOf(nrows)
+	row := func(n int) []formula.F {
+		r := rows[:n:n]
+		rows = rows[n:]
+		return r
+	}
+	e.tVar = make([][]formula.F, len(tcs))
+	for tl := range tcs {
+		e.tVar[tl] = row(nslots)
 		for _, si := range tb.tc[e.tcRow[tl]].slots {
-			row[si] = pool.Fresh()
+			e.tVar[tl][si] = pool.Fresh()
 		}
-		e.tVar[tl] = row
 	}
 	e.dVar = make([][]formula.F, len(e.dsts))
 	e.stVar = make([][]formula.F, len(e.dsts))
 	e.rfVar = make([][]formula.F, len(e.dsts))
 	for dl := range e.dsts {
-		drow := make([]formula.F, nslots)
-		srow := make([]formula.F, nslots)
+		drow, srow, rrow := row(nslots), row(nslots), row(nprocs)
 		for _, si := range tb.dst[e.dstRow[dl]] {
 			drow[si] = pool.Fresh()
 			if tb.slots[si].Kind == arc.SlotInterDevice {
 				srow[si] = pool.Fresh()
 			}
 		}
-		rrow := make([]formula.F, len(tb.h.Procs))
 		for pi := range rrow {
 			rrow[pi] = pool.Fresh()
 		}
@@ -176,7 +224,7 @@ func newEncoder(b *formula.Builder, solver *sat.Solver, tb *tables, st *harc.Sta
 		e.rfVar[dl] = rrow
 	}
 	if !freezeAll {
-		e.aVar = make([]formula.F, nslots)
+		e.aVar = row(nslots)
 		for si, s := range tb.slots {
 			switch s.Kind {
 			case arc.SlotInterDevice:
@@ -198,7 +246,7 @@ func (e *encoder) tl(tc topology.TrafficClass) int { return int(e.tcLocal[e.tb.h
 // solver, or ok=false for the zero handle and for variables no
 // constraint used.
 func (e *encoder) lit(f formula.F) (sat.Lit, bool) {
-	if f == 0 {
+	if f == 0 || f.Var() >= len(e.lits) {
 		return 0, false
 	}
 	l := e.lits[f.Var()]
@@ -231,7 +279,7 @@ func (e *encoder) eA(si int) formula.F {
 // Existing middleboxes stay in place; repairs may only add waypoints
 // (footnote 2 of the paper), which keeps per-destination sub-problems
 // mergeable.
-func (e *encoder) wedge(si int) formula.F {
+func (e *encoder) wedge(si int32) formula.F {
 	s := e.tb.slots[si]
 	if s.Kind != arc.SlotInterDevice {
 		// Intra-device waypoint (device middlebox) is not repairable.
@@ -253,7 +301,7 @@ func (e *encoder) wedge(si int) formula.F {
 // cost returns the bitvector cost of the slot at index si for PC4
 // arithmetic: a shared variable per egress interface for inter-device
 // slots (constraint 13's sharing rule), zero otherwise.
-func (e *encoder) cost(si int) bv.Vec {
+func (e *encoder) cost(si int32) bv.Vec {
 	ck := e.tb.slots[si].CostKey()
 	if ck == "" {
 		return bv.Const(0, 1)
@@ -334,7 +382,14 @@ func (e *encoder) encode(ctx context.Context) error {
 	}
 	e.softConstraints()
 	e.s.Load(e.b.NumVars(), e.b.Stream()...)
-	e.lits = e.b.VarLits()
+	if e.store != nil {
+		// The lists may have grown; the worker's next encoder starts from
+		// what they are.
+		e.store.softs, e.store.weights = e.softs[:0], e.weights[:0]
+		e.lits = e.b.VarTable()
+	} else {
+		e.lits = e.b.VarLits()
+	}
 	e.seedPhases()
 	return nil
 }
@@ -349,7 +404,7 @@ func (e *encoder) seedPhases() {
 		tcState := e.st.TC[r]
 		for _, si := range e.tb.tc[r].slots {
 			if l, ok := e.lit(e.tVar[tl][si]); ok {
-				e.s.SetPhase(l.Var(), tcState.Has(si))
+				e.s.SetPhase(l.Var(), tcState.Has(int(si)))
 			}
 		}
 	}
@@ -552,7 +607,7 @@ func (e *encoder) encodePC3(p policy.Policy) {
 	// into one reused buffer: every result is consumed before the next
 	// call.
 	var buf []formula.F
-	peVars := func(row []formula.F, positions []int) []formula.F {
+	peVars := func(row []formula.F, positions []int32) []formula.F {
 		buf = buf[:0]
 		for _, k := range positions {
 			buf = append(buf, row[k])
@@ -566,39 +621,39 @@ func (e *encoder) encodePC3(p policy.Policy) {
 			e.b.AssertImplies(pe[j][k], e.tVar[tl][si])
 		}
 		// Constraint 8: the path leaves SRC.
-		e.b.AssertOr(peVars(pe[j], t.byTail[0])...)
+		e.b.AssertOr(peVars(pe[j], t.byTail.at(0))...)
 		// Constraint 9: the path enters DST.
-		e.b.AssertOr(peVars(pe[j], t.byHead[1])...)
-		// Constraints 10 and 11: interior continuity.
+		e.b.AssertOr(peVars(pe[j], t.byHead.at(1))...)
+		// Constraints 10 and 11: interior continuity. Their disjunctions
+		// are spliced into each implication, never interned.
 		for vi := 0; vi < t.nv; vi++ {
 			if vi == 0 { // SRC
 				continue
 			}
-			outs := t.byTail[vi]
+			outs := t.byTail.at(vi)
 			if len(outs) == 0 {
 				continue
 			}
 			// Constraint 10: a selected edge out of v needs a selected
 			// edge into v.
-			inAny := e.p.Or(peVars(pe[j], t.byHead[vi])...)
+			inFs := peVars(pe[j], t.byHead.at(vi))
 			for _, k := range outs {
-				e.b.AssertImplies(pe[j][k], inAny)
+				e.b.AssertImplies(pe[j][k], inFs...)
 			}
 		}
 		for vi := 0; vi < t.nv; vi++ {
 			if vi == 1 { // DST
 				continue
 			}
-			ins := t.byHead[vi]
+			ins := t.byHead.at(vi)
 			if len(ins) == 0 {
 				continue
 			}
 			// Constraint 11: a selected edge into v needs exactly one
 			// selected edge out of v.
-			outFs := peVars(pe[j], t.byTail[vi])
-			outAny := e.p.Or(outFs...)
+			outFs := peVars(pe[j], t.byTail.at(vi))
 			for _, k := range ins {
-				e.b.AssertImplies(pe[j][k], outAny)
+				e.b.AssertImplies(pe[j][k], outFs...)
 			}
 			if len(outFs) > 1 {
 				e.b.AtMostOne(outFs...)
@@ -609,9 +664,9 @@ func (e *encoder) encodePC3(p policy.Policy) {
 	// physical link (both directions of a link belong to at most one
 	// path).
 	used := make([]formula.F, p.K)
-	for _, positions := range t.links {
+	for li := 0; li < t.links.n(); li++ {
 		for j := 0; j < p.K; j++ {
-			used[j] = e.p.Or(peVars(pe[j], positions)...)
+			used[j] = e.p.Or(peVars(pe[j], t.links.at(li))...)
 		}
 		for a := 0; a < p.K; a++ {
 			for b := a + 1; b < p.K; b++ {
@@ -674,10 +729,10 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 			continue
 		}
 		var supports []formula.F
-		for _, k := range t.byHead[vi] {
+		for _, k := range t.byHead.at(int(vi)) {
 			u := t.fromV[k]
 			supports = append(supports, e.p.And(
-				pres(k),
+				pres(int(k)),
 				formula.Not(unreach[u]),
 				bv.Equal(e.p, dist[vi], bv.Add(e.p, dist[u], e.cost(t.slots[k]))),
 			))
@@ -701,13 +756,13 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 		e.b.Assert(formula.Not(unreach[u]))
 		chainSum := bv.Add(e.p, dist[u], e.cost(si))
 		e.b.Assert(bv.Equal(e.p, dist[v], chainSum))
-		for _, ok := range t.byHead[v] {
-			if ok == ck {
+		for _, ok := range t.byHead.at(int(v)) {
+			if int(ok) == ck {
 				continue
 			}
 			w := t.fromV[ok]
 			e.b.AssertImplies(
-				e.p.And(pres(ok), formula.Not(unreach[w])),
+				e.p.And(pres(int(ok)), formula.Not(unreach[w])),
 				bv.Less(e.p, chainSum, bv.Add(e.p, dist[w], e.cost(t.slots[ok]))),
 			)
 		}
@@ -795,7 +850,7 @@ func (e *encoder) softConstraints() {
 		tcState := e.st.TC[e.tcRow[tl]]
 		dstState := e.st.Dst[e.dstRow[dl]]
 		for _, si := range e.tb.tc[e.tcRow[tl]].slots {
-			origTC := tcState.Has(si)
+			origTC := tcState.Has(int(si))
 			dev := aclDevice(e.tb.slots[si])
 			if e.tb.slots[si].Kind == arc.SlotSource {
 				// Source edges have no dETG parent; keeping them as-is
@@ -803,7 +858,7 @@ func (e *encoder) softConstraints() {
 				e.soft(dev, e.p.Iff(e.tVar[tl][si], constBool(origTC)))
 				continue
 			}
-			origD := dstState.Has(si)
+			origD := dstState.Has(int(si))
 			if origD && !origTC {
 				// Deviation (ACL) continues to pay for itself only if the
 				// edge stays absent (Table 2 rows 2 and 6).
@@ -886,9 +941,14 @@ func (e *encoder) softConstraints() {
 	e.finalizeSofts()
 }
 
-// solve runs MaxSAT and returns the violated-soft count.
+// solve runs MaxSAT, in the lent OLL scratch if there is one, and
+// returns the violated-soft count.
 func (e *encoder) solve(ctx context.Context) (int, sat.Status) {
-	res := maxsat.SolveWeightedCtx(ctx, e.s, e.softs, e.weights, e.opts.Algorithm)
+	var sc *maxsat.Scratch
+	if e.store != nil {
+		sc = &e.store.oll
+	}
+	res := maxsat.SolveWeightedCtx(ctx, e.s, e.softs, e.weights, e.opts.Algorithm, sc)
 	return res.Cost, res.Status
 }
 
@@ -929,7 +989,7 @@ func (e *encoder) extract(out *harc.State) {
 	for tl, r := range e.tcRow {
 		for _, si := range e.tb.tc[r].slots {
 			if l, ok := e.lit(e.tVar[tl][si]); ok {
-				out.SetTC(r, si, e.s.ValueLit(l))
+				out.SetTC(r, int(si), e.s.ValueLit(l))
 			}
 		}
 	}

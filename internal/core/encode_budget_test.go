@@ -38,7 +38,7 @@ func newEncodeFixture(t *testing.T, h *harc.HARC, policies []policy.Policy) *enc
 func (f *encodeFixture) encodeAll(t *testing.T, sc *formula.Builder) []*encoder {
 	encs := make([]*encoder, len(f.problems))
 	for i, pr := range f.problems {
-		encs[i] = newEncoder(sc, sat.New(), f.tb, f.orig, pr.tcs, pr.policies, pr.freeze, f.opts)
+		encs[i] = newEncoder(sc, sat.New(), nil, f.tb, f.orig, pr.tcs, pr.policies, pr.freeze, f.opts)
 		if err := encs[i].encode(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -60,13 +60,15 @@ func corpusFixture(t *testing.T) *encodeFixture {
 // arrays — per sub-problem, nothing per formula node, per variable or,
 // now that the solver's lists are windows into two backings, per literal
 // — so the count repeats to within an allocation and is pinned a few
-// percent above it (183 and 814; with a Go slice per list 555 and 6,095;
-// the pointer-AST encoder made 314,267 for the corpus network). A cold
-// scratch, a worker's first encode, also allocates its arena and its CNF
-// stream: in chunks that are written once, 0.43 and 5.00 MB per encode,
-// pinned 4 % above (a stream that grew by half and was copied each time
-// made it 0.59 and 5.62 MB). Raising a budget needs a reason in the
-// commit that does it.
+// percent above it (179 and 724; with a Go slice per variable-table row
+// and per-class positions grouped as [][]int 183 and 814; with a Go slice
+// per list 555 and 6,095; the pointer-AST encoder made 314,267 for the
+// corpus network). A cold scratch, a worker's first encode, also
+// allocates its arena and its CNF stream: in chunks that are written
+// once, 0.41 and 4.95 MB per encode, pinned 4 % above (0.43 and 5.00 with
+// the rows and groupings above; a stream that grew by half and was copied
+// each time made it 0.59 and 5.62 MB). Raising a budget needs a reason in
+// the commit that does it.
 func TestEncodeAllocBudget(t *testing.T) {
 	n := topology.Figure2a()
 	for _, tc := range []struct {
@@ -75,8 +77,8 @@ func TestEncodeAllocBudget(t *testing.T) {
 		budget   float64
 		budgetMB float64
 	}{
-		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 188, 0.45},
-		{"corpus-dc08", corpusFixture(t), 835, 5.20},
+		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 184, 0.43},
+		{"corpus-dc08", corpusFixture(t), 745, 5.15},
 	} {
 		sc := newWorker().b
 		tc.fix.encodeAll(t, sc) // grow the scratch to its working size

@@ -537,16 +537,29 @@ func (pr *problem) sizeHint() int { return len(pr.tcs)*16 + len(pr.policies) }
 
 // worker is what one runProblems goroutine keeps across the sub-problems
 // it solves in one repair: the constraint-building scratch (formula arena
-// and CNF stream) every encode resets, and the solver of its last
-// finished attempt, which the next attempt resets and reuses instead of
-// allocating its own. Both die with the repair: nothing is kept across
-// repairs (DESIGN.md, "One solver per worker").
+// and CNF stream) every encode resets, the solver of its last finished
+// attempt, which the next attempt resets and reuses instead of allocating
+// its own, and the storage it lends to the encoding and solve of every
+// attempt the solve cache cannot keep. All of it dies with the repair:
+// nothing is kept across repairs (DESIGN.md, "One solver per worker",
+// "The capacity rule").
 type worker struct {
 	b     *formula.Builder
 	spare *sat.Solver
+	store encStorage
 }
 
 func newWorker() *worker { return &worker{b: formula.NewBuilder(formula.NewPool())} }
+
+// lend returns the storage of an attempt: the worker's, or nil — fresh
+// storage — when the solve cache may keep the attempt's encoder
+// (cacheable), which then never aliases anything the worker reuses.
+func (w *worker) lend(cacheable bool) *encStorage {
+	if cacheable {
+		return nil
+	}
+	return &w.store
+}
 
 // solverTaken, when set, is told about every attempt's solver and whether
 // it is a reset one. Only tests set it, to see how much of a workload
@@ -644,7 +657,7 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 		}
 		pr.stat.Attempts = attempt
 		wctx, cancel := watchdogCtx(ctx, workers, pending)
-		enc, cost, status, err := solveOnce(wctx, w.solver(memo), w.b, tb, orig, pr, budget, opts, attempt)
+		enc, cost, status, err := solveOnce(wctx, w, memo, tb, orig, pr, budget, opts, attempt)
 		cancel()
 		if enc != nil {
 			if memo {
@@ -704,11 +717,13 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 	degrade(h, orig, pr, lastErr)
 }
 
-// solveOnce builds a fresh encoder around s, an empty solver, and runs
-// one attempt. Panics anywhere in encoding or search are recovered into
-// SolveErrors, so a pathological destination cannot kill the process or
-// its sibling solves.
-func solveOnce(ctx context.Context, s *sat.Solver, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, budget int64, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
+// solveOnce builds a fresh encoder in w, around an empty solver and the
+// storage w lends the attempt (see worker.solver and worker.lend: none
+// when the solve cache may keep the encoder), and runs one attempt.
+// Panics anywhere in encoding or search are recovered into SolveErrors,
+// so a pathological destination cannot kill the process or its sibling
+// solves.
+func solveOnce(ctx context.Context, w *worker, cacheable bool, tb *tables, orig *harc.State, pr *problem, budget int64, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
 	phase := "encode"
 	defer func() {
 		if r := recover(); r != nil {
@@ -719,7 +734,7 @@ func solveOnce(ctx context.Context, s *sat.Solver, sc *formula.Builder, tb *tabl
 	o := opts
 	o.ConflictBudget = budget
 	te := time.Now()
-	enc = newEncoder(sc, s, tb, orig, pr.tcs, pr.policies, pr.freeze, o)
+	enc = newEncoder(w.b, w.solver(cacheable), w.lend(cacheable), tb, orig, pr.tcs, pr.policies, pr.freeze, o)
 	if eerr := enc.encode(ctx); eerr != nil {
 		pr.stat.EncodeNs += time.Since(te).Nanoseconds()
 		return enc, 0, sat.Unknown, &SolveError{Label: pr.label, Phase: "encode", Attempt: attempt, Err: eerr}

@@ -29,7 +29,7 @@ func BenchmarkSolvePC4Merged(b *testing.B) {
 		b.Fatal("fattree-pc4 has no pc4-merged sub-problem")
 	}
 	pr, sc := problems[i], newWorker().b
-	enc := newEncoder(sc, sat.New(), newTables(h), harc.StateOf(h), pr.tcs, pr.policies, pr.freeze, opts)
+	enc := newEncoder(sc, sat.New(), nil, newTables(h), harc.StateOf(h), pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func BenchmarkSolvePC4Merged(b *testing.B) {
 		enc.s = sat.New()
 		enc.s.Load(nVars, stream)
 		enc.seedPhases()
-		if res := maxsat.SolveWeighted(enc.s, enc.softs, enc.weights, opts.Algorithm); res.Status != sat.Sat {
+		if res := maxsat.SolveWeighted(enc.s, enc.softs, enc.weights, opts.Algorithm, nil); res.Status != sat.Sat {
 			b.Fatalf("pc4-merged: %v", res.Status)
 		}
 		props += enc.s.Propagations

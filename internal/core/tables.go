@@ -88,23 +88,36 @@ func (sq *sharedQuotient) concreteGroups(h *harc.HARC) *interGroups {
 }
 
 // tcTables precomputes one traffic class's slot applicability and ETG
-// vertex space.
+// vertex space. Positions (indices into slots), slot ids and local
+// vertices are int32, and the three groupings are CSR: one offsets array
+// and one backing each.
 type tcTables struct {
 	// slots are the applicable slot ids, ascending.
-	slots []int
+	slots []int32
 	// fromV/toV are local vertex indices aligned with slots (i.e. indexed
 	// by position within slots, not by slot id). Local vertices number the
 	// table's vertices in order of first appearance, after SRC = 0 and
 	// DST = 1; nv counts them.
-	fromV, toV []int
+	fromV, toV []int32
 	nv         int
-	// byTail/byHead group slot positions (indices into slots) by tail and
-	// head vertex.
-	byTail, byHead [][]int
+	// byTail/byHead group slot positions by tail and head vertex.
+	byTail, byHead groups
 	// links groups applicable inter-device slot positions by physical
 	// link, in first-appearance order (PC3's disjointness constraints).
-	links [][]int
+	links groups
 }
+
+// groups is a grouping of slot positions in CSR form: group g's
+// positions, ascending, are pos[off[g]:off[g+1]].
+type groups struct {
+	off, pos []int32
+}
+
+// n returns the number of groups.
+func (g groups) n() int { return len(g.off) - 1 }
+
+// at returns group i's positions.
+func (g groups) at(i int) []int32 { return g.pos[g.off[i]:g.off[i+1]] }
 
 // procDev is the device name soft constraints on process pi are
 // attributed to.
@@ -151,65 +164,74 @@ func (tb *tables) buildTC(tc topology.TrafficClass) *tcTables {
 			n++
 		}
 	}
-	aligned := make([]int, 3*n)
+	aligned := make([]int32, 3*n)
 	t := &tcTables{nv: 2, slots: aligned[:0:n], fromV: aligned[n : n : 2*n], toV: aligned[2*n : 2*n : 3*n]}
-	local := make([]int, len(tb.h.Vertices)) // 0 = not numbered yet (or SRC)
+	local := make([]int32, len(tb.h.Vertices)) // 0 = not numbered yet (or SRC)
 	local[arc.VDst] = 1
-	vertex := func(v graph.V) int {
+	vertex := func(v graph.V) int32 {
 		if v > arc.VDst && local[v] == 0 {
-			local[v] = t.nv
+			local[v] = int32(t.nv)
 			t.nv++
 		}
 		return local[v]
 	}
-	linkIdx := make([]int, len(tb.h.Links)) // 1 + index into t.links; 0 = unseen
-	linkOf := make([]int, 0, n)             // per position, its index into t.links; -1 = not inter-device
-	nLinks := 0
+	linkIdx := make([]int32, len(tb.h.Links)) // 1 + index into t.links; 0 = unseen
+	nLinks, nInter := 0, 0
 	for i, s := range tb.slots {
 		if !s.ApplicableTC(tc) {
 			continue
 		}
-		t.slots = append(t.slots, i)
+		t.slots = append(t.slots, int32(i))
 		t.fromV = append(t.fromV, vertex(s.From))
 		t.toV = append(t.toV, vertex(s.To))
-		li := -1
 		if s.Kind == arc.SlotInterDevice {
-			if li = linkIdx[s.LinkID] - 1; li < 0 {
-				li = nLinks
+			nInter++
+			if linkIdx[s.LinkID] == 0 {
 				nLinks++
-				linkIdx[s.LinkID] = li + 1
+				linkIdx[s.LinkID] = int32(nLinks)
 			}
 		}
-		linkOf = append(linkOf, li)
 	}
-	t.byTail = groupPositions(t.fromV, t.nv)
-	t.byHead = groupPositions(t.toV, t.nv)
-	t.links = groupPositions(linkOf, nLinks)
+	// The three groupings share one allocation.
+	back := make([]int32, 2*(t.nv+1)+nLinks+1+2*n+nInter)
+	carve := func(k int) []int32 {
+		r := back[:k:k]
+		back = back[k:]
+		return r
+	}
+	t.byTail = groups{carve(t.nv + 1), carve(n)}
+	t.byHead = groups{carve(t.nv + 1), carve(n)}
+	t.links = groups{carve(nLinks + 1), carve(nInter)}
+	t.byTail.fill(n, func(k int) int32 { return t.fromV[k] })
+	t.byHead.fill(n, func(k int) int32 { return t.toV[k] })
+	t.links.fill(n, func(k int) int32 {
+		if s := tb.slots[t.slots[k]]; s.Kind == arc.SlotInterDevice {
+			return linkIdx[s.LinkID] - 1
+		}
+		return -1
+	})
 	return t
 }
 
-// groupPositions returns, for each of n groups, the positions k with
-// group[k] == that group, ascending (a negative entry belongs to none).
-// The lists are carved out of one backing array: count, prefix-sum, fill.
-func groupPositions(group []int, n int) [][]int {
-	start := make([]int, n+1)
-	for _, g := range group {
-		if g >= 0 {
-			start[g+1]++
+// fill groups positions 0..n-1 by group(k) into g, whose off and pos are
+// sized for it (a negative group is none): count, prefix-sum, place.
+func (g groups) fill(n int, group func(k int) int32) {
+	for k := 0; k < n; k++ {
+		if gi := group(k); gi >= 0 {
+			g.off[gi+1]++
 		}
 	}
-	for g := 0; g < n; g++ {
-		start[g+1] += start[g]
+	for i := 1; i < len(g.off); i++ {
+		g.off[i] += g.off[i-1]
 	}
-	back := make([]int, start[n])
-	out := make([][]int, n)
-	for g := range out {
-		out[g] = back[start[g]:start[g]:start[g+1]]
-	}
-	for k, g := range group {
-		if g >= 0 {
-			out[g] = append(out[g], k)
+	// Place each position at its group's next free index, using the
+	// group's start as the cursor, then shift the starts back.
+	for k := 0; k < n; k++ {
+		if gi := group(k); gi >= 0 {
+			g.pos[g.off[gi]] = int32(k)
+			g.off[gi]++
 		}
 	}
-	return out
+	copy(g.off[1:], g.off[:len(g.off)-1])
+	g.off[0] = 0
 }

@@ -77,7 +77,7 @@ func checkWCNF(p *dimacs.Problem) string {
 	wantCost, wantSat := bruteMaxSAT(p)
 	for _, algo := range []maxsat.Algorithm{maxsat.LinearDescent, maxsat.OLL} {
 		s, selectors := p.Load()
-		res := maxsat.SolveWeighted(s, selectors, p.Weights, algo)
+		res := maxsat.SolveWeighted(s, selectors, p.Weights, algo, nil)
 		if !wantSat {
 			if res.Status != sat.Unsat {
 				return fmt.Sprintf("%v: status %v on hard-unsat instance", algo, res.Status)
@@ -128,7 +128,7 @@ func checkWCNF(p *dimacs.Problem) string {
 			p2.NumVars, len(p2.Hard), len(p2.Soft), p.NumVars, len(p.Hard), len(p.Soft))
 	}
 	s2, sel2 := p2.Load()
-	res2 := maxsat.SolveWeighted(s2, sel2, p2.Weights, maxsat.LinearDescent)
+	res2 := maxsat.SolveWeighted(s2, sel2, p2.Weights, maxsat.LinearDescent, nil)
 	if !wantSat {
 		if res2.Status != sat.Unsat {
 			return fmt.Sprintf("round-tripped instance: status %v on hard-unsat instance", res2.Status)
@@ -194,9 +194,9 @@ func genLargeWCNF(rng *rand.Rand) *dimacs.Problem {
 // oracle, used where brute force cannot reach.
 func checkEqualCost(p *dimacs.Problem) string {
 	s1, sel1 := p.Load()
-	ref := maxsat.SolveWeighted(s1, sel1, p.Weights, maxsat.LinearDescent)
+	ref := maxsat.SolveWeighted(s1, sel1, p.Weights, maxsat.LinearDescent, nil)
 	s2, sel2 := p.Load()
-	got := maxsat.SolveWeighted(s2, sel2, p.Weights, maxsat.OLL)
+	got := maxsat.SolveWeighted(s2, sel2, p.Weights, maxsat.OLL, nil)
 	if ref.Status != got.Status {
 		return fmt.Sprintf("oll status %v, linear %v", got.Status, ref.Status)
 	}
@@ -206,11 +206,33 @@ func checkEqualCost(p *dimacs.Problem) string {
 	return ""
 }
 
+// checkScratchReuse solves each instance with OLL twice, on a new solver
+// each time: with a fresh scratch, and with sc, one scratch the instances
+// share in turn. Reuse must not show: the Result and the solver counters
+// are the same either way.
+func checkScratchReuse(sc *maxsat.Scratch, ps ...*dimacs.Problem) string {
+	for i, p := range ps {
+		s1, sel1 := p.Load()
+		want := maxsat.SolveWeighted(s1, sel1, p.Weights, maxsat.OLL, nil)
+		s2, sel2 := p.Load()
+		got := maxsat.SolveWeighted(s2, sel2, p.Weights, maxsat.OLL, sc)
+		if got != want {
+			return fmt.Sprintf("instance %d on a reused scratch: %+v, fresh %+v", i, got, want)
+		}
+		if a, b := s2.Snapshot(), s1.Snapshot(); a != b {
+			return fmt.Sprintf("instance %d on a reused scratch: solver counters %+v, fresh %+v", i, a, b)
+		}
+	}
+	return ""
+}
+
 // CheckMaxSAT runs the MaxSAT optimality oracle for one seed: a small
 // instance checked against the brute-force optimum with every engine,
 // then a larger instance where OLL must match linear descent's optimum
-// exactly. A non-nil error is a *Divergence carrying a minimized WCNF
-// reproducer.
+// exactly, then the small, the large and the small one again through one
+// OLL scratch, which must change nothing. A non-nil error is a
+// *Divergence carrying a minimized WCNF reproducer (the instances, for
+// the scratch leg).
 func CheckMaxSAT(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	p := genWCNF(rng)
@@ -229,6 +251,14 @@ func CheckMaxSAT(seed int64) error {
 		d := divf("maxsat", seed, "large instance: %s (%d vars, %d hard, %d soft)",
 			detail, big.NumVars, len(big.Hard), len(big.Soft))
 		d.Files = map[string]string{"instance.wcnf": buf.String()}
+		return d
+	}
+	if detail := checkScratchReuse(new(maxsat.Scratch), p, big, p); detail != "" {
+		var small, large bytes.Buffer
+		_ = p.Print(&small)
+		_ = big.Print(&large)
+		d := divf("maxsat", seed, "%s", detail)
+		d.Files = map[string]string{"instance0.wcnf": small.String(), "instance1.wcnf": large.String()}
 		return d
 	}
 	return nil

@@ -51,7 +51,7 @@ func TestParseWCNF(t *testing.T) {
 	// Optimum: hard (x1 ∨ x2); soft ¬x1 (w3), ¬x2 (w1): set x2 only →
 	// violate the weight-1 soft.
 	s, sels := p.Load()
-	res := maxsat.SolveWeighted(s, sels, p.Weights, maxsat.LinearDescent)
+	res := maxsat.SolveWeighted(s, sels, p.Weights, maxsat.LinearDescent, nil)
 	if res.Status != sat.Sat || res.Cost != 1 {
 		t.Errorf("optimum = %+v, want cost 1", res)
 	}
@@ -139,7 +139,7 @@ func TestWCNFOptimumMatchesBrute(t *testing.T) {
 		}
 		want, feasible := bruteOptimum(p)
 		s, sels := p.Load()
-		res := maxsat.SolveWeighted(s, sels, p.Weights, maxsat.OLL)
+		res := maxsat.SolveWeighted(s, sels, p.Weights, maxsat.OLL, nil)
 		if !feasible {
 			return res.Status == sat.Unsat
 		}

@@ -323,6 +323,11 @@ func (b *Builder) VarLits() []sat.Lit {
 	return out
 }
 
+// VarTable is the variable table itself, VarLits without the copy: it
+// aliases the builder's storage until Reset, and may end before the last
+// pool variable (the ones past its end are unused, as a 0 entry is).
+func (b *Builder) VarTable() []sat.Lit { return b.varLits }
+
 // ApproxBytes is the heap the builder and its pool hold, every stream
 // chunk included, spares too.
 func (b *Builder) ApproxBytes() int64 {
@@ -484,7 +489,15 @@ func (b *Builder) anyOf(kids []F) {
 func (b *Builder) AssertOr(fs ...F) {
 	p := b.p
 	mark := len(p.buf)
-	switch kids, absorbed := p.flatten(OpOr, fs); {
+	_, absorbed := p.flatten(OpOr, fs)
+	b.assertFlat(mark, absorbed)
+}
+
+// assertFlat asserts the disjunction of the operands flatten left on the
+// pool's stack from mark on, and pops them.
+func (b *Builder) assertFlat(mark int, absorbed bool) {
+	p := b.p
+	switch kids := p.buf[mark:]; {
 	case absorbed:
 	case len(kids) == 0:
 		b.clause()
@@ -496,8 +509,19 @@ func (b *Builder) AssertOr(fs ...F) {
 	p.buf = p.buf[:mark]
 }
 
-// AssertImplies asserts a → b.
-func (b *Builder) AssertImplies(a, c F) { b.AssertOr(Not(a), c) }
+// AssertImplies asserts a → (c_1 ∨ … ∨ c_n), which is AssertOr(Not(a),
+// c_1, …, c_n): like Assert(p.Implies(a, p.Or(cs...))) when the
+// disjunction is only ever spliced into this clause, but without
+// interning it.
+func (b *Builder) AssertImplies(a F, cs ...F) {
+	p := b.p
+	mark := len(p.buf)
+	_, absorbed := p.flatten(OpOr, []F{Not(a)})
+	if !absorbed {
+		_, absorbed = p.flatten(OpOr, cs)
+	}
+	b.assertFlat(mark, absorbed)
+}
 
 // AssertIff asserts a ↔ b.
 func (b *Builder) AssertIff(a, c F) {

@@ -71,7 +71,7 @@ func benchSolveWeighted(b *testing.B, algo Algorithm) {
 		for j := range weights {
 			weights[j] = 1 + j%4
 		}
-		res := SolveWeighted(s, softs, weights, algo)
+		res := SolveWeighted(s, softs, weights, algo, nil)
 		if res.Status != sat.Sat {
 			b.Fatalf("%v: got %+v", algo, res)
 		}

@@ -62,7 +62,7 @@ func TestSolveCtxBackground(t *testing.T) {
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(sat.MkLit(a, false), sat.MkLit(b, false))
 	softs := []sat.Lit{sat.MkLit(a, true), sat.MkLit(b, true)}
-	res := SolveWeightedCtx(context.Background(), s, softs, []int{1, 1}, LinearDescent)
+	res := SolveWeightedCtx(context.Background(), s, softs, []int{1, 1}, LinearDescent, nil)
 	if res.Status != sat.Sat || res.Cost != 1 {
 		t.Fatalf("res = %+v, want sat cost 1", res)
 	}

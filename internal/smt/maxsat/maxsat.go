@@ -52,11 +52,15 @@ type Result struct {
 // the hard clauses; on return with Status == Sat its model is an optimal
 // assignment. Unknown Algorithm values panic.
 func Solve(s *sat.Solver, softs []sat.Lit, algo Algorithm) Result {
+	return solve(s, softs, algo, nil)
+}
+
+func solve(s *sat.Solver, softs []sat.Lit, algo Algorithm, sc *Scratch) Result {
 	switch algo {
 	case LinearDescent:
 		return linearDescent(s, softs)
 	case OLL:
-		return oll(s, softs, nil)
+		return oll(s, softs, nil, sc)
 	}
 	panic(fmt.Sprintf("maxsat: unknown algorithm %d", int(algo)))
 }
@@ -67,7 +71,11 @@ func Solve(s *sat.Solver, softs []sat.Lit, algo Algorithm) Result {
 // accounting; the linear reference realizes them by duplication — exact
 // and simple for the small integer weights CPR uses. Either way Cost is
 // the violated weight sum.
-func SolveWeighted(s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm) Result {
+//
+// OLL works in sc, which a caller solving several instances in turn
+// passes to each (see Scratch); a nil sc allocates the descent's storage
+// for this solve alone. The linear reference needs none.
+func SolveWeighted(s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm, sc *Scratch) Result {
 	if len(weights) != len(softs) {
 		panic("maxsat: weights and softs length mismatch")
 	}
@@ -84,10 +92,10 @@ func SolveWeighted(s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm
 		// The common case — Table 2's softs are unit weight unless the
 		// waypoint weight is raised — needs no duplication or
 		// stratification at all; it rides the plain engine dispatch.
-		return Solve(s, softs, algo)
+		return solve(s, softs, algo, sc)
 	}
 	if algo == OLL {
-		return oll(s, softs, weights)
+		return oll(s, softs, weights, sc)
 	}
 	expanded := make([]sat.Lit, 0, len(softs))
 	for i, l := range softs {
@@ -108,9 +116,9 @@ func SolveCtx(ctx context.Context, s *sat.Solver, softs []sat.Lit, algo Algorith
 }
 
 // SolveWeightedCtx is SolveWeighted under a context; see SolveCtx.
-func SolveWeightedCtx(ctx context.Context, s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm) Result {
+func SolveWeightedCtx(ctx context.Context, s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm, sc *Scratch) Result {
 	defer interruptOn(ctx, s)()
-	return SolveWeighted(s, softs, weights, algo)
+	return SolveWeighted(s, softs, weights, algo, sc)
 }
 
 // interruptOn interrupts s when ctx is cancelled, until the returned

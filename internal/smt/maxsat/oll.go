@@ -7,6 +7,42 @@ import (
 	"repro/internal/smt/sat"
 )
 
+// ollItem is one assumption of the descent: an original soft literal,
+// or a totalizer bound output ¬AtLeast(bound+1).
+type ollItem struct {
+	lit    sat.Lit
+	weight int             // residual weight still unpaid
+	tot    *card.Totalizer // nil for original softs
+	bound  int             // totalizer items: enforced "count ≤ bound"
+	unit   int             // totalizer items: full per-term weight
+	active bool
+}
+
+// Scratch is the storage an OLL descent works in: the block its soft
+// items are carved from, the item pointers, the assumption list and the
+// literal index. A caller that solves several instances in turn (one
+// repair worker, its sub-problems) passes the same Scratch to each, and
+// each solve reuses what the last one left instead of allocating its
+// own; the literal index is cleared, not remade. A Scratch grows only for
+// an instance with more softs than its block holds, and then with an
+// eighth to spare, so instances a few percent apart share one. Results
+// and solver state are the same with a new Scratch, a reused one, or
+// none. It is not safe for concurrent use.
+type Scratch struct {
+	block []ollItem
+	items []*ollItem
+	asm   []sat.Lit
+	byLit map[sat.Lit]*ollItem
+}
+
+// grow replaces the scratch's soft items, item pointers and literal
+// index with room for c soft items.
+func (sc *Scratch) grow(c int) {
+	sc.block = make([]ollItem, 0, c)
+	sc.items = make([]*ollItem, 0, c)
+	sc.byLit = make(map[sat.Lit]*ollItem, c)
+}
+
 // oll is the core-guided OLL descent (Andres et al. 2012, as engineered
 // in RC2/MSU3 solvers): assume every soft, extract an UNSAT core, pay
 // the core's minimum weight into the lower bound, and relax the core
@@ -35,26 +71,25 @@ import (
 // assumption lists are rebuilt in that order, cores come from the
 // deterministic solver, and totalizer materialization is an in-order
 // tree walk.
-func oll(s *sat.Solver, softs []sat.Lit, weights []int) Result {
-	// ollItem is one assumption of the descent: an original soft
-	// literal, or a totalizer bound output ¬AtLeast(bound+1).
-	type ollItem struct {
-		lit    sat.Lit
-		weight int             // residual weight still unpaid
-		tot    *card.Totalizer // nil for original softs
-		bound  int             // totalizer items: enforced "count ≤ bound"
-		unit   int             // totalizer items: full per-term weight
-		active bool
+func oll(s *sat.Solver, softs []sat.Lit, weights []int, sc *Scratch) Result {
+	slack := 0
+	if sc == nil {
+		sc = new(Scratch) // this solve's alone: sized exactly
+	} else {
+		slack = len(softs) / 8 // room for the next, slightly larger, instance
 	}
+	if cap(sc.block) < len(softs) || sc.byLit == nil {
+		sc.grow(len(softs) + slack)
+	} else {
+		clear(sc.byLit)
+	}
+	block, items, byLit := sc.block[:0], sc.items[:0], sc.byLit
 
 	// Aggregate duplicate soft literals (weighted callers may repeat a
 	// literal); summing their weights preserves the objective and keeps
 	// the assumption set duplicate-free. The softs' items are carved from
 	// one block, which never grows, so the pointers stay valid; the
 	// totalizer items the descent adds are allocated one by one.
-	block := make([]ollItem, 0, len(softs))
-	items := make([]*ollItem, 0, len(softs))
-	byLit := make(map[sat.Lit]*ollItem, len(softs))
 	for i, l := range softs {
 		w := 1
 		if weights != nil {
@@ -72,6 +107,14 @@ func oll(s *sat.Solver, softs []sat.Lit, weights []int) Result {
 		items = append(items, it)
 		byLit[l] = it
 	}
+	// The assumption list is sized to the items: a solver keeps the last
+	// one it was given (and ApproxBytes counts it).
+	asm := sc.asm[:0]
+	if cap(asm) < len(items) {
+		asm = make([]sat.Lit, 0, len(items)+slack)
+	}
+	// The slices may have grown; the next solve starts from what they are.
+	defer func() { sc.items, sc.asm = items[:0], asm[:0] }()
 
 	// Stratification thresholds: distinct weights, descending. The
 	// common unit-weight case is a single stratum and skips the whole
@@ -114,7 +157,6 @@ func oll(s *sat.Solver, softs []sat.Lit, weights []int) Result {
 		w    int
 	}
 	var pending []pendingCore
-	asm := make([]sat.Lit, 0, len(items))
 
 	// relax turns one stashed core into an incremental totalizer with
 	// an initial "count ≤ 1" assumption.

@@ -3,6 +3,7 @@ package maxsat
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/smt/sat"
 )
@@ -54,7 +55,7 @@ func TestOLLWeightedStratificationHardens(t *testing.T) {
 	// x0 conflicts with x1; x2 free. Weights: x0=100, x1=1, x2=1.
 	s.AddClause(sat.MkLit(vars[0], true), sat.MkLit(vars[1], true))
 	softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[1], false), sat.MkLit(vars[2], false)}
-	res := SolveWeighted(s, softs, []int{100, 1, 1}, OLL)
+	res := SolveWeighted(s, softs, []int{100, 1, 1}, OLL, nil)
 	if res.Status != sat.Sat || res.Cost != 1 {
 		t.Fatalf("got %+v, want cost 1 (violate x1)", res)
 	}
@@ -74,7 +75,7 @@ func TestOLLWeightedResidualSplit(t *testing.T) {
 	// x0 and x1 conflict; weights 3 vs 5 — optimum violates x0 (cost 3).
 	s.AddClause(sat.MkLit(vars[0], true), sat.MkLit(vars[1], true))
 	softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[1], false)}
-	res := SolveWeighted(s, softs, []int{3, 5}, OLL)
+	res := SolveWeighted(s, softs, []int{3, 5}, OLL, nil)
 	if res.Status != sat.Sat || res.Cost != 3 {
 		t.Fatalf("got %+v, want cost 3", res)
 	}
@@ -90,7 +91,7 @@ func TestOLLDuplicateSofts(t *testing.T) {
 	s.AddClause(sat.MkLit(vars[0], true), sat.MkLit(vars[1], true))
 	// x0 listed twice at weight 2 each (total 4) vs x1 at 5: violate x0.
 	softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[0], false), sat.MkLit(vars[1], false)}
-	res := SolveWeighted(s, softs, []int{2, 2, 5}, OLL)
+	res := SolveWeighted(s, softs, []int{2, 2, 5}, OLL, nil)
 	if res.Status != sat.Sat || res.Cost != 4 {
 		t.Fatalf("got %+v, want cost 4", res)
 	}
@@ -105,13 +106,13 @@ func TestOLLZeroWeights(t *testing.T) {
 	s, vars := mk(2)
 	s.AddClause(sat.MkLit(vars[0], true)) // force x0 false
 	softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[1], false)}
-	res := SolveWeighted(s, softs, []int{0, 1}, OLL)
+	res := SolveWeighted(s, softs, []int{0, 1}, OLL, nil)
 	if res.Status != sat.Sat || res.Cost != 0 {
 		t.Fatalf("got %+v, want cost 0", res)
 	}
 	s2, vars2 := mk(1)
 	s2.AddClause(sat.MkLit(vars2[0], true))
-	res2 := SolveWeighted(s2, []sat.Lit{sat.MkLit(vars2[0], false)}, []int{0}, OLL)
+	res2 := SolveWeighted(s2, []sat.Lit{sat.MkLit(vars2[0], false)}, []int{0}, OLL, nil)
 	if res2.Status != sat.Sat || res2.Cost != 0 {
 		t.Fatalf("all-zero weights: got %+v, want cost 0", res2)
 	}
@@ -243,5 +244,45 @@ func TestSolverReuseAfterCoreExtraction(t *testing.T) {
 	res2 := Solve(s, softs, OLL)
 	if res2.Status != sat.Sat || res2.Cost != 3 {
 		t.Fatalf("second descent: got %+v, want cost 3", res2)
+	}
+}
+
+// TestScratchReuse solves a run of weighted instances — repeated soft
+// literals, zero weights, several strata, sizes rising and falling —
+// each on two solvers: through one Scratch the whole run shares, and on
+// storage of its own. The Result and every solver counter are the same,
+// and the shared scratch's block is replaced only for an instance with
+// more softs than it holds.
+func TestScratchReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	var sc Scratch
+	for i, n := range []int{8, 40, 12, 40, 44, 200, 30} {
+		nvars := n/2 + 3
+		var hard [][]sat.Lit
+		for j := 0; j < 2*nvars; j++ {
+			hard = append(hard, []sat.Lit{sat.MkLit(sat.Var(r.Intn(nvars)), r.Intn(2) == 0), sat.MkLit(sat.Var(r.Intn(nvars)), r.Intn(2) == 0)})
+		}
+		softs, weights := make([]sat.Lit, n), make([]int, n)
+		for j := range softs {
+			softs[j] = sat.MkLit(sat.Var(r.Intn(nvars)), r.Intn(2) == 0)
+			weights[j] = r.Intn(4)
+		}
+		var solvers [2]*sat.Solver
+		for k := range solvers {
+			solvers[k], _ = mk(nvars)
+			for _, c := range hard {
+				solvers[k].AddClause(c...)
+			}
+		}
+		block, capBefore := unsafe.SliceData(sc.block), cap(sc.block)
+		got := SolveWeighted(solvers[0], softs, weights, OLL, &sc)
+		want := SolveWeighted(solvers[1], softs, weights, OLL, nil)
+		if got != want || solvers[0].Snapshot() != solvers[1].Snapshot() {
+			t.Fatalf("instance %d: %+v with counters %+v on the shared scratch, %+v with %+v on its own",
+				i, got, solvers[0].Snapshot(), want, solvers[1].Snapshot())
+		}
+		if replaced := unsafe.SliceData(sc.block) != block; replaced != (n > capBefore) {
+			t.Errorf("instance %d: %d softs, block of %d: replaced %v", i, n, capBefore, replaced)
+		}
 	}
 }

@@ -13,7 +13,7 @@ func TestWeightedBasic(t *testing.T) {
 		// x vs !x, weighted 3 vs 1: keep x (violating the weight-1 soft).
 		s, vars := mk(1)
 		softs := []sat.Lit{sat.MkLit(vars[0], false), sat.MkLit(vars[0], true)}
-		res := SolveWeighted(s, softs, []int{3, 1}, algo)
+		res := SolveWeighted(s, softs, []int{3, 1}, algo, nil)
 		if res.Status != sat.Sat || res.Cost != 1 {
 			t.Errorf("%v: got %+v, want cost 1", algo, res)
 		}
@@ -27,7 +27,7 @@ func TestWeightedZeroWeightIgnored(t *testing.T) {
 	s, vars := mk(1)
 	s.AddClause(sat.MkLit(vars[0], true)) // force !x
 	softs := []sat.Lit{sat.MkLit(vars[0], false)}
-	res := SolveWeighted(s, softs, []int{0}, LinearDescent)
+	res := SolveWeighted(s, softs, []int{0}, LinearDescent, nil)
 	if res.Status != sat.Sat || res.Cost != 0 {
 		t.Errorf("zero-weight soft should cost nothing: %+v", res)
 	}
@@ -40,7 +40,7 @@ func TestWeightedMismatchPanics(t *testing.T) {
 		}
 	}()
 	s, vars := mk(1)
-	SolveWeighted(s, []sat.Lit{sat.MkLit(vars[0], false)}, nil, LinearDescent)
+	SolveWeighted(s, []sat.Lit{sat.MkLit(vars[0], false)}, nil, LinearDescent, nil)
 }
 
 // bruteWeightedOptimum enumerates assignments for the true weighted
@@ -119,7 +119,7 @@ func TestWeightedDifferential(t *testing.T) {
 			if !ok {
 				res = Result{Status: sat.Unsat}
 			} else {
-				res = SolveWeighted(s, softs, weights, algo)
+				res = SolveWeighted(s, softs, weights, algo, nil)
 			}
 			if feasible {
 				if res.Status != sat.Sat || res.Cost != want {

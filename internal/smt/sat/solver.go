@@ -351,8 +351,8 @@ func (s *Solver) setNumVars(n int) {
 	}
 	for v := old; v < n; v++ {
 		s.reason[v] = refUndef
-		s.order.insert(Var(v), s.activity)
 	}
+	s.order.appendZero(Var(old), Var(n))
 }
 
 // AppendClause appends one clause to a Load stream: its length, then its

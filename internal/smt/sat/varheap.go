@@ -61,6 +61,22 @@ func (h *varHeap) insert(v Var, act []float64) {
 	h.siftUp(len(h.heap) - 1)
 }
 
+// appendZero adds the variables from..to-1, none of them in the heap yet,
+// each keyed by a zero activity: in index order at the end of the heap,
+// which is where insert would leave each of them, since a zero key never
+// rises above a parent (no activity is negative).
+func (h *varHeap) appendZero(from, to Var) {
+	if from >= to {
+		return
+	}
+	h.ensure(to - 1)
+	for v := from; v < to; v++ {
+		h.pos[v] = int32(len(h.heap))
+		h.heap = append(h.heap, v)
+		h.keys = append(h.keys, 0)
+	}
+}
+
 // update restores heap order after v's activity increased to act[v].
 func (h *varHeap) update(v Var, act []float64) {
 	h.ensure(v)
