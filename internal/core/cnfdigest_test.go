@@ -8,12 +8,12 @@ import (
 	"encoding/json"
 	"os"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/generate"
 	"repro/internal/harc"
 	"repro/internal/policy"
-	"repro/internal/smt/formula"
 	"repro/internal/smt/sat"
 	"repro/internal/topology"
 )
@@ -22,9 +22,10 @@ import (
 // given: nVars ‖ clause stream (length-prefixed clauses in emission
 // order, its chunks concatenated) ‖ soft count ‖ soft literals ‖
 // weights, each a little-endian uint32.
-func cnfDigest(t *testing.T, sc *formula.Builder, tb *tables, orig *harc.State, pr *problem, opts Options) string {
+func cnfDigest(t *testing.T, w *worker, tb *tables, orig *harc.State, pr *problem, opts Options) string {
 	t.Helper()
-	enc := newEncoder(sc, sat.New(), nil, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	sc := w.b
+	enc := newEncoder(w, sat.New(), tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -158,27 +159,32 @@ func checkDigests(t *testing.T, file string, got map[string]string) {
 // change that means to alter the formula re-records them, and says so.
 func TestCNFDigest(t *testing.T) {
 	got := map[string]string{}
-	sc := newWorker().b
+	w := newWorker()
 	digestProblems(t, func(name string, tb *tables, orig *harc.State, pr *problem, opts Options) {
-		got[name] = cnfDigest(t, sc, tb, orig, pr, opts)
+		got[name] = cnfDigest(t, w, tb, orig, pr, opts)
 	})
 	checkDigests(t, "cnf_digests.json", got)
 }
 
 // solveDigest encodes and solves one sub-problem on s, an empty solver,
-// in store (a worker's, or nil for storage of its own), and hashes the search it took: status ‖ cost ‖ conflicts ‖ decisions ‖
-// propagations ‖ restarts ‖ learned literals, each a little-endian
-// uint64, then (when satisfiable) the model over the encoder's variables,
-// one bit each.
-func solveDigest(t *testing.T, sc *formula.Builder, s *sat.Solver, store *encStorage, tb *tables, orig *harc.State, pr *problem, opts Options) string {
+// in w's storage, and hashes the search it took (searchDigest).
+func solveDigest(t *testing.T, w *worker, s *sat.Solver, tb *tables, orig *harc.State, pr *problem, opts Options) string {
 	t.Helper()
-	enc := newEncoder(sc, s, store, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+	enc := newEncoder(w, s, tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	nVars := sc.NumVars()
+	nVars := w.b.NumVars()
 	cost, status := enc.solve(context.Background())
-	st := enc.s.Snapshot()
+	return searchDigest(s, nVars, cost, status)
+}
+
+// searchDigest hashes the search s took over a formula of nVars
+// variables: status ‖ cost ‖ conflicts ‖ decisions ‖ propagations ‖
+// restarts ‖ learned literals, each a little-endian uint64, then (when
+// satisfiable) the model over those variables, one bit each.
+func searchDigest(s *sat.Solver, nVars, cost int, status sat.Status) string {
+	st := s.Snapshot()
 	h := sha256.New()
 	for _, v := range []int64{int64(status), int64(cost), st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.LearnedLits} {
 		var buf [8]byte
@@ -188,7 +194,7 @@ func solveDigest(t *testing.T, sc *formula.Builder, s *sat.Solver, store *encSto
 	if status == sat.Sat {
 		bits := make([]byte, (nVars+7)/8)
 		for v := 0; v < nVars; v++ {
-			if enc.s.Value(sat.Var(v)) {
+			if s.Value(sat.Var(v)) {
 				bits[v/8] |= 1 << (v % 8)
 			}
 		}
@@ -206,13 +212,15 @@ func solveDigest(t *testing.T, sc *formula.Builder, s *sat.Solver, store *encSto
 // and the same one of several equal-cost optima. Like the CNF digests,
 // they are never re-recorded to make a speed change pass.
 //
-// The digests are solved twice over. First each sub-problem gets a new
-// solver. Then one worker solves them all in sequence, forward and then
-// reversed, as runProblems' workers do: after the first, every one runs
-// on the solver the one before it used, reset, and every one in the
+// The digests are solved three times over. First each sub-problem gets a
+// new solver. Then one worker solves them all in sequence, forward and
+// then reversed, as runProblems' workers do: after the first, every one
+// runs on the solver the one before it used, reset, and every one in the
 // encoder storage and OLL scratch the ones before it left — so a reset
 // solver and reused storage have to reproduce a new one's search exactly,
-// whatever they were used for before.
+// whatever they were used for before. Last, the worker solves them through
+// solveProblem with a solve cache set, each on a spare that a first-leg
+// solve drove, and each entry's solver must hold that search.
 func TestSolveDigest(t *testing.T) {
 	type digestCase struct {
 		name string
@@ -228,8 +236,10 @@ func TestSolveDigest(t *testing.T) {
 
 	w := newWorker()
 	got := map[string]string{}
-	for _, c := range cases {
-		got[c.name] = solveDigest(t, w.b, sat.New(), nil, c.tb, c.orig, c.pr, c.opts)
+	driven := make([]*sat.Solver, len(cases))
+	for i, c := range cases {
+		driven[i] = sat.New()
+		got[c.name] = solveDigest(t, w, driven[i], c.tb, c.orig, c.pr, c.opts)
 	}
 	checkDigests(t, "solve_digests.json", got)
 
@@ -240,9 +250,9 @@ func TestSolveDigest(t *testing.T) {
 			if w.spare != nil {
 				resets++
 			}
-			s := w.solver(false)
-			got[c.name] = solveDigest(t, w.b, s, w.lend(false), c.tb, c.orig, c.pr, c.opts)
-			w.recycle(s)
+			s := w.solver()
+			got[c.name] = solveDigest(t, w, s, c.tb, c.orig, c.pr, c.opts)
+			w.spare = s
 		}
 		t.Run(order, func(t *testing.T) { checkDigests(t, "solve_digests.json", got) })
 		slices.Reverse(cases)
@@ -250,4 +260,27 @@ func TestSolveDigest(t *testing.T) {
 	if want := 2*len(cases) - 1; resets != want {
 		t.Errorf("%d of %d solves ran on a reset solver, want %d", resets, 2*len(cases), want)
 	}
+
+	t.Run("cached", func(t *testing.T) {
+		got := map[string]string{}
+		var pending atomic.Int64
+		for i, c := range cases {
+			opts := c.opts
+			opts.Compress = CompressOff // the dc-256 case is a quotient already
+			opts.Cache = NewSolveCache(c.name)
+			pr := &problem{label: c.pr.label, tcs: c.pr.tcs, policies: c.pr.policies, freeze: c.pr.freeze}
+			w.spare = driven[i]
+			solveProblem(context.Background(), w, c.tb.h, c.tb, c.orig, pr, opts, 1, &pending)
+			if w.spare != nil || len(opts.Cache.entries) != 1 {
+				t.Fatalf("%s: outcome %v not stored, or its solver left with the worker", c.name, pr.stat.Outcome)
+			}
+			for _, e := range opts.Cache.entries {
+				if e.solver != driven[i] {
+					t.Fatalf("%s: the entry holds another solver than the spare the attempt was given", c.name)
+				}
+				got[c.name] = searchDigest(e.solver, w.b.NumVars(), e.stat.Violations, e.stat.Status)
+			}
+		}
+		checkDigests(t, "solve_digests.json", got)
+	})
 }

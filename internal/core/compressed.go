@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -138,16 +139,12 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 	if !compressEligible(h, pr, opts) {
 		return false
 	}
-	// The quotient encoder is never cached, so it works in the worker's
-	// storage, and its solver goes back to the worker once the attempt is
-	// over, unless it ended in a panic.
-	var s *sat.Solver
+	// A panic in the quotient or concretize steps sends the sub-problem
+	// down the uncompressed path; solveOnce recovers its own.
 	defer func() {
 		if r := recover(); r != nil {
 			pr.stat.CompressFallback = "panic"
 			ok = false
-		} else if s != nil {
-			w.recycle(s)
 		}
 	}()
 	sq, qh, qtcs, qpolicies, stage := buildQuotient(tb, pr, opts)
@@ -158,27 +155,19 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 	t0 := time.Now()
 	qorig := harc.StateOf(qh)
 	pr.stat.HarcBuildNs += time.Since(t0).Nanoseconds()
-	t0 = time.Now()
-	s = w.solver(false)
-	enc := newEncoder(w.b, s, w.lend(false), newTables(qh), qorig, qtcs, qpolicies, true, opts)
-	if err := enc.encode(ctx); err != nil {
-		pr.stat.EncodeNs += time.Since(t0).Nanoseconds()
+	enc, cost, status, err := solveOnce(ctx, w, pr, newTables(qh), qorig, qtcs, qpolicies, true, opts, 1)
+	var se *SolveError
+	switch {
+	case errors.As(err, &se) && se.Panic != nil:
+		pr.stat.CompressFallback = "panic"
+		return false
+	case err != nil:
 		pr.stat.CompressFallback = "encode"
 		return false
-	}
-	pr.stat.EncodeNs += time.Since(t0).Nanoseconds()
-	t0 = time.Now()
-	cost, status := enc.solve(ctx)
-	pr.stat.SolveNs += time.Since(t0).Nanoseconds()
-	pr.stat.Vars = enc.s.NumVars()
-	pr.stat.Softs = len(enc.softs)
-	pr.stat.Conflicts += enc.s.Conflicts
-	pr.stat.Solver.Accumulate(enc.s.Snapshot())
-	if status != sat.Sat {
+	case status != sat.Sat:
 		pr.stat.CompressFallback = "solve"
 		return false
-	}
-	if cost == 0 {
+	case cost == 0:
 		// The concrete problem has violations the quotient cannot see
 		// (symmetry hid the offending path); compression is unsound here.
 		pr.stat.CompressFallback = "trivial"

@@ -211,7 +211,7 @@ func concretizeBoth(t *testing.T, name string, h *harc.HARC, ps []policy.Policy,
 			continue
 		}
 		qorig := harc.StateOf(qh)
-		enc := newEncoder(w.b, sat.New(), nil, newTables(qh), qorig, qtcs, qpolicies, true, opts)
+		enc := newEncoder(w, sat.New(), newTables(qh), qorig, qtcs, qpolicies, true, opts)
 		if err := enc.encode(context.Background()); err != nil {
 			t.Fatalf("%s/%s: encode: %v", name, pr.label, err)
 		}

@@ -60,9 +60,9 @@ type encoder struct {
 	// b and p are the worker's constraint-building scratch, borrowed from
 	// newEncoder until encode returns; afterwards the encoder reads its
 	// variables through lits (variable ordinal → solver literal + 1, 0 if
-	// no constraint used it, or past its end) and retains no formula.
-	// With lent storage (store) lits is the builder's own table, read in
-	// place until the worker's next encode resets it; otherwise a copy.
+	// no constraint used it, or past its end), the builder's own table,
+	// read in place until the worker's next encode resets it. store is the
+	// worker's storage the encoder works in.
 	b     *formula.Builder
 	p     *formula.Pool
 	lits  []sat.Lit
@@ -116,13 +116,12 @@ func aclDevice(s *arc.Slot) string {
 	}
 }
 
-// encStorage is the storage a worker lends to the encoders of its
-// attempts that the solve cache cannot keep: the soft and weight lists,
-// the backing of the dense variable tables and the OLL scratch the solve
-// works in. Each such encoder starts from what the last one left, so a
-// worker allocates it for its first sub-problem and, with an eighth to
-// spare, for any later one too large for it (DESIGN.md, "The capacity
-// rule"); the model table such an encoder reads is the worker's
+// encStorage is the storage a worker's attempts encode and solve in: the
+// soft and weight lists, the backing of the dense variable tables and the
+// OLL scratch the solve works in. Each encoder starts from what the last
+// one left, so a worker allocates it for its first sub-problem and, with
+// an eighth to spare, for any later one too large for it (DESIGN.md, "The
+// capacity rule"); the model table an encoder reads is the worker's
 // builder's.
 type encStorage struct {
 	softs   []sat.Lit
@@ -131,12 +130,8 @@ type encStorage struct {
 	oll     maxsat.Scratch
 }
 
-// rowsOf returns n zeroed handles for the dense variable tables, from st
-// when it is lent (nil: a new array).
+// rowsOf returns n zeroed handles for the dense variable tables.
 func (st *encStorage) rowsOf(n int) []formula.F {
-	if st == nil {
-		return make([]formula.F, n)
-	}
 	if cap(st.rows) < n {
 		st.rows = make([]formula.F, n, n+n/8)
 	} else {
@@ -146,25 +141,21 @@ func (st *encStorage) rowsOf(n int) []formula.F {
 	return st.rows
 }
 
-// newEncoder sets up a sub-problem's variables in b, the calling
-// worker's scratch builder, which it resets and holds until encode
-// returns. solver must be empty: new, or reset by the worker. store is
-// the storage the worker lends the encoder, or nil for storage of its
-// own (an encoder the solve cache may keep).
-func newEncoder(b *formula.Builder, solver *sat.Solver, store *encStorage, tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
+// newEncoder sets up a sub-problem's variables in w, the calling worker:
+// its scratch builder, which it resets and holds until encode returns,
+// and its storage. solver must be empty: new, or reset by the worker.
+func newEncoder(w *worker, solver *sat.Solver, tb *tables, st *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freezeAll bool, opts Options) *encoder {
 	solver.Budget = opts.ConflictBudget
-	b.Reset()
-	pool := b.Pool()
+	w.b.Reset()
+	pool := w.b.Pool()
 	e := &encoder{
 		tb: tb, st: st, opts: opts,
 		tcs: tcs, policies: policies, freezeAll: freezeAll,
-		s: solver, b: b, p: pool, store: store,
+		s: solver, b: w.b, p: pool, store: &w.store,
+		softs: w.store.softs[:0], weights: w.store.weights[:0],
 		costVecs:  make(map[string]bv.Vec),
 		wedgeVars: make([]formula.F, len(tb.h.Links)),
 		byDevice:  make(map[string][]formula.F),
-	}
-	if store != nil {
-		e.softs, e.weights = store.softs[:0], store.weights[:0]
 	}
 	nslots, nprocs := len(tb.slots), len(tb.h.Procs)
 
@@ -192,7 +183,7 @@ func newEncoder(b *formula.Builder, solver *sat.Solver, store *encStorage, tb *t
 	if !freezeAll {
 		nrows += nslots
 	}
-	rows := store.rowsOf(nrows)
+	rows := w.store.rowsOf(nrows)
 	row := func(n int) []formula.F {
 		r := rows[:n:n]
 		rows = rows[n:]
@@ -382,14 +373,10 @@ func (e *encoder) encode(ctx context.Context) error {
 	}
 	e.softConstraints()
 	e.s.Load(e.b.NumVars(), e.b.Stream()...)
-	if e.store != nil {
-		// The lists may have grown; the worker's next encoder starts from
-		// what they are.
-		e.store.softs, e.store.weights = e.softs[:0], e.weights[:0]
-		e.lits = e.b.VarTable()
-	} else {
-		e.lits = e.b.VarLits()
-	}
+	// The lists may have grown; the worker's next encoder starts from what
+	// they are.
+	e.store.softs, e.store.weights = e.softs[:0], e.weights[:0]
+	e.lits = e.b.VarTable()
 	e.seedPhases()
 	return nil
 }
@@ -941,14 +928,10 @@ func (e *encoder) softConstraints() {
 	e.finalizeSofts()
 }
 
-// solve runs MaxSAT, in the lent OLL scratch if there is one, and
-// returns the violated-soft count.
+// solve runs MaxSAT in the worker's OLL scratch and returns the
+// violated-soft count.
 func (e *encoder) solve(ctx context.Context) (int, sat.Status) {
-	var sc *maxsat.Scratch
-	if e.store != nil {
-		sc = &e.store.oll
-	}
-	res := maxsat.SolveWeightedCtx(ctx, e.s, e.softs, e.weights, e.opts.Algorithm, sc)
+	res := maxsat.SolveWeightedCtx(ctx, e.s, e.softs, e.weights, e.opts.Algorithm, &e.store.oll)
 	return res.Cost, res.Status
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/generate"
@@ -33,17 +35,14 @@ func newEncodeFixture(t *testing.T, h *harc.HARC, policies []policy.Policy) *enc
 	return &encodeFixture{newTables(h), harc.StateOf(h), problems, opts}
 }
 
-// encodeAll encodes every sub-problem through one scratch, as a worker
-// would.
-func (f *encodeFixture) encodeAll(t *testing.T, sc *formula.Builder) []*encoder {
-	encs := make([]*encoder, len(f.problems))
-	for i, pr := range f.problems {
-		encs[i] = newEncoder(sc, sat.New(), nil, f.tb, f.orig, pr.tcs, pr.policies, pr.freeze, f.opts)
-		if err := encs[i].encode(context.Background()); err != nil {
+// encodeAll encodes every sub-problem in w, each on a new solver.
+func (f *encodeFixture) encodeAll(t *testing.T, w *worker) {
+	for _, pr := range f.problems {
+		enc := newEncoder(w, sat.New(), f.tb, f.orig, pr.tcs, pr.policies, pr.freeze, f.opts)
+		if err := enc.encode(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return encs
 }
 
 func corpusFixture(t *testing.T) *encodeFixture {
@@ -56,19 +55,20 @@ func corpusFixture(t *testing.T) *encodeFixture {
 }
 
 // TestEncodeAllocBudget is the allocation gate on the encoder. With a
-// warm scratch, encoding allocates the encoder's tables and the solver's
+// warm worker, encoding allocates the encoder's tables and the solver's
 // arrays — per sub-problem, nothing per formula node, per variable or,
 // now that the solver's lists are windows into two backings, per literal
 // — so the count repeats to within an allocation and is pinned a few
-// percent above it (179 and 724; with a Go slice per variable-table row
-// and per-class positions grouped as [][]int 183 and 814; with a Go slice
-// per list 555 and 6,095; the pointer-AST encoder made 314,267 for the
-// corpus network). A cold scratch, a worker's first encode, also
-// allocates its arena and its CNF stream: in chunks that are written
-// once, 0.41 and 4.95 MB per encode, pinned 4 % above (0.43 and 5.00 with
-// the rows and groupings above; a stream that grew by half and was copied
-// each time made it 0.59 and 5.62 MB). Raising a budget needs a reason in
-// the commit that does it.
+// percent above it (163 and 647; with storage of each encoder's own 179
+// and 724; with a Go slice per variable-table row and per-class positions
+// grouped as [][]int 183 and 814; with a Go slice per list 555 and 6,095;
+// the pointer-AST encoder made 314,267 for the corpus network). A cold
+// worker, on its first encode, also allocates its arena, its CNF stream
+// and its storage: in chunks that are written once, 0.41 and 4.81 MB per
+// encode, pinned 4 % above (0.41 and 4.95 with storage of each encoder's
+// own, 0.43 and 5.00 with the rows and groupings above; a stream that
+// grew by half and was copied each time made it 0.59 and 5.62 MB).
+// Raising a budget needs a reason in the commit that does it.
 func TestEncodeAllocBudget(t *testing.T) {
 	n := topology.Figure2a()
 	for _, tc := range []struct {
@@ -77,12 +77,12 @@ func TestEncodeAllocBudget(t *testing.T) {
 		budget   float64
 		budgetMB float64
 	}{
-		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 184, 0.43},
-		{"corpus-dc08", corpusFixture(t), 745, 5.15},
+		{"figure2a", newEncodeFixture(t, harc.Build(n), figure2aPolicies(n)), 170, 0.43},
+		{"corpus-dc08", corpusFixture(t), 675, 5.00},
 	} {
-		sc := newWorker().b
-		tc.fix.encodeAll(t, sc) // grow the scratch to its working size
-		got := testing.AllocsPerRun(5, func() { tc.fix.encodeAll(t, sc) })
+		w := newWorker()
+		tc.fix.encodeAll(t, w) // grow the scratch to its working size
+		got := testing.AllocsPerRun(5, func() { tc.fix.encodeAll(t, w) })
 		t.Logf("%s: %.0f allocs per encode (budget %.0f)", tc.name, got, tc.budget)
 		if got > tc.budget {
 			t.Errorf("%s: %.0f allocs per encode, budget %.0f", tc.name, got, tc.budget)
@@ -91,7 +91,7 @@ func TestEncodeAllocBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			tc.fix.encodeAll(t, newWorker().b)
+			tc.fix.encodeAll(t, newWorker())
 		}
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6
@@ -125,33 +125,46 @@ func heapDelta(build func() any) (int64, any) {
 
 // TestApproxBytesTracksHeap holds the O(1) retained-memory estimates
 // (what /statsz reports as retained bytes) to the measured heap: within
-// 25 % for the encoders a solve cache would retain, and for the worker
-// scratch they were built in.
+// 25 % for the worker scratch the fixture's sub-problems are encoded in,
+// and for the solvers a solve cache retains from solving them.
 func TestApproxBytesTracksHeap(t *testing.T) {
 	fix := corpusFixture(t)
 	within := func(what string, approx, measured int64) {
 		t.Helper()
 		t.Logf("%s: approx %d B, measured %d B (%.2fx)", what, approx, measured, float64(approx)/float64(measured))
 		if approx < measured*3/4 || approx > measured*5/4 {
-			t.Errorf("%s: approxBytes %d is not within 25%% of the measured %d", what, approx, measured)
+			t.Errorf("%s: ApproxBytes %d is not within 25%% of the measured %d", what, approx, measured)
 		}
 	}
 	// The shared tables are built by the first encode that needs them and
-	// belong to the repair, not to a scratch or an encoder.
-	fix.encodeAll(t, newWorker().b)
+	// belong to the repair, not to a scratch or a solver.
+	fix.encodeAll(t, newWorker())
 	measured, kept := heapDelta(func() any {
-		sc := newWorker().b
-		fix.encodeAll(t, sc)
-		return sc
+		w := newWorker()
+		fix.encodeAll(t, w)
+		return w.b
 	})
-	sc := kept.(*formula.Builder)
-	within("scratch", sc.ApproxBytes(), measured)
+	within("scratch", kept.(*formula.Builder).ApproxBytes(), measured)
 
-	measured, kept = heapDelta(func() any { return fix.encodeAll(t, sc) })
+	measured, kept = heapDelta(func() any {
+		opts := fix.opts
+		opts.Cache = NewSolveCache("approx")
+		w := newWorker()
+		var pending atomic.Int64
+		for _, p := range fix.problems {
+			pr := &problem{label: p.label, tcs: p.tcs, policies: p.policies, freeze: p.freeze}
+			solveProblem(context.Background(), w, fix.tb.h, fix.tb, fix.orig, pr, opts, 1, &pending)
+		}
+		var solvers []*sat.Solver
+		for _, e := range opts.Cache.entries {
+			solvers = append(solvers, e.solver)
+		}
+		return solvers
+	})
 	var approx int64
-	for _, enc := range kept.([]*encoder) {
-		approx += enc.approxBytes()
+	for _, s := range kept.([]*sat.Solver) {
+		approx += s.ApproxBytes()
 	}
-	within("encoders", approx, measured)
+	within(fmt.Sprintf("%d retained solvers", len(kept.([]*sat.Solver))), approx, measured)
 	runtime.KeepAlive(kept)
 }

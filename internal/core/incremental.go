@@ -23,10 +23,13 @@ import (
 // produce: the solver is deterministic, and two sub-problems with equal
 // fingerprints build equal formulas.
 //
-// Entries retain the live encoder (its variable tables plus the
-// sat.Solver with its learned clauses and saved phases; the formula
-// arena it was built in is worker scratch and is not retained). Nothing
-// reads it back — replay copies the captured rows — but it is counted
+// An entry for an uncompressed outcome keeps the sat.Solver of the attempt
+// that produced it, with its learned clauses and saved phases; the worker
+// that ran the attempt hands it over and never uses it again (the encoder,
+// formula arena and storage are worker scratch and are not retained). A
+// compressed outcome's quotient solver stays with its worker, which resets
+// it for its next sub-problem. Nothing reads the
+// solver back — replay copies the captured rows — but it is counted
 // (Stats) and reclaimable (Release), and it is deliberate heap ballast:
 // on cprd's small-request mix the retained solvers are what paces the
 // collector, and dropping them costs +42–62 % op_ms_p95 for −99 %
@@ -52,11 +55,10 @@ type solveEntry struct {
 	// problem.realized): nil for Unsat entries.
 	realized        *harc.State
 	realizedChanges int
-	// enc is the retained live encoder (tables + solver) of an uncompressed
-	// solve; nil for compressed entries, whose quotient encoder is
-	// discarded inside tryCompressed.
-	enc   *encoder
-	bytes int64
+	// solver is the retained solver of the attempt that produced an
+	// uncompressed outcome, nil for a compressed one. No worker holds it.
+	solver *sat.Solver
+	bytes  int64
 }
 
 // NewSolveCache returns an empty cache. epoch must identify the exact
@@ -74,9 +76,10 @@ func NewSolveCache(epoch string) *SolveCache {
 func (c *SolveCache) Epoch() string { return c.epoch }
 
 // Fork snapshots the cache for a derived session under a new epoch.
-// Entries are shared by reference (they are immutable); counters start
-// fresh. Entries whose fingerprint embedded the old epoch simply never
-// match again and age out when the forked session is released.
+// Entries are shared by reference (they are immutable), so an entry stays
+// alive until every cache holding it is released; counters start fresh.
+// Entries whose fingerprint embedded the old epoch simply never match
+// again and age out when the forked session is released.
 func (c *SolveCache) Fork(epoch string) *SolveCache {
 	nc := NewSolveCache(epoch)
 	if c == nil {
@@ -93,41 +96,53 @@ func (c *SolveCache) Fork(epoch string) *SolveCache {
 // SolveCacheStats is a point-in-time cache summary.
 type SolveCacheStats struct {
 	Entries int
-	// Solvers counts entries retaining a live encoder/solver pair.
+	// Solvers counts entries retaining a solver.
 	Solvers int
 	Hits    uint64
 	Misses  uint64
 	Stores  uint64
-	// RetainedBytes estimates the memory pinned by retained encoders,
-	// solvers, and staged replay states.
+	// RetainedBytes estimates the memory pinned by retained solvers and
+	// staged replay states.
 	RetainedBytes int64
 }
 
 // Stats returns current counters and retained-memory accounting.
-func (c *SolveCache) Stats() SolveCacheStats {
-	if c == nil {
-		return SolveCacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := SolveCacheStats{
-		Entries: len(c.entries),
-		Hits:    c.hits,
-		Misses:  c.misses,
-		Stores:  c.stores,
-	}
-	for _, e := range c.entries {
-		st.RetainedBytes += e.bytes
-		if e.enc != nil {
-			st.Solvers++
+func (c *SolveCache) Stats() SolveCacheStats { return SumStats(c) }
+
+// SumStats sums the counters of caches and their retained memory,
+// counting an entry that several of them share (Fork shares entries by
+// reference) once.
+func SumStats(caches ...*SolveCache) SolveCacheStats {
+	var st SolveCacheStats
+	seen := make(map[*solveEntry]bool)
+	for _, c := range caches {
+		if c == nil {
+			continue
 		}
+		c.mu.Lock()
+		st.Hits += c.hits
+		st.Misses += c.misses
+		st.Stores += c.stores
+		for _, e := range c.entries {
+			if seen[e] {
+				continue
+			}
+			seen[e] = true
+			st.Entries++
+			st.RetainedBytes += e.bytes
+			if e.solver != nil {
+				st.Solvers++
+			}
+		}
+		c.mu.Unlock()
 	}
 	return st
 }
 
-// Release drops every entry, unpinning the retained solvers.
-// The session cache calls this on LRU eviction so long-lived solvers
-// cannot leak past their session's lifetime.
+// Release drops every entry, unpinning the retained solvers (an entry a
+// fork still holds stays alive until the fork is released too). The
+// session cache calls this on LRU eviction so long-lived solvers cannot
+// leak past their session's lifetime.
 func (c *SolveCache) Release() {
 	if c == nil {
 		return
@@ -149,16 +164,19 @@ func (c *SolveCache) lookup(fp string) *solveEntry {
 	return e
 }
 
-// store inserts an entry; the first store for a fingerprint wins, so
-// concurrent Repair calls racing on the same sub-problem keep one
-// consistent entry (both computed byte-identical results anyway).
-func (c *SolveCache) store(fp string, e *solveEntry) {
+// store inserts an entry and reports whether it did; the first store for
+// a fingerprint wins, so concurrent Repair calls racing on the same
+// sub-problem keep one consistent entry (both computed byte-identical
+// results anyway).
+func (c *SolveCache) store(fp string, e *solveEntry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[fp]; !ok {
-		c.entries[fp] = e
-		c.stores++
+	if _, ok := c.entries[fp]; ok {
+		return false
 	}
+	c.entries[fp] = e
+	c.stores++
+	return true
 }
 
 // replay copies the memoized outcome onto the problem. The caller's
@@ -344,28 +362,17 @@ func cacheableOutcome(pr *problem, ctxErr error) bool {
 
 // entryFor builds the memo entry for a problem that just reached a
 // cacheable terminal outcome: its staged repair (replay hands the same
-// immutable state to mergeRows) and its retained encoder.
-func entryFor(pr *problem) *solveEntry {
-	e := &solveEntry{stat: pr.stat, realized: pr.realized, realizedChanges: pr.realizedChanges, enc: pr.enc}
+// immutable state to mergeRows) and s, the solver of the attempt that
+// produced it.
+func entryFor(pr *problem, s *sat.Solver) *solveEntry {
+	e := &solveEntry{stat: pr.stat, realized: pr.realized, realizedChanges: pr.realizedChanges, solver: s}
 	e.stat.Duration = 0
 	e.stat.Reused = false
 	if pr.realized != nil {
 		e.bytes = pr.realized.ApproxBytes()
 	}
-	e.bytes += pr.enc.approxBytes()
-	return e
-}
-
-// approxBytes estimates the heap retained by a live encoder: the SAT
-// solver, the dense variable tables (every row spans the slot or process
-// table) and the variable-to-literal table. The formula arena is the
-// worker's scratch, not the encoder's, so it does not count.
-func (e *encoder) approxBytes() int64 {
-	if e == nil {
-		return 0
+	if s != nil {
+		e.bytes += s.ApproxBytes()
 	}
-	handles := int64(len(e.tVar)+len(e.dVar)+len(e.stVar))*int64(len(e.tb.slots)) +
-		int64(len(e.rfVar))*int64(len(e.tb.h.Procs)) +
-		int64(cap(e.aVar)+cap(e.wedgeVars))
-	return e.s.ApproxBytes() + 4*(handles+int64(cap(e.lits)+cap(e.softs))) + 8*int64(cap(e.weights))
+	return e
 }

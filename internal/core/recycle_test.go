@@ -53,9 +53,9 @@ func (tk *takes) resets() int {
 
 // pc4MixFatTree is a fat-tree whose per-destination repair has both kinds
 // of sub-problem under CompressOn: five compressed ones, and a pc4-merged
-// one that is never compressed and so, with a solve cache, is cache-bound.
-// At Parallelism 1 the pc4-merged problem runs second, after a compressed
-// attempt has left its worker a spare solver.
+// one that is never compressed. At Parallelism 1 the pc4-merged problem
+// runs second, after a compressed attempt has left its worker a spare
+// solver.
 func pc4MixFatTree(t *testing.T) *generate.Instance {
 	t.Helper()
 	ft, err := generate.FatTree(generate.FatTreeOptions{K: 4, PC1: 4, PC2: 2, PC3: 4, PC4: 1, Seed: 3})
@@ -68,63 +68,88 @@ func pc4MixFatTree(t *testing.T) *generate.Instance {
 	return ft
 }
 
-// TestCachedSolverNeverRecycled pins the ownership rule of worker solvers:
-// a solver a solve cache entry keeps is never one a worker recycled, and
-// never goes back to a worker. A session's cache takes a repair with
-// compression on (compressed sub-problems, whose solvers the workers
-// recycle, then a cache-bound pc4-merged one) and one with compression off
-// (every sub-problem cache-bound), at Parallelism 1 and 2. Every retained
-// solver must be distinct, never handed out reset, and still hold its
-// entry's search: its counters are the entry's, and extracting its model
-// again reproduces the entry's repair.
-func TestCachedSolverNeverRecycled(t *testing.T) {
+// TestStoredSolverLeavesWorker pins the ownership rule of worker solvers:
+// a solve cache entry that stores an uncompressed outcome takes the solver
+// of the attempt that produced it, and no worker ever hands that solver to
+// a later attempt. Two caches take repairs at Parallelism 1 and 2. One has
+// no epoch, so compressed outcomes are not stored and their solvers go
+// back to the workers: with compression on, the pc4-merged sub-problem is
+// stored from a reset solver; with it off, every sub-problem is stored.
+// The other has an epoch and stores compressed outcomes too, whose entries
+// keep no solver. Every other entry must hold its own solver, which is
+// never handed out once an entry holds it and still reports the entry's
+// size and search counters.
+func TestStoredSolverLeavesWorker(t *testing.T) {
 	ft := pc4MixFatTree(t)
 	h := ft.Harc()
-	tk := recordTakes(t)
+	var (
+		mu     sync.Mutex
+		caches []*SolveCache
+		reset  = map[*sat.Solver]bool{}
+	)
+	solverTaken = func(s *sat.Solver, wasReset bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		reset[s] = reset[s] || wasReset
+		for _, c := range caches {
+			c.mu.Lock()
+			for _, e := range c.entries {
+				if e.solver == s {
+					t.Errorf("%s: a worker handed out the solver its cache entry holds", e.stat.Label)
+				}
+			}
+			c.mu.Unlock()
+		}
+	}
+	t.Cleanup(func() { solverTaken = nil })
+
 	kept := map[*sat.Solver]string{}
+	fromReset, compressed := 0, 0
 	for _, par := range []int{1, 2} {
-		cache := NewSolveCache(fmt.Sprintf("ft-mix/%d", par))
-		for _, cmp := range []CompressMode{CompressOn, CompressOff} {
+		noEpoch, epoch := NewSolveCache(""), NewSolveCache(fmt.Sprintf("ft-mix/%d", par))
+		mu.Lock()
+		caches = append(caches, noEpoch, epoch)
+		mu.Unlock()
+		for _, run := range []struct {
+			cache *SolveCache
+			cmp   CompressMode
+		}{{noEpoch, CompressOn}, {noEpoch, CompressOff}, {epoch, CompressOn}} {
 			opts := DefaultOptions()
-			opts.Parallelism, opts.Compress, opts.Cache = par, cmp, cache
+			opts.Parallelism, opts.Compress, opts.Cache = par, run.cmp, run.cache
 			res, err := Repair(h, ft.Policies, opts)
 			if err != nil || !res.Solved {
-				t.Fatalf("parallelism %d, compress %v: solved %v, err %v", par, cmp, res != nil && res.Solved, err)
+				t.Fatalf("parallelism %d, compress %v: solved %v, err %v", par, run.cmp, res != nil && res.Solved, err)
 			}
-			if cmp == CompressOn && (res.Compressed == 0 || res.Compressed == len(res.Stats)) {
+			if run.cmp == CompressOn && (res.Compressed == 0 || res.Compressed == len(res.Stats)) {
 				t.Fatalf("parallelism %d: %d of %d sub-problems compressed, want some of each kind", par, res.Compressed, len(res.Stats))
 			}
 		}
-		compressed := 0
-		for fp, e := range cache.entries {
-			if e.enc == nil {
-				compressed++
-				continue
-			}
-			s := e.enc.s
-			if other, dup := kept[s]; dup {
-				t.Fatalf("entries %.12s and %.12s retain the same solver", fp, other)
-			}
-			kept[s] = fp
-			if n := tk.reset[s]; n > 0 {
-				t.Errorf("%s: retained solver was handed out reset %d times", e.stat.Label, n)
-			}
-			if s.NumVars() != e.stat.Vars || s.Snapshot() != e.stat.Solver {
-				t.Errorf("%s: retained solver has %d variables and counters %+v, entry %d and %+v",
-					e.stat.Label, s.NumVars(), s.Snapshot(), e.stat.Vars, e.stat.Solver)
-			}
-			again := harc.StateOf(h)
-			e.enc.extract(again)
-			if !again.Equal(e.realized) {
-				t.Errorf("%s: retained solver's model no longer extracts to the entry's repair", e.stat.Label)
+		for _, c := range []*SolveCache{noEpoch, epoch} {
+			for fp, e := range c.entries {
+				s := e.solver
+				if e.stat.Compressed {
+					compressed++
+					if s != nil {
+						t.Errorf("%s: a compressed entry keeps its quotient solver", e.stat.Label)
+					}
+					continue
+				}
+				if other, dup := kept[s]; dup {
+					t.Fatalf("entries %.12s and %.12s hold the same solver", fp, other)
+				}
+				kept[s] = fp
+				if reset[s] {
+					fromReset++
+				}
+				if s.NumVars() != e.stat.Vars || s.Snapshot() != e.stat.Solver {
+					t.Errorf("%s: retained solver has %d variables and counters %+v, entry %d and %+v",
+						e.stat.Label, s.NumVars(), s.Snapshot(), e.stat.Vars, e.stat.Solver)
+				}
 			}
 		}
-		if compressed == 0 || len(cache.entries) == compressed {
-			t.Fatalf("parallelism %d: %d entries, %d compressed: want both kinds", par, len(cache.entries), compressed)
-		}
-		if n := tk.resets(); n == 0 {
-			t.Fatalf("parallelism %d: no attempt ran on a reset solver", par)
-		}
+	}
+	if fromReset == 0 || compressed == 0 {
+		t.Errorf("%d entries hold a reset solver and %d are compressed, want some of each", fromReset, compressed)
 	}
 }
 
@@ -132,8 +157,10 @@ func TestCachedSolverNeverRecycled(t *testing.T) {
 // recycling reaches — the share of sub-problems solved on a reset solver,
 // at the two workers the benchmark host runs — and pins its shape:
 // dc256-oneshot's eight compressed sub-problems on two workers leave six
-// on reset solvers (seven if one worker took them all), fattree-pc4 has a
-// third at most, and serve-mix's repairs are all cache-bound, so none.
+// on reset solvers (seven if one worker took them all), and as many when
+// a session's solve cache stores all eight, since compressed entries keep
+// no solver; fattree-pc4 has a third at most, and serve-mix's sub-problems
+// are all stored, each entry taking its attempt's solver, so none.
 func TestRecycledShare(t *testing.T) {
 	tk := recordTakes(t)
 	share := func(name string, h *harc.HARC, ps []policy.Policy, opts Options) (int, int) {
@@ -158,6 +185,14 @@ func TestRecycledShare(t *testing.T) {
 	if total != 8 || reset < 6 || reset > 7 {
 		t.Errorf("dc256-oneshot: %d of %d on a reset solver, want 6 or 7 of 8", reset, total)
 	}
+	opts := DefaultOptions()
+	opts.Cache = NewSolveCache("dc-256/7")
+	reset, total = share("dc256-session", dc.Harc(), dc.Policies, opts)
+	report("dc256-session", reset, total)
+	if st := opts.Cache.Stats(); total != 8 || reset < 6 || reset > 7 || st.Entries != 8 || st.Solvers != 0 {
+		t.Errorf("dc256-session: %d of %d on a reset solver, %d entries keep %d solvers; want 6 or 7 of 8, and 8 entries keeping none",
+			reset, total, st.Entries, st.Solvers)
+	}
 
 	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 24, SubnetScale: 1.0, Seed: 20170801})
 	if err != nil {
@@ -179,12 +214,12 @@ func TestRecycledShare(t *testing.T) {
 
 	// serve-mix: a session's repairs of Figure 2a variants, cold.
 	n := topology.Figure2a()
-	opts := DefaultOptions()
+	opts = DefaultOptions()
 	opts.Cache = NewSolveCache("serve-mix")
 	reset, total = share("serve-mix", harc.Build(n), figure2aPolicies(n), opts)
 	report("serve-mix", reset, total)
 	if reset != 0 {
-		t.Errorf("serve-mix: %d of %d on a reset solver, want none (cache-bound)", reset, total)
+		t.Errorf("serve-mix: %d of %d on a reset solver, want none (every solver stored)", reset, total)
 	}
 }
 
@@ -193,7 +228,7 @@ func TestRecycledShare(t *testing.T) {
 // Parallelism 1, so one worker solves all of its quotient sub-problems in
 // turn. With one solver per worker, reset between sub-problems and
 // regrown only for a sub-problem it cannot hold, a chunked CNF stream,
-// the OLL scratch, soft lists and variable-table rows lent by the worker,
+// the OLL scratch, soft lists and variable-table rows from the worker,
 // the model read from the builder's table in place and per-class
 // positions as int32 CSR, a repair measures 1.61 MB; with each
 // sub-problem allocating its own OLL storage, lists, rows and model
@@ -309,7 +344,7 @@ func dcShaped(nVars int, seed int64) []sat.Lit {
 	return stream
 }
 
-// storageIDs identifies the storage a worker lends its attempts — every
+// storageIDs identifies the storage a worker gives its attempts — every
 // array and map of its encStorage, the OLL scratch's included, and the
 // builder's variable table the encoders read their models from — by
 // address and capacity: equal IDs are the same, unregrown, storage.
@@ -335,33 +370,15 @@ func storageIDs(w *worker) map[string][2]uintptr {
 	return ids
 }
 
-// TestWorkerStorageReused pins the storage rule of worker attempts: one
-// worker solving dc-256's eight compressed sub-problems in turn, as
-// Parallelism 1 does, allocates its OLL scratch, soft and weight lists,
-// variable-table rows and model table for the first, and every later
-// sub-problem works in exactly those arrays. An encoder on lent storage
-// reads its model from the builder's table in place; one the solve
-// cache may keep copies it.
-func TestWorkerStorageReused(t *testing.T) {
-	dc, err := generate.Preset("dc-256", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := dc.Harc()
-	opts := DefaultOptions()
-	opts.Parallelism = 1
-	problems, err := buildProblems(h, dc.Policies, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, orig, w := newTables(h), harc.StateOf(h), newWorker()
-	var pending atomic.Int64
+// sameStorage solves problems in turn on one worker and checks that the
+// worker allocates its storage for the first and that every later one
+// works in exactly those arrays.
+func sameStorage(t *testing.T, problems []*problem, solve func(w *worker, pr *problem)) {
+	t.Helper()
+	w := newWorker()
 	var first map[string][2]uintptr
-	for i, pr := range scheduleOrder(problems) {
-		solveProblem(context.Background(), w, h, tb, orig, pr, opts, 1, &pending)
-		if !pr.stat.Compressed || pr.stat.Outcome != OutcomeSolved {
-			t.Fatalf("%s: outcome %v, compressed %v, want a solved compressed sub-problem", pr.label, pr.stat.Outcome, pr.stat.Compressed)
-		}
+	for i, pr := range problems {
+		solve(w, pr)
 		ids := storageIDs(w)
 		if i == 0 {
 			first = ids
@@ -378,17 +395,43 @@ func TestWorkerStorageReused(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWorkerStorageReused pins the storage rule of worker attempts: one
+// worker solving sub-problems in turn, as Parallelism 1 does, allocates
+// its OLL scratch, soft and weight lists, variable-table rows and model
+// table for the first, and every later sub-problem works in exactly those
+// arrays — dc-256's eight compressed sub-problems, and a corpus network's
+// uncompressed ones with a solve cache set, whose entries take each
+// attempt's solver but none of its storage.
+func TestWorkerStorageReused(t *testing.T) {
+	dc, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := dc.Harc()
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	problems, err := buildProblems(h, dc.Policies, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, orig := newTables(h), harc.StateOf(h)
+	var pending atomic.Int64
+	sameStorage(t, scheduleOrder(problems), func(w *worker, pr *problem) {
+		solveProblem(context.Background(), w, h, tb, orig, pr, opts, 1, &pending)
+		if !pr.stat.Compressed || pr.stat.Outcome != OutcomeSolved {
+			t.Fatalf("%s: outcome %v, compressed %v, want a solved compressed sub-problem", pr.label, pr.stat.Outcome, pr.stat.Compressed)
+		}
+	})
 
 	fix := corpusFixture(t)
-	pr := fix.problems[0]
-	for _, lent := range []bool{true, false} {
-		enc := newEncoder(w.b, sat.New(), w.lend(!lent), fix.tb, fix.orig, pr.tcs, pr.policies, pr.freeze, fix.opts)
-		if err := enc.encode(context.Background()); err != nil {
-			t.Fatal(err)
+	cached := fix.opts
+	cached.Compress, cached.Cache = CompressOff, NewSolveCache("storage")
+	sameStorage(t, scheduleOrder(fix.problems), func(w *worker, pr *problem) {
+		solveProblem(context.Background(), w, fix.tb.h, fix.tb, fix.orig, pr, cached, 1, &pending)
+		if pr.stat.Outcome != OutcomeSolved || w.spare != nil {
+			t.Fatalf("%s: outcome %v, spare left %v, want a solved sub-problem whose solver the cache took", pr.label, pr.stat.Outcome, w.spare != nil)
 		}
-		inPlace := unsafe.SliceData(enc.lits) == unsafe.SliceData(w.b.VarTable())
-		if inPlace != lent {
-			t.Errorf("encoder on lent storage %v: model table read in place %v", lent, inPlace)
-		}
-	}
+	})
 }

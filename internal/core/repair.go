@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -139,7 +138,7 @@ type Options struct {
 	CompressRedundancy int
 	// Cache, when set, memoizes terminal sub-problem solves across Repair
 	// calls keyed by the sub-problem's full encoding fingerprint, and
-	// retains the live encoder/solver of each hit source. Hits replay
+	// retains the solver of each stored outcome. Hits replay
 	// results byte-identical to a fresh solve (see SolveCache). Sessions
 	// (cpr.Session, cprd) inject their per-session cache here.
 	Cache *SolveCache
@@ -300,7 +299,6 @@ type problem struct {
 	tcs      []topology.TrafficClass
 	policies []policy.Policy
 	freeze   bool
-	enc      *encoder
 	// realized is the sub-problem's repair, staged by the worker for the
 	// serial merge in a copy-on-write clone of the original state (so it
 	// owns only the problem's rows): the model extraction of a solve, the
@@ -537,12 +535,13 @@ func (pr *problem) sizeHint() int { return len(pr.tcs)*16 + len(pr.policies) }
 
 // worker is what one runProblems goroutine keeps across the sub-problems
 // it solves in one repair: the constraint-building scratch (formula arena
-// and CNF stream) every encode resets, the solver of its last finished
-// attempt, which the next attempt resets and reuses instead of allocating
-// its own, and the storage it lends to the encoding and solve of every
-// attempt the solve cache cannot keep. All of it dies with the repair:
-// nothing is kept across repairs (DESIGN.md, "One solver per worker",
-// "The capacity rule").
+// and CNF stream) every encode resets, the storage every attempt encodes
+// and solves in, and the solver of its last finished attempt, which the
+// next attempt resets and reuses instead of allocating its own. A solve
+// cache entry that stores an uncompressed outcome takes the solver of the
+// attempt that produced it, and the worker then has no spare. All of it dies with the
+// repair: nothing is kept across repairs (DESIGN.md, "One solver per
+// worker", "The capacity rule").
 type worker struct {
 	b     *formula.Builder
 	spare *sat.Solver
@@ -551,27 +550,15 @@ type worker struct {
 
 func newWorker() *worker { return &worker{b: formula.NewBuilder(formula.NewPool())} }
 
-// lend returns the storage of an attempt: the worker's, or nil — fresh
-// storage — when the solve cache may keep the attempt's encoder
-// (cacheable), which then never aliases anything the worker reuses.
-func (w *worker) lend(cacheable bool) *encStorage {
-	if cacheable {
-		return nil
-	}
-	return &w.store
-}
-
 // solverTaken, when set, is told about every attempt's solver and whether
 // it is a reset one. Only tests set it, to see how much of a workload
 // recycling reaches and which solvers it hands out.
 var solverTaken func(s *sat.Solver, reset bool)
 
 // solver returns an attempt's solver: the worker's spare, reset, or a new
-// one when there is no spare or the solve cache may keep the attempt's
-// encoder (cacheable). A cached solver is then always one that was never
-// recycled, sized by its own formula alone.
-func (w *worker) solver(cacheable bool) *sat.Solver {
-	s, reset := w.spare, w.spare != nil && !cacheable
+// one when there is no spare.
+func (w *worker) solver() *sat.Solver {
+	s, reset := w.spare, w.spare != nil
 	if reset {
 		w.spare = nil
 		s.Reset()
@@ -583,11 +570,6 @@ func (w *worker) solver(cacheable bool) *sat.Solver {
 	}
 	return s
 }
-
-// recycle makes s the worker's spare. The caller is done with it: the
-// attempt returned without a panic, its model is extracted and its
-// counters copied, and no cache entry can hold it.
-func (w *worker) recycle(s *sat.Solver) { w.spare = s }
 
 // runProblems is the fan-out: a fixed worker pool drains the problem
 // queue largest-first (deterministic dispatch under Parallelism 1), and
@@ -637,17 +619,25 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 			return
 		}
 	}
-	if tryCompressed(ctx, w, tb, orig, pr, opts) {
-		if memo && cacheableOutcome(pr, ctx.Err()) {
-			opts.Cache.store(fp, entryFor(pr))
+	// memoize stores a terminal outcome the cache may keep, with s, the
+	// solver of the attempt that produced it (nil keeps none). A stored
+	// solver leaves the worker.
+	memoize := func(s *sat.Solver) {
+		if memo && cacheableOutcome(pr, ctx.Err()) && opts.Cache.store(fp, entryFor(pr, s)) && w.spare == s {
+			w.spare = nil
 		}
+	}
+	if tryCompressed(ctx, w, tb, orig, pr, opts) {
+		// The entry keeps no quotient solver: the worker's next compressed
+		// sub-problem resets it. Kept, dc-256's eight would pin 125 MB.
+		memoize(nil)
 		return
 	}
 	attempts := maxAttempts
 	if !pr.freeze {
 		attempts = 1
 	}
-	budget := opts.ConflictBudget
+	o := opts
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -657,51 +647,30 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 		}
 		pr.stat.Attempts = attempt
 		wctx, cancel := watchdogCtx(ctx, workers, pending)
-		enc, cost, status, err := solveOnce(wctx, w, memo, tb, orig, pr, budget, opts, attempt)
+		enc, cost, status, err := solveOnce(wctx, w, pr, tb, orig, pr.tcs, pr.policies, pr.freeze, o, attempt)
 		cancel()
-		if enc != nil {
-			if memo {
-				pr.enc = enc // the cache entry's, if the outcome is stored
-			}
-			pr.stat.Vars = enc.s.NumVars()
-			pr.stat.Softs = len(enc.softs)
-			pr.stat.Conflicts += enc.s.Conflicts
-			pr.stat.Solver.Accumulate(enc.s.Snapshot())
-		}
 		pr.stat.Status = status
-		if err == nil && status == sat.Sat {
-			pr.realized = orig.Clone()
-			enc.extract(pr.realized)
-		}
-		// The attempt is over. Its solver is the worker's for the next one,
-		// unless the cache may keep its encoder or the attempt panicked.
-		var se *SolveError
-		if enc != nil && !memo && !(errors.As(err, &se) && se.Panic != nil) {
-			w.recycle(enc.s)
-		}
 		if err == nil {
 			switch status {
 			case sat.Sat:
+				pr.realized = orig.Clone()
+				enc.extract(pr.realized)
 				pr.stat.Outcome = OutcomeSolved
 				pr.stat.Violations = cost
-				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(pr))
-				}
+				memoize(enc.s)
 				return
 			case sat.Unsat:
 				// Deterministic: no retry, and no fallback either — the
 				// greedy baseline cannot satisfy an unsatisfiable group.
 				pr.stat.Outcome = OutcomeFailed
 				pr.stat.Err = "unsatisfiable"
-				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(pr))
-				}
+				memoize(enc.s)
 				return
 			}
 			// Unknown: watchdog expiry, a spurious interrupt, or budget
 			// exhaustion — transient either way; retry with more budget.
 			lastErr = &SolveError{Label: pr.label, Phase: "solve", Attempt: attempt,
-				Err: fmt.Errorf("solver returned unknown (budget %d)", budget)}
+				Err: fmt.Errorf("solver returned unknown (budget %d)", o.ConflictBudget)}
 		} else {
 			lastErr = err
 		}
@@ -710,31 +679,43 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 			pr.stat.Err = "cancelled: " + ctx.Err().Error()
 			return
 		}
-		if budget > 0 {
-			budget *= budgetEscalation
+		if o.ConflictBudget > 0 {
+			o.ConflictBudget *= budgetEscalation
 		}
 	}
 	degrade(h, orig, pr, lastErr)
 }
 
-// solveOnce builds a fresh encoder in w, around an empty solver and the
-// storage w lends the attempt (see worker.solver and worker.lend: none
-// when the solve cache may keep the encoder), and runs one attempt.
-// Panics anywhere in encoding or search are recovered into SolveErrors,
-// so a pathological destination cannot kill the process or its sibling
-// solves.
-func solveOnce(ctx context.Context, w *worker, cacheable bool, tb *tables, orig *harc.State, pr *problem, budget int64, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
+// solveOnce is one attempt, compressed or not: it encodes the formula of
+// tcs and policies over tb and orig in w's storage, on w's spare solver
+// reset (or a new one), solves it, times both stages and adds the
+// attempt's size and search counters to pr's stats. Panics anywhere in
+// encoding or search are recovered into SolveErrors naming the phase, so
+// a pathological destination cannot kill the process or its sibling
+// solves. Unless it panicked, the attempt leaves its solver as w's spare
+// for the next attempt to reset, unless a cache entry storing its outcome
+// takes it (solveProblem's memoize).
+func solveOnce(ctx context.Context, w *worker, pr *problem, tb *tables, orig *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freeze bool, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
 	phase := "encode"
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			err = &SolveError{Label: pr.label, Phase: phase, Attempt: attempt, Panic: r}
 			status = sat.Unknown
 		}
+		if enc == nil {
+			return
+		}
+		pr.stat.Vars = enc.s.NumVars()
+		pr.stat.Softs = len(enc.softs)
+		pr.stat.Conflicts += enc.s.Conflicts
+		pr.stat.Solver.Accumulate(enc.s.Snapshot())
+		if r == nil {
+			w.spare = enc.s
+		}
 	}()
-	o := opts
-	o.ConflictBudget = budget
 	te := time.Now()
-	enc = newEncoder(w.b, w.solver(cacheable), w.lend(cacheable), tb, orig, pr.tcs, pr.policies, pr.freeze, o)
+	enc = newEncoder(w, w.solver(), tb, orig, tcs, policies, freeze, opts)
 	if eerr := enc.encode(ctx); eerr != nil {
 		pr.stat.EncodeNs += time.Since(te).Nanoseconds()
 		return enc, 0, sat.Unknown, &SolveError{Label: pr.label, Phase: "encode", Attempt: attempt, Err: eerr}

@@ -28,8 +28,9 @@ func BenchmarkSolvePC4Merged(b *testing.B) {
 	if i < 0 {
 		b.Fatal("fattree-pc4 has no pc4-merged sub-problem")
 	}
-	pr, sc := problems[i], newWorker().b
-	enc := newEncoder(sc, sat.New(), nil, newTables(h), harc.StateOf(h), pr.tcs, pr.policies, pr.freeze, opts)
+	pr, w := problems[i], newWorker()
+	sc := w.b
+	enc := newEncoder(w, sat.New(), newTables(h), harc.StateOf(h), pr.tcs, pr.policies, pr.freeze, opts)
 	if err := enc.encode(context.Background()); err != nil {
 		b.Fatal(err)
 	}

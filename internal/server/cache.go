@@ -40,9 +40,9 @@ type loadCall struct {
 
 // sessionCache is an LRU cache of loaded sessions keyed by SessionKey,
 // with single-flight deduplication of concurrent identical loads.
-// Sessions retain per-sub-problem encodings and SAT solvers across
-// repair calls, so eviction releases that memory (Session.Release)
-// rather than just dropping the reference.
+// Sessions retain per-sub-problem SAT solvers across repair calls, so
+// eviction releases that memory (Session.Release) rather than just
+// dropping the reference.
 type sessionCache struct {
 	mu      sync.Mutex
 	max     int
@@ -115,9 +115,10 @@ func (c *sessionCache) len() int {
 	return c.lru.Len()
 }
 
-// retained sums solve-cache accounting (retained entries, solvers, and
-// approximate bytes, plus hit/miss counters) across cached sessions, for
-// /statsz.
+// retained sums solve-cache accounting across cached sessions, for
+// /statsz: retained entries, solvers and approximate bytes counting an
+// entry that sessions share (a delta forks its parent's cache) once, and
+// hit/miss/store counters per session.
 func (c *sessionCache) retained() core.SolveCacheStats {
 	c.mu.Lock()
 	sessions := make([]*cpr.Session, 0, c.lru.Len())
@@ -125,17 +126,7 @@ func (c *sessionCache) retained() core.SolveCacheStats {
 		sessions = append(sessions, e.Value.(*entry).sess)
 	}
 	c.mu.Unlock()
-	var agg core.SolveCacheStats
-	for _, s := range sessions {
-		cs := s.CacheStats()
-		agg.Entries += cs.Entries
-		agg.Solvers += cs.Solvers
-		agg.RetainedBytes += cs.RetainedBytes
-		agg.Hits += cs.Hits
-		agg.Misses += cs.Misses
-		agg.Stores += cs.Stores
-	}
-	return agg
+	return cpr.SumCacheStats(sessions...)
 }
 
 // getOrLoad returns the session for key, building it with build on a

@@ -242,9 +242,9 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // TestEvictionReleasesRetainedSolvers: under MaxSessions pressure the
-// LRU must not leak the evicted session's retained encodings and
-// solvers — eviction calls Release, and the /statsz Retained gauges
-// reflect only the sessions still cached.
+// LRU must not leak the evicted session's retained solvers — eviction
+// calls Release, and the /statsz Retained gauges reflect only the
+// sessions still cached.
 func TestEvictionReleasesRetainedSolvers(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxSessions: 1})
 	lr := loadFigure2a(t, ts)
@@ -286,6 +286,53 @@ func TestEvictionReleasesRetainedSolvers(t *testing.T) {
 	}
 	if after.SessionsCached != 1 {
 		t.Fatalf("sessions cached = %d, want 1", after.SessionsCached)
+	}
+}
+
+// TestStatszCountsSharedEntriesOnce: a delta forks its base session's
+// solve cache by reference, so both cached sessions hold the base's
+// entries. /statsz must count each such entry, its solver and its bytes
+// once; hits, misses and stores stay per-session sums.
+func TestStatszCountsSharedEntriesOnce(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	lr := loadFigure2a(t, ts)
+	var rr RepairResponse
+	if st := postJSON(t, ts, "/v1/repair", RepairRequest{Session: lr.Session, Policies: figure2aSpec}, &rr); st != http.StatusOK || !rr.Solved {
+		t.Fatalf("repair = %d solved=%v", st, rr.Solved)
+	}
+	base, ok := srv.cache.get(lr.Session)
+	if !ok {
+		t.Fatal("session not cached")
+	}
+	want := base.CacheStats()
+	if want.Entries == 0 || want.Solvers == 0 || want.RetainedBytes == 0 {
+		t.Fatalf("repair retained nothing: %+v", want)
+	}
+
+	// An unused ACL on C: a new session whose cache shares every entry of
+	// the base's, and solves nothing.
+	churn := map[string]string{"C": config.Figure2aConfigs()["C"] + "ip access-list extended UNUSED\n permit ip any any\n!\n"}
+	var dr DeltaResponse
+	if st := postJSON(t, ts, "/v1/delta", DeltaRequest{Session: lr.Session, Configs: churn}, &dr); st != http.StatusOK {
+		t.Fatalf("delta status = %d", st)
+	}
+	if srv.cache.len() != 2 {
+		t.Fatalf("sessions cached = %d, want 2", srv.cache.len())
+	}
+	if fork, ok := srv.cache.get(dr.Session); !ok || fork.CacheStats().Entries != want.Entries {
+		t.Fatalf("delta session does not share the base's %d entries", want.Entries)
+	}
+	var sz Statsz
+	if st := getJSON(t, ts, "/statsz", &sz); st != http.StatusOK {
+		t.Fatalf("statsz status = %d", st)
+	}
+	got := sz.Retained
+	if got.Entries != want.Entries || got.Solvers != want.Solvers || got.Bytes != want.RetainedBytes {
+		t.Errorf("statsz retained %d entries, %d solvers, %d B; want the shared %d, %d, %d B counted once",
+			got.Entries, got.Solvers, got.Bytes, want.Entries, want.Solvers, want.RetainedBytes)
+	}
+	if got.SolveMisses != want.Misses || got.SolveStores != want.Stores {
+		t.Errorf("statsz solve misses %d, stores %d; want the base session's %d, %d", got.SolveMisses, got.SolveStores, want.Misses, want.Stores)
 	}
 }
 

@@ -236,10 +236,11 @@ type Statsz struct {
 		DeltaHits      int64 `json:"delta_hits"`
 		DeltaCoalesced int64 `json:"delta_coalesced"`
 	} `json:"cache"`
-	// Retained is the solve-cache footprint summed across cached
-	// sessions: per-sub-problem entries, live SAT solvers, and their
-	// approximate retained bytes, plus replay hit/miss counters. This is
-	// the memory LRU eviction releases (see sessionCache.insertLocked).
+	// Retained is the solve-cache footprint of the cached sessions:
+	// per-sub-problem entries, live SAT solvers, and their approximate
+	// retained bytes, each entry counted once however many sessions share
+	// it, plus replay hit/miss counters summed per session. This is the
+	// memory LRU eviction releases (see sessionCache.insertLocked).
 	Retained struct {
 		Entries     int    `json:"entries"`
 		Solvers     int    `json:"solvers"`

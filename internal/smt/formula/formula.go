@@ -314,18 +314,10 @@ func (b *Builder) Reset() {
 func (b *Builder) NumVars() int        { return b.nVars }
 func (b *Builder) Stream() [][]sat.Lit { return b.chunks[:b.used] }
 
-// VarLits returns a copy of the variable table: per pool variable its
-// solver literal plus one, or 0 if no constraint ever used it. It is what
-// a caller keeps to read a model once the builder has been reset.
-func (b *Builder) VarLits() []sat.Lit {
-	out := make([]sat.Lit, b.p.nvars)
-	copy(out, b.varLits)
-	return out
-}
-
-// VarTable is the variable table itself, VarLits without the copy: it
-// aliases the builder's storage until Reset, and may end before the last
-// pool variable (the ones past its end are unused, as a 0 entry is).
+// VarTable is the variable table: per pool variable its solver literal
+// plus one, or 0 if no constraint ever used it. It aliases the builder's
+// storage until Reset, and may end before the last pool variable (the
+// ones past its end are unused, as a 0 entry is).
 func (b *Builder) VarTable() []sat.Lit { return b.varLits }
 
 // ApproxBytes is the heap the builder and its pool hold, every stream

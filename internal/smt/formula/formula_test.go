@@ -244,8 +244,8 @@ func TestNumberingContract(t *testing.T) {
 	if b.NumVars() != 5 {
 		t.Errorf("NumVars = %d, want 5", b.NumVars())
 	}
-	if tab := b.VarLits(); len(tab) != 3 || tab[0] != 3 || tab[1] != 7 || tab[2] != 1 {
-		t.Errorf("VarLits = %v, want literal+1 per variable: [3 7 1]", tab)
+	if tab := b.VarTable(); len(tab) != 3 || tab[0] != 3 || tab[1] != 7 || tab[2] != 1 {
+		t.Errorf("VarTable = %v, want literal+1 per variable: [3 7 1]", tab)
 	}
 }
 

@@ -418,8 +418,8 @@ func (s *Solver) Load(nVars int, stream ...[]Lit) bool {
 // percent, and the spare takes what is added after the load (MaxSAT's
 // variables, learnt and totalizer clauses) — and then with slack, so the
 // next sub-problem fits. A new solver fits nothing and is sized for its
-// first load as it always was, exactly where it always was exact: a solve
-// cache keeps new solvers only, and reports their size.
+// first load as it always was, exactly where it always was exact: a
+// worker's first load is often its only one.
 func fits(need, have int) bool { return need+need/16 <= have }
 
 // fitted returns xs with capacity for need entries: xs itself when need

@@ -25,10 +25,10 @@ func ContentKey(configs map[string]string) string {
 
 // Session is a loaded network plus the incremental-repair state that
 // persists across calls: the per-label parsed configurations and a
-// solve cache retaining each solved sub-problem's interned encoding,
-// SAT solver, and extracted model, keyed by an exact fingerprint of the
-// sub-problem's inputs. Repeat repairs whose sub-problems a config
-// change cannot reach replay from the cache instead of re-solving.
+// solve cache retaining each solved sub-problem's SAT solver and
+// extracted model, keyed by an exact fingerprint of the sub-problem's
+// inputs. Repeat repairs whose sub-problems a config change cannot reach
+// replay from the cache instead of re-solving.
 //
 // Sessions are immutable: Delta derives a new session for a changed
 // config set, sharing unchanged parsed configs and (via a fork) the
@@ -226,14 +226,27 @@ func (s *Session) storeOutput(key string, out *RepairOutput) {
 }
 
 // CacheStats reports the solve cache's entry count, retained solvers,
-// hit/miss/store counters, and approximate retained bytes. Exposed in
-// the server's /statsz for memory accounting of long-lived sessions.
+// hit/miss/store counters, and approximate retained bytes.
 func (s *Session) CacheStats() core.SolveCacheStats { return s.cache.Stats() }
 
-// Release drops every retained encoding and solver, plus any memoized
-// repair outputs. The session remains usable (repairs simply stop
-// replaying), so LRU eviction can reclaim solver memory even while a
-// request still holds the session.
+// SumCacheStats sums the solve-cache stats of sessions, counting an entry
+// that several of them hold (a Delta shares its parent's entries) once;
+// hit, miss and store counters are per-session sums. The server's /statsz
+// reports it for memory accounting of long-lived sessions.
+func SumCacheStats(sessions ...*Session) core.SolveCacheStats {
+	caches := make([]*core.SolveCache, len(sessions))
+	for i, s := range sessions {
+		caches[i] = s.cache
+	}
+	return core.SumStats(caches...)
+}
+
+// Release drops the session's hold on every retained solver, plus any
+// memoized repair outputs. A solve-cache entry that a session derived by
+// Delta still holds stays alive until that session is released too. The
+// session remains usable (repairs simply stop replaying), so LRU eviction
+// can reclaim solver memory even while a request still holds the
+// session.
 func (s *Session) Release() {
 	s.cache.Release()
 	s.mu.Lock()
