@@ -18,12 +18,14 @@
 //	GET  /readyz      drain-aware readiness (503 once shutdown begins)
 //	GET  /statsz      cache/solver/latency/retained-memory statistics
 //
-// Sessions are incremental: each cached session retains its solved
-// sub-problems (encoding + SAT solver + model), and /v1/delta derives a
-// new session that re-parses only the changed configs and replays any
+// Sessions are incremental: each cached session retains the answers of
+// its solved sub-problems (outcome + staged repair), and /v1/delta derives
+// a new session that re-parses only the changed configs and replays any
 // retained sub-problem a change cannot reach — byte-identical to a cold
-// solve, at a fraction of the latency. LRU eviction releases retained
-// solver memory (visible under "retained" in /statsz).
+// solve, at a fraction of the latency. The retained memory is visible
+// under "retained" in /statsz; an evicted session is freed once no request
+// holds it. Unless GOGC is set in the environment, the daemon runs the
+// collector at a target of 400 (see server.New).
 //
 // With -pprof ADDR, net/http/pprof is served on a second listener so live
 // CPU/heap profiles can be pulled from a running daemon without exposing

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,7 +65,7 @@ type prepEdge struct {
 func Prepare(n *topology.Network) *Prepared {
 	devs := n.Devices()
 	p := &Prepared{n: n, devs: make([]prepDevice, len(devs))}
-	harc.ParallelFor(len(devs), func(i int) { p.devs[i].render(devs[i]) })
+	harc.ParallelFor(len(devs), runtime.GOMAXPROCS(0), func(i int) { p.devs[i].render(devs[i]) })
 	return p
 }
 

@@ -214,3 +214,33 @@ func TestRepairSharedTablesRace(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRepairIncrementalWorkers holds VerifyRepairIncremental's
+// answer to its sequential one at 2 and 8 workers on dc-256's touched
+// set: the repaired state, where nothing is violated, and the original
+// one, where the violations come back in input order.
+func TestVerifyRepairIncrementalWorkers(t *testing.T) {
+	dc, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := dc.Harc()
+	res, err := Repair(h, dc.Policies, DefaultOptions())
+	if err != nil || !res.Solved {
+		t.Fatalf("dc-256: solved %v, err %v", res != nil && res.Solved, err)
+	}
+	for _, leg := range []struct {
+		name string
+		st   *harc.State
+	}{{"repaired", res.State}, {"original", harc.StateOf(h)}} {
+		want := VerifyRepairIncremental(h, leg.st, dc.Policies, res.Touched, 1)
+		if (leg.name == "original") == (len(want) == 0) {
+			t.Fatalf("%s: %d violations at 1 worker", leg.name, len(want))
+		}
+		for _, workers := range []int{2, 8} {
+			if got := VerifyRepairIncremental(h, leg.st, dc.Policies, res.Touched, workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d workers found %d violations, 1 worker %d (or another order)", leg.name, workers, len(got), len(want))
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/generate"
 	"repro/internal/harc"
 	"repro/internal/policy"
-	"repro/internal/smt/formula"
 	"repro/internal/smt/sat"
 	"repro/internal/topology"
 )
@@ -123,30 +121,16 @@ func heapDelta(build func() any) (int64, any) {
 	return best, kept
 }
 
-// TestApproxBytesTracksHeap holds the O(1) retained-memory estimates
+// TestApproxBytesTracksHeap holds the O(1) retained-memory estimate
 // (what /statsz reports as retained bytes) to the measured heap: within
-// 25 % for the worker scratch the fixture's sub-problems are encoded in,
-// and for the solvers a solve cache retains from solving them.
+// 25 % for the staged repair states a solve cache retains from solving
+// the fixture's sub-problems.
 func TestApproxBytesTracksHeap(t *testing.T) {
 	fix := corpusFixture(t)
-	within := func(what string, approx, measured int64) {
-		t.Helper()
-		t.Logf("%s: approx %d B, measured %d B (%.2fx)", what, approx, measured, float64(approx)/float64(measured))
-		if approx < measured*3/4 || approx > measured*5/4 {
-			t.Errorf("%s: ApproxBytes %d is not within 25%% of the measured %d", what, approx, measured)
-		}
-	}
 	// The shared tables are built by the first encode that needs them and
-	// belong to the repair, not to a scratch or a solver.
+	// belong to the repair, not to a retained state.
 	fix.encodeAll(t, newWorker())
 	measured, kept := heapDelta(func() any {
-		w := newWorker()
-		fix.encodeAll(t, w)
-		return w.b
-	})
-	within("scratch", kept.(*formula.Builder).ApproxBytes(), measured)
-
-	measured, kept = heapDelta(func() any {
 		opts := fix.opts
 		opts.Cache = NewSolveCache("approx")
 		w := newWorker()
@@ -155,16 +139,21 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 			pr := &problem{label: p.label, tcs: p.tcs, policies: p.policies, freeze: p.freeze}
 			solveProblem(context.Background(), w, fix.tb.h, fix.tb, fix.orig, pr, opts, 1, &pending)
 		}
-		var solvers []*sat.Solver
+		var states []*harc.State
 		for _, e := range opts.Cache.entries {
-			solvers = append(solvers, e.solver)
+			if e.realized != nil {
+				states = append(states, e.realized)
+			}
 		}
-		return solvers
+		return states
 	})
 	var approx int64
-	for _, s := range kept.([]*sat.Solver) {
-		approx += s.ApproxBytes()
+	for _, st := range kept.([]*harc.State) {
+		approx += st.ApproxBytes()
 	}
-	within(fmt.Sprintf("%d retained solvers", len(kept.([]*sat.Solver))), approx, measured)
+	t.Logf("%d retained states: approx %d B, measured %d B (%.2fx)", len(kept.([]*harc.State)), approx, measured, float64(approx)/float64(measured))
+	if approx < measured*3/4 || approx > measured*5/4 {
+		t.Errorf("ApproxBytes %d is not within 25%% of the measured %d", approx, measured)
+	}
 	runtime.KeepAlive(kept)
 }

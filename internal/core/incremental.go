@@ -23,18 +23,10 @@ import (
 // produce: the solver is deterministic, and two sub-problems with equal
 // fingerprints build equal formulas.
 //
-// An entry for an uncompressed outcome keeps the sat.Solver of the attempt
-// that produced it, with its learned clauses and saved phases; the worker
-// that ran the attempt hands it over and never uses it again (the encoder,
-// formula arena and storage are worker scratch and are not retained). A
-// compressed outcome's quotient solver stays with its worker, which resets
-// it for its next sub-problem. Nothing reads the
-// solver back — replay copies the captured rows — but it is counted
-// (Stats) and reclaimable (Release), and it is deliberate heap ballast:
-// on cprd's small-request mix the retained solvers are what paces the
-// collector, and dropping them costs +42–62 % op_ms_p95 for −99 %
-// retained bytes (DESIGN.md §6 has the four measured pairs). Remove it
-// only together with a soft memory limit.
+// An entry keeps only the answer: the outcome's stat and its staged
+// repair. The solver, encoder, formula arena and storage of the attempt
+// that produced it are worker scratch and stay with the worker (DESIGN.md
+// §6, "The cache keeps answers; the server paces its collector").
 //
 // A SolveCache is safe for concurrent use by parallel per-destination
 // workers and by concurrent Repair calls sharing one session.
@@ -55,10 +47,7 @@ type solveEntry struct {
 	// problem.realized): nil for Unsat entries.
 	realized        *harc.State
 	realizedChanges int
-	// solver is the retained solver of the attempt that produced an
-	// uncompressed outcome, nil for a compressed one. No worker holds it.
-	solver *sat.Solver
-	bytes  int64
+	bytes           int64 // realized.ApproxBytes(), 0 for Unsat entries
 }
 
 // NewSolveCache returns an empty cache. epoch must identify the exact
@@ -77,9 +66,9 @@ func (c *SolveCache) Epoch() string { return c.epoch }
 
 // Fork snapshots the cache for a derived session under a new epoch.
 // Entries are shared by reference (they are immutable), so an entry stays
-// alive until every cache holding it is released; counters start fresh.
+// alive until no cache holding it is reachable; counters start fresh.
 // Entries whose fingerprint embedded the old epoch simply never match
-// again and age out when the forked session is released.
+// again and die with the forked session.
 func (c *SolveCache) Fork(epoch string) *SolveCache {
 	nc := NewSolveCache(epoch)
 	if c == nil {
@@ -96,13 +85,11 @@ func (c *SolveCache) Fork(epoch string) *SolveCache {
 // SolveCacheStats is a point-in-time cache summary.
 type SolveCacheStats struct {
 	Entries int
-	// Solvers counts entries retaining a solver.
-	Solvers int
 	Hits    uint64
 	Misses  uint64
 	Stores  uint64
-	// RetainedBytes estimates the memory pinned by retained solvers and
-	// staged replay states.
+	// RetainedBytes estimates the memory pinned by the entries' staged
+	// replay states.
 	RetainedBytes int64
 }
 
@@ -130,26 +117,10 @@ func SumStats(caches ...*SolveCache) SolveCacheStats {
 			seen[e] = true
 			st.Entries++
 			st.RetainedBytes += e.bytes
-			if e.solver != nil {
-				st.Solvers++
-			}
 		}
 		c.mu.Unlock()
 	}
 	return st
-}
-
-// Release drops every entry, unpinning the retained solvers (an entry a
-// fork still holds stays alive until the fork is released too). The
-// session cache calls this on LRU eviction so long-lived solvers cannot
-// leak past their session's lifetime.
-func (c *SolveCache) Release() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*solveEntry)
 }
 
 func (c *SolveCache) lookup(fp string) *solveEntry {
@@ -164,19 +135,17 @@ func (c *SolveCache) lookup(fp string) *solveEntry {
 	return e
 }
 
-// store inserts an entry and reports whether it did; the first store for
-// a fingerprint wins, so concurrent Repair calls racing on the same
-// sub-problem keep one consistent entry (both computed byte-identical
-// results anyway).
-func (c *SolveCache) store(fp string, e *solveEntry) bool {
+// store inserts an entry; the first store for a fingerprint wins, so
+// concurrent Repair calls racing on the same sub-problem keep one
+// consistent entry (both computed byte-identical results anyway).
+func (c *SolveCache) store(fp string, e *solveEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[fp]; ok {
-		return false
+		return
 	}
 	c.entries[fp] = e
 	c.stores++
-	return true
 }
 
 // replay copies the memoized outcome onto the problem. The caller's
@@ -361,18 +330,14 @@ func cacheableOutcome(pr *problem, ctxErr error) bool {
 }
 
 // entryFor builds the memo entry for a problem that just reached a
-// cacheable terminal outcome: its staged repair (replay hands the same
-// immutable state to mergeRows) and s, the solver of the attempt that
-// produced it.
-func entryFor(pr *problem, s *sat.Solver) *solveEntry {
-	e := &solveEntry{stat: pr.stat, realized: pr.realized, realizedChanges: pr.realizedChanges, solver: s}
+// cacheable terminal outcome: its stat and its staged repair (replay hands
+// the same immutable state to mergeRows).
+func entryFor(pr *problem) *solveEntry {
+	e := &solveEntry{stat: pr.stat, realized: pr.realized, realizedChanges: pr.realizedChanges}
 	e.stat.Duration = 0
 	e.stat.Reused = false
 	if pr.realized != nil {
 		e.bytes = pr.realized.ApproxBytes()
-	}
-	if s != nil {
-		e.bytes += s.ApproxBytes()
 	}
 	return e
 }

@@ -537,11 +537,10 @@ func (pr *problem) sizeHint() int { return len(pr.tcs)*16 + len(pr.policies) }
 // it solves in one repair: the constraint-building scratch (formula arena
 // and CNF stream) every encode resets, the storage every attempt encodes
 // and solves in, and the solver of its last finished attempt, which the
-// next attempt resets and reuses instead of allocating its own. A solve
-// cache entry that stores an uncompressed outcome takes the solver of the
-// attempt that produced it, and the worker then has no spare. All of it dies with the
-// repair: nothing is kept across repairs (DESIGN.md, "One solver per
-// worker", "The capacity rule").
+// next attempt resets and reuses instead of allocating its own. A worker's
+// solver never leaves it; only a panicking attempt's solver is dropped.
+// All of it dies with the repair: nothing is kept across repairs
+// (DESIGN.md, "One solver per worker", "The capacity rule").
 type worker struct {
 	b     *formula.Builder
 	spare *sat.Solver
@@ -619,18 +618,14 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 			return
 		}
 	}
-	// memoize stores a terminal outcome the cache may keep, with s, the
-	// solver of the attempt that produced it (nil keeps none). A stored
-	// solver leaves the worker.
-	memoize := func(s *sat.Solver) {
-		if memo && cacheableOutcome(pr, ctx.Err()) && opts.Cache.store(fp, entryFor(pr, s)) && w.spare == s {
-			w.spare = nil
+	// memoize stores a terminal outcome the cache may keep.
+	memoize := func() {
+		if memo && cacheableOutcome(pr, ctx.Err()) {
+			opts.Cache.store(fp, entryFor(pr))
 		}
 	}
 	if tryCompressed(ctx, w, tb, orig, pr, opts) {
-		// The entry keeps no quotient solver: the worker's next compressed
-		// sub-problem resets it. Kept, dc-256's eight would pin 125 MB.
-		memoize(nil)
+		memoize()
 		return
 	}
 	attempts := maxAttempts
@@ -657,14 +652,14 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 				enc.extract(pr.realized)
 				pr.stat.Outcome = OutcomeSolved
 				pr.stat.Violations = cost
-				memoize(enc.s)
+				memoize()
 				return
 			case sat.Unsat:
 				// Deterministic: no retry, and no fallback either — the
 				// greedy baseline cannot satisfy an unsatisfiable group.
 				pr.stat.Outcome = OutcomeFailed
 				pr.stat.Err = "unsatisfiable"
-				memoize(enc.s)
+				memoize()
 				return
 			}
 			// Unknown: watchdog expiry, a spurious interrupt, or budget
@@ -693,8 +688,7 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 // encoding or search are recovered into SolveErrors naming the phase, so
 // a pathological destination cannot kill the process or its sibling
 // solves. Unless it panicked, the attempt leaves its solver as w's spare
-// for the next attempt to reset, unless a cache entry storing its outcome
-// takes it (solveProblem's memoize).
+// for the next attempt to reset.
 func solveOnce(ctx context.Context, w *worker, pr *problem, tb *tables, orig *harc.State, tcs []topology.TrafficClass, policies []policy.Policy, freeze bool, opts Options, attempt int) (enc *encoder, cost int, status sat.Status, err error) {
 	phase := "encode"
 	defer func() {
@@ -994,9 +988,9 @@ func VerifyRepair(h *harc.HARC, st *harc.State, policies []policy.Policy) []poli
 // for isolation policies) is in touched. A nil touched set checks every
 // policy. Policies outside the set were verified satisfied before the
 // repair and their class state is untouched (see Result.Touched), so
-// skipping them loses nothing. Checks fan out over workers goroutines
-// in contiguous input-order chunks, and the returned violations are in
-// input order regardless of parallelism.
+// skipping them loses nothing. Checks fan out over at most workers
+// goroutines (harc.ParallelFor), and the returned violations are in input
+// order regardless of parallelism.
 func VerifyRepairIncremental(h *harc.HARC, st *harc.State, policies []policy.Policy, touched map[string]bool, workers int) []policy.Policy {
 	need := make([]int, 0, len(policies))
 	for i, p := range policies {
@@ -1007,39 +1001,9 @@ func VerifyRepairIncremental(h *harc.HARC, st *harc.State, policies []policy.Pol
 	if len(need) == 0 {
 		return nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(need) {
-		workers = len(need)
-	}
 	bad := make([]bool, len(need))
 	checker := policy.NewStateChecker(h, st)
-	check := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if !checker.Check(policies[need[j]]) {
-				bad[j] = true
-			}
-		}
-	}
-	if workers == 1 {
-		check(0, len(need))
-	} else {
-		chunk := (len(need) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(need); lo += chunk {
-			hi := lo + chunk
-			if hi > len(need) {
-				hi = len(need)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				check(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	harc.ParallelFor(len(need), workers, func(j int) { bad[j] = !checker.Check(policies[need[j]]) })
 	var violated []policy.Policy
 	for j, i := range need {
 		if bad[j] {

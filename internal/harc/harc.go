@@ -14,7 +14,6 @@ package harc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -94,12 +93,11 @@ func Build(n *topology.Network) *HARC {
 	return BuildForTCs(n, n.TrafficClasses())
 }
 
-// ParallelFor runs fn(0..n-1) on one worker per core, handing indexes
-// out through a shared counter. Callers write results into slot i of a
-// preallocated slice, so assembly order is the input order whatever the
-// interleaving.
-func ParallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
+// ParallelFor runs fn(0..n-1) on at most workers goroutines, handing
+// indexes out through a shared counter. Callers write results into slot i
+// of a preallocated slice, so assembly order is the input order whatever
+// the interleaving.
+func ParallelFor(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}

@@ -2,6 +2,7 @@ package harc
 
 import (
 	"maps"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/arc"
@@ -392,7 +393,7 @@ func evalState(h *HARC) *State {
 	for i, l := range h.Links {
 		st.Waypoint.Put(i, l.Waypoint)
 	}
-	ParallelFor(len(h.Dsts), func(r int) { fillDst(h, st, r) })
+	ParallelFor(len(h.Dsts), runtime.GOMAXPROCS(0), func(r int) { fillDst(h, st, r) })
 	for r, dst := range h.Dsts {
 		st.Static[r].Each(func(id int) {
 			s := h.Slots[id]
@@ -407,7 +408,7 @@ func evalState(h *HARC) *State {
 	// Classes fill in blocks, so that the per-class ACL verdicts live in one
 	// scratch per block rather than one per class.
 	const block = 64
-	ParallelFor((len(h.TCs)+block-1)/block, func(b int) {
+	ParallelFor((len(h.TCs)+block-1)/block, runtime.GOMAXPROCS(0), func(b int) {
 		verdict := make([]aclVerdict, len(h.ACLs))
 		for r := b * block; r < min((b+1)*block, len(h.TCs)); r++ {
 			fillTC(h, st, r, verdict)

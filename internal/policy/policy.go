@@ -6,6 +6,7 @@ package policy
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,7 +94,7 @@ func Check(h *harc.HARC, p Policy) bool {
 func Violations(h *harc.HARC, policies []Policy) []Policy {
 	c := StateChecker{h: h}
 	bad := make([]bool, len(policies))
-	harc.ParallelFor(len(policies), func(i int) { bad[i] = !c.Check(policies[i]) })
+	harc.ParallelFor(len(policies), runtime.GOMAXPROCS(0), func(i int) { bad[i] = !c.Check(policies[i]) })
 	var out []Policy
 	for i, p := range policies {
 		if bad[i] {

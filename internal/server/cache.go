@@ -40,9 +40,9 @@ type loadCall struct {
 
 // sessionCache is an LRU cache of loaded sessions keyed by SessionKey,
 // with single-flight deduplication of concurrent identical loads.
-// Sessions retain per-sub-problem SAT solvers across repair calls, so
-// eviction releases that memory (Session.Release) rather than just
-// dropping the reference.
+// Eviction only drops the cache's reference: a session's solve cache
+// holds answers, not solvers, so an evicted session is garbage once no
+// request holds it, and one that a request still holds keeps replaying.
 type sessionCache struct {
 	mu      sync.Mutex
 	max     int
@@ -89,9 +89,6 @@ func (c *sessionCache) insertLocked(key string, sess *cpr.Session) {
 	if e, ok := c.byKey[key]; ok {
 		// Same key means byte-identical configs; keep the cached session —
 		// its solve cache is warmer than the incoming one's.
-		if old := e.Value.(*entry); old.sess != sess {
-			sess.Release()
-		}
 		c.lru.MoveToFront(e)
 		return
 	}
@@ -99,12 +96,7 @@ func (c *sessionCache) insertLocked(key string, sess *cpr.Session) {
 	for c.lru.Len() > c.max {
 		last := c.lru.Back()
 		c.lru.Remove(last)
-		ev := last.Value.(*entry)
-		delete(c.byKey, ev.key)
-		// Evicted sessions may still be in use by an in-flight request;
-		// Release only drops the retained solvers, the session itself
-		// stays usable (it just re-solves).
-		ev.sess.Release()
+		delete(c.byKey, last.Value.(*entry).key)
 	}
 }
 
@@ -116,7 +108,7 @@ func (c *sessionCache) len() int {
 }
 
 // retained sums solve-cache accounting across cached sessions, for
-// /statsz: retained entries, solvers and approximate bytes counting an
+// /statsz: retained entries and approximate bytes counting an
 // entry that sessions share (a delta forks its parent's cache) once, and
 // hit/miss/store counters per session.
 func (c *sessionCache) retained() core.SolveCacheStats {

@@ -237,10 +237,11 @@ type Statsz struct {
 		DeltaCoalesced int64 `json:"delta_coalesced"`
 	} `json:"cache"`
 	// Retained is the solve-cache footprint of the cached sessions:
-	// per-sub-problem entries, live SAT solvers, and their approximate
-	// retained bytes, each entry counted once however many sessions share
-	// it, plus replay hit/miss counters summed per session. This is the
-	// memory LRU eviction releases (see sessionCache.insertLocked).
+	// per-sub-problem entries and their approximate retained bytes, each
+	// entry counted once however many sessions share it, plus replay
+	// hit/miss counters summed per session. An entry keeps its answer, not
+	// its solver, so Solvers is always 0; it stays for readers of the
+	// field.
 	Retained struct {
 		Entries     int    `json:"entries"`
 		Solvers     int    `json:"solvers"`
@@ -309,7 +310,6 @@ func (st *stats) snapshot(sessions int, retained core.SolveCacheStats) Statsz {
 	out.UptimeSeconds = time.Since(st.start).Seconds()
 	out.SessionsCached = sessions
 	out.Retained.Entries = retained.Entries
-	out.Retained.Solvers = retained.Solvers
 	out.Retained.Bytes = retained.RetainedBytes
 	out.Retained.SolveHits = retained.Hits
 	out.Retained.SolveMisses = retained.Misses

@@ -94,11 +94,6 @@ func (p *Pool) Reset() {
 // Size returns the number of composite nodes interned so far.
 func (p *Pool) Size() int { return len(p.ops) - 2 }
 
-// ApproxBytes is the heap the pool holds: the capacities of its slices.
-func (p *Pool) ApproxBytes() int64 {
-	return int64(cap(p.ops)) + 4*int64(cap(p.offs)+cap(p.kids)+cap(p.table)+cap(p.buf))
-}
-
 // Fresh returns a new variable, distinct from every other. Variables
 // have no node and no name: a variable is its ordinal.
 func (p *Pool) Fresh() F {
@@ -319,17 +314,6 @@ func (b *Builder) Stream() [][]sat.Lit { return b.chunks[:b.used] }
 // storage until Reset, and may end before the last pool variable (the
 // ones past its end are unused, as a 0 entry is).
 func (b *Builder) VarTable() []sat.Lit { return b.varLits }
-
-// ApproxBytes is the heap the builder and its pool hold, every stream
-// chunk included, spares too.
-func (b *Builder) ApproxBytes() int64 {
-	n := b.p.ApproxBytes() + 4*int64(cap(b.varLits)+cap(b.nodeLits)+cap(b.tmp))
-	n += 24 * int64(cap(b.chunks)) // slice headers
-	for _, c := range b.chunks {
-		n += 4 * int64(cap(c))
-	}
-	return n
-}
 
 // slot returns the table entry for index i, extending the table with
 // zeros (spare capacity may hold a previous encoding's entries).

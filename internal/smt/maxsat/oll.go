@@ -108,7 +108,7 @@ func oll(s *sat.Solver, softs []sat.Lit, weights []int, sc *Scratch) Result {
 		byLit[l] = it
 	}
 	// The assumption list is sized to the items: a solver keeps the last
-	// one it was given (and ApproxBytes counts it).
+	// one it was given.
 	asm := sc.asm[:0]
 	if cap(asm) < len(items) {
 		asm = make([]sat.Lit, 0, len(items)+slack)

@@ -256,25 +256,6 @@ func (s *Solver) SeedPhasesFromModel() {
 	}
 }
 
-// ApproxBytes estimates the heap retained by the solver: the clause
-// arena, watch and binary-implication lists, and every per-variable
-// array. Session caches report this per retained solver in /statsz so
-// long-lived incremental sessions have observable memory accounting.
-func (s *Solver) ApproxBytes() int64 {
-	n := int64(cap(s.arena)+cap(s.clauses)+cap(s.learnts)+cap(s.reduceBuf)) * 4
-	n += int64(cap(s.bins.win)+cap(s.watches.win)) * 12 // three 32-bit fields
-	n += int64(cap(s.bins.back))*4 + int64(cap(s.watches.back))*8
-	n += int64(cap(s.vals) + cap(s.phase) + cap(s.seen) + cap(s.model))        // byte-sized
-	n += int64(cap(s.level)+cap(s.reason)+cap(s.lbdStamp)+cap(s.litStamp)) * 4 // 32-bit
-	n += int64(cap(s.trail)+cap(s.trailLim)+cap(s.varBuf)) * 4                 // 32-bit
-	n += int64(cap(s.activity)) * 8                                            // 64-bit
-	n += int64(cap(s.addBuf)+cap(s.learnedBuf)+cap(s.clearBuf)+cap(s.assumptions)+cap(s.coreBuf)) * 4
-	if s.order != nil {
-		n += s.order.approxBytes()
-	}
-	return n
-}
-
 // SetMaxLearned overrides the live learned-clause count that triggers
 // the next reduceDB pass (default 4000). Exposed so stress tests can
 // force reductions and arena GCs on small instances.

@@ -20,11 +20,6 @@ type varHeap struct {
 
 func newVarHeap() *varHeap { return &varHeap{} }
 
-// approxBytes estimates the heap's retained memory for ApproxBytes.
-func (h *varHeap) approxBytes() int64 {
-	return int64(cap(h.heap))*4 + int64(cap(h.keys))*8 + int64(cap(h.pos))*4
-}
-
 // reset empties the heap, keeping its capacity (ensure writes every
 // position it extends to, so stale ones need no clearing).
 func (h *varHeap) reset() { h.heap, h.keys, h.pos = h.heap[:0], h.keys[:0], h.pos[:0] }

@@ -25,8 +25,8 @@ func ContentKey(configs map[string]string) string {
 
 // Session is a loaded network plus the incremental-repair state that
 // persists across calls: the per-label parsed configurations and a
-// solve cache retaining each solved sub-problem's SAT solver and
-// extracted model, keyed by an exact fingerprint of the sub-problem's
+// solve cache retaining each solved sub-problem's answer (its stat and
+// staged repair), keyed by an exact fingerprint of the sub-problem's
 // inputs. Repeat repairs whose sub-problems a config change cannot reach
 // replay from the cache instead of re-solving.
 //
@@ -45,7 +45,7 @@ type Session struct {
 	// identical repeat request replays the stored output — including the
 	// translated plan and patched configs — byte-identically, skipping
 	// verification and translation as well as the solves. Never shared
-	// across Delta (a new Session has a new HARC); cleared by Release.
+	// across Delta (a new Session has a new HARC).
 	mu      sync.Mutex
 	outputs map[string]*RepairOutput
 }
@@ -239,17 +239,4 @@ func SumCacheStats(sessions ...*Session) core.SolveCacheStats {
 		caches[i] = s.cache
 	}
 	return core.SumStats(caches...)
-}
-
-// Release drops the session's hold on every retained solver, plus any
-// memoized repair outputs. A solve-cache entry that a session derived by
-// Delta still holds stays alive until that session is released too. The
-// session remains usable (repairs simply stop replaying), so LRU eviction
-// can reclaim solver memory even while a request still holds the
-// session.
-func (s *Session) Release() {
-	s.cache.Release()
-	s.mu.Lock()
-	s.outputs = nil
-	s.mu.Unlock()
 }

@@ -79,10 +79,10 @@ func TestSessionRepairReplay(t *testing.T) {
 
 	// An identical repeat request is answered by the whole-output memo,
 	// above the sub-problem solve cache (whose hits the delta tests
-	// exercise); the solve cache still retains the solvers.
+	// exercise); the solve cache still retains the entries.
 	cs := sess.CacheStats()
-	if cs.Entries == 0 || cs.Solvers == 0 {
-		t.Fatalf("cache stats after replay: %+v, want retained entries and solvers", cs)
+	if cs.Entries == 0 {
+		t.Fatalf("cache stats after replay: %+v, want retained entries", cs)
 	}
 	if cs.RetainedBytes <= 0 {
 		t.Fatalf("retained bytes = %d, want > 0", cs.RetainedBytes)
@@ -198,30 +198,4 @@ func TestSessionDeltaInvalidation(t *testing.T) {
 		t.Fatalf("System().Repair reused %d problems, want 0", bypass.Result.Reused)
 	}
 	sameRepair(t, coldOut, bypass)
-}
-
-// TestSessionRelease: releasing a session drops retained memory but the
-// session stays usable and still solves correctly.
-func TestSessionRelease(t *testing.T) {
-	sess := loadFigure2aSession(t)
-	ps := mustPolicies(t, sess, figure2aSpec)
-	first, err := sess.Repair(ps, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := sess.CacheStats(); cs.Entries == 0 {
-		t.Fatalf("no entries retained: %+v", cs)
-	}
-	sess.Release()
-	if cs := sess.CacheStats(); cs.Entries != 0 || cs.RetainedBytes != 0 || cs.Solvers != 0 {
-		t.Fatalf("release left retained state: %+v", cs)
-	}
-	again, err := sess.Repair(ps, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Result.Reused != 0 {
-		t.Fatalf("post-release repair reused %d problems, want 0", again.Result.Reused)
-	}
-	sameRepair(t, first, again)
 }
