@@ -54,7 +54,7 @@ func cnfDigest(t *testing.T, w *worker, tb *tables, orig *harc.State, pr *proble
 // digestProblems encodes nothing itself: it calls visit with each of the
 // 19 pinned sub-problems — Figure 2a under both granularities and both
 // objectives, the bench's fattree-pc4 input, three corpus-batch networks
-// and one dc-256 sub-problem on its quotient — under the name the
+// and the first dc-256 sub-problem on its quotient — under the name the
 // testdata files key them by.
 func digestProblems(t *testing.T, visit func(name string, tb *tables, orig *harc.State, pr *problem, opts Options)) {
 	t.Helper()
@@ -95,23 +95,44 @@ func digestProblems(t *testing.T, visit func(name string, tb *tables, orig *harc
 		all("corpus/"+corpus[i].Name, corpus[i].Harc(), corpus[i].Policies, DefaultOptions())
 	}
 
-	// One dc-256 sub-problem on its quotient, as tryCompressed builds it.
+	// One dc-256 sub-problem on its quotient.
+	qs, qopts := dc256Quotients(t)
+	visit("dc256-quotient/"+qs[0].pr.label, qs[0].tb, qs[0].orig, qs[0].pr, qopts)
+}
+
+// quotientProblem is a sub-problem on its quotient, with the quotient's
+// tables and original state.
+type quotientProblem struct {
+	tb   *tables
+	orig *harc.State
+	pr   *problem
+}
+
+// dc256Quotients returns dc-256's (seed 7) per-destination sub-problems
+// on their quotients, as tryCompressed builds them, and the options they
+// are built under.
+func dc256Quotients(tb testing.TB) ([]quotientProblem, Options) {
+	tb.Helper()
 	dc, err := generate.Preset("dc-256", 7)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	dh, opts := dc.Harc(), DefaultOptions()
 	problems, err := buildProblems(dh, dc.Policies, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	pr := problems[0]
-	_, qh, qtcs, qpolicies, stage := buildQuotient(newTables(dh), pr, opts)
-	if stage != "" {
-		t.Fatalf("no quotient for %s: stage %q", pr.label, stage)
+	dtb := newTables(dh)
+	qs := make([]quotientProblem, len(problems))
+	for i, pr := range problems {
+		_, qh, qtcs, qpolicies, stage := buildQuotient(dtb, pr, opts)
+		if stage != "" {
+			tb.Fatalf("no quotient for %s: stage %q", pr.label, stage)
+		}
+		qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
+		qs[i] = quotientProblem{newTables(qh), harc.StateOf(qh), qpr}
 	}
-	qpr := &problem{label: pr.label, tcs: qtcs, policies: qpolicies, freeze: true}
-	visit("dc256-quotient/"+pr.label, newTables(qh), harc.StateOf(qh), qpr, opts)
+	return qs, opts
 }
 
 // pc4FatTree is the bench's fattree-pc4 network: k=4, four policies of

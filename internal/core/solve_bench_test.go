@@ -10,6 +10,41 @@ import (
 	"repro/internal/smt/sat"
 )
 
+// BenchmarkEncodeDC256Quotient times the encoder alone on dc-256's
+// quotient sub-problems, the encode that owns most of that workload's
+// op: each iteration encodes all of them, one after another, on one warm
+// worker, as a worker does — on its recycled solver, up to and including
+// the load — so ns/clause is the cost of writing and loading one clause,
+// the profiling entry point for the constraint-building layer.
+func BenchmarkEncodeDC256Quotient(b *testing.B) {
+	qs, opts := dc256Quotients(b)
+	w := newWorker()
+	encode := func(q quotientProblem) {
+		s := w.solver()
+		enc := newEncoder(w, s, q.tb, q.orig, q.pr.tcs, q.pr.policies, q.pr.freeze, opts)
+		if err := enc.encode(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		w.spare = s
+	}
+	clauses := 0
+	for _, q := range qs { // warm the worker, and count
+		encode(q)
+		for _, c := range w.b.Stream() {
+			for k := 0; k < len(c); k += 1 + int(c[k]) {
+				clauses++
+			}
+		}
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, q := range qs {
+			encode(q)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clauses), "ns/clause")
+}
+
 // BenchmarkSolvePC4Merged times the solver alone on the fattree-pc4
 // workload's pc4-merged sub-problem, nearly all of that workload's op:
 // each iteration loads the encoder's formula into a new solver, seeds

@@ -2,6 +2,7 @@ package bv
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,19 +22,33 @@ func newBench() bench {
 	return bench{p, formula.NewBuilder(p)}
 }
 
-func (x bench) solve(t *testing.T, want sat.Status) func(formula.F) bool {
+// solve numbers the formulas the test reads — a Tseitin literal equals
+// its formula in every model — before it loads the CNF, so the reader
+// answers for those formulas only.
+func (x bench) solve(t *testing.T, want sat.Status, read ...formula.F) func(formula.F) bool {
 	t.Helper()
+	lits := make(map[formula.F]sat.Lit, len(read))
+	for _, f := range read {
+		lits[f] = x.b.Lit(f)
+	}
 	s := sat.New()
 	s.Load(x.b.NumVars(), x.b.Stream()...)
 	if got := s.Solve(); got != want {
 		t.Fatalf("status %v, want %v", got, want)
 	}
-	return func(f formula.F) bool { return x.b.Value(s, f) }
+	return func(f formula.F) bool {
+		l, ok := lits[f]
+		if !ok {
+			t.Fatalf("%s was not numbered before the solve", x.p.String(f))
+		}
+		return s.ValueLit(l)
+	}
 }
 
 func TestConstRoundTrip(t *testing.T) {
 	x := newBench()
-	if got := Value(Const(13, 5), x.solve(t, sat.Sat)); got != 13 {
+	c := Const(13, 5)
+	if got := Value(c, x.solve(t, sat.Sat, c...)); got != 13 {
 		t.Errorf("Value = %d, want 13", got)
 	}
 }
@@ -51,7 +66,7 @@ func TestAddConstants(t *testing.T) {
 	for _, tc := range []struct{ a, b uint64 }{{0, 0}, {1, 1}, {7, 9}, {15, 15}, {5, 0}} {
 		x := newBench()
 		sum := Add(x.p, Const(tc.a, 4), Const(tc.b, 4))
-		if got := Value(sum, x.solve(t, sat.Sat)); got != tc.a+tc.b {
+		if got := Value(sum, x.solve(t, sat.Sat, sum...)); got != tc.a+tc.b {
 			t.Errorf("%d+%d = %d, want %d", tc.a, tc.b, got, tc.a+tc.b)
 		}
 	}
@@ -63,7 +78,7 @@ func TestAddVariables(t *testing.T) {
 	sum := Add(x.p, a, b)
 	AssertEqualConst(x.b, a, 9)
 	AssertEqualConst(x.b, b, 8)
-	if got := Value(sum, x.solve(t, sat.Sat)); got != 17 {
+	if got := Value(sum, x.solve(t, sat.Sat, sum...)); got != 17 {
 		t.Errorf("sum = %d, want 17 (no overflow: width grows)", got)
 	}
 }
@@ -77,7 +92,7 @@ func TestLessAndLessEq(t *testing.T) {
 		x := newBench()
 		lt := Less(x.p, Const(tc.a, 4), Const(tc.b, 4))
 		le := LessEq(x.p, Const(tc.a, 4), Const(tc.b, 4))
-		model := x.solve(t, sat.Sat)
+		model := x.solve(t, sat.Sat, lt, le)
 		if got := model(lt); got != tc.lt {
 			t.Errorf("%d < %d = %v, want %v", tc.a, tc.b, got, tc.lt)
 		}
@@ -91,7 +106,7 @@ func TestEqualMixedWidths(t *testing.T) {
 	x := newBench()
 	f := Equal(x.p, Const(5, 3), Const(5, 6))
 	g := Equal(x.p, Const(5, 3), Const(13, 6))
-	model := x.solve(t, sat.Sat)
+	model := x.solve(t, sat.Sat, f, g)
 	if !model(f) {
 		t.Error("5 == 5 across widths should hold")
 	}
@@ -106,7 +121,7 @@ func TestNonZero(t *testing.T) {
 	x.b.Assert(NonZero(x.p, v))
 	x.b.Assert(formula.Not(v[1]))
 	x.b.Assert(formula.Not(v[2]))
-	if got := Value(v, x.solve(t, sat.Sat)); got != 1 {
+	if got := Value(v, x.solve(t, sat.Sat, v...)); got != 1 {
 		t.Errorf("v = %d, want 1", got)
 	}
 }
@@ -118,7 +133,7 @@ func TestSolverFindsAddends(t *testing.T) {
 	x.b.Assert(Equal(x.p, Add(x.p, a, b), Const(10, 5)))
 	x.b.Assert(Less(x.p, a, b))
 	x.b.Assert(NonZero(x.p, a))
-	model := x.solve(t, sat.Sat)
+	model := x.solve(t, sat.Sat, slices.Concat(a, b)...)
 	av, bv := Value(a, model), Value(b, model)
 	if av+bv != 10 || av >= bv || av == 0 {
 		t.Errorf("a=%d b=%d violates constraints", av, bv)
@@ -147,7 +162,7 @@ func TestDifferentialArithmetic(t *testing.T) {
 		AssertEqualConst(x.b, vb, b)
 		sum := Add(x.p, va, vb)
 		lt, le, eq := Less(x.p, va, vb), LessEq(x.p, va, vb), Equal(x.p, va, vb)
-		model := x.solve(t, sat.Sat)
+		model := x.solve(t, sat.Sat, append(slices.Clone(sum), lt, le, eq)...)
 		return Value(sum, model) == a+b &&
 			model(lt) == (a < b) && model(le) == (a <= b) && model(eq) == (a == b)
 	}

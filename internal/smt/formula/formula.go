@@ -271,6 +271,12 @@ func (p *Pool) String(f F) string {
 // formula variable gets its solver variable at first use, and a
 // composite gets its Tseitin variable after every kid has one (Lit's
 // post-order walk); clauses appear in emission order.
+//
+// A constraint that owns a composite — one no other constraint can build
+// — writes it with DefineAnd or DefineOr over literals it has numbered,
+// in kid order: the variable and clauses Lit would give the node, without
+// interning or flattening it. Lit writes its definitions through the same
+// two definers.
 type Builder struct {
 	p     *Pool
 	nVars int
@@ -368,12 +374,55 @@ func (b *Builder) nextChunk(n int) {
 	b.used++
 }
 
-// clause emits one clause in sat.AppendClause's layout: its length, then
-// its literals.
-func (b *Builder) clause(lits ...sat.Lit) {
+// Clause emits one clause over already-numbered literals, in
+// sat.AppendClause's layout: its length, then its literals.
+func (b *Builder) Clause(lits ...sat.Lit) {
 	dst := b.room(1 + len(lits))
 	dst[0] = sat.Lit(len(lits))
 	copy(dst[1:], lits)
+}
+
+// DefineAnd returns a new variable l defined as the conjunction of lits,
+// which must already be numbered: the clauses (¬l ∨ k) for each k, then
+// (l ∨ ¬k_1 ∨ … ∨ ¬k_n). It is the definition Lit writes for an And
+// node, for a conjunction only its caller can build: nothing is interned,
+// so numbering the operands first, in kid order, and defining here gives
+// the variable and clauses Lit would have given the node.
+func (b *Builder) DefineAnd(lits ...sat.Lit) sat.Lit {
+	l := b.newVar()
+	for _, k := range lits {
+		b.Clause(l.Not(), k)
+	}
+	dst := b.room(2 + len(lits))
+	dst[0], dst[1] = sat.Lit(len(lits)+1), l
+	for j, k := range lits {
+		dst[2+j] = k.Not()
+	}
+	return l
+}
+
+// DefineOr is DefineAnd for a disjunction: (¬k ∨ l) for each k, then
+// (¬l ∨ k_1 ∨ … ∨ k_n).
+func (b *Builder) DefineOr(lits ...sat.Lit) sat.Lit {
+	l := b.newVar()
+	for _, k := range lits {
+		b.Clause(k.Not(), l)
+	}
+	dst := b.room(2 + len(lits))
+	dst[0], dst[1] = sat.Lit(len(lits)+1), l.Not()
+	copy(dst[2:], lits)
+	return l
+}
+
+// AtMostOne asserts that at most one of lits holds, pairwise: one binary
+// clause per pair, in order (the repair constraints use it for small
+// sets only).
+func (b *Builder) AtMostOne(lits ...sat.Lit) {
+	for i := range lits {
+		for j := i + 1; j < len(lits); j++ {
+			b.Clause(lits[i].Not(), lits[j].Not())
+		}
+	}
 }
 
 // Lit returns a solver literal equivalent to f, introducing Tseitin
@@ -397,29 +446,15 @@ func (b *Builder) Lit(f F) sat.Lit {
 		kl := b.Lit(k)
 		b.tmp = append(b.tmp, kl)
 	}
-	l := b.newVar()
-	kids := b.tmp[mark:]
-	switch b.p.ops[i] {
+	var l sat.Lit
+	switch kids := b.tmp[mark:]; b.p.ops[i] {
 	case OpTrue:
-		b.clause(l)
+		l = b.newVar()
+		b.Clause(l)
 	case OpAnd:
-		// l ↔ AND(kids): (¬l ∨ k_i) for each i; (l ∨ ¬k_1 ∨ ... ∨ ¬k_n).
-		for _, k := range kids {
-			b.clause(l.Not(), k)
-		}
-		dst := b.room(2 + len(kids))
-		dst[0], dst[1] = sat.Lit(len(kids)+1), l
-		for j, k := range kids {
-			dst[2+j] = k.Not()
-		}
+		l = b.DefineAnd(kids...)
 	case OpOr:
-		// l ↔ OR(kids): (¬k_i ∨ l) for each i; (¬l ∨ k_1 ∨ ... ∨ k_n).
-		for _, k := range kids {
-			b.clause(k.Not(), l)
-		}
-		dst := b.room(2 + len(kids))
-		dst[0], dst[1] = sat.Lit(len(kids)+1), l.Not()
-		copy(dst[2:], kids)
+		l = b.DefineOr(kids...)
 	}
 	b.tmp = b.tmp[:mark]
 	b.nodeLits[i] = l + 1
@@ -433,7 +468,7 @@ func (b *Builder) Assert(f F) {
 	switch i, op, ok := b.p.node(f); {
 	case f == True:
 	case f == False:
-		b.clause() // empty clause: unsatisfiable
+		b.Clause() // empty clause: unsatisfiable
 	case ok && op == OpAnd:
 		for _, k := range b.p.kidsOf(i) {
 			b.Assert(k)
@@ -441,7 +476,7 @@ func (b *Builder) Assert(f F) {
 	case ok && op == OpOr:
 		b.anyOf(b.p.kidsOf(i))
 	default:
-		b.clause(b.Lit(f))
+		b.Clause(b.Lit(f))
 	}
 }
 
@@ -452,7 +487,7 @@ func (b *Builder) anyOf(kids []F) {
 		kl := b.Lit(k)
 		b.tmp = append(b.tmp, kl)
 	}
-	b.clause(b.tmp[mark:]...)
+	b.Clause(b.tmp[mark:]...)
 	b.tmp = b.tmp[:mark]
 }
 
@@ -476,7 +511,7 @@ func (b *Builder) assertFlat(mark int, absorbed bool) {
 	switch kids := p.buf[mark:]; {
 	case absorbed:
 	case len(kids) == 0:
-		b.clause()
+		b.Clause()
 	case len(kids) == 1:
 		b.Assert(kids[0])
 	default:
@@ -503,44 +538,4 @@ func (b *Builder) AssertImplies(a F, cs ...F) {
 func (b *Builder) AssertIff(a, c F) {
 	b.AssertImplies(a, c)
 	b.AssertImplies(c, a)
-}
-
-// AtMostOne asserts that at most one of fs holds (pairwise encoding; the
-// repair constraints use it for small sets only).
-func (b *Builder) AtMostOne(fs ...F) {
-	mark := len(b.tmp)
-	for _, f := range fs {
-		l := b.Lit(f)
-		b.tmp = append(b.tmp, l)
-	}
-	lits := b.tmp[mark:]
-	for i := range lits {
-		for j := i + 1; j < len(lits); j++ {
-			b.clause(lits[i].Not(), lits[j].Not())
-		}
-	}
-	b.tmp = b.tmp[:mark]
-}
-
-// Value evaluates f under s's model (valid after Sat), where s was
-// loaded from this builder. Variables no constraint used are false.
-func (b *Builder) Value(s *sat.Solver, f F) bool {
-	if f&negBit != 0 {
-		return !b.Value(s, Not(f))
-	}
-	i, op, ok := b.p.node(f)
-	switch {
-	case f.IsVar():
-		l := *slot(&b.varLits, f.Var())
-		return l != 0 && s.ValueLit(l-1)
-	case !ok:
-		return true
-	}
-	decides := op == OpOr // the kid value that settles the junction
-	for _, k := range b.p.kidsOf(i) {
-		if b.Value(s, k) == decides {
-			return decides
-		}
-	}
-	return !decides
 }

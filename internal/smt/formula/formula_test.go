@@ -19,6 +19,29 @@ func fresh(n int) (*Pool, *Builder, []F) {
 	return p, NewBuilder(p), vars
 }
 
+// value evaluates f under s's model (valid after Sat), where s was loaded
+// from b. Variables no constraint used are false.
+func value(b *Builder, s *sat.Solver, f F) bool {
+	if f&negBit != 0 {
+		return !value(b, s, Not(f))
+	}
+	i, op, ok := b.p.node(f)
+	switch {
+	case f.IsVar():
+		l := *slot(&b.varLits, f.Var())
+		return l != 0 && s.ValueLit(l-1)
+	case !ok:
+		return true
+	}
+	decides := op == OpOr // the kid value that settles the junction
+	for _, k := range b.p.kidsOf(i) {
+		if value(b, s, k) == decides {
+			return decides
+		}
+	}
+	return !decides
+}
+
 // load solves the builder's CNF in a new solver.
 func load(b *Builder) (*sat.Solver, sat.Status) {
 	s := sat.New()
@@ -124,7 +147,7 @@ func TestResetReuses(t *testing.T) {
 	b.Assert(p.Or(x, y))
 	b.Assert(Not(x))
 	s, st := load(b)
-	if st != sat.Sat || b.Value(s, x) || !b.Value(s, y) {
+	if st != sat.Sat || value(b, s, x) || !value(b, s, y) {
 		t.Error("a reset builder must encode the next formula from scratch")
 	}
 }
@@ -140,7 +163,7 @@ func TestFreshDistinct(t *testing.T) {
 	if st != sat.Sat {
 		t.Fatal("distinct fresh vars must be independently assignable")
 	}
-	if !b.Value(s, v[0]) || b.Value(s, v[1]) || b.Value(s, p.Fresh()) {
+	if !value(b, s, v[0]) || value(b, s, v[1]) || value(b, s, p.Fresh()) {
 		t.Error("fresh var model values wrong (unused variables read false)")
 	}
 }
@@ -159,7 +182,7 @@ func TestAssertSatUnsat(t *testing.T) {
 	if st != sat.Sat {
 		t.Fatal("want sat")
 	}
-	if !bd.Value(s, a) || bd.Value(s, b) {
+	if !value(bd, s, a) || value(bd, s, b) {
 		t.Error("model wrong")
 	}
 	if _, _, st := solveF(p, p.And(a, Not(a))); st != sat.Unsat {
@@ -174,15 +197,15 @@ func TestImpliesIffXorIte(t *testing.T) {
 	p, _, v := fresh(3)
 	a, b, c := v[0], v[1], v[2]
 	// a ∧ (a→b) forces b.
-	if bd, s, st := solveF(p, p.And(a, p.Implies(a, b))); st != sat.Sat || !bd.Value(s, b) {
+	if bd, s, st := solveF(p, p.And(a, p.Implies(a, b))); st != sat.Sat || !value(bd, s, b) {
 		t.Error("Implies chain failed")
 	}
 	// Iff: a↔b with ¬a forces ¬b.
-	if bd, s, st := solveF(p, p.And(Not(a), p.Iff(a, b))); st != sat.Sat || bd.Value(s, b) {
+	if bd, s, st := solveF(p, p.And(Not(a), p.Iff(a, b))); st != sat.Sat || value(bd, s, b) {
 		t.Error("Iff failed")
 	}
 	// Xor: a⊕b with a forces ¬b.
-	if bd, s, st := solveF(p, p.And(a, p.Xor(a, b))); st != sat.Sat || bd.Value(s, b) {
+	if bd, s, st := solveF(p, p.And(a, p.Xor(a, b))); st != sat.Sat || value(bd, s, b) {
 		t.Error("Xor failed")
 	}
 	// Ite: a ? b : c with a and ¬b is unsat.
@@ -193,7 +216,7 @@ func TestImpliesIffXorIte(t *testing.T) {
 
 func TestAtMostOne(t *testing.T) {
 	_, b, v := fresh(3)
-	b.AtMostOne(v...)
+	b.AtMostOne(b.Lit(v[0]), b.Lit(v[1]), b.Lit(v[2]))
 	b.Assert(v[0])
 	if _, st := load(b); st != sat.Sat {
 		t.Error("one of an at-most-one set should be sat")
@@ -285,6 +308,28 @@ func TestAssertOrMatchesOr(t *testing.T) {
 	}
 }
 
+// TestDefineMatchesLit holds the literal-level definers to the Tseitin
+// definitions Lit writes for the nodes they stand for: operands numbered
+// in kid order, then the node's variable and clauses.
+func TestDefineMatchesLit(t *testing.T) {
+	build := func(direct bool) ([]sat.Lit, int) {
+		p, b, v := fresh(4)
+		if direct {
+			x, y := b.Lit(v[0]), b.Lit(Not(v[1]))
+			and := b.DefineAnd(x, y)
+			b.Clause(b.DefineOr(and.Not(), b.Lit(v[2]), b.Lit(v[3])))
+		} else {
+			b.Clause(b.Lit(p.Or(Not(p.And(v[0], Not(v[1]))), v[2], v[3])))
+		}
+		return slices.Concat(b.Stream()...), b.NumVars()
+	}
+	want, wantVars := build(false)
+	got, gotVars := build(true)
+	if gotVars != wantVars || !slices.Equal(got, want) {
+		t.Fatalf("defined in place: %d vars, stream %v; interned: %d vars, stream %v", gotVars, got, wantVars, want)
+	}
+}
+
 // randomFormula builds a random formula over vars.
 func randomFormula(r *rand.Rand, p *Pool, depth int, vars []F) F {
 	if depth == 0 || r.Intn(3) == 0 {
@@ -311,7 +356,7 @@ func randomFormula(r *rand.Rand, p *Pool, depth int, vars []F) F {
 }
 
 // evalBrute evaluates f under an assignment of the variables (bit i of
-// assign is variable i), independently of Builder.Value.
+// assign is variable i), independently of value.
 func evalBrute(p *Pool, f F, assign int) bool {
 	if f&negBit != 0 {
 		return !evalBrute(p, Not(f), assign)
@@ -353,7 +398,7 @@ func TestDifferentialTseitin(t *testing.T) {
 			t.Logf("seed %d: formula %s: status %v, brute sat=%v", seed, p.String(form), st, bruteSat)
 			return false
 		}
-		if st == sat.Sat && !b.Value(s, form) {
+		if st == sat.Sat && !value(b, s, form) {
 			t.Logf("seed %d: model does not satisfy %s", seed, p.String(form))
 			return false
 		}
