@@ -22,6 +22,7 @@ package cpr
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/config"
@@ -154,24 +155,17 @@ func (s *System) InferPolicies() []Policy {
 
 // Verify returns the policies the network currently violates.
 func (s *System) Verify(policies []Policy) []Policy {
-	return policy.Violations(s.HARC, policies)
+	violated, _ := s.VerifyCtx(context.Background(), policies)
+	return violated
 }
 
-// VerifyCtx is Verify under a context: the policy sweep stops at the
-// first cancelled check and returns ctx's error. Verification of one
-// policy is graph work (no solver), so cancellation granularity is one
-// policy.
+// VerifyCtx is Verify under a context: the sweep
+// (policy.StateChecker.Violations, one worker per core) looks at ctx
+// before each destination and before each check of its own, and returns
+// ctx's error if it stopped. Verification is graph work (no solver), so
+// cancellation granularity is one destination or one policy.
 func (s *System) VerifyCtx(ctx context.Context, policies []Policy) ([]Policy, error) {
-	var violated []Policy
-	for _, p := range policies {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !policy.Check(s.HARC, p) {
-			violated = append(violated, p)
-		}
-	}
-	return violated, nil
+	return policy.NewStateChecker(s.HARC, nil).Violations(ctx, policies, nil, runtime.GOMAXPROCS(0))
 }
 
 // Explain returns one human-readable counterexample line per violated

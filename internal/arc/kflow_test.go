@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -175,6 +176,75 @@ func CheckKFlowNetwork(t testing.TB, what string, n *topology.Network, r *rand.R
 	}
 }
 
+// sourceSlots returns the ids of the source attachment slots of subnet
+// src, ascending.
+func sourceSlots(t *Table, src *topology.Subnet) []int32 {
+	var ids []int32
+	for id, s := range t.Slots {
+		if s.Kind == SlotSource && s.Subnet == src {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
+
+// CheckDstTree holds the post-dominator tree of the destination mask dst
+// to the flow: for every class row (with its source slots) that is clean —
+// equal to dst but at its own source slots — the tree's answer must be
+// min(2, LinkDisjointFlow) at k = 2 and its min with 1 the flow at k = 1.
+// It returns how many classes were clean and how many got each answer.
+func CheckDstTree(t testing.TB, what string, tab *Table, dst bitset.Set, rows []bitset.Set, sources [][]int32) (clean int, answers [3]int) {
+	t.Helper()
+	tree := NewDstTree(tab, dst)
+	defer tree.Release()
+	for i, row := range rows {
+		isClean := true
+		bitset.EachDiff(row, dst, func(id int) {
+			isClean = isClean && slices.Contains(sources[i], int32(id))
+		})
+		if !isClean {
+			continue
+		}
+		clean++
+		e := NewETG(tab, row, nil)
+		got, want := tree.Flow(row, sources[i]), LinkDisjointFlow(e, 2)
+		if got != want || min(got, 1) != LinkDisjointFlow(e, 1) {
+			t.Fatalf("%s class %d: tree says %d, flow %d at k=2 and %d at k=1", what, i, got, want, LinkDisjointFlow(e, 1))
+		}
+		answers[got]++
+	}
+	return clean, answers
+}
+
+// CheckDstTreeMasks runs CheckDstTree on random destination masks over
+// every subnet of n, each class a copy plus a random subset of its own
+// source slots.
+func CheckDstTreeMasks(t testing.TB, what string, n *topology.Network, r *rand.Rand) {
+	t.Helper()
+	tab := NewTable(n)
+	for _, dst := range n.Subnets {
+		mask := RandomMaskETG(tab, r).G.Live()
+		for id, s := range tab.Slots {
+			if s.Kind == SlotSource {
+				mask.Put(id, false)
+			}
+		}
+		var rows []bitset.Set
+		var sources [][]int32
+		for _, src := range n.Subnets {
+			if src == dst {
+				continue
+			}
+			row, ids := mask.Clone(), sourceSlots(tab, src)
+			for _, id := range ids {
+				row.Put(int(id), r.Intn(4) > 0)
+			}
+			rows, sources = append(rows, row), append(sources, ids)
+		}
+		CheckDstTree(t, what+" to "+dst.Name, tab, mask, rows, sources)
+	}
+}
+
 // kflowSeedNetwork draws the network of one seed: the calibrated random
 // networks on even seeds, the odd shapes on odd ones.
 func kflowSeedNetwork(seed int64) (*topology.Network, *rand.Rand) {
@@ -188,7 +258,9 @@ func kflowSeedNetwork(seed int64) (*topology.Network, *rand.Rand) {
 // FuzzKFlow: a seed picks a small network (calibrated or odd), failures
 // and masks; on every ETG derived from them the flow skeleton, the per-ETG
 // reference and the subset enumeration agree for k = 1..4, and every cut
-// reported is a real, minimum one.
+// reported is a real, minimum one. Under random destination masks the
+// post-dominator tree of each destination agrees with the flow (not with
+// the subset enumeration: the tree shares the flow's link bottleneck).
 func FuzzKFlow(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -196,6 +268,7 @@ func FuzzKFlow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		n, r := kflowSeedNetwork(seed)
 		CheckKFlowNetwork(t, fmt.Sprintf("seed %d", seed), n, r)
+		CheckDstTreeMasks(t, fmt.Sprintf("seed %d", seed), n, r)
 	})
 }
 

@@ -117,18 +117,17 @@ type Table struct {
 	// Vertices names the shared ETG vertex space: SRC, DST, then
 	// "<proc>:I" and "<proc>:O" per process id.
 	Vertices []string
-	// TCVaries lists, ascending, the ids of the slots whose presence for a
-	// traffic class is not simply their presence for its destination:
-	// source attachments (absent from every dETG) and slots that cross an
-	// ACL. Every other bit of a class's row is its destination row's.
-	TCVaries []int
 	// ACLs numbers the distinct ACLs the slots cross, after ACLs[0] == nil,
-	// the list that is not there (and blocks nothing). VaryACLs[i] holds the
-	// ids of the (egress, ingress) lists slot TCVaries[i] must pass: a
-	// class's verdict on an ACL is the same for every slot that crosses it,
-	// so it is computed once per class, not once per slot.
-	ACLs     []*topology.ACL
-	VaryACLs [][2]int32
+	// the list that is not there (and blocks nothing). Guarded(a) lists the
+	// slots ACL a guards.
+	ACLs []*topology.ACL
+	// aclSlots lists, in CSR form, the slots each ACL guards — every slot
+	// but a source attachment whose egress or ingress list it is: ACL a's
+	// are aclSlots[aclSlotOff[a]:aclSlotOff[a+1]], ascending. Besides source
+	// attachments, these are the only slots whose presence for a traffic
+	// class is not simply their presence for its destination, and a class's
+	// verdict on an ACL is the same for every slot it guards.
+	aclSlotOff, aclSlots []int32
 
 	// base is the digraph every ETG of the network is a view of: all slots,
 	// edge id ≡ slot id.
@@ -365,20 +364,48 @@ func NewTable(n *topology.Network) *Table {
 		return id
 	}
 	edges := make([]graph.Edge, len(slots))
+	guards := make([][2]int32, len(slots)) // (egress, ingress) ACL ids per slot
 	for i, s := range slots {
 		if s.reverse != nil && s.reverse.ID < s.ID {
 			s.Canon = s.reverse.ID
 		}
 		s.outACL, s.inACL = s.lookupACLs()
-		if s.Kind == SlotSource || s.outACL != nil || s.inACL != nil {
-			t.TCVaries = append(t.TCVaries, i)
-			t.VaryACLs = append(t.VaryACLs, [2]int32{aclID(s.outACL), aclID(s.inACL)})
+		if s.Kind != SlotSource {
+			guards[i] = [2]int32{aclID(s.outACL), aclID(s.inACL)}
 		}
 		edges[i] = graph.Edge{From: s.From, To: s.To}
 	}
 	t.base = graph.NewOver(t.Vertices, edges)
+
+	// Counted two entries ahead, so that after the prefix sums entry a+1 is
+	// ACL a's fill cursor and ends on its end.
+	off := make([]int32, len(t.ACLs)+2)
+	for _, g := range guards {
+		for _, a := range g {
+			if a != 0 {
+				off[a+2]++
+			}
+		}
+	}
+	for a := 2; a < len(off); a++ {
+		off[a] += off[a-1]
+	}
+	t.aclSlots = make([]int32, off[len(off)-1])
+	for id, g := range guards {
+		for _, a := range g {
+			if a != 0 {
+				t.aclSlots[off[a+1]] = int32(id)
+				off[a+1]++
+			}
+		}
+	}
+	t.aclSlotOff = off[:len(t.ACLs)+1]
 	return t
 }
+
+// Guarded returns the ids of the slots ACL id a guards, ascending: every
+// slot but a source attachment whose egress or ingress list it is.
+func (t *Table) Guarded(a int32) []int32 { return t.aclSlots[t.aclSlotOff[a]:t.aclSlotOff[a+1]] }
 
 // ApplicableTC reports whether the slot can appear in tc's ETG: every
 // slot except the attachment slots of other subnets. Inapplicable slots

@@ -3,7 +3,7 @@ package config
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/topology"
@@ -82,13 +82,20 @@ func Extract(configs []*Config) (*topology.Network, error) {
 		}
 	}
 
-	// Derive physical links from shared networks, deterministically.
-	nets := make([]netip.Prefix, 0, len(byNet))
-	for p := range byNet {
-		nets = append(nets, p)
+	// Derive physical links from shared networks, deterministically: in
+	// the order of the prefixes' text, each formatted once (distinct
+	// prefixes format distinctly, so no two keys tie).
+	type netKey struct {
+		key string
+		p   netip.Prefix
 	}
-	sort.Slice(nets, func(i, j int) bool { return nets[i].String() < nets[j].String() })
-	for _, p := range nets {
+	nets := make([]netKey, 0, len(byNet))
+	for p := range byNet {
+		nets = append(nets, netKey{p.String(), p})
+	}
+	slices.SortFunc(nets, func(a, b netKey) int { return strings.Compare(a.key, b.key) })
+	for _, nk := range nets {
+		p := nk.p
 		ends := byNet[p]
 		if len(ends) == 1 {
 			continue // dangling interface; tolerated

@@ -988,27 +988,16 @@ func VerifyRepair(h *harc.HARC, st *harc.State, policies []policy.Policy) []poli
 // for isolation policies) is in touched. A nil touched set checks every
 // policy. Policies outside the set were verified satisfied before the
 // repair and their class state is untouched (see Result.Touched), so
-// skipping them loses nothing. Checks fan out over at most workers
-// goroutines (harc.ParallelFor), and the returned violations are in input
-// order regardless of parallelism.
+// skipping them loses nothing. The rest go through the checker's sweep
+// (policy.StateChecker.Violations) on at most workers goroutines, and the
+// returned violations are in input order regardless of parallelism.
 func VerifyRepairIncremental(h *harc.HARC, st *harc.State, policies []policy.Policy, touched map[string]bool, workers int) []policy.Policy {
-	need := make([]int, 0, len(policies))
-	for i, p := range policies {
-		if touched == nil || touched[p.TC.Key()] || (p.Kind == policy.Isolated && touched[p.TC2.Key()]) {
-			need = append(need, i)
+	var keep func(policy.Policy) bool
+	if touched != nil {
+		keep = func(p policy.Policy) bool {
+			return touched[p.TC.Key()] || (p.Kind == policy.Isolated && touched[p.TC2.Key()])
 		}
 	}
-	if len(need) == 0 {
-		return nil
-	}
-	bad := make([]bool, len(need))
-	checker := policy.NewStateChecker(h, st)
-	harc.ParallelFor(len(need), workers, func(j int) { bad[j] = !checker.Check(policies[need[j]]) })
-	var violated []policy.Policy
-	for j, i := range need {
-		if bad[j] {
-			violated = append(violated, policies[i])
-		}
-	}
+	violated, _ := policy.NewStateChecker(h, st).Violations(context.Background(), policies, keep, workers)
 	return violated
 }

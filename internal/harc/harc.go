@@ -36,6 +36,12 @@ type Layout struct {
 
 	tcRow  map[string]int // TrafficClass.Key() → index in TCs
 	dstRow map[string]int // subnet name → index in Dsts
+	tcDst  []int32        // by class row: its destination's row
+
+	// The source attachment slots of the classes' source subnets in CSR
+	// form: class row r's are srcSlots[srcOff[tcSrc[r]]:srcOff[tcSrc[r]+1]],
+	// ascending.
+	tcSrc, srcOff, srcSlots []int32
 }
 
 func newLayout(n *topology.Network, tcs []topology.TrafficClass) *Layout {
@@ -44,16 +50,63 @@ func newLayout(n *topology.Network, tcs []topology.TrafficClass) *Layout {
 		TCs:    tcs,
 		tcRow:  make(map[string]int, len(tcs)),
 		dstRow: make(map[string]int),
+		tcDst:  make([]int32, len(tcs)),
+		tcSrc:  make([]int32, len(tcs)),
 	}
+	srcNum := make(map[*topology.Subnet]int32)
 	for i, tc := range tcs {
 		l.tcRow[tc.Key()] = i
-		if _, seen := l.dstRow[tc.Dst.Name]; !seen {
-			l.dstRow[tc.Dst.Name] = len(l.Dsts)
+		d, seen := l.dstRow[tc.Dst.Name]
+		if !seen {
+			d = len(l.Dsts)
+			l.dstRow[tc.Dst.Name] = d
 			l.Dsts = append(l.Dsts, tc.Dst)
 		}
+		l.tcDst[i] = int32(d)
+		s, seen := srcNum[tc.Src]
+		if !seen {
+			s = int32(len(srcNum))
+			srcNum[tc.Src] = s
+		}
+		l.tcSrc[i] = s
 	}
+	// Counted two entries ahead, so that after the prefix sums entry s+1
+	// is subnet s's fill cursor and ends on its end.
+	l.srcOff = make([]int32, len(srcNum)+2)
+	for _, sl := range l.Slots {
+		if sl.Kind != arc.SlotSource {
+			continue
+		}
+		if s, ok := srcNum[sl.Subnet]; ok {
+			l.srcOff[s+2]++
+		}
+	}
+	for i := 2; i < len(l.srcOff); i++ {
+		l.srcOff[i] += l.srcOff[i-1]
+	}
+	l.srcSlots = make([]int32, l.srcOff[len(l.srcOff)-1])
+	for id, sl := range l.Slots {
+		if sl.Kind != arc.SlotSource {
+			continue
+		}
+		if s, ok := srcNum[sl.Subnet]; ok {
+			l.srcSlots[l.srcOff[s+1]] = int32(id)
+			l.srcOff[s+1]++
+		}
+	}
+	l.srcOff = l.srcOff[:len(srcNum)+1]
 	return l
 }
+
+// SrcSlots returns the ids of class row r's source attachment slots,
+// ascending: the only slots of its row no destination row has.
+func (l *Layout) SrcSlots(r int) []int32 {
+	s := l.tcSrc[r]
+	return l.srcSlots[l.srcOff[s]:l.srcOff[s+1]]
+}
+
+// DstOf returns the row of class row r's destination.
+func (l *Layout) DstOf(r int) int { return int(l.tcDst[r]) }
 
 // TCRow returns the row of tc (matched by subnet names), or -1.
 func (l *Layout) TCRow(tc topology.TrafficClass) int {
@@ -93,10 +146,10 @@ func Build(n *topology.Network) *HARC {
 	return BuildForTCs(n, n.TrafficClasses())
 }
 
-// ParallelFor runs fn(0..n-1) on at most workers goroutines, handing
-// indexes out through a shared counter. Callers write results into slot i
-// of a preallocated slice, so assembly order is the input order whatever
-// the interleaving.
+// ParallelFor runs fn(0..n-1) on at most workers goroutines, the caller's
+// among them, handing indexes out through a shared counter. Callers write
+// results into slot i of a preallocated slice, so assembly order is the
+// input order whatever the interleaving.
 func ParallelFor(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -108,20 +161,24 @@ func ParallelFor(n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
@@ -189,10 +246,11 @@ func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc
 	}
 	live := bitset.New(len(h.Slots))
 	copy(live, st.DstBits(tc.Dst))
-	tcRow := st.TCBits(tc)
-	for _, id := range h.TCVaries { // every source attachment varies by class
-		if h.Slots[id].Kind == arc.SlotSource && tcRow.Has(id) {
-			live.Put(id, true)
+	if r := st.lay.TCRow(tc); r >= 0 {
+		for _, id := range st.lay.SrcSlots(r) {
+			if st.TC[r].Has(int(id)) {
+				live.Put(int(id), true)
+			}
 		}
 	}
 	return view(h, st, live, stateWeights(h, st, tc.Dst))

@@ -97,6 +97,18 @@ func (v *Verdicts) SetAtLeast(r, k int, holds bool) {
 	})
 }
 
+// SetFlow records the verdicts of "at least k" on class row r that one
+// flow value settles: flow is min(limit, the quantity), so every k up to
+// it holds and, when it is below limit, every larger k fails.
+func (v *Verdicts) SetFlow(r, flow, limit int) {
+	if flow >= 1 {
+		v.SetAtLeast(r, flow, true)
+	}
+	if flow < limit {
+		v.SetAtLeast(r, flow+1, false)
+	}
+}
+
 // update applies f to row r's word atomically.
 func (v *Verdicts) update(r int, f func(uint64) uint64) {
 	for {

@@ -5,6 +5,7 @@
 package policy
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -89,18 +90,10 @@ func Check(h *harc.HARC, p Policy) bool {
 }
 
 // Violations returns the subset of policies the HARC currently violates,
-// in input order. Checks are independent graph queries over the
-// (read-only) HARC, so they fan out over one worker per core.
+// in input order: the sweep of StateChecker.Violations over the HARC's own
+// state, on one worker per core.
 func Violations(h *harc.HARC, policies []Policy) []Policy {
-	c := StateChecker{h: h}
-	bad := make([]bool, len(policies))
-	harc.ParallelFor(len(policies), runtime.GOMAXPROCS(0), func(i int) { bad[i] = !c.Check(policies[i]) })
-	var out []Policy
-	for i, p := range policies {
-		if bad[i] {
-			out = append(out, p)
-		}
-	}
+	out, _ := NewStateChecker(h, nil).Violations(context.Background(), policies, nil, runtime.GOMAXPROCS(0))
 	return out
 }
 

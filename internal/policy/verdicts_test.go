@@ -111,8 +111,8 @@ func TestVerdictsMatchCheck(t *testing.T) {
 
 // TestVerdictsFilledConcurrently fills one HARC's record from several
 // goroutines at once — two parallel Violations sweeps (what System.Verify
-// runs, each fanning out over every core) beside two per-policy Check loops
-// in other orders (what VerifyCtx runs) — and holds every answer to a
+// and VerifyCtx run, each fanning out over every core) beside two
+// per-policy Check loops in other orders — and holds every answer to a
 // fresh check. Meaningful under -race.
 func TestVerdictsFilledConcurrently(t *testing.T) {
 	n, extra := verdictNetwork(t)
