@@ -2,9 +2,12 @@ package cpr
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/generate"
 	"repro/internal/policy"
 )
 
@@ -104,5 +107,57 @@ func TestChaosTransientFaultStillSolves(t *testing.T) {
 	}
 	if len(violated) != 0 {
 		t.Fatalf("patched network violates %v", violated)
+	}
+}
+
+// TestChaosReplayFallback arms the failpoint on cpr.RepairCtx's final
+// check of a compressed repair (re-parse the patched text, re-verify the
+// repaired policies on it) and pins the branch it forces: the whole
+// repair is redone uncompressed, comes back solved, and patches the
+// configurations exactly as a compress-off repair does.
+func TestChaosReplayFallback(t *testing.T) {
+	inst, err := generate.DataCenter(generate.DCOptions{
+		Name: "dc32", Routers: 32, Subnets: 12,
+		BlockedFrac: 0.3, FullyBlockedDsts: 1, Violations: 4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, ps := loadInstance(t, inst)
+	if n := sys.Network.NumDevices(); n < 24 {
+		t.Fatalf("%d devices: too few for compression to engage by default", n)
+	}
+	compressed, err := sys.Repair(ps, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !compressed.Solved() || compressed.Result.Compressed == 0 {
+		t.Fatalf("solved=%v compressed=%d: the workload must repair compressed without the failpoint",
+			compressed.Solved(), compressed.Result.Compressed)
+	}
+	off := DefaultOptions()
+	off.Compress = core.CompressOff
+	want, err := sys.Repair(ps, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := faultinject.Set(faultinject.CPRReplayError, "error"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	before := faultinject.FiredCount(faultinject.CPRReplayError)
+	rep, err := sys.Repair(ps, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faultinject.FiredCount(faultinject.CPRReplayError) == before {
+		t.Fatal("the replay failpoint never fired — the test proved nothing")
+	}
+	if !rep.Solved() || rep.Result.Compressed != 0 {
+		t.Fatalf("solved=%v compressed=%d, want a solved uncompressed re-run", rep.Solved(), rep.Result.Compressed)
+	}
+	if !reflect.DeepEqual(rep.PatchedConfigs, want.PatchedConfigs) {
+		t.Fatal("the fallback's patched configurations differ from a compress-off repair's")
 	}
 }

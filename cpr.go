@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/topology"
@@ -227,7 +228,8 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 	// patched configuration text through the parser and verifies the
 	// repaired policies on the network it actually describes. If that
 	// ever disagrees, the whole repair is redone uncompressed.
-	if res.Compressed > 0 && !verifyPatchedConfigs(ctx, out.PatchedConfigs, res.Repaired, res.State) {
+	if res.Compressed > 0 && (faultinject.Eval(faultinject.CPRReplayError) != nil ||
+		!verifyPatchedConfigs(ctx, out.PatchedConfigs, res.Repaired, res.State)) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -86,15 +86,6 @@ func (q *Quotient) Ratio() float64 {
 	return float64(q.Devices) / float64(q.Net.NumDevices())
 }
 
-// Members returns the concrete members of the class containing dev.
-func (q *Quotient) Members(dev string) []string {
-	ci, ok := q.ClassOf[dev]
-	if !ok {
-		return nil
-	}
-	return q.Classes[ci].Members
-}
-
 // Build computes role-equivalence classes for n and synthesizes the
 // quotient network. Devices attached to a subnet referenced by spec.TCs
 // are policy endpoints and stay concrete (singleton classes). The

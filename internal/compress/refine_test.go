@@ -73,7 +73,7 @@ func TestDiamondMergesSymmetricTransits(t *testing.T) {
 		t.Fatal("endpoint devices s and t merged")
 	}
 	for _, name := range []string{"s", "t"} {
-		if got := len(q.Members(name)); got != 1 {
+		if got := len(q.Classes[q.ClassOf[name]].Members); got != 1 {
 			t.Fatalf("endpoint device %s in a class of %d members", name, got)
 		}
 	}

@@ -6,12 +6,14 @@ import (
 	"strings"
 )
 
-// Apply replays a recorded LineChange onto the configuration, mutating it
-// the way the original mutator did. It parses lc.Line with the regular
-// config parser, so a change that Apply accepts is guaranteed to re-parse;
-// unknown lines or inapplicable edits (removing a line that is not
-// present, modifying one that does not exist) are errors. ACL additions
-// honor lc.Prepend, preserving first-match semantics.
+// Apply makes one LineChange on the configuration. It is the only code
+// that edits a parsed configuration: every mutator's edit goes through
+// it, and replaying a recorded plan onto another copy calls it too. It
+// parses lc.Line with the regular config parser, so a change that Apply
+// accepts is guaranteed to re-parse; unknown lines or inapplicable edits
+// (removing a line that is not present, modifying one that does not
+// exist) are errors. ACL additions honor lc.Prepend, preserving
+// first-match semantics.
 func (c *Config) Apply(lc LineChange) error {
 	p := &parser{file: "apply(" + lc.Device + ")"}
 	switch {
@@ -73,7 +75,6 @@ func (c *Config) applyInterface(p *parser, lc LineChange, name string) error {
 	if err != nil {
 		return err
 	}
-	fields := strings.Fields(lc.Line)
 	switch {
 	case tmp.Waypoint:
 		intf.Waypoint = lc.Op != OpRemove
@@ -117,7 +118,7 @@ func (c *Config) applyInterface(p *parser, lc LineChange, name string) error {
 			intf.Address = tmp.Address
 		}
 	default:
-		return fmt.Errorf("config: apply: unsupported interface line %q", fields)
+		return fmt.Errorf("config: apply: unsupported interface line %q", lc.Line)
 	}
 	return nil
 }

@@ -143,7 +143,7 @@ func applyCases() []applyCase {
 			name: "static-add",
 			host: "A",
 			mutate: func(c *config.Config) ([]config.LineChange, error) {
-				return c.AddStaticRoute(pfxT, nhC, 3), nil
+				return c.AddStaticRoute(pfxT, nhC, 3)
 			},
 			wantOps: []config.Op{config.OpAdd},
 			check: func(t *testing.T, n *topology.Network, _ *config.Config) {
@@ -160,7 +160,7 @@ func applyCases() []applyCase {
 			host:  "A",
 			setup: func(c *config.Config) { c.AddStaticRoute(pfxT, nhC, 3) },
 			mutate: func(c *config.Config) ([]config.LineChange, error) {
-				return c.RemoveStaticRoute(pfxT, nhC), nil
+				return c.RemoveStaticRoute(pfxT, nhC)
 			},
 			wantOps: []config.Op{config.OpRemove},
 			check: func(t *testing.T, n *topology.Network, _ *config.Config) {
@@ -174,7 +174,7 @@ func applyCases() []applyCase {
 			host:  "A",
 			setup: func(c *config.Config) { c.AddStaticRoute(pfxT, nhC, 3) },
 			mutate: func(c *config.Config) ([]config.LineChange, error) {
-				return c.SetStaticDistance(pfxT, nhC, 5), nil
+				return c.SetStaticDistance(pfxT, nhC, 5)
 			},
 			wantOps: []config.Op{config.OpModify},
 			check: func(t *testing.T, n *topology.Network, _ *config.Config) {

@@ -5,9 +5,12 @@
 //
 // The package provides parsing (Parse), printing (Print), semantic
 // extraction to a topology.Network (Extract), and the mutation operations
-// the repair translator needs (mutate.go). Mutators record the exact
-// configuration lines they add or remove so that repair sizes are measured
-// in real lines of configuration, as in the paper's evaluation.
+// the repair translator needs (mutate.go). A mutator reads the
+// configuration, decides which lines to add, remove or modify, and makes
+// those edits through Apply, the one code path that writes a parsed
+// configuration; the lines it returns are the edit, so repair sizes are
+// measured in real lines of configuration, as in the paper's evaluation,
+// and every recorded line re-parses by construction.
 package config
 
 import (

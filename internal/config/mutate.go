@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -38,8 +39,7 @@ type LineChange struct {
 	Line    string
 	// Prepend marks an added line that must precede the section's existing
 	// lines (ACL entries are order-sensitive under first-match semantics).
-	// It does not affect change counting; Apply honors it when replaying a
-	// recorded change onto a configuration.
+	// It does not affect change counting; Apply honors it.
 	Prepend bool
 }
 
@@ -63,18 +63,53 @@ func sectionACL(name string) string { return "ip access-list extended " + name }
 // sectionInterface names an interface stanza.
 func sectionInterface(name string) string { return "interface " + name }
 
+// change builds a LineChange on this device.
+func (c *Config) change(op Op, section, line string) LineChange {
+	return LineChange{Device: c.Hostname, Op: op, Section: section, Line: line}
+}
+
+// edit applies lcs in order through Apply and returns them. Mutators only
+// read the configuration to decide which lines change; edit is how those
+// lines reach it, so a mutator's edit is written once, in Apply.
+func (c *Config) edit(lcs ...LineChange) ([]LineChange, error) {
+	for _, lc := range lcs {
+		if err := c.Apply(lc); err != nil {
+			return nil, err
+		}
+	}
+	return lcs, nil
+}
+
+// aclOn returns the name of the ACL attached to intf in the given
+// direction ("in" or "out"), or "" when none is.
+func (c *Config) aclOn(intfName, dir string) (string, error) {
+	intf := c.Interface(intfName)
+	if intf == nil {
+		return "", fmt.Errorf("config: %s has no interface %s", c.Hostname, intfName)
+	}
+	if dir == "out" {
+		return intf.OutACL, nil
+	}
+	return intf.InACL, nil
+}
+
+// router returns the (proto, id) router stanza, or an error naming it.
+func (c *Config) router(proto topology.Protocol, id int) (*RouterStanza, error) {
+	rs := c.Router(proto, id)
+	if rs == nil {
+		return nil, fmt.Errorf("config: %s has no router %s %d", c.Hostname, proto, id)
+	}
+	return rs, nil
+}
+
 // AddACLDeny ensures traffic (src→dst) is denied when crossing intf in the
 // given direction ("in" or "out"). If no ACL is attached it creates one
 // (deny entry plus trailing permit-any) and attaches it; if one is attached
 // it prepends a deny entry. Returns the line edits performed.
 func (c *Config) AddACLDeny(intfName, dir string, src, dst netip.Prefix) ([]LineChange, error) {
-	intf := c.Interface(intfName)
-	if intf == nil {
-		return nil, fmt.Errorf("config: %s has no interface %s", c.Hostname, intfName)
-	}
-	aclName := intf.InACL
-	if dir == "out" {
-		aclName = intf.OutACL
+	aclName, err := c.aclOn(intfName, dir)
+	if err != nil {
+		return nil, err
 	}
 	entry := ACLEntryLine{Permit: false, Src: src, Dst: dst}
 	if aclName == "" {
@@ -83,19 +118,11 @@ func (c *Config) AddACLDeny(intfName, dir string, src, dst netip.Prefix) ([]Line
 		for i := 2; c.ACL(aclName) != nil; i++ {
 			aclName = fmt.Sprintf("CPR-%s-%s-%d", intfName, dir, i)
 		}
-		acl := &ACLStanza{Name: aclName, Entries: []ACLEntryLine{entry, {Permit: true}}}
-		c.ACLs = append(c.ACLs, acl)
-		attach := fmt.Sprintf("ip access-group %s %s", aclName, dir)
-		if dir == "out" {
-			intf.OutACL = aclName
-		} else {
-			intf.InACL = aclName
-		}
-		return []LineChange{
-			{Device: c.Hostname, Op: OpAdd, Section: sectionACL(aclName), Line: entry.text()},
-			{Device: c.Hostname, Op: OpAdd, Section: sectionACL(aclName), Line: "permit ip any any"},
-			{Device: c.Hostname, Op: OpAdd, Section: sectionInterface(intfName), Line: attach},
-		}, nil
+		return c.edit(
+			c.change(OpAdd, sectionACL(aclName), entry.text()),
+			c.change(OpAdd, sectionACL(aclName), "permit ip any any"),
+			c.change(OpAdd, sectionInterface(intfName), fmt.Sprintf("ip access-group %s %s", aclName, dir)),
+		)
 	}
 	acl := c.ACL(aclName)
 	if acl == nil {
@@ -107,26 +134,19 @@ func (c *Config) AddACLDeny(intfName, dir string, src, dst netip.Prefix) ([]Line
 		return nil, nil
 	}
 	// Prepending a deny is always correct and costs a single line.
-	acl.Entries = append([]ACLEntryLine{entry}, acl.Entries...)
-	return []LineChange{
-		{Device: c.Hostname, Op: OpAdd, Section: sectionACL(aclName), Line: entry.text(), Prepend: true},
-	}, nil
+	lc := c.change(OpAdd, sectionACL(aclName), entry.text())
+	lc.Prepend = true
+	return c.edit(lc)
 }
 
 // RemoveACLDeny ensures traffic (src→dst) is permitted across intf in the
 // given direction: if the attached ACL has a deny entry exactly matching
-// the pair it is removed, otherwise a permit entry is prepended.
+// the pair, and the ACL without it lets the pair through, the entry is
+// removed; otherwise a permit entry is prepended.
 func (c *Config) RemoveACLDeny(intfName, dir string, src, dst netip.Prefix) ([]LineChange, error) {
-	intf := c.Interface(intfName)
-	if intf == nil {
-		return nil, fmt.Errorf("config: %s has no interface %s", c.Hostname, intfName)
-	}
-	aclName := intf.InACL
-	if dir == "out" {
-		aclName = intf.OutACL
-	}
-	if aclName == "" {
-		return nil, nil // nothing blocks; no change needed
+	aclName, err := c.aclOn(intfName, dir)
+	if err != nil || aclName == "" {
+		return nil, err // nothing blocks; no change needed
 	}
 	acl := c.ACL(aclName)
 	if acl == nil {
@@ -137,210 +157,149 @@ func (c *Config) RemoveACLDeny(intfName, dir string, src, dst netip.Prefix) ([]L
 	}
 	for i, e := range acl.Entries {
 		if !e.Permit && e.Src == src && e.Dst == dst {
-			acl.Entries = append(acl.Entries[:i], acl.Entries[i+1:]...)
-			if !acl.Blocks(src, dst) {
-				return []LineChange{
-					{Device: c.Hostname, Op: OpRemove, Section: sectionACL(aclName), Line: e.text()},
-				}, nil
+			// A broader entry may still block the pair; then fall through
+			// to prepend a permit instead.
+			rest := ACLStanza{Entries: append(acl.Entries[:i:i], acl.Entries[i+1:]...)}
+			if !rest.Blocks(src, dst) {
+				return c.edit(c.change(OpRemove, sectionACL(aclName), e.text()))
 			}
-			// A broader entry still blocks the pair; restore and fall
-			// through to prepend a permit instead.
-			acl.Entries = append(acl.Entries[:i:i], append([]ACLEntryLine{e}, acl.Entries[i:]...)...)
 			break
 		}
 	}
-	entry := ACLEntryLine{Permit: true, Src: src, Dst: dst}
-	acl.Entries = append([]ACLEntryLine{entry}, acl.Entries...)
-	return []LineChange{
-		{Device: c.Hostname, Op: OpAdd, Section: sectionACL(aclName), Line: entry.text(), Prepend: true},
-	}, nil
+	lc := c.change(OpAdd, sectionACL(aclName), ACLEntryLine{Permit: true, Src: src, Dst: dst}.text())
+	lc.Prepend = true
+	return c.edit(lc)
 }
 
 // EnableAdjacency makes the process form an adjacency over intf: it
 // removes a passive-interface line if present, otherwise adds a network
 // statement covering the interface address.
 func (c *Config) EnableAdjacency(proto topology.Protocol, id int, intfName string) ([]LineChange, error) {
-	rs := c.Router(proto, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router %s %d", c.Hostname, proto, id)
+	rs, err := c.router(proto, id)
+	if err != nil {
+		return nil, err
 	}
-	for i, p := range rs.Passive {
-		if p == intfName {
-			rs.Passive = append(rs.Passive[:i], rs.Passive[i+1:]...)
-			return []LineChange{
-				{Device: c.Hostname, Op: OpRemove, Section: sectionRouter(proto, id), Line: "passive-interface " + intfName},
-			}, nil
-		}
+	if slices.Contains(rs.Passive, intfName) {
+		return c.edit(c.change(OpRemove, sectionRouter(proto, id), "passive-interface "+intfName))
 	}
 	intf := c.Interface(intfName)
 	if intf == nil || !intf.Address.IsValid() {
 		return nil, fmt.Errorf("config: %s interface %s has no address", c.Hostname, intfName)
 	}
-	nl := NetworkLine{Addr: intf.Address.Addr(), Wildcard: netip.AddrFrom4([4]byte{})}
-	rs.Networks = append(rs.Networks, nl)
-	line := fmt.Sprintf("network %s %s area %d", nl.Addr, nl.Wildcard, nl.Area)
-	return []LineChange{
-		{Device: c.Hostname, Op: OpAdd, Section: sectionRouter(proto, id), Line: line},
-	}, nil
+	line := fmt.Sprintf("network %s 0.0.0.0 area 0", intf.Address.Addr())
+	return c.edit(c.change(OpAdd, sectionRouter(proto, id), line))
 }
 
 // DisableAdjacency stops the process from forming an adjacency over intf
 // by adding a passive-interface line.
 func (c *Config) DisableAdjacency(proto topology.Protocol, id int, intfName string) ([]LineChange, error) {
-	rs := c.Router(proto, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router %s %d", c.Hostname, proto, id)
+	rs, err := c.router(proto, id)
+	if err != nil || slices.Contains(rs.Passive, intfName) {
+		return nil, err // already passive
 	}
-	for _, p := range rs.Passive {
-		if p == intfName {
-			return nil, nil // already passive
-		}
-	}
-	rs.Passive = append(rs.Passive, intfName)
-	return []LineChange{
-		{Device: c.Hostname, Op: OpAdd, Section: sectionRouter(proto, id), Line: "passive-interface " + intfName},
-	}, nil
+	return c.edit(c.change(OpAdd, sectionRouter(proto, id), "passive-interface "+intfName))
 }
 
 // AddBGPNeighbor adds a neighbor statement to the BGP process with the
 // given ASN; idempotent.
 func (c *Config) AddBGPNeighbor(id int, addr netip.Addr, remoteAS int) ([]LineChange, error) {
-	rs := c.Router(topology.BGP, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router bgp %d", c.Hostname, id)
+	rs, err := c.router(topology.BGP, id)
+	if err != nil || slices.ContainsFunc(rs.Neighbors, func(nb NeighborLine) bool { return nb.Addr == addr }) {
+		return nil, err
 	}
-	for _, nb := range rs.Neighbors {
-		if nb.Addr == addr {
-			return nil, nil
-		}
-	}
-	rs.Neighbors = append(rs.Neighbors, NeighborLine{Addr: addr, RemoteAS: remoteAS})
-	return []LineChange{
-		{Device: c.Hostname, Op: OpAdd, Section: sectionRouter(topology.BGP, id), Line: fmt.Sprintf("neighbor %s remote-as %d", addr, remoteAS)},
-	}, nil
+	return c.edit(c.change(OpAdd, sectionRouter(topology.BGP, id), fmt.Sprintf("neighbor %s remote-as %d", addr, remoteAS)))
 }
 
 // RemoveBGPNeighbor deletes the neighbor statement for addr; idempotent.
 func (c *Config) RemoveBGPNeighbor(id int, addr netip.Addr) ([]LineChange, error) {
-	rs := c.Router(topology.BGP, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router bgp %d", c.Hostname, id)
+	rs, err := c.router(topology.BGP, id)
+	if err != nil {
+		return nil, err
 	}
-	for i, nb := range rs.Neighbors {
+	for _, nb := range rs.Neighbors {
 		if nb.Addr == addr {
-			rs.Neighbors = append(rs.Neighbors[:i], rs.Neighbors[i+1:]...)
-			return []LineChange{
-				{Device: c.Hostname, Op: OpRemove, Section: sectionRouter(topology.BGP, id), Line: fmt.Sprintf("neighbor %s remote-as %d", nb.Addr, nb.RemoteAS)},
-			}, nil
+			return c.edit(c.change(OpRemove, sectionRouter(topology.BGP, id), fmt.Sprintf("neighbor %s remote-as %d", nb.Addr, nb.RemoteAS)))
 		}
 	}
 	return nil, nil
 }
 
-// AddStaticRoute appends an "ip route" line.
-func (c *Config) AddStaticRoute(prefix netip.Prefix, nextHop netip.Addr, distance int) []LineChange {
-	sr := &StaticRouteLine{Prefix: prefix, NextHop: nextHop, Distance: distance}
-	c.Statics = append(c.Statics, sr)
-	return []LineChange{{Device: c.Hostname, Op: OpAdd, Line: sr.text()}}
-}
-
-// RemoveStaticRoute deletes the static route for (prefix, nextHop); it
-// returns nil if no such route exists.
-func (c *Config) RemoveStaticRoute(prefix netip.Prefix, nextHop netip.Addr) []LineChange {
-	for i, sr := range c.Statics {
+// staticRoute returns the static route for (prefix, nextHop), or nil.
+func (c *Config) staticRoute(prefix netip.Prefix, nextHop netip.Addr) *StaticRouteLine {
+	for _, sr := range c.Statics {
 		if sr.Prefix == prefix && sr.NextHop == nextHop {
-			c.Statics = append(c.Statics[:i], c.Statics[i+1:]...)
-			return []LineChange{{Device: c.Hostname, Op: OpRemove, Line: sr.text()}}
+			return sr
 		}
 	}
 	return nil
+}
+
+// AddStaticRoute appends an "ip route" line.
+func (c *Config) AddStaticRoute(prefix netip.Prefix, nextHop netip.Addr, distance int) ([]LineChange, error) {
+	sr := StaticRouteLine{Prefix: prefix, NextHop: nextHop, Distance: distance}
+	return c.edit(c.change(OpAdd, "", sr.text()))
+}
+
+// RemoveStaticRoute deletes the static route for (prefix, nextHop); it
+// returns no change if no such route exists.
+func (c *Config) RemoveStaticRoute(prefix netip.Prefix, nextHop netip.Addr) ([]LineChange, error) {
+	sr := c.staticRoute(prefix, nextHop)
+	if sr == nil {
+		return nil, nil
+	}
+	return c.edit(c.change(OpRemove, "", sr.text()))
 }
 
 // AddRouteFilter blocks routes to dst on the process via a distribute-list
 // line.
 func (c *Config) AddRouteFilter(proto topology.Protocol, id int, dst netip.Prefix) ([]LineChange, error) {
-	rs := c.Router(proto, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router %s %d", c.Hostname, proto, id)
+	rs, err := c.router(proto, id)
+	if err != nil || slices.Contains(rs.DistributeListIn, dst) {
+		return nil, err // already filtered
 	}
-	for _, p := range rs.DistributeListIn {
-		if p == dst {
-			return nil, nil // already filtered
-		}
-	}
-	rs.DistributeListIn = append(rs.DistributeListIn, dst)
-	return []LineChange{
-		{Device: c.Hostname, Op: OpAdd, Section: sectionRouter(proto, id), Line: fmt.Sprintf("distribute-list prefix %s in", dst)},
-	}, nil
+	return c.edit(c.change(OpAdd, sectionRouter(proto, id), fmt.Sprintf("distribute-list prefix %s in", dst)))
 }
 
 // RemoveRouteFilter removes the distribute-list line for dst.
 func (c *Config) RemoveRouteFilter(proto topology.Protocol, id int, dst netip.Prefix) ([]LineChange, error) {
-	rs := c.Router(proto, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router %s %d", c.Hostname, proto, id)
+	rs, err := c.router(proto, id)
+	if err != nil || !slices.Contains(rs.DistributeListIn, dst) {
+		return nil, err
 	}
-	for i, p := range rs.DistributeListIn {
-		if p == dst {
-			rs.DistributeListIn = append(rs.DistributeListIn[:i], rs.DistributeListIn[i+1:]...)
-			return []LineChange{
-				{Device: c.Hostname, Op: OpRemove, Section: sectionRouter(proto, id), Line: fmt.Sprintf("distribute-list prefix %s in", dst)},
-			}, nil
-		}
-	}
-	return nil, nil
+	return c.edit(c.change(OpRemove, sectionRouter(proto, id), fmt.Sprintf("distribute-list prefix %s in", dst)))
 }
 
 // AddRedistribute enables route redistribution from (srcProto, srcID) into
 // the process.
 func (c *Config) AddRedistribute(proto topology.Protocol, id int, srcProto topology.Protocol, srcID int) ([]LineChange, error) {
-	rs := c.Router(proto, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router %s %d", c.Hostname, proto, id)
-	}
+	rs, err := c.router(proto, id)
 	rl := RedistributeLine{Source: srcProto.String(), ID: srcID}
-	for _, r := range rs.Redistribute {
-		if r == rl {
-			return nil, nil
-		}
+	if err != nil || slices.Contains(rs.Redistribute, rl) {
+		return nil, err
 	}
-	rs.Redistribute = append(rs.Redistribute, rl)
-	return []LineChange{
-		{Device: c.Hostname, Op: OpAdd, Section: sectionRouter(proto, id), Line: rl.text()},
-	}, nil
+	return c.edit(c.change(OpAdd, sectionRouter(proto, id), rl.text()))
 }
 
 // RemoveRedistribute disables route redistribution from (srcProto, srcID).
 func (c *Config) RemoveRedistribute(proto topology.Protocol, id int, srcProto topology.Protocol, srcID int) ([]LineChange, error) {
-	rs := c.Router(proto, id)
-	if rs == nil {
-		return nil, fmt.Errorf("config: %s has no router %s %d", c.Hostname, proto, id)
-	}
+	rs, err := c.router(proto, id)
 	rl := RedistributeLine{Source: srcProto.String(), ID: srcID}
-	for i, r := range rs.Redistribute {
-		if r == rl {
-			rs.Redistribute = append(rs.Redistribute[:i], rs.Redistribute[i+1:]...)
-			return []LineChange{
-				{Device: c.Hostname, Op: OpRemove, Section: sectionRouter(proto, id), Line: rl.text()},
-			}, nil
-		}
+	if err != nil || !slices.Contains(rs.Redistribute, rl) {
+		return nil, err
 	}
-	return nil, nil
+	return c.edit(c.change(OpRemove, sectionRouter(proto, id), rl.text()))
 }
 
 // SetStaticDistance changes the administrative distance of an existing
 // static route; one modified line.
-func (c *Config) SetStaticDistance(prefix netip.Prefix, nextHop netip.Addr, distance int) []LineChange {
-	for _, sr := range c.Statics {
-		if sr.Prefix == prefix && sr.NextHop == nextHop {
-			if sr.Distance == distance {
-				return nil
-			}
-			sr.Distance = distance
-			return []LineChange{{Device: c.Hostname, Op: OpModify, Line: sr.text()}}
-		}
+func (c *Config) SetStaticDistance(prefix netip.Prefix, nextHop netip.Addr, distance int) ([]LineChange, error) {
+	sr := c.staticRoute(prefix, nextHop)
+	if sr == nil || sr.Distance == distance {
+		return nil, nil
 	}
-	return nil
+	mod := *sr
+	mod.Distance = distance
+	return c.edit(c.change(OpModify, "", mod.text()))
 }
 
 // SetWaypoint adds or removes the waypoint marker on an interface
@@ -353,14 +312,11 @@ func (c *Config) SetWaypoint(intfName string, present bool) ([]LineChange, error
 	if intf.Waypoint == present {
 		return nil, nil
 	}
-	intf.Waypoint = present
 	op := OpAdd
 	if !present {
 		op = OpRemove
 	}
-	return []LineChange{
-		{Device: c.Hostname, Op: op, Section: sectionInterface(intfName), Line: "waypoint"},
-	}, nil
+	return c.edit(c.change(op, sectionInterface(intfName), "waypoint"))
 }
 
 // SetInterfaceCost changes the routing cost of intf; it counts as a single
@@ -370,15 +326,12 @@ func (c *Config) SetInterfaceCost(intfName string, cost int) ([]LineChange, erro
 	if intf == nil {
 		return nil, fmt.Errorf("config: %s has no interface %s", c.Hostname, intfName)
 	}
+	if intf.Cost == cost {
+		return nil, nil
+	}
 	op := OpModify
 	if intf.Cost == 0 {
 		op = OpAdd
 	}
-	if intf.Cost == cost {
-		return nil, nil
-	}
-	intf.Cost = cost
-	return []LineChange{
-		{Device: c.Hostname, Op: op, Section: sectionInterface(intfName), Line: fmt.Sprintf("ip ospf cost %d", cost)},
-	}, nil
+	return c.edit(c.change(op, sectionInterface(intfName), fmt.Sprintf("ip ospf cost %d", cost)))
 }

@@ -172,22 +172,22 @@ func TestDisableAdjacency(t *testing.T) {
 func TestStaticRouteAddRemove(t *testing.T) {
 	cfg := parseC(t)
 	nh := netip.MustParseAddr("10.0.3.2")
-	add := cfg.AddStaticRoute(uPfx, nh, 5)
-	if len(add) != 1 || add[0].Op != OpAdd {
-		t.Fatalf("add: %v", add)
+	add, err := cfg.AddStaticRoute(uPfx, nh, 5)
+	if err != nil || len(add) != 1 || add[0].Op != OpAdd {
+		t.Fatalf("add: %v, %v", add, err)
 	}
 	if len(cfg.Statics) != 1 {
 		t.Fatal("static not recorded")
 	}
-	rm := cfg.RemoveStaticRoute(uPfx, nh)
-	if len(rm) != 1 || rm[0].Op != OpRemove {
-		t.Fatalf("remove: %v", rm)
+	rm, err := cfg.RemoveStaticRoute(uPfx, nh)
+	if err != nil || len(rm) != 1 || rm[0].Op != OpRemove {
+		t.Fatalf("remove: %v, %v", rm, err)
 	}
 	if len(cfg.Statics) != 0 {
 		t.Fatal("static not removed")
 	}
-	if cfg.RemoveStaticRoute(uPfx, nh) != nil {
-		t.Error("removing absent static should be nil")
+	if rm, err := cfg.RemoveStaticRoute(uPfx, nh); rm != nil || err != nil {
+		t.Errorf("removing absent static should be nil, got %v, %v", rm, err)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package faultinject is a process-wide failpoint registry for chaos
 // testing the repair pipeline. Production code calls Eval at a small
 // number of named sites (the SAT solver's search entry, the MaxSMT
-// encoder, the daemon's session-cache build path); with no failpoint
-// armed, Eval is a single atomic load and a branch, so the registry can
-// stay compiled into release binaries at effectively zero cost.
+// encoder, the compressed-repair checks, the daemon's session-cache
+// build path); with no failpoint armed, Eval is a single atomic load and
+// a branch, so the registry can stay compiled into release binaries at
+// effectively zero cost.
 //
 // A failpoint is armed programmatically (Set, SetCallback) or from the
 // CPR_FAILPOINTS environment variable (FromEnv), using a small spec
@@ -77,6 +78,10 @@ const (
 	// compressed repair, forcing the "reverify" fallback to the
 	// uncompressed solve.
 	CoreReverifyError = "core/reverify-error"
+	// CPRReplayError fails the check that re-parses a compressed repair's
+	// patched configuration text and re-verifies it, forcing cpr.RepairCtx
+	// to redo the whole repair uncompressed.
+	CPRReplayError = "cpr/replay-error"
 )
 
 // Sites lists every registered injection site, sorted.
@@ -88,6 +93,7 @@ func Sites() []string {
 		CoreEncodeError,
 		CoreEncodeSlow,
 		CoreReverifyError,
+		CPRReplayError,
 		ServerCacheLoadError,
 		ServerDeltaError,
 		ServerRepairAbort,

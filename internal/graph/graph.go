@@ -63,33 +63,28 @@ func (w *Weights) get() []int64 {
 
 // Digraph is a directed multigraph with string-named vertices: a shape,
 // a mask of the edges that are live, and a weight per edge. The zero value
-// is not usable; New returns an empty graph that owns its shape and may
-// grow, NewOver one laid over a shared vertex table, and View a graph that
-// shares another's shape under its own mask and weights.
+// is not usable; NewOver returns a graph laid over a shared vertex table,
+// and View a graph that shares another's shape under its own mask and
+// weights.
 //
 // A graph carries no name→vertex index: vertices are addressed by id;
-// Vertex and AddVertex scan the table and exist for small hand-built
-// graphs, tests and debugging.
+// Vertex scans the table and exists for tests and debugging.
 type Digraph struct {
 	*shape
-	// live is shared with whoever supplied it until the first RemoveEdge or
-	// RestoreEdge, which copies it (ownsLive): a view never writes storage
-	// it was handed.
+	// live is shared with whoever supplied it until the first RemoveEdge,
+	// which copies it (ownsLive): a view never writes storage it was
+	// handed.
 	live     bitset.Set
 	ownsLive bool
 	w        *Weights
 }
-
-// New returns an empty digraph.
-func New() *Digraph { return &Digraph{shape: &shape{}, ownsLive: true, w: &Weights{}} }
 
 // NewOver returns a digraph over the shared vertex table names (vertex v
 // is names[v]) holding exactly the given edges, all live, edge e being
 // edges[e]. The table is not copied and must never change. Adjacency
 // lists are carved out of two backing arrays sized from the edge list, so
 // a build costs a fixed handful of allocations however many vertices it
-// touches. The result is meant to be the base of many Views and must not
-// be extended once it has one.
+// touches. The result is meant to be the base of many Views.
 func NewOver(names []string, edges []Edge) *Digraph {
 	nv, ne := len(names), len(edges)
 	sh := &shape{
@@ -130,11 +125,10 @@ func NewOver(names []string, edges []Edge) *Digraph {
 // View returns a graph over g's vertices, endpoints and adjacency whose
 // live edges are exactly the set bits of live (nil: g's own mask) and
 // whose weights are w (nil: g's own). Nothing is copied: the view reads
-// live and never writes it — RemoveEdge and RestoreEdge on the view work
-// on a private copy made at the first call — so any number of views may
-// share one mask with each other and with its owner, who must not change
-// it while they are in use. Edge ids, and therefore traversal order, are
-// g's. A view must not be extended.
+// live and never writes it — RemoveEdge on the view works on a private
+// copy made at the first call — so any number of views may share one mask
+// with each other and with its owner, who must not change it while they
+// are in use. Edge ids, and therefore traversal order, are g's.
 func (g *Digraph) View(live bitset.Set, w *Weights) *Digraph {
 	if live == nil {
 		live = g.live
@@ -143,18 +137,6 @@ func (g *Digraph) View(live bitset.Set, w *Weights) *Digraph {
 		w = g.w
 	}
 	return &Digraph{shape: g.shape, live: live, w: w}
-}
-
-// AddVertex adds a vertex named name, or returns the existing vertex with
-// that name (a linear scan: see Digraph).
-func (g *Digraph) AddVertex(name string) V {
-	if v := g.Vertex(name); v != V(None) {
-		return v
-	}
-	g.names = append(g.names, name)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return V(len(g.names) - 1)
 }
 
 // Vertex returns the vertex named name, or None if absent.
@@ -179,37 +161,14 @@ func (g *Digraph) NumVertices() int { return len(g.names) }
 // NumEdges returns the number of live (non-removed) edges.
 func (g *Digraph) NumEdges() int { return g.live.Count() }
 
-// AddEdge adds a directed edge from→to with the given weight and returns
-// its id. Parallel edges are permitted. Only a graph that owns its shape
-// (from New) may grow, and only while it has no views.
-func (g *Digraph) AddEdge(from, to V, weight int64) E {
-	e := E(len(g.tail))
-	g.tail = append(g.tail, from)
-	g.head = append(g.head, to)
-	g.w.vec = append(g.w.get(), weight)
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	if int(e)>>6 >= len(g.live) {
-		g.live = append(g.live, 0)
-	}
-	g.live.Put(int(e), true)
-	return e
-}
-
-// ownLive makes the mask private before its first write.
-func (g *Digraph) ownLive() bitset.Set {
+// RemoveEdge marks edge e as removed, first making the mask private if
+// it was handed in. Removing an already-removed edge is a no-op.
+func (g *Digraph) RemoveEdge(e E) {
 	if !g.ownsLive {
 		g.live, g.ownsLive = g.live.Clone(), true
 	}
-	return g.live
+	g.live.Put(int(e), false)
 }
-
-// RemoveEdge marks edge e as removed. Removing an already-removed edge is
-// a no-op.
-func (g *Digraph) RemoveEdge(e E) { g.ownLive().Put(int(e), false) }
-
-// RestoreEdge undoes RemoveEdge.
-func (g *Digraph) RestoreEdge(e E) { g.ownLive().Put(int(e), true) }
 
 // EdgeLive reports whether edge e is present (not removed).
 func (g *Digraph) EdgeLive(e E) bool { return g.live.Has(int(e)) }

@@ -8,33 +8,13 @@ import (
 
 func buildDiamond(t *testing.T) (*Digraph, V, V, V, V) {
 	t.Helper()
-	g := New()
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
-	c := g.AddVertex("c")
-	d := g.AddVertex("d")
-	g.AddEdge(a, b, 1)
-	g.AddEdge(a, c, 4)
-	g.AddEdge(b, d, 1)
-	g.AddEdge(c, d, 1)
+	const a, b, c, d V = 0, 1, 2, 3
+	g := NewOver([]string{"a", "b", "c", "d"}, []Edge{{a, b, 1}, {a, c, 4}, {b, d, 1}, {c, d, 1}})
 	return g, a, b, c, d
 }
 
-func TestAddVertexIdempotent(t *testing.T) {
-	g := New()
-	v1 := g.AddVertex("x")
-	v2 := g.AddVertex("x")
-	if v1 != v2 {
-		t.Fatalf("AddVertex not idempotent: %d vs %d", v1, v2)
-	}
-	if g.NumVertices() != 1 {
-		t.Fatalf("NumVertices = %d, want 1", g.NumVertices())
-	}
-}
-
 func TestVertexLookup(t *testing.T) {
-	g := New()
-	g.AddVertex("x")
+	g := NewOver([]string{"x"}, nil)
 	if g.Vertex("x") == V(None) {
 		t.Error("Vertex(x) not found")
 	}
@@ -46,7 +26,7 @@ func TestVertexLookup(t *testing.T) {
 	}
 }
 
-func TestEdgeAddRemoveRestore(t *testing.T) {
+func TestRemoveEdge(t *testing.T) {
 	g, a, b, _, _ := buildDiamond(t)
 	e := g.FindEdge(a, b)
 	if e == E(None) {
@@ -56,16 +36,12 @@ func TestEdgeAddRemoveRestore(t *testing.T) {
 		t.Fatalf("NumEdges = %d, want 4", g.NumEdges())
 	}
 	g.RemoveEdge(e)
-	if g.NumEdges() != 3 || g.EdgeLive(e) {
+	if g.NumEdges() != 3 || g.EdgeLive(e) || g.FindEdge(a, b) != E(None) {
 		t.Fatal("RemoveEdge did not take effect")
 	}
 	g.RemoveEdge(e) // idempotent
 	if g.NumEdges() != 3 {
 		t.Fatal("double RemoveEdge changed count")
-	}
-	g.RestoreEdge(e)
-	if g.NumEdges() != 4 || !g.EdgeLive(e) {
-		t.Fatal("RestoreEdge did not take effect")
 	}
 }
 
@@ -236,9 +212,8 @@ func TestDijkstraShortestPath(t *testing.T) {
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
-	g := New()
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
+	const a, b V = 0, 1
+	g := NewOver([]string{"a", "b"}, nil)
 	dist, pred := g.Dijkstra(a)
 	if dist[b] != Inf {
 		t.Errorf("dist[b] = %d, want Inf", dist[b])
@@ -252,18 +227,9 @@ func TestDijkstraUnreachable(t *testing.T) {
 }
 
 func TestShortestPathUnique(t *testing.T) {
-	var a, d V
+	const a, b, c, d V = 0, 1, 2, 3
 	build := func(ac int64) *Digraph {
-		g := New()
-		a = g.AddVertex("a")
-		b := g.AddVertex("b")
-		c := g.AddVertex("c")
-		d = g.AddVertex("d")
-		g.AddEdge(a, b, 1)
-		g.AddEdge(b, d, 1)
-		g.AddEdge(a, c, ac)
-		g.AddEdge(c, d, 1)
-		return g
+		return NewOver([]string{"a", "b", "c", "d"}, []Edge{{a, b, 1}, {b, d, 1}, {a, c, ac}, {c, d, 1}})
 	}
 	if _, unique := build(1).ShortestPathUnique(a, d); unique {
 		t.Error("two equal-cost paths should not be unique")
@@ -287,12 +253,9 @@ func TestMaxFlowDiamond(t *testing.T) {
 }
 
 func TestMaxFlowWithCapacities(t *testing.T) {
-	g := New()
-	s := g.AddVertex("s")
-	m := g.AddVertex("m")
-	tv := g.AddVertex("t")
-	e1 := g.AddEdge(s, m, 0)
-	e2 := g.AddEdge(m, tv, 0)
+	const s, m, tv V = 0, 1, 2
+	const e1, e2 E = 0, 1
+	g := NewOver([]string{"s", "m", "t"}, []Edge{{s, m, 0}, {m, tv, 0}})
 	caps := map[E]int64{e1: 3, e2: 5}
 	flow, _ := g.MaxFlow(s, tv, func(e E) int64 { return caps[e] })
 	if flow != 3 {
@@ -302,16 +265,8 @@ func TestMaxFlowWithCapacities(t *testing.T) {
 
 func TestMaxFlowNeedsResidual(t *testing.T) {
 	// Classic example where a greedy path must be partially undone.
-	g := New()
-	s := g.AddVertex("s")
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
-	tv := g.AddVertex("t")
-	g.AddEdge(s, a, 0)
-	g.AddEdge(s, b, 0)
-	g.AddEdge(a, b, 0)
-	g.AddEdge(a, tv, 0)
-	g.AddEdge(b, tv, 0)
+	const s, a, b, tv V = 0, 1, 2, 3
+	g := NewOver([]string{"s", "a", "b", "t"}, []Edge{{s, a, 0}, {s, b, 0}, {a, b, 0}, {a, tv, 0}, {b, tv, 0}})
 	flow, _ := g.MaxFlow(s, tv, nil)
 	if flow != 2 {
 		t.Fatalf("max-flow = %d, want 2", flow)
@@ -372,18 +327,19 @@ func TestClone(t *testing.T) {
 
 // randomGraph builds a pseudo-random DAG-ish digraph for property tests.
 func randomGraph(r *rand.Rand, n int) *Digraph {
-	g := New()
-	for i := 0; i < n; i++ {
-		g.AddVertex(string(rune('a'+i%26)) + string(rune('0'+i/26)))
+	names := make([]string, n)
+	for i := range names {
+		names[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
 	}
+	var edges []Edge
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j && r.Intn(3) == 0 {
-				g.AddEdge(V(i), V(j), int64(1+r.Intn(9)))
+				edges = append(edges, Edge{V(i), V(j), int64(1 + r.Intn(9))})
 			}
 		}
 	}
-	return g
+	return NewOver(names, edges)
 }
 
 // Property: max-flow value equals min-cut size under unit capacities,

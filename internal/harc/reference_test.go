@@ -191,7 +191,7 @@ func aclHeavyNetworks(t *testing.T) []*topology.Network {
 				var err error
 				switch op := rng.Intn(8); {
 				case op == 6 && intf.Peer() != nil && intf.Peer().Prefix.IsValid():
-					c.AddStaticRoute(dst.Prefix, intf.Peer().Prefix.Addr(), 1+rng.Intn(5))
+					_, err = c.AddStaticRoute(dst.Prefix, intf.Peer().Prefix.Addr(), 1+rng.Intn(5))
 				case op == 7 && len(d.Processes) > 0:
 					p := d.Processes[rng.Intn(len(d.Processes))]
 					_, err = c.AddRouteFilter(p.Proto, p.ID, dst.Prefix)

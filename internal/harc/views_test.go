@@ -82,12 +82,7 @@ func TestViewNeverWritesSharedStorage(t *testing.T) {
 			etg := h.TC[rng.Intn(len(h.TC))]
 			g := etg.G.View(nil, nil)
 			for j := 0; j < 5; j++ {
-				e := graph.E(rng.Intn(len(h.Slots)))
-				if rng.Intn(2) == 0 {
-					g.RemoveEdge(e)
-				} else {
-					g.RestoreEdge(e)
-				}
+				g.RemoveEdge(graph.E(rng.Intn(len(h.Slots))))
 			}
 			g.PathExists(etg.Src, etg.Dst)
 		}

@@ -39,9 +39,6 @@ func Fresh(p *formula.Pool, width int) Vec {
 	return out
 }
 
-// Width returns the bit width.
-func (v Vec) Width() int { return len(v) }
-
 // bit returns bit i, or False beyond the width.
 func (v Vec) bit(i int) formula.F {
 	if i < len(v) {
@@ -68,16 +65,6 @@ func Add(p *formula.Pool, a, b Vec) Vec {
 	}
 	out[width] = carry
 	return out
-}
-
-// Truncate returns v limited to width bits (high bits dropped). The
-// caller must ensure the dropped bits are zero-constrained if semantics
-// require it.
-func (v Vec) Truncate(width int) Vec {
-	if len(v) <= width {
-		return v
-	}
-	return v[:width]
 }
 
 // Equal returns the formula a == b (widths may differ; missing high bits

@@ -140,16 +140,6 @@ func TestSolverFindsAddends(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	v := Const(5, 6)
-	if v.Truncate(3).Width() != 3 {
-		t.Error("Truncate width wrong")
-	}
-	if v.Truncate(10).Width() != 6 {
-		t.Error("Truncate should not extend")
-	}
-}
-
 // Property: addition and comparison agree with machine arithmetic.
 func TestDifferentialArithmetic(t *testing.T) {
 	f := func(seed int64) bool {

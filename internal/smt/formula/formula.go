@@ -231,11 +231,6 @@ func (p *Pool) Iff(a, b F) F { return p.And(p.Implies(a, b), p.Implies(b, a)) }
 // Xor returns a ⊕ b.
 func (p *Pool) Xor(a, b F) F { return p.Or(p.And(a, Not(b)), p.And(Not(a), b)) }
 
-// Ite returns the multiplexer: cond ? a : b.
-func (p *Pool) Ite(cond, a, b F) F {
-	return p.And(p.Implies(cond, a), p.Implies(Not(cond), b))
-}
-
 // String renders f for debugging.
 func (p *Pool) String(f F) string {
 	switch i, op, ok := p.node(f &^ negBit); {

@@ -43,7 +43,7 @@ func TestSolveCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	res := SolveCtx(ctx, s, softs, LinearDescent)
+	res := SolveWeightedCtx(ctx, s, softs, unitWeights(softs), LinearDescent, nil)
 	if res.Status != sat.Unknown {
 		t.Fatalf("status = %v, want unknown", res.Status)
 	}
@@ -69,7 +69,7 @@ func TestSolveCtxBackground(t *testing.T) {
 }
 
 // TestNoInterruptAfterReturn pins what a worker that recycles its solver
-// relies on: once SolveCtx has returned, its context can no longer
+// relies on: once SolveWeightedCtx has returned, its context can no longer
 // interrupt the solver. Contexts are cancelled at random points of short
 // OLL descents — before, during, and as they return — and each time the
 // solver is then reset and loaded with a satisfiable formula, whose solve
@@ -85,7 +85,7 @@ func TestNoInterruptAfterReturn(t *testing.T) {
 		softs := guardedPigeonhole(s, 4)
 		ctx, cancel := context.WithCancel(context.Background())
 		t0 := time.Now()
-		SolveCtx(ctx, s, softs, OLL)
+		SolveWeightedCtx(ctx, s, softs, unitWeights(softs), OLL, nil)
 		took = append(took, time.Since(t0))
 		cancel()
 	}
@@ -99,7 +99,7 @@ func TestNoInterruptAfterReturn(t *testing.T) {
 		if i%2 == 0 {
 			cancel() // the callback starts at once, and may still lag the return
 		}
-		SolveCtx(ctx, s, softs, OLL)
+		SolveWeightedCtx(ctx, s, softs, unitWeights(softs), OLL, nil)
 
 		s.Reset()
 		nVars, stream := planted(rng, 500, 2000)
@@ -157,4 +157,14 @@ func planted(rng *rand.Rand, n, clauses int) (int, []sat.Lit) {
 		stream = sat.AppendClause(stream, c...)
 	}
 	return n, stream
+}
+
+// unitWeights gives every soft weight 1, which SolveWeightedCtx solves
+// exactly as the unweighted engines do.
+func unitWeights(softs []sat.Lit) []int {
+	w := make([]int, len(softs))
+	for i := range w {
+		w[i] = 1
+	}
+	return w
 }

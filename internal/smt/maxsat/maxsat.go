@@ -106,16 +106,10 @@ func SolveWeighted(s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm
 	return Solve(s, expanded, algo)
 }
 
-// SolveCtx is Solve under a context: cancelling ctx interrupts the
-// underlying SAT solver, and the optimization unwinds promptly with
-// Status == Unknown. Callers distinguish cancellation from an exhausted
-// conflict budget via ctx.Err().
-func SolveCtx(ctx context.Context, s *sat.Solver, softs []sat.Lit, algo Algorithm) Result {
-	defer interruptOn(ctx, s)()
-	return Solve(s, softs, algo)
-}
-
-// SolveWeightedCtx is SolveWeighted under a context; see SolveCtx.
+// SolveWeightedCtx is SolveWeighted under a context: cancelling ctx
+// interrupts the underlying SAT solver, and the optimization unwinds
+// promptly with Status == Unknown. Callers distinguish cancellation from
+// an exhausted conflict budget via ctx.Err().
 func SolveWeightedCtx(ctx context.Context, s *sat.Solver, softs []sat.Lit, weights []int, algo Algorithm, sc *Scratch) Result {
 	defer interruptOn(ctx, s)()
 	return SolveWeighted(s, softs, weights, algo, sc)

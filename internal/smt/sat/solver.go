@@ -194,7 +194,7 @@ func New() *Solver {
 // state: a reset solver given the same calls as a new one makes the same
 // decisions and finds the same models. Reset must not race with
 // Interrupt; a caller that interrupts from a context makes sure the
-// interrupt has landed or never will before it resets (maxsat.SolveCtx
+// interrupt has landed or never will before it resets (maxsat.SolveWeightedCtx
 // waits for its callback).
 func (s *Solver) Reset() {
 	s.Stats = Stats{}

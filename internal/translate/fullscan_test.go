@@ -75,13 +75,17 @@ func fullScan(h *harc.HARC, orig, rep *harc.State, cfgs map[string]*config.Confi
 			}
 			was, now := orig.Static[r].Has(s.ID), rep.Static[r].Has(s.ID)
 			c, nh, dist := cfgs[s.FromProc.Device.Name], s.ToIntf.Prefix.Addr(), rep.StaticDistance(r, s.ID)
+			var err error
 			switch {
 			case !was && now:
-				t.addLines(c.AddStaticRoute(dst.Prefix, nh, int(dist)))
+				err = t.add(c.AddStaticRoute(dst.Prefix, nh, int(dist)))
 			case was && !now:
-				t.addLines(c.RemoveStaticRoute(dst.Prefix, nh))
+				err = t.add(c.RemoveStaticRoute(dst.Prefix, nh))
 			case was && now && orig.StaticDistance(r, s.ID) != dist:
-				t.addLines(c.SetStaticDistance(dst.Prefix, nh, int(dist)))
+				err = t.add(c.SetStaticDistance(dst.Prefix, nh, int(dist)))
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -88,21 +88,14 @@ func (t *translator) cfg(dev *topology.Device) (*config.Config, error) {
 	return c, nil
 }
 
+// add records one mutator call's line changes as a group.
 func (t *translator) add(lcs []config.LineChange, err error) error {
-	if err != nil {
+	if err != nil || len(lcs) == 0 {
 		return err
-	}
-	t.addLines(lcs)
-	return nil
-}
-
-// addLines records one mutator call's line changes as a group.
-func (t *translator) addLines(lcs []config.LineChange) {
-	if len(lcs) == 0 {
-		return
 	}
 	t.plan.Lines = append(t.plan.Lines, lcs...)
 	t.plan.Groups = append(t.plan.Groups, lcs)
+	return nil
 }
 
 func (t *translator) run() error {
@@ -129,8 +122,7 @@ func (t *translator) run() error {
 	if err := t.acls(); err != nil {
 		return err
 	}
-	t.waypoints()
-	return nil
+	return t.waypoints()
 }
 
 // Every pass below walks only the bits at which the original and repaired
@@ -284,11 +276,11 @@ func (t *translator) staticRoutes() error {
 			dist := int(t.rep.StaticDistance(r, id))
 			switch {
 			case !origRow.Has(id):
-				t.addLines(c.AddStaticRoute(dst.Prefix, nh, dist))
+				err = t.add(c.AddStaticRoute(dst.Prefix, nh, dist))
 			case !newRow.Has(id):
-				t.addLines(c.RemoveStaticRoute(dst.Prefix, nh))
+				err = t.add(c.RemoveStaticRoute(dst.Prefix, nh))
 			default:
-				t.addLines(c.SetStaticDistance(dst.Prefix, nh, dist))
+				err = t.add(c.SetStaticDistance(dst.Prefix, nh, dist))
 			}
 		})
 		if err != nil {
@@ -413,24 +405,27 @@ func (t *translator) acls() error {
 // waypoints records middlebox changes and mirrors them into the config
 // (a "waypoint" marker on one endpoint interface), in link-name order
 // (link id breaking ties between parallel links).
-func (t *translator) waypoints() {
+func (t *translator) waypoints() error {
 	var changed []int
 	bitset.EachDiff(t.orig.Waypoint, t.rep.Waypoint, func(link int) { changed = append(changed, link) })
 	links := t.h.Links
 	sort.SliceStable(changed, func(i, j int) bool { return links[changed[i]].Name() < links[changed[j]].Name() })
 	for _, link := range changed {
 		l, newWP := links[link], t.rep.Waypoint.Has(link)
-		t.plan.Waypoints = append(t.plan.Waypoints, WaypointChange{Link: l.Name(), Add: newWP})
-		var mirrored []config.LineChange
-		if c := t.cfgs[l.A.Device.Name]; c != nil {
-			// Waypoint markers are tracked separately from line counts;
-			// the mirroring lines go to WaypointLines, not Lines.
-			if lcs, err := c.SetWaypoint(l.A.Name, newWP); err == nil {
-				mirrored = append(mirrored, lcs...)
-			}
+		c, err := t.cfg(l.A.Device)
+		if err != nil {
+			return err
 		}
+		// Waypoint markers are tracked separately from line counts; the
+		// mirroring lines go to WaypointLines, not Lines.
+		mirrored, err := c.SetWaypoint(l.A.Name, newWP)
+		if err != nil {
+			return err
+		}
+		t.plan.Waypoints = append(t.plan.Waypoints, WaypointChange{Link: l.Name(), Add: newWP})
 		t.plan.WaypointLines = append(t.plan.WaypointLines, mirrored)
 	}
+	return nil
 }
 
 // ImpactedTCs returns the traffic classes whose forwarding behavior the
