@@ -2,45 +2,61 @@ package config
 
 import (
 	"fmt"
-	"net/netip"
+	"strconv"
 	"strings"
 )
 
 // Apply makes one LineChange on the configuration. It is the only code
 // that edits a parsed configuration: every mutator's edit goes through
 // it, and replaying a recorded plan onto another copy calls it too. It
-// parses lc.Line with the regular config parser, so a change that Apply
-// accepts is guaranteed to re-parse; unknown lines or inapplicable edits
-// (removing a line that is not present, modifying one that does not
-// exist) are errors. ACL additions honor lc.Prepend, preserving
-// first-match semantics.
+// parses lc.Line with the statement parser the file parser uses for the
+// section's sub-statements, so a change that Apply accepts is guaranteed
+// to re-parse; unknown lines or inapplicable edits (removing a line that
+// is not present, modifying one that does not exist) are errors. A parse
+// error names the edit as line 1 of the file "apply(<device>)". ACL
+// additions honor lc.Prepend, preserving first-match semantics.
 func (c *Config) Apply(lc LineChange) error {
-	p := &parser{file: "apply(" + lc.Device + ")"}
-	switch {
-	case lc.Section == "":
-		return c.applyTopLevel(p, lc)
-	case strings.HasPrefix(lc.Section, "interface "):
-		return c.applyInterface(p, lc, strings.TrimPrefix(lc.Section, "interface "))
-	case strings.HasPrefix(lc.Section, "ip access-list extended "):
-		return c.applyACL(p, lc, strings.TrimPrefix(lc.Section, "ip access-list extended "))
-	case strings.HasPrefix(lc.Section, "router "):
-		return c.applyRouter(p, lc)
+	err := c.apply(lc)
+	if pe, ok := err.(*ParseError); ok {
+		pe.File = "apply(" + lc.Device + ")"
+	}
+	return err
+}
+
+func (c *Config) apply(lc LineChange) error {
+	p := parser{line: 1}
+	line := strings.TrimSpace(lc.Line)
+	var buf [8]string
+	f := splitFields(buf[:0], line)
+	if len(f) == 0 || line[0] == '!' {
+		return fmt.Errorf("config: apply: empty line %q", lc.Line)
+	}
+	if lc.Section == "" {
+		return c.applyTopLevel(&p, lc, f)
+	}
+	if name, ok := strings.CutPrefix(lc.Section, "interface "); ok {
+		return c.applyInterface(&p, lc, name, line, f)
+	}
+	if name, ok := strings.CutPrefix(lc.Section, "ip access-list extended "); ok {
+		return c.applyACL(&p, lc, name, line, f)
+	}
+	if hdr, ok := strings.CutPrefix(lc.Section, "router "); ok {
+		return c.applyRouter(&p, lc, hdr, line, f)
 	}
 	return fmt.Errorf("config: apply: unknown section %q", lc.Section)
 }
 
-func (c *Config) applyTopLevel(p *parser, lc LineChange) error {
-	fields := strings.Fields(lc.Line)
-	if len(fields) < 2 || fields[0] != "ip" || fields[1] != "route" {
+func (c *Config) applyTopLevel(p *parser, lc LineChange, f []string) error {
+	if len(f) < 2 || f[0] != "ip" || f[1] != "route" {
 		return fmt.Errorf("config: apply: unknown top-level line %q", lc.Line)
 	}
-	sr, err := p.parseStatic(fields[2:])
+	sr, err := p.staticStmt(f[2:])
 	if err != nil {
 		return err
 	}
 	switch lc.Op {
 	case OpAdd:
-		c.Statics = append(c.Statics, sr)
+		c.Statics = append(c.Statics, &sr)
 		return nil
 	case OpRemove:
 		for i, have := range c.Statics {
@@ -62,69 +78,40 @@ func (c *Config) applyTopLevel(p *parser, lc LineChange) error {
 	return fmt.Errorf("config: apply: bad op %v", lc.Op)
 }
 
-func (c *Config) applyInterface(p *parser, lc LineChange, name string) error {
+func (c *Config) applyInterface(p *parser, lc LineChange, name, line string, f []string) error {
 	intf := c.Interface(name)
 	if intf == nil {
 		return fmt.Errorf("config: apply: no interface %s", name)
 	}
-	// Parse the single sub-statement into a scratch stanza; whichever field
-	// it populates identifies the construct.
-	p.lines = []string{" " + lc.Line}
-	p.pos = 0
-	tmp, err := p.parseInterface(name)
+	s, err := p.interfaceStmt(line, f)
 	if err != nil {
 		return err
 	}
-	switch {
-	case tmp.Waypoint:
-		intf.Waypoint = lc.Op != OpRemove
-	case tmp.Shutdown:
-		intf.Shutdown = lc.Op != OpRemove
-	case tmp.Description != "":
-		if lc.Op == OpRemove {
-			intf.Description = ""
-		} else {
-			intf.Description = tmp.Description
-		}
-	case tmp.Cost != 0:
-		if lc.Op == OpRemove {
-			if intf.Cost != tmp.Cost {
-				return fmt.Errorf("config: apply: interface %s cost is %d, not %d", name, intf.Cost, tmp.Cost)
-			}
-			intf.Cost = 0
-		} else {
-			intf.Cost = tmp.Cost
-		}
-	case tmp.InACL != "" || tmp.OutACL != "":
-		set := func(slot *string, want string) error {
-			if lc.Op == OpRemove {
-				if *slot != want {
-					return fmt.Errorf("config: apply: interface %s access-group is %q, not %q", name, *slot, want)
-				}
-				*slot = ""
-				return nil
-			}
-			*slot = want
-			return nil
-		}
-		if tmp.InACL != "" {
-			return set(&intf.InACL, tmp.InACL)
-		}
-		return set(&intf.OutACL, tmp.OutACL)
-	case tmp.Address.IsValid():
-		if lc.Op == OpRemove {
-			intf.Address = netip.Prefix{}
-		} else {
-			intf.Address = tmp.Address
-		}
-	default:
+	if s.field == intfDescription && s.text == "" {
 		return fmt.Errorf("config: apply: unsupported interface line %q", lc.Line)
 	}
+	if lc.Op == OpRemove {
+		switch s.field {
+		case intfCost:
+			if intf.Cost != s.cost {
+				return fmt.Errorf("config: apply: interface %s cost is %d, not %d", name, intf.Cost, s.cost)
+			}
+		case intfInACL, intfOutACL:
+			have := intf.InACL
+			if s.field == intfOutACL {
+				have = intf.OutACL
+			}
+			if have != s.text {
+				return fmt.Errorf("config: apply: interface %s access-group is %q, not %q", name, have, s.text)
+			}
+		}
+	}
+	s.put(intf, lc.Op == OpRemove)
 	return nil
 }
 
-func (c *Config) applyACL(p *parser, lc LineChange, name string) error {
-	entry, err := p.parseACLEntry(lc.Line)
+func (c *Config) applyACL(p *parser, lc LineChange, name, line string, f []string) error {
+	entry, err := p.aclStmt(line, f)
 	if err != nil {
 		return err
 	}
@@ -145,80 +132,39 @@ func (c *Config) applyACL(p *parser, lc LineChange, name string) error {
 		if acl == nil {
 			return fmt.Errorf("config: apply: no ACL %s", name)
 		}
-		for i, e := range acl.Entries {
-			if e == entry {
-				acl.Entries = append(acl.Entries[:i], acl.Entries[i+1:]...)
-				return nil
-			}
+		if removeFirst(&acl.Entries, func(e ACLEntryLine) bool { return e == entry }) {
+			return nil
 		}
 		return fmt.Errorf("config: apply: ACL %s has no entry %q", name, lc.Line)
 	}
 	return fmt.Errorf("config: apply: bad ACL op %v", lc.Op)
 }
 
-func (c *Config) applyRouter(p *parser, lc LineChange) error {
-	var protoName string
-	var id int
-	if _, err := fmt.Sscanf(lc.Section, "router %s %d", &protoName, &id); err != nil {
-		return fmt.Errorf("config: apply: bad router section %q", lc.Section)
-	}
+// applyRouter edits the router stanza hdr ("PROTO ID") names.
+func (c *Config) applyRouter(p *parser, lc LineChange, hdr, line string, f []string) error {
+	protoName, idText, _ := strings.Cut(hdr, " ")
 	proto, ok := parseProtocol(protoName)
-	if !ok {
-		return fmt.Errorf("config: apply: unknown protocol %q", protoName)
+	id, err := strconv.Atoi(idText)
+	if !ok || err != nil {
+		return fmt.Errorf("config: apply: bad router section %q", lc.Section)
 	}
 	rs := c.Router(proto, id)
 	if rs == nil {
 		return fmt.Errorf("config: apply: no router %s %d", proto, id)
 	}
-	p.lines = []string{" " + lc.Line}
-	p.pos = 0
-	tmp, err := p.parseRouter([]string{protoName, fmt.Sprint(id)})
+	s, err := p.routerStmt(line, f)
 	if err != nil {
 		return err
 	}
-	switch {
-	case len(tmp.Passive) == 1:
-		return applyListEdit(lc, &rs.Passive, tmp.Passive[0], lc.Line)
-	case len(tmp.Networks) == 1:
-		return applyListEdit(lc, &rs.Networks, tmp.Networks[0], lc.Line)
-	case len(tmp.Redistribute) == 1:
-		return applyListEdit(lc, &rs.Redistribute, tmp.Redistribute[0], lc.Line)
-	case len(tmp.DistributeListIn) == 1:
-		return applyListEdit(lc, &rs.DistributeListIn, tmp.DistributeListIn[0], lc.Line)
-	case len(tmp.Neighbors) == 1:
-		nb := tmp.Neighbors[0]
-		switch lc.Op {
-		case OpAdd:
-			rs.Neighbors = append(rs.Neighbors, nb)
-			return nil
-		case OpRemove:
-			for i, have := range rs.Neighbors {
-				if have.Addr == nb.Addr {
-					rs.Neighbors = append(rs.Neighbors[:i], rs.Neighbors[i+1:]...)
-					return nil
-				}
-			}
-			return fmt.Errorf("config: apply: no neighbor %s to remove", nb.Addr)
-		}
-		return fmt.Errorf("config: apply: bad neighbor op %v", lc.Op)
-	}
-	return fmt.Errorf("config: apply: unsupported router line %q", lc.Line)
-}
-
-// applyListEdit adds or removes one element of a router stanza list.
-func applyListEdit[T comparable](lc LineChange, list *[]T, elem T, line string) error {
 	switch lc.Op {
 	case OpAdd:
-		*list = append(*list, elem)
+		s.add(rs)
 		return nil
 	case OpRemove:
-		for i, have := range *list {
-			if have == elem {
-				*list = append((*list)[:i], (*list)[i+1:]...)
-				return nil
-			}
+		if s.remove(rs) {
+			return nil
 		}
-		return fmt.Errorf("config: apply: no line %q to remove", line)
+		return fmt.Errorf("config: apply: no line %q to remove", lc.Line)
 	}
-	return fmt.Errorf("config: apply: bad op %v for %q", lc.Op, line)
+	return fmt.Errorf("config: apply: bad op %v for %q", lc.Op, lc.Line)
 }

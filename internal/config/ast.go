@@ -3,14 +3,14 @@
 // models (paper §9) — interfaces, OSPF/BGP/RIP processes, static routes,
 // ACLs, route filters (distribute-lists), and route redistribution.
 //
-// The package provides parsing (Parse), printing (Print), semantic
-// extraction to a topology.Network (Extract), and the mutation operations
-// the repair translator needs (mutate.go). A mutator reads the
-// configuration, decides which lines to add, remove or modify, and makes
-// those edits through Apply, the one code path that writes a parsed
-// configuration; the lines it returns are the edit, so repair sizes are
-// measured in real lines of configuration, as in the paper's evaluation,
-// and every recorded line re-parses by construction.
+// The package provides parsing (Parse), printing (Print), a structural
+// copy (Clone), semantic extraction to a topology.Network (Extract), and
+// the mutation operations the repair translator needs (mutate.go). A
+// mutator reads the configuration, decides which lines to add, remove or
+// modify, and makes those edits through Apply, the one code path that
+// writes a parsed configuration; the lines it returns are the edit, so
+// repair sizes are measured in real lines of configuration, as in the
+// paper's evaluation, and every recorded line re-parses by construction.
 package config
 
 import (
@@ -114,6 +114,57 @@ func (a *ACLStanza) Blocks(src, dst netip.Prefix) bool {
 		}
 	}
 	return true
+}
+
+// Clone returns a deep copy of c that shares no slice or stanza with it.
+// An empty list is nil, as Parse leaves it, so the clone of a parsed
+// configuration equals what parsing its printed form returns.
+func (c *Config) Clone() *Config {
+	return &Config{
+		Hostname: c.Hostname,
+		Waypoint: c.Waypoint,
+		Interfaces: cloneStanzas(c.Interfaces, func(st *InterfaceStanza) InterfaceStanza {
+			return *st
+		}),
+		Routers: cloneStanzas(c.Routers, func(st *RouterStanza) RouterStanza {
+			rs := *st
+			rs.Networks = cloneList(st.Networks)
+			rs.Passive = cloneList(st.Passive)
+			rs.Redistribute = cloneList(st.Redistribute)
+			rs.DistributeListIn = cloneList(st.DistributeListIn)
+			rs.Neighbors = cloneList(st.Neighbors)
+			return rs
+		}),
+		Statics: cloneStanzas(c.Statics, func(sr *StaticRouteLine) StaticRouteLine {
+			return *sr
+		}),
+		ACLs: cloneStanzas(c.ACLs, func(st *ACLStanza) ACLStanza {
+			return ACLStanza{Name: st.Name, Entries: cloneList(st.Entries)}
+		}),
+	}
+}
+
+// cloneStanzas copies a list of stanzas, each with dup, into one backing
+// array; an empty list becomes nil.
+func cloneStanzas[T any](list []*T, dup func(*T) T) []*T {
+	if len(list) == 0 {
+		return nil
+	}
+	backing := make([]T, len(list))
+	out := make([]*T, len(list))
+	for i, st := range list {
+		backing[i] = dup(st)
+		out[i] = &backing[i]
+	}
+	return out
+}
+
+// cloneList copies a stanza's list; an empty one becomes nil.
+func cloneList[T any](list []T) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	return append([]T(nil), list...)
 }
 
 // Interface returns the interface stanza with the given name, or nil.

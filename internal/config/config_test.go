@@ -143,6 +143,32 @@ func TestParseErrorHasLocation(t *testing.T) {
 	}
 }
 
+// TestParseErrorNamesItsLine pins the line a bad sub-statement is
+// reported at: its own (line 4 here), for each kind of block, though the
+// block goes on for two more lines and a "!". An edit Apply refuses is
+// line 1 of "apply(<device>)".
+func TestParseErrorNamesItsLine(t *testing.T) {
+	for _, tc := range []struct{ block, bad, rest, msg string }{
+		{"interface e0", " ip ospf cost x", " description d\n shutdown", `bad ospf cost "x"`},
+		{"router ospf 1", " network 10.0.0.0 0.0.0.255 area x", " passive-interface e0\n redistribute connected", `bad area "x"`},
+		{"ip access-list extended A", " permit ip any", " deny ip any any\n permit ip any any", "ACL entry missing target"},
+	} {
+		text := "hostname t\n!\n" + tc.block + "\n" + tc.bad + "\n" + tc.rest + "\n!\n"
+		_, err := Parse("a.cfg", text)
+		if want := "a.cfg:4: " + tc.msg; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %s", tc.block, err, want)
+		}
+	}
+	c, err := Parse("t.cfg", "hostname t\ninterface e0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.Apply(LineChange{Device: "t", Op: OpAdd, Section: "interface e0", Line: "ip ospf cost x"})
+	if want := `apply(t):1: bad ospf cost "x"`; err == nil || err.Error() != want {
+		t.Errorf("Apply: error %v, want %s", err, want)
+	}
+}
+
 func TestPrintParseRoundTrip(t *testing.T) {
 	for name, text := range Figure2aConfigs() {
 		cfg, err := Parse(name, text)

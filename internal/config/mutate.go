@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strconv"
 
 	"repro/internal/topology"
 )
@@ -54,7 +55,7 @@ func (lc LineChange) String() string {
 
 // sectionRouter names a router stanza for LineChange.Section.
 func sectionRouter(proto topology.Protocol, id int) string {
-	return fmt.Sprintf("router %s %d", proto, id)
+	return "router " + proto.String() + " " + strconv.Itoa(id)
 }
 
 // sectionACL names an ACL stanza.
@@ -114,14 +115,14 @@ func (c *Config) AddACLDeny(intfName, dir string, src, dst netip.Prefix) ([]Line
 	entry := ACLEntryLine{Permit: false, Src: src, Dst: dst}
 	if aclName == "" {
 		// Create a fresh ACL and attach it.
-		aclName = fmt.Sprintf("CPR-%s-%s", intfName, dir)
+		aclName = "CPR-" + intfName + "-" + dir
 		for i := 2; c.ACL(aclName) != nil; i++ {
-			aclName = fmt.Sprintf("CPR-%s-%s-%d", intfName, dir, i)
+			aclName = "CPR-" + intfName + "-" + dir + "-" + strconv.Itoa(i)
 		}
 		return c.edit(
 			c.change(OpAdd, sectionACL(aclName), entry.text()),
 			c.change(OpAdd, sectionACL(aclName), "permit ip any any"),
-			c.change(OpAdd, sectionInterface(intfName), fmt.Sprintf("ip access-group %s %s", aclName, dir)),
+			c.change(OpAdd, sectionInterface(intfName), string(appendAccessGroup(nil, aclName, dir))),
 		)
 	}
 	acl := c.ACL(aclName)
@@ -186,8 +187,8 @@ func (c *Config) EnableAdjacency(proto topology.Protocol, id int, intfName strin
 	if intf == nil || !intf.Address.IsValid() {
 		return nil, fmt.Errorf("config: %s interface %s has no address", c.Hostname, intfName)
 	}
-	line := fmt.Sprintf("network %s 0.0.0.0 area 0", intf.Address.Addr())
-	return c.edit(c.change(OpAdd, sectionRouter(proto, id), line))
+	nl := NetworkLine{Addr: intf.Address.Addr(), Wildcard: netip.IPv4Unspecified()}
+	return c.edit(c.change(OpAdd, sectionRouter(proto, id), nl.text()))
 }
 
 // DisableAdjacency stops the process from forming an adjacency over intf
@@ -207,7 +208,7 @@ func (c *Config) AddBGPNeighbor(id int, addr netip.Addr, remoteAS int) ([]LineCh
 	if err != nil || slices.ContainsFunc(rs.Neighbors, func(nb NeighborLine) bool { return nb.Addr == addr }) {
 		return nil, err
 	}
-	return c.edit(c.change(OpAdd, sectionRouter(topology.BGP, id), fmt.Sprintf("neighbor %s remote-as %d", addr, remoteAS)))
+	return c.edit(c.change(OpAdd, sectionRouter(topology.BGP, id), NeighborLine{Addr: addr, RemoteAS: remoteAS}.text()))
 }
 
 // RemoveBGPNeighbor deletes the neighbor statement for addr; idempotent.
@@ -218,7 +219,7 @@ func (c *Config) RemoveBGPNeighbor(id int, addr netip.Addr) ([]LineChange, error
 	}
 	for _, nb := range rs.Neighbors {
 		if nb.Addr == addr {
-			return c.edit(c.change(OpRemove, sectionRouter(topology.BGP, id), fmt.Sprintf("neighbor %s remote-as %d", nb.Addr, nb.RemoteAS)))
+			return c.edit(c.change(OpRemove, sectionRouter(topology.BGP, id), nb.text()))
 		}
 	}
 	return nil, nil
@@ -257,7 +258,7 @@ func (c *Config) AddRouteFilter(proto topology.Protocol, id int, dst netip.Prefi
 	if err != nil || slices.Contains(rs.DistributeListIn, dst) {
 		return nil, err // already filtered
 	}
-	return c.edit(c.change(OpAdd, sectionRouter(proto, id), fmt.Sprintf("distribute-list prefix %s in", dst)))
+	return c.edit(c.change(OpAdd, sectionRouter(proto, id), filterText(dst)))
 }
 
 // RemoveRouteFilter removes the distribute-list line for dst.
@@ -266,7 +267,7 @@ func (c *Config) RemoveRouteFilter(proto topology.Protocol, id int, dst netip.Pr
 	if err != nil || !slices.Contains(rs.DistributeListIn, dst) {
 		return nil, err
 	}
-	return c.edit(c.change(OpRemove, sectionRouter(proto, id), fmt.Sprintf("distribute-list prefix %s in", dst)))
+	return c.edit(c.change(OpRemove, sectionRouter(proto, id), filterText(dst)))
 }
 
 // AddRedistribute enables route redistribution from (srcProto, srcID) into
@@ -333,5 +334,5 @@ func (c *Config) SetInterfaceCost(intfName string, cost int) ([]LineChange, erro
 	if intf.Cost == 0 {
 		op = OpAdd
 	}
-	return c.edit(c.change(op, sectionInterface(intfName), fmt.Sprintf("ip ospf cost %d", cost)))
+	return c.edit(c.change(op, sectionInterface(intfName), costText(cost)))
 }

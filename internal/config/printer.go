@@ -1,107 +1,193 @@
 package config
 
 import (
-	"fmt"
 	"net/netip"
-	"strings"
+	"strconv"
 )
 
 // Print renders the configuration in canonical form. Parse(Print(c)) is
 // the identity on the AST, and the printed form is the unit in which
-// repair sizes ("lines of configuration changed") are measured.
+// repair sizes ("lines of configuration changed") are measured. Every
+// line is appended into one buffer sized for the whole configuration;
+// the line helpers the mutators record edits with append the same bytes.
 func (c *Config) Print() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hostname %s\n", c.Hostname)
+	b := make([]byte, 0, c.printSize())
+	b = appendLine(b, "hostname ", c.Hostname)
 	if c.Waypoint {
-		b.WriteString("waypoint\n")
+		b = append(b, "waypoint\n"...)
 	}
 	for _, i := range c.Interfaces {
-		b.WriteString("!\n")
-		fmt.Fprintf(&b, "interface %s\n", i.Name)
+		b = appendLine(append(b, "!\n"...), "interface ", i.Name)
 		if i.Description != "" {
-			fmt.Fprintf(&b, " description %s\n", i.Description)
+			b = appendLine(b, " description ", i.Description)
 		}
 		if i.Address.IsValid() {
-			fmt.Fprintf(&b, " ip address %s %s\n", i.Address.Addr(), maskFromBits(i.Address.Bits()))
+			b = append(b, " ip address "...)
+			b = i.Address.Addr().AppendTo(b)
+			b = append(maskFromBits(i.Address.Bits()).AppendTo(append(b, ' ')), '\n')
 		}
 		if i.Cost > 0 {
-			fmt.Fprintf(&b, " ip ospf cost %d\n", i.Cost)
+			b = append(appendCost(append(b, ' '), i.Cost), '\n')
 		}
 		if i.InACL != "" {
-			fmt.Fprintf(&b, " ip access-group %s in\n", i.InACL)
+			b = append(appendAccessGroup(append(b, ' '), i.InACL, "in"), '\n')
 		}
 		if i.OutACL != "" {
-			fmt.Fprintf(&b, " ip access-group %s out\n", i.OutACL)
+			b = append(appendAccessGroup(append(b, ' '), i.OutACL, "out"), '\n')
 		}
 		if i.Waypoint {
-			b.WriteString(" waypoint\n")
+			b = append(b, " waypoint\n"...)
 		}
 		if i.Shutdown {
-			b.WriteString(" shutdown\n")
+			b = append(b, " shutdown\n"...)
 		}
 	}
 	for _, a := range c.ACLs {
-		b.WriteString("!\n")
-		fmt.Fprintf(&b, "ip access-list extended %s\n", a.Name)
+		b = appendLine(append(b, "!\n"...), "ip access-list extended ", a.Name)
 		for _, e := range a.Entries {
-			b.WriteString(" " + e.text() + "\n")
+			b = append(e.appendTo(append(b, ' ')), '\n')
 		}
 	}
 	for _, s := range c.Statics {
-		b.WriteString("!\n")
-		b.WriteString(s.text() + "\n")
+		b = append(s.appendTo(append(b, "!\n"...)), '\n')
 	}
 	for _, r := range c.Routers {
-		b.WriteString("!\n")
-		fmt.Fprintf(&b, "router %s %d\n", r.Proto, r.ID)
+		b = append(b, "!\nrouter "...)
+		b = append(b, r.Proto.String()...)
+		b = append(strconv.AppendInt(append(b, ' '), int64(r.ID), 10), '\n')
 		for _, rd := range r.Redistribute {
-			b.WriteString(" " + rd.text() + "\n")
+			b = append(rd.appendTo(append(b, ' ')), '\n')
 		}
 		for _, pi := range r.Passive {
-			fmt.Fprintf(&b, " passive-interface %s\n", pi)
+			b = appendLine(b, " passive-interface ", pi)
 		}
 		for _, nl := range r.Networks {
-			fmt.Fprintf(&b, " network %s %s area %d\n", nl.Addr, nl.Wildcard, nl.Area)
+			b = append(nl.appendTo(append(b, ' ')), '\n')
 		}
 		for _, dl := range r.DistributeListIn {
-			fmt.Fprintf(&b, " distribute-list prefix %s in\n", dl)
+			b = append(appendFilter(append(b, ' '), dl), '\n')
 		}
 		for _, nb := range r.Neighbors {
-			fmt.Fprintf(&b, " neighbor %s remote-as %d\n", nb.Addr, nb.RemoteAS)
+			b = append(nb.appendTo(append(b, ' ')), '\n')
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// lineMax bounds the bytes a printed line takes besides the names in it
+// (an ACL entry with two address-and-wildcard targets takes 77 with its
+// indent and newline).
+const lineMax = 80
+
+// printSize bounds the length of c's printed form: the capacity Print
+// starts from.
+func (c *Config) printSize() int {
+	n := lineMax + len(c.Hostname)
+	for _, i := range c.Interfaces {
+		// The stanza's lines take at most 169 bytes besides its names.
+		n += 3*lineMax + len(i.Name) + len(i.Description) + len(i.InACL) + len(i.OutACL)
+	}
+	for _, a := range c.ACLs {
+		n += lineMax*(1+len(a.Entries)) + len(a.Name)
+	}
+	n += lineMax * len(c.Statics)
+	for _, r := range c.Routers {
+		n += lineMax * (1 + len(r.Redistribute) + len(r.Passive) + len(r.Networks) + len(r.DistributeListIn) + len(r.Neighbors))
+		for _, pi := range r.Passive {
+			n += len(pi)
+		}
+	}
+	return n
+}
+
+// appendLine appends one line: a keyword and a name.
+func appendLine(b []byte, keyword, name string) []byte {
+	return append(append(append(b, keyword...), name...), '\n')
+}
+
+// appendTo appends the ACL entry's line: "permit|deny ip SRC DST".
+func (e ACLEntryLine) appendTo(b []byte) []byte {
+	if e.Permit {
+		b = append(b, "permit ip "...)
+	} else {
+		b = append(b, "deny ip "...)
+	}
+	return appendACLTarget(append(appendACLTarget(b, e.Src), ' '), e.Dst)
 }
 
 // text renders the ACL entry as a single configuration line.
-func (e ACLEntryLine) text() string {
-	verb := "deny"
-	if e.Permit {
-		verb = "permit"
+func (e ACLEntryLine) text() string { return string(e.appendTo(make([]byte, 0, lineMax))) }
+
+func appendACLTarget(b []byte, p netip.Prefix) []byte {
+	if !p.IsValid() {
+		return append(b, "any"...)
 	}
-	return fmt.Sprintf("%s ip %s %s", verb, aclTarget(e.Src), aclTarget(e.Dst))
+	b = p.Addr().AppendTo(b)
+	return wildcardFromBits(p.Bits()).AppendTo(append(b, ' '))
+}
+
+// appendTo appends the static route's line: "ip route ADDR MASK NH [DIST]".
+func (s *StaticRouteLine) appendTo(b []byte) []byte {
+	b = s.Prefix.Addr().AppendTo(append(b, "ip route "...))
+	b = maskFromBits(s.Prefix.Bits()).AppendTo(append(b, ' '))
+	b = s.NextHop.AppendTo(append(b, ' '))
+	if s.Distance > 0 {
+		b = strconv.AppendInt(append(b, ' '), int64(s.Distance), 10)
+	}
+	return b
 }
 
 // text renders a static route as a single configuration line.
-func (s *StaticRouteLine) text() string {
-	line := fmt.Sprintf("ip route %s %s %s", s.Prefix.Addr(), maskFromBits(s.Prefix.Bits()), s.NextHop)
-	if s.Distance > 0 {
-		line += fmt.Sprintf(" %d", s.Distance)
+func (s *StaticRouteLine) text() string { return string(s.appendTo(make([]byte, 0, lineMax))) }
+
+// appendTo appends the redistribute statement.
+func (r RedistributeLine) appendTo(b []byte) []byte {
+	b = append(append(b, "redistribute "...), r.Source...)
+	if r.Source == "connected" || r.Source == "static" {
+		return b
 	}
-	return line
+	return strconv.AppendInt(append(b, ' '), int64(r.ID), 10)
 }
 
 // text renders a redistribute statement.
-func (r RedistributeLine) text() string {
-	if r.Source == "connected" || r.Source == "static" {
-		return "redistribute " + r.Source
-	}
-	return fmt.Sprintf("redistribute %s %d", r.Source, r.ID)
+func (r RedistributeLine) text() string { return string(r.appendTo(make([]byte, 0, lineMax))) }
+
+// appendTo appends the network statement: "network ADDR WILDCARD area N".
+func (nl NetworkLine) appendTo(b []byte) []byte {
+	b = nl.Addr.AppendTo(append(b, "network "...))
+	b = nl.Wildcard.AppendTo(append(b, ' '))
+	return strconv.AppendInt(append(b, " area "...), int64(nl.Area), 10)
 }
 
-func aclTarget(p netip.Prefix) string {
-	if !p.IsValid() {
-		return "any"
-	}
-	return fmt.Sprintf("%s %s", p.Addr(), wildcardFromBits(p.Bits()))
+// text renders a network statement.
+func (nl NetworkLine) text() string { return string(nl.appendTo(make([]byte, 0, lineMax))) }
+
+// appendTo appends the BGP neighbor statement.
+func (nb NeighborLine) appendTo(b []byte) []byte {
+	b = nb.Addr.AppendTo(append(b, "neighbor "...))
+	return strconv.AppendInt(append(b, " remote-as "...), int64(nb.RemoteAS), 10)
+}
+
+// text renders a BGP neighbor statement.
+func (nb NeighborLine) text() string { return string(nb.appendTo(make([]byte, 0, lineMax))) }
+
+// appendFilter appends a route filter: "distribute-list prefix P in".
+func appendFilter(b []byte, dst netip.Prefix) []byte {
+	return append(dst.AppendTo(append(b, "distribute-list prefix "...)), " in"...)
+}
+
+// filterText renders a route filter line.
+func filterText(dst netip.Prefix) string { return string(appendFilter(make([]byte, 0, lineMax), dst)) }
+
+// appendCost appends an interface's "ip ospf cost N".
+func appendCost(b []byte, cost int) []byte {
+	return strconv.AppendInt(append(b, "ip ospf cost "...), int64(cost), 10)
+}
+
+// costText renders an interface cost line.
+func costText(cost int) string { return string(appendCost(make([]byte, 0, lineMax), cost)) }
+
+// appendAccessGroup appends "ip access-group NAME DIR".
+func appendAccessGroup(b []byte, acl, dir string) []byte {
+	return append(append(append(append(b, "ip access-group "...), acl...), ' '), dir...)
 }

@@ -487,15 +487,15 @@ func ApplyPlan(cfgs map[string]*config.Config, plan *Plan) error {
 	return nil
 }
 
-// CloneConfigs deep-copies parsed configurations via print/parse.
+// CloneConfigs deep-copies parsed configurations with config.Config.Clone,
+// so that Translate can edit the copies and leave the originals as they
+// were. A copy shares no slice or stanza with its original, and a copy
+// of a parsed configuration equals what re-parsing its printed form
+// gives. The error is always nil; it stays for the callers that check it.
 func CloneConfigs(cfgs map[string]*config.Config) (map[string]*config.Config, error) {
 	out := make(map[string]*config.Config, len(cfgs))
 	for name, c := range cfgs {
-		cc, err := config.Parse(name, c.Print())
-		if err != nil {
-			return nil, err
-		}
-		out[name] = cc
+		out[name] = c.Clone()
 	}
 	return out, nil
 }
