@@ -52,8 +52,8 @@ func (e *ETG) EachSlot(fn func(*Slot)) {
 }
 
 // HasSlot reports whether the slot's edge is present in the ETG. Slots of
-// the ETG's own table resolve by id; any other slot (hand-built, or from
-// another network's table) is looked up by key.
+// the ETG's own table resolve by id; a slot of another network's table is
+// looked up by key.
 func (e *ETG) HasSlot(s *Slot) bool {
 	id := s.ID
 	if s.tab != e.tab {

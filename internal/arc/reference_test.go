@@ -7,12 +7,94 @@ import (
 )
 
 // The rule-built ETGs below are the reference the product's graphs are
-// held to. The product evaluates the slot rules once, into harc.State
-// rows, and lays every graph over a row, weighted by the state's SlotCost
-// (internal/harc). Here each graph is built straight from the rules:
-// presence by PresentAll / PresentDst / PresentTC / PresentRouting, weight
-// by Weight. reference_views_test.go demands the same slots, weights,
-// paths, flows, cuts, verdicts and explanations from both.
+// held to. The product reads the configuration's constructs into
+// harc.State rows once, derives every dETG and tcETG row from them
+// (harc.State.DeriveDst and DeriveTC), and lays every graph over a row,
+// weighted by the state's SlotCost (internal/harc). Here each graph is
+// built straight from the configuration: presence by PresentAll /
+// PresentDst / PresentTC / PresentRouting, weight by Weight.
+// reference_views_test.go demands the same slots, weights, paths, flows,
+// cuts, verdicts and explanations from both, and state_reference_test.go
+// the same rows.
+
+// procStaticFor reports whether a static route for dst on the process's
+// device exits through a link that the process's protocol peers over
+// (so the corresponding inter-device slot exists and carries the edge).
+// Such a FIB-level static lets traffic entering the device through any
+// process leave via owner's outgoing vertex, backing the intra-device
+// edges into it.
+func procStaticFor(owner *topology.Process, dst *topology.Subnet) bool {
+	for _, sr := range owner.Device.Statics {
+		if sr.Prefix != dst.Prefix {
+			continue
+		}
+		for _, intf := range owner.Device.Interfaces() {
+			peer := intf.Peer()
+			if peer == nil || !peer.Prefix.IsValid() || peer.Prefix.Addr() != sr.NextHop {
+				continue
+			}
+			for _, q := range peer.Device.Processes {
+				if q.Proto == owner.Proto {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// PresentDst reports whether the slot's edge exists in the dETG for dst,
+// which additionally models route filters and static routes.
+func (s *Slot) PresentDst(dst *topology.Subnet) bool {
+	switch s.Kind {
+	case SlotIntraSelf:
+		// A route filter on the process removes its ability to forward
+		// toward dst (Algorithm 1, lines 4-5) — unless a static route
+		// through this process's links makes the FIB authoritative.
+		return !s.FromProc.BlocksDestination(dst.Prefix) || procStaticFor(s.FromProc, dst)
+	case SlotIntraRedist:
+		if procStaticFor(s.FromProc, dst) {
+			return true
+		}
+		if !s.PresentAll() {
+			return false
+		}
+		// The entry process must accept routes to dst and the owner must
+		// have them (Algorithm 1, lines 6-8).
+		return !s.ToProc.BlocksDestination(dst.Prefix) && !s.FromProc.BlocksDestination(dst.Prefix)
+	case SlotInterDevice:
+		if s.StaticBacked(dst) != nil {
+			return true
+		}
+		// The receiving process must advertise routes to dst back to the
+		// sender (Algorithm 1, lines 10-13).
+		return s.adjacencyUp() && !s.ToProc.BlocksDestination(dst.Prefix)
+	case SlotSource:
+		return true
+	case SlotDest:
+		return s.Subnet == dst && !s.FromProc.BlocksDestination(dst.Prefix)
+	}
+	return false
+}
+
+// PresentTC reports whether the slot's edge exists in the tcETG for tc,
+// which additionally models ACLs (Algorithm 1, lines 14-15).
+func (s *Slot) PresentTC(tc topology.TrafficClass) bool {
+	if !s.PresentDst(tc.Dst) {
+		return false
+	}
+	if s.Kind == SlotSource {
+		if s.Subnet != tc.Src {
+			return false
+		}
+		// Traffic cannot enter the network through a process that has no
+		// route to the destination (route filter on the gateway).
+		if s.ToProc.BlocksDestination(tc.Dst.Prefix) {
+			return false
+		}
+	}
+	return !s.outACL.Blocks(tc.Src.Prefix, tc.Dst.Prefix) && !s.inACL.Blocks(tc.Src.Prefix, tc.Dst.Prefix)
+}
 
 // Weight returns the slot's edge weight for destination dst: the egress
 // interface cost for adjacency-backed inter-device edges, the configured

@@ -68,12 +68,18 @@ func staticInstances() []refInstance {
 	}
 }
 
-func referenceInstances(t *testing.T) []refInstance {
+// referenceInstances is the population the views are pinned on.
+func referenceInstances(t *testing.T) []refInstance { return instances(t, 24) }
+
+// instances returns Figure 2a, its static-route variants
+// (staticInstances), the first networks networks of the corpus the
+// benchmark uses, and broken fat-trees at k=4 and (without -short) k=8.
+func instances(t *testing.T, networks int) []refInstance {
 	t.Helper()
 	n := topology.Figure2a()
 	insts := []refInstance{{"figure2a", n, figure2aPolicies(n)[:4]}}
 	insts = append(insts, staticInstances()...)
-	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 24, SubnetScale: 1.0, Seed: 20170801})
+	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: networks, SubnetScale: 1.0, Seed: 20170801})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,12 @@
 // in the CPR paper) and the policy verifiers of Table 1.
 //
 // The central concept is the edge *slot*: a potential ETG edge backed by a
-// physical link or an intra-device channel. Each slot has a presence rule
-// per abstraction level (aETG / dETG / tcETG); ETGs at every level are
-// derived from the same slot table, which makes the HARC hierarchy hold by
-// construction and gives each edge an explicit provenance (which
-// control-plane construct explains it).
+// physical link or an intra-device channel. ETGs at every level (aETG /
+// dETG / tcETG) are views of the same slot table, which gives each edge an
+// explicit provenance (which control-plane construct explains it). A
+// slot's aETG presence is read off the configuration here (PresentAll);
+// its dETG and tcETG presence are derived from the per-destination
+// constructs by internal/harc, in one place.
 package arc
 
 import (
@@ -70,12 +71,11 @@ type Slot struct {
 	Subnet *topology.Subnet
 	Intf   *topology.Interface
 
-	// Integer identity, assigned by NewTable (hand-built slots carry none
-	// and belong to no table). ID is the slot's index in Table.Slots — the bit
-	// position of the slot in every harc.State row. From/To are its tail
-	// and head in the table's shared vertex space. FromProcID/ToProcID
-	// index Table.Procs and LinkID indexes Table.Links; each is -1 when
-	// the slot has no such end.
+	// Integer identity, assigned by NewTable. ID is the slot's index in
+	// Table.Slots — the bit position of the slot in every harc.State row.
+	// From/To are its tail and head in the table's shared vertex space.
+	// FromProcID/ToProcID index Table.Procs and LinkID indexes
+	// Table.Links; each is -1 when the slot has no such end.
 	ID         int
 	From, To   graph.V
 	FromProcID int
@@ -89,16 +89,15 @@ type Slot struct {
 
 	tab     *Table
 	reverse *Slot // the opposite direction of an inter-device slot
-	// outACL/inACL cache acls() for enumerated slots: an ACL is looked up
-	// by name in its device's map, once per slot instead of once per
-	// (slot, traffic class).
+	// The ACLs traffic crossing the slot must pass (nil: none) — the
+	// egress and ingress lists of an inter-device slot's two interfaces,
+	// the inbound list of a source attachment, the outbound list of a
+	// destination attachment — then the key, the cost key and whether the
+	// routing adjacency is up: all fixed by the configuration NewTable
+	// read.
 	outACL, inACL *topology.ACL
-	key           string // cached Key()
-	costKey       string // cached CostKey()
-	// adjUp caches adjacencyUp() (valid when adjCached): adjacency
-	// depends only on the immutable interface/passive configuration, and
-	// the uncached path scans every process interface per call.
-	adjUp, adjCached bool
+	key, costKey  string
+	adjUp         bool
 }
 
 // Table is a network's slot table with integer identity: every slot, and
@@ -187,17 +186,10 @@ func (t *Table) SlotID(key string) int {
 	return -1
 }
 
-// Key returns a stable identifier unique within a network. Slots are
-// immutable once enumerated, so Slots precomputes the key; the
-// formatting path below only runs for hand-built slots.
-func (s *Slot) Key() string {
-	if s.key != "" {
-		return s.key
-	}
-	return s.keyUncached()
-}
+// Key returns a stable identifier unique within a network.
+func (s *Slot) Key() string { return s.key }
 
-func (s *Slot) keyUncached() string {
+func (s *Slot) keyOf() string {
 	switch s.Kind {
 	case SlotInterDevice:
 		return fmt.Sprintf("inter:%s>%s@%s/%s", s.FromProc.Name(), s.ToProc.Name(), s.FromIntf.Name, s.ToIntf.Name)
@@ -218,12 +210,7 @@ func (s *Slot) keyUncached() string {
 // do not allow per-class or per-destination costs (paper §5.1, constraint
 // 13 discussion), so every slot leaving the same interface shares one
 // cost.
-func (s *Slot) CostKey() string {
-	if s.costKey != "" || s.Kind != SlotInterDevice {
-		return s.costKey
-	}
-	return s.FromIntf.Device.Name + "/" + s.FromIntf.Name
-}
+func (s *Slot) CostKey() string { return s.costKey }
 
 // Slots enumerates every candidate edge slot of the network in a
 // deterministic order (NewTable(n).Slots).
@@ -300,11 +287,17 @@ func NewTable(n *topology.Network) *Table {
 	}
 
 	for _, s := range slots {
-		s.key = s.keyUncached()
-		if s.Kind == SlotInterDevice {
-			s.costKey = s.CostKey()
-			s.adjUp = s.adjacencyUpUncached()
-			s.adjCached = true
+		s.key = s.keyOf()
+		switch s.Kind {
+		case SlotInterDevice:
+			s.costKey = s.FromIntf.Device.Name + "/" + s.FromIntf.Name
+			s.adjUp = s.FromProc.UsesInterface(s.FromIntf) && s.ToProc.UsesInterface(s.ToIntf) &&
+				!s.FromProc.IsPassive(s.FromIntf) && !s.ToProc.IsPassive(s.ToIntf)
+			s.outACL, s.inACL = s.FromIntf.Device.ACLs[s.FromIntf.OutACL], s.ToIntf.Device.ACLs[s.ToIntf.InACL]
+		case SlotSource:
+			s.inACL = s.Intf.Device.ACLs[s.Intf.InACL]
+		case SlotDest:
+			s.outACL = s.Intf.Device.ACLs[s.Intf.OutACL]
 		}
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i].key < slots[j].key })
@@ -369,7 +362,6 @@ func NewTable(n *topology.Network) *Table {
 		if s.reverse != nil && s.reverse.ID < s.ID {
 			s.Canon = s.reverse.ID
 		}
-		s.outACL, s.inACL = s.lookupACLs()
 		if s.Kind != SlotSource {
 			guards[i] = [2]int32{aclID(s.outACL), aclID(s.inACL)}
 		}
@@ -455,22 +447,7 @@ func (s *Slot) PresentAll() bool {
 // adjacencyUp reports whether a routing adjacency is configured over the
 // slot's link: both processes run over their respective interfaces and
 // neither side is passive.
-func (s *Slot) adjacencyUp() bool {
-	if s.adjCached {
-		return s.adjUp
-	}
-	return s.adjacencyUpUncached()
-}
-
-func (s *Slot) adjacencyUpUncached() bool {
-	if !s.FromProc.UsesInterface(s.FromIntf) || !s.ToProc.UsesInterface(s.ToIntf) {
-		return false
-	}
-	if s.FromProc.IsPassive(s.FromIntf) || s.ToProc.IsPassive(s.ToIntf) {
-		return false
-	}
-	return true
-}
+func (s *Slot) adjacencyUp() bool { return s.adjUp }
 
 // StaticBacked reports whether a static route on the tail device for dst
 // points across this slot's link (next hop = head interface address).
@@ -484,110 +461,6 @@ func (s *Slot) StaticBacked(dst *topology.Subnet) *topology.StaticRoute {
 		}
 	}
 	return nil
-}
-
-// ProcStaticFor reports whether a static route for dst on the process's
-// device exits through a link that the process's protocol peers over
-// (so the corresponding inter-device slot exists and carries the edge).
-// Such a FIB-level static lets traffic entering the device through any
-// process leave via owner's outgoing vertex, backing the intra-device
-// edges into it.
-func ProcStaticFor(owner *topology.Process, dst *topology.Subnet) bool {
-	for _, sr := range owner.Device.Statics {
-		if sr.Prefix != dst.Prefix {
-			continue
-		}
-		for _, intf := range owner.Device.Interfaces() {
-			peer := intf.Peer()
-			if peer == nil || !peer.Prefix.IsValid() || peer.Prefix.Addr() != sr.NextHop {
-				continue
-			}
-			for _, q := range peer.Device.Processes {
-				if q.Proto == owner.Proto {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// PresentDst reports whether the slot's edge exists in the dETG for dst,
-// which additionally models route filters and static routes.
-func (s *Slot) PresentDst(dst *topology.Subnet) bool {
-	switch s.Kind {
-	case SlotIntraSelf:
-		// A route filter on the process removes its ability to forward
-		// toward dst (Algorithm 1, lines 4-5) — unless a static route
-		// through this process's links makes the FIB authoritative.
-		return !s.FromProc.BlocksDestination(dst.Prefix) ||
-			ProcStaticFor(s.FromProc, dst)
-	case SlotIntraRedist:
-		if ProcStaticFor(s.FromProc, dst) {
-			return true
-		}
-		if !s.PresentAll() {
-			return false
-		}
-		// The entry process must accept routes to dst and the owner must
-		// have them (Algorithm 1, lines 6-8).
-		return !s.ToProc.BlocksDestination(dst.Prefix) && !s.FromProc.BlocksDestination(dst.Prefix)
-	case SlotInterDevice:
-		if s.StaticBacked(dst) != nil {
-			return true
-		}
-		// The receiving process must advertise routes to dst back to the
-		// sender (Algorithm 1, lines 10-13).
-		return s.adjacencyUp() && !s.ToProc.BlocksDestination(dst.Prefix)
-	case SlotSource:
-		return true
-	case SlotDest:
-		return s.Subnet == dst && !s.FromProc.BlocksDestination(dst.Prefix)
-	}
-	return false
-}
-
-// PresentTC reports whether the slot's edge exists in the tcETG for tc,
-// which additionally models ACLs (Algorithm 1, lines 14-15).
-func (s *Slot) PresentTC(tc topology.TrafficClass) bool {
-	if !s.PresentDst(tc.Dst) {
-		return false
-	}
-	if s.Kind == SlotSource {
-		if s.Subnet != tc.Src {
-			return false
-		}
-		// Traffic cannot enter the network through a process that has no
-		// route to the destination (route filter on the gateway).
-		if s.ToProc.BlocksDestination(tc.Dst.Prefix) {
-			return false
-		}
-	}
-	out, in := s.acls()
-	return !out.Blocks(tc.Src.Prefix, tc.Dst.Prefix) && !in.Blocks(tc.Src.Prefix, tc.Dst.Prefix)
-}
-
-// acls returns the ACLs traffic crossing the slot must pass (nil: none):
-// the egress and ingress lists of an inter-device slot's two interfaces,
-// the inbound list of a source attachment, the outbound list of a
-// destination attachment.
-func (s *Slot) acls() (out, in *topology.ACL) {
-	if s.tab != nil {
-		return s.outACL, s.inACL
-	}
-	return s.lookupACLs()
-}
-
-func (s *Slot) lookupACLs() (out, in *topology.ACL) {
-	switch s.Kind {
-	case SlotInterDevice:
-		return s.FromIntf.Device.ACLs[s.FromIntf.OutACL], s.ToIntf.Device.ACLs[s.ToIntf.InACL]
-	case SlotSource:
-		return nil, s.Intf.Device.ACLs[s.Intf.InACL]
-	case SlotDest:
-		return s.Intf.Device.ACLs[s.Intf.OutACL], nil
-	}
-	return nil, nil
 }
 
 // Waypoint reports whether the slot's edge carries an on-path middlebox:

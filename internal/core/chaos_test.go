@@ -82,6 +82,9 @@ func checkChaosInvariants(t *testing.T, h *harc.HARC, res *Result, err error, ro
 	if bad := VerifyRepair(h, res.State, res.Repaired); len(bad) != 0 {
 		t.Errorf("%s: state violates %d repaired policies (first: %s)", round, len(bad), bad[0])
 	}
+	if err := h.ValidateState(res.State); err != nil {
+		t.Errorf("%s: the state is not closed under the presence rule: %v", round, err)
+	}
 }
 
 // TestChaosCampaign drives the repair pipeline through every
@@ -227,6 +230,9 @@ func TestDegradedFallbackVerifies(t *testing.T) {
 	}
 	if bad := VerifyRepair(h, res.State, ps); len(bad) != 0 {
 		t.Fatalf("degraded state violates %v", bad)
+	}
+	if err := h.ValidateState(res.State); err != nil {
+		t.Errorf("the greedy fallback's state is not closed under the presence rule: %v", err)
 	}
 	if res.Changes == 0 {
 		t.Error("degraded repair reports zero changes")

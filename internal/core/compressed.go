@@ -478,13 +478,15 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	}
 
 	for _, dst := range dsts {
-		realizeDstPresence(h, orig, trial, dst)
+		trial.DeriveDst(h.DstRow(dst))
 	}
 
-	// tcETG level: source and dest attachment slots live on concrete
-	// (policy endpoint) devices and transfer by identical key; inter
-	// slots transfer their ACL-deviation deltas per slot or per group
-	// like statics do. A deviation is a dETG edge the tcETG lacks.
+	// tcETG level: a class's row is derived from its destination's, less
+	// its deviations (dETG edges the tcETG lacks). Source and dest
+	// attachment slots live on concrete (policy endpoint) devices and
+	// transfer theirs by identical key; inter slots transfer their
+	// deviation deltas per slot or per group like statics do.
+	dev := bitset.New(len(h.Slots))
 	for _, tc := range pr.tcs {
 		r, d := h.TCRow(tc), h.DstRow(tc.Dst)
 		origM, origDm := orig.TC[r], orig.Dst[d]
@@ -492,21 +494,18 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 		qdm, qodm := qrep.DstBits(tc.Dst), qorig.DstBits(tc.Dst)
 		deviated := func(dm, m bitset.Set, id int) bool { return dm.Has(id) && !m.Has(id) }
 
-		// Plan inter-slot deviation flips for this class.
-		var plan map[int]bool // slot id → desired deviation
+		// A slot keeps its original deviation unless its group's settling
+		// below flips it.
+		for i := range dev {
+			dev[i] = origDm[i] &^ origM[i]
+		}
 		if !sameDeviations(qodm, qom, qdm, qm) {
-			plan = map[int]bool{}
 			ok := eachGroup(func(qslots, cslots []*arc.Slot) bool {
 				flips, ok := settleCounts(qslots, cslots,
 					func(qs *arc.Slot) bool { return deviated(qodm, qom, qs.ID) },
 					func(qs *arc.Slot) bool { return deviated(qdm, qm, qs.ID) },
-					func(s *arc.Slot) bool {
-						if v, planned := plan[s.ID]; planned {
-							return v
-						}
-						return deviated(origDm, origM, s.ID)
-					},
-					func(s *arc.Slot, v bool) { plan[s.ID] = v })
+					func(s *arc.Slot) bool { return dev.Has(s.ID) },
+					func(s *arc.Slot, v bool) { dev.Put(s.ID, v) })
 				changes += flips
 				return ok
 			})
@@ -515,42 +514,26 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			}
 		}
 
-		dm := trial.Dst[d]
 		for id, s := range h.Slots {
-			if !s.ApplicableTC(tc) {
+			if (s.Kind != arc.SlotSource && s.Kind != arc.SlotDest) || !s.ApplicableTC(tc) {
 				continue
 			}
-			switch s.Kind {
-			case arc.SlotSource:
-				qid := qh.SlotID(s.Key())
-				if qid < 0 {
-					return nil, 0, false // endpoint slot must exist in the quotient
-				}
-				v := qm.Has(qid)
-				if v != origM.Has(id) {
-					changes++
-				}
-				trial.SetTC(r, id, v && !trial.RouteFilter[d].Has(s.ToProcID))
-			case arc.SlotIntraSelf, arc.SlotIntraRedist:
-				trial.SetTC(r, id, dm.Has(id))
-			case arc.SlotDest:
-				qid := qh.SlotID(s.Key())
-				if qid < 0 {
-					return nil, 0, false
-				}
-				now := deviated(qdm, qm, qid)
-				if now != deviated(origDm, origM, id) {
-					changes++
-				}
-				trial.SetTC(r, id, dm.Has(id) && !now)
-			case arc.SlotInterDevice:
-				dev, planned := plan[id]
-				if !planned {
-					dev = deviated(origDm, origM, id)
-				}
-				trial.SetTC(r, id, dm.Has(id) && !dev)
+			qid := qh.SlotID(s.Key())
+			if qid < 0 {
+				return nil, 0, false // endpoint slot must exist in the quotient
 			}
+			// A source attachment has no dETG parent: its deviation is its
+			// absence.
+			now, was := deviated(qdm, qm, qid), deviated(origDm, origM, id)
+			if s.Kind == arc.SlotSource {
+				now, was = !qm.Has(qid), !origM.Has(id)
+			}
+			if now != was {
+				changes++
+			}
+			dev.Put(id, now)
 		}
+		trial.DeriveTC(r, dev)
 	}
 	return trial, changes, true
 }

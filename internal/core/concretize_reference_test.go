@@ -118,7 +118,7 @@ func concretizePatchFull(h *harc.HARC, orig *harc.State, pr *problem, q *compres
 	}
 
 	for _, dst := range dsts {
-		realizeDstPresence(h, orig, trial, dst)
+		trial.DeriveDst(h.DstRow(dst))
 	}
 
 	for _, tc := range pr.tcs {

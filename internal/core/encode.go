@@ -414,9 +414,10 @@ func (e *encoder) seedPhases() {
 			}
 		}
 	}
-	for dl, dst := range e.dsts {
-		dstState := e.st.Dst[e.dstRow[dl]]
-		for _, si := range e.tb.dst[e.dstRow[dl]] {
+	for dl := range e.dsts {
+		r := e.dstRow[dl]
+		dstState, rf, static := e.st.Dst[r], e.st.RouteFilter[r], e.st.Static[r]
+		for _, si := range e.tb.dst[r] {
 			s := e.tb.slots[si]
 			if l, ok := e.lit(e.dVar[dl][si]); ok {
 				e.s.SetPhase(l.Var(), dstState.Has(si))
@@ -424,11 +425,11 @@ func (e *encoder) seedPhases() {
 			switch s.Kind {
 			case arc.SlotIntraSelf:
 				if l, ok := e.lit(e.rfVar[dl][s.FromProcID]); ok {
-					e.s.SetPhase(l.Var(), s.FromProc.BlocksDestination(dst.Prefix))
+					e.s.SetPhase(l.Var(), rf.Has(s.FromProcID))
 				}
 			case arc.SlotInterDevice:
 				if l, ok := e.lit(e.stVar[dl][si]); ok {
-					e.s.SetPhase(l.Var(), s.StaticBacked(dst) != nil)
+					e.s.SetPhase(l.Var(), static.Has(si))
 				}
 			}
 		}
@@ -914,9 +915,11 @@ func (e *encoder) constructSofts() {
 	// dETG-level softs: one per construct, so violated softs count
 	// configuration lines exactly (the construct realization of Table 2's
 	// per-edge accounting).
-	for dl, dst := range e.dsts {
+	for dl := range e.dsts {
+		r := e.dstRow[dl]
+		rf, static := e.st.RouteFilter[r], e.st.Static[r]
 		seenRF := make([]bool, len(e.tb.h.Procs))
-		for _, si := range e.tb.dst[e.dstRow[dl]] {
+		for _, si := range e.tb.dst[r] {
 			s := e.tb.slots[si]
 			switch s.Kind {
 			case arc.SlotIntraSelf:
@@ -924,12 +927,10 @@ func (e *encoder) constructSofts() {
 				pi := s.FromProcID
 				if !seenRF[pi] {
 					seenRF[pi] = true
-					orig := s.FromProc.BlocksDestination(dst.Prefix)
-					e.soft(e.tb.procDev(pi), e.p.Iff(e.rfVar[dl][pi], constBool(orig)))
+					e.soft(e.tb.procDev(pi), e.p.Iff(e.rfVar[dl][pi], constBool(rf.Has(pi))))
 				}
 			case arc.SlotInterDevice:
-				orig := s.StaticBacked(dst) != nil
-				e.soft(e.tb.procDev(s.FromProcID), e.p.Iff(e.stVar[dl][si], constBool(orig)))
+				e.soft(e.tb.procDev(s.FromProcID), e.p.Iff(e.stVar[dl][si], constBool(static.Has(si))))
 			}
 		}
 	}

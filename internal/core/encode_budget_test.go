@@ -105,13 +105,17 @@ func TestEncodeAllocBudget(t *testing.T) {
 
 // heapDelta returns the live-heap growth across build, whose result it
 // keeps reachable until after the measurement: the least of three
-// samples, each taken between two collections, with that sample's result.
+// samples, each taken between collections, with that sample's result.
 // Whatever else the process allocates during a sample can only inflate it,
-// so the sample it spares is the one that counts.
+// so the sample it spares is the one that counts. The baseline follows two
+// collections: a sync.Pool's contents survive the first in its victim
+// cache, and scratch pooled by earlier tests would otherwise be freed
+// inside the sample, deflating it.
 func heapDelta(build func() any) (int64, any) {
 	best, kept := int64(math.MaxInt64), any(nil)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		k := build()

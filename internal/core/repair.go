@@ -823,88 +823,29 @@ func realizeGreedy(h *harc.HARC, orig *harc.State, pr *problem, gres *greedy.Res
 	}
 	trial.AddWaypoints(gst)
 	for _, dst := range dsts {
-		realizeDstPresence(h, orig, trial, dst)
+		trial.DeriveDst(h.DstRow(dst))
 	}
+	// A class keeps the greedy repair's deviations: the ACL-capable slots
+	// its row lacks that its destination's has, and the source
+	// attachments it lacks.
+	dev := bitset.New(len(h.Slots))
 	for _, tc := range pr.tcs {
-		realizeTCPresence(h, trial, gst, tc)
+		r, d := h.TCRow(tc), h.DstRow(tc.Dst)
+		gm, gdm := gst.TC[r], gst.Dst[d]
+		for id, s := range h.Slots {
+			switch s.Kind {
+			case arc.SlotSource:
+				dev.Put(id, s.Subnet == tc.Src && !gm.Has(id))
+			case arc.SlotInterDevice, arc.SlotDest:
+				dev.Put(id, gdm.Has(id) && !gm.Has(id))
+			}
+		}
+		trial.DeriveTC(r, dev)
 	}
 	if len(VerifyRepair(h, trial, pr.policies)) != 0 {
 		return nil, 0, false
 	}
 	return trial, gres.Changes, true
-}
-
-// impliedDst evaluates a destination-level edge's presence from the
-// construct rows of destination row r in st (mirroring the encoder's
-// hierarchy constraints). staticProcs is staticProcsOf(h, st, r).
-func impliedDst(st *harc.State, r int, s *arc.Slot, staticProcs bitset.Set) bool {
-	rf := st.RouteFilter[r]
-	switch s.Kind {
-	case arc.SlotIntraSelf:
-		return !rf.Has(s.FromProcID) || staticProcs.Has(s.FromProcID)
-	case arc.SlotIntraRedist:
-		return (st.All.Has(s.ID) && !rf.Has(s.FromProcID) && !rf.Has(s.ToProcID)) ||
-			staticProcs.Has(s.FromProcID)
-	case arc.SlotInterDevice:
-		return (st.All.Has(s.ID) && !rf.Has(s.ToProcID)) || st.Static[r].Has(s.ID)
-	case arc.SlotDest:
-		return !rf.Has(s.FromProcID)
-	}
-	return false
-}
-
-// realizeDstPresence updates trial's dETG presence for dst wherever the
-// construct edits changed an edge's implied value. Only slots whose
-// implication flipped relative to the original constructs are touched,
-// so untouched edges keep their observed (config-derived) presence.
-func realizeDstPresence(h *harc.HARC, orig, trial *harc.State, dst *topology.Subnet) {
-	r := h.DstRow(dst)
-	origStatics := staticProcsOf(h, orig, r)
-	trialStatics := staticProcsOf(h, trial, r)
-	for id, s := range h.Slots {
-		if !s.ApplicableDst(dst) {
-			continue
-		}
-		if newv := impliedDst(trial, r, s, trialStatics); newv != impliedDst(orig, r, s, origStatics) {
-			trial.SetDst(r, id, newv)
-		}
-	}
-}
-
-// staticProcsOf collects (by process id) the processes that own a static
-// route for destination row r.
-func staticProcsOf(h *harc.HARC, st *harc.State, r int) bitset.Set {
-	out := bitset.New(len(h.Procs))
-	st.Static[r].Each(func(id int) { out.Put(h.Slots[id].FromProcID, true) })
-	return out
-}
-
-// realizeTCPresence aligns trial's tc-level presence with the realized
-// dETG: intra edges follow the parent exactly (no ACL can act inside a
-// device), ACL-capable edges keep the greedy deviation where it deviated
-// and follow the parent where it was aligned.
-func realizeTCPresence(h *harc.HARC, trial, gst *harc.State, tc topology.TrafficClass) {
-	r, d := h.TCRow(tc), h.DstRow(tc.Dst)
-	gm, gdm, dm := gst.TC[r], gst.Dst[d], trial.Dst[d]
-	for id, s := range h.Slots {
-		if !s.ApplicableTC(tc) {
-			continue
-		}
-		switch s.Kind {
-		case arc.SlotSource:
-			// No dETG parent; a source edge still needs the gateway to
-			// have a route (no route filter on the receiving process).
-			trial.SetTC(r, id, gm.Has(id) && !trial.RouteFilter[d].Has(s.ToProcID))
-		case arc.SlotIntraSelf, arc.SlotIntraRedist:
-			trial.SetTC(r, id, dm.Has(id))
-		default:
-			if gm.Has(id) == gdm.Has(id) {
-				trial.SetTC(r, id, dm.Has(id)) // aligned child follows the realized parent
-			} else {
-				trial.SetTC(r, id, gm.Has(id) && dm.Has(id)) // deviation (ACL) is preserved
-			}
-		}
-	}
 }
 
 // mergeRows copies one usable sub-problem's rows from src, its staged

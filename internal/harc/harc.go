@@ -269,44 +269,47 @@ func stateWeights(h *HARC, st *State, dst *topology.Subnet) *graph.Weights {
 	return h.Weights(func(s *arc.Slot) int64 { return st.slotCost(s, r) })
 }
 
-// ValidateState checks the HARC well-formedness invariants of §4.3 on an
-// explicit state (constraints 18-19 of Figure 5 plus the static-backing
-// rules): every tcETG edge exists in the corresponding dETG, and every
-// dETG edge exists in the aETG or is backed by a static route — the
-// state's own Static bit for an inter-device edge, a static route leaving
-// through the owning process for an intra-device one.
+// ValidateState checks that st is closed under the presence rule
+// (DeriveDst, DeriveTC) — the soundness condition every evaluated and
+// every repaired state meets: each destination row of h's classes is
+// exactly what st's aETG and construct rows imply, and each class row is
+// its derived row less deviations an ACL can make. So every tcETG edge is
+// in its dETG (Figure 5 constraint 18), every dETG edge is in the aETG or
+// backed by a static route (constraint 19), and an intra-device edge is
+// in a class's row iff in its destination's.
 func (h *HARC) ValidateState(st *State) error {
-	for _, tc := range h.TCs {
-		dm := st.DstBits(tc.Dst)
+	derived := st.Clone()
+	for _, dst := range h.Dsts {
+		r := st.lay.DstRow(dst)
+		if r < 0 {
+			continue
+		}
+		derived.DeriveDst(r)
 		var err error
-		st.TCBits(tc).Each(func(id int) {
-			if s := h.Slots[id]; err == nil && s.Kind != arc.SlotSource && !dm.Has(id) {
-				err = fmt.Errorf("harc: state has %s in tcETG(%s) but not dETG(%s)", s.Key(), tc, tc.Dst.Name)
+		bitset.EachDiff(derived.Dst[r], st.Dst[r], func(id int) {
+			if err == nil {
+				err = fmt.Errorf("harc: dETG(%s) edge %s is %v in the state, %v by its constructs",
+					dst.Name, st.lay.Slots[id].Key(), st.Dst[r].Has(id), derived.Dst[r].Has(id))
 			}
 		})
 		if err != nil {
 			return err
 		}
 	}
-	for _, dst := range h.Dsts {
-		r := st.lay.DstRow(dst)
+	for _, tc := range h.TCs {
+		r := st.lay.TCRow(tc)
 		if r < 0 {
 			continue
 		}
+		derived.DeriveTC(r, nil)
 		var err error
-		st.Dst[r].Each(func(id int) {
-			if err != nil || st.All.Has(id) {
-				return
-			}
-			switch s := h.Slots[id]; s.Kind {
-			case arc.SlotInterDevice:
-				if !st.Static[r].Has(id) {
-					err = fmt.Errorf("harc: state has inter-device edge %s in dETG(%s) without aETG edge or static route", s.Key(), dst.Name)
-				}
-			case arc.SlotIntraSelf, arc.SlotIntraRedist:
-				if !st.procStatic(h, r, s.FromProcID) {
-					err = fmt.Errorf("harc: state has intra edge %s in dETG(%s) but not aETG", s.Key(), dst.Name)
-				}
+		bitset.EachDiff(derived.TC[r], st.TC[r], func(id int) {
+			switch s := st.lay.Slots[id]; {
+			case err != nil:
+			case st.TC[r].Has(id):
+				err = fmt.Errorf("harc: state has %s in tcETG(%s) but the rule derives it absent", s.Key(), tc)
+			case s.Kind == arc.SlotIntraSelf || s.Kind == arc.SlotIntraRedist:
+				err = fmt.Errorf("harc: state lacks intra-device edge %s in tcETG(%s) but has it in dETG(%s)", s.Key(), tc, tc.Dst.Name)
 			}
 		})
 		if err != nil {

@@ -29,7 +29,36 @@ type refState struct {
 	Static      map[string]bool
 }
 
-// refStateOf is the map-based StateOf, rule for rule.
+// procStaticFor reports whether a static route for dst on the process's
+// device leaves through a link to a device running the process's
+// protocol: such a route makes the FIB authoritative for dst, backing the
+// intra-device edges into the process's outgoing vertex despite a route
+// filter.
+func procStaticFor(owner *topology.Process, dst *topology.Subnet) bool {
+	for _, sr := range owner.Device.Statics {
+		if sr.Prefix != dst.Prefix {
+			continue
+		}
+		for _, intf := range owner.Device.Interfaces() {
+			peer := intf.Peer()
+			if peer == nil || !peer.Prefix.IsValid() || peer.Prefix.Addr() != sr.NextHop {
+				continue
+			}
+			for _, q := range peer.Device.Processes {
+				if q.Proto == owner.Proto {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// refStateOf is the map-based StateOf: constructs and presence both read
+// straight off the configuration, the rule the dense state derives its
+// rows by (harc.State.DeriveDst and DeriveTC) written the way
+// internal/arc/reference_test.go writes it for the dense ETGs (PresentDst,
+// PresentTC), which this package cannot import.
 func refStateOf(h *harc.HARC) *refState {
 	st := &refState{
 		All: map[string]bool{}, Dst: map[string]map[string]bool{}, TC: map[string]map[string]bool{},
@@ -48,28 +77,53 @@ func refStateOf(h *harc.HARC) *refState {
 		st.Waypoint[l.Name()] = l.Waypoint
 	}
 	for _, dst := range h.Dsts {
+		rf := func(p *topology.Process) bool { return p.BlocksDestination(dst.Prefix) }
 		m := map[string]bool{}
 		for _, s := range h.Slots {
-			switch s.Kind {
+			switch k := s.Key(); s.Kind {
 			case arc.SlotIntraSelf:
-				st.RouteFilter[dst.Name+"|"+s.FromProc.Name()] = s.FromProc.BlocksDestination(dst.Prefix)
+				st.RouteFilter[dst.Name+"|"+s.FromProc.Name()] = rf(s.FromProc)
+				m[k] = !rf(s.FromProc) || procStaticFor(s.FromProc, dst)
+			case arc.SlotIntraRedist:
+				m[k] = (s.PresentAll() && !rf(s.FromProc) && !rf(s.ToProc)) || procStaticFor(s.FromProc, dst)
 			case arc.SlotInterDevice:
-				st.Static[dst.Name+"|"+s.Key()] = s.StaticBacked(dst) != nil
+				st.Static[dst.Name+"|"+k] = s.StaticBacked(dst) != nil
+				m[k] = (s.PresentAll() && !rf(s.ToProc)) || s.StaticBacked(dst) != nil
+			case arc.SlotDest:
+				if s.Subnet == dst {
+					m[k] = !rf(s.FromProc)
+				}
 			}
-			if s.Kind == arc.SlotSource || (s.Kind == arc.SlotDest && s.Subnet != dst) {
-				continue
-			}
-			m[s.Key()] = s.PresentDst(dst)
 		}
 		st.Dst[dst.Name] = m
 	}
 	for _, tc := range h.TCs {
-		m := map[string]bool{}
+		dm, m := st.Dst[tc.Dst.Name], map[string]bool{}
 		for _, s := range h.Slots {
-			if (s.Kind == arc.SlotSource && s.Subnet != tc.Src) || (s.Kind == arc.SlotDest && s.Subnet != tc.Dst) {
-				continue
+			var out, in *topology.ACL // the lists traffic crossing the slot passes
+			k := s.Key()
+			switch s.Kind {
+			case arc.SlotSource:
+				if s.Subnet != tc.Src {
+					continue
+				}
+				m[k] = !s.ToProc.BlocksDestination(tc.Dst.Prefix)
+				in = s.Intf.Device.ACLs[s.Intf.InACL]
+			case arc.SlotDest:
+				if s.Subnet != tc.Dst {
+					continue
+				}
+				m[k] = dm[k]
+				out = s.Intf.Device.ACLs[s.Intf.OutACL]
+			case arc.SlotInterDevice:
+				m[k] = dm[k]
+				out, in = s.FromIntf.Device.ACLs[s.FromIntf.OutACL], s.ToIntf.Device.ACLs[s.ToIntf.InACL]
+			default:
+				m[k] = dm[k]
 			}
-			m[s.Key()] = s.PresentTC(tc)
+			if out.Blocks(tc.Src.Prefix, tc.Dst.Prefix) || in.Blocks(tc.Src.Prefix, tc.Dst.Prefix) {
+				m[k] = false
+			}
 		}
 		st.TC[tc.Key()] = m
 	}

@@ -2,7 +2,6 @@ package harc
 
 import (
 	"maps"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/arc"
@@ -299,19 +298,6 @@ func (st *State) ApproxBytes() int64 {
 	return n
 }
 
-// procStatic reports whether the state has a static route for
-// destination row r leaving through process proc (an inter slot with
-// that tail).
-func (st *State) procStatic(h *HARC, r, proc int) bool {
-	found := false
-	st.Static[r].Each(func(id int) {
-		if h.Slots[id].FromProcID == proc {
-			found = true
-		}
-	})
-	return found
-}
-
 // SlotCost returns the weight of slot s in the graphs toward dst (the ETG
 // weighting of §4.1): an inter-device slot weighs its interface's cost,
 // or, while its adjacency is absent from the aETG row, the distance of
@@ -374,103 +360,7 @@ func (st *State) WeighAlike(o *State, dsts []*topology.Subnet) bool {
 
 // StateOf returns the current state of the HARC: presence of every slot
 // at every level, the cost of every directed interface and the distance
-// of every static route, as the slot rules evaluated them when the HARC
-// was built. The result is the caller's to write — a copy-on-write clone
+// of every static route, as evalState read and derived them when the
+// HARC was built. The result is the caller's to write — a copy-on-write clone
 // that shares each row with the HARC until the first write to it.
 func StateOf(h *HARC) *State { return h.rows.Clone() }
-
-// evalState evaluates the slot rules into a fresh state of h's layout.
-// The hierarchy does most of the work: a destination's rows come from the
-// rules, a class's row starts as its destination's. Rows are independent
-// within a level and fill in parallel, each worker writing only its own.
-func evalState(h *HARC) *State {
-	st := newState(h.Layout)
-	for id, s := range h.Slots {
-		if s.Kind != arc.SlotSource && s.Kind != arc.SlotDest {
-			st.All.Put(id, s.PresentAll())
-		}
-		if ck := s.CostKey(); ck != "" {
-			st.Cost[ck] = int64(s.FromIntf.Cost)
-		}
-	}
-	for i, l := range h.Links {
-		st.Waypoint.Put(i, l.Waypoint)
-	}
-	ParallelFor(len(h.Dsts), runtime.GOMAXPROCS(0), func(r int) { fillDst(h, st, r) })
-	for r, dst := range h.Dsts {
-		st.Static[r].Each(func(id int) {
-			s := h.Slots[id]
-			if d := s.StaticBacked(dst).Distance; d != s.FromIntf.Cost {
-				if st.dist == nil {
-					st.dist = make(map[rowSlot]int64)
-				}
-				st.dist[rowSlot{int32(r), int32(id)}] = int64(d)
-			}
-		})
-	}
-	off, acls := dstACLs(h, st)
-	ParallelFor(len(h.TCs), runtime.GOMAXPROCS(0), func(r int) {
-		d := h.DstOf(r)
-		fillTC(h, st, r, acls[off[d]:off[d+1]])
-	})
-	return st
-}
-
-// fillDst computes destination row r: presence, route filters, statics.
-func fillDst(h *HARC, st *State, r int) {
-	dst := h.Dsts[r]
-	row, rf, static := st.Dst[r], st.RouteFilter[r], st.Static[r]
-	for id, s := range h.Slots {
-		if s.ApplicableDst(dst) {
-			row.Put(id, s.PresentDst(dst))
-		}
-		switch s.Kind {
-		case arc.SlotIntraSelf:
-			rf.Put(s.FromProcID, s.FromProc.BlocksDestination(dst.Prefix))
-		case arc.SlotInterDevice:
-			static.Put(id, s.StaticBacked(dst) != nil)
-		}
-	}
-}
-
-// dstACLs returns, in CSR form, the ACLs each destination row of st
-// needs: those guarding a slot present in the row (row r's are
-// ids[off[r]:off[r+1]], ascending). An ACL that guards only slots a row
-// lacks cannot clear a bit of a class toward it.
-func dstACLs(h *HARC, st *State) (off, ids []int32) {
-	off = make([]int32, len(h.Dsts)+1)
-	for r, row := range st.Dst {
-		for a := int32(1); a < int32(len(h.ACLs)); a++ {
-			for _, id := range h.Guarded(a) {
-				if row.Has(int(id)) {
-					ids = append(ids, a)
-					break
-				}
-			}
-		}
-		off[r+1] = int32(len(ids))
-	}
-	return off, ids
-}
-
-// fillTC computes traffic-class row r from its (already filled)
-// destination row: a copy of it, plus the class's own source attachments
-// put to the tc-level rule, minus every slot guarded by one of acls (its
-// destination's, dstACLs) that blocks the class. Clearing a guarded slot
-// the row lacks changes nothing, so no slot is tested. On dc-256 a class
-// evaluates 5 ACLs, and 680 (class, slot) pairs of the 2,256 classes end
-// up cleared.
-func fillTC(h *HARC, st *State, r int, acls []int32) {
-	tc, row := h.TCs[r], st.TC[r]
-	copy(row, st.Dst[h.DstOf(r)])
-	for _, id := range h.SrcSlots(r) {
-		row.Put(int(id), h.Slots[id].PresentTC(tc))
-	}
-	for _, a := range acls {
-		if h.ACLs[a].Blocks(tc.Src.Prefix, tc.Dst.Prefix) {
-			for _, id := range h.Guarded(a) {
-				row.Put(int(id), false)
-			}
-		}
-	}
-}

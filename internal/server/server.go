@@ -268,19 +268,12 @@ type DeltaRequest struct {
 	Configs map[string]string `json:"configs"`
 }
 
-// DeltaResponse is the POST /v1/delta reply. Session identifies the
-// resulting config set (use it in subsequent verify/repair requests);
-// it equals what /v1/load would return for the full patched set.
-type DeltaResponse struct {
-	Session string `json:"session"`
-	// Cached reports the resulting session was already in the cache (the
-	// delta produced a previously seen config set, e.g. a revert).
-	Cached         bool `json:"cached"`
-	Devices        int  `json:"devices"`
-	Subnets        int  `json:"subnets"`
-	Links          int  `json:"links"`
-	TrafficClasses int  `json:"traffic_classes"`
-}
+// DeltaResponse is the POST /v1/delta reply: the resulting config set's
+// session, which equals what /v1/load would return for the full patched
+// set (use it in subsequent verify/repair requests). Cached reports that
+// the resulting session was already in the cache (the delta produced a
+// previously seen config set, e.g. a revert).
+type DeltaResponse = LoadResponse
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
@@ -307,15 +300,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.recordDelta(how)
-	lr := loadResponseFor(key, how, sess)
-	writeJSON(w, http.StatusOK, DeltaResponse{
-		Session:        lr.Session,
-		Cached:         lr.Cached,
-		Devices:        lr.Devices,
-		Subnets:        lr.Subnets,
-		Links:          lr.Links,
-		TrafficClasses: lr.TrafficClasses,
-	})
+	writeJSON(w, http.StatusOK, loadResponseFor(key, how, sess))
 }
 
 // --- /v1/verify and /v1/explain ---

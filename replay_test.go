@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/generate"
 	"repro/internal/policy"
+	"repro/internal/simulate"
 	"repro/internal/translate"
 )
 
@@ -128,4 +129,85 @@ func TestEveryPlanReplays(t *testing.T) {
 		t.Fatal("no workload needed a single changed line: the test replayed nothing")
 	}
 	t.Logf("%d repairs replayed: %d lines, %d waypoint changes", len(cases), lines, waypoints)
+}
+
+// sameDevice reports whether the class's source and destination subnets
+// attach to one router.
+func sameDevice(n *Network, tc TrafficClass) bool {
+	for _, d := range n.Devices() {
+		src, dst := false, false
+		for _, intf := range d.Interfaces() {
+			src = src || intf.Subnet == tc.Src
+			dst = dst || intf.Subnet == tc.Dst
+		}
+		if src && dst {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCorpusPC1Replay repairs all 96 corpus networks with the default
+// options and replays every originally violated PC1 policy on the
+// patched text through the forwarding simulator, under every set of at
+// most two failed links. The tcETG has no same-device delivery: ARC
+// routes such a class out through the fabric and back, the repair blocks
+// that detour with fabric ACLs, and the router still delivers the
+// traffic locally. knownDelivered lists those wrong patches exactly —
+// each a same-device class — so a new one fails the test, and so does a
+// fixed one until it leaves the list.
+func TestCorpusPC1Replay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repairs and replays the 96-network corpus")
+	}
+	knownDelivered := map[string]bool{
+		"dc10 net17->net8": true, "dc10 net9->net18": true,
+		"dc40 net3->net4":  true,
+		"dc44 net18->net1": true,
+		"dc56 net10->net0": true, "dc56 net19->net9": true,
+		"dc74 net13->net1": true,
+		"dc89 net15->net3": true, "dc89 net6->net12": true,
+		"dc94 net17->net12": true,
+	}
+	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 96, SubnetScale: 1.0, Seed: 20170801})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, delivered := 0, map[string]bool{}
+	for _, inst := range corpus {
+		sys, _, ps := loadInstance(t, inst)
+		violated := sys.Verify(ps)
+		rep, err := sys.Repair(ps, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", inst.Name, err)
+		}
+		patched, err := Load(rep.PatchedConfigs)
+		if err != nil {
+			t.Fatalf("%s: the patched text does not load: %v", inst.Name, err)
+		}
+		for _, p := range violated {
+			if p.Kind != AlwaysBlocked {
+				continue
+			}
+			replayed++
+			tc := TrafficClass{Src: patched.Network.Subnet(p.TC.Src.Name), Dst: patched.Network.Subnet(p.TC.Dst.Name)}
+			if simulate.BlockedUnderFailures(patched.Network, tc, 2) {
+				continue
+			}
+			key := fmt.Sprintf("%s %s", inst.Name, tc)
+			delivered[key] = true
+			switch {
+			case !knownDelivered[key]:
+				t.Errorf("%s: repaired, but the simulator delivers it under at most 2 failed links", key)
+			case !sameDevice(sys.Network, p.TC):
+				t.Errorf("%s: listed as a same-device class, but its subnets attach to different routers", key)
+			}
+		}
+	}
+	for key := range knownDelivered {
+		if !delivered[key] {
+			t.Errorf("%s: listed as delivered after repair, but the simulator blocks it now: take it off the list", key)
+		}
+	}
+	t.Logf("%d violated PC1 policies replayed, %d delivered after repair", replayed, len(delivered))
 }
