@@ -98,6 +98,9 @@ type Slot struct {
 	outACL, inACL *topology.ACL
 	key, costKey  string
 	adjUp         bool
+	// srcACL is a source attachment's inACL as an id into Table.ACLs, 0
+	// for none.
+	srcACL int32
 }
 
 // Table is a network's slot table with integer identity: every slot, and
@@ -118,7 +121,7 @@ type Table struct {
 	Vertices []string
 	// ACLs numbers the distinct ACLs the slots cross, after ACLs[0] == nil,
 	// the list that is not there (and blocks nothing). Guarded(a) lists the
-	// slots ACL a guards.
+	// slots ACL a guards; Slot.SourceACL names a source attachment's.
 	ACLs []*topology.ACL
 	// aclSlots lists, in CSR form, the slots each ACL guards — every slot
 	// but a source attachment whose egress or ingress list it is: ACL a's
@@ -367,6 +370,13 @@ func NewTable(n *topology.Network) *Table {
 		}
 		edges[i] = graph.Edge{From: s.From, To: s.To}
 	}
+	// A source attachment's inbound list guards none of the slots above;
+	// a list only such attachments cross is numbered after those that do.
+	for _, s := range slots {
+		if s.Kind == SlotSource {
+			s.srcACL = aclID(s.inACL)
+		}
+	}
 	t.base = graph.NewOver(t.Vertices, edges)
 
 	// Counted two entries ahead, so that after the prefix sums entry a+1 is
@@ -398,6 +408,10 @@ func NewTable(n *topology.Network) *Table {
 // Guarded returns the ids of the slots ACL id a guards, ascending: every
 // slot but a source attachment whose egress or ingress list it is.
 func (t *Table) Guarded(a int32) []int32 { return t.aclSlots[t.aclSlotOff[a]:t.aclSlotOff[a+1]] }
+
+// SourceACL returns the id in Table.ACLs of a source attachment's inbound
+// ACL: 0 if it has none, or if the slot is not a source attachment.
+func (s *Slot) SourceACL() int32 { return s.srcACL }
 
 // ApplicableTC reports whether the slot can appear in tc's ETG: every
 // slot except the attachment slots of other subnets. Inapplicable slots

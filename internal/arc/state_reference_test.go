@@ -13,7 +13,8 @@ import (
 
 // ruleInstances is the reference population (instances) over the whole
 // 96-network corpus, plus Figure 2a with a static route that backs a
-// filtered process, dc-256 seed 7 and ten broken k=4 fat-trees (seeds
+// filtered process, Figure 2a with an inbound ACL on a source attachment,
+// dc-256 seed 7 and ten broken k=4 fat-trees (seeds
 // 2-11, as cprgen -break 3 makes them); -short keeps 24 corpus networks
 // and two fat-trees, and drops dc-256.
 func ruleInstances(t *testing.T) []refInstance {
@@ -33,6 +34,16 @@ func ruleInstances(t *testing.T) []refInstance {
 	ospf.RouteFilters = append(ospf.RouteFilters, over.Subnet("T").Prefix)
 	a.AddProcess(topology.BGP, 65000).RedistributesFrom = []*topology.Process{ospf}
 	insts = append(insts, refInstance{"figure2a-static-over-filter", over, figure2aPolicies(over)[:3]})
+	// A's host-facing interface to R drops R->T on the way in: a list that
+	// guards no slot, only R's source attachment, so it blocks one class.
+	src := topology.Figure2a()
+	a = src.Device("A")
+	a.AddACL("NO-R-T").Entries = []topology.ACLEntry{
+		{Permit: false, Src: src.Subnet("R").Prefix, Dst: src.Subnet("T").Prefix},
+		{Permit: true},
+	}
+	a.Interface("Ethernet0/3").InACL = "NO-R-T"
+	insts = append(insts, refInstance{"figure2a-source-acl", src, figure2aPolicies(src)[:3]})
 	if !testing.Short() {
 		dc, err := generate.Preset("dc-256", 7)
 		if err != nil {

@@ -394,3 +394,54 @@ func TestApplyReplaysMutators(t *testing.T) {
 		})
 	}
 }
+
+// TestApplyRefusesMismatchedRemoval pins Apply's refusals to remove an
+// interface line that names a value the interface does not have: an
+// access group other than the one attached, a cost other than the one
+// set. Each returns its labeled error and leaves the configuration as it
+// was, byte for byte.
+func TestApplyRefusesMismatchedRemoval(t *testing.T) {
+	for _, tt := range []struct {
+		name, host string
+		setup      *config.LineChange // applied before the refused change
+		refused    config.LineChange
+		want       string
+	}{
+		{
+			name: "access-group",
+			host: "B", // Ethernet0/1 has "ip access-group BLOCK-U in"
+			refused: config.LineChange{Device: "B", Op: config.OpRemove, Section: "interface Ethernet0/1",
+				Line: "ip access-group OTHER in"},
+			want: `config: apply: interface Ethernet0/1 access-group is "BLOCK-U", not "OTHER"`,
+		},
+		{
+			name: "cost",
+			host: "A",
+			setup: &config.LineChange{Device: "A", Op: config.OpAdd, Section: "interface Ethernet0/1",
+				Line: "ip ospf cost 5"},
+			refused: config.LineChange{Device: "A", Op: config.OpRemove, Section: "interface Ethernet0/1",
+				Line: "ip ospf cost 7"},
+			want: "config: apply: interface Ethernet0/1 cost is 5, not 7",
+		},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			c, err := config.Parse(tt.host+".cfg", config.Figure2aConfigs()[tt.host])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tt.setup != nil {
+				if err := c.Apply(*tt.setup); err != nil {
+					t.Fatalf("Apply(%v): %v", *tt.setup, err)
+				}
+			}
+			before := c.Print()
+			err = c.Apply(tt.refused)
+			if err == nil || err.Error() != tt.want {
+				t.Fatalf("Apply(%v) = %v, want %q", tt.refused, err, tt.want)
+			}
+			if after := c.Print(); after != before {
+				t.Fatalf("a refused removal changed the configuration:\n--- before ---\n%s--- after ---\n%s", before, after)
+			}
+		})
+	}
+}

@@ -577,7 +577,7 @@ func (e *encoder) encodePC1(p policy.Policy) {
 	e.b.Assert(reach[0]) // SRC
 	for k, si := range t.slots {
 		premise := e.b.DefineAnd(e.b.Lit(e.tVar[tl][si]), e.b.Lit(reach[t.fromV[k]]))
-		e.b.Clause(premise.Not(), e.b.Lit(reach[t.toV[k]]))
+		e.b.Binary(premise.Not(), e.b.Lit(reach[t.toV[k]]))
 	}
 	e.b.Assert(formula.Not(reach[1])) // DST
 }
@@ -603,7 +603,7 @@ func (e *encoder) encodePC2(p policy.Policy) {
 		default:
 			premise = e.b.DefineAnd(e.b.Lit(e.tVar[tl][si]), e.b.Lit(formula.Not(w)), e.b.Lit(nw[t.fromV[k]]))
 		}
-		e.b.Clause(premise.Not(), e.b.Lit(nw[t.toV[k]]))
+		e.b.Binary(premise.Not(), e.b.Lit(nw[t.toV[k]]))
 	}
 	e.b.Assert(formula.Not(nw[1])) // DST
 }
@@ -625,7 +625,7 @@ func (e *encoder) encodePC3(p policy.Policy) {
 		// are numbered here, in position order.
 		for k, si := range t.slots {
 			path[k] = e.b.Lit(e.p.Fresh())
-			e.b.Clause(path[k].Not(), e.b.Lit(e.tVar[tl][si]))
+			e.b.Binary(path[k].Not(), e.b.Lit(e.tVar[tl][si]))
 		}
 		// Constraint 8: the path leaves SRC.
 		e.b.Clause(e.gather(0, path, t.byTail.at(0))...)

@@ -45,6 +45,51 @@ func BenchmarkEncodeDC256Quotient(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clauses), "ns/clause")
 }
 
+// BenchmarkLoadDC256Quotient times the load alone on the streams
+// BenchmarkEncodeDC256Quotient writes: each quotient sub-problem is
+// encoded once, untimed, and every iteration loads all of them, one after
+// another, into one reset solver, as a worker's solver takes them. Its
+// ns/clause is the load's share of the encode benchmark's; the rest is
+// the writers'.
+func BenchmarkLoadDC256Quotient(b *testing.B) {
+	qs, opts := dc256Quotients(b)
+	w := newWorker()
+	type cnf struct {
+		nVars  int
+		chunks [][]sat.Lit
+	}
+	cnfs := make([]cnf, len(qs))
+	clauses := 0
+	for i, q := range qs {
+		enc := newEncoder(w, sat.New(), q.tb, q.orig, q.pr.tcs, q.pr.policies, q.pr.freeze, opts)
+		if err := enc.encode(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		cnfs[i].nVars = w.b.NumVars()
+		for _, c := range w.b.Stream() {
+			cnfs[i].chunks = append(cnfs[i].chunks, slices.Clone(c))
+			for k := 0; k < len(c); k += 1 + int(c[k]) {
+				clauses++
+			}
+		}
+	}
+	s := sat.New()
+	load := func() {
+		for _, c := range cnfs {
+			s.Reset()
+			if !s.Load(c.nVars, c.chunks...) {
+				b.Fatal("a quotient sub-problem's CNF is unsatisfiable at level 0")
+			}
+		}
+	}
+	load() // size the solver's arrays
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		load()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clauses), "ns/clause")
+}
+
 // BenchmarkSolvePC4Merged times the solver alone on the fattree-pc4
 // workload's pc4-merged sub-problem, nearly all of that workload's op:
 // each iteration loads the encoder's formula into a new solver, seeds

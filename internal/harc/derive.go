@@ -175,7 +175,7 @@ func aclDeviations(h *HARC, r int, acls []int32, scratch bitset.Set) bitset.Set 
 		}
 	}
 	for _, id := range h.SrcSlots(r) {
-		if intf := h.Slots[id].Intf; intf.InACL != "" && intf.Device.ACLs[intf.InACL].Blocks(tc.Src.Prefix, tc.Dst.Prefix) {
+		if a := h.Slots[id].SourceACL(); a != 0 && h.ACLs[a].Blocks(tc.Src.Prefix, tc.Dst.Prefix) {
 			put(int(id))
 		}
 	}

@@ -275,10 +275,13 @@ func (p *Pool) String(f F) string {
 type Builder struct {
 	p     *Pool
 	nVars int
-	// chunks[:used] are the stream in order, the last one still being
-	// filled; chunks[used:] are spares an earlier encoding filled.
+	// chunks[:used] are the stream in order; chunks[used:] are spares an
+	// earlier encoding filled. The last one is still being filled: open
+	// is it, with the length it has reached (chunks[used-1] catches up
+	// when the next chunk starts and when Stream is read).
 	chunks [][]sat.Lit
 	used   int
+	open   []sat.Lit
 	// varLits and nodeLits hold literal+1 per pool variable and per
 	// composite node, 0 until first use.
 	varLits  []sat.Lit
@@ -298,7 +301,7 @@ func (b *Builder) Pool() *Pool { return b.p }
 func (b *Builder) Reset() {
 	b.p.Reset()
 	b.nVars = 0
-	b.used = 0 // a spare is truncated when it is taken again
+	b.used, b.open = 0, nil // a spare is truncated when it is taken again
 	b.varLits = b.varLits[:0]
 	b.nodeLits = b.nodeLits[:0]
 	b.tmp = b.tmp[:0]
@@ -307,8 +310,13 @@ func (b *Builder) Reset() {
 // NumVars and Stream are the CNF built so far: sat.Solver.Load's
 // arguments (the stream's chunks, in order). The chunks alias the
 // builder's storage until Reset.
-func (b *Builder) NumVars() int        { return b.nVars }
-func (b *Builder) Stream() [][]sat.Lit { return b.chunks[:b.used] }
+func (b *Builder) NumVars() int { return b.nVars }
+func (b *Builder) Stream() [][]sat.Lit {
+	if b.used > 0 {
+		b.chunks[b.used-1] = b.open
+	}
+	return b.chunks[:b.used]
+}
 
 // VarTable is the variable table: per pool variable its solver literal
 // plus one, or 0 if no constraint ever used it. It aliases the builder's
@@ -345,26 +353,30 @@ const (
 // room extends the stream by n literals, one whole clause, and returns
 // them for the caller to fill.
 func (b *Builder) room(n int) []sat.Lit {
-	if b.used == 0 || len(b.chunks[b.used-1])+n > cap(b.chunks[b.used-1]) {
+	at := len(b.open)
+	if at+n > cap(b.open) {
 		b.nextChunk(n)
+		at = 0
 	}
-	c := &b.chunks[b.used-1]
-	at := len(*c)
-	*c = (*c)[:at+n]
-	return (*c)[at:]
+	b.open = b.open[:at+n]
+	return b.open[at:]
 }
 
-// nextChunk starts a new last chunk with room for at least n literals:
-// the next spare, when it is large enough, else a new one of the next
-// size that replaces it.
+// nextChunk closes the open chunk and opens the next, with room for at
+// least n literals: the next spare, when it is large enough, else a new
+// one of the next size that replaces it.
 func (b *Builder) nextChunk(n int) {
+	if b.used > 0 {
+		b.chunks[b.used-1] = b.open
+	}
 	if b.used == len(b.chunks) {
 		b.chunks = append(b.chunks, nil)
 	}
 	if c := b.chunks[b.used]; cap(c) >= n {
-		b.chunks[b.used] = c[:0]
+		b.open = c[:0]
 	} else {
-		b.chunks[b.used] = make([]sat.Lit, 0, max(n, 1<<min(firstChunkLog+b.used, maxChunkLog)))
+		b.open = make([]sat.Lit, 0, max(n, 1<<min(firstChunkLog+b.used, maxChunkLog)))
+		b.chunks[b.used] = b.open
 	}
 	b.used++
 }
@@ -377,6 +389,13 @@ func (b *Builder) Clause(lits ...sat.Lit) {
 	copy(dst[1:], lits)
 }
 
+// Binary emits the clause (x ∨ y): Clause(x, y) without the copy, for the
+// width most of an encoding's clauses have.
+func (b *Builder) Binary(x, y sat.Lit) {
+	dst := b.room(3)
+	dst[0], dst[1], dst[2] = 2, x, y
+}
+
 // DefineAnd returns a new variable l defined as the conjunction of lits,
 // which must already be numbered: the clauses (¬l ∨ k) for each k, then
 // (l ∨ ¬k_1 ∨ … ∨ ¬k_n). It is the definition Lit writes for an And
@@ -385,9 +404,7 @@ func (b *Builder) Clause(lits ...sat.Lit) {
 // the variable and clauses Lit would have given the node.
 func (b *Builder) DefineAnd(lits ...sat.Lit) sat.Lit {
 	l := b.newVar()
-	for _, k := range lits {
-		b.Clause(l.Not(), k)
-	}
+	b.pairs(l.Not(), lits, 0, true)
 	dst := b.room(2 + len(lits))
 	dst[0], dst[1] = sat.Lit(len(lits)+1), l
 	for j, k := range lits {
@@ -400,9 +417,7 @@ func (b *Builder) DefineAnd(lits ...sat.Lit) sat.Lit {
 // (¬l ∨ k_1 ∨ … ∨ k_n).
 func (b *Builder) DefineOr(lits ...sat.Lit) sat.Lit {
 	l := b.newVar()
-	for _, k := range lits {
-		b.Clause(k.Not(), l)
-	}
+	b.pairs(l, lits, 1, false)
 	dst := b.room(2 + len(lits))
 	dst[0], dst[1] = sat.Lit(len(lits)+1), l.Not()
 	copy(dst[2:], lits)
@@ -410,13 +425,37 @@ func (b *Builder) DefineOr(lits ...sat.Lit) sat.Lit {
 }
 
 // AtMostOne asserts that at most one of lits holds, pairwise: one binary
-// clause per pair, in order (the repair constraints use it for small
-// sets only).
+// clause per pair, in order. Its clauses grow with the square of the set
+// (PC3 calls it over every vertex's out-edges, up to 50 of them).
 func (b *Builder) AtMostOne(lits ...sat.Lit) {
-	for i := range lits {
-		for j := i + 1; j < len(lits); j++ {
-			b.Clause(lits[i].Not(), lits[j].Not())
+	for i, x := range lits {
+		b.pairs(x.Not(), lits[i+1:], 1, true)
+	}
+}
+
+// pairs writes one binary clause per y of ys, (x ∨ y^flip), or (y^flip ∨
+// x) when xFirst is false: as many as the open chunk holds at a time,
+// written in place, so the chunks break exactly where one Binary call
+// per clause would break them.
+func (b *Builder) pairs(x sat.Lit, ys []sat.Lit, flip sat.Lit, xFirst bool) {
+	for len(ys) > 0 {
+		k := min(len(ys), (cap(b.open)-len(b.open))/3)
+		if k == 0 {
+			b.nextChunk(3)
+			k = min(len(ys), cap(b.open)/3)
 		}
+		at := len(b.open)
+		b.open = b.open[:at+3*k]
+		dst := b.open[at:]
+		for j, y := range ys[:k] {
+			c := dst[3*j : 3*j+3]
+			if xFirst {
+				c[0], c[1], c[2] = 2, x, y^flip
+			} else {
+				c[0], c[1], c[2] = 2, y^flip, x
+			}
+		}
+		ys = ys[k:]
 	}
 }
 

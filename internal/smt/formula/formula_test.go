@@ -462,3 +462,159 @@ func TestStreamChunks(t *testing.T) {
 		t.Error("a reset builder must write the same stream into the chunks it kept")
 	}
 }
+
+// refAtMostOne, refDefineAnd and refDefineOr are the reference writers:
+// one Clause call per clause, in the order the in-place writers must
+// reproduce.
+func refAtMostOne(b *Builder, lits ...sat.Lit) {
+	for i := range lits {
+		for j := i + 1; j < len(lits); j++ {
+			b.Clause(lits[i].Not(), lits[j].Not())
+		}
+	}
+}
+
+func refDefineAnd(b *Builder, lits ...sat.Lit) sat.Lit {
+	l := b.newVar()
+	long := []sat.Lit{l}
+	for _, k := range lits {
+		b.Clause(l.Not(), k)
+		long = append(long, k.Not())
+	}
+	b.Clause(long...)
+	return l
+}
+
+func refDefineOr(b *Builder, lits ...sat.Lit) sat.Lit {
+	l := b.newVar()
+	long := []sat.Lit{l.Not()}
+	for _, k := range lits {
+		b.Clause(k.Not(), l)
+		long = append(long, k)
+	}
+	b.Clause(long...)
+	return l
+}
+
+// writers is one way to write each kind of clause group: in place, or
+// through the references.
+type writers struct {
+	binary    func(b *Builder, x, y sat.Lit)
+	atMostOne func(b *Builder, lits ...sat.Lit)
+	defineAnd func(b *Builder, lits ...sat.Lit) sat.Lit
+	defineOr  func(b *Builder, lits ...sat.Lit) sat.Lit
+}
+
+var (
+	inPlace = writers{(*Builder).Binary, (*Builder).AtMostOne, (*Builder).DefineAnd, (*Builder).DefineOr}
+	perCall = writers{func(b *Builder, x, y sat.Lit) { b.Clause(x, y) }, refAtMostOne, refDefineAnd, refDefineOr}
+)
+
+// writeRandom drives b through w with a random sequence of clause groups
+// over the variables numbered so far and returns every literal a definer
+// returned. The same seed makes the same calls whichever writers are used.
+func writeRandom(b *Builder, w writers, seed int64) []sat.Lit {
+	r := rand.New(rand.NewSource(seed))
+	p := b.Pool()
+	var defined []sat.Lit
+	pick := func(n int) []sat.Lit {
+		lits := make([]sat.Lit, n)
+		for i := range lits {
+			if b.NumVars() == 0 || r.Intn(8) == 0 {
+				lits[i] = b.Lit(p.Fresh())
+			} else {
+				lits[i] = sat.MkLit(sat.Var(r.Intn(b.NumVars())), r.Intn(2) == 0)
+			}
+		}
+		return lits
+	}
+	for op := 0; op < 300; op++ {
+		switch r.Intn(5) {
+		case 0:
+			lits := pick(2)
+			w.binary(b, lits[0], lits[1])
+		case 1:
+			w.atMostOne(b, pick([]int{0, 1, 2, 3, 50}[r.Intn(5)])...)
+		case 2:
+			defined = append(defined, w.defineAnd(b, pick(r.Intn(5))...))
+		case 3:
+			defined = append(defined, w.defineOr(b, pick(r.Intn(5))...))
+		default:
+			b.Clause(pick(r.Intn(4))...)
+		}
+	}
+	return defined
+}
+
+// checkSameCNF fails unless two builders wrote the same stream, word for
+// word and chunk for chunk, over the same variables.
+func checkSameCNF(t *testing.T, got, want *Builder) {
+	t.Helper()
+	if got.NumVars() != want.NumVars() {
+		t.Fatalf("in place: %d variables, per call: %d", got.NumVars(), want.NumVars())
+	}
+	g, w := got.Stream(), want.Stream()
+	if len(g) != len(w) {
+		t.Fatalf("in place: %d chunks, per call: %d", len(g), len(w))
+	}
+	for i := range w {
+		if !slices.Equal(g[i], w[i]) {
+			t.Fatalf("chunk %d: in place %d words, per call %d; they differ", i, len(g[i]), len(w[i]))
+		}
+	}
+}
+
+// TestInPlaceWritersMatchPerCall holds Binary, AtMostOne, DefineAnd and
+// DefineOr, which write their binary clauses in place, to one Clause call
+// per clause: the same chunks and the same variable numbering, on random
+// literal sets that include empty and one-literal at-most-one sets and
+// empty definitions.
+func TestInPlaceWritersMatchPerCall(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		p, q := NewPool(), NewPool()
+		got, want := NewBuilder(p), NewBuilder(q)
+		gl, wl := writeRandom(got, inPlace, seed), writeRandom(want, perCall, seed)
+		if !slices.Equal(gl, wl) {
+			t.Fatalf("seed %d: definers returned %v in place, %v per call", seed, gl, wl)
+		}
+		checkSameCNF(t, got, want)
+	}
+}
+
+// TestInPlaceRowCrossesChunk writes an at-most-one row and two
+// definitions, each longer than what is left of the open chunk once
+// chunks have reached their largest size: the pairs fill the chunk to
+// its last whole clause and go on in the next, as per-call writing puts
+// them.
+func TestInPlaceRowCrossesChunk(t *testing.T) {
+	p, q := NewPool(), NewPool()
+	got, want := NewBuilder(p), NewBuilder(q)
+	vars := make([]sat.Lit, 50)
+	for i := range vars {
+		vars[i] = got.Lit(p.Fresh())
+		want.Lit(q.Fresh())
+	}
+	fill := func(room int) {
+		for got.used == 0 || cap(got.open) < 1<<maxChunkLog || cap(got.open)-len(got.open) > room {
+			got.Clause(vars[0])
+			want.Clause(vars[0])
+		}
+	}
+	fill(10)
+	if room := cap(got.open) - len(got.open); room != 10 {
+		t.Fatalf("the open chunk has room for %d literals, want 10", room)
+	}
+	before := got.used
+	got.AtMostOne(vars...)
+	refAtMostOne(want, vars...)
+	if got.used != before+1 || len(got.chunks[before-1]) != 1<<maxChunkLog-1 {
+		t.Fatalf("the first row did not fill the chunk to its last pair: %d chunks, the full one holds %d", got.used, len(got.chunks[before-1]))
+	}
+	fill(20)
+	got.DefineOr(vars...)
+	refDefineOr(want, vars...)
+	fill(20)
+	got.DefineAnd(vars...)
+	refDefineAnd(want, vars...)
+	checkSameCNF(t, got, want)
+}

@@ -3,6 +3,7 @@ package sat
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Clause storage: all non-binary clauses live in one contiguous []uint32
@@ -128,12 +129,18 @@ func (s *Solver) newClause(lits []Lit, learned bool, lbd uint32) uint32 {
 		}
 		hdr |= hdrLearned | lbd<<hdrLBDShift
 	}
-	s.arena = append(s.arena, hdr)
+	// One capacity check and one slice update for the whole clause, not
+	// one per word (loading a dc-256 quotient sub-problem stores ≈ 40,000
+	// ternaries here).
+	s.arena = slices.Grow(s.arena, need)[:int(ref)+need]
+	words := s.arena[ref:]
+	words[0] = hdr
 	if learned {
-		s.arena = append(s.arena, math.Float32bits(float32(s.clauseInc)))
+		words[1] = math.Float32bits(float32(s.clauseInc))
 	}
-	for _, l := range lits {
-		s.arena = append(s.arena, uint32(l))
+	words = words[need-len(lits):]
+	for j, l := range lits {
+		words[j] = uint32(l)
 	}
 	if learned {
 		s.learnts = append(s.learnts, ref)
@@ -141,7 +148,13 @@ func (s *Solver) newClause(lits []Lit, learned bool, lbd uint32) uint32 {
 	} else {
 		s.clauses = append(s.clauses, ref)
 	}
-	s.watchClause(ref)
+	w0, w1 := watcher{ref, lits[1]}, watcher{ref, lits[0]}
+	if !s.watches.tryPush(lits[0].Not(), w0) {
+		s.watches.push(lits[0].Not(), w0)
+	}
+	if !s.watches.tryPush(lits[1].Not(), w1) {
+		s.watches.push(lits[1].Not(), w1)
+	}
 	return ref
 }
 
@@ -313,6 +326,20 @@ func (ls *lists[T]) push(l Lit, x T) {
 	}
 	ls.back[w.off+w.n] = x
 	w.n++
+}
+
+// tryPush appends x to l's list if its window has room, and reports
+// whether it did. It is push's common case, small enough to inline (push
+// is not): a hot caller writes `if !ls.tryPush(l, x) { ls.push(l, x) }`
+// and pays for a call only when the list has to move.
+func (ls *lists[T]) tryPush(l Lit, x T) bool {
+	w := &ls.win[l]
+	if w.n == w.cap {
+		return false
+	}
+	ls.back[w.off+w.n] = x
+	w.n++
+	return true
 }
 
 // move takes the full list w to a window of the next capacity class, the

@@ -88,24 +88,34 @@ func TestWatchGrowthDuringPropagate(t *testing.T) {
 // is negative or past the allocated variables, wherever it sits in a
 // clause and whichever way the clause comes in: positions 1 and 2 are the
 // ones Load's sizing pass reads, position 4 is written to the arena by
-// the in-place pass without going through AddClause.
+// the in-place pass without going through AddClause, binary and ternary
+// clauses take Load's paths for those widths, and a second Load into a
+// solver that holds clauses skips the sizing pass.
 func TestUnallocatedLiteralPanics(t *testing.T) {
 	const nVars = 6
 	for _, bad := range []Lit{-1, -8, 2 * nVars, 2*nVars + 5} {
-		for _, pos := range []int{0, 1, 3} {
-			clause := lits(1, -2, 3, 4, -5)
-			clause[pos] = bad
-			for _, via := range []string{"AddClause", "Load"} {
-				t.Run(fmt.Sprintf("%s/lit%d/pos%d", via, bad, pos+1), func(t *testing.T) {
+		for _, at := range []struct{ width, pos int }{{5, 0}, {5, 1}, {5, 3}, {2, 0}, {2, 1}, {3, 0}, {3, 1}, {3, 2}} {
+			clause := lits(1, -2, 3, 4, -5)[:at.width]
+			clause[at.pos] = bad
+			name := fmt.Sprintf("lit%d/pos%d", bad, at.pos+1)
+			if at.width < 5 {
+				name = fmt.Sprintf("lit%d/width%d/pos%d", bad, at.width, at.pos+1)
+			}
+			for _, via := range []string{"AddClause", "Load", "LoadAgain"} {
+				t.Run(via+"/"+name, func(t *testing.T) {
 					defer func() {
 						if r := recover(); r != "sat: literal references unallocated variable" {
 							t.Errorf("recovered %v, want the labeled panic", r)
 						}
 					}()
 					s := newSolverWithVars(nVars)
-					if via == "Load" {
+					switch via {
+					case "Load":
 						s.Load(nVars, AppendClause(AppendClause(nil, lits(1, 2)...), clause...))
-					} else {
+					case "LoadAgain":
+						s.Load(nVars, AppendClause(nil, lits(1, 2)...))
+						s.Load(nVars, AppendClause(nil, clause...))
+					default:
 						s.AddClause(clause...)
 					}
 				})

@@ -280,6 +280,14 @@ var loadSeeds = [][]byte{
 	encodeLate(encodeLoad(4, 3, []int{1, 2}, []int{-1, 3}, []int{2, 3, 4}, []int{-2, -3, -4}), 4, // late clauses outgrow exact windows
 		[]int{1, 5}, []int{-1, 6}, []int{2, 3, 5}, []int{-2, 4, -6, 5}, []int{-5, -6}, []int{1, -3}, []int{6}),
 	encodeLoad(12, 0, pigeonhole(3)...), // a real search: conflicts, long learnt clauses
+	// The boundaries of Load's binary and ternary paths: one variable
+	// twice in a binary; a ternary with a repeated or complementary
+	// literal in each pair of positions; a level-0 fact in each position
+	// of a ternary, satisfying or shortening it, right after the unit
+	// that assigns it and later on.
+	encodeLoad(3, 2, []int{2, 2}, []int{-3, -3}, []int{1, 2}, []int{-1, 3}),
+	encodeLoad(4, 3, []int{1, 1, 2}, []int{2, 3, 3}, []int{4, 1, 4}, []int{1, 2, -1}, []int{-2, 3, 2}, []int{-3, 4, 3}, []int{-1, -2, 4}),
+	encodeLoad(5, 3, []int{3}, []int{-3, 1, 2}, []int{1, -3, 4}, []int{2, 4, -3}, []int{3, 4, 5}, []int{1, 2, 4}, []int{-5}, []int{5, -1, -2}, []int{-1, 5, 3}),
 }
 
 // pigeonhole returns PHP(holes+1, holes) in DIMACS form: pigeon p in hole

@@ -354,7 +354,9 @@ func AppendClause(stream []Lit, lits ...Lit) []Lit {
 // fill; and a clause AddClause would store exactly as given — a binary
 // over two distinct unassigned variables, a longer one with no assigned,
 // repeated or complementary literal — is written where it belongs without
-// being copied and normalised first. Everything else (units, which
+// being copied and normalised first. Binaries and ternaries, nearly all of
+// an encoder's clauses, are recognised by comparing their variables; a
+// wider clause takes a stamp pass (plain). Everything else (units, which
 // propagate at that very point; clauses a level-0 fact satisfies or
 // shortens; duplicates, tautologies, the empty clause) goes through
 // AddClause. Returns false if the formula became trivially unsatisfiable.
@@ -377,14 +379,31 @@ func (s *Solver) Load(nVars int, stream ...[]Lit) bool {
 	for _, chunk := range stream {
 		for i := 0; i < len(chunk) && s.ok; {
 			n := int(chunk[i])
+			// The two widths nearly every clause has, decided by comparing
+			// variables: no stamp pass and no slice of the clause. A binary
+			// or ternary that fails the test goes to AddClause.
+			switch n {
+			case 2:
+				a, b := chunk[i+1], chunk[i+2]
+				if s.unassigned(a) && s.unassigned(b) && a.Var() != b.Var() {
+					s.addBinary(a, b)
+					i += 3
+					continue
+				}
+			case 3:
+				a, b, c := chunk[i+1], chunk[i+2], chunk[i+3]
+				if s.unassigned(a) && s.unassigned(b) && s.unassigned(c) &&
+					a.Var() != b.Var() && a.Var() != c.Var() && b.Var() != c.Var() {
+					s.newClause(chunk[i+1:i+4], false, 0)
+					i += 4
+					continue
+				}
+			}
 			c := chunk[i+1 : i+1+n]
 			i += 1 + n
-			switch {
-			case n == 2 && s.unassigned(c[0]) && s.unassigned(c[1]) && c[0].Var() != c[1].Var():
-				s.addBinary(c[0], c[1])
-			case n > 2 && s.plain(c):
+			if n > 3 && s.plain(c) {
 				s.newClause(c, false, 0)
-			default:
+			} else {
 				s.AddClause(c...)
 			}
 		}
@@ -428,22 +447,21 @@ func (s *Solver) sizeFor(stream [][]Lit) {
 	for _, chunk := range stream {
 		for i := 0; i < len(chunk); {
 			n := int(chunk[i])
-			c := chunk[i+1 : i+1+n]
+			if n >= 2 {
+				a, b := chunk[i+1], chunk[i+2]
+				s.checkLit(a)
+				s.checkLit(b)
+				if n == 2 {
+					s.bins.win[a.Not()].cap++
+					s.bins.win[b.Not()].cap++
+				} else {
+					s.watches.win[a.Not()].cap++
+					s.watches.win[b.Not()].cap++
+					long++
+					words += 1 + n
+				}
+			}
 			i += 1 + n
-			if n < 2 {
-				continue
-			}
-			s.checkLit(c[0])
-			s.checkLit(c[1])
-			if n == 2 {
-				s.bins.win[c[0].Not()].cap++
-				s.bins.win[c[1].Not()].cap++
-			} else {
-				s.watches.win[c[0].Not()].cap++
-				s.watches.win[c[1].Not()].cap++
-				long++
-				words += 1 + n
-			}
 		}
 	}
 	s.bins.layout()
@@ -562,8 +580,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // addBinary records the binary clause {a, b} in the implication lists:
 // when either literal's negation becomes true, the other is forced.
 func (s *Solver) addBinary(a, b Lit) {
-	s.bins.push(a.Not(), b)
-	s.bins.push(b.Not(), a)
+	if !s.bins.tryPush(a.Not(), b) {
+		s.bins.push(a.Not(), b)
+	}
+	if !s.bins.tryPush(b.Not(), a) {
+		s.bins.push(b.Not(), a)
+	}
 }
 
 // enqueue assigns literal l with the given reason reference unless it

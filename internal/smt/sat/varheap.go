@@ -40,8 +40,10 @@ func (h *varHeap) ensure(v Var) {
 	if int(v) >= cap(h.pos) {
 		h.reserve(2*int(v) + 64)
 	}
-	for int(v) >= len(h.pos) {
-		h.pos = append(h.pos, -1)
+	old := len(h.pos)
+	h.pos = h.pos[:v+1]
+	for i := old; i <= int(v); i++ {
+		h.pos[i] = -1
 	}
 }
 
@@ -65,10 +67,12 @@ func (h *varHeap) appendZero(from, to Var) {
 		return
 	}
 	h.ensure(to - 1)
-	for v := from; v < to; v++ {
-		h.pos[v] = int32(len(h.heap))
-		h.heap = append(h.heap, v)
-		h.keys = append(h.keys, 0)
+	at, n := len(h.heap), int(to-from)
+	h.heap = append(h.heap, make([]Var, n)...)
+	h.keys = append(h.keys, make([]float64, n)...)
+	for i := range n {
+		h.heap[at+i] = from + Var(i)
+		h.pos[from+Var(i)] = int32(at + i)
 	}
 }
 
