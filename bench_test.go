@@ -1,6 +1,7 @@
-// Benchmarks of the paper's Table 1-3 operations, ablations over CPR's
-// design choices and micro-benchmarks of the substrates. The evaluation's
-// figures (§8) are regenerated by cmd/cpreval (-experiment figN).
+// Benchmarks of the dc-256 solve stage, the substrates, the daemon and the
+// public API. The evaluation's figures (§8) and the design-choice
+// ablation are regenerated by cmd/cpreval (-experiment figN, ablation),
+// and end-to-end claims go through go run ./bench.
 package cpr_test
 
 import (
@@ -17,140 +18,14 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/generate"
-	"repro/internal/greedy"
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/smt/maxsat"
 	"repro/internal/smt/sat"
-	"repro/internal/topology"
-	"repro/internal/translate"
 )
 
-// --- Table 1: policy-class verification characteristics ---
-
-func benchVerify(b *testing.B, kind policy.Kind) {
-	n := topology.Figure2a()
-	h := harc.Build(n)
-	s, tt, u, r := n.Subnet("S"), n.Subnet("T"), n.Subnet("U"), n.Subnet("R")
-	var p policy.Policy
-	switch kind {
-	case policy.AlwaysBlocked:
-		p = policy.Policy{Kind: kind, TC: topology.TrafficClass{Src: s, Dst: u}}
-	case policy.AlwaysWaypoint:
-		p = policy.Policy{Kind: kind, TC: topology.TrafficClass{Src: s, Dst: tt}}
-	case policy.KReachable:
-		p = policy.Policy{Kind: kind, K: 2, TC: topology.TrafficClass{Src: s, Dst: tt}}
-	case policy.PrimaryPath:
-		p = policy.Policy{Kind: kind, Path: []string{"A", "B", "C"}, TC: topology.TrafficClass{Src: r, Dst: tt}}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		policy.Check(h, p)
-	}
-}
-
-func BenchmarkTable1VerifyPC1(b *testing.B) { benchVerify(b, policy.AlwaysBlocked) }
-func BenchmarkTable1VerifyPC2(b *testing.B) { benchVerify(b, policy.AlwaysWaypoint) }
-func BenchmarkTable1VerifyPC3(b *testing.B) { benchVerify(b, policy.KReachable) }
-func BenchmarkTable1VerifyPC4(b *testing.B) { benchVerify(b, policy.PrimaryPath) }
-
-// --- Table 2/3: encoding and translation of the Figure 2a repair ---
-
-func BenchmarkTable2RepairEncodingFig2a(b *testing.B) {
-	n := topology.Figure2a()
-	h := harc.Build(n)
-	spec := figure2aPoliciesBench(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Repair(h, spec, core.DefaultOptions())
-		if err != nil || !res.Solved {
-			b.Fatalf("repair failed: %v", err)
-		}
-	}
-}
-
-func BenchmarkTable3TranslateFig2a(b *testing.B) {
-	sys, err := cpr.Load(config.Figure2aConfigs())
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := figure2aPoliciesBench(sys.Network)
-	res, err := core.Repair(sys.HARC, spec, core.DefaultOptions())
-	if err != nil || !res.Solved {
-		b.Fatal("repair failed")
-	}
-	orig := harc.StateOf(sys.HARC)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfgs, err := translate.CloneConfigs(sys.Configs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := translate.Translate(sys.HARC, orig, res.State, cfgs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func figure2aPoliciesBench(n *topology.Network) []policy.Policy {
-	s, tt, u, r := n.Subnet("S"), n.Subnet("T"), n.Subnet("U"), n.Subnet("R")
-	return []policy.Policy{
-		{Kind: policy.AlwaysBlocked, TC: topology.TrafficClass{Src: s, Dst: u}},
-		{Kind: policy.AlwaysWaypoint, TC: topology.TrafficClass{Src: s, Dst: tt}},
-		{Kind: policy.KReachable, K: 2, TC: topology.TrafficClass{Src: s, Dst: tt}},
-		{Kind: policy.PrimaryPath, Path: []string{"A", "B", "C"}, TC: topology.TrafficClass{Src: r, Dst: tt}},
-	}
-}
-
-// --- Ablations over CPR's design choices (DESIGN.md) ---
-
-// benchDCRepair times a repair of one mid-size corpus network.
-func benchDCRepair(b *testing.B, opts core.Options) {
-	inst, err := generate.DataCenter(generate.DCOptions{
-		Name: "bench", Routers: 8, Subnets: 14, BlockedFrac: 0.3,
-		FullyBlockedDsts: 1, Violations: 4, Seed: 77,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := inst.Harc()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Repair(h, inst.Policies, opts)
-		if err != nil || !res.Solved {
-			b.Fatalf("repair failed: %v %+v", err, res)
-		}
-	}
-}
-
-// Granularity ablation (the §5.3 scalability claim).
-func BenchmarkAblationGranularityPerDst(b *testing.B) {
-	benchDCRepair(b, core.DefaultOptions())
-}
-
-func BenchmarkAblationGranularityAllTCs(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.Granularity = core.AllTCs
-	benchDCRepair(b, opts)
-}
-
-// MaxSAT algorithm ablation (the linear-descent reference vs stratified
-// OLL, the engine repairs run).
-func BenchmarkAblationMaxSATLinear(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.Algorithm = maxsat.LinearDescent
-	benchDCRepair(b, opts)
-}
-
-func BenchmarkAblationMaxSATOLL(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.Algorithm = maxsat.OLL
-	benchDCRepair(b, opts)
-}
+// --- The dc-256 solve stage ---
 
 // benchDC256SolveStage repairs the broken dc-256 preset and reports the
 // SAT-solve stage's share (summed SolveNs across sub-problems) as
@@ -185,113 +60,6 @@ func BenchmarkRepairDC256SolveStageOLL(b *testing.B) {
 
 func BenchmarkRepairDC256SolveStageLinear(b *testing.B) {
 	benchDC256SolveStage(b, maxsat.LinearDescent)
-}
-
-// Parallel per-destination solving (the "10 problems in parallel" claim).
-func BenchmarkAblationParallel4(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.Parallelism = 4
-	benchDCRepair(b, opts)
-}
-
-// Objective ablation: minimal devices changed instead of minimal lines
-// (§5.2's alternative objective).
-func BenchmarkAblationObjectiveDevices(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.Objective = core.MinDevices
-	benchDCRepair(b, opts)
-}
-
-// Greedy graph-algorithm baseline (§5's rejected alternative): repairs
-// each violated policy in isolation with min-cut/max-flow, without
-// cross-policy reasoning or minimality guarantees.
-func BenchmarkAblationGreedyBaseline(b *testing.B) {
-	inst, err := generate.DataCenter(generate.DCOptions{
-		Name: "bench", Routers: 8, Subnets: 14, BlockedFrac: 0.3,
-		FullyBlockedDsts: 1, Violations: 4, Seed: 77,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := inst.Harc()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := greedy.Repair(h, inst.Policies); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Symmetry compression (Bonsai-style quotient repair, DESIGN.md) ---
-
-// benchCompressRepair times an end-to-end repair with compression forced
-// on or off; the On/Off pairs below are the compression speedup
-// evidence.
-func benchCompressRepair(b *testing.B, h *harc.HARC, ps []policy.Policy, mode core.CompressMode) {
-	opts := core.DefaultOptions()
-	opts.Compress = mode
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Repair(h, ps, opts)
-		if err != nil || !res.Solved {
-			b.Fatalf("repair failed: %v", err)
-		}
-		if mode == core.CompressOn && res.Compressed == 0 {
-			b.Fatalf("compression never engaged (fallbacks=%d)", res.CompressFallbacks)
-		}
-	}
-}
-
-// compressFatTreeInstance is the acceptance scenario: the fattree-k8
-// preset (80 routers) with 12 violated policies across 8 destinations.
-func compressFatTreeInstance(b *testing.B) (*harc.HARC, []policy.Policy) {
-	b.Helper()
-	inst, err := generate.Preset("fattree-k8", 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := generate.BreakFatTree(inst, 13, 12); err != nil {
-		b.Fatal(err)
-	}
-	return inst.Harc(), inst.Policies
-}
-
-// compressDCInstance is a mid-size leaf-spine network (64 routers, the
-// dc-256 preset's shape at benchmarkable scale): symmetric enough to
-// compress well, but with repair time dominated by the concrete-side
-// HARC work, so the On/Off gap shows the compression floor rather than
-// the fat-tree's best case.
-func compressDCInstance(b *testing.B) (*harc.HARC, []policy.Policy) {
-	b.Helper()
-	inst, err := generate.DataCenter(generate.DCOptions{
-		Name: "dc64", Routers: 64, Subnets: 24,
-		BlockedFrac: 0.3, FullyBlockedDsts: 2, Violations: 6, Seed: 11,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return inst.Harc(), inst.Policies
-}
-
-func BenchmarkCompressRepairFatTreeOn(b *testing.B) {
-	h, ps := compressFatTreeInstance(b)
-	benchCompressRepair(b, h, ps, core.CompressOn)
-}
-
-func BenchmarkCompressRepairFatTreeOff(b *testing.B) {
-	h, ps := compressFatTreeInstance(b)
-	benchCompressRepair(b, h, ps, core.CompressOff)
-}
-
-func BenchmarkCompressRepairDCOn(b *testing.B) {
-	h, ps := compressDCInstance(b)
-	benchCompressRepair(b, h, ps, core.CompressOn)
-}
-
-func BenchmarkCompressRepairDCOff(b *testing.B) {
-	h, ps := compressDCInstance(b)
-	benchCompressRepair(b, h, ps, core.CompressOff)
 }
 
 // --- Substrate micro-benchmarks ---

@@ -210,11 +210,7 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	orig := res.Orig
-	if orig == nil {
-		orig = harc.StateOf(s.HARC)
-	}
-	plan, err := translate.Translate(s.HARC, orig, res.State, cfgs)
+	plan, err := translate.Translate(s.HARC, res.Orig, res.State, cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/generate"
 	"repro/internal/harc"
 	"repro/internal/policy"
+	"repro/internal/smt/formula"
 	"repro/internal/smt/sat"
 	"repro/internal/topology"
 )
@@ -302,4 +304,45 @@ func TestSolveDigest(t *testing.T) {
 		}
 		checkDigests(t, "solve_digests.json", got)
 	})
+}
+
+// TestExtractMatchesModel: extract copies no dETG or tcETG bit out of the
+// model; it writes the model's constructs and derives the rows. The
+// hierarchy constraints are the presence rule's CNF form, so on every
+// TestCNFDigest sub-problem the model's dVar and tVar values must equal
+// the derived rows bit for bit, and every slot outside the variables'
+// tables must be absent from them.
+func TestExtractMatchesModel(t *testing.T) {
+	w := newWorker()
+	solved := 0
+	digestProblems(t, func(name string, tb *tables, orig *harc.State, pr *problem, opts Options) {
+		enc := newEncoder(w, w.solver(), tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
+		if err := enc.encode(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		defer func() { w.spare = enc.s }()
+		if _, status := enc.solve(context.Background()); status != sat.Sat {
+			return
+		}
+		solved++
+		out := orig.Clone()
+		enc.extract(out)
+		same := func(level string, row bitset.Set, vars []formula.F) {
+			for si := range tb.slots {
+				if got, want := row.Has(si), vars[si] != 0 && enc.value(vars[si]); got != want {
+					t.Fatalf("%s: %s row has %s = %v, the model %v", name, level, tb.slots[si].Key(), got, want)
+				}
+			}
+		}
+		for dl, r := range enc.dstRow {
+			same("dETG("+enc.dsts[dl].Name+")", out.Dst[r], enc.dVar[dl])
+		}
+		for tl, r := range enc.tcRow {
+			same("tcETG("+pr.tcs[tl].String()+")", out.TC[r], enc.tVar[tl])
+		}
+	})
+	if solved == 0 {
+		t.Fatal("no sub-problem was satisfiable: the test compared nothing")
+	}
+	t.Logf("%d satisfiable sub-problems: model rows ≡ derived rows", solved)
 }

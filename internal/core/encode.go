@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/arc"
+	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/harc"
 	"repro/internal/policy"
@@ -992,10 +993,12 @@ func (e *encoder) solve(ctx context.Context) (int, sat.Status) {
 	return res.Cost, res.Status
 }
 
-// extract reads the model into out, a clone of the original state,
-// writing only the levels this problem solved. The orchestrator merges
-// the problem's rows and applies the follow-the-parent rule for unsolved
-// levels afterwards.
+// extract writes the model's constructs into out, a clone of the
+// original state: the aETG row when the problem solved it, each
+// destination's route filters and static routes, costs and waypoints.
+// It then derives the problem's rows from them: each destination's, then
+// each class's less its deviations, the ACL-capable slots whose tcETG
+// variable the model sets false.
 func (e *encoder) extract(out *harc.State) {
 	if !e.freezeAll {
 		for si, s := range e.tb.slots {
@@ -1011,9 +1014,6 @@ func (e *encoder) extract(out *harc.State) {
 	}
 	for dl, r := range e.dstRow {
 		for _, si := range e.tb.dst[r] {
-			if l, ok := e.lit(e.dVar[dl][si]); ok {
-				out.SetDst(r, si, e.s.ValueLit(l))
-			}
 			switch s := e.tb.slots[si]; s.Kind {
 			case arc.SlotIntraSelf:
 				if l, ok := e.lit(e.rfVar[dl][s.FromProcID]); ok {
@@ -1026,13 +1026,6 @@ func (e *encoder) extract(out *harc.State) {
 			}
 		}
 	}
-	for tl, r := range e.tcRow {
-		for _, si := range e.tb.tc[r].slots {
-			if l, ok := e.lit(e.tVar[tl][si]); ok {
-				out.SetTC(r, int(si), e.s.ValueLit(l))
-			}
-		}
-	}
 	for _, ck := range e.costOrder {
 		out.Cost[ck] = int64(bv.Value(e.costVecs[ck], e.value))
 	}
@@ -1040,5 +1033,19 @@ func (e *encoder) extract(out *harc.State) {
 		if e.value(e.wedgeVars[link]) {
 			out.SetWaypoint(link, true)
 		}
+	}
+	for _, r := range e.dstRow {
+		out.DeriveDst(r)
+	}
+	dev := bitset.New(len(e.tb.slots))
+	for tl, r := range e.tcRow {
+		clear(dev)
+		for _, si := range e.tb.tc[r].slots {
+			switch e.tb.slots[si].Kind {
+			case arc.SlotSource, arc.SlotInterDevice, arc.SlotDest:
+				dev.Put(int(si), !e.value(e.tVar[tl][si]))
+			}
+		}
+		out.DeriveTC(r, dev)
 	}
 }

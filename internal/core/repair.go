@@ -278,7 +278,8 @@ type Result struct {
 	Sequential time.Duration
 	// Orig is the pre-repair state the repair was computed against,
 	// exposed (read-only) so callers translating State into configuration
-	// patches need not recompute it.
+	// patches need not recompute it. It is never nil: RepairCtx sets it,
+	// and a session's memoized result keeps it.
 	Orig *harc.State
 	// Touched is the set of traffic-class keys whose state the repair may
 	// have altered: solved classes, every class of a solved destination,
@@ -437,12 +438,33 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 		}
 	}
 
-	allChanged := applyFollowRules(h, orig, out, solvedDsts, solvedTCs)
+	// The rows no sub-problem solved follow the merged constructs: every
+	// destination's when the aETG changed, and every class's whose
+	// destination was solved or whose aETG changed, with the deviations its
+	// configured ACLs make. Per-destination repairs freeze the aETG, so this
+	// is usually O(solved destinations).
+	allChanged := !out.All.Equal(orig.All)
 	res.Touched = make(map[string]bool, len(solvedTCs))
-	for _, tc := range h.TCs {
-		if allChanged || solvedTCs[tc.Key()] || solvedDsts[tc.Dst.Name] {
-			res.Touched[tc.Key()] = true
+	var unsolved []int
+	for r, tc := range h.TCs {
+		solved := solvedTCs[tc.Key()]
+		if !solved && !allChanged && !solvedDsts[tc.Dst.Name] {
+			continue
 		}
+		res.Touched[tc.Key()] = true
+		if !solved {
+			unsolved = append(unsolved, r)
+		}
+	}
+	if allChanged {
+		for r, dst := range h.Dsts {
+			if !solvedDsts[dst.Name] {
+				out.DeriveDst(r)
+			}
+		}
+	}
+	if len(unsolved) > 0 {
+		h.DeriveConfiguredTCs(out, unsolved)
 	}
 	res.Duration = time.Since(start)
 	return res, ctx.Err()
@@ -871,52 +893,6 @@ func mergeRows(orig, out, src *harc.State, pr *problem) {
 		}
 	}
 	out.AddWaypoints(src)
-}
-
-// applyFollowRules propagates repaired parent levels to unsolved child
-// levels: a child that was aligned with its parent stays aligned (zero
-// configuration changes), while an existing deviation (ACL, route
-// filter, static route) is preserved. This realizes the paper's
-// observation that destination-based routing makes parent changes apply
-// to all children by default. It reports whether the shared aETG
-// changed (the condition under which unsolved destinations were
-// rewritten), so the caller can bound the repair's blast radius.
-func applyFollowRules(h *harc.HARC, orig, out *harc.State, solvedDsts, solvedTCs map[string]bool) bool {
-	// Per-destination repairs freeze the aETG, so the parent level is
-	// usually untouched; skipping the propagation scans then keeps this
-	// pass O(solved destinations) instead of O(all traffic classes).
-	allChanged := !out.All.Equal(orig.All)
-	for r, dst := range h.Dsts {
-		if solvedDsts[dst.Name] || !allChanged {
-			continue
-		}
-		out.SetDstRow(r, follow(out.Dst[r], orig.Dst[r], orig.All, out.All))
-	}
-	for r, tc := range h.TCs {
-		if solvedTCs[tc.Key()] {
-			continue
-		}
-		if !allChanged && !solvedDsts[tc.Dst.Name] {
-			continue // parent levels untouched; the child is already aligned
-		}
-		d := h.DstRow(tc.Dst)
-		out.SetTCRow(r, follow(out.TC[r], orig.TC[r], orig.Dst[d], out.Dst[d]))
-	}
-	return allChanged
-}
-
-// follow returns child with every bit that agreed with its parent in the
-// original state set to the repaired parent's value; bits that deviated
-// are kept. A child bit with no parent (a class's source slot, a
-// destination's dest slot: zero in every parent row) either deviated, or
-// was and stays zero — so whole words need no applicability mask.
-func follow(child, origChild, origParent, parent bitset.Set) bitset.Set {
-	out := make(bitset.Set, len(child))
-	for i := range out {
-		aligned := ^(origChild[i] ^ origParent[i])
-		out[i] = child[i]&^aligned | parent[i]&aligned
-	}
-	return out
 }
 
 // VerifyRepair checks that every policy holds on the repaired state.

@@ -175,7 +175,8 @@ func sortedKeys(m map[string]*config.Config) []string {
 
 // simVerify checks every policy against the forwarding simulator,
 // exhaustively enumerating failure sets up to the policy's tolerance
-// (PC3) or failBudget (PC1, PC2). It returns a description of the first
+// (PC3, in the path-set reading of simulate.ReachableBySteering) or
+// failBudget (PC1, PC2). It returns a description of the first
 // violation, or "".
 func simVerify(n *topology.Network, ps []policy.Policy) string {
 	for _, p := range ps {
@@ -189,20 +190,7 @@ func simVerify(n *topology.Network, ps []policy.Policy) string {
 				return fmt.Sprintf("%s: delivered without a waypoint under some ≤%d-failure scenario", p, failBudget)
 			}
 		case policy.KReachable:
-			// The ETG's k-reachability is pathset semantics: k disjoint
-			// abstract paths guarantee that after any < k failures a usable
-			// path SURVIVES — not that deterministic shortest-path routing
-			// immediately takes it (an ACL on the preferred path drops
-			// traffic without triggering any rerouting; routing routes
-			// around failures, not around ACLs). The sound concrete reading:
-			// from every ≤ K-1 failure scenario, delivery must be achievable
-			// by failing a few additional links to steer routing onto the
-			// surviving path.
-			p := p
-			ok := simulate.ForEachFailureSet(n, p.K-1, func(failed map[*topology.Link]bool) bool {
-				return steerable(n, p.TC, failed, steerBudget)
-			})
-			if !ok {
+			if !simulate.ReachableBySteering(n, p.TC, p.K) {
 				return fmt.Sprintf("%s: no surviving path under some ≤%d-failure scenario", p, p.K-1)
 			}
 		case policy.PrimaryPath:
@@ -216,46 +204,6 @@ func simVerify(n *topology.Network, ps []policy.Policy) string {
 		}
 	}
 	return ""
-}
-
-// steerBudget bounds how many extra links the guided search may fail to
-// steer routing onto a surviving path.
-const steerBudget = 4
-
-// steerable reports whether tc can be delivered from the given failure
-// set, possibly after failing up to budget additional links. The search
-// is guided: when the walk drops, the candidate links to fail are the
-// next-hop choices of the devices along the observed walk (failing one
-// makes its device reroute). The failed map is restored before returning.
-func steerable(n *topology.Network, tc topology.TrafficClass, failed map[*topology.Link]bool, budget int) bool {
-	out, path, _ := simulate.Forward(n, tc, failed)
-	if out == simulate.Delivered {
-		return true
-	}
-	if budget == 0 {
-		return false
-	}
-	// Collect each walked device's current next-hop link.
-	sim := simulate.New(n, tc.Dst, failed)
-	var candidates []*topology.Link
-	for _, name := range path {
-		d := n.Device(name)
-		if d == nil {
-			continue
-		}
-		if l, hasRoute, _ := sim.NextHop(d); hasRoute && l != nil && !failed[l] {
-			candidates = append(candidates, l)
-		}
-	}
-	for _, l := range candidates {
-		failed[l] = true
-		ok := steerable(n, tc, failed, budget-1)
-		delete(failed, l)
-		if ok {
-			return true
-		}
-	}
-	return false
 }
 
 func equalPath(a, b []string) bool {

@@ -14,10 +14,12 @@ import (
 // plus its own source attachments, less the slots an ACL removes for it.
 // DeriveDst and DeriveTC are that rule, and every writer of a presence
 // row calls them: the HARC's own state, read off the configuration
-// (evalState), and every repaired state, from its edited constructs (the
-// greedy fallback, the concretized quotient repair). ValidateState checks
-// a state against them, and the encoder's hierarchy constraints are their
-// CNF form.
+// (evalState), and every repaired state, from its edited constructs — the
+// solver's model (core's extract), the greedy fallback, the concretized
+// quotient repair, and the rows no sub-problem solved, which keep the
+// deviations their configured ACLs make (DeriveConfiguredTCs).
+// ValidateState checks a state against them, and the encoder's hierarchy
+// constraints are their CNF form.
 
 // DeriveDst sets destination row r of st to the presence st's construct
 // rows imply:
@@ -117,18 +119,34 @@ func evalState(h *HARC) *State {
 			}
 		})
 	}
-	// Each worker strides over the classes with one deviation row of its
-	// own.
+	h.DeriveConfiguredTCs(st, nil)
+	return st
+}
+
+// DeriveConfiguredTCs derives class rows rows of st (nil: every class of
+// h), each less the deviations the configuration's ACLs make for it,
+// evaluated against its destination's current row in st: the rows of
+// h's own state, and the rows of a repaired state that no sub-problem
+// solved. st must be of h's layout. Each worker strides over the rows
+// with one deviation row of its own.
+func (h *HARC) DeriveConfiguredTCs(st *State, rows []int) {
+	n := len(h.TCs)
+	if rows != nil {
+		n = len(rows)
+	}
 	off, acls := dstACLs(h, st)
-	workers := min(runtime.GOMAXPROCS(0), len(h.TCs))
+	workers := min(runtime.GOMAXPROCS(0), n)
 	ParallelFor(workers, workers, func(w int) {
 		dev := bitset.New(len(h.Slots))
-		for r := w; r < len(h.TCs); r += workers {
+		for i := w; i < n; i += workers {
+			r := i
+			if rows != nil {
+				r = rows[i]
+			}
 			d := h.DstOf(r)
 			st.DeriveTC(r, aclDeviations(h, r, acls[off[d]:off[d+1]], dev))
 		}
 	})
-	return st
 }
 
 // dstACLs returns, in CSR form, the ACLs each destination row of st

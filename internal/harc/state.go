@@ -17,8 +17,8 @@ import (
 // not applicable to a row (another subnet's attachment slot) is simply
 // an always-zero bit.
 //
-// The rows are exported for reading only. All writes go through the Set*
-// and Copy* methods, which implement row-level copy-on-write: Clone
+// The rows are exported for reading only. All writes go through the Set*,
+// Copy* and Derive* methods, which implement row-level copy-on-write: Clone
 // shares every row with its receiver, and a row is copied the first time
 // either side writes it.
 type State struct {
@@ -178,20 +178,13 @@ func (st *State) replace(dst *bitset.Set, stamp int, row bitset.Set) {
 	st.stamp[stamp] = st.epoch.Load()
 }
 
-// SetDstRow and SetTCRow replace a whole presence row. The state adopts
-// the row: the caller must not use it afterwards.
-func (st *State) SetDstRow(r int, row bitset.Set) { st.replace(&st.Dst[r], st.dstStamp(r), row) }
-
-// SetTCRow: see SetDstRow.
-func (st *State) SetTCRow(r int, row bitset.Set) { st.replace(&st.TC[r], st.tcStamp(r), row) }
-
 // CopyDst makes st's rows for dst (presence, route filters, statics and
 // their distances) equal to src's; CopyTC does the same for one traffic
 // class's row and CopyAll for the aETG row. src must be a state of a
 // same-shape layout (arc.Table.SameShape) that covers the row.
 func (st *State) CopyDst(src *State, dst *topology.Subnet) {
 	r, sr := st.lay.DstRow(dst), src.lay.DstRow(dst)
-	st.SetDstRow(r, src.Dst[sr].Clone())
+	st.replace(&st.Dst[r], st.dstStamp(r), src.Dst[sr].Clone())
 	st.replace(&st.RouteFilter[r], st.rfStamp(r), src.RouteFilter[sr].Clone())
 	st.replace(&st.Static[r], st.staticStamp(r), src.Static[sr].Clone())
 	if st.dist != nil || src.dist != nil {
@@ -212,7 +205,8 @@ func (st *State) CopyDst(src *State, dst *topology.Subnet) {
 
 // CopyTC: see CopyDst.
 func (st *State) CopyTC(src *State, tc topology.TrafficClass) {
-	st.SetTCRow(st.lay.TCRow(tc), src.TC[src.lay.TCRow(tc)].Clone())
+	r := st.lay.TCRow(tc)
+	st.replace(&st.TC[r], st.tcStamp(r), src.TC[src.lay.TCRow(tc)].Clone())
 }
 
 // CopyAll: see CopyDst.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/generate"
 	"repro/internal/harc"
 	"repro/internal/policy"
@@ -172,8 +171,8 @@ func TestRepairedStateNeverTouchesVerdicts(t *testing.T) {
 	}
 	own := uncached(harc.Build(n), ps)
 	blocked := harc.StateOf(h)
-	for r := range blocked.TC {
-		blocked.SetTCRow(r, bitset.New(len(h.Slots)))
+	for r, row := range blocked.TC {
+		row.Each(func(id int) { blocked.SetTC(r, id, false) })
 	}
 	onBlocked := policy.NewStateChecker(h, blocked)
 	checkBlocked := func(when string) {

@@ -465,6 +465,60 @@ func DeliveredUnderAllFailures(n *topology.Network, tc topology.TrafficClass, k 
 	return rec(0, map[*topology.Link]bool{}, m)
 }
 
+// ReachableBySteering reports whether tc meets PC3's path-set reading of
+// k-reachability (ARC §4.1) on the configured network: k disjoint
+// abstract paths promise that after any k-1 failed links a usable path
+// survives, not that shortest-path routing takes it, since an ACL on the
+// preferred path drops traffic without rerouting it. So from every
+// failure set of at most k-1 links, tc must be delivered once at most
+// steerBudget further links fail to steer routing onto the surviving
+// path. DeliveredUnderAllFailures is the stricter delivery reading.
+func ReachableBySteering(n *topology.Network, tc topology.TrafficClass, k int) bool {
+	return ForEachFailureSet(n, k-1, func(failed map[*topology.Link]bool) bool {
+		return steerable(n, tc, failed, steerBudget)
+	})
+}
+
+// steerBudget bounds how many extra links ReachableBySteering may fail to
+// steer routing onto a surviving path.
+const steerBudget = 4
+
+// steerable reports whether tc can be delivered from the given failure
+// set, possibly after failing up to budget additional links. The search
+// is guided: when the walk drops, the candidate links to fail are the
+// next-hop choices of the devices along the observed walk (failing one
+// makes its device reroute). The failed map is restored before returning.
+func steerable(n *topology.Network, tc topology.TrafficClass, failed map[*topology.Link]bool, budget int) bool {
+	out, path, _ := Forward(n, tc, failed)
+	if out == Delivered {
+		return true
+	}
+	if budget == 0 {
+		return false
+	}
+	// Collect each walked device's current next-hop link.
+	sim := New(n, tc.Dst, failed)
+	var candidates []*topology.Link
+	for _, name := range path {
+		d := n.Device(name)
+		if d == nil {
+			continue
+		}
+		if l, hasRoute, _ := sim.NextHop(d); hasRoute && l != nil && !failed[l] {
+			candidates = append(candidates, l)
+		}
+	}
+	for _, l := range candidates {
+		failed[l] = true
+		ok := steerable(n, tc, failed, budget-1)
+		delete(failed, l)
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
 // SortedDeviceNames is a debugging helper listing devices with routes.
 func (s *Sim) SortedDeviceNames() []string {
 	var out []string

@@ -109,7 +109,7 @@ func fullScan(h *harc.HARC, orig, rep *harc.State, cfgs map[string]*config.Confi
 				removeACL = origACL && newM.Has(id)
 				dev, intfName, dir = s.ToIntf.Device, s.ToIntf.Name, "in"
 			case arc.SlotSource:
-				addACL = origM.Has(id) && !newM.Has(id)
+				addACL = origM.Has(id) && !newM.Has(id) && !rep.RouteFilter[d].Has(s.ToProcID)
 				removeACL = !origM.Has(id) && newM.Has(id)
 				dev, intfName, dir = s.Intf.Device, s.Intf.Name, "in"
 			case arc.SlotDest:

@@ -378,7 +378,9 @@ func (t *translator) acls() error {
 					dev, intfName, dir = s.Intf.Device, s.Intf.Name, "out"
 				}
 			case arc.SlotSource:
-				addACL = origM.Has(id) && !newM.Has(id)
+				// An attachment whose gateway filters the destination is
+				// absent without any ACL.
+				addACL = origM.Has(id) && !newM.Has(id) && !t.rep.RouteFilter[d].Has(s.ToProcID)
 				removeACL = !origM.Has(id) && newM.Has(id)
 				dev, intfName, dir = s.Intf.Device, s.Intf.Name, "in"
 			}

@@ -77,7 +77,8 @@ func checkPlanReplays(t *testing.T, label string, texts map[string]string, rep *
 }
 
 // TestEveryPlanReplays holds every repair of three workloads to
-// checkPlanReplays: the 24-network data-center corpus, the dc-256 preset
+// checkPlanReplays, and its repaired state to the presence rule
+// (ValidateState): the 24-network data-center corpus, the dc-256 preset
 // (seed 7, where compression engages) and the broken k=4 fat-tree of
 // seed 11 (every policy class, PC4 included) at both granularities.
 func TestEveryPlanReplays(t *testing.T) {
@@ -122,6 +123,9 @@ func TestEveryPlanReplays(t *testing.T) {
 			t.Fatalf("%s: repair unsolved", c.label)
 		}
 		checkPlanReplays(t, c.label, texts, rep)
+		if err := sys.HARC.ValidateState(rep.Result.State); err != nil {
+			t.Errorf("%s: the repaired state is not closed under the presence rule: %v", c.label, err)
+		}
 		lines += rep.Plan.NumLines()
 		waypoints += len(rep.Plan.Waypoints)
 	}
@@ -148,14 +152,21 @@ func sameDevice(n *Network, tc TrafficClass) bool {
 }
 
 // TestCorpusPC1Replay repairs all 96 corpus networks with the default
-// options and replays every originally violated PC1 policy on the
-// patched text through the forwarding simulator, under every set of at
-// most two failed links. The tcETG has no same-device delivery: ARC
-// routes such a class out through the fabric and back, the repair blocks
-// that detour with fabric ACLs, and the router still delivers the
-// traffic locally. knownDelivered lists those wrong patches exactly —
-// each a same-device class — so a new one fails the test, and so does a
-// fixed one until it leaves the list.
+// options and replays every originally violated PC1 and PC3 policy on the
+// patched text through the forwarding simulator.
+//
+// PC1 must hold under every set of at most two failed links. The tcETG
+// has no same-device delivery: ARC routes such a class out through the
+// fabric and back, the repair blocks that detour with fabric ACLs, and
+// the router still delivers the traffic locally. knownDelivered lists
+// those wrong patches exactly — each a same-device class — so a new one
+// fails the test, and so does a fixed one until it leaves the list.
+//
+// PC3 must hold in its path-set reading (simulate.ReachableBySteering);
+// knownUnsteerable lists the classes that do not, the same way. The test
+// also logs how many of them plain forwarding drops under some set of at
+// most K-1 failed links: what a delivery reading of the policy would
+// reject.
 func TestCorpusPC1Replay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repairs and replays the 96-network corpus")
@@ -169,11 +180,13 @@ func TestCorpusPC1Replay(t *testing.T) {
 		"dc89 net15->net3": true, "dc89 net6->net12": true,
 		"dc94 net17->net12": true,
 	}
+	knownUnsteerable := map[string]bool{}
 	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 96, SubnetScale: 1.0, Seed: 20170801})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayed, delivered := 0, map[string]bool{}
+	replayedPC3, unsteerable, dropped := 0, map[string]bool{}, 0
 	for _, inst := range corpus {
 		sys, _, ps := loadInstance(t, inst)
 		violated := sys.Verify(ps)
@@ -186,21 +199,33 @@ func TestCorpusPC1Replay(t *testing.T) {
 			t.Fatalf("%s: the patched text does not load: %v", inst.Name, err)
 		}
 		for _, p := range violated {
-			if p.Kind != AlwaysBlocked {
-				continue
-			}
-			replayed++
 			tc := TrafficClass{Src: patched.Network.Subnet(p.TC.Src.Name), Dst: patched.Network.Subnet(p.TC.Dst.Name)}
-			if simulate.BlockedUnderFailures(patched.Network, tc, 2) {
-				continue
-			}
 			key := fmt.Sprintf("%s %s", inst.Name, tc)
-			delivered[key] = true
-			switch {
-			case !knownDelivered[key]:
-				t.Errorf("%s: repaired, but the simulator delivers it under at most 2 failed links", key)
-			case !sameDevice(sys.Network, p.TC):
-				t.Errorf("%s: listed as a same-device class, but its subnets attach to different routers", key)
+			switch p.Kind {
+			case AlwaysBlocked:
+				replayed++
+				if simulate.BlockedUnderFailures(patched.Network, tc, 2) {
+					continue
+				}
+				delivered[key] = true
+				switch {
+				case !knownDelivered[key]:
+					t.Errorf("%s: repaired, but the simulator delivers it under at most 2 failed links", key)
+				case !sameDevice(sys.Network, p.TC):
+					t.Errorf("%s: listed as a same-device class, but its subnets attach to different routers", key)
+				}
+			case KReachable:
+				replayedPC3++
+				if !simulate.DeliveredUnderAllFailures(patched.Network, tc, p.K) {
+					dropped++
+				}
+				if simulate.ReachableBySteering(patched.Network, tc, p.K) {
+					continue
+				}
+				unsteerable[key] = true
+				if !knownUnsteerable[key] {
+					t.Errorf("%s: repaired to be %d-reachable, but no steering reaches it under some set of at most %d failed links", key, p.K, p.K-1)
+				}
 			}
 		}
 	}
@@ -209,5 +234,12 @@ func TestCorpusPC1Replay(t *testing.T) {
 			t.Errorf("%s: listed as delivered after repair, but the simulator blocks it now: take it off the list", key)
 		}
 	}
+	for key := range knownUnsteerable {
+		if !unsteerable[key] {
+			t.Errorf("%s: listed as unreachable after repair, but steering reaches it now: take it off the list", key)
+		}
+	}
 	t.Logf("%d violated PC1 policies replayed, %d delivered after repair", replayed, len(delivered))
+	t.Logf("%d violated PC3 policies replayed, %d unreachable by steering; plain forwarding drops %d under some set of at most K-1 failed links",
+		replayedPC3, len(unsteerable), dropped)
 }
