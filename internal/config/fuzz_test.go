@@ -12,7 +12,7 @@ import (
 	"repro/internal/topology"
 )
 
-// grownRouter is the configuration examples/grow cables to Figure 2a's
+// grownRouter is the configuration Example_grow cables to Figure 2a's
 // router C: a new router whose uplink is not yet OSPF-active.
 const grownRouter = `hostname D
 !

@@ -69,7 +69,8 @@ func corpusFixture(t *testing.T) *encodeFixture {
 // storage of each encoder's own, 0.43 and 5.00 with the rows and
 // groupings above; a stream that grew by half and was copied each time
 // made it 0.59 and 5.62 MB).
-// Raising a budget needs a reason in the commit that does it.
+// Raising a budget needs a reason in the commit that does it. A -race
+// build allocates on its own account, so there both pins only log.
 func TestEncodeAllocBudget(t *testing.T) {
 	n := topology.Figure2a()
 	for _, tc := range []struct {
@@ -85,7 +86,7 @@ func TestEncodeAllocBudget(t *testing.T) {
 		tc.fix.encodeAll(t, w) // grow the scratch to its working size
 		got := testing.AllocsPerRun(5, func() { tc.fix.encodeAll(t, w) })
 		t.Logf("%s: %.0f allocs per encode (budget %.0f)", tc.name, got, tc.budget)
-		if got > tc.budget {
+		if got > tc.budget && !raceBuild {
 			t.Errorf("%s: %.0f allocs per encode, budget %.0f", tc.name, got, tc.budget)
 		}
 		const runs = 5
@@ -97,7 +98,7 @@ func TestEncodeAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6
 		t.Logf("%s: %.2f MB per cold encode (budget %.2f)", tc.name, mb, tc.budgetMB)
-		if mb > tc.budgetMB {
+		if mb > tc.budgetMB && !raceBuild {
 			t.Errorf("%s: %.2f MB per cold encode, budget %.2f", tc.name, mb, tc.budgetMB)
 		}
 	}

@@ -249,6 +249,8 @@ func TestRepairAllocBudget(t *testing.T) {
 // regrowth) load, reset, a stream 3 % larger: none allocates. Then a
 // dc-256 repair at Parallelism 2 allocates per-variable arrays once per
 // worker — its eight sub-problems of 78–82 k variables did four times.
+// A -race build allocates on its own account, so there only the second
+// check holds.
 func TestRecycledSolverKeepsCapacity(t *testing.T) {
 	const nVars = 20000
 	small, large := dcShaped(nVars, 29), dcShaped(nVars+nVars*3/100, 29)
@@ -266,7 +268,7 @@ func TestRecycledSolverKeepsCapacity(t *testing.T) {
 	if allocs := testing.AllocsPerRun(len(solvers)-1, func() {
 		solvers[next].Load(nVars+nVars*3/100, large)
 		next++
-	}); allocs != 0 {
+	}); allocs != 0 && !raceBuild {
 		t.Errorf("a reset solver allocated %.1f times loading a stream 3%% larger than its last, want 0", allocs)
 	}
 

@@ -134,7 +134,10 @@ type Options struct {
 	// CompressRedundancy overrides the representative members kept per
 	// equivalence class (0 = derive from the problem: max(2, largest
 	// PC3 K)). Values at or above the largest class size make the
-	// quotient lossless.
+	// quotient lossless. No product path sets it: it is kept, as the one
+	// option without a non-test setter, because the compression oracle
+	// and two core tests force a lossless quotient with it to hold a
+	// compressed repair's cost to the uncompressed optimum.
 	CompressRedundancy int
 	// Cache, when set, memoizes terminal sub-problem solves across Repair
 	// calls keyed by the sub-problem's full encoding fingerprint, and

@@ -1,35 +1,114 @@
+// Package crosscheck holds the differential oracles: independent checks
+// that re-derive, by brute force or by simulation, results the production
+// stack computes symbolically, and compare the two. The package is test
+// code only: `go test` runs every oracle, seeded and fuzzed.
+//
+// Seven oracles are provided, each driven by a single int64 seed so that
+// every failure is reproducible from one number:
+//
+//   - CheckSAT: random small CNF instances solved by the CDCL engine
+//     (internal/smt/sat) versus exhaustive enumeration, including a DIMACS
+//     print/parse round trip and UNSAT-core sanity (the core must itself
+//     be unsatisfiable).
+//   - CheckMaxSAT: random weighted partial MaxSAT instances where both
+//     exact algorithms (OLL and the linear-descent reference) must report
+//     the exhaustive-search optimum, through a WCNF round trip.
+//   - CheckArenaGC: one incrementally used solver, tuned to reduce its
+//     learned-clause database and compact its clause arena constantly,
+//     versus brute force after every solve.
+//   - CheckRepair: an end-to-end repair oracle — generate a fat-tree
+//     workload, break it, repair it with cpr.Repair, replay the recorded
+//     patch onto an independent copy of the broken configurations, and
+//     verify every policy by hop-by-hop simulation under bounded link
+//     failures, plus a patch-minimality spot check.
+//   - CheckCompress: a compressed repair versus an uncompressed one of the
+//     same broken fat-tree, with the compressed patch re-verified from
+//     text.
+//   - CheckIncremental: repairs through a long-lived session after each
+//     config delta versus a cold session of the same texts.
+//   - CheckFleet: a load mix through a three-replica front, one replica
+//     crashed mid-repair, versus one bare cprd.
+//
+// Each oracle runs as a seeded test over a fixed band (Test*OracleSeeds)
+// and as a native fuzz target (Fuzz*) over a checked-in seed corpus
+// under testdata/fuzz; `go test -fuzz` explores beyond it.
 package crosscheck
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
+// Divergence is a failed cross-check: the oracle and the production code
+// disagreed (or an internal invariant broke while checking). It carries
+// the reproduction material that agree logs.
+type Divergence struct {
+	// Oracle names the check that failed: "sat", "maxsat", "arenagc",
+	// "repair", "compress", "incremental" or "fleet".
+	Oracle string
+	// Seed reproduces the failure deterministically.
+	Seed int64
+	// Detail describes the disagreement.
+	Detail string
+	// Files holds reproducer artifacts by file name (DIMACS and WCNF
+	// instances, broken configurations, the policy specification, load
+	// traces).
+	Files map[string]string
+}
+
+func (d *Divergence) Error() string {
+	return fmt.Sprintf("crosscheck(%s, seed %d): %s", d.Oracle, d.Seed, d.Detail)
+}
+
+// divf builds a Divergence with a formatted detail message.
+func divf(oracle string, seed int64, format string, args ...interface{}) *Divergence {
+	return &Divergence{Oracle: oracle, Seed: seed, Detail: fmt.Sprintf(format, args...)}
+}
+
+// agree fails t when an oracle returned an error. A *Divergence's
+// reproducer files are logged first, in name order, so a failing run's
+// log holds everything needed to replay it.
+func agree(t testing.TB, err error) {
+	t.Helper()
+	if err == nil {
+		return
+	}
+	var d *Divergence
+	if errors.As(err, &d) {
+		names := make([]string, 0, len(d.Files))
+		for name := range d.Files {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			t.Logf("reproducer %s:\n%s", name, d.Files[name])
+		}
+	}
+	t.Fatal(err)
+}
+
 // Deterministic tier-1 sweeps: a fixed band of seeds per oracle, small
-// enough to run in the regular test suite. cmd/cprfuzz runs the same
-// checks over long randomized campaigns.
+// enough to run in the regular test suite. The Fuzz targets below run the
+// same checks over seeds the fuzz engine picks.
 
 func TestSATOracleSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		if err := CheckSAT(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckSAT(seed))
 	}
 }
 
 func TestMaxSATOracleSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		if err := CheckMaxSAT(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckMaxSAT(seed))
 	}
 }
 
 func TestArenaGCOracleSeeds(t *testing.T) {
 	gcs, reductions, err := ArenaGCActivity(40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agree(t, err)
 	// The band must actually exercise the paths under test, or the oracle
 	// is vacuous: the tiny reduceDB trigger and waste threshold are tuned
 	// so dozens of compactions happen across 40 seeds.
@@ -46,9 +125,7 @@ func TestRepairOracleSeeds(t *testing.T) {
 		t.Skip("repair oracle is slow in -short mode")
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		if err := CheckRepair(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckRepair(seed))
 	}
 }
 
@@ -57,9 +134,7 @@ func TestIncrementalOracleSeeds(t *testing.T) {
 		t.Skip("incremental oracle is slow in -short mode")
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		if err := CheckIncremental(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckIncremental(seed))
 	}
 }
 
@@ -68,9 +143,16 @@ func TestCompressOracleSeeds(t *testing.T) {
 		t.Skip("compression oracle is slow in -short mode")
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		if err := CheckCompress(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckCompress(seed))
+	}
+}
+
+func TestFleetOracleSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet oracle is slow in -short mode")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		agree(t, CheckFleet(seed))
 	}
 }
 
@@ -119,17 +201,15 @@ func TestMinimizerPreservesFailure(t *testing.T) {
 
 // Native fuzz targets. Each consumes a single int64 seed — the corpus
 // under testdata/fuzz pins the deterministic band, and `go test -fuzz`
-// explores beyond it. Every discovered failure reproduces via
-// `go run ./cmd/cprfuzz -oracle <name> -seed <seed> -n 1`.
+// explores beyond it. The engine writes every failing seed below
+// testdata/fuzz, where `go test -run FuzzX/<file>` replays it.
 
 func FuzzSAT(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := CheckSAT(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckSAT(seed))
 	})
 }
 
@@ -138,9 +218,7 @@ func FuzzMaxSAT(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := CheckMaxSAT(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckMaxSAT(seed))
 	})
 }
 
@@ -149,9 +227,7 @@ func FuzzArenaGC(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := CheckArenaGC(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckArenaGC(seed))
 	})
 }
 
@@ -160,9 +236,7 @@ func FuzzRepair(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := CheckRepair(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckRepair(seed))
 	})
 }
 
@@ -174,9 +248,7 @@ func FuzzCompress(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := CheckCompress(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckCompress(seed))
 	})
 }
 
@@ -185,19 +257,18 @@ func FuzzIncremental(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := CheckIncremental(seed); err != nil {
-			t.Fatal(err)
-		}
+		agree(t, CheckIncremental(seed))
 	})
 }
 
-func TestFleetOracleSeeds(t *testing.T) {
+func FuzzFleet(f *testing.F) {
 	if testing.Short() {
-		t.Skip("fleet oracle is slow in -short mode")
+		f.Skip("fleet oracle is slow in -short mode")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		if err := CheckFleet(seed); err != nil {
-			t.Fatal(err)
-		}
+		f.Add(seed)
 	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		agree(t, CheckFleet(seed))
+	})
 }

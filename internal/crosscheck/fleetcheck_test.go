@@ -30,7 +30,7 @@ const fleetWorkers = 3
 func CheckFleet(seed int64) error {
 	mixes := fleet.MixNames()
 	opts := fleet.LoadOptions{
-		Mix:      mixes[int(seed)%len(mixes)],
+		Mix:      mixes[uint64(seed)%uint64(len(mixes))], // the fuzz engine picks negative seeds too
 		Requests: 36,
 		Clients:  2,
 		Sessions: 2,
