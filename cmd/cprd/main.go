@@ -6,6 +6,7 @@
 // Usage:
 //
 //	cprd [-listen :8080] [-sessions 64] [-workers N] [-queue N] [-timeout 5m]
+//	     [-max-timeout 30m] [-drain 30s] [-drain-notice 0] [-pprof ADDR]
 //
 // Endpoints (see the README section "Running cprd" for JSON shapes):
 //

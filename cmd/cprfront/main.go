@@ -7,7 +7,13 @@
 //
 // Usage:
 //
-//	cprfront -listen :8090 -replicas http://w1:8080,http://w2:8080,http://w3:8080
+//	cprfront [-listen :8090] [-probe 1s] [-drain 30s] -replicas http://w1:8080,http://w2:8080,http://w3:8080
+//
+// A passing probe grants a three-interval ownership lease. The rest of
+// the routing is fixed: 64 virtual nodes per replica, one same-replica
+// retry after a 25ms key-jittered backoff, a hedge to the ring successor
+// after 1s, each new session placed on two replicas, and a 64 MiB
+// request-body cap.
 //
 // Endpoints:
 //
@@ -52,23 +58,17 @@ func main() {
 	var (
 		listen   = flag.String("listen", ":8090", "HTTP listen address")
 		replicas = flag.String("replicas", "", "comma-separated cprd base URLs (required)")
-		vnodes   = flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = 64)")
-		probe    = flag.Duration("probe", time.Second, "readiness-probe interval")
-		lease    = flag.Duration("lease", 0, "ownership lease granted per passing probe (0 = 3×probe)")
-		retries  = flag.Int("retries", 1, "same-replica retries on transport failure before failover")
-		backoff  = flag.Duration("backoff", 25*time.Millisecond, "base retry backoff (doubled per attempt, ±20% key jitter)")
-		hedge    = flag.Duration("hedge", time.Second, "hedged failover delay; negative disables hedging")
-		sessRepl = flag.Int("session-replicas", 2, "ring candidates that receive each session-creating request")
+		probe    = flag.Duration("probe", time.Second, "readiness-probe interval (ownership lease = 3×probe)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown drain period")
 	)
 	flag.Parse()
-	if err := run(*listen, *replicas, *vnodes, *probe, *lease, *retries, *backoff, *hedge, *sessRepl, *drain); err != nil {
+	if err := run(*listen, *replicas, *probe, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "cprfront:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, replicas string, vnodes int, probe, lease time.Duration, retries int, backoff, hedge time.Duration, sessRepl int, drain time.Duration) error {
+func run(listen, replicas string, probe, drain time.Duration) error {
 	var names []string
 	for _, r := range strings.Split(replicas, ",") {
 		if r = strings.TrimSpace(r); r != "" {
@@ -78,20 +78,7 @@ func run(listen, replicas string, vnodes int, probe, lease time.Duration, retrie
 	if len(names) == 0 {
 		return errors.New("no replicas given (use -replicas http://host:port,...)")
 	}
-	if retries == 0 {
-		// The Config treats 0 as "use the default": -retries 0 means none.
-		retries = -1
-	}
-	front := fleet.New(fleet.Config{
-		Replicas:          names,
-		VNodes:            vnodes,
-		ProbeInterval:     probe,
-		LeaseTTL:          lease,
-		RetriesPerReplica: retries,
-		RetryBackoff:      backoff,
-		HedgeAfter:        hedge,
-		SessionReplicas:   sessRepl,
-	})
+	front := fleet.New(fleet.Config{Replicas: names, ProbeInterval: probe})
 	front.Start()
 	defer front.Close()
 

@@ -17,7 +17,7 @@ import (
 )
 
 func TestRunRequiresReplicas(t *testing.T) {
-	if err := run(":0", " , ", 0, time.Second, 0, 1, time.Millisecond, time.Second, 2, time.Second); err == nil {
+	if err := run(":0", " , ", time.Second, time.Second); err == nil {
 		t.Fatal("run with no replicas should error")
 	}
 }
@@ -40,7 +40,7 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, worker.URL, 0, 50*time.Millisecond, time.Minute, 1, time.Millisecond, time.Second, 2, 5*time.Second)
+		done <- run(addr, worker.URL, 50*time.Millisecond, 5*time.Second)
 	}()
 
 	base := "http://" + addr

@@ -6,7 +6,7 @@
 //	cprload -target http://localhost:8090 -mix verify -n 500 -clients 8
 //	cprload -target http://localhost:8090 -mix churn -seed 7 -json report.json
 //	CPR_FAILPOINTS='server/repair-abort=3*error' cprd ... # chaos on a worker
-//	cprload -target http://localhost:8090 -mix repair -chaos
+//	cprload -target http://localhost:8090 -mix repair
 //
 // The schedule — which client issues which op against which config
 // variant, and every config byte — is a pure function of -seed and the
@@ -23,8 +23,8 @@
 // shed: retried, counted, never fatal. The exit status is 1 when any
 // request ultimately failed.
 //
-// With -chaos the report is annotated that failpoints were armed on the
-// workers; cprload itself injects nothing.
+// Faults are injected on the workers (CPR_FAILPOINTS); cprload itself
+// injects nothing.
 package main
 
 import (
@@ -45,17 +45,16 @@ func main() {
 		clients  = flag.Int("clients", 4, "concurrent virtual clients")
 		sessions = flag.Int("sessions", 2, "config variants per client")
 		seed     = flag.Int64("seed", 1, "schedule seed")
-		chaos    = flag.Bool("chaos", false, "annotate the report: failpoints are armed on the workers")
 		jsonOut  = flag.String("json", "", "also write the report as JSON to this file")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *target, *mix, *n, *clients, *sessions, *seed, *chaos, *jsonOut); err != nil {
+	if err := run(os.Stdout, *target, *mix, *n, *clients, *sessions, *seed, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "cprload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out *os.File, target, mix string, n, clients, sessions int, seed int64, chaos bool, jsonOut string) error {
+func run(out *os.File, target, mix string, n, clients, sessions int, seed int64, jsonOut string) error {
 	report, _, err := fleet.RunLoad(fleet.LoadOptions{
 		Target:   strings.TrimRight(target, "/"),
 		Mix:      mix,
@@ -63,7 +62,6 @@ func run(out *os.File, target, mix string, n, clients, sessions int, seed int64,
 		Clients:  clients,
 		Sessions: sessions,
 		Seed:     seed,
-		Chaos:    chaos,
 	})
 	if err != nil {
 		return err

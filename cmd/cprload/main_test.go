@@ -17,7 +17,7 @@ func TestRunAgainstSingleNode(t *testing.T) {
 	defer ts.Close()
 
 	jsonPath := filepath.Join(t.TempDir(), "report.json")
-	if err := run(os.Stdout, ts.URL, "verify", 20, 2, 1, 3, false, jsonPath); err != nil {
+	if err := run(os.Stdout, ts.URL, "verify", 20, 2, 1, 3, jsonPath); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
@@ -38,7 +38,7 @@ func TestRunAgainstSingleNode(t *testing.T) {
 }
 
 func TestRunRejectsUnknownMix(t *testing.T) {
-	err := run(os.Stdout, "http://127.0.0.1:0", "bogus", 1, 1, 1, 1, false, "")
+	err := run(os.Stdout, "http://127.0.0.1:0", "bogus", 1, 1, 1, 1, "")
 	if err == nil || !strings.Contains(err.Error(), "unknown mix") {
 		t.Fatalf("err = %v, want unknown mix", err)
 	}

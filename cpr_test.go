@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -103,34 +102,6 @@ func TestOptionFlagsResolve(t *testing.T) {
 		if err := dec.Decode(&f); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("options %s: err = %v, want an unknown-field error", body, err)
 		}
-	}
-}
-
-// TestOptionSurface pins the option surface by name. The rule for growing
-// either list: a new field needs two callers outside tests and examples
-// that set it to different values — with one value in use it is a
-// constant, and a value the engine can work out from its inputs (as it
-// does the retry bound, the watchdog share and the fallback from whether
-// the problem froze the aETG) is a derivation, not an option.
-func TestOptionSurface(t *testing.T) {
-	fields := func(v any) []string {
-		typ := reflect.TypeOf(v)
-		var names []string
-		for i := 0; i < typ.NumField(); i++ {
-			names = append(names, typ.Field(i).Name)
-		}
-		return names
-	}
-	if got, want := fields(OptionFlags{}), []string{
-		"Granularity", "Objective", "Parallelism", "ConflictBudget", "Compress",
-	}; !reflect.DeepEqual(got, want) {
-		t.Errorf("OptionFlags fields = %v, want %v", got, want)
-	}
-	if got, want := fields(Options{}), []string{
-		"Granularity", "Algorithm", "Objective", "Parallelism",
-		"ConflictBudget", "Compress", "CompressRedundancy", "Cache",
-	}; !reflect.DeepEqual(got, want) {
-		t.Errorf("core.Options fields = %v, want %v", got, want)
 	}
 }
 

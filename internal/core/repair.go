@@ -140,9 +140,9 @@ type Options struct {
 	// compressed repair's cost to the uncompressed optimum.
 	CompressRedundancy int
 	// Cache, when set, memoizes terminal sub-problem solves across Repair
-	// calls keyed by the sub-problem's full encoding fingerprint, and
-	// retains the solver of each stored outcome. Hits replay
-	// results byte-identical to a fresh solve (see SolveCache). Sessions
+	// calls keyed by the sub-problem's full encoding fingerprint; an
+	// entry keeps only the answer, never the solver. Hits replay results
+	// byte-identical to a fresh solve (see SolveCache). Sessions
 	// (cpr.Session, cprd) inject their per-session cache here.
 	Cache *SolveCache
 }

@@ -59,7 +59,6 @@ func CheckFleet(seed int64) error {
 
 	fleetOpts := opts
 	fleetOpts.Target = frontTS.URL
-	fleetOpts.Chaos = true
 	fleetReport, fleetTraces, err := fleet.RunLoad(fleetOpts)
 	if err != nil {
 		return divf("fleet", seed, "fleet load run failed: %v", err)

@@ -37,7 +37,7 @@ func TestFleetE2ELoadSLO(t *testing.T) {
 		t.Fatalf("baseline run had %d errors:\n%s", baseline.Errors, baseline)
 	}
 
-	tf := newFleet(t, 3, Config{ProbeInterval: 200 * time.Millisecond, ProbeTimeout: 2 * time.Second})
+	tf := newFleet(t, 3, Config{ProbeInterval: 200 * time.Millisecond})
 	tf.front.Start()
 
 	// Phase 1, no chaos: triple the total load over triple the capacity.
@@ -68,7 +68,7 @@ func TestFleetE2ELoadSLO(t *testing.T) {
 	}
 	defer faultinject.Reset()
 	chaosReport, _, err := RunLoad(LoadOptions{
-		Target: tf.frontTS.URL, Mix: "repair", Requests: 90, Clients: 3, Sessions: 2, Seed: 43, Chaos: true,
+		Target: tf.frontTS.URL, Mix: "repair", Requests: 90, Clients: 3, Sessions: 2, Seed: 43,
 	})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)

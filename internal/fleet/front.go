@@ -16,82 +16,60 @@ import (
 	cpr "repro"
 )
 
-// Config tunes the front tier; zero values select the documented
-// defaults.
+// Config is the front tier's deployment: which workers it routes to and
+// how often it probes them. Everything else about the front is fixed
+// (the constants below), because no setting of it changes an answer:
+// any replica's answer equals the single node's.
 type Config struct {
 	// Replicas are the initial worker base URLs (e.g. http://host:8080).
 	Replicas []string
-	// VNodes is the virtual-node count per replica on the hash ring
-	// (default 64).
-	VNodes int
-	// ProbeInterval is the readiness-probe period (default 1s).
+	// ProbeInterval is the readiness-probe period (default 1s). The
+	// ownership lease a passing probe grants is 3×ProbeInterval: a
+	// replica whose lease expires un-renewed loses its ring ranges to the
+	// successor — the forced-takeover clock for crashes, partitions, and
+	// drains. One probe may take half the interval, and at least
+	// minProbeTimeout.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round-trip (default ProbeInterval/2).
-	ProbeTimeout time.Duration
-	// LeaseTTL is the ownership lease granted by each passing probe
-	// (default 3×ProbeInterval). A replica whose lease expires un-renewed
-	// loses its ring ranges to the successor — the forced-takeover clock
-	// for crashes, partitions, and drains.
-	LeaseTTL time.Duration
-	// RetriesPerReplica is how many extra attempts a transport-level
-	// failure earns on the same replica before failing over to the ring
-	// successor (default 1).
-	RetriesPerReplica int
-	// RetryBackoff is the base backoff between same-replica retries,
-	// doubled per attempt and jittered ±20% deterministically by request
-	// key (default 25ms).
-	RetryBackoff time.Duration
-	// HedgeAfter launches a hedged attempt on the next candidate when the
-	// current one has not answered within this duration; the first
-	// winning response is relayed and the loser is cancelled. 0 disables
-	// hedging; the default is 1s.
-	HedgeAfter time.Duration
-	// SessionReplicas is how many ring candidates receive session-creating
-	// requests (/v1/load, /v1/delta): the owner synchronously, the rest
-	// replicated in the background so failover targets hold the session
-	// warm (default 2; 1 disables replication).
-	SessionReplicas int
-	// ForwardTimeout bounds one forwarded attempt (default 0: inherit the
-	// client request's deadline).
-	ForwardTimeout time.Duration
-	// MaxBodyBytes caps forwarded request bodies (default 64 MiB).
-	MaxBodyBytes int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval / 2
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 3 * c.ProbeInterval
-	}
-	if c.RetriesPerReplica < 0 {
-		c.RetriesPerReplica = 0
-	} else if c.RetriesPerReplica == 0 {
-		c.RetriesPerReplica = 1
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = time.Second
-	} else if c.HedgeAfter < 0 {
-		c.HedgeAfter = 0
-	}
-	if c.SessionReplicas <= 0 {
-		c.SessionReplicas = 2
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	return c
+const (
+	// vnodes is the virtual-node count per replica on the hash ring:
+	// enough for <10% imbalance across a handful of replicas while keeping
+	// ring rebuilds (every membership change) cheap.
+	vnodes = 64
+	// retriesPerReplica is how many extra attempts a transport-level
+	// failure earns on the same replica before failing over to the ring
+	// successor.
+	retriesPerReplica = 1
+	// retryBackoff is the base backoff between same-replica retries,
+	// doubled per attempt and jittered ±20% deterministically by request
+	// key.
+	retryBackoff = 25 * time.Millisecond
+	// hedgeAfter launches a hedged attempt on the next candidate when the
+	// current one has not answered within it; the first winning response
+	// is relayed and the loser is cancelled.
+	hedgeAfter = time.Second
+	// sessionReplicas is how many ring candidates receive session-creating
+	// requests (/v1/load, /v1/delta): the owner synchronously, the rest
+	// replicated in the background so failover targets hold the session
+	// warm.
+	sessionReplicas = 2
+	// maxBodyBytes caps forwarded request bodies.
+	maxBodyBytes = 64 << 20
+	// minProbeTimeout is the least time one readiness probe is given: a
+	// loaded worker answers /readyz no faster because probes come more
+	// often, and a timed-out probe marks a healthy replica down.
+	minProbeTimeout = 500 * time.Millisecond
+)
+
+// probeTimeout bounds one probe round-trip: half the probe interval, at
+// least minProbeTimeout.
+func (c Config) probeTimeout() time.Duration {
+	return max(c.ProbeInterval/2, minProbeTimeout)
 }
+
+// leaseTTL is the ownership lease granted by each passing probe.
+func (c Config) leaseTTL() time.Duration { return 3 * c.ProbeInterval }
 
 // requestKind partitions the proxied API by placement semantics.
 type requestKind int
@@ -156,14 +134,16 @@ type Front struct {
 
 // New builds a Front over the configured replicas. Call Start to begin
 // health probing and Close to release it. Replicas start Ready with one
-// LeaseTTL of optimistic lease, so routing works before the first probe
-// round corrects the picture.
+// lease of optimism, so routing works before the first probe round
+// corrects the picture.
 func New(cfg Config) *Front {
-	cfg = cfg.withDefaults()
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = time.Second
+	}
 	f := &Front{
 		cfg:         cfg,
 		client:      &http.Client{},
-		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
+		probeClient: &http.Client{Timeout: cfg.probeTimeout()},
 		replicas:    make(map[string]*replica),
 		mux:         http.NewServeMux(),
 		stop:        make(chan struct{}),
@@ -175,7 +155,7 @@ func New(cfg Config) *Front {
 		if name == "" || f.replicas[name] != nil {
 			continue
 		}
-		f.replicas[name] = &replica{name: name, state: stateReady, leaseUntil: now.Add(cfg.LeaseTTL)}
+		f.replicas[name] = &replica{name: name, state: stateReady, leaseUntil: now.Add(cfg.leaseTTL())}
 	}
 	f.rebuildRingLocked()
 
@@ -229,7 +209,7 @@ func (f *Front) rebuildRingLocked() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	f.ring = NewRing(names, f.cfg.VNodes)
+	f.ring = NewRing(names)
 }
 
 // AddReplica joins a worker to the ring (scale-up). Existing sessions
@@ -242,7 +222,7 @@ func (f *Front) AddReplica(name string) {
 	if name == "" || f.replicas[name] != nil {
 		return
 	}
-	f.replicas[name] = &replica{name: name, state: stateReady, leaseUntil: time.Now().Add(f.cfg.LeaseTTL)}
+	f.replicas[name] = &replica{name: name, state: stateReady, leaseUntil: time.Now().Add(f.cfg.leaseTTL())}
 	f.rebuildRingLocked()
 }
 
@@ -337,7 +317,7 @@ func (f *Front) ProbeNow() {
 		go func(rep *replica) {
 			defer wg.Done()
 			ready, draining, err := probeReplica(f.probeClient, rep.name)
-			rep.observeProbe(ready, draining, err, f.cfg.LeaseTTL, time.Now())
+			rep.observeProbe(ready, draining, err, f.cfg.leaseTTL(), time.Now())
 		}(rep)
 	}
 	wg.Wait()
@@ -379,11 +359,6 @@ type proxyResult struct {
 // attemptOnce issues one forwarded request to a replica and reads the
 // full response.
 func (f *Front) attemptOnce(ctx context.Context, rep *replica, path string, body []byte) (*proxyResult, error) {
-	if f.cfg.ForwardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.ForwardTimeout)
-		defer cancel()
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.name+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -402,16 +377,16 @@ func (f *Front) attemptOnce(ctx context.Context, rep *replica, path string, body
 }
 
 // tryReplica runs the bounded retry loop against one replica: transport
-// failures earn RetriesPerReplica extra attempts with doubled,
+// failures earn retriesPerReplica extra attempts with doubled,
 // key-jittered backoff. The terminal transport failure marks the
 // replica down (fail fast for subsequent requests) unless the attempt
 // was cancelled because another candidate already won.
 func (f *Front) tryReplica(ctx context.Context, rep *replica, path string, body []byte, key string) *proxyResult {
 	var lastErr error
-	for try := 0; try <= f.cfg.RetriesPerReplica; try++ {
+	for try := 0; try <= retriesPerReplica; try++ {
 		if try > 0 {
 			f.stats.retries.Add(1)
-			backoff := time.Duration(float64(f.cfg.RetryBackoff) * float64(int(1)<<(try-1)) * backoffJitter(key, try))
+			backoff := time.Duration(float64(retryBackoff) * float64(int(1)<<(try-1)) * backoffJitter(key, try))
 			select {
 			case <-ctx.Done():
 				return &proxyResult{replica: rep.name, err: ctx.Err()}
@@ -486,13 +461,9 @@ func (f *Front) forward(ctx context.Context, key string, kind requestKind, path 
 	}
 	launch()
 
-	var timer *time.Timer
-	var hedgeC <-chan time.Time
-	if f.cfg.HedgeAfter > 0 {
-		timer = time.NewTimer(f.cfg.HedgeAfter)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
+	timer := time.NewTimer(hedgeAfter)
+	defer timer.Stop()
+	hedgeC := timer.C
 
 	// fallback holds the best non-winning HTTP response (a successor's
 	// 404, a drain 503): relayed only if nothing better arrives.
@@ -507,7 +478,7 @@ func (f *Front) forward(ctx context.Context, key string, kind requestKind, path 
 			if next < len(cands) {
 				f.stats.hedges.Add(1)
 				launch()
-				timer.Reset(f.cfg.HedgeAfter)
+				timer.Reset(hedgeAfter)
 				hedgeC = timer.C
 			}
 		case res := <-results:
@@ -552,18 +523,11 @@ func (f *Front) forward(ctx context.Context, key string, kind requestKind, path 
 // candidates in the background, so the owner's failover targets hold the
 // session warm. Best-effort: failures only count in /fleetz.
 func (f *Front) replicateCreate(key, path string, body []byte) {
-	if f.cfg.SessionReplicas <= 1 {
-		return
-	}
 	cands := f.candidatesFor(key, kindCreate)
 	if len(cands) <= 1 {
 		return
 	}
-	n := f.cfg.SessionReplicas - 1
-	if n > len(cands)-1 {
-		n = len(cands) - 1
-	}
-	for _, rep := range cands[1 : 1+n] {
+	for _, rep := range cands[1:min(sessionReplicas, len(cands))] {
 		f.replWG.Add(1)
 		f.stats.replications.Add(1)
 		go func(rep *replica) {
@@ -589,7 +553,7 @@ func writeFrontError(w http.ResponseWriter, status int, format string, args ...a
 }
 
 func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeFrontError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
 		return
@@ -730,7 +694,7 @@ func (f *Front) Status() Fleetz {
 	f.mu.RUnlock()
 	now := time.Now()
 	var out Fleetz
-	out.VNodes = f.cfg.VNodes
+	out.VNodes = vnodes
 	for _, rep := range reps {
 		out.Replicas = append(out.Replicas, rep.status(now))
 	}

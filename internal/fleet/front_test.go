@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,7 +105,7 @@ func canonRepair(rr server.RepairResponse) string {
 }
 
 func TestFrontRoutesByContentAddress(t *testing.T) {
-	tf := newFleet(t, 3, Config{LeaseTTL: time.Minute})
+	tf := newFleet(t, 3, Config{ProbeInterval: 20 * time.Second})
 	cfgs := config.Figure2aConfigs()
 	key := cpr.ContentKey(cfgs)
 
@@ -157,7 +158,7 @@ func TestFrontRoutesByContentAddress(t *testing.T) {
 }
 
 func TestFrontRelays404FromOwnerOnly(t *testing.T) {
-	tf := newFleet(t, 3, Config{LeaseTTL: time.Minute})
+	tf := newFleet(t, 3, Config{ProbeInterval: 20 * time.Second})
 	var vr server.VerifyResponse
 	st, replica := postVia(t, tf.frontTS.URL, "/v1/verify", server.VerifyRequest{Session: "no-such-session", Policies: "reachable S T 2\n"}, &vr)
 	if st != http.StatusNotFound {
@@ -176,10 +177,8 @@ func TestFrontRelays404FromOwnerOnly(t *testing.T) {
 func TestFrontFailoverMidRequest(t *testing.T) {
 	g0 := runtime.NumGoroutine()
 
-	// RetriesPerReplica -1 => no same-replica retry: a transport failure
-	// fails over immediately, so the exactly-once failpoint proves the
-	// successor (not a retry of the primary) answered.
-	tf := newFleet(t, 3, Config{RetriesPerReplica: -1, LeaseTTL: time.Minute})
+	// A 20s probe interval holds every lease (3×20s) for the whole test.
+	tf := newFleet(t, 3, Config{ProbeInterval: 20 * time.Second})
 	cfgs := config.Figure2aConfigs()
 	key := cpr.ContentKey(cfgs)
 	loadVia(t, tf.frontTS.URL, cfgs)
@@ -201,7 +200,10 @@ func TestFrontFailoverMidRequest(t *testing.T) {
 		t.Fatalf("direct repair: status %d", st)
 	}
 
-	if err := faultinject.Set(faultinject.ServerRepairAbort, "1*error"); err != nil {
+	// Two aborts: the primary's attempt and its one same-replica retry.
+	// The failpoint is then exhausted, so the successor's answer proves
+	// the front failed over after the retry rather than retrying again.
+	if err := faultinject.Set(faultinject.ServerRepairAbort, "2*error"); err != nil {
 		t.Fatalf("arming failpoint: %v", err)
 	}
 	defer faultinject.Reset()
@@ -220,6 +222,9 @@ func TestFrontFailoverMidRequest(t *testing.T) {
 	status := tf.front.Status()
 	if status.Routing.Failovers == 0 {
 		t.Error("routing stats recorded no failover")
+	}
+	if status.Routing.Retries != retriesPerReplica {
+		t.Errorf("routing stats recorded %d retries, want %d on the primary before failover", status.Routing.Retries, retriesPerReplica)
 	}
 
 	// The primary was marked down by the transport failure; a probe round
@@ -246,17 +251,83 @@ func TestFrontFailoverMidRequest(t *testing.T) {
 	}
 }
 
+// TestFrontHedgesSlowOwner fires the hedge: the owner holds a request
+// past hedgeAfter while the ring successor answers at once. The front
+// must relay the successor's answer, count exactly one hedge, and cancel
+// the owner's request.
+func TestFrontHedgesSlowOwner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the hedge delay")
+	}
+	const key = "hedge-session"
+	var slow atomic.Value // base URL of the replica that stalls
+	cancelled := make(chan struct{})
+	var workers []*httptest.Server
+	var names []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if "http://"+r.Host == slow.Load() {
+				// The server notices a closed connection only once the
+				// body is read, as cprd's handlers read it.
+				_, _ = io.Copy(io.Discard, r.Body)
+				<-r.Context().Done()
+				close(cancelled)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, `{"answer":"successor"}`)
+		}))
+		workers = append(workers, ts)
+		names = append(names, ts.URL)
+	}
+	front := New(Config{Replicas: names, ProbeInterval: 20 * time.Second})
+	frontTS := httptest.NewServer(front.Handler())
+	t.Cleanup(func() {
+		frontTS.Close()
+		front.Close()
+		for _, ts := range workers {
+			ts.Close()
+		}
+	})
+	cands := front.Candidates(key)
+	slow.Store(cands[0])
+
+	start := time.Now()
+	resp, err := http.Post(frontTS.URL+"/v1/verify", "application/json", strings.NewReader(`{"session":"`+key+`"}`))
+	if err != nil {
+		t.Fatalf("verify via front: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != `{"answer":"successor"}` {
+		t.Fatalf("hedged verify: status %d body %s, want the successor's 200", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(ReplicaHeader); got != cands[1] {
+		t.Errorf("hedged verify served by %s, want ring successor %s", got, cands[1])
+	}
+	if waited := time.Since(start); waited < hedgeAfter {
+		t.Errorf("answer after %v, before the %v hedge delay", waited, hedgeAfter)
+	}
+	if h := front.Status().Routing.Hedges; h != 1 {
+		t.Errorf("hedges = %d, want 1", h)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the owner's losing request was never cancelled")
+	}
+}
+
 // TestFrontRebalanceUnderChurn scales the fleet 3→2→4 while a seeded
 // churn mix runs against it and requires zero failed requests: draining
 // replicas finish their in-flight work, the front routes new sessions
 // away immediately, and clients whose sessions moved re-load by content
 // address (a reroute, not an error).
 func TestFrontRebalanceUnderChurn(t *testing.T) {
-	// Fast probing drives the lease clock, but the probe timeout must be
-	// generous: under -race a loaded httptest server can take tens of
-	// milliseconds to answer /readyz, and a timed-out probe would wrongly
-	// mark a healthy replica down.
-	tf := newFleet(t, 3, Config{ProbeInterval: 50 * time.Millisecond, ProbeTimeout: 2 * time.Second})
+	// Fast probing drives the lease clock; each probe still gets
+	// minProbeTimeout, so a slow /readyz under -race does not mark a
+	// healthy replica down.
+	tf := newFleet(t, 3, Config{ProbeInterval: 50 * time.Millisecond})
 	tf.front.Start()
 
 	done := make(chan struct{})
@@ -283,7 +354,7 @@ func TestFrontRebalanceUnderChurn(t *testing.T) {
 	if !tf.front.DrainReplica(victim) {
 		t.Fatalf("drain %s: unknown replica", victim)
 	}
-	time.Sleep(250 * time.Millisecond) // > LeaseTTL (3×50ms)
+	time.Sleep(250 * time.Millisecond) // > the lease (3×50ms)
 	if !tf.front.RemoveReplica(victim) {
 		t.Fatalf("remove %s: unknown replica", victim)
 	}
@@ -353,7 +424,7 @@ func TestDrainLeaseSemantics(t *testing.T) {
 }
 
 func TestFrontReadyzAndAdmin(t *testing.T) {
-	tf := newFleet(t, 2, Config{LeaseTTL: time.Minute})
+	tf := newFleet(t, 2, Config{ProbeInterval: 20 * time.Second})
 
 	get := func(path string) (int, []byte) {
 		resp, err := http.Get(tf.frontTS.URL + path)

@@ -63,9 +63,6 @@ type LoadOptions struct {
 	Sessions int
 	// Seed drives the schedule and all config variants.
 	Seed int64
-	// Chaos annotates the report: the caller armed failpoints (e.g.
-	// CPR_FAILPOINTS=server/repair-abort=3*error) for this run.
-	Chaos bool
 	// Trace collects a canonical result string per op (per client, in
 	// issue order) for differential oracles.
 	Trace bool

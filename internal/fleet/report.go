@@ -27,7 +27,6 @@ type Report struct {
 	Seed     int64  `json:"seed"`
 	Clients  int    `json:"clients"`
 	Sessions int    `json:"sessions_per_client"`
-	Chaos    bool   `json:"chaos"`
 
 	Requests   int     `json:"requests"`
 	Errors     int     `json:"errors"`
@@ -56,7 +55,6 @@ func buildReport(opts LoadOptions, clients []*loadClient, wall time.Duration) *R
 		Seed:       opts.Seed,
 		Clients:    opts.Clients,
 		Sessions:   opts.Sessions,
-		Chaos:      opts.Chaos,
 		WallMS:     float64(wall.Milliseconds()),
 		PerReplica: map[string]int{},
 	}
@@ -156,8 +154,8 @@ func percentile(sorted []float64, p float64) float64 {
 // prints (and CI archives).
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cprload report: target=%s mix=%s seed=%d clients=%d sessions/client=%d chaos=%v\n",
-		r.Target, r.Mix, r.Seed, r.Clients, r.Sessions, r.Chaos)
+	fmt.Fprintf(&b, "cprload report: target=%s mix=%s seed=%d clients=%d sessions/client=%d\n",
+		r.Target, r.Mix, r.Seed, r.Clients, r.Sessions)
 	fmt.Fprintf(&b, "  requests=%d errors=%d (%.2f%%) sheds=%d (%.2f%%) reroutes=%d wall=%.0fms rate=%.1f req/s\n",
 		r.Requests, r.Errors, 100*r.ErrorRate, r.Sheds, 100*r.ShedRate, r.Reroutes, r.WallMS, r.Throughput)
 	rows := append([]OpStats{}, r.Ops...)

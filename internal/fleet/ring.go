@@ -21,11 +21,6 @@ import (
 	"strconv"
 )
 
-// defaultVNodes is the virtual-node count per replica: enough for <10%
-// imbalance across a handful of replicas while keeping ring rebuilds
-// (every membership change) cheap.
-const defaultVNodes = 64
-
 // Ring is an immutable consistent-hash ring over replica names. Build
 // with NewRing; membership changes build a new ring, so routing reads
 // never lock against rebalances.
@@ -40,13 +35,10 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring from the given replica names (duplicates are
-// dropped) with vnodes virtual nodes per replica (0 = default 64). The
-// ring is deterministic in the member set: order of the input slice
-// does not matter.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+// dropped) with vnodes virtual nodes per replica. The ring is
+// deterministic in the member set: order of the input slice does not
+// matter.
+func NewRing(members []string) *Ring {
 	seen := make(map[string]bool, len(members))
 	uniq := make([]string, 0, len(members))
 	for _, m := range members {

@@ -17,8 +17,8 @@ func ringKeys(n int) []string {
 }
 
 func TestRingDeterministicAndOrderIndependent(t *testing.T) {
-	a := NewRing([]string{"r1", "r2", "r3"}, 64)
-	b := NewRing([]string{"r3", "r1", "r2", "r1"}, 64)
+	a := NewRing([]string{"r1", "r2", "r3"})
+	b := NewRing([]string{"r3", "r1", "r2", "r1"})
 	if !reflect.DeepEqual(a.Members(), b.Members()) {
 		t.Fatalf("members differ: %v vs %v", a.Members(), b.Members())
 	}
@@ -33,7 +33,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 }
 
 func TestRingCandidatesDistinctAndOwnerFirst(t *testing.T) {
-	r := NewRing([]string{"r1", "r2", "r3", "r4"}, 64)
+	r := NewRing([]string{"r1", "r2", "r3", "r4"})
 	for _, key := range ringKeys(200) {
 		cands := r.Candidates(key, 0)
 		if len(cands) != 4 {
@@ -56,7 +56,7 @@ func TestRingCandidatesDistinctAndOwnerFirst(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"r1", "r2", "r3"}, 0)
+	r := NewRing([]string{"r1", "r2", "r3"})
 	const n = 30000
 	counts := map[string]int{}
 	for _, key := range ringKeys(n) {
@@ -75,8 +75,8 @@ func TestRingBalance(t *testing.T) {
 // (bounded here at <2× the ideal minimum), where naive mod-N hashing
 // reshuffles ~3/4 of them.
 func TestRingKeyMovementBounded(t *testing.T) {
-	before := NewRing([]string{"r1", "r2", "r3"}, 0)
-	after := NewRing([]string{"r1", "r2", "r3", "r4"}, 0)
+	before := NewRing([]string{"r1", "r2", "r3"})
+	after := NewRing([]string{"r1", "r2", "r3", "r4"})
 	const n = 30000
 	keys := ringKeys(n)
 
@@ -108,11 +108,11 @@ func TestRingKeyMovementBounded(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if empty.Owner("k") != "" || empty.Candidates("k", 0) != nil {
 		t.Error("empty ring should own nothing")
 	}
-	one := NewRing([]string{"solo"}, 0)
+	one := NewRing([]string{"solo"})
 	if one.Owner("k") != "solo" {
 		t.Errorf("single-member ring owner = %q", one.Owner("k"))
 	}

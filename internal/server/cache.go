@@ -8,15 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// SessionKey is the content hash of a configuration set: identical
-// configurations — regardless of map-label order — map to the same
-// session, which is what makes the cache and single-flight deduplication
-// sound. It is cpr.ContentKey, so server session IDs double as solve-
-// cache epochs.
-func SessionKey(configs map[string]string) string {
-	return cpr.ContentKey(configs)
-}
-
 // loadOutcome classifies how getOrLoad produced its session.
 type loadOutcome int
 
@@ -38,8 +29,11 @@ type loadCall struct {
 	err  error
 }
 
-// sessionCache is an LRU cache of loaded sessions keyed by SessionKey,
-// with single-flight deduplication of concurrent identical loads.
+// sessionCache is an LRU cache of loaded sessions keyed by
+// cpr.ContentKey, with single-flight deduplication of concurrent
+// identical loads. Identical configurations, in any map order, share a
+// key, which is what makes both sound; the key is also the session's
+// solve-cache epoch.
 // Eviction only drops the cache's reference: a session's solve cache
 // holds answers, not solvers, so an evicted session is garbage once no
 // request holds it, and one that a request still holds keeps replaying.

@@ -230,7 +230,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no configs given")
 		return
 	}
-	key := SessionKey(req.Configs)
+	key := cpr.ContentKey(req.Configs)
 	sess, how, err := s.cache.getOrLoad(key, func() (*cpr.Session, error) {
 		if err := faultinject.Eval(faultinject.ServerCacheLoadError); err != nil {
 			return nil, err

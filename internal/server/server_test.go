@@ -490,21 +490,21 @@ func TestStatszLatencyHistogram(t *testing.T) {
 }
 
 // TestSessionKeyIsOrderIndependent pins the content-addressing property
-// the cache relies on.
+// the cache relies on: a session's key is cpr.ContentKey of its configs.
 func TestSessionKeyIsOrderIndependent(t *testing.T) {
 	a := map[string]string{"x": "hostname A\n", "y": "hostname B\n"}
 	b := map[string]string{"y": "hostname B\n", "x": "hostname A\n"}
-	if SessionKey(a) != SessionKey(b) {
+	if cpr.ContentKey(a) != cpr.ContentKey(b) {
 		t.Error("key depends on map construction order")
 	}
 	c := map[string]string{"x": "hostname A\n", "y": "hostname C\n"}
-	if SessionKey(a) == SessionKey(c) {
+	if cpr.ContentKey(a) == cpr.ContentKey(c) {
 		t.Error("different configs share a key")
 	}
 	// Concatenation ambiguity: ("ab","c") vs ("a","bc") must differ.
 	d := map[string]string{"ab": "c"}
 	e := map[string]string{"a": "bc"}
-	if SessionKey(d) == SessionKey(e) {
+	if cpr.ContentKey(d) == cpr.ContentKey(e) {
 		t.Error("length prefixes fail to disambiguate")
 	}
 }

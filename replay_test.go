@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -133,6 +134,82 @@ func TestEveryPlanReplays(t *testing.T) {
 		t.Fatal("no workload needed a single changed line: the test replayed nothing")
 	}
 	t.Logf("%d repairs replayed: %d lines, %d waypoint changes", len(cases), lines, waypoints)
+}
+
+// TestPatchedTextVerifies repairs hand-made inputs that no generator
+// emits, at both granularities, and re-verifies the spec on a fresh load
+// of the patched text. knownWrong lists, with its plan, each repair that
+// reports Solved although its patched text violates the spec: removing a
+// gateway route filter leaves the class the filter blocked delivered
+// (ROADMAP item 1 (g)). A new wrong answer fails the test, and so does a
+// fixed one until it leaves the list.
+func TestPatchedTextVerifies(t *testing.T) {
+	gatewayFilter := config.Figure2aConfigs()
+	gatewayFilter["A"] = strings.Replace(gatewayFilter["A"], "router ospf 10\n",
+		"router ospf 10\n distribute-list prefix 10.20.0.0/16 in\n", 1)
+	inputs := []struct {
+		label   string
+		configs map[string]string
+		spec    string
+	}{
+		{"figure2a+gateway-filter", gatewayFilter, "reachable S T 1\nalways-blocked R T\n"},
+	}
+	type answer struct{ plan, violated string }
+	filterRemoved := answer{"- A [router ospf 10]: distribute-list prefix 10.20.0.0/16 in\n", "[always-blocked R T]"}
+	knownWrong := map[string]answer{
+		"figure2a+gateway-filter maxsmt-per-dst": filterRemoved,
+		"figure2a+gateway-filter maxsmt-all-tcs": filterRemoved,
+	}
+	wrong := map[string]bool{}
+	for _, in := range inputs {
+		for _, g := range []core.Granularity{core.PerDst, core.AllTCs} {
+			key := fmt.Sprintf("%s %v", in.label, g)
+			sys, err := Load(in.configs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := sys.ParsePolicies(in.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions()
+			opts.Granularity = g
+			rep, err := sys.Repair(ps, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if !rep.Solved() {
+				t.Errorf("%s: repair unsolved", key)
+				continue
+			}
+			patched, err := Load(rep.PatchedConfigs)
+			if err != nil {
+				t.Fatalf("%s: the patched text does not load: %v", key, err)
+			}
+			pps, err := patched.ParsePolicies(in.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			violated := patched.Verify(pps)
+			if len(violated) == 0 {
+				continue
+			}
+			wrong[key] = true
+			got := answer{rep.Plan.String(), fmt.Sprint(violated)}
+			switch want, listed := knownWrong[key]; {
+			case !listed:
+				t.Errorf("%s: reported solved, but the patched text violates %s", key, got.violated)
+			case got != want:
+				t.Errorf("%s: listed as plan %q violating %s, but the repair now writes %q violating %s",
+					key, want.plan, want.violated, got.plan, got.violated)
+			}
+		}
+	}
+	for key := range knownWrong {
+		if !wrong[key] {
+			t.Errorf("%s: listed as a wrong answer, but the patched text now verifies: take it off the list", key)
+		}
+	}
 }
 
 // sameDevice reports whether the class's source and destination subnets
