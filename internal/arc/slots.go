@@ -413,6 +413,26 @@ func (t *Table) Guarded(a int32) []int32 { return t.aclSlots[t.aclSlotOff[a]:t.a
 // ACL: 0 if it has none, or if the slot is not a source attachment.
 func (s *Slot) SourceACL() int32 { return s.srcACL }
 
+// DenySite returns where a deny that removes the slot for one traffic
+// class goes: the interface and the direction ("in" or "out") of the ACL
+// it is written into. An inter-device slot is denied inbound on its
+// receiving interface, a source attachment inbound and a destination
+// attachment outbound on the host interface. An intra-device slot has no
+// deny site (nil): no ACL removes it for a class. These are the lists
+// NewTable records as guarding the slot, less an inter-device slot's
+// egress list.
+func (s *Slot) DenySite() (*topology.Interface, string) {
+	switch s.Kind {
+	case SlotInterDevice:
+		return s.ToIntf, "in"
+	case SlotSource:
+		return s.Intf, "in"
+	case SlotDest:
+		return s.Intf, "out"
+	}
+	return nil, ""
+}
+
 // ApplicableTC reports whether the slot can appear in tc's ETG: every
 // slot except the attachment slots of other subnets. Inapplicable slots
 // are absent from tc's state row by definition.

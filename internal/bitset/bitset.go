@@ -94,13 +94,3 @@ func EachDiff(a, b Set, fn func(i int)) {
 		}
 	}
 }
-
-// EachDiff2 calls fn, in ascending order, for every bit at which a
-// differs from b or c differs from d (four rows of equal capacity).
-func EachDiff2(a, b, c, d Set, fn func(i int)) {
-	for wi, w := range a {
-		for x := (w ^ b[wi]) | (c[wi] ^ d[wi]); x != 0; x &= x - 1 {
-			fn(wi<<6 + bits.TrailingZeros64(x))
-		}
-	}
-}

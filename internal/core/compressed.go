@@ -522,8 +522,10 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			if qid < 0 {
 				return nil, 0, false // endpoint slot must exist in the quotient
 			}
-			// A source attachment has no dETG parent: its deviation is its
-			// absence.
+			// A source attachment's parent is its gateway's route to the
+			// destination (harc.State.Deviates), but its change here is
+			// counted against its original bit, as the encoder's soft for
+			// it is (DESIGN.md, "The ACL rule").
 			now, was := deviated(qdm, qm, qid), deviated(origDm, origM, id)
 			if s.Kind == arc.SlotSource {
 				now, was = !qm.Has(qid), !origM.Has(id)

@@ -104,17 +104,14 @@ func constBool(v bool) formula.F {
 	return formula.False
 }
 
-// aclDevice returns the device whose ACL realizes a tc-level deviation
-// on the slot (mirrors the translator's placement).
+// aclDevice returns the device a tc-level change of the slot is charged
+// to: its deny site's (arc.Slot.DenySite), where the translator writes
+// the deny, and an intra-device slot's own device.
 func aclDevice(s *arc.Slot) string {
-	switch s.Kind {
-	case arc.SlotInterDevice:
-		return s.ToIntf.Device.Name
-	case arc.SlotSource, arc.SlotDest:
-		return s.Intf.Device.Name
-	default:
-		return s.FromProc.Device.Name
+	if intf, _ := s.DenySite(); intf != nil {
+		return intf.Device.Name
 	}
+	return s.Device().Name
 }
 
 // encStorage is the storage a worker's attempts encode and solve in: the
@@ -877,8 +874,11 @@ func (e *encoder) classSofts() {
 			origTC := tcState.Has(int(si))
 			dev := aclDevice(e.tb.slots[si])
 			if e.tb.slots[si].Kind == arc.SlotSource {
-				// Source edges have no dETG parent; keeping them as-is
-				// avoids an ACL change on the host-facing interface.
+				// A source attachment's parent is its gateway's route to
+				// the destination (harc.State.Deviates), but this soft
+				// still compares with the original bit: keeping the
+				// attachment as it was costs nothing even where the
+				// translator must write a deny (DESIGN.md, "The ACL rule").
 				e.soft(dev, e.p.Iff(e.tVar[tl][si], constBool(origTC)))
 				continue
 			}
@@ -1041,8 +1041,7 @@ func (e *encoder) extract(out *harc.State) {
 	for tl, r := range e.tcRow {
 		clear(dev)
 		for _, si := range e.tb.tc[r].slots {
-			switch e.tb.slots[si].Kind {
-			case arc.SlotSource, arc.SlotInterDevice, arc.SlotDest:
+			if intf, _ := e.tb.slots[si].DenySite(); intf != nil {
 				dev.Put(int(si), !e.value(e.tVar[tl][si]))
 			}
 		}

@@ -410,3 +410,38 @@ func TestWorkerStorageReused(t *testing.T) {
 		}
 	})
 }
+
+// TestForkLeavesEpochBoundEntries pins what a derived session's cache
+// carries: Fork leaves behind the entries whose fingerprint folded in the
+// parent's epoch (the compressed outcomes, which no other epoch can hit)
+// and keeps the rest, which the derived session replays byte-identically.
+func TestForkLeavesEpochBoundEntries(t *testing.T) {
+	ft := pc4MixFatTree(t)
+	h := ft.Harc()
+	opts := DefaultOptions()
+	opts.Compress, opts.Cache = CompressOn, NewSolveCache("ft-mix")
+	res, err := Repair(h, ft.Policies, opts)
+	if err != nil || !res.Solved {
+		t.Fatalf("solved %v, err %v", res != nil && res.Solved, err)
+	}
+	parent := opts.Cache.Stats().Entries
+	if res.Compressed == 0 || parent <= res.Compressed {
+		t.Fatalf("%d entries, %d compressed: want entries of both kinds", parent, res.Compressed)
+	}
+	fork := opts.Cache.Fork("ft-mix/derived")
+	kept := fork.Stats().Entries
+	if kept != parent-res.Compressed {
+		t.Fatalf("fork keeps %d of %d entries, want the %d not bound to the epoch", kept, parent, parent-res.Compressed)
+	}
+	opts.Cache = fork
+	replay, err := Repair(h, ft.Policies, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Reused != kept {
+		t.Errorf("derived session replayed %d sub-problems, want the %d kept entries", replay.Reused, kept)
+	}
+	if !project(replay).equal(project(res)) {
+		t.Error("derived session's repair differs from the parent's")
+	}
+}

@@ -279,7 +279,7 @@ func (f *Front) Owner(key string) string {
 func (f *Front) Candidates(key string) []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.ring.Candidates(key, 0)
+	return f.ring.Candidates(key)
 }
 
 // --- probing ---
@@ -329,7 +329,7 @@ func (f *Front) ProbeNow() {
 // order: ring order filtered by state and lease.
 func (f *Front) candidatesFor(key string, kind requestKind) []*replica {
 	f.mu.RLock()
-	order := f.ring.Candidates(key, 0)
+	order := f.ring.Candidates(key)
 	reps := make([]*replica, 0, len(order))
 	for _, name := range order {
 		if rep := f.replicas[name]; rep != nil {

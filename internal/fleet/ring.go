@@ -88,21 +88,17 @@ func (r *Ring) Owner(key string) string {
 	return r.points[r.search(key)].member
 }
 
-// Candidates returns up to max distinct members in failover order: the
-// owner first, then each successive distinct member clockwise around the
-// ring. max <= 0 returns every member. This is the order the front tier
-// tries replicas in: the ring successor of a failed owner is
-// Candidates(key, 2)[1].
-func (r *Ring) Candidates(key string, max int) []string {
+// Candidates returns every member in failover order: the owner first,
+// then each successive distinct member clockwise around the ring. This is
+// the order the front tier tries replicas in: the ring successor of a
+// failed owner is Candidates(key)[1].
+func (r *Ring) Candidates(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	if max <= 0 || max > len(r.members) {
-		max = len(r.members)
-	}
-	out := make([]string, 0, max)
-	seen := make(map[string]bool, max)
-	for i, start := 0, r.search(key); i < len(r.points) && len(out) < max; i++ {
+	out := make([]string, 0, len(r.members))
+	seen := make(map[string]bool, len(r.members))
+	for i, start := 0, r.search(key); i < len(r.points) && len(out) < len(r.members); i++ {
 		m := r.points[(start+i)%len(r.points)].member
 		if !seen[m] {
 			seen[m] = true

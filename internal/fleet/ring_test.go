@@ -26,7 +26,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("owner of %q differs across construction orders: %q vs %q", key, a.Owner(key), b.Owner(key))
 		}
-		if !reflect.DeepEqual(a.Candidates(key, 0), b.Candidates(key, 0)) {
+		if !reflect.DeepEqual(a.Candidates(key), b.Candidates(key)) {
 			t.Fatalf("candidates of %q differ across construction orders", key)
 		}
 	}
@@ -35,7 +35,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 func TestRingCandidatesDistinctAndOwnerFirst(t *testing.T) {
 	r := NewRing([]string{"r1", "r2", "r3", "r4"})
 	for _, key := range ringKeys(200) {
-		cands := r.Candidates(key, 0)
+		cands := r.Candidates(key)
 		if len(cands) != 4 {
 			t.Fatalf("candidates(%q) = %v, want all 4 members", key, cands)
 		}
@@ -49,8 +49,12 @@ func TestRingCandidatesDistinctAndOwnerFirst(t *testing.T) {
 			}
 			seen[c] = true
 		}
-		if got := r.Candidates(key, 2); len(got) != 2 || got[0] != cands[0] || got[1] != cands[1] {
-			t.Fatalf("candidates(%q, 2) = %v, want prefix of %v", key, got, cands)
+		// Each member after the owner is the owner of the ring without the
+		// members before it: the successor a failed owner's keys move to.
+		for i := 1; i < len(cands); i++ {
+			if got := NewRing(cands[i:]).Owner(key); got != cands[i] {
+				t.Fatalf("candidates(%q) = %v: successor %d is %q, the ring without %v owns it as %q", key, cands, i, cands[i], cands[:i], got)
+			}
 		}
 	}
 }
@@ -109,14 +113,14 @@ func TestRingKeyMovementBounded(t *testing.T) {
 
 func TestRingEmptyAndSingle(t *testing.T) {
 	empty := NewRing(nil)
-	if empty.Owner("k") != "" || empty.Candidates("k", 0) != nil {
+	if empty.Owner("k") != "" || empty.Candidates("k") != nil {
 		t.Error("empty ring should own nothing")
 	}
 	one := NewRing([]string{"solo"})
 	if one.Owner("k") != "solo" {
 		t.Errorf("single-member ring owner = %q", one.Owner("k"))
 	}
-	if got := one.Candidates("k", 5); len(got) != 1 || got[0] != "solo" {
+	if got := one.Candidates("k"); len(got) != 1 || got[0] != "solo" {
 		t.Errorf("single-member candidates = %v", got)
 	}
 }

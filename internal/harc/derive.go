@@ -19,7 +19,9 @@ import (
 // quotient repair, and the rows no sub-problem solved, which keep the
 // deviations their configured ACLs make (DeriveConfiguredTCs).
 // ValidateState checks a state against them, and the encoder's hierarchy
-// constraints are their CNF form.
+// constraints are their CNF form. Deviates is DeriveTC's inverse, the one
+// statement of which slots an ACL removes for a class, and every reader of
+// deviations — the translator, the greedy fallback — calls it.
 
 // DeriveDst sets destination row r of st to the presence st's construct
 // rows imply:
@@ -61,21 +63,47 @@ func (st *State) DeriveDst(r int) {
 }
 
 // DeriveTC sets class row r of st to its destination's row, plus the
-// class's source attachments whose gateway process does not filter the
-// destination, minus dev: the deviations, slots an ACL removes for the
+// class's source attachments whose gateway routes toward the destination
+// (gatewayRoutes), minus dev: the deviations, slots an ACL removes for the
 // class (nil: none). An ACL acts on interfaces, so dev holds inter-device
 // and attachment slots only.
 func (st *State) DeriveTC(r int, dev bitset.Set) {
 	l := st.lay
 	d := l.DstOf(r)
-	row, rf := st.own(&st.TC[r], st.tcStamp(r)), st.RouteFilter[d]
+	row := st.own(&st.TC[r], st.tcStamp(r))
 	copy(row, st.Dst[d])
 	for _, id := range l.SrcSlots(r) {
-		row.Put(int(id), !rf.Has(l.Slots[id].ToProcID))
+		row.Put(int(id), st.gatewayRoutes(d, l.Slots[id]))
 	}
 	for i, w := range dev {
 		row[i] &^= w
 	}
+}
+
+// gatewayRoutes reports whether source attachment s's gateway process
+// routes toward destination row d, that is, does not filter it: the
+// attachment's parent, whose presence a class's row has unless an ACL
+// removes it.
+func (st *State) gatewayRoutes(d int, s *arc.Slot) bool { return !st.RouteFilter[d].Has(s.ToProcID) }
+
+// Deviates reports whether class row r deviates at slot id: the row lacks
+// the slot although the slot's parent has it, so only a deny at the slot's
+// deny site (arc.Slot.DenySite) explains its absence. The parent of an
+// inter-device or destination slot is the destination's row; that of one
+// of the class's own source attachments is its gateway's route to the
+// destination (gatewayRoutes). An intra-device slot, or another subnet's
+// attachment, never deviates. This is DeriveTC's inverse: DeriveTC(r,
+// dev), with dev the slots at which row r deviates, gives row r back.
+func (st *State) Deviates(r, id int) bool {
+	l := st.lay
+	s, d := l.Slots[id], l.DstOf(r)
+	if intf, _ := s.DenySite(); intf == nil || st.TC[r].Has(id) {
+		return false
+	}
+	if s.Kind == arc.SlotSource {
+		return s.Subnet == l.TCs[r].Src && st.gatewayRoutes(d, s)
+	}
+	return st.Dst[d].Has(id)
 }
 
 // evalState reads the configuration into a fresh state of h's layout —

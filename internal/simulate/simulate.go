@@ -16,11 +16,7 @@
 // (path equivalence).
 package simulate
 
-import (
-	"sort"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Outcome of a forwarding walk.
 type Outcome int
@@ -243,64 +239,60 @@ type Trace struct {
 	Waypoint bool
 }
 
-// ForwardTrace is Forward with middlebox traversal tracking.
+// ForwardTrace walks a packet of traffic class tc from its source
+// attachment into the network and traces it: the outcome, the devices it
+// visited, whether a choice on the way was ambiguous (ECMP, followed
+// deterministically along the recorded route) and whether it crossed a
+// middlebox.
 func ForwardTrace(n *topology.Network, tc topology.TrafficClass, failed map[*topology.Link]bool) Trace {
 	s := New(n, tc.Dst, failed)
-	var entry *topology.Device
-	var entryIntf *topology.Interface
+	// The packet enters at a device attached to the source subnet, through
+	// its host-facing ingress ACL.
+	var entry *topology.Interface
 	for _, d := range n.Devices() {
 		for _, intf := range d.Interfaces() {
 			if intf.Subnet == tc.Src {
-				entry, entryIntf = d, intf
+				entry = intf
 			}
 		}
 	}
-	if entry == nil || !aclAllows(entryIntf, true, tc) {
+	if entry == nil || !aclAllows(entry, true, tc) {
 		return Trace{Outcome: Dropped}
 	}
-	tr := Trace{Devices: []string{entry.Name}}
+	cur := entry.Device
+	tr := Trace{Outcome: Dropped, Devices: []string{cur.Name}}
 	visited := map[*topology.Device]bool{}
-	cur := entry
 	for {
 		if visited[cur] {
 			tr.Outcome = Looped
 			return tr
 		}
 		visited[cur] = true
-		if cur.Waypoint {
-			tr.Waypoint = true
-		}
+		tr.Waypoint = tr.Waypoint || cur.Waypoint
 		link, hasRoute, amb := s.NextHop(cur)
 		tr.Ambiguous = tr.Ambiguous || amb
 		if !hasRoute {
-			tr.Outcome = Dropped
 			return tr
 		}
 		if link == nil {
+			// Directly attached: egress host interface ACL.
 			for _, intf := range cur.Interfaces() {
 				if intf.Subnet == tc.Dst {
-					if !aclAllows(intf, false, tc) {
-						tr.Outcome = Dropped
-						return tr
+					if aclAllows(intf, false, tc) {
+						tr.Outcome = Delivered
 					}
-					tr.Outcome = Delivered
-					return tr
+					break
 				}
 			}
-			tr.Outcome = Dropped
 			return tr
 		}
-		if link.Waypoint {
-			tr.Waypoint = true
-		}
-		var out, in *topology.Interface
+		tr.Waypoint = tr.Waypoint || link.Waypoint
+		// Egress ACL on our side, ingress ACL on the far side.
+		out, in := link.B, link.A
 		if link.A.Device == cur {
 			out, in = link.A, link.B
-		} else {
-			out, in = link.B, link.A
 		}
 		if !aclAllows(out, false, tc) || !aclAllows(in, true, tc) {
-			tr.Outcome = Dropped
 			return tr
 		}
 		cur = in.Device
@@ -368,65 +360,11 @@ func WaypointUnderFailures(n *topology.Network, tc topology.TrafficClass, maxFai
 // Forward walks a packet of traffic class tc from its source attachment
 // into the network, returning the outcome and the device path taken.
 // Ambiguous (ECMP) choices follow the recorded route deterministically
-// but are reported via the final return.
+// but are reported via the final return. It is ForwardTrace without the
+// middlebox tracking.
 func Forward(n *topology.Network, tc topology.TrafficClass, failed map[*topology.Link]bool) (Outcome, []string, bool) {
-	s := New(n, tc.Dst, failed)
-	// The packet enters at a device attached to the source subnet.
-	var entry *topology.Device
-	var entryIntf *topology.Interface
-	for _, d := range n.Devices() {
-		for _, intf := range d.Interfaces() {
-			if intf.Subnet == tc.Src {
-				entry, entryIntf = d, intf
-			}
-		}
-	}
-	if entry == nil {
-		return Dropped, nil, false
-	}
-	// Host-facing ingress ACL.
-	if !aclAllows(entryIntf, true, tc) {
-		return Dropped, nil, false
-	}
-	visited := map[*topology.Device]bool{}
-	cur := entry
-	path := []string{cur.Name}
-	ambiguous := false
-	for {
-		if visited[cur] {
-			return Looped, path, ambiguous
-		}
-		visited[cur] = true
-		link, hasRoute, amb := s.NextHop(cur)
-		ambiguous = ambiguous || amb
-		if !hasRoute {
-			return Dropped, path, ambiguous
-		}
-		if link == nil {
-			// Directly attached: egress host interface ACL.
-			for _, intf := range cur.Interfaces() {
-				if intf.Subnet == tc.Dst {
-					if !aclAllows(intf, false, tc) {
-						return Dropped, path, ambiguous
-					}
-					return Delivered, path, ambiguous
-				}
-			}
-			return Dropped, path, ambiguous
-		}
-		// Egress ACL on our side, ingress ACL on the far side.
-		var out, in *topology.Interface
-		if link.A.Device == cur {
-			out, in = link.A, link.B
-		} else {
-			out, in = link.B, link.A
-		}
-		if !aclAllows(out, false, tc) || !aclAllows(in, true, tc) {
-			return Dropped, path, ambiguous
-		}
-		cur = in.Device
-		path = append(path, cur.Name)
-	}
+	tr := ForwardTrace(n, tc, failed)
+	return tr.Outcome, tr.Devices, tr.Ambiguous
 }
 
 // ReachableUnderSomeFailure reports whether tc can be delivered under any
@@ -441,28 +379,10 @@ func ReachableUnderSomeFailure(n *topology.Network, tc topology.TrafficClass, ma
 // DeliveredUnderAllFailures reports whether tc is delivered under every
 // failure combination of fewer than k links.
 func DeliveredUnderAllFailures(n *topology.Network, tc topology.TrafficClass, k int) bool {
-	links := n.Links
-	m := k - 1
-	if m > len(links) {
-		m = len(links)
-	}
-	var rec func(start int, failed map[*topology.Link]bool, remaining int) bool
-	rec = func(start int, failed map[*topology.Link]bool, remaining int) bool {
-		if remaining == 0 {
-			out, _, _ := Forward(n, tc, failed)
-			return out == Delivered
-		}
-		for i := start; i <= len(links)-remaining; i++ {
-			failed[links[i]] = true
-			ok := rec(i+1, failed, remaining-1)
-			delete(failed, links[i])
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0, map[*topology.Link]bool{}, m)
+	return ForEachFailureSet(n, k-1, func(failed map[*topology.Link]bool) bool {
+		out, _, _ := Forward(n, tc, failed)
+		return out == Delivered
+	})
 }
 
 // ReachableBySteering reports whether tc meets PC3's path-set reading of
@@ -517,14 +437,4 @@ func steerable(n *topology.Network, tc topology.TrafficClass, failed map[*topolo
 		}
 	}
 	return false
-}
-
-// SortedDeviceNames is a debugging helper listing devices with routes.
-func (s *Sim) SortedDeviceNames() []string {
-	var out []string
-	for d := range s.routes {
-		out = append(out, d.Name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/arc"
@@ -92,39 +93,9 @@ func fullScan(h *harc.HARC, orig, rep *harc.State, cfgs map[string]*config.Confi
 	if err := t.interfaceCosts(); err != nil { // already a slot scan
 		return nil, err
 	}
-	for r, tc := range h.TCs { // ACLs
-		d := h.DstRow(tc.Dst)
-		origM, newM, origDM, newDM := orig.TC[r], rep.TC[r], orig.Dst[d], rep.Dst[d]
-		for id, s := range h.Slots {
-			if !s.ApplicableTC(tc) {
-				continue
-			}
-			var addACL, removeACL bool
-			var dev *topology.Device
-			var intfName, dir string
-			switch s.Kind {
-			case arc.SlotInterDevice:
-				origACL := origDM.Has(id) && !origM.Has(id)
-				addACL = newDM.Has(id) && !newM.Has(id) && !origACL
-				removeACL = origACL && newM.Has(id)
-				dev, intfName, dir = s.ToIntf.Device, s.ToIntf.Name, "in"
-			case arc.SlotSource:
-				addACL = origM.Has(id) && !newM.Has(id) && !rep.RouteFilter[d].Has(s.ToProcID)
-				removeACL = !origM.Has(id) && newM.Has(id)
-				dev, intfName, dir = s.Intf.Device, s.Intf.Name, "in"
-			case arc.SlotDest:
-				origACL := origDM.Has(id) && !origM.Has(id)
-				addACL = newDM.Has(id) && !newM.Has(id) && !origACL
-				removeACL = origACL && newM.Has(id)
-				dev, intfName, dir = s.Intf.Device, s.Intf.Name, "out"
-			}
-			var err error
-			if addACL {
-				err = t.add(cfgs[dev.Name].AddACLDeny(intfName, dir, tc.Src.Prefix, tc.Dst.Prefix))
-			} else if removeACL {
-				err = t.add(cfgs[dev.Name].RemoveACLDeny(intfName, dir, tc.Src.Prefix, tc.Dst.Prefix))
-			}
-			if err != nil {
+	for r := range h.TCs { // ACLs
+		for id := range h.Slots {
+			if err := t.aclEdit(r, id); err != nil {
 				return nil, err
 			}
 		}
@@ -232,7 +203,7 @@ func mutateState(rng *rand.Rand, h *harc.HARC, st *harc.State, kinds map[string]
 	for i := 0; i < flips; i++ {
 		s := h.Slots[rng.Intn(len(h.Slots))]
 		r, d := rng.Intn(len(h.TCs)), rng.Intn(len(h.Dsts))
-		switch pick := rng.Intn(7); {
+		switch pick := rng.Intn(8); {
 		case pick == 0 && s.Kind == arc.SlotInterDevice: // adjacency: both directions move together
 			v := !st.All.Has(s.ID)
 			for _, o := range h.Slots {
@@ -264,6 +235,11 @@ func mutateState(rng *rand.Rand, h *harc.HARC, st *harc.State, kinds map[string]
 			l := rng.Intn(len(h.Links))
 			st.SetWaypoint(l, !st.Waypoint.Has(l))
 			kinds["waypoint"]++
+		case pick == 7 && len(h.SrcSlots(r)) > 0: // a filter at the gateway of a class's own source attachment
+			src := h.SrcSlots(r)
+			gw, d := h.Slots[src[rng.Intn(len(src))]].ToProcID, h.DstOf(r)
+			st.SetRouteFilter(d, gw, !st.RouteFilter[d].Has(gw))
+			kinds["gateway-filter"]++
 		}
 	}
 }
@@ -272,17 +248,20 @@ func mutateState(rng *rand.Rand, h *harc.HARC, st *harc.State, kinds map[string]
 // over every (row, slot) pair: identical plans — lines, groups, waypoint
 // changes, and their order — on randomly mutated states.
 func TestDiffWalkMatchesFullScan(t *testing.T) {
-	figure2a, statics := map[string]string{}, map[string]string{}
+	figure2a, statics, gatewayFilter := map[string]string{}, map[string]string{}, map[string]string{}
 	for name, text := range config.Figure2aConfigs() {
-		figure2a[name], statics[name] = text, text
+		figure2a[name], statics[name], gatewayFilter[name] = text, text, text
 	}
+	// A filter of T's prefix at A, the gateway of S and R: a flip that
+	// removes it leaves their attachments absent with their parent present.
+	gatewayFilter["A"] = strings.Replace(gatewayFilter["A"], "router ospf 10\n", "router ospf 10\n distribute-list prefix 10.20.0.0/16 in\n", 1)
 	// Two destinations' static routes over A's interface toward C (cost 1,
 	// adjacency down): one at the interface's cost, one at a distance of
 	// its own. Cost edits then move the first route's distance only.
 	statics["A"] += "ip route 10.20.0.0 255.255.0.0 10.0.2.3 1\nip route 10.30.0.0 255.255.0.0 10.0.2.3 7\n"
 	kinds := map[string]int{}
 	compared := 0
-	for name, texts := range map[string]map[string]string{"figure2a": figure2a, "figure2a-statics": statics, "multi-protocol": multiProtocolConfigs} {
+	for name, texts := range map[string]map[string]string{"figure2a": figure2a, "figure2a-statics": statics, "figure2a-gateway-filter": gatewayFilter, "multi-protocol": multiProtocolConfigs} {
 		_, n := parseAll(t, texts)
 		h := harc.BuildLite(n, n.TrafficClasses())
 		orig := harc.StateOf(h)
@@ -311,7 +290,7 @@ func TestDiffWalkMatchesFullScan(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"adjacency", "redistribution", "route-filter", "static", "cost", "acl:inter", "acl:src", "acl:dst", "dst", "waypoint"} {
+	for _, kind := range []string{"adjacency", "redistribution", "route-filter", "static", "cost", "acl:inter", "acl:src", "acl:dst", "dst", "waypoint", "gateway-filter"} {
 		if kinds[kind] == 0 {
 			t.Errorf("no %s edit was generated", kind)
 		}
