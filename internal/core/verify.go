@@ -1,0 +1,32 @@
+package core
+
+import (
+	"context"
+
+	"repro/internal/harc"
+	"repro/internal/policy"
+)
+
+// VerifyRepair checks that every policy holds on the repaired state.
+func VerifyRepair(h *harc.HARC, st *harc.State, policies []policy.Policy) []policy.Policy {
+	return VerifyRepairIncremental(h, st, policies, nil, 1)
+}
+
+// VerifyRepairIncremental is VerifyRepair restricted to the policies a
+// repair could have affected: those whose traffic class (either class,
+// for isolation policies) is in touched. A nil touched set checks every
+// policy. Policies outside the set were verified satisfied before the
+// repair and their class state is untouched (see Result.Touched), so
+// skipping them loses nothing. The rest go through the checker's sweep
+// (policy.StateChecker.Violations) on at most workers goroutines, and the
+// returned violations are in input order regardless of parallelism.
+func VerifyRepairIncremental(h *harc.HARC, st *harc.State, policies []policy.Policy, touched map[string]bool, workers int) []policy.Policy {
+	var keep func(policy.Policy) bool
+	if touched != nil {
+		keep = func(p policy.Policy) bool {
+			return touched[p.TC.Key()] || (p.Kind == policy.Isolated && touched[p.TC2.Key()])
+		}
+	}
+	violated, _ := policy.NewStateChecker(h, st).Violations(context.Background(), policies, keep, workers)
+	return violated
+}
