@@ -23,13 +23,10 @@ func reparse(t *testing.T, sys *System, ps []Policy) []Policy {
 	return out
 }
 
-// TestChaosDegradedRepairPatchesNetwork is the end-to-end acceptance
-// check for graceful degradation: with the SAT solver permanently
-// starved, the repair must fall back to the greedy baseline, translate
-// the realized constructs into configuration patches, and the PATCHED
-// network — reloaded from text, not the in-memory state — must satisfy
-// every policy the result claims repaired.
-func TestChaosDegradedRepairPatchesNetwork(t *testing.T) {
+// TestChaosStarvedRepairFails: with the SAT solver permanently starved,
+// the one destination spends its attempts and fails, and the output
+// carries no patch to apply.
+func TestChaosStarvedRepairFails(t *testing.T) {
 	sys := loadFigure2a(t)
 	policies, err := sys.ParsePolicies("reachable S T 2\n")
 	if err != nil {
@@ -44,29 +41,12 @@ func TestChaosDegradedRepairPatchesNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Solved() {
-		t.Fatal("repair claims solved under a permanently starved solver")
+	if rep.Solved() || rep.Usable() || rep.Result.Failed != 1 {
+		t.Fatalf("solved=%v usable=%v failed=%d, want the one destination failed",
+			rep.Solved(), rep.Usable(), rep.Result.Failed)
 	}
-	if !rep.Usable() || rep.Result.Degraded != 1 {
-		t.Fatalf("usable=%v degraded=%d, want a usable degraded repair", rep.Usable(), rep.Result.Degraded)
-	}
-	if rep.Plan == nil || len(rep.PatchedConfigs) == 0 {
-		t.Fatal("degraded repair produced no patch")
-	}
-
-	// Disarm before reloading: the patched network must verify on its own
-	// merits, not under injection.
-	faultinject.Reset()
-	patched, err := Load(rep.PatchedConfigs)
-	if err != nil {
-		t.Fatalf("patched configs do not parse: %v", err)
-	}
-	violated, err := patched.VerifyCtx(context.Background(), reparse(t, patched, rep.Result.Repaired))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violated) != 0 {
-		t.Fatalf("patched network still violates %d repaired policies (first: %s)", len(violated), violated[0])
+	if rep.Plan != nil || len(rep.PatchedConfigs) != 0 {
+		t.Fatal("a failed repair produced a patch")
 	}
 }
 
@@ -89,8 +69,7 @@ func TestChaosTransientFaultStillSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Solved() {
-		t.Fatalf("one transient panic was not absorbed: degraded=%d failed=%d",
-			rep.Result.Degraded, rep.Result.Failed)
+		t.Fatalf("one transient panic was not absorbed: failed=%d", rep.Result.Failed)
 	}
 	if faultinject.FiredCount(faultinject.SATSolvePanic) == 0 {
 		t.Fatal("the panic failpoint never fired — the test proved nothing")

@@ -129,8 +129,7 @@ func run(configDir, policyFile, outDir string, verifyOnly, showStats bool, optFl
 		return fmt.Errorf("no repair found (specification unsatisfiable or budget exhausted)")
 	}
 	if !rep.Solved() {
-		fmt.Printf("partial repair: %d destination(s) degraded to the greedy baseline, %d failed (see statuses above)\n",
-			rep.Result.Degraded, rep.Result.Failed)
+		fmt.Printf("partial repair: %d destination(s) failed (see statuses above)\n", rep.Result.Failed)
 	}
 	fmt.Printf("repair: %d configuration lines, %d waypoint changes\n",
 		rep.Plan.NumLines(), len(rep.Plan.Waypoints))
@@ -162,9 +161,6 @@ func printStats(res *core.Result) {
 		extra := ""
 		if st.Outcome != core.OutcomeSolved {
 			extra = " outcome=" + st.Outcome.String()
-			if st.Fallback != "" {
-				extra += " fallback=" + st.Fallback
-			}
 			if st.Err != "" {
 				extra += " err=" + st.Err
 			}

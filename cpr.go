@@ -192,8 +192,8 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 		return nil, err
 	}
 	out := &RepairOutput{Result: res}
-	// A partial result is still worth translating: every solved or
-	// degraded destination's repair is verified and patched, while failed
+	// A partial result is still worth translating: every solved
+	// destination's repair is verified and patched, while failed
 	// destinations are reported in Result.Stats. res.Repaired lists
 	// exactly the policies the repaired state must satisfy (all of them
 	// when res.Solved).
@@ -329,5 +329,5 @@ func (r *RepairOutput) Solved() bool { return r.Result != nil && r.Result.Solved
 
 // Usable reports whether at least one sub-problem produced a verified
 // repair, i.e. the output carries a patch worth applying even though
-// some destinations may have degraded or failed.
+// some destinations may have failed.
 func (r *RepairOutput) Usable() bool { return r.Result != nil && r.Result.Usable() }

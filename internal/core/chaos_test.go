@@ -51,16 +51,11 @@ func checkChaosInvariants(t *testing.T, h *harc.HARC, res *Result, err error, ro
 	if res == nil {
 		t.Fatalf("%s: nil result", round)
 	}
-	solved, degraded, failed := 0, 0, 0
+	solved, failed := 0, 0
 	for _, st := range res.Stats {
 		switch st.Outcome {
 		case OutcomeSolved:
 			solved++
-		case OutcomeDegraded:
-			degraded++
-			if st.Fallback != "greedy" {
-				t.Errorf("%s: degraded problem %q fallback = %q, want greedy", round, st.Label, st.Fallback)
-			}
 		case OutcomeFailed:
 			failed++
 			if st.Err == "" {
@@ -70,14 +65,14 @@ func checkChaosInvariants(t *testing.T, h *harc.HARC, res *Result, err error, ro
 			t.Errorf("%s: problem %q has unclassified outcome %d", round, st.Label, st.Outcome)
 		}
 	}
-	if degraded != res.Degraded || failed != res.Failed {
-		t.Errorf("%s: counters degraded=%d failed=%d, stats say %d/%d", round, res.Degraded, res.Failed, degraded, failed)
+	if failed != res.Failed {
+		t.Errorf("%s: counter failed=%d, stats say %d", round, res.Failed, failed)
 	}
-	if res.Solved != (degraded == 0 && failed == 0) {
-		t.Errorf("%s: Solved=%v with %d degraded %d failed", round, res.Solved, degraded, failed)
+	if res.Solved != (failed == 0) {
+		t.Errorf("%s: Solved=%v with %d failed", round, res.Solved, failed)
 	}
-	if (solved > 0 || degraded > 0) != res.Usable() {
-		t.Errorf("%s: Usable=%v with %d solved %d degraded", round, res.Usable(), solved, degraded)
+	if (solved > 0) != res.Usable() {
+		t.Errorf("%s: Usable=%v with %d solved", round, res.Usable(), solved)
 	}
 	if bad := VerifyRepair(h, res.State, res.Repaired); len(bad) != 0 {
 		t.Errorf("%s: state violates %d repaired policies (first: %s)", round, len(bad), bad[0])
@@ -128,14 +123,13 @@ func TestChaosCampaign(t *testing.T) {
 		round := "finite " + site
 		checkChaosInvariants(t, h, res, err, round)
 		if !res.Solved {
-			t.Errorf("%s: one transient fault was not absorbed by retries (degraded=%d failed=%d)",
-				round, res.Degraded, res.Failed)
+			t.Errorf("%s: one transient fault was not absorbed by retries (failed=%d)", round, res.Failed)
 		}
 	}
 
 	// Phase 2: each site alone, unlimited — every attempt fails, so each
-	// problem must land on the greedy fallback or be marked failed, with
-	// the process never crashing.
+	// problem must be marked failed with its error, with the process never
+	// crashing.
 	for _, site := range chaosSites {
 		faultinject.Reset()
 		if err := faultinject.Set(site, specFor(site, 0)); err != nil {
@@ -186,7 +180,7 @@ func TestChaosCampaign(t *testing.T) {
 }
 
 // figure2aPC3 is Figure 2a with only its (violated) PC3 policy: one
-// greedy-eligible sub-problem.
+// per-destination sub-problem.
 func figure2aPC3() (*harc.HARC, []policy.Policy) {
 	n := topology.Figure2a()
 	return harc.Build(n), []policy.Policy{{
@@ -195,12 +189,12 @@ func figure2aPC3() (*harc.HARC, []policy.Policy) {
 	}}
 }
 
-// TestDegradedFallbackVerifies pins the degradation path end to end on a
+// TestChaosStarvedProblemFails pins the exhaustion path on a
 // deterministic instance: with the solver permanently starved, the PC3
-// problem must fall back to the greedy baseline, be realized as
-// per-destination constructs, and the merged state must satisfy the
-// policy.
-func TestDegradedFallbackVerifies(t *testing.T) {
+// problem spends every escalated attempt and fails with the last
+// attempt's error, and the result leaves the problem's rows as it found
+// them.
+func TestChaosStarvedProblemFails(t *testing.T) {
 	h, ps := figure2aPC3()
 	if err := faultinject.Set(faultinject.SATBudgetStarve, "error"); err != nil {
 		t.Fatal(err)
@@ -208,34 +202,30 @@ func TestDegradedFallbackVerifies(t *testing.T) {
 	defer faultinject.Reset()
 
 	res, err := Repair(h, ps, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded != 1 || res.Failed != 0 || res.Solved {
-		t.Fatalf("degraded=%d failed=%d solved=%v, want exactly one degraded problem",
-			res.Degraded, res.Failed, res.Solved)
+	checkChaosInvariants(t, h, res, err, "per-dst budget starve")
+	if res.Failed != 1 || res.Solved || len(res.Stats) != 1 {
+		t.Fatalf("failed=%d solved=%v over %d problems, want the one problem failed",
+			res.Failed, res.Solved, len(res.Stats))
 	}
 	st := res.Stats[0]
-	if st.Outcome != OutcomeDegraded || st.Fallback != "greedy" {
-		t.Errorf("stat = outcome %s fallback %q, want degraded via greedy", st.Outcome, st.Fallback)
+	if st.Outcome != OutcomeFailed {
+		t.Errorf("outcome = %s, want failed", st.Outcome)
 	}
 	if st.Attempts != maxAttempts {
 		t.Errorf("attempts = %d, want %d (budget escalation exhausted)", st.Attempts, maxAttempts)
 	}
-	if st.Err == "" {
-		t.Error("degraded stat lost the error that forced the fallback")
+	// DefaultOptions has no conflict budget, so the error must not read
+	// as if a budget of 0 ran out.
+	if want := fmt.Sprintf("attempt %d: solve: solver returned unknown (no conflict budget)", maxAttempts); !strings.Contains(st.Err, want) {
+		t.Errorf("err = %q, want the last attempt's unknown status without a budget", st.Err)
 	}
-	if !res.Usable() {
-		t.Error("degraded result not usable")
+	if res.Usable() {
+		t.Error("a starved result claims usable")
 	}
-	if bad := VerifyRepair(h, res.State, ps); len(bad) != 0 {
-		t.Fatalf("degraded state violates %v", bad)
-	}
-	if err := h.ValidateState(res.State); err != nil {
-		t.Errorf("the greedy fallback's state is not closed under the presence rule: %v", err)
-	}
-	if res.Changes == 0 {
-		t.Error("degraded repair reports zero changes")
+	for _, tc := range uniqueTCs(ps) {
+		if !res.State.TCBits(tc).Equal(res.Orig.TCBits(tc)) || !res.State.DstBits(tc.Dst).Equal(res.Orig.DstBits(tc.Dst)) {
+			t.Errorf("class %s: the failed problem's rows differ from the original state", tc)
+		}
 	}
 }
 
@@ -287,8 +277,7 @@ func TestChaosReverifyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Solved {
-		t.Fatalf("verification fallback did not re-solve uncompressed: degraded=%d failed=%d",
-			res.Degraded, res.Failed)
+		t.Fatalf("verification fallback did not re-solve uncompressed: failed=%d", res.Failed)
 	}
 	atStage := 0
 	for _, st := range res.Stats {
@@ -341,8 +330,8 @@ func TestChaosReverifyFallback(t *testing.T) {
 	}
 }
 
-// allTCsChaosInstance is the instance TestDegradedFallbackVerifies
-// degrades per destination, as one monolithic problem.
+// allTCsChaosInstance is the instance TestChaosStarvedProblemFails
+// starves per destination, as one monolithic problem.
 func allTCsChaosInstance() (*harc.HARC, []policy.Policy, Options) {
 	h, ps := figure2aPC3()
 	opts := DefaultOptions()
@@ -352,8 +341,8 @@ func allTCsChaosInstance() (*harc.HARC, []policy.Policy, Options) {
 
 // TestChaosAllTCsSolvePanicContained: the monolithic problem runs in the
 // same failure domain as a destination — a solver panic is a failed
-// sub-problem naming the panic, not a dead process — but gets one attempt
-// and no greedy fallback.
+// sub-problem naming the panic, not a dead process — but gets one
+// attempt.
 func TestChaosAllTCsSolvePanicContained(t *testing.T) {
 	h, ps, opts := allTCsChaosInstance()
 	if err := faultinject.Set(faultinject.SATSolvePanic, "1*panic"); err != nil {
@@ -367,8 +356,8 @@ func TestChaosAllTCsSolvePanicContained(t *testing.T) {
 		t.Fatalf("failed=%d over %d problems, want the one all-tcs problem failed", res.Failed, len(res.Stats))
 	}
 	st := res.Stats[0]
-	if st.Attempts != 1 || st.Fallback != "" {
-		t.Errorf("attempts=%d fallback=%q, want one attempt and no fallback", st.Attempts, st.Fallback)
+	if st.Attempts != 1 {
+		t.Errorf("attempts=%d, want one attempt", st.Attempts)
 	}
 	if !strings.Contains(st.Err, "panic during solve") {
 		t.Errorf("err = %q, want it to name the solver panic", st.Err)
@@ -376,8 +365,8 @@ func TestChaosAllTCsSolvePanicContained(t *testing.T) {
 }
 
 // TestChaosAllTCsBudgetStarveOneAttempt: a starved all-tcs solve is
-// reported after one attempt at the caller's budget — no escalation, no
-// greedy fallback — and leaves the state as it found it.
+// reported after one attempt at the caller's budget — no escalation —
+// and leaves the state as it found it.
 func TestChaosAllTCsBudgetStarveOneAttempt(t *testing.T) {
 	h, ps, opts := allTCsChaosInstance()
 	if err := faultinject.Set(faultinject.SATBudgetStarve, "error"); err != nil {
@@ -391,9 +380,8 @@ func TestChaosAllTCsBudgetStarveOneAttempt(t *testing.T) {
 		t.Fatalf("%d problems, want the one all-tcs problem", len(res.Stats))
 	}
 	st := res.Stats[0]
-	if st.Outcome != OutcomeFailed || st.Attempts != 1 || st.Fallback != "" {
-		t.Errorf("outcome=%s attempts=%d fallback=%q, want failed after one attempt without fallback",
-			st.Outcome, st.Attempts, st.Fallback)
+	if st.Outcome != OutcomeFailed || st.Attempts != 1 {
+		t.Errorf("outcome=%s attempts=%d, want failed after one attempt", st.Outcome, st.Attempts)
 	}
 	if res.Usable() || !res.State.Equal(res.Orig) {
 		t.Errorf("usable=%v, state equals orig=%v; want an unusable result on the untouched state",

@@ -294,7 +294,7 @@ func TestSolveDigest(t *testing.T) {
 			opts.Cache = NewSolveCache(c.name)
 			pr := &problem{label: c.pr.label, tcs: c.pr.tcs, policies: c.pr.policies, freeze: c.pr.freeze}
 			w.spare = driven[i]
-			solveProblem(context.Background(), w, c.tb.h, c.tb, c.orig, pr, opts, 1, &pending)
+			solveProblem(context.Background(), w, c.tb, c.orig, pr, opts, 1, &pending)
 			if w.spare != driven[i] || len(opts.Cache.entries) != 1 {
 				t.Fatalf("%s: outcome %v not stored, or the worker lost its solver", c.name, pr.stat.Outcome)
 			}

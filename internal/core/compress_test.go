@@ -33,7 +33,7 @@ func TestCompressedRepairFatTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Solved {
-		t.Fatalf("repair not solved: degraded=%d failed=%d", res.Degraded, res.Failed)
+		t.Fatalf("repair not solved: failed=%d", res.Failed)
 	}
 	if res.Compressed == 0 {
 		t.Fatalf("no sub-problem was solved on a quotient (fallbacks=%d)", res.CompressFallbacks)

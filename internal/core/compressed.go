@@ -190,7 +190,6 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 		return false
 	}
 	pr.realized = trial
-	pr.realizedChanges = changes
 	pr.stat.Violations = changes
 	pr.stat.Status = sat.Sat
 	pr.stat.Outcome = OutcomeSolved
@@ -360,18 +359,18 @@ func settleCounts(qslots, cslots []*arc.Slot, was, now func(q *arc.Slot) bool, h
 }
 
 // concretizePatch fans the quotient repair out onto the concrete
-// network and recomputes the presence the edited constructs imply,
-// exactly as the greedy fallback's realization does. The trial state is
-// a copy-on-write clone of orig, so only the rows this sub-problem
-// writes are ever copied. Quotient and concrete states have different
-// shapes: rows meet by subnet name, processes by (representative, kind)
-// and slots by key or symmetry group (settleCounts; cGroups is h's inter
-// slots grouped by q's classes). Only what the quotient repair changed is
-// walked: a group none of whose quotient slots flipped settles to nothing,
-// so a destination whose static routes, or a class whose ACL deviations,
-// the repair left alone skips its group walk, which gives exactly what
-// the walk would. Returns the trial state, the concrete modeled-change
-// count, and whether every quotient edit found a concrete home.
+// network and recomputes the presence the edited constructs imply. The
+// trial state is a copy-on-write clone of orig, so only the rows this
+// sub-problem writes are ever copied. Quotient and concrete states have
+// different shapes: rows meet by subnet name, processes by
+// (representative, kind) and slots by key or symmetry group
+// (settleCounts; cGroups is h's inter slots grouped by q's classes). Only
+// what the quotient repair changed is walked: a group none of whose
+// quotient slots flipped settles to nothing, so a destination whose
+// static routes, or a class whose ACL deviations, the repair left alone
+// skips its group walk, which gives exactly what the walk would. Returns
+// the trial state, the concrete modeled-change count, and whether every
+// quotient edit found a concrete home.
 func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Quotient, cGroups *interGroups, qh *harc.HARC, qorig, qrep *harc.State) (*harc.State, int, bool) {
 	// Per-destination repairs with no PC4 never touch link costs.
 	for ck, v := range qrep.Cost {

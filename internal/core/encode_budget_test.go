@@ -145,7 +145,7 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 		var pending atomic.Int64
 		for _, p := range fix.problems {
 			pr := &problem{label: p.label, tcs: p.tcs, policies: p.policies, freeze: p.freeze}
-			solveProblem(context.Background(), w, fix.tb.h, fix.tb, fix.orig, pr, opts, 1, &pending)
+			solveProblem(context.Background(), w, fix.tb, fix.orig, pr, opts, 1, &pending)
 		}
 		var states []*harc.State
 		for _, e := range opts.Cache.entries {

@@ -43,11 +43,10 @@ type SolveCache struct {
 // immutable after store; replay only copies out of them.
 type solveEntry struct {
 	stat ProblemStat // Duration zeroed; Reused set on replay
-	// realized/realizedChanges are the problem's staged repair (see
-	// problem.realized): nil for Unsat entries.
-	realized        *harc.State
-	realizedChanges int
-	bytes           int64 // realized.ApproxBytes(), 0 for Unsat entries
+	// realized is the problem's staged repair (see problem.realized): nil
+	// for Unsat entries.
+	realized *harc.State
+	bytes    int64 // realized.ApproxBytes(), 0 for Unsat entries
 	// epochBound marks an entry whose fingerprint folds in the cache's
 	// epoch (a compression-eligible sub-problem): Fork leaves it behind.
 	epochBound bool
@@ -160,7 +159,6 @@ func (e *solveEntry) replay(pr *problem) {
 	pr.stat = e.stat
 	pr.stat.Reused = true
 	pr.realized = e.realized
-	pr.realizedChanges = e.realizedChanges
 }
 
 // fpWriter streams length-framed tokens into a hash, avoiding ambiguity
@@ -319,20 +317,14 @@ func problemMemo(tb *tables, orig *harc.State, pr *problem, opts Options) (fp st
 // cacheableOutcome reports whether a terminal outcome may be memoized:
 // only first-attempt Sat or deterministic Unsat results, with no
 // compression fallback recorded (the "encode"/"solve" fallback stages
-// depend on timing) and no cancellation in flight. Degraded and Unknown
-// outcomes are timing- or fault-dependent and never cached — a later
-// identical request retries them fresh.
+// depend on timing) and no cancellation in flight. Unknown outcomes are
+// timing- or fault-dependent and never cached — a later identical request
+// retries them fresh.
 func cacheableOutcome(pr *problem, ctxErr error) bool {
 	if ctxErr != nil || pr.stat.Attempts != 1 || pr.stat.CompressFallback != "" {
 		return false
 	}
-	switch pr.stat.Outcome {
-	case OutcomeSolved:
-		return true
-	case OutcomeFailed:
-		return pr.stat.Status == sat.Unsat
-	}
-	return false
+	return pr.stat.Outcome == OutcomeSolved || pr.stat.Status == sat.Unsat
 }
 
 // entryFor builds the memo entry for a problem that just reached a
@@ -340,7 +332,7 @@ func cacheableOutcome(pr *problem, ctxErr error) bool {
 // the same immutable state to mergeRows), and whether its fingerprint
 // folded in the epoch.
 func entryFor(pr *problem, epochBound bool) *solveEntry {
-	e := &solveEntry{stat: pr.stat, realized: pr.realized, realizedChanges: pr.realizedChanges, epochBound: epochBound}
+	e := &solveEntry{stat: pr.stat, realized: pr.realized, epochBound: epochBound}
 	e.stat.Duration = 0
 	e.stat.Reused = false
 	if pr.realized != nil {

@@ -60,20 +60,13 @@ type Outcome int
 const (
 	// OutcomeSolved: the MaxSMT solve found an optimal repair.
 	OutcomeSolved Outcome = iota
-	// OutcomeDegraded: the MaxSMT solve was exhausted, but the greedy
-	// baseline produced a repair for this sub-problem's policies that
-	// verified after construct realization.
-	OutcomeDegraded
 	// OutcomeFailed: no usable repair for this sub-problem
-	// (unsatisfiable, cancelled, or every attempt and fallback failed).
+	// (unsatisfiable, cancelled, or every attempt failed).
 	OutcomeFailed
 )
 
 func (o Outcome) String() string {
-	switch o {
-	case OutcomeDegraded:
-		return "degraded"
-	case OutcomeFailed:
+	if o == OutcomeFailed {
 		return "failed"
 	}
 	return "solved"
@@ -141,7 +134,7 @@ type Options struct {
 // maxAttempts bounds the solve attempts of one per-destination
 // sub-problem; budgetEscalation multiplies the conflict budget on each
 // retry, so a sub-problem that merely needed more search gets it before
-// the fallback fires.
+// it is reported failed.
 const (
 	maxAttempts      = 3
 	budgetEscalation = 4
@@ -180,17 +173,12 @@ type ProblemStat struct {
 	Softs      int
 	Violations int // violated softs = modeled configuration changes
 	Status     sat.Status
-	// Outcome is the sub-problem's disposition: solved, degraded (greedy
-	// fallback), or failed.
+	// Outcome is the sub-problem's disposition: solved or failed.
 	Outcome Outcome
 	// Attempts is the number of solve attempts made (0 when the
 	// sub-problem was cancelled before starting).
 	Attempts int
-	// Fallback names the degradation provenance ("greedy") when Outcome
-	// is OutcomeDegraded.
-	Fallback string
-	// Err describes the terminal solver failure, when there was one. A
-	// degraded sub-problem keeps the error that forced the fallback.
+	// Err describes the terminal solver failure, when there was one.
 	Err string
 	// Conflicts is the SAT solver's conflict count for this sub-problem
 	// (summed across attempts).
@@ -235,22 +223,23 @@ type ProblemStat struct {
 
 // Result is the outcome of a Repair call.
 type Result struct {
-	// State is the repaired HARC state. It reflects every solved and
-	// degraded sub-problem even when some failed.
+	// State is the repaired HARC state. It reflects every solved
+	// sub-problem even when some failed.
 	State *harc.State
 	// Changes is the total number of violated soft constraints across
-	// sub-problems: the modeled count of configuration changes. Degraded
-	// sub-problems contribute the greedy baseline's change count.
+	// solved sub-problems: the modeled count of configuration changes.
 	Changes int
 	// Solved reports that every sub-problem found an optimal repair.
 	Solved bool
-	// Degraded and Failed count sub-problems by outcome; Solved is false
-	// whenever either is nonzero.
+	// Degraded is always 0; it is kept for bench/'s readers until ROADMAP
+	// item 9 (x) deletes it.
 	Degraded int
-	Failed   int
-	// Repaired lists the policies covered by solved or degraded
-	// sub-problems: the subset of the specification guaranteed to hold on
-	// State. Callers verifying partial results check exactly these.
+	// Failed counts sub-problems with no repair; Solved is false whenever
+	// it is nonzero.
+	Failed int
+	// Repaired lists the policies covered by solved sub-problems: the
+	// subset of the specification guaranteed to hold on State. Callers
+	// verifying partial results check exactly these.
 	Repaired []policy.Policy
 	// Conflicts is the total SAT conflict count across sub-problems.
 	Conflicts int64
@@ -284,6 +273,6 @@ type Result struct {
 	Touched map[string]bool
 }
 
-// Usable reports that at least one sub-problem produced a verified
-// repair (solved or degraded) — the partial-result analogue of Solved.
+// Usable reports that at least one sub-problem produced a repair — the
+// partial-result analogue of Solved.
 func (r *Result) Usable() bool { return len(r.Repaired) > 0 }

@@ -19,12 +19,9 @@ type problem struct {
 	// serial merge in a copy-on-write clone of the original state (so it
 	// owns only the problem's rows): the model extraction of a solve, the
 	// concretized quotient repair of a compressed one (concretizePatch),
-	// the greedy fallback of a degraded one (realizeGreedy), or any of
-	// those replayed from the solve cache. realizedChanges is the change
-	// count of a degraded or compressed repair.
-	realized        *harc.State
-	realizedChanges int
-	stat            ProblemStat
+	// or either replayed from the solve cache.
+	realized *harc.State
+	stat     ProblemStat
 }
 
 // dsts returns the problem's unique destination subnets.

@@ -394,7 +394,7 @@ func TestWorkerStorageReused(t *testing.T) {
 	tb, orig := newTables(h), harc.StateOf(h)
 	var pending atomic.Int64
 	sameStorage(t, scheduleOrder(problems), func(w *worker, pr *problem) {
-		solveProblem(context.Background(), w, h, tb, orig, pr, opts, 1, &pending)
+		solveProblem(context.Background(), w, tb, orig, pr, opts, 1, &pending)
 		if !pr.stat.Compressed || pr.stat.Outcome != OutcomeSolved {
 			t.Fatalf("%s: outcome %v, compressed %v, want a solved compressed sub-problem", pr.label, pr.stat.Outcome, pr.stat.Compressed)
 		}
@@ -404,7 +404,7 @@ func TestWorkerStorageReused(t *testing.T) {
 	cached := fix.opts
 	cached.Compress, cached.Cache = CompressOff, NewSolveCache("storage")
 	sameStorage(t, scheduleOrder(fix.problems), func(w *worker, pr *problem) {
-		solveProblem(context.Background(), w, fix.tb.h, fix.tb, fix.orig, pr, cached, 1, &pending)
+		solveProblem(context.Background(), w, fix.tb, fix.orig, pr, cached, 1, &pending)
 		if pr.stat.Outcome != OutcomeSolved || w.spare == nil {
 			t.Fatalf("%s: outcome %v, spare left %v, want a solved sub-problem whose solver stays with the worker", pr.label, pr.stat.Outcome, w.spare != nil)
 		}

@@ -44,7 +44,7 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 	// parallel workers.
 	tb := newTables(h)
 
-	runProblems(ctx, h, tb, orig, problems, opts)
+	runProblems(ctx, tb, orig, problems, opts)
 
 	// Serial merge: copy each usable sub-problem's staged rows into the
 	// shared repaired state.
@@ -60,24 +60,17 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 		if pr.stat.Reused {
 			res.Reused++
 		}
-		switch pr.stat.Outcome {
-		case OutcomeSolved:
-			res.Changes += pr.stat.Violations
-			if pr.stat.Compressed {
-				res.Compressed++
-			}
-		case OutcomeDegraded:
-			res.Changes += pr.realizedChanges
-			res.Degraded++
-			res.Solved = false
-		case OutcomeFailed:
+		res.Stats = append(res.Stats, pr.stat)
+		if pr.stat.Outcome == OutcomeFailed {
 			res.Failed++
 			res.Solved = false
-			res.Stats = append(res.Stats, pr.stat)
 			continue
 		}
+		res.Changes += pr.stat.Violations
+		if pr.stat.Compressed {
+			res.Compressed++
+		}
 		mergeRows(orig, out, pr.realized, pr)
-		res.Stats = append(res.Stats, pr.stat)
 		for _, d := range pr.dsts() {
 			solvedDsts[d.Name] = true
 		}

@@ -7,9 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/arc"
-	"repro/internal/bitset"
-	"repro/internal/greedy"
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/smt/formula"
@@ -56,9 +53,9 @@ func (w *worker) solver() *sat.Solver {
 
 // runProblems is the fan-out: a fixed worker pool drains the problem
 // queue largest-first (deterministic dispatch under Parallelism 1), and
-// every problem resolves to solved, degraded, or failed — never to an
-// aborted batch or a dead process.
-func runProblems(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options) {
+// every problem resolves to solved or failed — never to an aborted batch
+// or a dead process.
+func runProblems(ctx context.Context, tb *tables, orig *harc.State, problems []*problem, opts Options) {
 	workers := opts.Workers()
 	var pending atomic.Int64
 	pending.Store(int64(len(problems)))
@@ -74,7 +71,7 @@ func runProblems(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 			defer wg.Done()
 			w := newWorker()
 			for pr := range queue {
-				solveProblem(ctx, w, h, tb, orig, pr, opts, workers, &pending)
+				solveProblem(ctx, w, tb, orig, pr, opts, workers, &pending)
 				pending.Add(-1)
 			}
 		}()
@@ -86,12 +83,12 @@ func runProblems(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State
 // cache replay, a compressed solve, or up to maxAttempts uncompressed
 // attempts — each in its own failure domain (solveOnce) under a watchdog
 // deadline, retried with an escalating conflict budget on a transient
-// Unknown — and then the greedy fallback. The monolithic all-tcs problem
-// (the one problem that does not freeze the aETG) gets one attempt and no
-// fallback: its caller's ConflictBudget is the paper's 8-hour-limit
-// analogue, so escalating it would move the DNF cells of Figures 7 and 9,
-// and realizeGreedy is written for frozen-aETG problems.
-func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, workers int, pending *atomic.Int64) {
+// Unknown. A sub-problem that exhausts its attempts fails with the last
+// attempt's error. The monolithic all-tcs problem (the one problem that
+// does not freeze the aETG) gets one attempt: its caller's ConflictBudget
+// is the paper's 8-hour-limit analogue, so escalating it would move the
+// DNF cells of Figures 7 and 9.
+func solveProblem(ctx context.Context, w *worker, tb *tables, orig *harc.State, pr *problem, opts Options, workers int, pending *atomic.Int64) {
 	t0 := time.Now()
 	defer func() { pr.stat.Duration = time.Since(t0) }()
 
@@ -118,9 +115,9 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 	}
 	o := opts
 	var lastErr error
+	pr.stat.Outcome = OutcomeFailed
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			pr.stat.Outcome = OutcomeFailed
 			pr.stat.Err = "cancelled: " + err.Error()
 			return
 		}
@@ -139,22 +136,22 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 				memoize()
 				return
 			case sat.Unsat:
-				// Deterministic: no retry, and no fallback either — the
-				// greedy baseline cannot satisfy an unsatisfiable group.
-				pr.stat.Outcome = OutcomeFailed
+				// Deterministic: no retry.
 				pr.stat.Err = "unsatisfiable"
 				memoize()
 				return
 			}
 			// Unknown: watchdog expiry, a spurious interrupt, or budget
 			// exhaustion — transient either way; retry with more budget.
-			lastErr = &SolveError{Label: pr.label, Phase: "solve", Attempt: attempt,
-				Err: fmt.Errorf("solver returned unknown (budget %d)", o.ConflictBudget)}
-		} else {
-			lastErr = err
+			budget := "no conflict budget"
+			if o.ConflictBudget > 0 {
+				budget = fmt.Sprintf("budget %d", o.ConflictBudget)
+			}
+			err = &SolveError{Label: pr.label, Phase: "solve", Attempt: attempt,
+				Err: fmt.Errorf("solver returned unknown (%s)", budget)}
 		}
+		lastErr = err
 		if ctx.Err() != nil {
-			pr.stat.Outcome = OutcomeFailed
 			pr.stat.Err = "cancelled: " + ctx.Err().Error()
 			return
 		}
@@ -162,7 +159,7 @@ func solveProblem(ctx context.Context, w *worker, h *harc.HARC, tb *tables, orig
 			o.ConflictBudget *= budgetEscalation
 		}
 	}
-	degrade(h, orig, pr, lastErr)
+	pr.stat.Err = lastErr.Error()
 }
 
 // solveOnce is one attempt, compressed or not: it encodes the formula of
@@ -225,101 +222,4 @@ func watchdogCtx(ctx context.Context, workers int, pending *atomic.Int64) (conte
 	}
 	waves := (p + int64(workers) - 1) / int64(workers)
 	return context.WithTimeout(ctx, remaining/time.Duration(waves))
-}
-
-// degrade resolves an exhausted sub-problem: greedy fallback when the
-// problem froze the aETG, the policy classes support it and the realized
-// repair verifies, failed otherwise.
-func degrade(h *harc.HARC, orig *harc.State, pr *problem, lastErr error) {
-	pr.stat.Outcome = OutcomeFailed
-	if lastErr != nil {
-		pr.stat.Err = lastErr.Error()
-	}
-	if !pr.freeze || !greedyEligible(pr.policies) {
-		return
-	}
-	gres, err := greedy.Repair(h, pr.policies)
-	if err != nil || !gres.Clean {
-		return
-	}
-	realized, changes, ok := realizeGreedy(h, orig, pr, gres)
-	if !ok {
-		return
-	}
-	pr.realized = realized
-	pr.realizedChanges = changes
-	pr.stat.Outcome = OutcomeDegraded
-	pr.stat.Fallback = "greedy"
-}
-
-// greedyEligible reports whether every policy in the group belongs to a
-// class the greedy baseline can repair (PC1-PC3; PC4 and isolation are
-// out of its scope).
-func greedyEligible(ps []policy.Policy) bool {
-	for _, p := range ps {
-		switch p.Kind {
-		case policy.AlwaysBlocked, policy.AlwaysWaypoint, policy.KReachable:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// realizeGreedy translates a clean greedy repair into per-destination
-// constructs (static routes for added inter-device dETG edges, route-
-// filter removals for intra and dest edges) and recomputes the presence
-// those constructs imply on a private trial state. Construct edits can
-// open edges the greedy state never asked for — clearing one route
-// filter unblocks every edge it gated — so the fallback is accepted only
-// if the realized state still satisfies the sub-problem's policies.
-func realizeGreedy(h *harc.HARC, orig *harc.State, pr *problem, gres *greedy.Result) (*harc.State, int, bool) {
-	gst := gres.State
-	trial := orig.Clone()
-	dsts := pr.dsts()
-	for _, dst := range dsts {
-		r := h.DstRow(dst)
-		gdm := gst.Dst[r]
-		realizable := true
-		bitset.EachDiff(gdm, orig.Dst[r], func(id int) {
-			if !gdm.Has(id) {
-				return // greedy repairs only add dETG edges
-			}
-			switch s := h.Slots[id]; s.Kind {
-			case arc.SlotInterDevice:
-				trial.SetStatic(r, id, true)
-			case arc.SlotIntraSelf, arc.SlotDest:
-				trial.SetRouteFilter(r, s.FromProcID, false)
-			case arc.SlotIntraRedist:
-				// Per-dst repairs freeze the aETG: an absent
-				// redistribution adjacency cannot be recreated by any
-				// per-destination construct.
-				if !orig.All.Has(id) {
-					realizable = false
-				}
-				trial.SetRouteFilter(r, s.FromProcID, false)
-				trial.SetRouteFilter(r, s.ToProcID, false)
-			}
-		})
-		if !realizable {
-			return nil, 0, false
-		}
-	}
-	trial.AddWaypoints(gst)
-	for _, dst := range dsts {
-		trial.DeriveDst(h.DstRow(dst))
-	}
-	// A class keeps the greedy repair's deviations (harc.State.Deviates).
-	dev := bitset.New(len(h.Slots))
-	for _, tc := range pr.tcs {
-		r := h.TCRow(tc)
-		for id := range h.Slots {
-			dev.Put(id, gst.Deviates(r, id))
-		}
-		trial.DeriveTC(r, dev)
-	}
-	if len(VerifyRepair(h, trial, pr.policies)) != 0 {
-		return nil, 0, false
-	}
-	return trial, gres.Changes, true
 }

@@ -150,9 +150,8 @@ func diffRepairs(fresh, inc *cpr.RepairOutput) string {
 	if fresh.Result.Changes != inc.Result.Changes {
 		return fmt.Sprintf("changes: fresh=%d incremental=%d", fresh.Result.Changes, inc.Result.Changes)
 	}
-	if fresh.Result.Degraded != inc.Result.Degraded || fresh.Result.Failed != inc.Result.Failed {
-		return fmt.Sprintf("dispositions: fresh=%d/%d incremental=%d/%d (degraded/failed)",
-			fresh.Result.Degraded, fresh.Result.Failed, inc.Result.Degraded, inc.Result.Failed)
+	if fresh.Result.Failed != inc.Result.Failed {
+		return fmt.Sprintf("failed: fresh=%d incremental=%d", fresh.Result.Failed, inc.Result.Failed)
 	}
 	fp, ip := planString(fresh), planString(inc)
 	if fp != ip {

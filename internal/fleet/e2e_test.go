@@ -14,25 +14,25 @@ import (
 
 // TestFleetE2ELoadSLO is the CI fleet-e2e gate: three cprd replicas
 // behind one front, a seeded mixed load with an SLO assertion against a
-// single-node baseline at equal per-replica load, the two measured in
-// interleaved chunks (interleavedLoads), then a chaos phase
-// with mid-repair replica crashes that must stay invisible in the
-// results. When $FLEET_SLO_REPORT names a file, the reports are written
+// single-node baseline at equal per-replica concurrency, the two measured
+// in interleaved chunks (interleavedLoads), then a chaos phase with
+// mid-repair replica crashes that must stay invisible in the results. When $FLEET_SLO_REPORT names a file, the reports are written
 // there for CI to archive.
 func TestFleetE2ELoadSLO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet e2e is slow in -short mode")
 	}
 
-	// Baseline: one bare cprd at the per-replica share of the fleet load
-	// (a third of the requests, a third of the clients). Phase 1, no
-	// chaos: triple the total load over triple the capacity.
+	// Baseline: one bare cprd at the per-replica concurrency of the fleet
+	// load (a third of the clients), over as many requests, so both p99s
+	// are read off equal sample counts. Phase 1, no chaos: triple the
+	// concurrency over triple the capacity.
 	single := httptest.NewServer(server.New(server.Config{}).Handler())
 	defer single.Close()
 	tf := newFleet(t, 3, Config{ProbeInterval: 200 * time.Millisecond})
 	tf.front.Start()
 	baseline, report := interleavedLoads(t,
-		LoadOptions{Target: single.URL, Mix: "mixed", Requests: 60, Clients: 2, Sessions: 2, Seed: 42},
+		LoadOptions{Target: single.URL, Mix: "mixed", Requests: 180, Clients: 2, Sessions: 2, Seed: 42},
 		LoadOptions{Target: tf.frontTS.URL, Mix: "mixed", Requests: 180, Clients: 6, Sessions: 2, Seed: 42})
 	if baseline.Errors != 0 {
 		t.Fatalf("baseline run had %d errors:\n%s", baseline.Errors, baseline)
@@ -44,8 +44,8 @@ func TestFleetE2ELoadSLO(t *testing.T) {
 		t.Fatalf("no-chaos fleet run shed %d requests, want 0 (shed rate must be 0%%):\n%s", report.Sheds, report)
 	}
 	// The SLO: fleet p99 within 2× the single-node p99 at equal
-	// per-replica load, plus a small constant grace so a hiccup in a
-	// millisecond-scale baseline cannot flake the gate.
+	// per-replica concurrency, plus a small constant grace so a hiccup in
+	// a millisecond-scale baseline cannot flake the gate.
 	slo := 2*baseline.All.P99MS + 100
 	if report.All.P99MS > slo {
 		t.Errorf("fleet p99 %.1fms exceeds SLO %.1fms (single-node p99 %.1fms)", report.All.P99MS, slo, baseline.All.P99MS)
@@ -76,7 +76,7 @@ func TestFleetE2ELoadSLO(t *testing.T) {
 
 	if path := os.Getenv("FLEET_SLO_REPORT"); path != "" {
 		var b strings.Builder
-		fmt.Fprintf(&b, "=== single-node baseline (per-replica share) ===\n%s\n", baseline)
+		fmt.Fprintf(&b, "=== single-node baseline (per-replica concurrency) ===\n%s\n", baseline)
 		fmt.Fprintf(&b, "=== fleet, no chaos ===\n%s\nSLO: p99 %.1fms <= %.1fms (2x single-node p99 + 100ms)\n\n", report, report.All.P99MS, slo)
 		fmt.Fprintf(&b, "=== fleet, chaos (3x server/repair-abort) ===\n%s\n", chaosReport)
 		fmt.Fprintf(&b, "routing: forwards=%d failovers=%d hedges=%d retries=%d no_replica=%d replications=%d\n",

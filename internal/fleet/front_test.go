@@ -100,8 +100,8 @@ func canonRepair(rr server.RepairResponse) string {
 	for _, p := range rr.Problems {
 		probs += fmt.Sprintf("|%s:%s:%s:v%d:c%d", p.Label, p.Status, p.Outcome, p.Violations, p.Conflicts)
 	}
-	return fmt.Sprintf("solved=%v degraded=%d failed=%d changes=%d lines=%d conflicts=%d plan=%q patched=%s probs=%s",
-		rr.Solved, rr.Degraded, rr.Failed, rr.Changes, rr.Lines, rr.Conflicts, rr.Plan, cpr.ContentKey(rr.PatchedConfigs), probs)
+	return fmt.Sprintf("solved=%v failed=%d changes=%d lines=%d conflicts=%d plan=%q patched=%s probs=%s",
+		rr.Solved, rr.Failed, rr.Changes, rr.Lines, rr.Conflicts, rr.Plan, cpr.ContentKey(rr.PatchedConfigs), probs)
 }
 
 func TestFrontRoutesByContentAddress(t *testing.T) {

@@ -15,13 +15,13 @@ import (
 // DeriveDst and DeriveTC are that rule, and every writer of a presence
 // row calls them: the HARC's own state, read off the configuration
 // (evalState), and every repaired state, from its edited constructs — the
-// solver's model (core's extract), the greedy fallback, the concretized
-// quotient repair, and the rows no sub-problem solved, which keep the
-// deviations their configured ACLs make (DeriveConfiguredTCs).
-// ValidateState checks a state against them, and the encoder's hierarchy
-// constraints are their CNF form. Deviates is DeriveTC's inverse, the one
-// statement of which slots an ACL removes for a class, and every reader of
-// deviations — the translator, the greedy fallback — calls it.
+// solver's model (core's extract), the concretized quotient repair, and
+// the rows no sub-problem solved, which keep the deviations their
+// configured ACLs make (DeriveConfiguredTCs). ValidateState checks a state
+// against them, and the encoder's hierarchy constraints are their CNF
+// form. Deviates is DeriveTC's inverse, the one statement of which slots
+// an ACL removes for a class, and the translator, its one reader, calls
+// it.
 
 // DeriveDst sets destination row r of st to the presence st's construct
 // rows imply:

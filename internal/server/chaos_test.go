@@ -13,7 +13,7 @@ import (
 // layer through its failpoints: an injected /v1/delta failure must
 // surface as a clean 400 without poisoning the session cache, the
 // retried delta must still replay every sub-problem from the base
-// session's forked cache, and a fault-degraded repair on the reused
+// session's forked cache, and a repair the fault failed on the reused
 // session must never be memoized — once injection clears, the same
 // request must re-solve cleanly.
 func TestChaosIncrementalSessionSurvivesDeltaFaults(t *testing.T) {
@@ -57,9 +57,9 @@ func TestChaosIncrementalSessionSurvivesDeltaFaults(t *testing.T) {
 		t.Fatalf("post-delta repair reused %d of %d problems, want all", rr.Reused, len(rr.Problems))
 	}
 
-	// A starved solve on the reused session degrades — and the degraded
-	// output must not stick: with injection cleared the identical request
-	// re-solves cleanly instead of replaying the degraded result.
+	// A starved solve on the reused session fails — and the failed output
+	// must not stick: with injection cleared the identical request
+	// re-solves cleanly instead of replaying the failed result.
 	if err := faultinject.Set(faultinject.SATBudgetStarve, "error"); err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestChaosIncrementalSessionSurvivesDeltaFaults(t *testing.T) {
 	if st := postJSON(t, ts, "/v1/repair", RepairRequest{Session: dr.Session, Policies: spec}, &rr); st != http.StatusOK {
 		t.Fatalf("starved repair: status = %d, want 200", st)
 	}
-	if rr.Solved || rr.Degraded != 1 {
-		t.Fatalf("starved repair = solved=%v degraded=%d, want one degraded destination", rr.Solved, rr.Degraded)
+	if rr.Solved || rr.Failed != 1 {
+		t.Fatalf("starved repair = solved=%v failed=%d, want one failed destination", rr.Solved, rr.Failed)
 	}
 	faultinject.Reset()
-	if st := postJSON(t, ts, "/v1/repair", RepairRequest{Session: dr.Session, Policies: spec}, &rr); st != http.StatusOK || !rr.Solved || rr.Degraded != 0 {
-		t.Fatalf("post-chaos repair = %d solved=%v degraded=%d, want a clean solve (degraded output must not be memoized)",
-			st, rr.Solved, rr.Degraded)
+	if st := postJSON(t, ts, "/v1/repair", RepairRequest{Session: dr.Session, Policies: spec}, &rr); st != http.StatusOK || !rr.Solved || rr.Failed != 0 {
+		t.Fatalf("post-chaos repair = %d solved=%v failed=%d, want a clean solve (failed output must not be memoized)",
+			st, rr.Solved, rr.Failed)
 	}
 
 	sz := srv.stats.snapshot(srv.cache.len(), srv.cache.retained())
@@ -85,9 +85,9 @@ func TestChaosIncrementalSessionSurvivesDeltaFaults(t *testing.T) {
 // TestChaosDaemonSurvivesInjectedFaults drives a live daemon through
 // the server-side failpoints: a cache build failure must surface as a
 // clean 400 (not a crash or a poisoned cache entry), a starved solver
-// must yield a degraded-but-usable repair response with accurate
-// per-destination outcomes and /statsz counters, and /healthz must stay
-// up throughout.
+// must yield a 200 repair response whose destination failed with its
+// error, with accurate /statsz counters, and /healthz must stay up
+// throughout.
 func TestChaosDaemonSurvivesInjectedFaults(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	defer faultinject.Reset()
@@ -113,8 +113,8 @@ func TestChaosDaemonSurvivesInjectedFaults(t *testing.T) {
 		t.Error("recovered load claims cached — the failed build leaked into the cache")
 	}
 
-	// Permanently starved solver: the PC3-only repair must degrade to the
-	// greedy baseline, and the response must say so per destination.
+	// Permanently starved solver: the PC3-only repair's one destination
+	// fails after its retries, and the response says so.
 	if err := faultinject.Set(faultinject.SATBudgetStarve, "error"); err != nil {
 		t.Fatal(err)
 	}
@@ -122,26 +122,17 @@ func TestChaosDaemonSurvivesInjectedFaults(t *testing.T) {
 	if st := postJSON(t, ts, "/v1/repair", RepairRequest{
 		Session: lr.Session, Policies: "reachable S T 2\n",
 	}, &rr); st != http.StatusOK {
-		t.Fatalf("degraded repair: status = %d, want 200", st)
+		t.Fatalf("starved repair: status = %d, want 200", st)
 	}
-	if rr.Solved || rr.Degraded != 1 || rr.Failed != 0 {
-		t.Fatalf("degraded repair = solved=%v degraded=%d failed=%d, want one degraded destination",
-			rr.Solved, rr.Degraded, rr.Failed)
+	if rr.Solved || rr.Failed != 1 || len(rr.Problems) != 1 {
+		t.Fatalf("starved repair = solved=%v failed=%d problems=%d, want one failed destination",
+			rr.Solved, rr.Failed, len(rr.Problems))
 	}
-	if len(rr.PatchedConfigs) == 0 || rr.Plan == "" {
-		t.Error("degraded repair produced no patch")
+	if len(rr.PatchedConfigs) != 0 || rr.Plan != "" {
+		t.Error("a failed repair produced a patch")
 	}
-	found := false
-	for _, pr := range rr.Problems {
-		if pr.Outcome == "degraded" {
-			found = true
-			if pr.Fallback != "greedy" || pr.Attempts < 2 || pr.Error == "" {
-				t.Errorf("degraded problem = %+v, want greedy fallback after retries with an error", pr)
-			}
-		}
-	}
-	if !found {
-		t.Error("no problem reported outcome=degraded")
+	if pr := rr.Problems[0]; pr.Outcome != "failed" || pr.Attempts < 2 || pr.Error == "" {
+		t.Errorf("starved problem = %+v, want failed after retries with an error", pr)
 	}
 
 	// With injection cleared, the same session must fully solve, and the
@@ -153,8 +144,8 @@ func TestChaosDaemonSurvivesInjectedFaults(t *testing.T) {
 		t.Fatalf("post-chaos repair = %d solved=%v, want a clean solve", st, rr.Solved)
 	}
 	sz := srv.stats.snapshot(srv.cache.len(), srv.cache.retained())
-	if sz.Destinations.Degraded != 1 || sz.Destinations.Solved != 1 || sz.Destinations.Failed != 0 {
-		t.Errorf("statsz destinations = %+v, want solved=1 degraded=1 failed=0", sz.Destinations)
+	if sz.Destinations.Solved != 1 || sz.Destinations.Failed != 1 {
+		t.Errorf("statsz destinations = %+v, want solved=1 failed=1", sz.Destinations)
 	}
 	if st := getJSON(t, ts, "/healthz", &hz); st != http.StatusOK || !hz.OK {
 		t.Fatalf("healthz after chaos = %d %+v", st, hz)

@@ -406,15 +406,11 @@ type RepairRequest struct {
 type RepairProblem struct {
 	Label  string `json:"label"`
 	Status string `json:"status"`
-	// Outcome is the sub-problem's disposition: "solved", "degraded"
-	// (greedy fallback), or "failed".
+	// Outcome is the sub-problem's disposition: "solved" or "failed".
 	Outcome string `json:"outcome"`
 	// Attempts counts solve attempts (retries included; 0 = cancelled
 	// before starting).
 	Attempts int `json:"attempts"`
-	// Fallback names the degradation provenance ("greedy") when the
-	// outcome is degraded.
-	Fallback string `json:"fallback,omitempty"`
 	// Error describes the terminal solver failure, when there was one.
 	Error      string  `json:"error,omitempty"`
 	TCs        int     `json:"traffic_classes"`
@@ -454,11 +450,11 @@ type RepairProblem struct {
 // RepairResponse is the POST /v1/repair reply.
 type RepairResponse struct {
 	Solved bool `json:"solved"`
-	// Degraded and Failed count per-destination sub-problems that fell
-	// back to the greedy baseline or produced no repair; Solved is false
-	// whenever either is nonzero, but the plan still patches every
-	// solved and degraded destination.
-	Degraded       int               `json:"degraded"`
+	// Degraded is always 0; it is kept for bench/'s readers until ROADMAP
+	// item 9 (x) deletes it.
+	Degraded int `json:"degraded"`
+	// Failed counts sub-problems with no repair; Solved is false whenever
+	// it is nonzero, but the plan still patches every solved destination.
 	Failed         int               `json:"failed"`
 	Changes        int               `json:"changes"`
 	Lines          int               `json:"lines"`
@@ -544,7 +540,6 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 
 	resp := RepairResponse{
 		Solved:            out.Solved(),
-		Degraded:          out.Result.Degraded,
 		Failed:            out.Result.Failed,
 		Changes:           out.Result.Changes,
 		Conflicts:         out.Result.Conflicts,
@@ -565,7 +560,6 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			Status:     st.Status.String(),
 			Outcome:    st.Outcome.String(),
 			Attempts:   st.Attempts,
-			Fallback:   st.Fallback,
 			Error:      st.Err,
 			TCs:        st.TCs,
 			Policies:   st.Policies,

@@ -124,15 +124,12 @@ func (st *stats) repairFinished(res *core.Result, cancelled bool) {
 	sv.TotalizerVars += res.Solver.TotalizerVars
 	sv.HardenedSofts += res.Solver.HardenedSofts
 	d := &z.Destinations
-	d.Degraded += int64(res.Degraded)
+	d.Solved += int64(len(res.Stats) - res.Failed)
 	d.Failed += int64(res.Failed)
 	d.Reused += int64(res.Reused)
 	d.Compressed += int64(res.Compressed)
 	d.CompressFallbacks += int64(res.CompressFallbacks)
 	for _, p := range res.Stats {
-		if p.Outcome == core.OutcomeSolved {
-			d.Solved++
-		}
 		z.Stages.HarcBuildMS += float64(p.HarcBuildNs) / 1e6
 		z.Stages.EncodeMS += float64(p.EncodeNs) / 1e6
 		z.Stages.SolveMS += float64(p.SolveNs) / 1e6
@@ -278,9 +275,8 @@ type Statsz struct {
 	// Destinations counts per-destination sub-problem outcomes, summed
 	// across completed solves.
 	Destinations struct {
-		Solved   int64 `json:"solved"`
-		Degraded int64 `json:"degraded"`
-		Failed   int64 `json:"failed"`
+		Solved int64 `json:"solved"`
+		Failed int64 `json:"failed"`
 		// Reused counts sub-problems replayed from a session's solve
 		// cache instead of re-solved.
 		Reused int64 `json:"reused"`

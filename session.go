@@ -164,8 +164,8 @@ func (s *Session) RepairCtx(ctx context.Context, policies []Policy, opts Options
 	}
 	opts.Cache = s.cache
 	out, err := s.sys.RepairCtx(ctx, policies, opts)
-	// Memoize only clean, fully solved outputs: anything degraded,
-	// failed, or fallback-tainted re-runs fresh (matching the
+	// Memoize only clean, fully solved outputs: anything failed or
+	// compression-fallback-tainted re-runs fresh (matching the
 	// sub-problem cache's cacheability rule).
 	if err == nil && out != nil && out.Solved() && out.Result.CompressFallbacks == 0 {
 		s.storeOutput(key, out)
