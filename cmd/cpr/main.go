@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,7 +124,7 @@ func run(configDir, policyFile, outDir string, verifyOnly, showStats bool, optFl
 		return err
 	}
 	if showStats {
-		printStats(rep.Result)
+		printStats(os.Stdout, rep.Result)
 	}
 	if !rep.Usable() {
 		return fmt.Errorf("no repair found (specification unsatisfiable or budget exhausted)")
@@ -150,11 +151,11 @@ func run(configDir, policyFile, outDir string, verifyOnly, showStats bool, optFl
 	return nil
 }
 
-func printStats(res *core.Result) {
-	fmt.Printf("solved %d MaxSMT problem(s) in %v (sequential %v)\n",
-		len(res.Stats), res.Duration.Round(1e6), res.Sequential.Round(1e6))
+func printStats(w io.Writer, res *core.Result) {
+	fmt.Fprintf(w, "%d MaxSMT problem(s): %d solved, %d failed in %v (sequential %v)\n", len(res.Stats),
+		len(res.Stats)-res.Failed, res.Failed, res.Duration.Round(1e6), res.Sequential.Round(1e6))
 	if res.Compressed > 0 || res.CompressFallbacks > 0 {
-		fmt.Printf("compression: %d problem(s) solved on quotients, %d fell back uncompressed\n",
+		fmt.Fprintf(w, "compression: %d problem(s) solved on quotients, %d fell back uncompressed\n",
 			res.Compressed, res.CompressFallbacks)
 	}
 	for _, st := range res.Stats {
@@ -175,15 +176,15 @@ func printStats(res *core.Result) {
 			extra += " compress-fallback=" + st.CompressFallback
 		}
 		extra += stageBreakdown(st)
-		fmt.Printf("  %-12s tcs=%-4d policies=%-4d vars=%-7d softs=%-5d violated=%-3d %v %s%s\n",
+		fmt.Fprintf(w, "  %-12s tcs=%-4d policies=%-4d vars=%-7d softs=%-5d violated=%-3d %v %s%s\n",
 			st.Label, st.TCs, st.Policies, st.Vars, st.Softs, st.Violations,
 			st.Duration.Round(1e5), st.Status, extra)
 	}
 	sv := res.Solver
-	fmt.Printf("solver: conflicts=%d decisions=%d propagations=%d (binary %d) restarts=%d learned-lits=%d db-reductions=%d arena-gcs=%d\n",
+	fmt.Fprintf(w, "solver: conflicts=%d decisions=%d propagations=%d (binary %d) restarts=%d learned-lits=%d db-reductions=%d arena-gcs=%d\n",
 		sv.Conflicts, sv.Decisions, sv.Propagations, sv.BinaryProps,
 		sv.Restarts, sv.LearnedLits, sv.DBReductions, sv.ArenaGCs)
-	fmt.Printf("maxsat: assumption-solves=%d cores=%d totalizer-vars=%d hardened-softs=%d\n",
+	fmt.Fprintf(w, "maxsat: assumption-solves=%d cores=%d totalizer-vars=%d hardened-softs=%d\n",
 		sv.AssumpSolves, sv.CoresExtracted, sv.TotalizerVars, sv.HardenedSofts)
 }
 

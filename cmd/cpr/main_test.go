@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	cpr "repro"
 	"repro/internal/config"
+	"repro/internal/core"
 )
 
 func writeFigure2a(t *testing.T) string {
@@ -117,5 +120,22 @@ func TestRunUnsatisfiableSpec(t *testing.T) {
 	}
 	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "per-dst", Parallelism: 1}, 0); err == nil {
 		t.Error("unsatisfiable spec should surface an error")
+	}
+}
+
+// TestPrintStatsCountsOutcomes pins the -stats header: it counts the
+// sub-problems by outcome, so a failed row is never headed "solved".
+func TestPrintStatsCountsOutcomes(t *testing.T) {
+	var out bytes.Buffer
+	printStats(&out, &core.Result{Failed: 1, Stats: []core.ProblemStat{
+		{Label: "d1", Outcome: core.OutcomeSolved},
+		{Label: "d2", Outcome: core.OutcomeFailed, Err: "unsatisfiable"},
+	}})
+	head, _, _ := strings.Cut(out.String(), "\n")
+	if want := "2 MaxSMT problem(s): 1 solved, 1 failed in "; !strings.HasPrefix(head, want) {
+		t.Errorf("header %q, want prefix %q", head, want)
+	}
+	if !strings.Contains(out.String(), "outcome=failed err=unsatisfiable") {
+		t.Errorf("the failed row is missing its outcome:\n%s", out.String())
 	}
 }

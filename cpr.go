@@ -185,7 +185,8 @@ func (s *System) Repair(policies []Policy, opts Options) (*RepairOutput, error) 
 
 // RepairCtx is Repair under a context. Cancellation propagates into the
 // CDCL solver's search loop, so a timed-out or abandoned repair stops
-// consuming CPU promptly and RepairCtx returns ctx's error.
+// consuming CPU promptly and RepairCtx returns ctx's error. An answer
+// core's acceptance gate rejected is a failed sub-problem, not an error.
 func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options) (*RepairOutput, error) {
 	res, err := core.RepairCtx(ctx, s.HARC, policies, opts)
 	if err != nil {
@@ -193,18 +194,10 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 	}
 	out := &RepairOutput{Result: res}
 	// A partial result is still worth translating: every solved
-	// destination's repair is verified and patched, while failed
-	// destinations are reported in Result.Stats. res.Repaired lists
-	// exactly the policies the repaired state must satisfy (all of them
-	// when res.Solved).
+	// destination's repair passed core's acceptance gate and is patched,
+	// while failed destinations are reported in Result.Stats.
 	if !res.Usable() {
 		return out, nil
-	}
-	// Only policies on classes the repair touched need re-checking; the
-	// rest were verified satisfied before the repair on identical state
-	// (see core.Result.Touched).
-	if bad := core.VerifyRepairIncremental(s.HARC, res.State, res.Repaired, res.Touched, opts.Workers()); len(bad) != 0 {
-		return nil, fmt.Errorf("cpr: internal error: repair violates %d policies (first: %s)", len(bad), bad[0])
 	}
 	cfgs, err := translate.CloneConfigs(s.Configs)
 	if err != nil {
@@ -219,8 +212,8 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 	for host, c := range cfgs {
 		out.PatchedConfigs[host] = c.Print()
 	}
-	// Symmetry-compressed repairs already re-verified per sub-problem on
-	// the uncompressed HARC; the belt-and-braces final check replays the
+	// Symmetry-compressed repairs already passed the gate per sub-problem
+	// on the uncompressed HARC; the belt-and-braces final check replays the
 	// patched configuration text through the parser and verifies the
 	// repaired policies on the network it actually describes. If that
 	// ever disagrees, the whole repair is redone uncompressed.
@@ -327,7 +320,7 @@ type RepairOutput struct {
 // Solved reports whether every sub-problem found an optimal repair.
 func (r *RepairOutput) Solved() bool { return r.Result != nil && r.Result.Solved }
 
-// Usable reports whether at least one sub-problem produced a verified
-// repair, i.e. the output carries a patch worth applying even though
-// some destinations may have failed.
+// Usable reports whether at least one sub-problem's answer passed the
+// acceptance gate, i.e. the output carries a patch worth applying even
+// though some destinations may have failed.
 func (r *RepairOutput) Usable() bool { return r.Result != nil && r.Result.Usable() }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/arc"
 	"repro/internal/generate"
+	"repro/internal/harc"
 	"repro/internal/policy"
 )
 
@@ -128,15 +130,18 @@ func TestCompressedLosslessCostExact(t *testing.T) {
 	}
 }
 
-// TestCompressedAcceptanceChecksEveryPolicy pins the acceptance rule of a
-// concretized patch: every policy of the sub-problem is checked on the
-// concrete state, not the pre-violated ones plus a sample. For each
-// compressed sub-problem of a repaired data center, each reachability
-// policy that held before the repair is broken in turn — its class's
-// source attachment bit cleared in an otherwise accepted state — and every
-// such state must be rejected at stage "reverify". (A check that samples
-// one policy per touched class beside the pre-violated ones accepts all
-// but a handful of these.)
+// TestCompressedAcceptanceChecksEveryPolicy pins the acceptance gate on
+// both answer paths, compressed and uncompressed: every policy of the
+// sub-problem is checked on the staged state, not the pre-violated ones
+// plus a sample. For each accepted sub-problem of a repaired data center,
+// each reachability policy that held before the repair is broken in turn
+// — its class's source attachment bit cleared in an otherwise accepted
+// state — and accept must reject every such state, naming the policy and
+// leaving the problem failed. The same state stored as the sub-problem's
+// cache entry must not be replayed by a repeat repair through that cache,
+// which solves the sub-problem afresh to the untampered state. (A check
+// that samples one policy per touched class beside the pre-violated ones
+// accepts all but a handful of these.)
 func TestCompressedAcceptanceChecksEveryPolicy(t *testing.T) {
 	inst, err := generate.DataCenter(generate.DCOptions{
 		Name: "compress-accept", Routers: 24, Subnets: 12,
@@ -146,42 +151,81 @@ func TestCompressedAcceptanceChecksEveryPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := inst.Harc()
-	opts := DefaultOptions()
-	opts.Compress = CompressOn
-	res, err := Repair(h, inst.Policies, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := policy.GroupByDst(inst.Policies)
-	broken := 0
-	for _, stat := range res.Stats {
-		if !stat.Compressed {
-			continue
-		}
-		pr := &problem{label: stat.Label, policies: groups[stat.Label]}
-		if !acceptConcrete(h, res.State, pr) {
-			t.Fatalf("problem %s: the accepted state is rejected untampered", pr.label)
-		}
-		for _, p := range pr.policies {
-			if p.Kind != policy.KReachable || !policy.Check(h, p) {
-				continue
+	for _, mode := range []CompressMode{CompressOn, CompressOff} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Compress = mode
+			opts.Cache = NewSolveCache("compress-accept")
+			res, err := Repair(h, inst.Policies, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			tampered := res.State.Clone()
-			r := h.TCRow(p.TC)
-			tampered.TC[r].Each(func(id int) {
-				if h.Slots[id].Kind == arc.SlotSource {
-					tampered.SetTC(r, id, false)
+			if !res.Solved {
+				t.Fatalf("repair unsolved: %+v", res.Stats)
+			}
+			problems, err := buildProblems(h, inst.Policies, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, orig := newTables(h), harc.StateOf(h)
+			broken := 0
+			for _, pr := range problems {
+				if res.Stats[statIndex(res, pr.label)].Compressed != (mode == CompressOn) {
+					t.Fatalf("problem %s: compressed=%t under compress %s", pr.label, mode != CompressOn, mode)
 				}
-			})
-			pr.stat = ProblemStat{}
-			if acceptConcrete(h, tampered, pr) || pr.stat.CompressFallback != "reverify" {
-				t.Errorf("problem %s: state violating %q accepted (stage %q)", pr.label, p, pr.stat.CompressFallback)
+				pr.stat.Outcome = OutcomeFailed
+				if accept(h, pr, res.State, 0) != nil || pr.stat.Outcome != OutcomeSolved {
+					t.Fatalf("problem %s: the accepted state is rejected untampered", pr.label)
+				}
+				fp, _, _ := problemMemo(tb, orig, pr, opts)
+				entry := opts.Cache.entries[fp]
+				if entry == nil {
+					t.Fatalf("problem %s: no cache entry", pr.label)
+				}
+				for _, p := range pr.policies {
+					if p.Kind != policy.KReachable || !policy.Check(h, p) {
+						continue
+					}
+					tampered := res.State.Clone()
+					r := h.TCRow(p.TC)
+					tampered.TC[r].Each(func(id int) {
+						if h.Slots[id].Kind == arc.SlotSource {
+							tampered.SetTC(r, id, false)
+						}
+					})
+					pr.stat, pr.realized = ProblemStat{Outcome: OutcomeFailed}, nil
+					err := accept(h, pr, tampered, 0)
+					if err == nil || !strings.Contains(err.Error(), p.String()) || pr.stat.Outcome != OutcomeFailed || pr.realized != nil {
+						t.Errorf("problem %s: state violating %q not rejected by name (err %v, outcome %v)", pr.label, p, err, pr.stat.Outcome)
+					}
+					poisoned := *entry
+					poisoned.realized = tampered
+					opts.Cache.entries[fp] = &poisoned
+					again, err := Repair(h, inst.Policies, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if again.Stats[statIndex(again, pr.label)].Reused || !again.Solved || !again.State.Equal(res.State) {
+						t.Errorf("problem %s: the entry violating %q was replayed or changed the repair", pr.label, p)
+					}
+					broken++
+				}
+				opts.Cache.entries[fp] = entry
 			}
-			broken++
+			if broken == 0 {
+				t.Fatalf("no sub-problem with a satisfied reachability policy to break (stats: %+v)", res.Stats)
+			}
+			t.Logf("%d tampered states, all rejected", broken)
+		})
+	}
+}
+
+// statIndex returns the index of the stat labeled label in res.Stats.
+func statIndex(res *Result, label string) int {
+	for i, st := range res.Stats {
+		if st.Label == label {
+			return i
 		}
 	}
-	if broken == 0 {
-		t.Fatalf("no compressed sub-problem with a satisfied reachability policy to break (stats: %+v)", res.Stats)
-	}
-	t.Logf("%d tampered states, all rejected", broken)
+	panic("no stat labeled " + label)
 }

@@ -128,11 +128,10 @@ func buildQuotient(tb *tables, pr *problem, opts Options) (sq *sharedQuotient, q
 
 // tryCompressed attempts the compressed solve for one sub-problem:
 // build the quotient, repair it with the unchanged encoder, concretize
-// the patch onto every class member, and accept only if the realized
-// state satisfies the sub-problem's policies on the uncompressed HARC.
-// On success the problem is marked solved with the realized state
-// staged for the serial merge; on any failure it records the fallback
-// stage in the stats and returns false so the caller proceeds with the
+// the patch onto every class member, and put it to the acceptance gate on
+// the uncompressed HARC, where any over-merge or misplaced edit is
+// rejected at stage "reverify". On any failure it records the fallback
+// stage (never cached) and returns false so the caller proceeds with the
 // normal uncompressed path.
 func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State, pr *problem, opts Options) (ok bool) {
 	h := tb.h
@@ -183,37 +182,16 @@ func tryCompressed(ctx context.Context, w *worker, tb *tables, orig *harc.State,
 		pr.stat.CompressFallback = "concretize"
 		return false
 	}
-	t0 = time.Now()
-	vok := acceptConcrete(h, trial, pr)
-	pr.stat.ReverifyNs += time.Since(t0).Nanoseconds()
-	if !vok {
+	// The failpoint simulates a gate rejection on this leg only.
+	if faultinject.Eval(faultinject.CoreReverifyError) != nil || accept(h, pr, trial, changes) != nil {
+		pr.stat.CompressFallback = "reverify"
 		return false
 	}
-	pr.realized = trial
-	pr.stat.Violations = changes
-	pr.stat.Status = sat.Sat
-	pr.stat.Outcome = OutcomeSolved
 	pr.stat.Compressed = true
 	if pr.stat.Attempts == 0 {
 		pr.stat.Attempts = 1
 	}
 	return true
-}
-
-// acceptConcrete is the acceptance rule for a concretized patch: every
-// policy of the sub-problem holds on the concrete trial state. The verdict
-// comes from the uncompressed network, never from the abstraction that
-// produced the patch, so any over-merge the refiner committed or any edit
-// count-based concretization misplaced surfaces here and sends the
-// destination down the uncompressed path at stage "reverify" (as does an
-// injected core/reverify-error fault). Fallback stages are never cached
-// (cacheableOutcome requires an empty stage).
-func acceptConcrete(h *harc.HARC, trial *harc.State, pr *problem) bool {
-	if faultinject.Eval(faultinject.CoreReverifyError) == nil && len(VerifyRepair(h, trial, pr.policies)) == 0 {
-		return true
-	}
-	pr.stat.CompressFallback = "reverify"
-	return false
 }
 
 // remapToQuotient rebinds the sub-problem's traffic classes and

@@ -9,6 +9,7 @@ import (
 	"repro/internal/harc"
 	"repro/internal/policy"
 	"repro/internal/smt/maxsat"
+	"repro/internal/smt/sat"
 )
 
 // determinismFixture is a corpus network with several violated
@@ -239,6 +240,48 @@ func TestVerifyRepairIncrementalWorkers(t *testing.T) {
 			if got := VerifyRepairIncremental(h, leg.st, dc.Policies, res.Touched, workers); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: %d workers found %d violations, 1 worker %d (or another order)", leg.name, workers, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestSolveCacheRejectsPoisonedEntry stores, under a sub-problem's real
+// fingerprint and before any repair, an entry whose staged state is the
+// unrepaired network, which violates the sub-problem's policies. The
+// repair must put the entry to the acceptance gate rather than replay it,
+// and solve the sub-problem afresh to the state an uncached repair
+// reaches. The entry stays (the first store wins), so a repeat repair
+// rejects it again.
+func TestSolveCacheRejectsPoisonedEntry(t *testing.T) {
+	h, ps := determinismFixture(t)
+	opts := DefaultOptions()
+	base, err := Repair(h, ps, opts)
+	if err != nil || !base.Solved {
+		t.Fatalf("uncached repair: solved %v, err %v", base != nil && base.Solved, err)
+	}
+	opts.Cache = NewSolveCache("poison")
+	problems, err := buildProblems(h, ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, orig := problems[0], harc.StateOf(h)
+	fp, _, ok := problemMemo(newTables(h), orig, pr, opts)
+	if !ok {
+		t.Fatalf("problem %s: no fingerprint", pr.label)
+	}
+	opts.Cache.store(fp, &solveEntry{
+		stat:     ProblemStat{Label: pr.label, Outcome: OutcomeSolved, Status: sat.Sat, Attempts: 1},
+		realized: orig,
+	})
+	for round := 1; round <= 2; round++ {
+		res, err := Repair(h, ps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats[statIndex(res, pr.label)].Reused {
+			t.Errorf("round %d: problem %s replayed the poisoned entry", round, pr.label)
+		}
+		if !res.Solved || !res.State.Equal(base.State) {
+			t.Errorf("round %d: solved %v, state equal to the uncached repair's %v", round, res.Solved, res.State.Equal(base.State))
 		}
 	}
 }

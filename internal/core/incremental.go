@@ -152,13 +152,20 @@ func (c *SolveCache) store(fp string, e *solveEntry) {
 	c.stores++
 }
 
-// replay copies the memoized outcome onto the problem. The caller's
-// deferred Duration measurement still applies, so replayed stats carry
-// the (sub-millisecond) lookup time instead of the original solve time.
-func (e *solveEntry) replay(pr *problem) {
+// replay copies the memoized outcome onto the problem, putting a solved
+// entry's repair to the acceptance gate; a rejected one leaves the problem
+// as it was and reports false. The caller's deferred Duration measurement
+// still applies, so replayed stats carry the replay's own time.
+func (e *solveEntry) replay(h *harc.HARC, pr *problem) bool {
+	fresh := pr.stat
 	pr.stat = e.stat
 	pr.stat.Reused = true
-	pr.realized = e.realized
+	pr.stat.Outcome = OutcomeFailed // an Unsat entry's; accept sets a Sat one's
+	if e.realized != nil && accept(h, pr, e.realized, e.stat.Violations) != nil {
+		pr.stat = fresh
+		return false
+	}
+	return true
 }
 
 // fpWriter streams length-framed tokens into a hash, avoiding ambiguity

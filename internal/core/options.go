@@ -58,10 +58,10 @@ type Outcome int
 
 // Sub-problem outcomes.
 const (
-	// OutcomeSolved: the MaxSMT solve found an optimal repair.
+	// OutcomeSolved: an optimal repair passed the acceptance gate.
 	OutcomeSolved Outcome = iota
-	// OutcomeFailed: no usable repair for this sub-problem
-	// (unsatisfiable, cancelled, or every attempt failed).
+	// OutcomeFailed: no usable repair for this sub-problem (unsatisfiable,
+	// cancelled, every attempt failed, or the gate rejected the answer).
 	OutcomeFailed
 )
 
@@ -188,8 +188,8 @@ type ProblemStat struct {
 	Solver   sat.Stats
 	Duration time.Duration
 	// Compressed marks a sub-problem solved on a symmetry-compressed
-	// quotient network whose concretized patch re-verified on the
-	// uncompressed state. Vars/Softs then describe the quotient problem.
+	// quotient network whose concretized patch passed the acceptance
+	// gate. Vars/Softs then describe the quotient problem.
 	Compressed bool
 	// DeviceClasses and QuotientDevices describe the quotient when
 	// compression was attempted: role-equivalence class count and
@@ -205,10 +205,9 @@ type ProblemStat struct {
 	// attempted).
 	CompressFallback string
 	// Per-stage wall-clock breakdown in nanoseconds, summed across
-	// attempts. EncodeNs and SolveNs cover every solve path; HarcBuildNs
-	// (quotient HARC construction), ConcretizeNs (patch fan-out) and
-	// ReverifyNs (the concrete acceptance check) are populated only when
-	// compression was attempted.
+	// attempts. EncodeNs, SolveNs and ReverifyNs (the acceptance gate)
+	// cover every path; HarcBuildNs (quotient HARC construction) and
+	// ConcretizeNs (patch fan-out) only compression attempts.
 	HarcBuildNs  int64
 	EncodeNs     int64
 	SolveNs      int64
@@ -237,9 +236,9 @@ type Result struct {
 	// Failed counts sub-problems with no repair; Solved is false whenever
 	// it is nonzero.
 	Failed int
-	// Repaired lists the policies covered by solved sub-problems: the
-	// subset of the specification guaranteed to hold on State. Callers
-	// verifying partial results check exactly these.
+	// Repaired lists the policies of solved sub-problems (each checked by
+	// the acceptance gate) and those outside every sub-problem: the subset
+	// of the specification guaranteed to hold on State.
 	Repaired []policy.Policy
 	// Conflicts is the total SAT conflict count across sub-problems.
 	Conflicts int64

@@ -15,11 +15,11 @@ type problem struct {
 	tcs      []topology.TrafficClass
 	policies []policy.Policy
 	freeze   bool
-	// realized is the sub-problem's repair, staged by the worker for the
-	// serial merge in a copy-on-write clone of the original state (so it
-	// owns only the problem's rows): the model extraction of a solve, the
-	// concretized quotient repair of a compressed one (concretizePatch),
-	// or either replayed from the solve cache.
+	// realized is the sub-problem's repair, staged for the serial merge
+	// in a copy-on-write clone of the original state (so it owns only the
+	// problem's rows): the model extraction of a solve, the concretized
+	// quotient repair of a compressed one (concretizePatch), or either
+	// replayed from the solve cache. Only the acceptance gate sets it.
 	realized *harc.State
 	stat     ProblemStat
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,7 +53,9 @@ func (w *worker) solver() *sat.Solver {
 // runProblems is the fan-out: a fixed worker pool drains the problem
 // queue largest-first (deterministic dispatch under Parallelism 1), and
 // every problem resolves to solved or failed — never to an aborted batch
-// or a dead process.
+// or a dead process. The caller is one of the workers (harc.ParallelFor),
+// so a lone sub-problem, such as a replay, runs on the caller's stack
+// rather than growing a new goroutine's.
 func runProblems(ctx context.Context, tb *tables, orig *harc.State, problems []*problem, opts Options) {
 	workers := opts.Workers()
 	var pending atomic.Int64
@@ -64,19 +65,13 @@ func runProblems(ctx context.Context, tb *tables, orig *harc.State, problems []*
 		queue <- pr
 	}
 	close(queue)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newWorker()
-			for pr := range queue {
-				solveProblem(ctx, w, tb, orig, pr, opts, workers, &pending)
-				pending.Add(-1)
-			}
-		}()
-	}
-	wg.Wait()
+	harc.ParallelFor(min(workers, len(problems)), workers, func(int) {
+		w := newWorker()
+		for pr := range queue {
+			solveProblem(ctx, w, tb, orig, pr, opts, workers, &pending)
+			pending.Add(-1)
+		}
+	})
 }
 
 // solveProblem drives one sub-problem to a terminal outcome: a solve-
@@ -87,15 +82,15 @@ func runProblems(ctx context.Context, tb *tables, orig *harc.State, problems []*
 // attempt's error. The monolithic all-tcs problem (the one problem that
 // does not freeze the aETG) gets one attempt: its caller's ConflictBudget
 // is the paper's 8-hour-limit analogue, so escalating it would move the
-// DNF cells of Figures 7 and 9.
+// DNF cells of Figures 7 and 9. Every path's answer goes through accept.
 func solveProblem(ctx context.Context, w *worker, tb *tables, orig *harc.State, pr *problem, opts Options, workers int, pending *atomic.Int64) {
 	t0 := time.Now()
 	defer func() { pr.stat.Duration = time.Since(t0) }()
 
+	pr.stat.Outcome = OutcomeFailed
 	fp, epochBound, memo := problemMemo(tb, orig, pr, opts)
 	if memo {
-		if ent := opts.Cache.lookup(fp); ent != nil {
-			ent.replay(pr)
+		if ent := opts.Cache.lookup(fp); ent != nil && ent.replay(tb.h, pr) {
 			return
 		}
 	}
@@ -115,7 +110,6 @@ func solveProblem(ctx context.Context, w *worker, tb *tables, orig *harc.State, 
 	}
 	o := opts
 	var lastErr error
-	pr.stat.Outcome = OutcomeFailed
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			pr.stat.Err = "cancelled: " + err.Error()
@@ -125,18 +119,19 @@ func solveProblem(ctx context.Context, w *worker, tb *tables, orig *harc.State, 
 		wctx, cancel := watchdogCtx(ctx, workers, pending)
 		enc, cost, status, err := solveOnce(wctx, w, pr, tb, orig, pr.tcs, pr.policies, pr.freeze, o, attempt)
 		cancel()
-		pr.stat.Status = status
 		if err == nil {
 			switch status {
 			case sat.Sat:
-				pr.realized = orig.Clone()
-				enc.extract(pr.realized)
-				pr.stat.Outcome = OutcomeSolved
-				pr.stat.Violations = cost
+				st := orig.Clone()
+				enc.extract(st)
+				if err := accept(tb.h, pr, st, cost); err != nil {
+					pr.stat.Err = err.Error() // deterministic: no retry, never cached
+				}
 				memoize()
 				return
 			case sat.Unsat:
 				// Deterministic: no retry.
+				pr.stat.Status = sat.Unsat
 				pr.stat.Err = "unsatisfiable"
 				memoize()
 				return

@@ -2,10 +2,32 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"time"
 
 	"repro/internal/harc"
 	"repro/internal/policy"
+	"repro/internal/smt/sat"
 )
+
+// accept is the one acceptance gate for a sub-problem's answer st, solved,
+// compressed or replayed: it stages st and marks the problem solved iff
+// every policy holds on st by the graph checker (on one goroutine, as it
+// runs in a worker), never by the word of the formula or abstraction that
+// made st. Its time goes to ReverifyNs; a rejection names a violation.
+func accept(h *harc.HARC, pr *problem, st *harc.State, changes int) error {
+	t0 := time.Now()
+	bad := VerifyRepair(h, st, pr.policies)
+	pr.stat.ReverifyNs += time.Since(t0).Nanoseconds()
+	if len(bad) > 0 {
+		return fmt.Errorf("core: problem %s: answer violates %d of its policies (first: %s)", pr.label, len(bad), bad[0])
+	}
+	pr.realized = st
+	pr.stat.Violations = changes
+	pr.stat.Status = sat.Sat
+	pr.stat.Outcome = OutcomeSolved
+	return nil
+}
 
 // VerifyRepair checks that every policy holds on the repaired state.
 func VerifyRepair(h *harc.HARC, st *harc.State, policies []policy.Policy) []policy.Policy {
