@@ -2,10 +2,11 @@ package cpr
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/generate"
 	"repro/internal/policy"
@@ -89,12 +90,14 @@ func TestChaosTransientFaultStillSolves(t *testing.T) {
 	}
 }
 
-// TestChaosReplayFallback arms the failpoint on cpr.RepairCtx's final
-// check of a compressed repair (re-parse the patched text, re-verify the
-// repaired policies on it) and pins the branch it forces: the whole
-// repair is redone uncompressed, comes back solved, and patches the
-// configurations exactly as a compress-off repair does.
-func TestChaosReplayFallback(t *testing.T) {
+// TestChaosReplayFailureIsLabeled arms the failpoint on cpr.RepairCtx's
+// read-back of a compressed repair (re-parse the patched text, re-verify
+// the repaired policies on it) and pins the branch it forces: a labeled
+// error wrapping ErrUnfaithfulPatch that names the first repaired policy,
+// with no output and no second, uncompressed repair. Through a session
+// the error is not memoized: once the failpoint is cleared, the same
+// request solves compressed and patches the text as a plain repair does.
+func TestChaosReplayFailureIsLabeled(t *testing.T) {
 	inst, err := generate.DataCenter(generate.DCOptions{
 		Name: "dc32", Routers: 32, Subnets: 12,
 		BlockedFrac: 0.3, FullyBlockedDsts: 1, Violations: 4, Seed: 3,
@@ -102,41 +105,52 @@ func TestChaosReplayFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, _, ps := loadInstance(t, inst)
+	sys, texts, ps := loadInstance(t, inst)
 	if n := sys.Network.NumDevices(); n < 24 {
-		t.Fatalf("%d devices: too few for compression to engage by default", n)
+		t.Fatalf("%d devices: too few for compression to engage", n)
 	}
-	compressed, err := sys.Repair(ps, DefaultOptions())
+	want, err := sys.Repair(ps, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compressed.Solved() || compressed.Result.Compressed == 0 {
+	if !want.Solved() || want.Result.Compressed == 0 {
 		t.Fatalf("solved=%v compressed=%d: the workload must repair compressed without the failpoint",
-			compressed.Solved(), compressed.Result.Compressed)
+			want.Solved(), want.Result.Compressed)
 	}
-	off := DefaultOptions()
-	off.Compress = core.CompressOff
-	want, err := sys.Repair(ps, off)
+	sess, err := NewSession(texts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sps := reparse(t, sess.System(), ps)
 
 	if err := faultinject.Set(faultinject.CPRReplayError, "error"); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Reset()
-	before := faultinject.FiredCount(faultinject.CPRReplayError)
-	rep, err := sys.Repair(ps, DefaultOptions())
+	rep, err := sess.Repair(sps, DefaultOptions())
+	if faultinject.FiredCount(faultinject.CPRReplayError) != 1 {
+		t.Fatalf("the replay failpoint fired %d times, want once", faultinject.FiredCount(faultinject.CPRReplayError))
+	}
+	if !errors.Is(err, ErrUnfaithfulPatch) || rep != nil {
+		t.Fatalf("output %v, err %v; want no output and an ErrUnfaithfulPatch", rep, err)
+	}
+	if first := want.Result.Repaired[0].String(); !strings.Contains(err.Error(), first) {
+		t.Errorf("err %q does not name the first repaired policy %q", err, first)
+	}
+	// One pass over the sub-problems: nothing was solved a second time.
+	if st := sess.CacheStats(); st.Hits+st.Misses != uint64(len(want.Result.Stats)) {
+		t.Errorf("solve-cache lookups %d, want %d: a second repair ran", st.Hits+st.Misses, len(want.Result.Stats))
+	}
+
+	faultinject.Reset()
+	again, err := sess.Repair(sps, DefaultOptions())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the failure was memoized: %v", err)
 	}
-	if faultinject.FiredCount(faultinject.CPRReplayError) == before {
-		t.Fatal("the replay failpoint never fired — the test proved nothing")
+	if !again.Solved() || again.Result.Compressed == 0 {
+		t.Fatalf("solved=%v compressed=%d, want a solved compressed repair", again.Solved(), again.Result.Compressed)
 	}
-	if !rep.Solved() || rep.Result.Compressed != 0 {
-		t.Fatalf("solved=%v compressed=%d, want a solved uncompressed re-run", rep.Solved(), rep.Result.Compressed)
-	}
-	if !reflect.DeepEqual(rep.PatchedConfigs, want.PatchedConfigs) {
-		t.Fatal("the fallback's patched configurations differ from a compress-off repair's")
+	if !reflect.DeepEqual(again.PatchedConfigs, want.PatchedConfigs) {
+		t.Fatal("the session's patched configurations differ from a plain repair's")
 	}
 }

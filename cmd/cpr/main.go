@@ -40,7 +40,6 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "parallel per-destination solves (0 = one per core)")
 		budget     = flag.Int64("budget", 0, "SAT conflict budget per problem (0 = unlimited)")
 		timeout    = flag.Duration("timeout", 0, "repair deadline (0 = none); exceeding it cancels the solve")
-		compress   = flag.String("compress", "auto", "symmetry compression: auto, on, or off")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -61,7 +60,6 @@ func main() {
 		Objective:      *objFlag,
 		Parallelism:    *parallel,
 		ConflictBudget: *budget,
-		Compress:       *compress,
 	}
 	runErr := run(*configDir, *policyFile, *outDir, *verifyOnly, *showStats, optFlags, *timeout)
 	if perr := stopProf(); perr != nil && runErr == nil {

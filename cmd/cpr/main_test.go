@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -104,11 +106,42 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "bogus", Parallelism: 1}, 0); err == nil {
 		t.Error("bad granularity should error")
 	}
-	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "per-dst", Compress: "bogus", Parallelism: 1}, 0); err == nil {
-		t.Error("bad compress mode should error")
-	}
 	if err := run(dir, filepath.Join(dir, "missing.spec"), "", false, true, cpr.OptionFlags{}, 0); err == nil {
 		t.Error("missing spec should error")
+	}
+}
+
+// TestCompressIsNotAFlag runs main in a child process: compression is
+// the engine's call, so -compress is an undefined flag (exit status 2),
+// while the same command without it repairs.
+func TestCompressIsNotAFlag(t *testing.T) {
+	if args := os.Getenv("CPR_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"cpr"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	dir := writeFigure2a(t)
+	spec := filepath.Join(dir, "policies.spec")
+	if err := os.WriteFile(spec, []byte("reachable S T 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runMain := func(extra string) (int, string) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCompressIsNotAFlag$")
+		cmd.Env = append(os.Environ(), "CPR_MAIN_ARGS=-configs "+dir+" -policies "+spec+" -parallel 1"+extra)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode(), string(out)
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return 0, string(out)
+	}
+	if code, out := runMain(" -compress on"); code != 2 || !strings.Contains(out, "flag provided but not defined: -compress") {
+		t.Errorf("cpr -compress on: exit %d, output %q; want a flag error", code, out)
+	}
+	if code, out := runMain(""); code != 0 || !strings.Contains(out, "repair:") {
+		t.Errorf("cpr without -compress: exit %d, output %q; want a repair", code, out)
 	}
 }
 

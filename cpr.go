@@ -21,6 +21,7 @@ package cpr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -183,10 +184,17 @@ func (s *System) Repair(policies []Policy, opts Options) (*RepairOutput, error) 
 	return s.RepairCtx(context.Background(), policies, opts)
 }
 
+// ErrUnfaithfulPatch is wrapped by the error RepairCtx returns when a
+// compressed repair's patched text, parsed again, violates a policy the
+// repair's own state satisfies: a translation fault, not an input fault.
+var ErrUnfaithfulPatch = errors.New("cpr: unfaithful patch")
+
 // RepairCtx is Repair under a context. Cancellation propagates into the
 // CDCL solver's search loop, so a timed-out or abandoned repair stops
 // consuming CPU promptly and RepairCtx returns ctx's error. An answer
 // core's acceptance gate rejected is a failed sub-problem, not an error.
+// A compressed repair whose text fails its read-back is an error wrapping
+// ErrUnfaithfulPatch that names the first policy the text violates.
 func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options) (*RepairOutput, error) {
 	res, err := core.RepairCtx(ctx, s.HARC, policies, opts)
 	if err != nil {
@@ -213,18 +221,13 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 		out.PatchedConfigs[host] = c.Print()
 	}
 	// Symmetry-compressed repairs already passed the gate per sub-problem
-	// on the uncompressed HARC; the belt-and-braces final check replays the
-	// patched configuration text through the parser and verifies the
-	// repaired policies on the network it actually describes. If that
-	// ever disagrees, the whole repair is redone uncompressed.
-	if res.Compressed > 0 && (faultinject.Eval(faultinject.CPRReplayError) != nil ||
-		!verifyPatchedConfigs(ctx, out.PatchedConfigs, res.Repaired, res.State)) {
-		if err := ctx.Err(); err != nil {
+	// on the uncompressed HARC; the read-back replays the patched
+	// configuration text through the parser and verifies the repaired
+	// policies on the network it actually describes.
+	if res.Compressed > 0 {
+		if err := verifyPatchedConfigs(ctx, out.PatchedConfigs, res.Repaired, res.State); err != nil {
 			return nil, err
 		}
-		o := opts
-		o.Compress = core.CompressOff
-		return s.RepairCtx(ctx, policies, o)
 	}
 	return out, nil
 }
@@ -235,24 +238,29 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 // all-pairs HARC would dwarf the repair itself on large networks).
 // Checks find a class's rows by subnet name, so the policies need no
 // rebinding; the classes are bound to the re-parsed network's subnets.
+// It returns nil when every policy holds on the text, ctx's error if it
+// stopped, and otherwise an error wrapping ErrUnfaithfulPatch that says
+// why: the first policy that fails, or the text that does not load.
 //
 // Fast path: when the re-parsed network's state reads the same as the
 // already-verified repaired state `want` (on everything a policy check
 // reads), every verdict must agree with the verified one, so the
 // per-policy graph checks are skipped entirely. Any difference falls back
-// to checking every policy on the re-parsed state.
-func verifyPatchedConfigs(ctx context.Context, patched map[string]string, policies []Policy, want *harc.State) bool {
-	var parsed []*config.Config
-	for _, k := range sortedLabels(patched) {
-		c, err := config.Parse(k, patched[k])
-		if err != nil {
-			return false
-		}
-		parsed = append(parsed, c)
+// to checking every policy on the re-parsed state. The cpr/replay-error
+// failpoint skips the fast path and fails the first policy.
+func verifyPatchedConfigs(ctx context.Context, patched map[string]string, policies []Policy, want *harc.State) error {
+	forced := faultinject.Eval(faultinject.CPRReplayError) != nil
+	byLabel, err := parseLabeled(patched)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrUnfaithfulPatch, err)
+	}
+	parsed := make([]*config.Config, 0, len(byLabel))
+	for _, k := range sortedLabels(byLabel) {
+		parsed = append(parsed, byLabel[k])
 	}
 	n, err := config.Extract(parsed)
 	if err != nil {
-		return false
+		return fmt.Errorf("%w: %v", ErrUnfaithfulPatch, err)
 	}
 	seen := map[string]bool{}
 	var tcs []TrafficClass
@@ -262,7 +270,7 @@ func verifyPatchedConfigs(ctx context.Context, patched map[string]string, polici
 				break
 			}
 			if tc.Src == nil || tc.Dst == nil || n.Subnet(tc.Src.Name) == nil || n.Subnet(tc.Dst.Name) == nil {
-				return false
+				return fmt.Errorf("%w: %s names a subnet the patched text lacks", ErrUnfaithfulPatch, p)
 			}
 			if !seen[tc.Key()] {
 				seen[tc.Key()] = true
@@ -272,16 +280,19 @@ func verifyPatchedConfigs(ctx context.Context, patched map[string]string, polici
 	}
 	h := harc.BuildLite(n, tcs)
 	got := harc.StateOf(h)
-	if want != nil && patchedStateMatches(got, want, h.Dsts, tcs) {
-		return true
+	if !forced && want != nil && patchedStateMatches(got, want, h.Dsts, tcs) {
+		return nil
 	}
 	checker := policy.NewStateChecker(h, got)
 	for _, p := range policies {
-		if ctx.Err() != nil || !checker.Check(p) {
-			return false
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if forced || !checker.Check(p) {
+			return fmt.Errorf("%w: %s fails on the patched text", ErrUnfaithfulPatch, p)
 		}
 	}
-	return true
+	return nil
 }
 
 // patchedStateMatches compares the state extracted from re-parsed

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/harc"
 	"repro/internal/policy"
 )
@@ -75,15 +74,15 @@ func TestOptionFlagsResolve(t *testing.T) {
 	if err != nil || opts != DefaultOptions() {
 		t.Errorf("zero flags = %+v, %v; want defaults", opts, err)
 	}
-	opts, err = OptionFlags{Granularity: "all-tcs", Objective: "min-devices", Parallelism: 4, ConflictBudget: 100, Compress: "off"}.Resolve()
+	opts, err = OptionFlags{Granularity: "all-tcs", Objective: "min-devices", Parallelism: 4, ConflictBudget: 100}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Granularity != AllTCs || opts.Objective != MinDevices || opts.Parallelism != 4 || opts.ConflictBudget != 100 || opts.Compress != core.CompressOff {
+	if opts.Granularity != AllTCs || opts.Objective != MinDevices || opts.Parallelism != 4 || opts.ConflictBudget != 100 {
 		t.Errorf("resolved = %+v", opts)
 	}
 	for _, bad := range []OptionFlags{
-		{Granularity: "x"}, {Objective: "x"}, {Parallelism: -1}, {ConflictBudget: -1}, {Compress: "x"},
+		{Granularity: "x"}, {Objective: "x"}, {Parallelism: -1}, {ConflictBudget: -1},
 	} {
 		if _, err := bad.Resolve(); err == nil {
 			t.Errorf("flags %+v resolved without error", bad)
@@ -95,6 +94,7 @@ func TestOptionFlagsResolve(t *testing.T) {
 	for _, body := range []string{
 		`{"isolation":"off"}`, `{"algorithm":"linear"}`, `{"warm_start":true}`, `{"solve_cache":"off"}`,
 		`{"no_fallback":true}`, `{"retry_attempts":1}`, `{"dst_timeout_ms":5}`, `{"compress_redundancy":3}`,
+		`{"compress":"off"}`,
 	} {
 		dec := json.NewDecoder(strings.NewReader(body))
 		dec.DisallowUnknownFields()
@@ -270,16 +270,17 @@ func TestStaticDistanceIsState(t *testing.T) {
 	if !patchedStateMatches(harc.StateOf(lh), rep.Result.State, lh.Dsts, tcs) {
 		t.Error("the patched configs do not read as the verified repaired state")
 	}
-	if !verifyPatchedConfigs(context.Background(), rep.PatchedConfigs, policies, rep.Result.State) {
-		t.Error("verifyPatchedConfigs rejects the repaired configs")
+	if err := verifyPatchedConfigs(context.Background(), rep.PatchedConfigs, policies, rep.Result.State); err != nil {
+		t.Errorf("verifyPatchedConfigs rejects the repaired configs: %v", err)
 	}
 	// Without a verified state to match, every policy is checked on the
 	// re-parsed network, the original policies finding its rows by name.
-	if !verifyPatchedConfigs(context.Background(), rep.PatchedConfigs, policies, nil) {
-		t.Error("the full check rejects the repaired configs")
+	if err := verifyPatchedConfigs(context.Background(), rep.PatchedConfigs, policies, nil); err != nil {
+		t.Errorf("the full check rejects the repaired configs: %v", err)
 	}
-	if verifyPatchedConfigs(context.Background(), config.Figure2aConfigs(), policies, nil) {
-		t.Error("the full check accepts the unrepaired configs")
+	err = verifyPatchedConfigs(context.Background(), config.Figure2aConfigs(), policies, nil)
+	if !errors.Is(err, ErrUnfaithfulPatch) || !strings.Contains(err.Error(), "reachable S T 2") {
+		t.Errorf("the full check on the unrepaired configs: err %v, want an ErrUnfaithfulPatch naming reachable S T 2", err)
 	}
 }
 

@@ -23,14 +23,17 @@ import (
 // uncompressed state.
 type CompressMode int
 
-// Compression modes.
+// Compression modes. The product always runs CompressAuto; the other two
+// exist so tests and the benchmark's reference configuration can pin
+// one side of the rule.
 const (
 	// CompressAuto (the default) compresses eligible sub-problems when
 	// the network is large enough to plausibly pay for the quotient
-	// construction (compressAutoMinDevices).
+	// construction (compressAutoMinDevices) and the quotient is at most
+	// three quarters of the network.
 	CompressAuto CompressMode = iota
 	// CompressOn compresses every eligible sub-problem regardless of
-	// network size.
+	// network size or quotient size.
 	CompressOn
 	// CompressOff disables compression.
 	CompressOff

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/generate"
@@ -244,21 +245,11 @@ func TestVerifyRepairIncrementalWorkers(t *testing.T) {
 	}
 }
 
-// TestSolveCacheRejectsPoisonedEntry stores, under a sub-problem's real
-// fingerprint and before any repair, an entry whose staged state is the
-// unrepaired network, which violates the sub-problem's policies. The
-// repair must put the entry to the acceptance gate rather than replay it,
-// and solve the sub-problem afresh to the state an uncached repair
-// reaches. The entry stays (the first store wins), so a repeat repair
-// rejects it again.
-func TestSolveCacheRejectsPoisonedEntry(t *testing.T) {
-	h, ps := determinismFixture(t)
-	opts := DefaultOptions()
-	base, err := Repair(h, ps, opts)
-	if err != nil || !base.Solved {
-		t.Fatalf("uncached repair: solved %v, err %v", base != nil && base.Solved, err)
-	}
-	opts.Cache = NewSolveCache("poison")
+// poisonFirstProblem stores in opts.Cache, under the first sub-problem's
+// real fingerprint, an entry whose staged state is the unrepaired
+// network, and returns that problem and the number of sub-problems.
+func poisonFirstProblem(t *testing.T, h *harc.HARC, ps []policy.Policy, opts Options) (*problem, uint64) {
+	t.Helper()
 	problems, err := buildProblems(h, ps, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -272,16 +263,75 @@ func TestSolveCacheRejectsPoisonedEntry(t *testing.T) {
 		stat:     ProblemStat{Label: pr.label, Outcome: OutcomeSolved, Status: sat.Sat, Attempts: 1},
 		realized: orig,
 	})
-	for round := 1; round <= 2; round++ {
+	return pr, uint64(len(problems))
+}
+
+// TestSolveCacheRejectsPoisonedEntry stores, under a sub-problem's real
+// fingerprint and before any repair, an entry whose staged state is the
+// unrepaired network, which violates the sub-problem's policies. The
+// repair must put the entry to the acceptance gate rather than replay it,
+// and solve the sub-problem afresh to the state an uncached repair
+// reaches. The rejected entry is dropped and its lookup counted as a
+// miss, so the fresh answer is stored and a repeat repair replays it.
+func TestSolveCacheRejectsPoisonedEntry(t *testing.T) {
+	h, ps := determinismFixture(t)
+	opts := DefaultOptions()
+	base, err := Repair(h, ps, opts)
+	if err != nil || !base.Solved {
+		t.Fatalf("uncached repair: solved %v, err %v", base != nil && base.Solved, err)
+	}
+	opts.Cache = NewSolveCache("poison")
+	pr, n := poisonFirstProblem(t, h, ps, opts)
+	for round := uint64(1); round <= 2; round++ {
 		res, err := Repair(h, ps, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats[statIndex(res, pr.label)].Reused {
-			t.Errorf("round %d: problem %s replayed the poisoned entry", round, pr.label)
+		if reused := res.Stats[statIndex(res, pr.label)].Reused; reused != (round == 2) {
+			t.Errorf("round %d: problem %s reused %v, want %v", round, pr.label, reused, round == 2)
 		}
 		if !res.Solved || !res.State.Equal(base.State) {
 			t.Errorf("round %d: solved %v, state equal to the uncached repair's %v", round, res.Solved, res.State.Equal(base.State))
 		}
+		// Round 1 misses every sub-problem, the rejected entry included,
+		// and stores every answer; round 2 replays them all.
+		st := opts.Cache.Stats()
+		if want := (SolveCacheStats{Entries: int(n), Hits: (round - 1) * n, Misses: n, Stores: n + 1}); st.Entries != want.Entries ||
+			st.Hits != want.Hits || st.Misses != want.Misses || st.Stores != want.Stores {
+			t.Errorf("round %d: cache stats %+v, want entries %d hits %d misses %d stores %d",
+				round, st, want.Entries, want.Hits, want.Misses, want.Stores)
+		}
+	}
+}
+
+// TestSolveCachePoisonedEntryConcurrent races four repairs on a cache
+// holding a poisoned entry: each rejects or misses it and solves afresh
+// to the uncached repair's state, whichever of them drops it, and the
+// next repair replays the one fresh answer that stays.
+func TestSolveCachePoisonedEntryConcurrent(t *testing.T) {
+	h, ps := determinismFixture(t)
+	opts := DefaultOptions()
+	base, err := Repair(h, ps, opts)
+	if err != nil || !base.Solved {
+		t.Fatalf("uncached repair: solved %v, err %v", base != nil && base.Solved, err)
+	}
+	opts.Cache = NewSolveCache("poison")
+	pr, _ := poisonFirstProblem(t, h, ps, opts)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Repair(h, ps, opts)
+			if err != nil || !res.Solved || !res.State.Equal(base.State) {
+				t.Errorf("concurrent repair: err %v, solved %v, state equal to the uncached repair's %v",
+					err, res != nil && res.Solved, res != nil && res.State.Equal(base.State))
+			}
+		}()
+	}
+	wg.Wait()
+	res, err := Repair(h, ps, opts)
+	if err != nil || !res.Stats[statIndex(res, pr.label)].Reused {
+		t.Errorf("problem %s after the race: err %v, not replayed from the cache", pr.label, err)
 	}
 }

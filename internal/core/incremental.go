@@ -127,16 +127,26 @@ func SumStats(caches ...*SolveCache) SolveCacheStats {
 	return st
 }
 
-func (c *SolveCache) lookup(fp string) *solveEntry {
+// replay looks fp up and replays its entry onto the problem through the
+// acceptance gate (solveEntry.replay). An entry the gate rejects is
+// dropped, so the fresh solve's answer takes its place, and the lookup
+// counts as a miss.
+func (c *SolveCache) replay(fp string, h *harc.HARC, pr *problem) bool {
+	c.mu.Lock()
+	e := c.entries[fp]
+	c.mu.Unlock()
+	ok := e != nil && e.replay(h, pr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[fp]
-	if e != nil {
+	if ok {
 		c.hits++
-	} else {
-		c.misses++
+		return true
 	}
-	return e
+	c.misses++
+	if e != nil && c.entries[fp] == e {
+		delete(c.entries, fp)
+	}
+	return false
 }
 
 // store inserts an entry; the first store for a fingerprint wins, so

@@ -113,7 +113,10 @@ type Options struct {
 	// per-destination sub-problems: repair a quotient of role-equivalent
 	// routers, concretize the patch onto every class member, and accept
 	// it only after it re-verifies on the uncompressed state (falling
-	// back to the uncompressed solve otherwise).
+	// back to the uncompressed solve otherwise). No product path sets it:
+	// compression is the engine's call (CompressAuto). Tests pin either
+	// side of the rule with it, and the benchmark's reference
+	// configuration turns it off.
 	Compress CompressMode
 	// CompressRedundancy overrides the representative members kept per
 	// equivalence class (0 = derive from the problem: max(2, largest

@@ -90,7 +90,7 @@ func solveProblem(ctx context.Context, w *worker, tb *tables, orig *harc.State, 
 	pr.stat.Outcome = OutcomeFailed
 	fp, epochBound, memo := problemMemo(tb, orig, pr, opts)
 	if memo {
-		if ent := opts.Cache.lookup(fp); ent != nil && ent.replay(tb.h, pr) {
+		if opts.Cache.replay(fp, tb.h, pr) {
 			return
 		}
 	}

@@ -79,8 +79,9 @@ const (
 	// uncompressed solve.
 	CoreReverifyError = "core/reverify-error"
 	// CPRReplayError fails the check that re-parses a compressed repair's
-	// patched configuration text and re-verifies it, forcing cpr.RepairCtx
-	// to redo the whole repair uncompressed.
+	// patched configuration text and re-verifies it: cpr.RepairCtx returns
+	// an error wrapping cpr.ErrUnfaithfulPatch that names the first
+	// repaired policy.
 	CPRReplayError = "cpr/replay-error"
 )
 

@@ -16,6 +16,8 @@ import (
 	cpr "repro"
 	"repro/internal/config"
 	"repro/internal/faultinject"
+	"repro/internal/generate"
+	"repro/internal/policy"
 	"repro/internal/server"
 )
 
@@ -248,6 +250,45 @@ func TestFrontFailoverMidRequest(t *testing.T) {
 			t.Fatalf("goroutines = %d after fleet shutdown, started with %d", runtime.NumGoroutine(), g0)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFrontRelaysUnfaithfulPatch: a replica's 500 for a compressed
+// repair whose patched text fails its read-back (the cpr/replay-error
+// failpoint) is the daemon's own fault, the same on every replica, so the
+// front relays it from the owner without a retry or a failover.
+func TestFrontRelaysUnfaithfulPatch(t *testing.T) {
+	tf := newFleet(t, 2, Config{ProbeInterval: 20 * time.Second})
+	inst, err := generate.DataCenter(generate.DCOptions{
+		Name: "dc32", Routers: 32, Subnets: 12,
+		BlockedFrac: 0.3, FullyBlockedDsts: 1, Violations: 4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make(map[string]string, len(inst.Configs))
+	for name, c := range inst.Configs {
+		cfgs[name] = c.Print()
+	}
+	lr := loadVia(t, tf.frontTS.URL, cfgs)
+	tf.front.replWG.Wait()
+	if err := faultinject.Set(faultinject.CPRReplayError, "error"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	st, replica := postVia(t, tf.frontTS.URL, "/v1/repair",
+		server.RepairRequest{Session: lr.Session, Policies: policy.Format(inst.Policies)}, nil)
+	if st != http.StatusInternalServerError {
+		t.Fatalf("repair with an unfaithful patch: status %d, want 500", st)
+	}
+	if owner := tf.front.Owner(lr.Session); replica != owner {
+		t.Errorf("500 served by %s, want owner %s", replica, owner)
+	}
+	if r := tf.front.Status().Routing; r.Retries != 0 || r.Failovers != 0 {
+		t.Errorf("routing retries %d failovers %d, want none", r.Retries, r.Failovers)
+	}
+	if n := faultinject.FiredCount(faultinject.CPRReplayError); n != 1 {
+		t.Errorf("read-back failpoint fired %d times, want once", n)
 	}
 }
 

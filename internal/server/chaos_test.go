@@ -2,11 +2,14 @@ package server
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 
 	cpr "repro"
 	"repro/internal/config"
 	"repro/internal/faultinject"
+	"repro/internal/generate"
+	"repro/internal/policy"
 )
 
 // TestChaosIncrementalSessionSurvivesDeltaFaults drives the incremental
@@ -180,5 +183,50 @@ func TestChaosAllTCsPanicContained(t *testing.T) {
 	sz := srv.stats.snapshot(srv.cache.len(), srv.cache.retained())
 	if sz.Destinations.Failed != 1 || sz.Destinations.Solved != 1 || sz.Solves.Completed != 2 {
 		t.Errorf("statsz destinations = %+v solves = %+v, want failed=1 solved=1 completed=2", sz.Destinations, sz.Solves)
+	}
+}
+
+// TestChaosUnfaithfulPatchIs500: when a compressed repair's patched text
+// fails its read-back (forced by the cpr/replay-error failpoint), the
+// daemon answers 500 with an error naming the failing policy: the fault
+// is the daemon's, not the request's. The failure is not memoized, so the
+// same request answers 200, solved on quotients, once the failpoint
+// clears.
+func TestChaosUnfaithfulPatchIs500(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	defer faultinject.Reset()
+	inst, err := generate.DataCenter(generate.DCOptions{
+		Name: "dc32", Routers: 32, Subnets: 12,
+		BlockedFrac: 0.3, FullyBlockedDsts: 1, Violations: 4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make(map[string]string, len(inst.Configs))
+	for name, c := range inst.Configs {
+		texts[name] = c.Print()
+	}
+	var lr LoadResponse
+	if st := postJSON(t, ts, "/v1/load", LoadRequest{Configs: texts}, &lr); st != http.StatusOK {
+		t.Fatalf("load status = %d", st)
+	}
+	req := RepairRequest{Session: lr.Session, Policies: policy.Format(inst.Policies)}
+
+	if err := faultinject.Set(faultinject.CPRReplayError, "error"); err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	if st := postJSON(t, ts, "/v1/repair", req, &er); st != http.StatusInternalServerError {
+		t.Fatalf("unfaithful patch: status = %d, want 500", st)
+	}
+	if !strings.Contains(er.Error, cpr.ErrUnfaithfulPatch.Error()) || !strings.Contains(er.Error, "fails on the patched text") {
+		t.Errorf("error = %q, want the unfaithful-patch error naming a policy", er.Error)
+	}
+
+	faultinject.Reset()
+	var rr RepairResponse
+	if st := postJSON(t, ts, "/v1/repair", req, &rr); st != http.StatusOK || !rr.Solved || rr.Compressed == 0 {
+		t.Fatalf("after the failpoint: status %d solved=%v compressed=%d, want a solved compressed repair",
+			st, rr.Solved, rr.Compressed)
 	}
 }

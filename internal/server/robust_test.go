@@ -55,6 +55,7 @@ func TestDecodeRejectsUnknownField(t *testing.T) {
 	// unknown fields now — rejected by name, never silently ignored.
 	for field, opt := range map[string]string{
 		"isolation": `"off"`, "algorithm": `"linear"`, "warm_start": `true`, "solve_cache": `"off"`, "no_fallback": `true`,
+		"compress": `"off"`,
 	} {
 		st, er = postRaw(t, ts.URL, "/v1/repair",
 			`{"session":"`+lr.Session+`","policies":"reachable S T 2\n","options":{"`+field+`":`+opt+`}}`)

@@ -534,6 +534,12 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusGatewayTimeout, "repair: %v", rerr)
 			return
 		}
+		// The engine's answer and its text disagree: the daemon's fault,
+		// not the request's. The front relays it without a retry.
+		if errors.Is(rerr, cpr.ErrUnfaithfulPatch) {
+			writeError(w, http.StatusInternalServerError, "repair: %v", rerr)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "repair: %v", rerr)
 		return
 	}

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -486,6 +488,38 @@ func TestStatszLatencyHistogram(t *testing.T) {
 	}
 	if sum != ep.Count {
 		t.Errorf("bucket sum %d != count %d", sum, ep.Count)
+	}
+}
+
+// TestStatszSolverKeys pins the /statsz solver block's JSON keys (the
+// sat.Stats tags) and that a repair's conflicts and decisions fold in.
+func TestStatszSolverKeys(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	lr := loadFigure2a(t, ts)
+	var rr RepairResponse
+	if st := postJSON(t, ts, "/v1/repair", RepairRequest{Session: lr.Session, Policies: "reachable S T 2\n"}, &rr); st != http.StatusOK {
+		t.Fatalf("repair status = %d", st)
+	}
+	var sz struct {
+		Solver map[string]int64 `json:"solver"`
+	}
+	if st := getJSON(t, ts, "/statsz", &sz); st != http.StatusOK {
+		t.Fatalf("statsz status = %d", st)
+	}
+	var keys []string
+	for k := range sz.Solver {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{
+		"arena_gcs", "assump_solves", "binary_props", "conflicts", "cores_extracted", "db_reductions",
+		"decisions", "hardened_softs", "learned_lits", "propagations", "restarts", "totalizer_vars",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("solver keys = %v, want %v", keys, want)
+	}
+	if sz.Solver["conflicts"] != rr.Conflicts || sz.Solver["decisions"] == 0 {
+		t.Errorf("solver block = %v, want conflicts %d and some decisions", sz.Solver, rr.Conflicts)
 	}
 }
 

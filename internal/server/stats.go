@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/smt/sat"
 )
 
 // latencyBucketsMS are the upper bounds (milliseconds, inclusive) of the
@@ -111,18 +112,7 @@ func (st *stats) repairFinished(res *core.Result, cancelled bool) {
 		return
 	}
 	z.Solves.Conflicts += res.Conflicts
-	sv := &z.Solver
-	sv.Decisions += res.Solver.Decisions
-	sv.Propagations += res.Solver.Propagations
-	sv.BinaryProps += res.Solver.BinaryProps
-	sv.Restarts += res.Solver.Restarts
-	sv.LearnedLits += res.Solver.LearnedLits
-	sv.DBReductions += res.Solver.DBReductions
-	sv.ArenaGCs += res.Solver.ArenaGCs
-	sv.AssumpSolves += res.Solver.AssumpSolves
-	sv.CoresExtracted += res.Solver.CoresExtracted
-	sv.TotalizerVars += res.Solver.TotalizerVars
-	sv.HardenedSofts += res.Solver.HardenedSofts
+	z.Solver.Accumulate(res.Solver)
 	d := &z.Destinations
 	d.Solved += int64(len(res.Stats) - res.Failed)
 	d.Failed += int64(res.Failed)
@@ -255,23 +245,8 @@ type Statsz struct {
 		Conflicts int64 `json:"conflicts"`
 	} `json:"solves"`
 	// Solver aggregates the SAT solver's internal counters across
-	// completed solves.
-	Solver struct {
-		Decisions    int64 `json:"decisions"`
-		Propagations int64 `json:"propagations"`
-		BinaryProps  int64 `json:"binary_props"`
-		Restarts     int64 `json:"restarts"`
-		LearnedLits  int64 `json:"learned_lits"`
-		DBReductions int64 `json:"db_reductions"`
-		ArenaGCs     int64 `json:"arena_gcs"`
-		// Core-guided MaxSAT counters: assumption solves, UNSAT cores
-		// extracted, incremental-totalizer variables materialized, and
-		// softs hardened by stratified bound reasoning.
-		AssumpSolves   int64 `json:"assump_solves"`
-		CoresExtracted int64 `json:"cores_extracted"`
-		TotalizerVars  int64 `json:"totalizer_vars"`
-		HardenedSofts  int64 `json:"hardened_softs"`
-	} `json:"solver"`
+	// completed solves, the core-guided MaxSAT driver's included.
+	Solver sat.Stats `json:"solver"`
 	// Destinations counts per-destination sub-problem outcomes, summed
 	// across completed solves.
 	Destinations struct {

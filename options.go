@@ -9,9 +9,12 @@ import (
 // OptionFlags is the string-level repair option surface shared by the
 // cpr CLI flags and cprd's JSON request bodies, so both front ends
 // accept identical spellings. Zero values mean "use the default". These
-// five are the choices an operator makes; everything else the engine
+// four are the choices an operator makes; everything else the engine
 // derives or fixes (see core.Options), and cprd rejects any other field
-// name as unknown rather than ignoring it.
+// name as unknown rather than ignoring it. Symmetry compression is one
+// such derivation: the engine compresses a sub-problem when the network
+// has at least 24 devices and the quotient is at most three quarters of
+// it (core.CompressAuto).
 type OptionFlags struct {
 	// Granularity is "per-dst" (default) or "all-tcs".
 	Granularity string `json:"granularity,omitempty"`
@@ -23,10 +26,6 @@ type OptionFlags struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// ConflictBudget bounds each SAT call (0 = unlimited).
 	ConflictBudget int64 `json:"conflict_budget,omitempty"`
-	// Compress is "auto" (default: compress eligible sub-problems on
-	// networks with at least 24 devices), "on", or "off" — Bonsai-style
-	// symmetry compression with concrete re-verification.
-	Compress string `json:"compress,omitempty"`
 }
 
 // Resolve converts the string-level flags into engine Options, rejecting
@@ -57,15 +56,5 @@ func (f OptionFlags) Resolve() (Options, error) {
 		return opts, fmt.Errorf("negative conflict budget %d", f.ConflictBudget)
 	}
 	opts.ConflictBudget = f.ConflictBudget
-	switch f.Compress {
-	case "", "auto":
-		opts.Compress = core.CompressAuto
-	case "on":
-		opts.Compress = core.CompressOn
-	case "off":
-		opts.Compress = core.CompressOff
-	default:
-		return opts, fmt.Errorf("unknown compress %q (want auto, on, or off)", f.Compress)
-	}
 	return opts, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arc"
 	"repro/internal/bitset"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -100,30 +101,33 @@ func checkDeviationsRoundTrip(t *testing.T, label string, h *harc.HARC, st *harc
 	}
 }
 
-// TestEveryPlanReplays holds every repair of three workloads to
-// checkPlanReplays, and its repaired state to the presence rule
-// (ValidateState) and to checkDeviationsRoundTrip: the 24-network data-center corpus, the dc-256 preset
-// (seed 7, where compression engages) and the broken k=4 fat-tree of
-// seed 11 (every policy class, PC4 included) at both granularities.
-func TestEveryPlanReplays(t *testing.T) {
-	type workload struct {
-		label string
-		inst  *generate.Instance
-		opts  Options
-	}
-	var cases []workload
+// planWorkload is one repair of planWorkloads' population.
+type planWorkload struct {
+	label string
+	inst  *generate.Instance
+	opts  Options
+}
+
+// planWorkloads returns the population TestEveryPlanReplays and
+// TestReadBackDiffersOnlyAtSharedACLs repair: the 24-network data-center
+// corpus, the dc-256 preset (seed 7, where compression engages) and the
+// broken k=4 fat-tree of seed 11 (every policy class, PC4 included) at
+// both granularities.
+func planWorkloads(t *testing.T) []planWorkload {
+	t.Helper()
+	var cases []planWorkload
 	corpus, err := generate.Corpus(generate.CorpusOptions{Networks: 24, SubnetScale: 1.0, Seed: 20170801})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, inst := range corpus {
-		cases = append(cases, workload{fmt.Sprintf("corpus[%d] %s", i, inst.Name), inst, DefaultOptions()})
+		cases = append(cases, planWorkload{fmt.Sprintf("corpus[%d] %s", i, inst.Name), inst, DefaultOptions()})
 	}
 	dc, err := generate.Preset("dc-256", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, workload{"dc-256 seed 7", dc, DefaultOptions()})
+	cases = append(cases, planWorkload{"dc-256 seed 7", dc, DefaultOptions()})
 	for _, g := range []core.Granularity{core.PerDst, core.AllTCs} {
 		ft, err := generate.FatTree(generate.FatTreeOptions{K: 4, SubnetsPerEdge: 1, PC1: 3, PC2: 3, PC3: 3, PC4: 3, Seed: 11})
 		if err != nil {
@@ -134,8 +138,16 @@ func TestEveryPlanReplays(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.Granularity = g
-		cases = append(cases, workload{fmt.Sprintf("fattree k=4 seed 11 %v", g), ft, opts})
+		cases = append(cases, planWorkload{fmt.Sprintf("fattree k=4 seed 11 %v", g), ft, opts})
 	}
+	return cases
+}
+
+// TestEveryPlanReplays holds every repair of planWorkloads to
+// checkPlanReplays, and its repaired state to the presence rule
+// (ValidateState) and to checkDeviationsRoundTrip.
+func TestEveryPlanReplays(t *testing.T) {
+	cases := planWorkloads(t)
 	lines, waypoints := 0, 0
 	for _, c := range cases {
 		sys, texts, ps := loadInstance(t, c.inst)
@@ -158,6 +170,104 @@ func TestEveryPlanReplays(t *testing.T) {
 		t.Fatal("no workload needed a single changed line: the test replayed nothing")
 	}
 	t.Logf("%d repairs replayed: %d lines, %d waypoint changes", len(cases), lines, waypoints)
+}
+
+// TestReadBackDiffersOnlyAtSharedACLs reads every patched text of
+// planWorkloads back (a full HARC of the re-parsed network) and compares
+// its state with the repair's own, res.State. They are not equal
+// (ROADMAP item 1 (h)): the encoder decides every deny site on its own,
+// but the translator edits the access list an interface names, and the
+// generators attach one list to several interfaces of a device (every
+// data center's SPINE-ACL, every fat-tree's CORE-ACL), so a deny removed
+// for one interface is removed for all of them. The test pins that this
+// is the only way the two differ: every differing bit is a class bit at a
+// deny site whose list is attached to another interface too, and nothing
+// else (aETG and destination rows, waypoints, weights) differs. A
+// difference it cannot explain so must be listed in unexplained, with its
+// reason; the list is empty.
+func TestReadBackDiffersOnlyAtSharedACLs(t *testing.T) {
+	unexplained := map[string]string{}
+	seen := map[string]bool{}
+	var differing, textOnly, answerOnly int
+	cases := planWorkloads(t)
+	for _, c := range cases {
+		sys, _, ps := loadInstance(t, c.inst)
+		rep, err := sys.Repair(ps, c.opts)
+		if err != nil || !rep.Solved() {
+			t.Fatalf("%s: solved %v, err %v", c.label, rep != nil && rep.Solved(), err)
+		}
+		patched, err := Load(rep.PatchedConfigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := harc.StateOf(patched.HARC), rep.Result.State
+		if !got.SameShape(want) {
+			t.Errorf("%s: the patched text's slot table differs in shape", c.label)
+			continue
+		}
+		if !got.All.Equal(want.All) || !got.Waypoint.Equal(want.Waypoint) || !got.WeighAlike(want, patched.HARC.Dsts) {
+			t.Errorf("%s: the patched text's aETG, waypoints or weights differ from the answer's", c.label)
+		}
+		for _, dst := range sys.HARC.Dsts {
+			if !got.DstBits(dst).Equal(want.DstBits(dst)) {
+				t.Errorf("%s: destination %s's row differs from the answer's", c.label, dst.Name)
+			}
+		}
+		for _, tc := range sys.HARC.TCs {
+			g, w := got.TCBits(tc), want.TCBits(tc)
+			bitset.EachDiff(w, g, func(id int) {
+				differing++
+				if g.Has(id) {
+					textOnly++
+				} else {
+					answerOnly++
+				}
+				if sharedDenySite(patched.Network, sys.HARC.Slots[id]) {
+					return
+				}
+				key := fmt.Sprintf("%s: %s at %s", c.label, tc, sys.HARC.Slots[id].Key())
+				seen[key] = true
+				if unexplained[key] == "" {
+					t.Errorf("%s: the patched text and the answer differ at a deny site no other interface shares", key)
+				}
+			})
+		}
+	}
+	for key := range unexplained {
+		if !seen[key] {
+			t.Errorf("%s is listed as unexplained but no longer differs", key)
+		}
+	}
+	t.Logf("%d repairs read back: %d class bits differ, %d present only in the text, %d only in the answer",
+		len(cases), differing, textOnly, answerOnly)
+}
+
+// sharedDenySite reports whether slot s's deny site (arc.Slot.DenySite),
+// read on network n, names an access list that another interface of the
+// same device also uses.
+func sharedDenySite(n *Network, s *arc.Slot) bool {
+	intf, dir := s.DenySite()
+	if intf == nil {
+		return false
+	}
+	d := n.Device(intf.Device.Name)
+	if d == nil || d.Interface(intf.Name) == nil {
+		return false
+	}
+	site := d.Interface(intf.Name)
+	acl := site.InACL
+	if dir == "out" {
+		acl = site.OutACL
+	}
+	if acl == "" {
+		return false
+	}
+	for _, o := range d.Interfaces() {
+		if o != site && (o.InACL == acl || o.OutACL == acl) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestPatchedTextVerifies repairs hand-made inputs that no generator

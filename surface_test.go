@@ -18,9 +18,11 @@ import (
 // value in use it is a constant, and a value the engine can work out
 // from its inputs (as it does the retry bound, the watchdog share and
 // the fallback from whether the problem froze the aETG) is a derivation,
-// not an option. core.Options.CompressRedundancy is the one documented
-// exception: the compression oracle and two core tests force a lossless
-// quotient with it.
+// not an option. core.Options has two documented exceptions, both
+// settable by no product path: Compress, with which tests and the
+// benchmark's reference configuration pin one side of the engine's
+// compression rule, and CompressRedundancy, with which the compression
+// oracle and two core tests force a lossless quotient.
 //
 // Deployment settings are the other kind of field: what an operator
 // must say about the host a daemon runs on. They are server.Config's
@@ -44,7 +46,7 @@ func TestOptionSurface(t *testing.T) {
 		want []string
 	}{
 		{"OptionFlags", cpr.OptionFlags{}, []string{
-			"Granularity", "Objective", "Parallelism", "ConflictBudget", "Compress",
+			"Granularity", "Objective", "Parallelism", "ConflictBudget",
 		}},
 		{"core.Options", cpr.Options{}, []string{
 			"Granularity", "Algorithm", "Objective", "Parallelism",
